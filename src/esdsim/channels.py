@@ -1,28 +1,29 @@
-"""Kraus representations of the three single-qubit noises and their lifts.
+"""Kraus representations of the three single-qubit noises and their action.
 
-The noise always acts on the first qubit only; `lift_first` turns a 2x2
-Kraus set into the 4x4 set {K x I} and `apply_channel` evaluates the Kraus
-sum.  Channel parameters are the decayed coherence factors eta (amplitude),
-gamma (phase) and the error probability p (depolarizing); the time
-parametrization of these lives in the dynamics module.
+The noise always acts on the first qubit only.  `apply_channel` evaluates
+the Kraus sum on the first tensor factor of a state, so a 2x2 Kraus set acts
+on qubit 1 of a pair directly; `lift_first` still builds the equivalent 4x4
+set {K x I} where the lifted operators themselves are wanted.  Channel
+parameters are the decayed coherence factors eta (amplitude), gamma (phase)
+and the error probability p (depolarizing); the time parametrization of
+these lives in the dynamics module.
+
+The constructors take one parameter value or an array of them.  An array
+gives a stacked Kraus set: each operator has shape (..., 2, 2), one Kraus
+set per parameter value, and completeness is checked for every one of them.
 """
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dagger, kron
+from .linalg import _reject_first, dagger, kron
 from .states import validate_density_matrix
 
-# What the constructors achieve (exact algebra, rounding only).
-CONSTRUCTOR_COMPLETENESS_TOL = 1e-14
 # Gate applied by apply_channel / lift_first on arbitrary Kraus sets.
 COMPLETENESS_TOL = 1e-10
-# Agreement tolerance for the qubit-2 marginal checks.
-MARGINAL_TOL = 1e-12
 
 
 class NoiseKind(enum.Enum):
@@ -47,6 +48,8 @@ class NoiseSpec:
 class KrausSet:
     """Ordered Kraus operators, all square of the same dimension.
 
+    Each operator is one matrix or a stack of shape (..., dim, dim) that
+    holds one Kraus set per leading index; all operators share one shape.
     `dim` is inferred from the operators; it must be given explicitly for an
     empty set (where the completeness residual is ||-I||_F = sqrt(dim)).
     """
@@ -57,12 +60,12 @@ class KrausSet:
 
     def __post_init__(self) -> None:
         ops = tuple(np.asarray(op, dtype=complex) for op in self.ops)
-        dims = {op.shape for op in ops}
-        if any(len(shape) != 2 or shape[0] != shape[1] for shape in dims):
+        shapes = {op.shape for op in ops}
+        if any(len(shape) < 2 or shape[-1] != shape[-2] for shape in shapes):
             raise ValueError("Kraus operators must be square matrices")
-        if len(dims) > 1:
-            raise ValueError(f"Kraus operators must share one dimension, got {dims}")
-        dim = ops[0].shape[0] if ops else self.dim
+        if len(shapes) > 1:
+            raise ValueError(f"Kraus operators must share one shape, got {shapes}")
+        dim = ops[0].shape[-1] if ops else self.dim
         if dim <= 0:
             raise ValueError("an empty KrausSet needs an explicit dim")
         for op in ops:
@@ -71,37 +74,52 @@ class KrausSet:
         object.__setattr__(self, "dim", dim)
 
 
-def amplitude_kraus(eta: float) -> KrausSet:
+def _unit_interval(name: str, value) -> np.ndarray:
+    v = np.asarray(value, dtype=float)
+    _reject_first(
+        ~((v >= 0.0) & (v <= 1.0)),
+        lambda i, at: f"{name} must lie in [0, 1], got {float(v[i])!r}{at}",
+    )
+    return v
+
+
+def _matrices(shape: tuple[int, ...], entries: dict) -> np.ndarray:
+    # one 2x2 matrix per point of `shape`, zero outside the given entries
+    m = np.zeros(shape + (2, 2), dtype=complex)
+    for (i, j), value in entries.items():
+        m[..., i, j] = value
+    return m
+
+
+def amplitude_kraus(eta) -> KrausSet:
     """Amplitude-noise pair: E0 = diag(eta, 1), E1 with sqrt(1-eta^2) at (1, 0)."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
-    e0 = np.array([[eta, 0.0], [0.0, 1.0]], dtype=complex)
-    e1 = np.array([[0.0, 0.0], [math.sqrt(1.0 - eta * eta), 0.0]], dtype=complex)
+    eta = _unit_interval("eta", eta)
+    e0 = _matrices(eta.shape, {(0, 0): eta, (1, 1): 1.0})
+    e1 = _matrices(eta.shape, {(1, 0): np.sqrt(1.0 - eta * eta)})
     return KrausSet((e0, e1), label="amplitude")
 
 
-def phase_kraus(gamma: float) -> KrausSet:
+def phase_kraus(gamma) -> KrausSet:
     """Phase-noise pair: K0 = diag(1, gamma), K1 = diag(0, sqrt(1-gamma^2))."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
-    k0 = np.diag([1.0, gamma]).astype(complex)
-    k1 = np.diag([0.0, math.sqrt(1.0 - gamma * gamma)]).astype(complex)
+    gamma = _unit_interval("gamma", gamma)
+    k0 = _matrices(gamma.shape, {(0, 0): 1.0, (1, 1): gamma})
+    k1 = _matrices(gamma.shape, {(1, 1): np.sqrt(1.0 - gamma * gamma)})
     return KrausSet((k0, k1), label="phase")
 
 
-def depolarizing_kraus(p: float) -> KrausSet:
+def depolarizing_kraus(p) -> KrausSet:
     """Depolarizing quadruple sqrt(1-p) I and sqrt(p/3) times each Pauli."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    w = math.sqrt(p / 3.0)
-    d1 = math.sqrt(1.0 - p) * np.eye(2, dtype=complex)
-    d2 = w * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    d3 = w * np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
-    d4 = w * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    p = _unit_interval("p", p)
+    s = np.sqrt(1.0 - p)
+    w = np.sqrt(p / 3.0)
+    d1 = _matrices(p.shape, {(0, 0): s, (1, 1): s})
+    d2 = _matrices(p.shape, {(0, 1): w, (1, 0): w})
+    d3 = _matrices(p.shape, {(0, 1): 1.0j * w, (1, 0): -1.0j * w})
+    d4 = _matrices(p.shape, {(0, 0): w, (1, 1): -w})
     return KrausSet((d1, d2, d3, d4), label="depolarizing")
 
 
-def kraus_for(kind: NoiseKind, value: float) -> KrausSet:
+def kraus_for(kind: NoiseKind, value) -> KrausSet:
     """Constructor dispatch on the noise kind."""
     if kind is NoiseKind.AMPLITUDE:
         return amplitude_kraus(value)
@@ -110,37 +128,63 @@ def kraus_for(kind: NoiseKind, value: float) -> KrausSet:
     return depolarizing_kraus(value)
 
 
-def completeness_residual(kraus: KrausSet) -> float:
-    """Frobenius norm of sum(K^dag K) - I; zero for a trace-preserving set."""
+def completeness_residual(kraus: KrausSet) -> float | np.ndarray:
+    """Frobenius norm of sum(K^dag K) - I; zero for a trace-preserving set.
+
+    A float for one Kraus set, an array with one residual per set for a
+    stacked one.
+    """
     acc = -np.eye(kraus.dim, dtype=complex)
     for op in kraus.ops:
         acc = acc + dagger(op) @ op
-    return float(np.linalg.norm(acc))
+    return np.linalg.norm(acc, axis=(-2, -1))
+
+
+def _check_complete(kraus: KrausSet, tol: float, what: str) -> None:
+    residual = completeness_residual(kraus)
+    _reject_first(
+        residual > tol, lambda i, at: f"{what}{at} is not complete: residual {residual[i]:.3e}"
+    )
 
 
 def lift_first(kraus: KrausSet, tol: float = COMPLETENESS_TOL) -> KrausSet:
     """Lift a 2x2 Kraus set to act on the first qubit of a pair: K -> K x I."""
     if kraus.dim != 2:
         raise ValueError(f"lift_first expects 2x2 operators, got dim {kraus.dim}")
-    residual = completeness_residual(kraus)
-    if residual > tol:
-        raise ValueError(f"input Kraus set is not complete: residual {residual:.3e}")
+    _check_complete(kraus, tol, "input Kraus set")
     eye = np.eye(2, dtype=complex)
     return KrausSet(tuple(kron(op, eye) for op in kraus.ops), label=kraus.label, dim=4)
 
 
 def apply_channel(rho: np.ndarray, kraus: KrausSet, tol: float = COMPLETENESS_TOL) -> np.ndarray:
-    """Kraus sum sum(K rho K^dag); the output is validated as a density matrix."""
-    residual = completeness_residual(kraus)
-    if residual > tol:
-        raise ValueError(f"Kraus set is not complete: residual {residual:.3e}")
+    """Kraus sum sum(K rho K^dag) on the first tensor factor of rho.
+
+    A Kraus set of dimension d acts on a state of dimension d*m as {K x I_m}:
+    m = 1 is the plain Kraus sum, and a 2x2 set on a two-qubit state is the
+    noise on qubit 1, the same map as its `lift_first` lift.  `rho` and the
+    Kraus set may each be stacks; their leading axes broadcast.
+
+    Every Kraus set must be complete and every input a density matrix; the
+    error names the first failing member of a stack.  A complete Kraus map
+    sends density matrices to density matrices, so the output is left to
+    its consumer to check.
+    """
+    _check_complete(kraus, tol, "Kraus set")
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (kraus.dim, kraus.dim):
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2] or rho.shape[-1] % kraus.dim:
         raise ValueError(f"state shape {rho.shape} does not match Kraus dim {kraus.dim}")
-    out = np.zeros_like(rho)
-    for op in kraus.ops:
-        out += op @ rho @ dagger(op)
-    return validate_density_matrix(out)
+    validate_density_matrix(rho)
+    d, dim = kraus.dim, rho.shape[-1]
+    m = dim // d
+    ops = np.stack(kraus.ops)
+    # transfer[(a, e), (b, c)] = sum_k K_k[a, b] conj(K_k[e, c]) maps the
+    # (b, c) block of rho, an m x m matrix, into the (a, e) block of the output
+    transfer = np.einsum("k...ab,k...ec->...aebc", ops, ops.conj())
+    transfer = transfer.reshape(transfer.shape[:-4] + (d * d, d * d))
+    blocks = np.swapaxes(rho.reshape(rho.shape[:-2] + (d, m, d, m)), -3, -2)
+    out = transfer @ blocks.reshape(rho.shape[:-2] + (d * d, m * m))
+    out = np.swapaxes(out.reshape(out.shape[:-2] + (d, d, m, m)), -3, -2)
+    return out.reshape(out.shape[:-4] + (dim, dim))
 
 
 def _reduced_second_qubit(rho: np.ndarray) -> np.ndarray:

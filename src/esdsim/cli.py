@@ -57,8 +57,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.tau_max <= 0.0:
             raise ValueError(f"tau-max must be positive, got {self.tau_max!r}")
-        if self.grid_points < 2:
-            raise ValueError(f"points must be at least 2, got {self.grid_points!r}")
+        _check_points(self.grid_points)
+
+
+def _check_points(points: int) -> None:
+    if points < 2:
+        raise ValueError(f"points must be at least 2, got {points!r}")
 
 
 def _fmt(x: float) -> str:
@@ -231,7 +235,6 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau-max", dest="tau_max", type=float, default=50.0)
     p.add_argument("--points", type=int, default=2048)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=[f.value for f in OutputFormat], default="csv")
@@ -245,13 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_evolve = sub.add_parser("evolve", help="trajectory table, closed form vs general route")
-    _add_scenario_flags(p_evolve)
-    _add_output_flags(p_evolve)
-
     p_esd = sub.add_parser("esd", help="decay classification and death time")
-    _add_scenario_flags(p_esd)
-    _add_output_flags(p_esd)
+    for p in (p_evolve, p_esd):
+        _add_scenario_flags(p)
+        p.add_argument("--tau-max", dest="tau_max", type=float, default=50.0)
+        _add_output_flags(p)
 
+    # figure presets fix their own tau range
     p_fig = sub.add_parser("figure", help="preset curve tables")
     p_fig.add_argument("name", choices=sorted(FIGURE_PRESETS))
     _add_output_flags(p_fig)
@@ -280,12 +283,10 @@ def main(argv=None) -> int:
             )
             return cmd_evolve(cfg)
         if args.command == "esd":
-            if args.points < 2:
-                raise ValueError(f"points must be at least 2, got {args.points!r}")
+            _check_points(args.points)
             return cmd_esd(args)
         if args.command == "figure":
-            if args.points < 2:
-                raise ValueError(f"points must be at least 2, got {args.points!r}")
+            _check_points(args.points)
             return cmd_figure(args)
         return cmd_verify(args)
     except ValueError as exc:

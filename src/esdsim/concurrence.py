@@ -40,20 +40,25 @@ def spin_flip_spectrum(rho: np.ndarray) -> np.ndarray:
 
     Computed as singular values of W = sqrt(rho)^T (sy x sy) sqrt(rho).
     W^* W = sqrt(rho) rho~ sqrt(rho) with rho~ the spin-flipped state, so
-    the singular values squared are the eigenvalues of rho rho~.
+    the singular values squared are the eigenvalues of rho rho~.  `rho` is
+    one 4x4 state or a stack of shape (..., 4, 4); every state is validated,
+    and the result has shape (..., 4).
     """
     rho = validate_density_matrix(rho)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
     s = psd_sqrt(rho)
-    w = s.T @ SPIN_FLIP @ s
+    w = np.swapaxes(s, -1, -2) @ SPIN_FLIP @ s
     return np.linalg.svd(w, compute_uv=False)
 
 
-def concurrence_wootters(rho: np.ndarray) -> float:
-    """max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4) for any 4x4 state."""
+def concurrence_wootters(rho: np.ndarray) -> float | np.ndarray:
+    """max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4) for any 4x4 state.
+
+    A float for one state, an array with one value per state for a stack.
+    """
     lam = spin_flip_spectrum(rho)
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 def concurrence_x(params: XStateParams) -> float:

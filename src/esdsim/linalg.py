@@ -1,7 +1,10 @@
 """Dense complex matrix helpers for the 2x2 / 4x4 kernels used throughout.
 
-Everything here is a thin, contract-checked wrapper over numpy: the matrices
-never exceed 4x4, so robustness and explicit tolerances matter more than speed.
+Every function takes one matrix or a stack of them: leading axes are batch
+axes, and each matrix of a stack gets the same contract checks and the same
+explicit tolerances as a single one.  The numeric route evaluates the tau
+grid as (N, 4, 4) stacks, because per-matrix numpy calls on 4x4 inputs
+cost far more in call overhead than in arithmetic.
 """
 from __future__ import annotations
 
@@ -22,8 +25,22 @@ ZERO_EIG_RTOL = 1e-13
 class EigDecomposition(NamedTuple):
     """Hermitian eigendecomposition with eigenvalues sorted descending."""
 
-    eigenvalues: np.ndarray  # real, shape (n,), descending
-    eigenvectors: np.ndarray  # unitary, columns ordered to match
+    eigenvalues: np.ndarray  # real, shape (..., n), descending
+    eigenvectors: np.ndarray  # unitary, shape (..., n, n), columns ordered to match
+
+
+def _reject_first(bad, message) -> None:
+    """Raise ValueError for the first matrix flagged in the per-matrix mask
+    `bad`, with text `message(i, at)`: `i` indexes that matrix's entries
+    (() for a single matrix) and `at` names it (" at index 3"; "" for a
+    single matrix)."""
+    if bad.ndim == 0:
+        if bad:
+            raise ValueError(message((), ""))
+        return
+    if bad.any():
+        i = tuple(int(k) for k in np.unravel_index(np.argmax(bad), bad.shape))
+        raise ValueError(message(i, f" at index {i[0] if len(i) == 1 else i}"))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -36,8 +53,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
+    """Conjugate transpose of each matrix (the last two axes)."""
+    return np.swapaxes(np.asarray(a).conj(), -1, -2)
 
 
 def hermitian_eig(h: np.ndarray, tol: float = PSD_CLAMP_TOL) -> EigDecomposition:
@@ -46,7 +63,8 @@ def hermitian_eig(h: np.ndarray, tol: float = PSD_CLAMP_TOL) -> EigDecomposition
     Parameters
     ----------
     h : array_like
-        Square matrix, Hermitian within `tol` in Frobenius norm.
+        Square matrix, or stack of them with shape (..., n, n), each
+        Hermitian within `tol` in Frobenius norm.
     tol : float
         Allowed Hermiticity defect; the matrix is symmetrized before the
         solve so the defect only ever absorbs rounding.
@@ -54,34 +72,42 @@ def hermitian_eig(h: np.ndarray, tol: float = PSD_CLAMP_TOL) -> EigDecomposition
     Raises
     ------
     ValueError
-        If the input is not square or not Hermitian within `tol`.
+        If the input is not square or not Hermitian within `tol`; for a
+        stack, the message names the index of the first failing matrix.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    defect = np.linalg.norm(h - h.conj().T)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {tol:.3e}")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    order = np.argsort(w)[::-1]
-    return EigDecomposition(w[order].copy(), v[:, order].copy())
+    hd = dagger(h)
+    defect = np.linalg.norm(h - hd, axis=(-2, -1))
+    _reject_first(
+        defect > tol,
+        lambda i, at: f"matrix{at} is not Hermitian: defect {defect[i]:.3e} > tol {tol:.3e}",
+    )
+    w, v = np.linalg.eigh((h + hd) / 2.0)
+    return EigDecomposition(w[..., ::-1].copy(), v[..., ::-1].copy())
 
 
 def psd_sqrt(h: np.ndarray, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
-    """Hermitian positive-semidefinite square root.
+    """Hermitian positive-semidefinite square root of each matrix.
 
     Eigenvalues in [-tol, 0) are clamped to 0; eigenvalues below
-    ZERO_EIG_RTOL relative to the largest one are snapped to exact zero so
-    that rank-deficient inputs yield an exactly rank-deficient root.
+    ZERO_EIG_RTOL relative to the largest one of the same matrix are snapped
+    to exact zero so that rank-deficient inputs yield an exactly
+    rank-deficient root.
 
     Raises
     ------
     ValueError
-        If an eigenvalue sits below -tol (input not PSD).
+        If an eigenvalue sits below -tol (input not PSD); for a stack, the
+        message names the index of the first failing matrix.
     """
     w, v = hermitian_eig(h, tol)
-    if w[-1] < -tol:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w[-1]:.3e} < -{tol:.3e}")
-    cut = ZERO_EIG_RTOL * max(w[0], 0.0)
+    low = w[..., -1]
+    _reject_first(
+        low < -tol,
+        lambda i, at: f"matrix{at} is not PSD: min eigenvalue {low[i]:.3e} < -{tol:.3e}",
+    )
+    cut = ZERO_EIG_RTOL * np.maximum(w[..., :1], 0.0)
     w = np.where(w < cut, 0.0, w)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)

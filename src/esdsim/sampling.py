@@ -59,11 +59,6 @@ def random_entangled_pure_params(
             return params
 
 
-def random_family_params(rng: np.random.Generator) -> FamilyParams:
-    family = Family.ISOTROPIC if rng.uniform() < 0.5 else Family.WERNER
-    return FamilyParams(family, rng.uniform())
-
-
 def haar_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix, phases fixed."""
     g = rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))

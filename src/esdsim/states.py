@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eig
+from .linalg import _reject_first, dagger
 
 # Parameter-record tolerances: weights are user input, so the sum check is
 # tight; the central-block positivity check absorbs only rounding.
@@ -94,20 +94,27 @@ class FamilyParams:
 def validate_density_matrix(mat: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the array.
 
-    Raises ValueError naming the violated property.
+    `mat` is one matrix or a stack of them with shape (..., n, n); every
+    matrix is checked.  Raises ValueError naming the violated property and,
+    for a stack, the index of the first matrix that violates it.
     """
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-    defect = np.linalg.norm(mat - mat.conj().T)
-    if defect > tol:
-        raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
-    tr = mat.trace()
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"density matrix trace must be 1, got {tr!r}")
-    w = hermitian_eig(mat, tol).eigenvalues
-    if w[-1] < -tol:
-        raise ValueError(f"density matrix not PSD: min eigenvalue {w[-1]:.3e}")
+    herm = dagger(mat)
+    defect = np.linalg.norm(mat - herm, axis=(-2, -1))
+    _reject_first(
+        defect > tol, lambda i, at: f"density matrix{at} not Hermitian: defect {defect[i]:.3e}"
+    )
+    tr = np.trace(mat, axis1=-2, axis2=-1)
+    _reject_first(
+        abs(tr - 1.0) > tol,
+        lambda i, at: f"density matrix{at} trace must be 1, got {complex(tr[i])!r}",
+    )
+    low = np.linalg.eigvalsh((mat + herm) / 2.0)[..., 0]
+    _reject_first(
+        low < -tol, lambda i, at: f"density matrix{at} not PSD: min eigenvalue {low[i]:.3e}"
+    )
     return mat
 
 

@@ -208,3 +208,57 @@ def test_partial_trace_helpers_are_consistent():
     prod = np.kron(u, v)
     np.testing.assert_allclose(_reduced_first_qubit(prod), u, atol=1e-15)
     np.testing.assert_allclose(_reduced_second_qubit(prod), v, atol=1e-15)
+
+
+@pytest.mark.parametrize("ctor", [amplitude_kraus, phase_kraus, depolarizing_kraus])
+def test_constructors_build_one_kraus_set_per_value(ctor):
+    values = np.array([0.0, 0.3, 0.77, 1.0])
+    stacked = ctor(values)
+    assert all(op.shape == (4, 2, 2) for op in stacked.ops)
+    for i, value in enumerate(values):
+        for op, one in zip(stacked.ops, ctor(float(value)).ops):
+            np.testing.assert_array_equal(op[i], one)
+    residual = completeness_residual(stacked)
+    assert residual.shape == (4,) and residual.max() <= 1e-14
+    with pytest.raises(ValueError, match=r"got 1\.5 at index 2"):
+        ctor(np.array([0.2, 0.4, 1.5, 2.0]))
+
+
+def test_two_by_two_set_acts_on_the_first_qubit():
+    # a 2x2 Kraus set on a two-qubit state is the same map as its lift
+    rng = np.random.default_rng(36)
+    for kind in NoiseKind:
+        rho = ginibre(rng)
+        kraus = kraus_for(kind, rng.uniform())
+        np.testing.assert_allclose(
+            apply_channel(rho, kraus), apply_channel(rho, lift_first(kraus)), atol=1e-15
+        )
+
+
+def test_apply_channel_broadcasts_stacks():
+    rng = np.random.default_rng(37)
+    values = rng.uniform(size=5)
+    rho = ginibre(rng)
+    states = np.stack([ginibre(rng) for _ in range(5)])
+    for kind in NoiseKind:
+        stacked = kraus_for(kind, values)
+        one_state = apply_channel(rho, stacked)
+        many_states = apply_channel(states, stacked)
+        assert one_state.shape == many_states.shape == (5, 4, 4)
+        for i, value in enumerate(values):
+            lifted = lift_first(kraus_for(kind, float(value)))
+            np.testing.assert_allclose(one_state[i], apply_channel(rho, lifted), atol=1e-15)
+            np.testing.assert_allclose(many_states[i], apply_channel(states[i], lifted), atol=1e-15)
+
+
+def test_apply_channel_names_the_failing_member():
+    rho = np.eye(4) / 4
+    e0 = np.stack([np.diag([eta, 1.0]) for eta in (0.5, 0.8, 0.6)]).astype(complex)
+    e1 = np.zeros_like(e0)
+    e1[:, 1, 0] = np.sqrt(1 - np.array([0.5, 0.8, 0.6]) ** 2)
+    e1[1, 1, 0] = 0.5  # the set for 0.8 loses trace
+    with pytest.raises(ValueError, match="index 1 is not complete"):
+        apply_channel(rho, KrausSet((e0, e1)))
+    states = np.stack([rho, rho, np.diag([1.2, -0.2, 0.0, 0.0])])
+    with pytest.raises(ValueError, match="index 2 not PSD"):
+        apply_channel(states, amplitude_kraus(0.5))

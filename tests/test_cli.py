@@ -271,3 +271,18 @@ def test_parser_smoke():
     assert args.points == 2048
     args = parser.parse_args(["verify"])
     assert args.seed == 0 and args.cases == 1000
+
+
+def test_figure_rejects_tau_max(capsys):
+    # each preset fixes its own tau range, so the flag is not accepted
+    code, out, err = run(["figure", "fig1", "--tau-max", "5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--tau-max" in err
+
+
+def test_points_validation_is_shared(capsys):
+    for argv in (["esd", *FIG1_SOLID_FLAGS], ["figure", "fig1"]):
+        code, _, err = run([*argv, "--points", "1"], capsys)
+        assert code == 2
+        assert "points must be at least 2" in err

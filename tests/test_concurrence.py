@@ -127,3 +127,22 @@ def test_wootters_accuracy_on_rank_deficient_states():
             abs(concurrence_pure(params) - concurrence_wootters(pure_state(params))),
         )
     assert worst <= 1e-12
+
+
+def test_wootters_on_a_stack_matches_each_state():
+    rng = np.random.default_rng(44)
+    states = []
+    for _ in range(6):
+        a, b, c, d = rng.dirichlet(np.ones(4))
+        states.append(pure_state(PureStateParams(a, b, c, d, *rng.uniform(0, 2 * np.pi, size=3))))
+        states.append(x_state(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2 * rng.uniform())))
+    stack = np.stack(states)
+    lam = spin_flip_spectrum(stack)
+    c = concurrence_wootters(stack)
+    assert lam.shape == (12, 4) and c.shape == (12,)
+    for i, rho in enumerate(states):
+        np.testing.assert_allclose(lam[i], spin_flip_spectrum(rho), atol=1e-15)
+        assert abs(c[i] - concurrence_wootters(rho)) <= 1e-15
+    stack[7] = np.diag([1.2, -0.2, 0.0, 0.0])
+    with pytest.raises(ValueError, match="index 7 not PSD"):
+        concurrence_wootters(stack)

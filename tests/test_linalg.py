@@ -116,3 +116,43 @@ def test_psd_sqrt_clamps_rounding_negatives():
     h = np.diag([1.0, 0.5, 0.0, -1e-14])
     s = psd_sqrt(h)
     assert s[3, 3] == 0.0
+
+
+def random_density_stack(rng, n):
+    g = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+    h = g @ dagger(g)
+    return h / np.trace(h, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def test_stacks_match_one_matrix_at_a_time():
+    rng = np.random.default_rng(17)
+    stack = random_density_stack(rng, 7)
+    stack[2] = np.diag([1.0, 0.0, 0.0, 0.0])  # rank-deficient member
+    dec = hermitian_eig(stack)
+    roots = psd_sqrt(stack)
+    assert dec.eigenvalues.shape == (7, 4) and roots.shape == (7, 4, 4)
+    for i, h in enumerate(stack):
+        one = hermitian_eig(h)
+        np.testing.assert_allclose(dec.eigenvalues[i], one.eigenvalues, atol=1e-14)
+        np.testing.assert_allclose(roots[i], psd_sqrt(h), atol=1e-14)
+    # the zero-eigenvalue snap is relative to each matrix's own largest
+    # eigenvalue, not to the stack's
+    small = psd_sqrt(np.stack([np.diag([1.0, 1e-14, 0, 0]), np.diag([1e-12, 0, 0, 0])]))
+    assert small[0, 1, 1] == 0.0 and small[1, 0, 0] == 1e-6
+
+
+def test_stack_errors_name_the_failing_member():
+    rng = np.random.default_rng(18)
+    stack = random_density_stack(rng, 5)
+    skew = stack.copy()
+    skew[3, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="index 3 is not Hermitian"):
+        hermitian_eig(skew)
+    negative = stack.copy()
+    negative[1] = np.diag([0.7, 0.4, -1e-3, 0.0])
+    with pytest.raises(ValueError, match="index 1 is not PSD"):
+        psd_sqrt(negative)
+    with pytest.raises(ValueError, match=r"index \(1, 0\) is not PSD"):
+        psd_sqrt(negative.reshape(5, 1, 4, 4))
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eig(np.ones((3, 4, 2)))

@@ -147,3 +147,20 @@ def test_as_x_params_rejects_corner_coherence():
 def test_as_x_params_rejects_single_qubit_input():
     with pytest.raises(ValueError):
         as_x_params(np.eye(2) / 2)
+
+
+def test_validate_density_matrix_checks_every_member_of_a_stack():
+    good = np.stack([x_state(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2)), np.eye(4) / 4] * 3)
+    assert validate_density_matrix(good).shape == (6, 4, 4)
+    skew = good.copy()
+    skew[4, 0, 1] = 1e-3
+    with pytest.raises(ValueError, match="index 4 not Hermitian"):
+        validate_density_matrix(skew)
+    heavy = good.copy()
+    heavy[2] *= 1.5
+    with pytest.raises(ValueError, match="index 2 trace"):
+        validate_density_matrix(heavy)
+    negative = good.copy()
+    negative[5] = np.diag([1.2, -0.2, 0.0, 0.0])
+    with pytest.raises(ValueError, match="index 5 not PSD"):
+        validate_density_matrix(negative)
