@@ -34,14 +34,9 @@ class NoiseKind(enum.Enum):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Which single-qubit noise acts, and its decay rate (inverse time)."""
+    """Which single-qubit noise acts on qubit 1."""
 
     kind: NoiseKind
-    rate: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"decay rate must be positive, got {self.rate!r}")
 
 
 @dataclass(frozen=True)

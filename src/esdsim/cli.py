@@ -18,10 +18,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import enum
+import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,35 +46,29 @@ class OutputFormat(enum.Enum):
     JSONL = "jsonl"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    scenario: Scenario
-    tau_max: float
-    grid_points: int
-    output_path: str | None
-    format: OutputFormat
-
-    def __post_init__(self) -> None:
-        if self.tau_max <= 0.0:
-            raise ValueError(f"tau-max must be positive, got {self.tau_max!r}")
-        _check_points(self.grid_points)
-
-
-def _check_points(points: int) -> None:
-    if points < 2:
-        raise ValueError(f"points must be at least 2, got {points!r}")
+def _check_positive(flag: str, value: float) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"--{flag} must be positive and finite, got {value!r}")
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _json_line(pairs) -> str:
+    # floats keep the 12-digit text of _fmt (json.dumps would print 50 as
+    # 50.0); strings are quoted and escaped by json.dumps
+    body = ", ".join(
+        f'"{key}": {_fmt(v) if isinstance(v, float) else json.dumps(v)}' for key, v in pairs
+    )
+    return "{" + body + "}\n"
+
+
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     chosen = [bool(args.xstate), bool(args.pure), args.family is not None]
     if sum(chosen) != 1:
         raise ValueError("specify exactly one of --xstate, --pure, --family")
-    gamma = getattr(args, "gamma", 1.0)
-    noise = NoiseSpec(NoiseKind(args.noise), rate=gamma)
+    noise = NoiseSpec(NoiseKind(args.noise))
 
     if args.family is not None:
         if args.x is None:
@@ -113,37 +107,38 @@ def _open_out(path: str | None):
     return open(path, "w", newline="")
 
 
-def _trajectory_rows(scenario: Scenario, grid: np.ndarray) -> list[tuple[float, float, float, float]]:
+def _trajectory_rows(scenario: Scenario, grid: np.ndarray, scale: float = 1.0) -> list[tuple]:
+    # times are printed as tau / scale, the decay rate given by --gamma
     closed = closed_form_trajectory(scenario, grid)
     numeric = numeric_trajectory(scenario, grid)
-    scale = scenario.noise.rate
     return [
         (t / scale, cc, cw, abs(cc - cw))
         for t, cc, cw in zip(grid, closed.c, numeric.c)
     ]
 
 
+_COLUMNS = ("tau", "c_closed", "c_wootters", "abs_diff")
+
+
 def _write_rows(stream, rows, fmt: OutputFormat, curve: str | None = None) -> None:
     if fmt is OutputFormat.CSV:
         if curve is not None:
             stream.write(f"# curve: {curve}\n")
-        stream.write("tau,c_closed,c_wootters,abs_diff\n")
+        stream.write(",".join(_COLUMNS) + "\n")
         for row in rows:
             stream.write(",".join(_fmt(v) for v in row) + "\n")
         return
-    tag = f'"curve": "{curve}", ' if curve is not None else ""
-    for t, cc, cw, diff in rows:
-        stream.write(
-            f'{{{tag}"tau": {_fmt(t)}, "c_closed": {_fmt(cc)}, '
-            f'"c_wootters": {_fmt(cw)}, "abs_diff": {_fmt(diff)}}}\n'
-        )
+    tag = [("curve", curve)] if curve is not None else []
+    for row in rows:
+        stream.write(_json_line([*tag, *zip(_COLUMNS, row)]))
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
-    grid = np.linspace(0.0, cfg.tau_max, cfg.grid_points)
-    rows = _trajectory_rows(cfg.scenario, grid)
-    with _open_out(cfg.output_path) as stream:
-        _write_rows(stream, rows, cfg.format)
+def cmd_evolve(args: argparse.Namespace) -> int:
+    scenario = _scenario_from_args(args)
+    grid = np.linspace(0.0, args.tau_max, args.points)
+    rows = _trajectory_rows(scenario, grid, args.gamma)
+    with _open_out(args.out) as stream:
+        _write_rows(stream, rows, OutputFormat(args.format))
     return 0
 
 
@@ -154,32 +149,27 @@ def cmd_esd(args: argparse.Namespace) -> int:
     except ValueError:
         analytic = None
     numeric = esd_time_bisection(scenario, tau_max=args.tau_max, points=args.points)
-    scale = scenario.noise.rate
+    scale = args.gamma
 
-    pairs: list[tuple[str, str]] = [("classification", numeric.classification.value)]
+    pairs: list[tuple[str, str | float]] = [("classification", numeric.classification.value)]
     a_tau = analytic.tau_death if analytic is not None else None
     if analytic is None:
         pairs.append(("tau_death_analytic", "n/a (no closed-form threshold)"))
     elif a_tau is not None:
-        pairs.append(("tau_death_analytic", _fmt(a_tau / scale)))
+        pairs.append(("tau_death_analytic", a_tau / scale))
     if numeric.tau_death is not None:
-        pairs.append(("tau_death_bisection", _fmt(numeric.tau_death / scale)))
+        pairs.append(("tau_death_bisection", numeric.tau_death / scale))
         if a_tau is not None:
-            pairs.append(("abs_diff", _fmt(abs(a_tau - numeric.tau_death) / scale)))
+            pairs.append(("abs_diff", abs(a_tau - numeric.tau_death) / scale))
     if numeric.classification is Classification.ASYMPTOTIC_DECAY:
-        pairs.append(("horizon", _fmt(numeric.horizon / scale)))
+        pairs.append(("horizon", numeric.horizon / scale))
 
     with _open_out(args.out) as stream:
         if OutputFormat(args.format) is OutputFormat.JSONL:
-            body = ", ".join(
-                f'"{k}": {v}' if k.startswith(("tau", "abs", "horizon")) and "n/a" not in v
-                else f'"{k}": "{v}"'
-                for k, v in pairs
-            )
-            stream.write("{" + body + "}\n")
+            stream.write(_json_line(pairs))
         else:
             for key, value in pairs:
-                stream.write(f"{key}: {value}\n")
+                stream.write(f"{key}: {_fmt(value) if isinstance(value, float) else value}\n")
     return 0
 
 
@@ -216,6 +206,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     passed = sum(1 for r in results if r.passed)
     print(f"{passed}/{len(results)} suites passed")
     return 0 if passed == len(results) else 1
+
+
+_COMMANDS = {"evolve": cmd_evolve, "esd": cmd_esd, "figure": cmd_figure, "verify": cmd_verify}
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
@@ -273,22 +266,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        if args.command == "evolve":
-            cfg = RunConfig(
-                scenario=_scenario_from_args(args),
-                tau_max=args.tau_max,
-                grid_points=args.points,
-                output_path=args.out,
-                format=OutputFormat(args.format),
-            )
-            return cmd_evolve(cfg)
-        if args.command == "esd":
-            _check_points(args.points)
-            return cmd_esd(args)
-        if args.command == "figure":
-            _check_points(args.points)
-            return cmd_figure(args)
-        return cmd_verify(args)
+        if args.command in ("evolve", "esd"):
+            _check_positive("tau-max", args.tau_max)
+            _check_positive("gamma", args.gamma)
+        if args.command != "verify" and args.points < 2:
+            raise ValueError(f"points must be at least 2, got {args.points!r}")
+        return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,13 +17,12 @@ machine precision where the naive chain loses half the digits.
 """
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 from .linalg import kron, psd_sqrt
-from .states import PureStateParams, XStateParams, validate_density_matrix
+from .states import PureStateParams, XStateParams, _pure_amplitudes, validate_density_matrix
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -84,20 +83,7 @@ def concurrence_pure(params: PureStateParams) -> float:
     return 2.0 * math.sqrt(radicand)
 
 
-def _pure_amplitude_vector(params: PureStateParams) -> np.ndarray:
-    # shared with states.pure_state's construction; kept here for the
-    # determinant cross-check below
-    return np.array(
-        [
-            math.sqrt(params.a),
-            math.sqrt(params.b) * cmath.exp(1.0j * params.f),
-            math.sqrt(params.c) * cmath.exp(1.0j * params.g),
-            math.sqrt(params.d) * cmath.exp(1.0j * params.h),
-        ]
-    )
-
-
 def concurrence_pure_determinant(params: PureStateParams) -> float:
     """Independent pure-state route: 2 |det M| for the 2x2 amplitude matrix."""
-    m = _pure_amplitude_vector(params).reshape(2, 2)
+    m = _pure_amplitudes(params).reshape(2, 2)
     return 2.0 * abs(np.linalg.det(m))

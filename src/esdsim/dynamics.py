@@ -6,23 +6,29 @@ amplitude noise, gamma = e^(-tau/2) for phase noise and p = 1 - e^(-tau/2)
 for depolarizing noise.
 
 Two evaluation routes are kept deliberately separate so they can check
-each other: `closed_form_concurrence` dispatches over the per-family
-formulas one point at a time, while the numeric route evolves the full
-density matrix and runs the general concurrence.  The numeric route works
-on a stack: it builds the Kraus sets for a block of tau values at once,
-applies them to the initial state as one (N, 4, 4) stack, and takes the
-Wootters concurrence of the whole stack.  `numeric_trajectory`,
-`evolved_state` and the oracle scan of `esd_time_bisection` all run that
-one code path; a single point is a block of one.  ESD detection likewise
-comes in an analytic flavor (where a closed threshold exists) and a
-scan-plus-bisection flavor that only needs pointwise concurrence values.
+each other: `closed_form_concurrence` evaluates the formula of the
+scenario's (state kind, noise kind) cell one point at a time, while the
+numeric route evolves the full density matrix and runs the general
+concurrence.  The numeric route works on a stack: it builds the Kraus
+sets for a block of tau values at once, applies them to the initial state
+as one (N, 4, 4) stack, and takes the Wootters concurrence of the whole
+stack.  `numeric_trajectory`, `evolved_state` and the oracle scan of
+`esd_time_bisection` all run that one code path; a single point is a
+block of one.  ESD detection likewise comes in an analytic flavor (where
+a closed threshold exists) and a scan-plus-bisection flavor that only
+needs pointwise concurrence values.
+
+The paper's results form a grid of four state kinds (cross-pattern, pure,
+isotropic, Werner) times the three noises.  `_TABLE` holds one row per
+cell: initial state, concurrence formula, death-time rule and, for the
+families, the sudden-death interval.  A `Scenario` finds its row once.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -78,6 +84,11 @@ class Scenario:
     state: StateParams
     noise: NoiseSpec
 
+    def __post_init__(self) -> None:
+        # the state kind is the params class, or the Family of a FamilyParams
+        kind = getattr(self.state, "family", type(self.state))
+        object.__setattr__(self, "_row", _TABLE[kind, self.noise.kind])
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -131,12 +142,7 @@ def noise_param(noise: NoiseSpec, tau: float) -> float:
 
 
 def initial_state(scenario: Scenario) -> np.ndarray:
-    state = scenario.state
-    if isinstance(state, XStateParams):
-        return x_state(state)
-    if isinstance(state, PureStateParams):
-        return pure_state(state)
-    return family_state(state)
+    return scenario._row.build(scenario.state)
 
 
 def initial_concurrence(scenario: Scenario) -> float:
@@ -144,90 +150,70 @@ def initial_concurrence(scenario: Scenario) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# closed forms, all (state, tau, value at tau) so the table holds them as is
 
 
-def _x_amplitude(s: XStateParams, eta: float) -> float:
+def _x_amplitude(s: XStateParams, tau: float, eta: float) -> float:
     radicand = s.a * (s.b + s.d - s.b * eta * eta)
     return 2.0 * max(0.0, eta * (abs(s.z) - math.sqrt(radicand)))
 
 
-def _x_phase(s: XStateParams, gamma: float) -> float:
+def _x_phase(s: XStateParams, tau: float, gamma: float) -> float:
     return 2.0 * max(0.0, gamma * abs(s.z) - math.sqrt(s.a * s.d))
 
 
-def _x_depolarizing(s: XStateParams, p: float) -> float:
+def _x_depolarizing(s: XStateParams, tau: float, p: float) -> float:
     # coherence magnitude carries |3-4p|; the radicand factors stay
     # nonnegative on p in [0, 1]
     radicand = (3.0 * s.a + 2.0 * p * (s.c - s.a)) * (3.0 * s.d + 2.0 * p * (s.b - s.d))
     return (2.0 / 3.0) * max(0.0, abs(3.0 - 4.0 * p) * abs(s.z) - math.sqrt(radicand))
 
 
-def _pure_depolarizing_factor(tau: float) -> float:
+def _pure_damping(s: PureStateParams, tau: float, value: float) -> float:
+    # amplitude and phase noise scale the pure-state concurrence by eta or gamma
+    return value * concurrence_pure(s)
+
+
+def _pure_depolarizing(s: PureStateParams, tau: float, p: float) -> float:
     # the coherence factor 2 e^(-tau/2) - 1 changes sign at tau = 2 ln 2;
     # past that point the state stays separable (checked against the
     # general route in the property suites), so the clamp sits here and
     # not an absolute value
-    return max(0.0, 2.0 * math.exp(-0.5 * tau) - 1.0)
+    return max(0.0, 2.0 * math.exp(-0.5 * tau) - 1.0) * concurrence_pure(s)
 
 
-def _isotropic_amplitude(x: float, eta: float) -> float:
+def _isotropic_amplitude(s: FamilyParams, tau: float, eta: float) -> float:
+    x = s.x
     radicand = 2.0 * (1.0 - x) * (3.0 - (1.0 + 2.0 * x) * eta * eta)
     return (eta / 3.0) * max(0.0, (4.0 * x - 1.0) - math.sqrt(radicand))
 
 
-def _isotropic_phase(x: float, gamma: float) -> float:
-    return (1.0 / 3.0) * max(0.0, (4.0 * x - 1.0) * gamma - 2.0 * (1.0 - x))
+def _isotropic_phase(s: FamilyParams, tau: float, gamma: float) -> float:
+    return (1.0 / 3.0) * max(0.0, (4.0 * s.x - 1.0) * gamma - 2.0 * (1.0 - s.x))
 
 
-def _isotropic_depolarizing(x: float, p: float) -> float:
-    return (1.0 / 3.0) * max(0.0, 2.0 * p * (1.0 - 4.0 * x) + 6.0 * x - 3.0)
+def _isotropic_depolarizing(s: FamilyParams, tau: float, p: float) -> float:
+    return (1.0 / 3.0) * max(0.0, 2.0 * p * (1.0 - 4.0 * s.x) + 6.0 * s.x - 3.0)
 
 
-def _werner_amplitude(x: float, eta: float) -> float:
+def _werner_amplitude(s: FamilyParams, tau: float, eta: float) -> float:
+    x = s.x
     radicand = (1.0 - x) * (2.0 - (1.0 + x) * eta * eta)
     return (eta / 2.0) * max(0.0, 2.0 * x - math.sqrt(radicand))
 
 
-def _werner_phase(x: float, gamma: float) -> float:
-    return 0.5 * max(0.0, 2.0 * x * gamma - (1.0 - x))
+def _werner_phase(s: FamilyParams, tau: float, gamma: float) -> float:
+    return 0.5 * max(0.0, 2.0 * s.x * gamma - (1.0 - s.x))
 
 
-def _werner_depolarizing(x: float, p: float) -> float:
-    return (1.0 / 6.0) * max(0.0, 2.0 * (3.0 - 4.0 * p) * x - (3.0 + (4.0 * p - 3.0) * x))
+def _werner_depolarizing(s: FamilyParams, tau: float, p: float) -> float:
+    return (1.0 / 6.0) * max(0.0, 2.0 * (3.0 - 4.0 * p) * s.x - (3.0 + (4.0 * p - 3.0) * s.x))
 
 
 def closed_form_concurrence(scenario: Scenario, tau: float) -> float:
     """Evolved concurrence from the formula matching (state kind, noise)."""
-    state = scenario.state
-    kind = scenario.noise.kind
     value = noise_param(scenario.noise, tau)
-
-    if isinstance(state, XStateParams):
-        if kind is NoiseKind.AMPLITUDE:
-            return _x_amplitude(state, value)
-        if kind is NoiseKind.PHASE:
-            return _x_phase(state, value)
-        return _x_depolarizing(state, value)
-
-    if isinstance(state, PureStateParams):
-        c0 = concurrence_pure(state)
-        if kind is NoiseKind.DEPOLARIZING:
-            return _pure_depolarizing_factor(tau) * c0
-        return value * c0
-
-    x = state.x
-    if state.family is Family.ISOTROPIC:
-        if kind is NoiseKind.AMPLITUDE:
-            return _isotropic_amplitude(x, value)
-        if kind is NoiseKind.PHASE:
-            return _isotropic_phase(x, value)
-        return _isotropic_depolarizing(x, value)
-    if kind is NoiseKind.AMPLITUDE:
-        return _werner_amplitude(x, value)
-    if kind is NoiseKind.PHASE:
-        return _werner_phase(x, value)
-    return _werner_depolarizing(x, value)
+    return scenario._row.concurrence(scenario.state, tau, value)
 
 
 # ---------------------------------------------------------------------------
@@ -290,53 +276,62 @@ def evolved_state(scenario: Scenario, tau: float) -> np.ndarray:
 # ESD detection
 
 
-def _analytic_x(state: XStateParams, kind: NoiseKind) -> EsdResult:
-    az = abs(state.z)
-    if kind is NoiseKind.AMPLITUDE:
-        denom = state.a * (state.b + state.d) - az * az
-        if denom <= 0.0:
-            # covers a = 0 as well: the threshold expression degenerates
-            # but the concurrence stays positive for all finite tau
-            return EsdResult(Classification.ASYMPTOTIC_DECAY, EsdMethod.ANALYTIC)
-        tau = math.log(state.a * state.b / denom)
-        return EsdResult(Classification.SUDDEN_DEATH, EsdMethod.ANALYTIC, tau_death=tau)
-    if kind is NoiseKind.PHASE:
-        ad = state.a * state.d
-        if ad == 0.0:
-            return EsdResult(Classification.ASYMPTOTIC_DECAY, EsdMethod.ANALYTIC)
-        tau = math.log(az * az / ad)
-        return EsdResult(Classification.SUDDEN_DEATH, EsdMethod.ANALYTIC, tau_death=tau)
-    raise ValueError(
-        "no closed-form death time for cross-pattern states under depolarizing "
-        "noise; use esd_time_bisection"
-    )
+# Death-time rules for entangled states: tau_death from the closed
+# threshold, or None when the concurrence only decays asymptotically.
 
 
-def _analytic_family(state: FamilyParams, kind: NoiseKind) -> EsdResult:
-    x = state.x
-    if kind is NoiseKind.AMPLITUDE:
-        raise ValueError(
-            f"no closed-form death time for the {state.family.value} family under "
-            "amplitude noise; use esd_time_bisection"
-        )
-    if state.family is Family.ISOTROPIC:
-        if kind is NoiseKind.PHASE:
-            if x == 1.0:
-                return EsdResult(Classification.ASYMPTOTIC_DECAY, EsdMethod.ANALYTIC)
-            gamma_star = 2.0 * (1.0 - x) / (4.0 * x - 1.0)
-            tau = -2.0 * math.log(gamma_star)
-        else:
-            p_star = (6.0 * x - 3.0) / (8.0 * x - 2.0)
-            tau = -2.0 * math.log1p(-p_star)
-    else:
-        if kind is NoiseKind.PHASE:
-            if x == 1.0:
-                return EsdResult(Classification.ASYMPTOTIC_DECAY, EsdMethod.ANALYTIC)
-            tau = 2.0 * math.log(2.0 * x / (1.0 - x))
-        else:
-            p_star = (3.0 * x - 1.0) / (4.0 * x)
-            tau = -2.0 * math.log1p(-p_star)
-    return EsdResult(Classification.SUDDEN_DEATH, EsdMethod.ANALYTIC, tau_death=tau)
+def _x_amplitude_death(s: XStateParams) -> float | None:
+    az = abs(s.z)
+    denom = s.a * (s.b + s.d) - az * az
+    if denom <= 0.0:
+        # covers a = 0 as well: the threshold expression degenerates
+        # but the concurrence stays positive for all finite tau
+        return None
+    return math.log(s.a * s.b / denom)
+
+
+def _x_phase_death(s: XStateParams) -> float | None:
+    ad = s.a * s.d
+    if ad == 0.0:
+        return None
+    az = abs(s.z)
+    return math.log(az * az / ad)
+
+
+def _no_death(s: StateParams) -> None:
+    return None
+
+
+def _pure_depolarizing_death(s: PureStateParams) -> float:
+    # where 2 e^(-tau/2) - 1 vanishes, the same for every pure state
+    return 2.0 * math.log(2.0)
+
+
+def _isotropic_phase_death(s: FamilyParams) -> float | None:
+    x = s.x
+    if x == 1.0:
+        return None
+    gamma_star = 2.0 * (1.0 - x) / (4.0 * x - 1.0)
+    return -2.0 * math.log(gamma_star)
+
+
+def _isotropic_depolarizing_death(s: FamilyParams) -> float:
+    x = s.x
+    p_star = (6.0 * x - 3.0) / (8.0 * x - 2.0)
+    return -2.0 * math.log1p(-p_star)
+
+
+def _werner_phase_death(s: FamilyParams) -> float | None:
+    x = s.x
+    if x == 1.0:
+        return None
+    return 2.0 * math.log(2.0 * x / (1.0 - x))
+
+
+def _werner_depolarizing_death(s: FamilyParams) -> float:
+    x = s.x
+    p_star = (3.0 * x - 1.0) / (4.0 * x)
+    return -2.0 * math.log1p(-p_star)
 
 
 def esd_time_analytic(scenario: Scenario) -> EsdResult:
@@ -348,16 +343,16 @@ def esd_time_analytic(scenario: Scenario) -> EsdResult:
     """
     if initial_concurrence(scenario) == 0.0:
         return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.ANALYTIC)
-    state = scenario.state
-    kind = scenario.noise.kind
-    if isinstance(state, XStateParams):
-        return _analytic_x(state, kind)
-    if isinstance(state, PureStateParams):
-        if kind is NoiseKind.DEPOLARIZING:
-            tau = 2.0 * math.log(2.0)
-            return EsdResult(Classification.SUDDEN_DEATH, EsdMethod.ANALYTIC, tau_death=tau)
+    death = scenario._row.death
+    if death is None:
+        raise ValueError(
+            f"no closed-form death time for {scenario.state!r} under "
+            f"{scenario.noise.kind.value} noise; use esd_time_bisection"
+        )
+    tau = death(scenario.state)
+    if tau is None:
         return EsdResult(Classification.ASYMPTOTIC_DECAY, EsdMethod.ANALYTIC)
-    return _analytic_family(state, kind)
+    return EsdResult(Classification.SUDDEN_DEATH, EsdMethod.ANALYTIC, tau_death=tau)
 
 
 def esd_time_bisection(
@@ -467,32 +462,64 @@ class EsdBoundary:
         return above and below
 
 
-_BOUNDARIES = {
-    # amplitude criticals solve the eta -> 0 limit of the closed forms:
-    # (4x-1)^2 = 6(1-x) and 2x^2 + x - 1 = 0
-    (Family.ISOTROPIC, NoiseKind.AMPLITUDE): EsdBoundary(
-        Family.ISOTROPIC, NoiseKind.AMPLITUDE, 0.5, 0.625, True, True, critical_x=0.625
-    ),
-    (Family.ISOTROPIC, NoiseKind.PHASE): EsdBoundary(
-        Family.ISOTROPIC, NoiseKind.PHASE, 0.5, 1.0, True, True
-    ),
-    (Family.ISOTROPIC, NoiseKind.DEPOLARIZING): EsdBoundary(
-        Family.ISOTROPIC, NoiseKind.DEPOLARIZING, 0.5, 1.0, True, False
-    ),
-    (Family.WERNER, NoiseKind.AMPLITUDE): EsdBoundary(
-        Family.WERNER, NoiseKind.AMPLITUDE, 1.0 / 3.0, 0.5, True, True, critical_x=0.5
-    ),
-    (Family.WERNER, NoiseKind.PHASE): EsdBoundary(
-        Family.WERNER, NoiseKind.PHASE, 1.0 / 3.0, 1.0, True, True
-    ),
-    (Family.WERNER, NoiseKind.DEPOLARIZING): EsdBoundary(
-        Family.WERNER, NoiseKind.DEPOLARIZING, 1.0 / 3.0, 1.0, True, False
-    ),
-}
-
-
 def esd_boundary(family: Family, noise_kind: NoiseKind) -> EsdBoundary:
-    return _BOUNDARIES[(family, noise_kind)]
+    return _TABLE[family, noise_kind].boundary
+
+
+# ---------------------------------------------------------------------------
+# the (state kind, noise kind) table
+
+
+# The constructors are looked up by name at call time, so a rebinding of
+# x_state, pure_state or family_state in this module (a test double or a
+# tracing wrapper) still sees every initial state built.
+def _build_x(s: XStateParams) -> np.ndarray:
+    return x_state(s)
+
+
+def _build_pure(s: PureStateParams) -> np.ndarray:
+    return pure_state(s)
+
+
+def _build_family(s: FamilyParams) -> np.ndarray:
+    return family_state(s)
+
+
+class _Row(NamedTuple):
+    """One cell of the grid: initial state, closed-form concurrence, death time."""
+
+    build: Callable[[StateParams], np.ndarray]
+    concurrence: Callable[[StateParams, float, float], float]
+    # None where no closed threshold exists; those cells need bisection
+    death: Callable[[StateParams], float | None] | None
+    boundary: EsdBoundary | None = None
+
+
+_A, _P, _D = NoiseKind.AMPLITUDE, NoiseKind.PHASE, NoiseKind.DEPOLARIZING
+_ISO, _WER = Family.ISOTROPIC, Family.WERNER
+
+# The amplitude criticals of the family intervals solve the eta -> 0 limit
+# of the closed forms: (4x-1)^2 = 6(1-x) and 2x^2 + x - 1 = 0.
+_TABLE: dict[tuple[object, NoiseKind], _Row] = {
+    (XStateParams, _A): _Row(_build_x, _x_amplitude, _x_amplitude_death),
+    (XStateParams, _P): _Row(_build_x, _x_phase, _x_phase_death),
+    (XStateParams, _D): _Row(_build_x, _x_depolarizing, None),
+    (PureStateParams, _A): _Row(_build_pure, _pure_damping, _no_death),
+    (PureStateParams, _P): _Row(_build_pure, _pure_damping, _no_death),
+    (PureStateParams, _D): _Row(_build_pure, _pure_depolarizing, _pure_depolarizing_death),
+    (_ISO, _A): _Row(_build_family, _isotropic_amplitude, None,
+                     EsdBoundary(_ISO, _A, 0.5, 0.625, True, True, critical_x=0.625)),
+    (_ISO, _P): _Row(_build_family, _isotropic_phase, _isotropic_phase_death,
+                     EsdBoundary(_ISO, _P, 0.5, 1.0, True, True)),
+    (_ISO, _D): _Row(_build_family, _isotropic_depolarizing, _isotropic_depolarizing_death,
+                     EsdBoundary(_ISO, _D, 0.5, 1.0, True, False)),
+    (_WER, _A): _Row(_build_family, _werner_amplitude, None,
+                     EsdBoundary(_WER, _A, 1.0 / 3.0, 0.5, True, True, critical_x=0.5)),
+    (_WER, _P): _Row(_build_family, _werner_phase, _werner_phase_death,
+                     EsdBoundary(_WER, _P, 1.0 / 3.0, 1.0, True, True)),
+    (_WER, _D): _Row(_build_family, _werner_depolarizing, _werner_depolarizing_death,
+                     EsdBoundary(_WER, _D, 1.0 / 3.0, 1.0, True, False)),
+}
 
 
 # ---------------------------------------------------------------------------

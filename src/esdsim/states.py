@@ -34,6 +34,13 @@ class Family(enum.Enum):
     WERNER = "werner"
 
 
+def _reject_nonfinite(record, what: str) -> None:
+    # the range checks below compare with < and >, which NaN passes
+    for name, value in vars(record).items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{what} {name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class XStateParams:
     """Diagonal weights and central coherence of an X-form density matrix."""
@@ -45,6 +52,7 @@ class XStateParams:
     z: complex
 
     def __post_init__(self) -> None:
+        _reject_nonfinite(self, "X-state parameter")
         for name in ("a", "b", "c", "d"):
             if getattr(self, name) < 0:
                 raise ValueError(f"X-state weight {name} must be nonnegative")
@@ -71,6 +79,7 @@ class PureStateParams:
     h: float = 0.0
 
     def __post_init__(self) -> None:
+        _reject_nonfinite(self, "pure-state parameter")
         for name in ("a", "b", "c", "d"):
             if getattr(self, name) < 0:
                 raise ValueError(f"pure-state weight {name} must be nonnegative")
@@ -126,9 +135,8 @@ def x_state(params: XStateParams) -> np.ndarray:
     return validate_density_matrix(rho)
 
 
-def pure_state(params: PureStateParams) -> np.ndarray:
-    """Rank-1 projector of sqrt(a)|00> + sqrt(b)e^{if}|01> + sqrt(c)e^{ig}|10> + sqrt(d)e^{ih}|11>."""
-    amps = np.array(
+def _pure_amplitudes(params: PureStateParams) -> np.ndarray:
+    return np.array(
         [
             math.sqrt(params.a),
             math.sqrt(params.b) * cmath.exp(1j * params.f),
@@ -136,6 +144,11 @@ def pure_state(params: PureStateParams) -> np.ndarray:
             math.sqrt(params.d) * cmath.exp(1j * params.h),
         ]
     )
+
+
+def pure_state(params: PureStateParams) -> np.ndarray:
+    """Rank-1 projector of sqrt(a)|00> + sqrt(b)e^{if}|01> + sqrt(c)e^{ig}|10> + sqrt(d)e^{ih}|11>."""
+    amps = _pure_amplitudes(params)
     rho = np.outer(amps, amps.conj())
     return validate_density_matrix(rho)
 

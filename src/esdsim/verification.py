@@ -245,6 +245,16 @@ def suite_closed_vs_numeric(rng: np.random.Generator, res: SuiteResult) -> None:
         res.record(abs(closed - oracle), f"scenario={scenario!r} tau={tau!r}")
 
 
+# Family cells with a closed threshold, and a mixing-weight window inside
+# their sudden-death interval.
+_FAMILY_DEATH_WINDOWS = (
+    (Family.ISOTROPIC, NoiseKind.PHASE, 0.51, 0.99),
+    (Family.ISOTROPIC, NoiseKind.DEPOLARIZING, 0.51, 1.0),
+    (Family.WERNER, NoiseKind.PHASE, 0.35, 0.99),
+    (Family.WERNER, NoiseKind.DEPOLARIZING, 0.35, 1.0),
+)
+
+
 def _sudden_death_scenario(rng: np.random.Generator, pick: int) -> Scenario:
     # builders restricted to (state, noise) pairs with a closed threshold,
     # sampled inside their sudden-death windows
@@ -258,25 +268,8 @@ def _sudden_death_scenario(rng: np.random.Generator, pick: int) -> Scenario:
         return Scenario(sampling.random_entangled_x_params(rng), NoiseSpec(NoiseKind.PHASE))
     if pick == 2:
         return Scenario(sampling.random_entangled_pure_params(rng), NoiseSpec(NoiseKind.DEPOLARIZING))
-    if pick == 3:
-        return Scenario(
-            FamilyParams(Family.ISOTROPIC, float(rng.uniform(0.51, 0.99))),
-            NoiseSpec(NoiseKind.PHASE),
-        )
-    if pick == 4:
-        return Scenario(
-            FamilyParams(Family.ISOTROPIC, float(rng.uniform(0.51, 1.0))),
-            NoiseSpec(NoiseKind.DEPOLARIZING),
-        )
-    if pick == 5:
-        return Scenario(
-            FamilyParams(Family.WERNER, float(rng.uniform(0.35, 0.99))),
-            NoiseSpec(NoiseKind.PHASE),
-        )
-    return Scenario(
-        FamilyParams(Family.WERNER, float(rng.uniform(0.35, 1.0))),
-        NoiseSpec(NoiseKind.DEPOLARIZING),
-    )
+    family, kind, lo, hi = _FAMILY_DEATH_WINDOWS[pick - 3]
+    return Scenario(FamilyParams(family, float(rng.uniform(lo, hi))), NoiseSpec(kind))
 
 
 def suite_analytic_vs_bisection(rng: np.random.Generator, res: SuiteResult) -> None:
@@ -367,23 +360,21 @@ SUITES: tuple[tuple[str, SuiteFn, float, float], ...] = (
 )
 
 
+def _run(index: int, seed: int, cases: int) -> SuiteResult:
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases!r}")
+    name, fn, scale, tol = SUITES[index]
+    res = SuiteResult(name, max(1, int(round(cases * scale))), tol)
+    fn(np.random.default_rng([seed, index]), res)
+    return res
+
+
 def run_suite(name: str, seed: int, cases: int) -> SuiteResult:
-    for index, (suite_name, fn, scale, tol) in enumerate(SUITES):
-        if suite_name == name:
-            n = max(1, int(round(cases * scale)))
-            res = SuiteResult(suite_name, n, tol)
-            fn(np.random.default_rng([seed, index]), res)
-            return res
+    for index, entry in enumerate(SUITES):
+        if entry[0] == name:
+            return _run(index, seed, cases)
     raise ValueError(f"unknown suite {name!r}")
 
 
 def run_all(seed: int, cases: int) -> list[SuiteResult]:
-    if cases < 1:
-        raise ValueError(f"cases must be at least 1, got {cases!r}")
-    results = []
-    for index, (suite_name, fn, scale, tol) in enumerate(SUITES):
-        n = max(1, int(round(cases * scale)))
-        res = SuiteResult(suite_name, n, tol)
-        fn(np.random.default_rng([seed, index]), res)
-        results.append(res)
-    return results
+    return [_run(index, seed, cases) for index in range(len(SUITES))]

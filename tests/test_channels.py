@@ -4,7 +4,6 @@ import pytest
 from esdsim.channels import (
     KrausSet,
     NoiseKind,
-    NoiseSpec,
     amplitude_kraus,
     apply_channel,
     completeness_residual,
@@ -67,14 +66,6 @@ def test_kraus_for_dispatch():
     )
     assert kraus_for(NoiseKind.PHASE, 0.5).label == "phase"
     assert kraus_for(NoiseKind.DEPOLARIZING, 0.5).label == "depolarizing"
-
-
-def test_noise_spec_rejects_nonpositive_rate():
-    NoiseSpec(NoiseKind.PHASE, 2.0)
-    with pytest.raises(ValueError):
-        NoiseSpec(NoiseKind.PHASE, 0.0)
-    with pytest.raises(ValueError):
-        NoiseSpec(NoiseKind.PHASE, -1.0)
 
 
 def test_krausset_shape_checks():

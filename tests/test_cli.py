@@ -4,10 +4,7 @@ import os
 
 import pytest
 
-from esdsim.cli import OutputFormat, RunConfig, build_parser, main
-from esdsim.channels import NoiseKind, NoiseSpec
-from esdsim.dynamics import Scenario
-from esdsim.states import XStateParams
+from esdsim.cli import build_parser, main
 
 FIG1_SOLID_FLAGS = [
     "--noise", "amplitude", "--xstate",
@@ -61,12 +58,46 @@ def test_z_flag_conflicts(capsys):
     assert code == 2 and "--zsq or --zmod" in err
 
 
-def test_run_config_validation():
-    s = Scenario(XStateParams(0.25, 0.25, 0.25, 0.25, 0.1), NoiseSpec(NoiseKind.PHASE))
-    with pytest.raises(ValueError):
-        RunConfig(s, 0.0, 10, None, OutputFormat.CSV)
-    with pytest.raises(ValueError):
-        RunConfig(s, 1.0, 1, None, OutputFormat.CSV)
+def test_tau_max_must_be_positive_and_finite(capsys):
+    # one check in main covers evolve and esd alike
+    for command in ("evolve", "esd"):
+        for bad in ("0", "-1", "nan", "inf"):
+            code, out, err = run(
+                [command, *FIG1_SOLID_FLAGS, "--tau-max", bad, "--points", "8"], capsys
+            )
+            assert code == 2, (command, bad)
+            assert out == ""
+            assert "--tau-max must be positive and finite" in err
+
+
+def test_gamma_must_be_positive_and_finite(capsys):
+    for command in ("evolve", "esd"):
+        for bad in ("0", "-1", "nan", "inf"):
+            code, out, err = run(
+                [command, *FIG1_SOLID_FLAGS, "--gamma", bad, "--points", "8"], capsys
+            )
+            assert code == 2, (command, bad)
+            assert out == ""
+            assert "--gamma must be positive and finite" in err
+
+
+def test_nonfinite_state_parameters_exit_2(capsys):
+    xstate = ["--noise", "phase", "--xstate", "--b", "0.3", "--c", "0.3", "--d", "0.2"]
+    pure = ["--noise", "phase", "--pure", "--b", "0.3", "--c", "0.3", "--d", "0.2"]
+    cases = [
+        ([*xstate, "--a", "nan", "--zsq", "0.09"], "parameter a must be finite"),
+        ([*xstate, "--a", "0.2", "--zmod", "nan"], "parameter z must be finite"),
+        ([*xstate, "--a", "0.2", "--zmod", "0.1", "--zarg", "nan"], "parameter z must be finite"),
+        ([*pure, "--a", "nan"], "parameter a must be finite"),
+        ([*pure, "--a", "0.2", "--f", "nan"], "parameter f must be finite"),
+        ([*pure, "--a", "0.2", "--h", "inf"], "parameter h must be finite"),
+    ]
+    for command in ("esd", "evolve"):
+        for flags, message in cases:
+            code, out, err = run([command, *flags, "--points", "8"], capsys)
+            assert code == 2, (command, flags)
+            assert out == ""
+            assert message in err
 
 
 def test_evolve_points_validation(capsys):
@@ -204,6 +235,31 @@ def test_esd_jsonl(capsys):
     assert record["classification"] == "SuddenDeath"
     assert isinstance(record["tau_death_analytic"], str)  # no closed form here
     assert abs(record["tau_death_bisection"] - math.log(1.5)) <= 1e-8
+
+
+def test_esd_jsonl_bytes(capsys):
+    # floats print as the text format's 12 digits ("50", not "50.0");
+    # strings are JSON-quoted
+    code, out, _ = run(
+        ["esd", "--noise", "amplitude", "--family", "werner", "--x", "0.6",
+         "--format", "jsonl"],
+        capsys,
+    )
+    assert code == 0
+    assert out == (
+        '{"classification": "AsymptoticDecay", '
+        '"tau_death_analytic": "n/a (no closed-form threshold)", "horizon": 50}\n'
+    )
+    code, out, _ = run(
+        ["esd", "--noise", "phase", "--xstate", "--a", "0.2", "--b", "0.3",
+         "--c", "0.3", "--d", "0.2", "--zsq", "0.09", "--format", "jsonl"],
+        capsys,
+    )
+    assert code == 0
+    assert out.startswith(
+        '{"classification": "SuddenDeath", "tau_death_analytic": 0.810930216216, '
+        '"tau_death_bisection": 0.810930216216, "abs_diff": '
+    )
 
 
 def test_esd_gamma_rescales_death_time(capsys):

@@ -1,11 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from esdsim import dynamics
 from esdsim.channels import NoiseKind, NoiseSpec, apply_channel, kraus_for, lift_first
-from esdsim.concurrence import concurrence_wootters
+from esdsim.concurrence import concurrence_pure, concurrence_wootters, concurrence_x
 from esdsim.dynamics import (
     FIGURE_PRESETS,
     Classification,
@@ -26,7 +27,7 @@ from esdsim.dynamics import (
     numeric_trajectory,
 )
 from esdsim.sampling import random_scenario
-from esdsim.states import Family, FamilyParams, PureStateParams, XStateParams
+from esdsim.states import Family, FamilyParams, PureStateParams, XStateParams, as_x_params
 
 AMP = NoiseSpec(NoiseKind.AMPLITUDE)
 PHASE = NoiseSpec(NoiseKind.PHASE)
@@ -308,6 +309,61 @@ def test_analytic_separable_short_circuit():
     assert r.classification is Classification.INITIALLY_SEPARABLE
     r = esd_time_analytic(Scenario(FamilyParams(Family.WERNER, 0.2), PHASE))
     assert r.classification is Classification.INITIALLY_SEPARABLE
+
+
+# One entangled state per kind; the grid of the paper is these four kinds
+# times the three noises.
+GRID_STATES = {
+    "xstate": FIG1_SOLID,
+    "pure": PureStateParams(0.125, 0.375, 0.375, 0.125, 0.3, 1.1, 2.0),
+    "isotropic": FamilyParams(Family.ISOTROPIC, 0.8),
+    "werner": FamilyParams(Family.WERNER, 0.8),
+}
+NO_CLOSED_THRESHOLD = {
+    ("xstate", NoiseKind.DEPOLARIZING),
+    ("isotropic", NoiseKind.AMPLITUDE),
+    ("werner", NoiseKind.AMPLITUDE),
+}
+
+
+def static_concurrence(state):
+    if isinstance(state, XStateParams):
+        return concurrence_x(state)
+    if isinstance(state, PureStateParams):
+        return concurrence_pure(state)
+    return concurrence_x(as_x_params(initial_state(Scenario(state, AMP))))
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("state_kind", list(GRID_STATES))
+def test_every_cell_of_the_grid(state_kind, kind):
+    state = GRID_STATES[state_kind]
+    s = Scenario(state, NoiseSpec(kind))
+    assert closed_form_concurrence(s, 0.0) == pytest.approx(static_concurrence(state), abs=1e-14)
+    assert closed_form_concurrence(s, 0.0) > 0.0
+    if (state_kind, kind) in NO_CLOSED_THRESHOLD:
+        with pytest.raises(ValueError, match="use esd_time_bisection"):
+            esd_time_analytic(s)
+        return
+    result = esd_time_analytic(s)
+    assert result.method is EsdMethod.ANALYTIC
+    if result.classification is Classification.ASYMPTOTIC_DECAY:
+        # only pure states under amplitude or phase noise decay without dying
+        assert state_kind == "pure" and kind is not NoiseKind.DEPOLARIZING
+        assert closed_form_concurrence(s, 40.0) > 0.0
+        return
+    assert result.classification is Classification.SUDDEN_DEATH
+    tau = result.tau_death
+    assert closed_form_concurrence(s, tau * (1.0 - 1e-6)) > 0.0
+    assert closed_form_concurrence(s, tau * (1.0 + 1e-6)) == 0.0
+
+
+def test_scenario_pickles_with_its_table_row():
+    s = Scenario(GRID_STATES["werner"], PHASE)
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s
+    assert closed_form_concurrence(back, 0.3) == closed_form_concurrence(s, 0.3)
+    np.testing.assert_array_equal(initial_state(back), initial_state(s))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,28 @@ def test_pure_params_validation():
         PureStateParams(0.5, 0.5, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_x_params_reject_nonfinite(bad):
+    # NaN passes every < and > range check, so finiteness is checked first
+    for i, name in enumerate("abcd"):
+        values = [0.2, 0.3, 0.3, 0.2, 0.1]
+        values[i] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            XStateParams(*values)
+    for z in (complex(bad, 0.0), complex(0.0, bad), bad):
+        with pytest.raises(ValueError, match="z must be finite"):
+            XStateParams(0.2, 0.3, 0.3, 0.2, z)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_pure_params_reject_nonfinite(bad):
+    for i, name in enumerate("abcdfgh"):
+        values = [0.25, 0.25, 0.25, 0.25, 0.1, 0.2, 0.3]
+        values[i] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PureStateParams(*values)
+
+
 def test_family_params_validation():
     FamilyParams(Family.WERNER, 0.0)
     FamilyParams(Family.ISOTROPIC, 1.0)
@@ -48,6 +70,8 @@ def test_family_params_validation():
         FamilyParams(Family.WERNER, 1.5)
     with pytest.raises(ValueError):
         FamilyParams(Family.ISOTROPIC, -0.1)
+    with pytest.raises(ValueError):
+        FamilyParams(Family.ISOTROPIC, float("nan"))
 
 
 def test_x_state_layout():

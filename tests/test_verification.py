@@ -30,6 +30,23 @@ def test_run_suite_unknown_name():
         run_suite("nope", 0, 10)
 
 
+def test_run_suite_and_run_all_share_the_cases_check():
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="cases must be at least 1"):
+            run_suite("concurrence_x_oracle", 0, bad)
+        with pytest.raises(ValueError, match="cases must be at least 1"):
+            run_all(0, bad)
+
+
+def test_run_suite_matches_its_run_all_entry():
+    # both runners seed suite i from [seed, i] and scale the case count alike
+    results = run_all(5, 20)
+    for name in ("kraus_completeness", "concurrence_x_oracle", "twirl_invariance"):
+        one = run_suite(name, 5, 20)
+        same = next(r for r in results if r.name == name)
+        assert (one.cases, one.max_error, one.failures) == (same.cases, same.max_error, same.failures)
+
+
 def test_run_suite_is_seed_stable():
     a = run_suite("concurrence_x_oracle", 7, 50)
     b = run_suite("concurrence_x_oracle", 7, 50)
