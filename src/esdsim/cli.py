@@ -83,6 +83,10 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
         state = PureStateParams(args.a, args.b, args.c, args.d, args.f, args.g, args.h)
         return Scenario(state, noise)
 
+    for name in ("zsq", "zmod", "zarg"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{name} must be finite, got {value!r}")
     if args.zsq is not None and args.zmod is not None:
         raise ValueError("--zsq and --zmod are mutually exclusive")
     if args.zsq is not None:
@@ -109,15 +113,15 @@ def _open_out(path: str | None):
 
 def _trajectory_rows(scenario: Scenario, grid: np.ndarray, scale: float = 1.0) -> list[tuple]:
     # times are printed as tau / scale, the decay rate given by --gamma
-    closed = closed_form_trajectory(scenario, grid)
-    numeric = numeric_trajectory(scenario, grid)
-    return [
-        (t / scale, cc, cw, abs(cc - cw))
-        for t, cc, cw in zip(grid, closed.c, numeric.c)
-    ]
+    closed = closed_form_trajectory(scenario, grid).c
+    numeric = numeric_trajectory(scenario, grid).c
+    columns = (grid / scale, closed, numeric, np.abs(closed - numeric))
+    return list(zip(*(col.tolist() for col in columns)))
 
 
 _COLUMNS = ("tau", "c_closed", "c_wootters", "abs_diff")
+# one CSV row; "%.12g" prints each float as _fmt does
+_CSV_ROW = "%.12g,%.12g,%.12g,%.12g\n"
 
 
 def _write_rows(stream, rows, fmt: OutputFormat, curve: str | None = None) -> None:
@@ -126,7 +130,7 @@ def _write_rows(stream, rows, fmt: OutputFormat, curve: str | None = None) -> No
             stream.write(f"# curve: {curve}\n")
         stream.write(",".join(_COLUMNS) + "\n")
         for row in rows:
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
+            stream.write(_CSV_ROW % row)
         return
     tag = [("curve", curve)] if curve is not None else []
     for row in rows:

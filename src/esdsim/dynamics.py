@@ -7,16 +7,18 @@ for depolarizing noise.
 
 Two evaluation routes are kept deliberately separate so they can check
 each other: `closed_form_concurrence` evaluates the formula of the
-scenario's (state kind, noise kind) cell one point at a time, while the
-numeric route evolves the full density matrix and runs the general
-concurrence.  The numeric route works on a stack: it builds the Kraus
+scenario's (state kind, noise kind) cell, while the numeric route evolves
+the full density matrix and runs the general concurrence.  Both take one
+tau or a whole grid.  The closed form evaluates its formula with numpy
+ufuncs over the grid in one call.  The numeric route builds the Kraus
 sets for a block of tau values at once, applies them to the initial state
 as one (N, 4, 4) stack, and takes the Wootters concurrence of the whole
 stack.  `numeric_trajectory`, `evolved_state` and the oracle scan of
 `esd_time_bisection` all run that one code path; a single point is a
-block of one.  ESD detection likewise comes in an analytic flavor (where
-a closed threshold exists) and a scan-plus-bisection flavor that only
-needs pointwise concurrence values.
+block of one.  Both routes take their channel parameters from
+`noise_param`.  ESD detection likewise comes in an analytic flavor (where
+a closed threshold exists) and a scan-plus-bisection flavor that scans
+the whole grid in one evaluation, then bisects the first dead interval.
 
 The paper's results form a grid of four state kinds (cross-pattern, pure,
 isotropic, Werner) times the three noises.  `_TABLE` holds one row per
@@ -132,13 +134,19 @@ class EsdResult:
             raise ValueError(f"tau_death must be positive, got {self.tau_death!r}")
 
 
-def noise_param(noise: NoiseSpec, tau: float) -> float:
-    """eta, gamma or p at dimensionless time tau, per the noise kind."""
-    if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau!r}")
+def noise_param(noise: NoiseSpec, tau):
+    """eta, gamma or p at dimensionless time tau, per the noise kind.
+
+    `tau` is one time or an array of them; the result is a numpy float64
+    or an array of the same shape.  Negative and NaN times are rejected.
+    """
+    tau = np.asarray(tau, dtype=float)
+    ok = tau >= 0.0
+    if not ok.all():
+        raise ValueError(f"tau must be nonnegative, got {float(tau[~ok].flat[0])!r}")
     if noise.kind is NoiseKind.DEPOLARIZING:
-        return -math.expm1(-0.5 * tau)
-    return math.exp(-0.5 * tau)
+        return -np.expm1(-0.5 * tau)
+    return np.exp(-0.5 * tau)
 
 
 def initial_state(scenario: Scenario) -> np.ndarray:
@@ -150,70 +158,87 @@ def initial_concurrence(scenario: Scenario) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed forms, all (state, tau, value at tau) so the table holds them as is
+# closed forms, all (state, tau, value at tau) so the table holds them as
+# is; tau and the value are one time or an array, and the scenario's own
+# constants are computed once per call
 
 
-def _x_amplitude(s: XStateParams, tau: float, eta: float) -> float:
+def _x_amplitude(s: XStateParams, tau, eta):
     radicand = s.a * (s.b + s.d - s.b * eta * eta)
-    return 2.0 * max(0.0, eta * (abs(s.z) - math.sqrt(radicand)))
+    # eta >= 0 stays outside the clamp, so an eta that underflows to zero
+    # gives +0 and not the -0 of 0 * (negative)
+    return 2.0 * (eta * np.maximum(0.0, abs(s.z) - np.sqrt(radicand)))
 
 
-def _x_phase(s: XStateParams, tau: float, gamma: float) -> float:
-    return 2.0 * max(0.0, gamma * abs(s.z) - math.sqrt(s.a * s.d))
+def _x_phase(s: XStateParams, tau, gamma):
+    return 2.0 * np.maximum(0.0, gamma * abs(s.z) - math.sqrt(s.a * s.d))
 
 
-def _x_depolarizing(s: XStateParams, tau: float, p: float) -> float:
+def _x_depolarizing(s: XStateParams, tau, p):
     # coherence magnitude carries |3-4p|; the radicand factors stay
     # nonnegative on p in [0, 1]
     radicand = (3.0 * s.a + 2.0 * p * (s.c - s.a)) * (3.0 * s.d + 2.0 * p * (s.b - s.d))
-    return (2.0 / 3.0) * max(0.0, abs(3.0 - 4.0 * p) * abs(s.z) - math.sqrt(radicand))
+    return (2.0 / 3.0) * np.maximum(0.0, np.abs(3.0 - 4.0 * p) * abs(s.z) - np.sqrt(radicand))
 
 
-def _pure_damping(s: PureStateParams, tau: float, value: float) -> float:
+def _pure_damping(s: PureStateParams, tau, value):
     # amplitude and phase noise scale the pure-state concurrence by eta or gamma
     return value * concurrence_pure(s)
 
 
-def _pure_depolarizing(s: PureStateParams, tau: float, p: float) -> float:
+def _pure_depolarizing(s: PureStateParams, tau, p):
     # the coherence factor 2 e^(-tau/2) - 1 changes sign at tau = 2 ln 2;
     # past that point the state stays separable (checked against the
     # general route in the property suites), so the clamp sits here and
     # not an absolute value
-    return max(0.0, 2.0 * math.exp(-0.5 * tau) - 1.0) * concurrence_pure(s)
+    return np.maximum(0.0, 2.0 * np.exp(-0.5 * tau) - 1.0) * concurrence_pure(s)
 
 
-def _isotropic_amplitude(s: FamilyParams, tau: float, eta: float) -> float:
+def _isotropic_amplitude(s: FamilyParams, tau, eta):
     x = s.x
     radicand = 2.0 * (1.0 - x) * (3.0 - (1.0 + 2.0 * x) * eta * eta)
-    return (eta / 3.0) * max(0.0, (4.0 * x - 1.0) - math.sqrt(radicand))
+    return (eta / 3.0) * np.maximum(0.0, (4.0 * x - 1.0) - np.sqrt(radicand))
 
 
-def _isotropic_phase(s: FamilyParams, tau: float, gamma: float) -> float:
-    return (1.0 / 3.0) * max(0.0, (4.0 * s.x - 1.0) * gamma - 2.0 * (1.0 - s.x))
+def _isotropic_phase(s: FamilyParams, tau, gamma):
+    return (1.0 / 3.0) * np.maximum(0.0, (4.0 * s.x - 1.0) * gamma - 2.0 * (1.0 - s.x))
 
 
-def _isotropic_depolarizing(s: FamilyParams, tau: float, p: float) -> float:
-    return (1.0 / 3.0) * max(0.0, 2.0 * p * (1.0 - 4.0 * s.x) + 6.0 * s.x - 3.0)
+def _isotropic_depolarizing(s: FamilyParams, tau, p):
+    return (1.0 / 3.0) * np.maximum(0.0, 2.0 * p * (1.0 - 4.0 * s.x) + 6.0 * s.x - 3.0)
 
 
-def _werner_amplitude(s: FamilyParams, tau: float, eta: float) -> float:
+def _werner_amplitude(s: FamilyParams, tau, eta):
     x = s.x
     radicand = (1.0 - x) * (2.0 - (1.0 + x) * eta * eta)
-    return (eta / 2.0) * max(0.0, 2.0 * x - math.sqrt(radicand))
+    return (eta / 2.0) * np.maximum(0.0, 2.0 * x - np.sqrt(radicand))
 
 
-def _werner_phase(s: FamilyParams, tau: float, gamma: float) -> float:
-    return 0.5 * max(0.0, 2.0 * s.x * gamma - (1.0 - s.x))
+def _werner_phase(s: FamilyParams, tau, gamma):
+    return 0.5 * np.maximum(0.0, 2.0 * s.x * gamma - (1.0 - s.x))
 
 
-def _werner_depolarizing(s: FamilyParams, tau: float, p: float) -> float:
-    return (1.0 / 6.0) * max(0.0, 2.0 * (3.0 - 4.0 * p) * s.x - (3.0 + (4.0 * p - 3.0) * s.x))
+def _werner_depolarizing(s: FamilyParams, tau, p):
+    return (1.0 / 6.0) * np.maximum(
+        0.0, 2.0 * (3.0 - 4.0 * p) * s.x - (3.0 + (4.0 * p - 3.0) * s.x)
+    )
 
 
-def closed_form_concurrence(scenario: Scenario, tau: float) -> float:
-    """Evolved concurrence from the formula matching (state kind, noise)."""
+def closed_form_concurrence(scenario: Scenario, tau):
+    """Evolved concurrence from the formula matching (state kind, noise).
+
+    `tau` is one time or an array of them, as for `noise_param`; the result
+    is a numpy float64 or an array of the same shape.  A formula that
+    leaves its domain (a negative radicand) raises ValueError instead of
+    returning NaN.
+    """
+    tau = np.asarray(tau, dtype=float)
     value = noise_param(scenario.noise, tau)
-    return scenario._row.concurrence(scenario.state, tau, value)
+    try:
+        with np.errstate(invalid="raise"):
+            return scenario._row.concurrence(scenario.state, tau, value)
+    except FloatingPointError as exc:
+        raise ValueError(f"closed form undefined for {scenario!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +249,8 @@ def _validate_grid(tau_grid) -> np.ndarray:
     grid = np.asarray(tau_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("tau grid must be a nonempty 1-d array")
+    if not np.isfinite(grid).all():
+        raise ValueError("tau grid must be finite")
     if grid[0] < 0.0:
         raise ValueError("tau grid must be nonnegative")
     if np.any(np.diff(grid) <= 0):
@@ -233,16 +260,15 @@ def _validate_grid(tau_grid) -> np.ndarray:
 
 def closed_form_trajectory(scenario: Scenario, tau_grid) -> Trajectory:
     grid = _validate_grid(tau_grid)
-    c = np.array([closed_form_concurrence(scenario, t) for t in grid])
+    c = closed_form_concurrence(scenario, grid)
     return Trajectory(grid, c, TrajectorySource.CLOSED_FORM)
 
 
 def _evolve(rho0: np.ndarray, noise: NoiseSpec, taus) -> np.ndarray:
     # rho0 evolved to each tau of a block, as an (N, 4, 4) stack.  The
-    # channel parameters come from the scalar noise_param, so both routes
-    # evaluate the channel at bit-identical eta, gamma or p.
-    values = np.array([noise_param(noise, t) for t in taus], dtype=float)
-    return apply_channel(rho0, kraus_for(noise.kind, values))
+    # channel parameters come from the same noise_param as the closed
+    # form's, so both routes see bit-identical eta, gamma or p.
+    return apply_channel(rho0, kraus_for(noise.kind, noise_param(noise, taus)))
 
 
 def _numeric_concurrence(rho0: np.ndarray, noise: NoiseSpec, taus) -> np.ndarray:
@@ -368,10 +394,9 @@ def esd_time_bisection(
     general route (evolve and run Wootters), which is slower and carries a
     rounding floor, hence the split zero test.
     """
-    if tau_max <= 0.0:
-        raise ValueError(f"tau_max must be positive, got {tau_max!r}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    for name, bound in (("tau_max", tau_max), ("tol", tol)):
+        if not (bound > 0.0 and math.isfinite(bound)):
+            raise ValueError(f"{name} must be positive and finite, got {bound!r}")
     if points < 2:
         raise ValueError(f"need at least 2 scan points, got {points!r}")
 
@@ -381,15 +406,15 @@ def esd_time_bisection(
         def values(taus) -> np.ndarray:
             return _numeric_concurrence(rho0, scenario.noise, taus)
 
-        def dead(c: float) -> bool:
+        def dead(c):
             return c < ZERO_CONCURRENCE_TOL
 
     else:
 
-        def values(taus) -> list[float]:
-            return [closed_form_concurrence(scenario, t) for t in taus]
+        def values(taus) -> np.ndarray:
+            return closed_form_concurrence(scenario, taus)
 
-        def dead(c: float) -> bool:
+        def dead(c):
             return c == 0.0
 
     def value(t: float) -> float:
@@ -399,17 +424,19 @@ def esd_time_bisection(
         return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION)
 
     grid = np.linspace(0.0, tau_max, points)
-    scan = values(grid[1:])
-    first = next((i + 1 for i, c in enumerate(scan) if dead(c)), None)
-    if first is None:
+    # dead_scan[i] is the verdict at grid[i + 1]
+    dead_scan = dead(values(grid[1:]))
+    if not dead_scan.any():
         return EsdResult(
             Classification.ASYMPTOTIC_DECAY, EsdMethod.BISECTION, horizon=tau_max
         )
+    first = int(dead_scan.argmax()) + 1
 
-    revived = [grid[i + 1] for i, c in enumerate(scan[first:], start=first) if not dead(c)]
-    if revived:
+    alive_after = ~dead_scan[first:]
+    if alive_after.any():
+        revived = grid[first + 1 + int(alive_after.argmax())]
         raise RuntimeError(
-            f"concurrence revived after dying, first at tau={revived[0]!r}; "
+            f"concurrence revived after dying, first at tau={revived!r}; "
             "scan assumptions do not hold for this scenario"
         )
 

@@ -2,9 +2,13 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+from esdsim.channels import NoiseKind, NoiseSpec
 from esdsim.cli import build_parser, main
+from esdsim.dynamics import Scenario, closed_form_trajectory, numeric_trajectory
+from esdsim.states import XStateParams
 
 FIG1_SOLID_FLAGS = [
     "--noise", "amplitude", "--xstate",
@@ -86,8 +90,12 @@ def test_nonfinite_state_parameters_exit_2(capsys):
     pure = ["--noise", "phase", "--pure", "--b", "0.3", "--c", "0.3", "--d", "0.2"]
     cases = [
         ([*xstate, "--a", "nan", "--zsq", "0.09"], "parameter a must be finite"),
-        ([*xstate, "--a", "0.2", "--zmod", "nan"], "parameter z must be finite"),
-        ([*xstate, "--a", "0.2", "--zmod", "0.1", "--zarg", "nan"], "parameter z must be finite"),
+        ([*xstate, "--a", "0.2", "--zmod", "nan"], "--zmod must be finite, got nan"),
+        ([*xstate, "--a", "0.2", "--zmod", "inf"], "--zmod must be finite, got inf"),
+        ([*xstate, "--a", "0.2", "--zmod", "0.1", "--zarg", "nan"], "--zarg must be finite, got nan"),
+        ([*xstate, "--a", "0.2", "--zmod", "0.1", "--zarg", "inf"], "--zarg must be finite, got inf"),
+        ([*xstate, "--a", "0.2", "--zsq", "nan"], "--zsq must be finite, got nan"),
+        ([*xstate, "--a", "0.2", "--zsq", "inf"], "--zsq must be finite, got inf"),
         ([*pure, "--a", "nan"], "parameter a must be finite"),
         ([*pure, "--a", "0.2", "--f", "nan"], "parameter f must be finite"),
         ([*pure, "--a", "0.2", "--h", "inf"], "parameter h must be finite"),
@@ -124,6 +132,15 @@ def test_evolve_stdout_table(capsys):
         assert float(line.split(",")[3]) <= 1e-8
     # death happens before tau = 3, after which the closed form prints 0
     assert lines[-1].split(",")[1] == "0"
+    # every value is printed with 12 significant digits
+    _, out, _ = run(["evolve", *FIG1_SOLID_FLAGS, "--tau-max", "2.9", "--points", "13"], capsys)
+    lines = out.splitlines()
+    scenario = Scenario(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2), NoiseSpec(NoiseKind.AMPLITUDE))
+    grid = np.linspace(0.0, 2.9, 13)
+    closed = closed_form_trajectory(scenario, grid).c
+    numeric = numeric_trajectory(scenario, grid).c
+    for line, *row in zip(lines[1:], grid, closed, numeric, np.abs(closed - numeric)):
+        assert line == ",".join(format(float(v), ".12g") for v in row)
 
 
 def test_evolve_output_is_deterministic(tmp_path, capsys):

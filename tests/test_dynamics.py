@@ -50,6 +50,12 @@ def test_noise_param_values():
 def test_noise_param_rejects_negative_time():
     with pytest.raises(ValueError):
         noise_param(AMP, -0.1)
+    for tau in (math.nan, [0.0, math.nan], [0.5, -0.1]):
+        for noise in (AMP, DEPOL):
+            with pytest.raises(ValueError, match="tau must be nonnegative"):
+                noise_param(noise, tau)
+            with pytest.raises(ValueError, match="tau must be nonnegative"):
+                closed_form_concurrence(Scenario(FIG1_SOLID, noise), tau)
 
 
 def test_initial_concurrence_matches_static_formulas():
@@ -130,6 +136,10 @@ def test_trajectory_grid_validation():
         numeric_trajectory(s, [0.0, 2.0, 1.0])
     with pytest.raises(ValueError):
         closed_form_trajectory(s, [])
+    for grid in ([0.0, math.nan], [math.nan, 1.0], [0.0, math.inf]):
+        for trajectory in (closed_form_trajectory, numeric_trajectory):
+            with pytest.raises(ValueError, match="tau grid must be finite"):
+                trajectory(s, grid)
 
 
 def test_trajectory_starts_at_initial_concurrence():
@@ -358,6 +368,51 @@ def test_every_cell_of_the_grid(state_kind, kind):
     assert closed_form_concurrence(s, tau * (1.0 + 1e-6)) == 0.0
 
 
+# Cells whose radicand depends on the noise value, with a state and an
+# out-of-range value that drives it negative.
+NEGATIVE_RADICAND = {
+    ("xstate", NoiseKind.AMPLITUDE): (FIG1_SOLID, 2.0),
+    ("xstate", NoiseKind.DEPOLARIZING): (XStateParams(0.1, 0.1, 0.6, 0.2, 0.2), 10.0),
+    ("isotropic", NoiseKind.AMPLITUDE): (GRID_STATES["isotropic"], 2.0),
+    ("werner", NoiseKind.AMPLITUDE): (GRID_STATES["werner"], 2.0),
+}
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("state_kind", list(GRID_STATES))
+def test_closed_form_over_the_grid_matches_per_point_calls(monkeypatch, state_kind, kind):
+    s = Scenario(GRID_STATES[state_kind], NoiseSpec(kind))
+    stacked = closed_form_concurrence(s, CLI_GRID)
+    per_point = [closed_form_concurrence(s, float(t)) for t in CLI_GRID]
+    assert stacked.shape == CLI_GRID.shape
+    assert stacked.tobytes() == np.array(per_point).tobytes()
+    assert all(type(c) is np.float64 for c in per_point)
+    square = closed_form_concurrence(s, CLI_GRID.reshape(32, 64))
+    assert square.tobytes() == stacked.tobytes() and square.shape == (32, 64)
+
+    if (state_kind, kind) in NEGATIVE_RADICAND:
+        state, bad = NEGATIVE_RADICAND[state_kind, kind]
+        true_param = dynamics.noise_param
+
+        def off_range(noise, tau):
+            value = np.array(true_param(noise, tau))
+            value.flat[-1] = bad
+            return value
+
+        monkeypatch.setattr(dynamics, "noise_param", off_range)
+        with pytest.raises(ValueError, match="closed form undefined"):
+            closed_form_concurrence(Scenario(state, NoiseSpec(kind)), CLI_GRID[:8])
+        with pytest.raises(ValueError, match="closed form undefined"):
+            closed_form_concurrence(Scenario(state, NoiseSpec(kind)), 0.5)
+
+
+def test_dead_amplitude_tail_is_positive_zero():
+    # at tau = 2000, eta underflows to 0; the clamp must not return -0.0
+    c = closed_form_concurrence(Scenario(FIG1_SOLID, AMP), [1000.0, 2000.0])
+    assert c.tolist() == [0.0, 0.0]
+    assert all(math.copysign(1.0, v) == 1.0 for v in c)
+
+
 def test_scenario_pickles_with_its_table_row():
     s = Scenario(GRID_STATES["werner"], PHASE)
     back = pickle.loads(pickle.dumps(s))
@@ -378,6 +433,43 @@ def test_bisection_parameter_errors():
         esd_time_bisection(s, tol=-1e-9)
     with pytest.raises(ValueError):
         esd_time_bisection(s, points=1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau_max must be positive and finite"):
+            esd_time_bisection(s, tau_max=bad)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            esd_time_bisection(s, tol=bad)
+
+
+def _werner_phase_dying_at(tau_death):
+    # Werner/phase dies at tau = 2 ln(2x / (1 - x))
+    r = math.exp(0.5 * tau_death)
+    return Scenario(FamilyParams(Family.WERNER, r / (2.0 + r)), PHASE)
+
+
+def test_bisection_scan_edges():
+    # tau_max 10 over 11 points puts the scan grid on the integers
+    for tau_death in (0.5, 9.5):
+        s = _werner_phase_dying_at(tau_death)
+        r = esd_time_bisection(s, tau_max=10.0, points=11)
+        assert r.classification is Classification.SUDDEN_DEATH
+        assert abs(r.tau_death - esd_time_analytic(s).tau_death) <= 1e-8
+        assert abs(r.tau_death - tau_death) <= 1e-8
+    r = esd_time_bisection(_werner_phase_dying_at(12.0), tau_max=10.0, points=11)
+    assert r.classification is Classification.ASYMPTOTIC_DECAY
+    assert r.horizon == 10.0
+
+
+@pytest.mark.parametrize("revived", [4.0, 6.0])
+def test_bisection_reports_the_first_revived_point(monkeypatch, revived):
+    # dead on [3, revived), alive elsewhere; the scan grid is the integers
+    def fake(scenario, tau):
+        tau = np.asarray(tau, dtype=float)
+        return np.where((tau >= 3.0) & (tau < revived), 0.0, 0.5)
+
+    monkeypatch.setattr(dynamics, "closed_form_concurrence", fake)
+    message = rf"revived after dying, first at tau=(np\.float64\()?{revived}\)?;"
+    with pytest.raises(RuntimeError, match=message):
+        esd_time_bisection(Scenario(FIG1_SOLID, AMP), tau_max=10.0, points=11)
 
 
 def test_bisection_matches_analytic_thresholds():
