@@ -273,7 +273,10 @@ def main(argv=None) -> int:
         if args.command in ("evolve", "esd"):
             _check_positive("tau-max", args.tau_max)
             _check_positive("gamma", args.gamma)
-        if args.command != "verify" and args.points < 2:
+        if args.command == "verify":
+            if args.seed < 0:
+                raise ValueError(f"--seed must be nonnegative, got {args.seed!r}")
+        elif args.points < 2:
             raise ValueError(f"points must be at least 2, got {args.points!r}")
         return _COMMANDS[args.command](args)
     except ValueError as exc:

@@ -1,13 +1,20 @@
 """Randomized property suites.
 
-Each suite draws its cases from a seeded generator, measures a worst-case
-error and collects reproduction strings for anything over tolerance.  The
-CLI verify command runs the whole registry; the test suite reuses single
-suites with smaller case counts.
+Each suite runs in two phases.  It first draws its cases one at a time from
+a seeded generator, in a fixed order, so a seed always yields the same
+cases and the same reproduction strings.  It then stacks the drawn inputs
+and checks them all at once through the stack-aware library functions:
+one call per suite, or one per noise kind where the Kraus set depends on
+it.  Library functions that take a single record (the closed forms, the
+death-time routes, `kron`, `x_state`, `as_x_params`) run once per case.
+`SuiteResult.record_all` takes the array of per-case errors and formats a
+reproduction string only for the cases over tolerance.  The CLI verify
+command runs the whole registry; the test suite reuses single suites with
+smaller case counts.
 
 Case counts scale with the requested total: the per-suite `scale` keeps
 expensive scan-based suites proportionally smaller, with at least one case
-each.
+each.  The stacks grow with the case count, and so does memory.
 """
 from __future__ import annotations
 
@@ -18,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import channels, dynamics, sampling
-from .channels import NoiseKind, NoiseSpec, apply_channel, kraus_for, lift_first
+from .channels import NoiseKind, NoiseSpec, apply_channel, kraus_for
 from .concurrence import (
     concurrence_pure,
     concurrence_pure_determinant,
@@ -28,19 +35,18 @@ from .concurrence import (
 from .dynamics import (
     Classification,
     Scenario,
+    TrajectorySource,
     closed_form_concurrence,
     closed_form_trajectory,
     esd_time_analytic,
     esd_time_bisection,
-    evolved_state,
     initial_state,
-    numeric_trajectory,
 )
 from .linalg import dagger, hermitian_eig, kron, psd_sqrt
 from .states import Family, FamilyParams, as_x_params, isotropic, pure_state, werner, x_state
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_EYE2 = np.eye(2, dtype=complex)
+# bit flip on qubit 1
+_FLIP1 = kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
 
 
 @dataclass
@@ -56,18 +62,74 @@ class SuiteResult:
         return not self.failures
 
     def record(self, error: float, detail: str) -> None:
-        if error > self.max_error:
-            self.max_error = error
-        if error > self.tolerance:
-            self.failures.append(f"err={error:.6e} {detail}")
+        self.record_all([error], lambda i: detail)
+
+    def record_all(self, errors, detail: Callable[[int], str]) -> None:
+        """Record one error per case, in case order.
+
+        `detail(i)` gives the reproduction string of case i (the index into
+        the flattened `errors`); it is called only for failing cases.  A
+        NaN error fails and sticks as `max_error`.
+        """
+        errors = np.asarray(errors, dtype=float).ravel()
+        if not errors.size:
+            return
+        worst = float(errors.max())
+        if worst > self.max_error or math.isnan(worst):
+            self.max_error = worst
+        for i in np.flatnonzero(~(errors <= self.tolerance)):
+            self.failures.append(f"err={errors[i]:.6e} {detail(i)}")
 
 
-def _frob(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+def _frob(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack."""
+    return np.linalg.norm(m, axis=(-2, -1))
 
 
 def _random_complex(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))
+
+
+def _pairwise_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two stacks of 2x2 matrices, pair by pair."""
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (4, 4))
+
+
+def _by_kind(kinds) -> dict[NoiseKind, list[int]]:
+    """Case indices per noise kind, for one stacked call per kind."""
+    groups: dict[NoiseKind, list[int]] = {}
+    for i, kind in enumerate(kinds):
+        groups.setdefault(kind, []).append(i)
+    return groups
+
+
+def _noise_params(kinds, taus) -> np.ndarray:
+    """`noise_param` of each case's noise kind at its time (or times):
+    `taus` has one leading entry per case."""
+    taus = np.asarray(taus, dtype=float)
+    values = np.empty_like(taus)
+    for kind, idx in _by_kind(kinds).items():
+        values[idx] = dynamics.noise_param(NoiseSpec(kind), taus[idx])
+    return values
+
+
+def _apply_noise(rho: np.ndarray, kinds, values) -> np.ndarray:
+    """Each two-qubit state of the (n, 4, 4) stack `rho` under its own noise
+    kind on qubit 1, at its own parameter value (or values: `values` has
+    one leading entry per case, and the result has shape values.shape +
+    (4, 4)).  The 2x2 Kraus sets act directly, one `apply_channel` call per
+    kind: the map `dynamics._evolve` runs."""
+    values = np.asarray(values, dtype=float)
+    out = np.empty(values.shape + (4, 4), dtype=complex)
+    for kind, idx in _by_kind(kinds).items():
+        states = rho[idx].reshape((len(idx),) + (1,) * (values.ndim - 1) + (4, 4))
+        out[idx] = apply_channel(states, kraus_for(kind, values[idx]))
+    return out
+
+
+def _marginal_second(rho: np.ndarray) -> np.ndarray:
+    """Qubit-2 reduced state (partial trace over qubit 1) of each state."""
+    return np.einsum("...ijil->...jl", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -75,43 +137,42 @@ def _random_complex(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
 
 
 def suite_kron_algebra(rng: np.random.Generator, res: SuiteResult) -> None:
-    for _ in range(res.cases):
-        a, b, c, d = (_random_complex(rng) for _ in range(4))
-        k = kron(a, b)
-        blocks = np.block([[a[0, 0] * b, a[0, 1] * b], [a[1, 0] * b, a[1, 1] * b]])
-        err = _frob(k - blocks)
-        err = max(err, _frob(k @ kron(c, d) - kron(a @ c, b @ d)))
-        res.record(err, f"a={a.tolist()!r} b={b.tolist()!r}")
+    draws = [[_random_complex(rng) for _ in range(4)] for _ in range(res.cases)]
+    a, b, c, d = (np.stack(m) for m in zip(*draws))
+    k = np.stack([kron(x, y) for x, y in zip(a, b)])
+    blocks = np.block([[a[:, i, j, None, None] * b for j in range(2)] for i in range(2)])
+    mixed = k @ np.stack([kron(x, y) for x, y in zip(c, d)])
+    joint = np.stack([kron(x, y) for x, y in zip(a @ c, b @ d)])
+    err = np.maximum(_frob(k - blocks), _frob(mixed - joint))
+    res.record_all(err, lambda i: f"a={a[i].tolist()!r} b={b[i].tolist()!r}")
 
 
 def suite_eig_reconstruction(rng: np.random.Generator, res: SuiteResult) -> None:
-    for _ in range(res.cases):
-        g = _random_complex(rng, 4)
-        h = g + dagger(g)
-        dec = hermitian_eig(h)
-        v, w = dec.eigenvectors, dec.eigenvalues
-        err = _frob((v * w) @ dagger(v) - h)
-        err = max(err, _frob(dagger(v) @ v - np.eye(4)))
-        if np.any(np.diff(w) > 0):
-            err = max(err, float(np.diff(w).max()))
-        res.record(err, f"h={h.tolist()!r}")
+    g = np.stack([_random_complex(rng, 4) for _ in range(res.cases)])
+    h = g + dagger(g)
+    w, v = hermitian_eig(h)
+    err = _frob((v * w[..., None, :]) @ dagger(v) - h)
+    err = np.maximum(err, _frob(dagger(v) @ v - np.eye(4)))
+    # eigenvalues must come out descending
+    err = np.maximum(err, np.diff(w).max(axis=-1))
+    res.record_all(err, lambda i: f"h={h[i].tolist()!r}")
+
+
+def _psd_case(rng: np.random.Generator, i: int) -> np.ndarray:
+    if i % 3:
+        return sampling.ginibre_density(rng)
+    # rank-deficient input; the square root must not amplify the zero modes
+    rank = int(rng.integers(1, 4))
+    g = rng.standard_normal((4, rank)) + 1.0j * rng.standard_normal((4, rank))
+    h = g @ dagger(g)
+    return h / np.trace(h).real
 
 
 def suite_psd_sqrt_roundtrip(rng: np.random.Generator, res: SuiteResult) -> None:
-    for i in range(res.cases):
-        if i % 3 == 0:
-            # rank-deficient input; the square root must not amplify the
-            # zero modes
-            rank = int(rng.integers(1, 4))
-            g = rng.standard_normal((4, rank)) + 1.0j * rng.standard_normal((4, rank))
-            h = g @ dagger(g)
-            h = h / np.trace(h).real
-        else:
-            h = sampling.ginibre_density(rng)
-        s = psd_sqrt(h)
-        err = _frob(s @ s - h)
-        err = max(err, _frob(s - dagger(s)))
-        res.record(err, f"h={h.tolist()!r}")
+    h = np.stack([_psd_case(rng, i) for i in range(res.cases)])
+    s = psd_sqrt(h)
+    err = np.maximum(_frob(s @ s - h), _frob(s - dagger(s)))
+    res.record_all(err, lambda i: f"h={h[i].tolist()!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -119,73 +180,93 @@ def suite_psd_sqrt_roundtrip(rng: np.random.Generator, res: SuiteResult) -> None
 
 
 def suite_kraus_completeness(rng: np.random.Generator, res: SuiteResult) -> None:
-    for _ in range(res.cases):
-        value = float(rng.uniform())
-        for kind in sampling.NOISE_KINDS:
-            err = channels.completeness_residual(kraus_for(kind, value))
-            res.record(err, f"kind={kind.value} value={value!r}")
+    values = [float(rng.uniform()) for _ in range(res.cases)]
+    kinds = sampling.NOISE_KINDS
+    err = np.stack(
+        [channels.completeness_residual(kraus_for(kind, values)) for kind in kinds], axis=-1
+    )
+
+    def detail(j: int) -> str:
+        i, k = divmod(j, len(kinds))
+        return f"kind={kinds[k].value} value={values[i]!r}"
+
+    res.record_all(err, detail)
+
+
+def _noisy_case(rng: np.random.Generator, state: Callable) -> tuple:
+    # a state, then a noise kind and its parameter value
+    return state(rng), sampling.random_noise_kind(rng), float(rng.uniform())
 
 
 def suite_channel_output_validity(rng: np.random.Generator, res: SuiteResult) -> None:
-    for _ in range(res.cases):
-        rho = sampling.ginibre_density(rng)
-        kind = sampling.random_noise_kind(rng)
-        value = float(rng.uniform())
-        out = apply_channel(rho, lift_first(kraus_for(kind, value)))
-        err = abs(np.trace(out).real - 1.0)
-        err = max(err, _frob(out - dagger(out)))
-        w = np.linalg.eigvalsh(out)
-        err = max(err, max(0.0, -float(w.min())))
-        res.record(err, f"kind={kind.value} value={value!r} rho={rho.tolist()!r}")
+    rhos, kinds, values = zip(
+        *(_noisy_case(rng, sampling.ginibre_density) for _ in range(res.cases))
+    )
+    out = _apply_noise(np.stack(rhos), kinds, values)
+    err = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0)
+    err = np.maximum(err, _frob(out - dagger(out)))
+    err = np.maximum(err, -np.linalg.eigvalsh(out)[..., 0])
+    res.record_all(
+        err, lambda i: f"kind={kinds[i].value} value={values[i]!r} rho={rhos[i].tolist()!r}"
+    )
 
 
 def suite_x_form_closure(rng: np.random.Generator, res: SuiteResult) -> None:
     # every noise maps the cross pattern into itself (the corner coherences
     # generated by the bit-flip components cancel pairwise)
-    for _ in range(res.cases):
-        params = sampling.random_x_params(rng)
-        kind = sampling.random_noise_kind(rng)
-        value = float(rng.uniform())
-        out = apply_channel(x_state(params), lift_first(kraus_for(kind, value)))
+    params, kinds, values = zip(
+        *(_noisy_case(rng, sampling.random_x_params) for _ in range(res.cases))
+    )
+    out = _apply_noise(np.stack([x_state(p) for p in params]), kinds, values)
+    rebuilt = out.copy()
+    reasons: dict[int, str] = {}
+    for i, rho in enumerate(out):
         try:
-            back = as_x_params(out)
+            rebuilt[i] = x_state(as_x_params(rho))
         except ValueError as exc:
-            res.record(math.inf, f"params={params!r} kind={kind.value} value={value!r}: {exc}")
-            continue
-        res.record(
-            _frob(x_state(back) - out),
-            f"params={params!r} kind={kind.value} value={value!r}",
-        )
+            reasons[i] = f": {exc}"
+    err = _frob(rebuilt - out)
+    err[list(reasons)] = math.inf
+    res.record_all(
+        err,
+        lambda i: f"params={params[i]!r} kind={kinds[i].value} value={values[i]!r}"
+        + reasons.get(i, ""),
+    )
 
 
 def suite_qubit2_marginal(rng: np.random.Generator, res: SuiteResult) -> None:
     # noise on qubit 1 must leave the qubit-2 reduced state untouched
-    for _ in range(res.cases):
-        rho = sampling.ginibre_density(rng)
-        kind = sampling.random_noise_kind(rng)
-        value = float(rng.uniform())
-        out = apply_channel(rho, lift_first(kraus_for(kind, value)))
-        err = _frob(
-            channels._reduced_second_qubit(out) - channels._reduced_second_qubit(rho)
-        )
-        res.record(err, f"kind={kind.value} value={value!r} rho={rho.tolist()!r}")
+    rhos, kinds, values = zip(
+        *(_noisy_case(rng, sampling.ginibre_density) for _ in range(res.cases))
+    )
+    rho = np.stack(rhos)
+    out = _apply_noise(rho, kinds, values)
+    err = _frob(_marginal_second(out) - _marginal_second(rho))
+    res.record_all(
+        err, lambda i: f"kind={kinds[i].value} value={values[i]!r} rho={rhos[i].tolist()!r}"
+    )
+
+
+def _semigroup_case(rng: np.random.Generator) -> tuple:
+    rho = sampling.ginibre_density(rng)
+    kind = NoiseKind.AMPLITUDE if rng.uniform() < 0.5 else NoiseKind.PHASE
+    t1, t2 = rng.uniform(0.0, 3.0, size=2)
+    return rho, kind, t1, t2
 
 
 def suite_composition_semigroup(rng: np.random.Generator, res: SuiteResult) -> None:
     # eta and gamma multiply, so applying at tau1 then tau2 equals one
     # application at tau1 + tau2 (amplitude and phase only; depolarizing
     # is parametrized directly through p and is not a semigroup in tau)
-    for _ in range(res.cases):
-        rho = sampling.ginibre_density(rng)
-        kind = NoiseKind.AMPLITUDE if rng.uniform() < 0.5 else NoiseKind.PHASE
-        noise = NoiseSpec(kind)
-        t1, t2 = rng.uniform(0.0, 3.0, size=2)
-        step1 = apply_channel(rho, lift_first(kraus_for(kind, dynamics.noise_param(noise, t1))))
-        step2 = apply_channel(step1, lift_first(kraus_for(kind, dynamics.noise_param(noise, t2))))
-        joint = apply_channel(
-            rho, lift_first(kraus_for(kind, dynamics.noise_param(noise, t1 + t2)))
-        )
-        res.record(_frob(step2 - joint), f"kind={kind.value} t1={t1!r} t2={t2!r}")
+    rhos, kinds, t1, t2 = zip(*(_semigroup_case(rng) for _ in range(res.cases)))
+    rho = np.stack(rhos)
+    tau1, tau2 = np.array(t1), np.array(t2)
+    step1 = _apply_noise(rho, kinds, _noise_params(kinds, tau1))
+    step2 = _apply_noise(step1, kinds, _noise_params(kinds, tau2))
+    joint = _apply_noise(rho, kinds, _noise_params(kinds, tau1 + tau2))
+    res.record_all(
+        _frob(step2 - joint), lambda i: f"kind={kinds[i].value} t1={t1[i]!r} t2={t2[i]!r}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -193,56 +274,70 @@ def suite_composition_semigroup(rng: np.random.Generator, res: SuiteResult) -> N
 
 
 def suite_concurrence_x_oracle(rng: np.random.Generator, res: SuiteResult) -> None:
-    for _ in range(res.cases):
-        params = sampling.random_x_params(rng)
-        err = abs(concurrence_x(params) - concurrence_wootters(x_state(params)))
-        res.record(err, f"params={params!r}")
+    params = [sampling.random_x_params(rng) for _ in range(res.cases)]
+    oracle = concurrence_wootters(np.stack([x_state(p) for p in params]))
+    err = np.abs(np.array([concurrence_x(p) for p in params]) - oracle)
+    res.record_all(err, lambda i: f"params={params[i]!r}")
 
 
 def suite_concurrence_pure_oracle(rng: np.random.Generator, res: SuiteResult) -> None:
-    for _ in range(res.cases):
-        params = sampling.random_pure_params(rng)
-        c = concurrence_pure(params)
-        err = abs(c - concurrence_wootters(pure_state(params)))
-        err = max(err, abs(c - concurrence_pure_determinant(params)))
-        res.record(err, f"params={params!r}")
+    params = [sampling.random_pure_params(rng) for _ in range(res.cases)]
+    c = np.array([concurrence_pure(p) for p in params])
+    err = np.abs(c - concurrence_wootters(np.stack([pure_state(p) for p in params])))
+    err = np.maximum(err, np.abs(c - [concurrence_pure_determinant(p) for p in params]))
+    res.record_all(err, lambda i: f"params={params[i]!r}")
+
+
+def _local_unitary_case(rng: np.random.Generator) -> tuple:
+    rho = sampling.ginibre_density(rng)
+    return rho, kron(sampling.haar_unitary(rng), sampling.haar_unitary(rng))
 
 
 def suite_local_unitary_invariance(rng: np.random.Generator, res: SuiteResult) -> None:
-    for _ in range(res.cases):
-        rho = sampling.ginibre_density(rng)
-        u = kron(sampling.haar_unitary(rng), sampling.haar_unitary(rng))
-        err = abs(concurrence_wootters(rho) - concurrence_wootters(u @ rho @ dagger(u)))
-        res.record(err, f"rho={rho.tolist()!r} u={u.tolist()!r}")
+    rhos, us = zip(*(_local_unitary_case(rng) for _ in range(res.cases)))
+    rho, u = np.stack(rhos), np.stack(us)
+    err = np.abs(concurrence_wootters(rho) - concurrence_wootters(u @ rho @ dagger(u)))
+    res.record_all(err, lambda i: f"rho={rhos[i].tolist()!r} u={us[i].tolist()!r}")
 
 
 def suite_twirl_invariance(rng: np.random.Generator, res: SuiteResult) -> None:
     # werner(x) commutes with U x U conjugation; isotropic(x) does so with
     # U x U* after a bit flip on qubit 1 (the triplet-based sign layout)
-    for _ in range(res.cases):
-        x = float(rng.uniform())
-        u = sampling.haar_unitary(rng)
-        rho_w = werner(x)
-        uu = kron(u, u)
-        err = _frob(uu @ rho_w @ dagger(uu) - rho_w)
-        flip = kron(_SX, _EYE2)
-        rho_i = flip @ isotropic(x) @ flip
-        uc = kron(u, u.conj())
-        err = max(err, _frob(uc @ rho_i @ dagger(uc) - rho_i))
-        res.record(err, f"x={x!r} u={u.tolist()!r}")
+    xs, us = zip(*((float(rng.uniform()), sampling.haar_unitary(rng)) for _ in range(res.cases)))
+    u = np.stack(us)
+    rho_w = np.stack([werner(x) for x in xs])
+    uu = _pairwise_kron(u, u)
+    err = _frob(uu @ rho_w @ dagger(uu) - rho_w)
+    rho_i = _FLIP1 @ np.stack([isotropic(x) for x in xs]) @ _FLIP1
+    uc = _pairwise_kron(u, u.conj())
+    err = np.maximum(err, _frob(uc @ rho_i @ dagger(uc) - rho_i))
+    res.record_all(err, lambda i: f"x={xs[i]!r} u={us[i].tolist()!r}")
 
 
 # ---------------------------------------------------------------------------
 # dynamics
 
 
+def _evolved(scenarios, taus) -> np.ndarray:
+    # each scenario's initial state at its own time (or times) on the
+    # numeric route
+    kinds = [s.noise.kind for s in scenarios]
+    rho0 = np.stack([initial_state(s) for s in scenarios])
+    return _apply_noise(rho0, kinds, _noise_params(kinds, taus))
+
+
 def suite_closed_vs_numeric(rng: np.random.Generator, res: SuiteResult) -> None:
-    for i in range(res.cases):
-        scenario = sampling.random_scenario(rng, i)
-        tau = float(rng.uniform(0.0, 10.0))
-        closed = closed_form_concurrence(scenario, tau)
-        oracle = concurrence_wootters(evolved_state(scenario, tau))
-        res.record(abs(closed - oracle), f"scenario={scenario!r} tau={tau!r}")
+    scenarios, taus = zip(
+        *(
+            (sampling.random_scenario(rng, i), float(rng.uniform(0.0, 10.0)))
+            for i in range(res.cases)
+        )
+    )
+    closed = np.array([closed_form_concurrence(s, t) for s, t in zip(scenarios, taus)])
+    oracle = concurrence_wootters(_evolved(scenarios, taus))
+    res.record_all(
+        np.abs(closed - oracle), lambda i: f"scenario={scenarios[i]!r} tau={taus[i]!r}"
+    )
 
 
 # Family cells with a closed threshold, and a mixing-weight window inside
@@ -272,64 +367,84 @@ def _sudden_death_scenario(rng: np.random.Generator, pick: int) -> Scenario:
     return Scenario(FamilyParams(family, float(rng.uniform(lo, hi))), NoiseSpec(kind))
 
 
+def _death_time_gap(scenario: Scenario) -> tuple[float, str]:
+    # |analytic - bisected| death time, or inf and the reason
+    analytic = esd_time_analytic(scenario)
+    if analytic.classification is not Classification.SUDDEN_DEATH:
+        return math.inf, f": expected SuddenDeath, got {analytic}"
+    numeric = esd_time_bisection(scenario, tau_max=analytic.tau_death + 10.0)
+    if numeric.classification is not Classification.SUDDEN_DEATH:
+        return math.inf, f": bisection got {numeric}"
+    return abs(analytic.tau_death - numeric.tau_death), ""
+
+
 def suite_analytic_vs_bisection(rng: np.random.Generator, res: SuiteResult) -> None:
-    for i in range(res.cases):
-        scenario = _sudden_death_scenario(rng, i % 7)
-        analytic = esd_time_analytic(scenario)
-        if analytic.classification is not Classification.SUDDEN_DEATH:
-            res.record(math.inf, f"scenario={scenario!r}: expected SuddenDeath, got {analytic}")
-            continue
-        numeric = esd_time_bisection(scenario, tau_max=analytic.tau_death + 10.0)
-        if numeric.classification is not Classification.SUDDEN_DEATH:
-            res.record(math.inf, f"scenario={scenario!r}: bisection got {numeric}")
-            continue
-        res.record(abs(analytic.tau_death - numeric.tau_death), f"scenario={scenario!r}")
+    scenarios = [_sudden_death_scenario(rng, i % 7) for i in range(res.cases)]
+    err, reasons = zip(*map(_death_time_gap, scenarios))
+    res.record_all(err, lambda i: f"scenario={scenarios[i]!r}{reasons[i]}")
+
+
+def _pure_depolarizing_gap(params) -> tuple[float, str]:
+    # |bisected death time - 2 ln 2|, or inf and the reason
+    result = esd_time_bisection(Scenario(params, NoiseSpec(NoiseKind.DEPOLARIZING)), tau_max=5.0)
+    if result.classification is not Classification.SUDDEN_DEATH:
+        return math.inf, f": got {result}"
+    return abs(result.tau_death - 2.0 * math.log(2.0)), ""
 
 
 def suite_pure_depol_universality(rng: np.random.Generator, res: SuiteResult) -> None:
     # the depolarizing death time of every entangled pure state is 2 ln 2,
     # independent of the state parameters
-    target = 2.0 * math.log(2.0)
-    for _ in range(res.cases):
-        params = sampling.random_entangled_pure_params(rng)
-        result = esd_time_bisection(
-            Scenario(params, NoiseSpec(NoiseKind.DEPOLARIZING)), tau_max=5.0
-        )
-        if result.classification is not Classification.SUDDEN_DEATH:
-            res.record(math.inf, f"params={params!r}: got {result}")
-            continue
-        res.record(abs(result.tau_death - target), f"params={params!r}")
+    params = [sampling.random_entangled_pure_params(rng) for _ in range(res.cases)]
+    err, reasons = zip(*map(_pure_depolarizing_gap, params))
+    res.record_all(err, lambda i: f"params={params[i]!r}{reasons[i]}")
 
 
 def suite_pure_amp_phase_no_esd(rng: np.random.Generator, res: SuiteResult) -> None:
-    for _ in range(res.cases):
-        params = sampling.random_entangled_pure_params(rng)
-        for kind in (NoiseKind.AMPLITUDE, NoiseKind.PHASE):
-            result = esd_time_bisection(Scenario(params, NoiseSpec(kind)), tau_max=50.0)
-            ok = result.classification is Classification.ASYMPTOTIC_DECAY
-            res.record(0.0 if ok else math.inf, f"params={params!r} kind={kind.value}: {result}")
+    kinds = (NoiseKind.AMPLITUDE, NoiseKind.PHASE)
+    params = [sampling.random_entangled_pure_params(rng) for _ in range(res.cases)]
+    results = [
+        esd_time_bisection(Scenario(p, NoiseSpec(kind)), tau_max=50.0)
+        for p in params
+        for kind in kinds
+    ]
+    err = [
+        0.0 if r.classification is Classification.ASYMPTOTIC_DECAY else math.inf for r in results
+    ]
+
+    def detail(j: int) -> str:
+        i, k = divmod(j, len(kinds))
+        return f"params={params[i]!r} kind={kinds[k].value}: {results[j]}"
+
+    res.record_all(err, detail)
 
 
 def suite_trajectory_monotone(rng: np.random.Generator, res: SuiteResult) -> None:
     grid = np.linspace(0.0, 10.0, 48)
-    for i in range(res.cases):
-        scenario = sampling.random_scenario(rng, i)
-        for traj in (numeric_trajectory(scenario, grid), closed_form_trajectory(scenario, grid)):
-            steps = np.diff(traj.c)
-            err = max(0.0, float(steps.max())) if steps.size else 0.0
-            res.record(err, f"scenario={scenario!r} source={traj.source.value}")
+    sources = (TrajectorySource.NUMERIC, TrajectorySource.CLOSED_FORM)
+    scenarios = [sampling.random_scenario(rng, i) for i in range(res.cases)]
+    numeric = concurrence_wootters(
+        _evolved(scenarios, np.broadcast_to(grid, (len(scenarios), grid.size)))
+    )
+    closed = np.stack([closed_form_trajectory(s, grid).c for s in scenarios])
+    steps = np.diff(np.stack([numeric, closed], axis=1), axis=-1)
+    err = np.maximum(steps.max(axis=-1), 0.0)
+
+    def detail(j: int) -> str:
+        i, k = divmod(j, len(sources))
+        return f"scenario={scenarios[i]!r} source={sources[k].value}"
+
+    res.record_all(err, detail)
 
 
 def suite_tau_zero_identity(rng: np.random.Generator, res: SuiteResult) -> None:
-    for i in range(res.cases):
-        scenario = sampling.random_scenario(rng, i)
-        rho0 = initial_state(scenario)
-        err = _frob(evolved_state(scenario, 0.0) - rho0)
-        err = max(
-            err,
-            abs(closed_form_concurrence(scenario, 0.0) - concurrence_wootters(rho0)),
-        )
-        res.record(err, f"scenario={scenario!r}")
+    scenarios = [sampling.random_scenario(rng, i) for i in range(res.cases)]
+    kinds = [s.noise.kind for s in scenarios]
+    rho0 = np.stack([initial_state(s) for s in scenarios])
+    err = _frob(_apply_noise(rho0, kinds, _noise_params(kinds, np.zeros(len(kinds)))) - rho0)
+    closed = np.array([closed_form_concurrence(s, 0.0) for s in scenarios])
+    err = np.maximum(err, np.abs(closed - concurrence_wootters(rho0)))
+    res.record_all(err, lambda i: f"scenario={scenarios[i]!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,13 @@ def test_verify_rejects_bad_cases(capsys):
     assert "cases" in err
 
 
+def test_verify_rejects_negative_seed(capsys):
+    code, out, err = run(["verify", "--seed", "-1", "--cases", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --seed must be nonnegative, got -1\n"
+
+
 def test_verify_small_run_passes_and_repeats(capsys):
     code, out1, _ = run(["verify", "--seed", "3", "--cases", "40"], capsys)
     assert code == 0

@@ -1,6 +1,59 @@
+import hashlib
+import math
+
+import numpy as np
 import pytest
 
+from esdsim import linalg, verification
+from esdsim.dynamics import Classification, EsdMethod, EsdResult
 from esdsim.verification import SUITES, SuiteResult, run_all, run_suite
+
+# sha256 of each suite's reproduction strings at seed 0 with 20 cases and
+# every case failing: the text after "err=<value> ", one line per recorded
+# case.  Taken from the per-case suites, so a change to what a seed draws,
+# to the draw order or to the reproduction text shows here.
+DRAW_DIGESTS = {
+    "kron_algebra": "feca804196942acf5695199da9825a46e6b0dbe5be72c0dbc5cb207025460659",
+    "eig_reconstruction": "5a9a382a174b0b8c22e9d4afd63c33ce07e3f5ebdbaec5dfd940a31caeb3155e",
+    "psd_sqrt_roundtrip": "e6d972fbfc63a0fbefd9b94fd98a4637f28f1ff675d720bb1d3ee07e6f285ffe",
+    "kraus_completeness": "c163141f5c7a304140f424996259d2f4c59a29ee7e72f05c2d0557c1ce1f4c08",
+    "channel_output_validity": "cc05caaaca070b5abc59eba6bd0592a0ae5a46910203c1bdff04d5a9622c5494",
+    "x_form_closure": "e3eea8ac6b60584cbb869d16233f79775bfd2dc1126f172c387b387dc8806455",
+    "qubit2_marginal": "53d7af4f171c27395e2de879e66fc4bb900709081f835a0385198da2a9ba5c71",
+    "composition_semigroup": "0d051220f11cc1f50f5e61c1d0c2c322046c8726370f83b65132db4a2b19aaf1",
+    "concurrence_x_oracle": "77cb7fe028c82814e201409ad9a425e510212598c3deb489d9a91fc8c58fd958",
+    "concurrence_pure_oracle": "fc51bb4da43f12162da3fd26b9bbb431c1ffc70771c6d3554909396122e6466b",
+    "local_unitary_invariance": "f7839dc51bd32b98ec62847ea5d8d93490913c4c281ed3538a1fa7b6b4b89d7e",
+    "twirl_invariance": "1edf2f865504e9b02a5b5e30f0524ccd79ef5ffa8e97e1977799024c33bd7226",
+    "closed_vs_numeric": "a3151b6ed4f8123d5f337a2a815eb52379bd69ac9b9a64b5bda604c67959cb11",
+    "analytic_vs_bisection": "be0220149aa1ab73e439e19c2c7c0168973fc4ad31cabef70b548224816e8d1d",
+    "pure_depol_universality": "c60a9dc8db309367d5dc1a9b1726c8a0f53342d268f006cbab2901b50ab0cd9b",
+    "pure_amp_phase_no_esd": "370c23a50e6ea8b438db440dc71319430880b548e0a5a72b1234909b536cdff1",
+    "trajectory_monotone": "340cbdc80794ada91579b2af4a7d766658b6bcda2dc0ad053ecc28e06fbc868a",
+    "tau_zero_identity": "52654dbd1a3f341c67b0dc09217acafec70961665aaa8884ec46daf79f37ac44",
+}
+
+# max_error of every suite at run_all(3, 40), from the per-case suites.
+MAX_ERRORS_SEED3_CASES40 = {
+    "kron_algebra": 1.16683012789241e-14,
+    "eig_reconstruction": 1.0995342466562221e-14,
+    "psd_sqrt_roundtrip": 1.2627239439344248e-15,
+    "kraus_completeness": 1.5700924586837752e-16,
+    "channel_output_validity": 2.220446049250313e-16,
+    "x_form_closure": 0.0,
+    "qubit2_marginal": 1.2451399942302572e-16,
+    "composition_semigroup": 1.3630555906587455e-16,
+    "concurrence_x_oracle": 2.220446049250313e-16,
+    "concurrence_pure_oracle": 1.6653345369377348e-15,
+    "local_unitary_invariance": 9.71445146547012e-16,
+    "twirl_invariance": 7.244140648242027e-16,
+    "closed_vs_numeric": 1.0547118733938987e-15,
+    "analytic_vs_bisection": 7.25909471421815e-11,
+    "pure_depol_universality": 2.3961943540484754e-11,
+    "pure_amp_phase_no_esd": 0.0,
+    "trajectory_monotone": 0.0,
+    "tau_zero_identity": 4.440892098500626e-16,
+}
 
 
 def test_registry_scales_give_advertised_default_counts():
@@ -23,6 +76,87 @@ def test_suite_result_bookkeeping():
     assert not res.passed
     assert res.max_error == 1e-3
     assert res.failures == ["err=1.000000e-03 too big"]
+
+
+def test_record_counts_nan_as_a_failure():
+    res = SuiteResult("demo", 1, 1e-6)
+    res.record(math.nan, "x")
+    assert not res.passed
+    assert res.failures == ["err=nan x"]
+    assert math.isnan(res.max_error)
+    # a later finite error does not hide the NaN
+    res.record(1e-3, "y")
+    assert math.isnan(res.max_error)
+    assert res.failures == ["err=nan x", "err=1.000000e-03 y"]
+
+
+def test_record_all_formats_only_failing_cases():
+    res = SuiteResult("demo", 4, 1e-6)
+    asked = []
+
+    def detail(i):
+        asked.append(i)
+        return f"case {i}"
+
+    res.record_all(np.array([1e-9, 3e-7]), detail)
+    assert res.passed and res.max_error == 3e-7 and asked == []
+    # errors are taken in flattened (case-major) order; the NaN replaces
+    # the finite max_error
+    res.record_all(np.array([[1e-9, np.nan], [2e-3, math.inf]]), detail)
+    assert asked == [1, 2, 3]
+    assert res.failures == ["err=nan case 1", "err=2.000000e-03 case 2", "err=inf case 3"]
+    assert math.isnan(res.max_error)
+
+
+def test_seeded_draws_are_unchanged():
+    for index, (name, fn, _, _) in enumerate(SUITES):
+        # a negative tolerance makes every case record its reproduction
+        res = SuiteResult(name, 20, -1.0)
+        fn(np.random.default_rng([0, index]), res)
+        assert len(res.failures) >= 20, name
+        text = "\n".join(failure.split(" ", 1)[1] for failure in res.failures)
+        assert hashlib.sha256(text.encode()).hexdigest() == DRAW_DIGESTS[name], name
+
+
+def test_max_errors_are_pinned():
+    results = run_all(3, 40)
+    assert [r.name for r in results] == list(MAX_ERRORS_SEED3_CASES40)
+    for r in results:
+        assert abs(r.max_error - MAX_ERRORS_SEED3_CASES40[r.name]) <= 1e-14, r.name
+
+
+def test_suites_fail_on_wrong_library_answers(monkeypatch):
+    # each check must turn a wrong answer of the code under test into a
+    # failing case with its reason, not skip it
+    def not_x(rho):
+        raise ValueError("not X")
+
+    def ascending(h):
+        w, v = linalg.hermitian_eig(h)
+        return linalg.EigDecomposition(w[..., ::-1], v[..., ::-1])
+
+    def no_death(scenario, tau_max, **kwargs):
+        return EsdResult(Classification.ASYMPTOTIC_DECAY, EsdMethod.BISECTION, horizon=tau_max)
+
+    def death_at_one(scenario, tau_max, **kwargs):
+        return EsdResult(Classification.SUDDEN_DEATH, EsdMethod.BISECTION, 1.0, tau_max)
+
+    cases = (
+        ("as_x_params", not_x, "x_form_closure", ": not X"),
+        ("hermitian_eig", ascending, "eig_reconstruction", ""),
+        ("esd_time_bisection", no_death, "analytic_vs_bisection", ": bisection got EsdResult("),
+        ("esd_time_bisection", no_death, "pure_depol_universality", ": got EsdResult("),
+        ("esd_time_bisection", death_at_one, "pure_amp_phase_no_esd", ": EsdResult("),
+    )
+    for attr, fake, name, reason in cases:
+        with monkeypatch.context() as m:
+            m.setattr(verification, attr, fake)
+            res = run_suite(name, 0, 20)
+        assert not res.passed, name
+        assert len(res.failures) >= res.cases, name
+        assert all(reason in failure for failure in res.failures), name
+        if reason:
+            assert res.max_error == math.inf, name
 
 
 def test_run_suite_unknown_name():
