@@ -2,24 +2,29 @@
 
 The noise always acts on the first qubit only.  `apply_channel` evaluates
 the Kraus sum on the first tensor factor of a state, so a 2x2 Kraus set acts
-on qubit 1 of a pair directly; `lift_first` still builds the equivalent 4x4
-set {K x I} where the lifted operators themselves are wanted.  Channel
-parameters are the decayed coherence factors eta (amplitude), gamma (phase)
-and the error probability p (depolarizing); the time parametrization of
-these lives in the dynamics module.
+on qubit 1 of a pair directly; `lift_first` builds the equivalent 4x4 set
+{K x I} as the reference form.  Channel parameters are the decayed
+coherence factors eta (amplitude), gamma (phase) and the error probability
+p (depolarizing); the time parametrization of these lives in the dynamics
+module.
 
 The constructors take one parameter value or an array of them.  An array
 gives a stacked Kraus set: each operator has shape (..., 2, 2), one Kraus
 set per parameter value, and completeness is checked for every one of them.
+
+`apply_channel` checks the completeness of every Kraus set it is given,
+also of the sets these constructors build, which are complete by
+construction: the check guards caller input, and skipping it for
+constructor-built sets would take a second code path.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _reject_first, dagger, kron
+from .linalg import _reject_first, _unit_interval, dagger, kron
 from .states import validate_density_matrix
 
 # Gate applied by apply_channel / lift_first on arbitrary Kraus sets.
@@ -41,41 +46,30 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Ordered Kraus operators, all square of the same dimension.
+    """Ordered, nonempty Kraus operators, all square of the same dimension.
 
     Each operator is one matrix or a stack of shape (..., dim, dim) that
     holds one Kraus set per leading index; all operators share one shape.
-    `dim` is inferred from the operators; it must be given explicitly for an
-    empty set (where the completeness residual is ||-I||_F = sqrt(dim)).
     """
 
     ops: tuple[np.ndarray, ...]
-    label: str = "custom"
-    dim: int = field(default=0)
 
     def __post_init__(self) -> None:
         ops = tuple(np.asarray(op, dtype=complex) for op in self.ops)
+        if not ops:
+            raise ValueError("a KrausSet needs at least one operator")
         shapes = {op.shape for op in ops}
         if any(len(shape) < 2 or shape[-1] != shape[-2] for shape in shapes):
             raise ValueError("Kraus operators must be square matrices")
         if len(shapes) > 1:
             raise ValueError(f"Kraus operators must share one shape, got {shapes}")
-        dim = ops[0].shape[-1] if ops else self.dim
-        if dim <= 0:
-            raise ValueError("an empty KrausSet needs an explicit dim")
         for op in ops:
             op.setflags(write=False)
         object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "dim", dim)
 
-
-def _unit_interval(name: str, value) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
-    _reject_first(
-        ~((v >= 0.0) & (v <= 1.0)),
-        lambda i, at: f"{name} must lie in [0, 1], got {float(v[i])!r}{at}",
-    )
-    return v
+    @property
+    def dim(self) -> int:
+        return self.ops[0].shape[-1]
 
 
 def _matrices(shape: tuple[int, ...], entries: dict) -> np.ndarray:
@@ -91,7 +85,7 @@ def amplitude_kraus(eta) -> KrausSet:
     eta = _unit_interval("eta", eta)
     e0 = _matrices(eta.shape, {(0, 0): eta, (1, 1): 1.0})
     e1 = _matrices(eta.shape, {(1, 0): np.sqrt(1.0 - eta * eta)})
-    return KrausSet((e0, e1), label="amplitude")
+    return KrausSet((e0, e1))
 
 
 def phase_kraus(gamma) -> KrausSet:
@@ -99,7 +93,7 @@ def phase_kraus(gamma) -> KrausSet:
     gamma = _unit_interval("gamma", gamma)
     k0 = _matrices(gamma.shape, {(0, 0): 1.0, (1, 1): gamma})
     k1 = _matrices(gamma.shape, {(1, 1): np.sqrt(1.0 - gamma * gamma)})
-    return KrausSet((k0, k1), label="phase")
+    return KrausSet((k0, k1))
 
 
 def depolarizing_kraus(p) -> KrausSet:
@@ -111,7 +105,7 @@ def depolarizing_kraus(p) -> KrausSet:
     d2 = _matrices(p.shape, {(0, 1): w, (1, 0): w})
     d3 = _matrices(p.shape, {(0, 1): 1.0j * w, (1, 0): -1.0j * w})
     d4 = _matrices(p.shape, {(0, 0): w, (1, 1): -w})
-    return KrausSet((d1, d2, d3, d4), label="depolarizing")
+    return KrausSet((d1, d2, d3, d4))
 
 
 def kraus_for(kind: NoiseKind, value) -> KrausSet:
@@ -135,23 +129,27 @@ def completeness_residual(kraus: KrausSet) -> float | np.ndarray:
     return np.linalg.norm(acc, axis=(-2, -1))
 
 
-def _check_complete(kraus: KrausSet, tol: float, what: str) -> None:
+def _check_complete(kraus: KrausSet, what: str) -> None:
     residual = completeness_residual(kraus)
     _reject_first(
-        residual > tol, lambda i, at: f"{what}{at} is not complete: residual {residual[i]:.3e}"
+        residual > COMPLETENESS_TOL,
+        lambda i, at: f"{what}{at} is not complete: residual {residual[i]:.3e}",
     )
 
 
-def lift_first(kraus: KrausSet, tol: float = COMPLETENESS_TOL) -> KrausSet:
-    """Lift a 2x2 Kraus set to act on the first qubit of a pair: K -> K x I."""
-    if kraus.dim != 2:
-        raise ValueError(f"lift_first expects 2x2 operators, got dim {kraus.dim}")
-    _check_complete(kraus, tol, "input Kraus set")
-    eye = np.eye(2, dtype=complex)
-    return KrausSet(tuple(kron(op, eye) for op in kraus.ops), label=kraus.label, dim=4)
+def lift_first(kraus: KrausSet) -> KrausSet:
+    """Lift a 2x2 Kraus set to act on the first qubit of a pair: K -> K x I.
+
+    The numeric route does not lift: `apply_channel` acts on the first
+    factor directly.  The lifted set stays as the reference form {K x I}
+    that the tests compare that route against.  A stacked set lifts member
+    by member; `kron` rejects operators that are not 2x2.
+    """
+    _check_complete(kraus, "input Kraus set")
+    return KrausSet(tuple(kron(op, np.eye(2)) for op in kraus.ops))
 
 
-def apply_channel(rho: np.ndarray, kraus: KrausSet, tol: float = COMPLETENESS_TOL) -> np.ndarray:
+def apply_channel(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
     """Kraus sum sum(K rho K^dag) on the first tensor factor of rho.
 
     A Kraus set of dimension d acts on a state of dimension d*m as {K x I_m}:
@@ -159,12 +157,12 @@ def apply_channel(rho: np.ndarray, kraus: KrausSet, tol: float = COMPLETENESS_TO
     noise on qubit 1, the same map as its `lift_first` lift.  `rho` and the
     Kraus set may each be stacks; their leading axes broadcast.
 
-    Every Kraus set must be complete and every input a density matrix; the
-    error names the first failing member of a stack.  A complete Kraus map
-    sends density matrices to density matrices, so the output is left to
-    its consumer to check.
+    Every Kraus set must be complete within COMPLETENESS_TOL and every input
+    a density matrix; the error names the first failing member of a stack.
+    A complete Kraus map sends density matrices to density matrices, so the
+    output is left to its consumer to check.
     """
-    _check_complete(kraus, tol, "Kraus set")
+    _check_complete(kraus, "Kraus set")
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2] or rho.shape[-1] % kraus.dim:
         raise ValueError(f"state shape {rho.shape} does not match Kraus dim {kraus.dim}")
@@ -180,15 +178,3 @@ def apply_channel(rho: np.ndarray, kraus: KrausSet, tol: float = COMPLETENESS_TO
     out = transfer @ blocks.reshape(rho.shape[:-2] + (d * d, m * m))
     out = np.swapaxes(out.reshape(out.shape[:-2] + (d, d, m, m)), -3, -2)
     return out.reshape(out.shape[:-4] + (dim, dim))
-
-
-def _reduced_second_qubit(rho: np.ndarray) -> np.ndarray:
-    # partial trace over qubit 1; internal, used by the marginal property checks
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return np.einsum("ijil->jl", r)
-
-
-def _reduced_first_qubit(rho: np.ndarray) -> np.ndarray:
-    # partial trace over qubit 2
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return np.einsum("ijkj->ik", r)

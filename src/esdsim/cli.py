@@ -64,10 +64,24 @@ def _json_line(pairs) -> str:
     return "{" + body + "}\n"
 
 
+# The state kinds each state flag belongs to; the other kinds reject it.
+_STATE_FLAGS = {
+    "x": ("family",),
+    **dict.fromkeys(("zsq", "zmod", "zarg"), ("xstate",)),
+    **dict.fromkeys("abcd", ("xstate", "pure")),
+    **dict.fromkeys("fgh", ("pure",)),
+}
+
+
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     chosen = [bool(args.xstate), bool(args.pure), args.family is not None]
     if sum(chosen) != 1:
         raise ValueError("specify exactly one of --xstate, --pure, --family")
+    kind = "xstate" if args.xstate else "pure" if args.pure else "family"
+    for name, kinds in _STATE_FLAGS.items():
+        if getattr(args, name) is not None and kind not in kinds:
+            owners = " and ".join(f"--{k}" for k in kinds)
+            raise ValueError(f"--{name} applies to {owners}, not --{kind}")
     noise = NoiseSpec(NoiseKind(args.noise))
 
     if args.family is not None:
@@ -77,11 +91,11 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
 
     for name in ("a", "b", "c", "d"):
         if getattr(args, name) is None:
-            raise ValueError(f"--{'xstate' if args.xstate else 'pure'} requires --{name}")
+            raise ValueError(f"--{kind} requires --{name}")
 
     if args.pure:
-        state = PureStateParams(args.a, args.b, args.c, args.d, args.f, args.g, args.h)
-        return Scenario(state, noise)
+        phases = (0.0 if value is None else value for value in (args.f, args.g, args.h))
+        return Scenario(PureStateParams(args.a, args.b, args.c, args.d, *phases), noise)
 
     for name in ("zsq", "zmod", "zarg"):
         value = getattr(args, name)
@@ -223,7 +237,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     for name in ("a", "b", "c", "d"):
         p.add_argument(f"--{name}", type=float)
     for name in ("f", "g", "h"):
-        p.add_argument(f"--{name}", type=float, default=0.0)
+        p.add_argument(f"--{name}", type=float)
     p.add_argument("--x", type=float, help="family mixing weight")
     p.add_argument("--zsq", type=float, help="|z|^2 (as in the curve presets)")
     p.add_argument("--zmod", type=float, help="|z|")

@@ -103,6 +103,8 @@ class Trajectory:
         c = np.asarray(self.c, dtype=float)
         if tau.ndim != 1 or c.ndim != 1 or tau.size != c.size:
             raise ValueError("tau and c must be 1-d arrays of equal length")
+        if not (np.isfinite(tau).all() and np.isfinite(c).all()):
+            raise ValueError("tau and c must be finite")
         if tau.size and np.any(np.diff(tau) <= 0):
             raise ValueError("tau grid must be strictly increasing")
         if c.size and (c.min() < 0.0 or c.max() > TRAJECTORY_CAP):

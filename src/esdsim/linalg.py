@@ -43,37 +43,51 @@ def _reject_first(bad, message) -> None:
         raise ValueError(message(i, f" at index {i[0] if len(i) == 1 else i}"))
 
 
+def _unit_interval(name: str, value):
+    """`value` as a float64 (one number) or a float array, each entry
+    checked to lie in [0, 1]; the error names `name` and, for an array,
+    the index of the first entry outside."""
+    v = np.asarray(value, dtype=float)[()]
+    _reject_first(
+        ~((v >= 0.0) & (v <= 1.0)),
+        lambda i, at: f"{name} must lie in [0, 1], got {float(v[i])!r}{at}",
+    )
+    return v
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices (block (i,j) is a[i,j] * b)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError(f"kron expects two 2x2 matrices, got {a.shape} and {b.shape}")
-    return np.kron(a, b)
+    """Kronecker product of two 2x2 matrices (block (i,j) is a[i,j] * b).
+
+    `a` and `b` may each be a stack of 2x2 matrices, shape (..., 2, 2); the
+    product is taken pair by pair and the leading axes broadcast.  Each
+    entry is the single product a[i,j] * b[k,l], as in `np.kron`.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
+        raise ValueError(f"kron expects 2x2 matrices, got {a.shape} and {b.shape}")
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix (the last two axes)."""
-    return np.swapaxes(np.asarray(a).conj(), -1, -2)
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
-def hermitian_eig(h: np.ndarray, tol: float = PSD_CLAMP_TOL) -> EigDecomposition:
+def hermitian_eig(h: np.ndarray) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    Parameters
-    ----------
-    h : array_like
-        Square matrix, or stack of them with shape (..., n, n), each
-        Hermitian within `tol` in Frobenius norm.
-    tol : float
-        Allowed Hermiticity defect; the matrix is symmetrized before the
-        solve so the defect only ever absorbs rounding.
+    `h` is a square matrix, or a stack of them with shape (..., n, n), each
+    Hermitian within PSD_CLAMP_TOL in Frobenius norm.  The matrix is
+    symmetrized before the solve, so the allowed defect only ever absorbs
+    rounding.
 
     Raises
     ------
     ValueError
-        If the input is not square or not Hermitian within `tol`; for a
-        stack, the message names the index of the first failing matrix.
+        If the input is not square or not Hermitian within PSD_CLAMP_TOL;
+        for a stack, the message names the index of the first failing
+        matrix.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
@@ -81,17 +95,17 @@ def hermitian_eig(h: np.ndarray, tol: float = PSD_CLAMP_TOL) -> EigDecomposition
     hd = dagger(h)
     defect = np.linalg.norm(h - hd, axis=(-2, -1))
     _reject_first(
-        defect > tol,
-        lambda i, at: f"matrix{at} is not Hermitian: defect {defect[i]:.3e} > tol {tol:.3e}",
+        defect > PSD_CLAMP_TOL,
+        lambda i, at: f"matrix{at} is not Hermitian: defect {defect[i]:.3e} > tol {PSD_CLAMP_TOL:.3e}",
     )
     w, v = np.linalg.eigh((h + hd) / 2.0)
     return EigDecomposition(w[..., ::-1].copy(), v[..., ::-1].copy())
 
 
-def psd_sqrt(h: np.ndarray, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
+def psd_sqrt(h: np.ndarray) -> np.ndarray:
     """Hermitian positive-semidefinite square root of each matrix.
 
-    Eigenvalues in [-tol, 0) are clamped to 0; eigenvalues below
+    Eigenvalues in [-PSD_CLAMP_TOL, 0) are clamped to 0; eigenvalues below
     ZERO_EIG_RTOL relative to the largest one of the same matrix are snapped
     to exact zero so that rank-deficient inputs yield an exactly
     rank-deficient root.
@@ -99,14 +113,14 @@ def psd_sqrt(h: np.ndarray, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
     Raises
     ------
     ValueError
-        If an eigenvalue sits below -tol (input not PSD); for a stack, the
-        message names the index of the first failing matrix.
+        If an eigenvalue sits below -PSD_CLAMP_TOL (input not PSD); for a
+        stack, the message names the index of the first failing matrix.
     """
-    w, v = hermitian_eig(h, tol)
+    w, v = hermitian_eig(h)
     low = w[..., -1]
     _reject_first(
-        low < -tol,
-        lambda i, at: f"matrix{at} is not PSD: min eigenvalue {low[i]:.3e} < -{tol:.3e}",
+        low < -PSD_CLAMP_TOL,
+        lambda i, at: f"matrix{at} is not PSD: min eigenvalue {low[i]:.3e} < -{PSD_CLAMP_TOL:.3e}",
     )
     cut = ZERO_EIG_RTOL * np.maximum(w[..., :1], 0.0)
     w = np.where(w < cut, 0.0, w)

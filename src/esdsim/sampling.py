@@ -78,11 +78,6 @@ def random_noise_kind(rng: np.random.Generator) -> NoiseKind:
     return NOISE_KINDS[rng.integers(len(NOISE_KINDS))]
 
 
-def random_noise_value(rng: np.random.Generator, kind: NoiseKind) -> float:
-    # eta, gamma and p all live on [0, 1]
-    return float(rng.uniform())
-
-
 def random_scenario(rng: np.random.Generator, index: int | None = None) -> Scenario:
     """One random scenario; `index` cycles kinds so a sample of n covers
     every (state kind, noise) pair about evenly."""

@@ -11,10 +11,11 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import _reject_first, dagger
+from .linalg import _reject_first, _unit_interval, dagger
 
 # Parameter-record tolerances: weights are user input, so the sum check is
 # tight; the central-block positivity check absorbs only rounding.
@@ -100,8 +101,9 @@ class FamilyParams:
             raise ValueError(f"mixing weight x must lie in [0, 1], got {self.x!r}")
 
 
-def validate_density_matrix(mat: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return the array.
+def validate_density_matrix(mat: np.ndarray) -> np.ndarray:
+    """Check Hermiticity, unit trace and positivity within DENSITY_TOL;
+    return the array.
 
     `mat` is one matrix or a stack of them with shape (..., n, n); every
     matrix is checked.  Raises ValueError naming the violated property and,
@@ -113,26 +115,41 @@ def validate_density_matrix(mat: np.ndarray, tol: float = DENSITY_TOL) -> np.nda
     herm = dagger(mat)
     defect = np.linalg.norm(mat - herm, axis=(-2, -1))
     _reject_first(
-        defect > tol, lambda i, at: f"density matrix{at} not Hermitian: defect {defect[i]:.3e}"
+        defect > DENSITY_TOL, lambda i, at: f"density matrix{at} not Hermitian: defect {defect[i]:.3e}"
     )
-    tr = np.trace(mat, axis1=-2, axis2=-1)
+    tr = mat.trace(axis1=-2, axis2=-1)
     _reject_first(
-        abs(tr - 1.0) > tol,
+        abs(tr - 1.0) > DENSITY_TOL,
         lambda i, at: f"density matrix{at} trace must be 1, got {complex(tr[i])!r}",
     )
     low = np.linalg.eigvalsh((mat + herm) / 2.0)[..., 0]
     _reject_first(
-        low < -tol, lambda i, at: f"density matrix{at} not PSD: min eigenvalue {low[i]:.3e}"
+        low < -DENSITY_TOL, lambda i, at: f"density matrix{at} not PSD: min eigenvalue {low[i]:.3e}"
     )
     return mat
 
 
-def x_state(params: XStateParams) -> np.ndarray:
-    """Density matrix with diagonal (a, b, c, d) and central coherence z."""
-    rho = np.diag([params.a, params.b, params.c, params.d]).astype(complex)
-    rho[1, 2] = params.z
-    rho[2, 1] = complex(params.z).conjugate()
+def _x_pattern(diag, z) -> np.ndarray:
+    """Validated X-pattern stack: the four diagonal weights `diag` and the
+    central coherence `z` (at entry (1, 2), its conjugate at (2, 1)) each
+    hold one value per matrix, shape (...); the result is (..., 4, 4)."""
+    rho = np.zeros(np.shape(z) + (4, 4), dtype=complex)
+    rho[..., 0, 0], rho[..., 1, 1], rho[..., 2, 2], rho[..., 3, 3] = diag
+    rho[..., 1, 2], rho[..., 2, 1] = z, np.conj(z)
     return validate_density_matrix(rho)
+
+
+def x_state(params: XStateParams | Sequence[XStateParams]) -> np.ndarray:
+    """Density matrix with diagonal (a, b, c, d) and central coherence z.
+
+    One record gives a (4, 4) matrix, a sequence of n records an (n, 4, 4)
+    stack.
+    """
+    if isinstance(params, XStateParams):
+        # complex(z): a real z then conjugates to -0j, as in the complex stack
+        return _x_pattern((params.a, params.b, params.c, params.d), complex(params.z))
+    *diag, z = np.array([(p.a, p.b, p.c, p.d, p.z) for p in params], dtype=complex).reshape(-1, 5).T
+    return _x_pattern(diag, z)
 
 
 def _pure_amplitudes(params: PureStateParams) -> np.ndarray:
@@ -146,38 +163,40 @@ def _pure_amplitudes(params: PureStateParams) -> np.ndarray:
     )
 
 
-def pure_state(params: PureStateParams) -> np.ndarray:
-    """Rank-1 projector of sqrt(a)|00> + sqrt(b)e^{if}|01> + sqrt(c)e^{ig}|10> + sqrt(d)e^{ih}|11>."""
-    amps = _pure_amplitudes(params)
-    rho = np.outer(amps, amps.conj())
-    return validate_density_matrix(rho)
+def pure_state(params: PureStateParams | Sequence[PureStateParams]) -> np.ndarray:
+    """Rank-1 projector of sqrt(a)|00> + sqrt(b)e^{if}|01> + sqrt(c)e^{ig}|10> + sqrt(d)e^{ih}|11>.
+
+    One record gives a (4, 4) matrix, a sequence of n records an (n, 4, 4)
+    stack.
+    """
+    one = isinstance(params, PureStateParams)
+    amps = _pure_amplitudes(params) if one else np.array([*map(_pure_amplitudes, params)]).reshape(-1, 4)
+    return validate_density_matrix(amps[..., :, None] * amps.conj()[..., None, :])
 
 
-def isotropic(x: float) -> np.ndarray:
+def isotropic(x) -> np.ndarray:
     """Two-qubit isotropic state with mixing weight x.
 
     Diagonal ((1-x)/3, (2x+1)/6, (2x+1)/6, (1-x)/3) with central coherence
     (4x-1)/6.  Reduces to I/4 at x = 1/4 and to a maximally entangled
-    central-block projector at x = 1.
+    central-block projector at x = 1.  An array of weights gives a stack of
+    shape x.shape + (4, 4).
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"isotropic weight x must lie in [0, 1], got {x!r}")
+    x = _unit_interval("isotropic weight x", x)
     corner = (1.0 - x) / 3.0
     mid = (2.0 * x + 1.0) / 6.0
-    rho = np.diag([corner, mid, mid, corner]).astype(complex)
-    rho[1, 2] = rho[2, 1] = (4.0 * x - 1.0) / 6.0
-    return validate_density_matrix(rho)
+    return _x_pattern((corner, mid, mid, corner), (4.0 * x - 1.0) / 6.0)
 
 
-def werner(x: float) -> np.ndarray:
-    """Werner state: (1-x) I/4 + x times the singlet projector."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"Werner weight x must lie in [0, 1], got {x!r}")
+def werner(x) -> np.ndarray:
+    """Werner state: (1-x) I/4 + x times the singlet projector.
+
+    An array of weights gives a stack of shape x.shape + (4, 4).
+    """
+    x = _unit_interval("Werner weight x", x)
     corner = (1.0 - x) / 4.0
     mid = (1.0 + x) / 4.0
-    rho = np.diag([corner, mid, mid, corner]).astype(complex)
-    rho[1, 2] = rho[2, 1] = -x / 2.0
-    return validate_density_matrix(rho)
+    return _x_pattern((corner, mid, mid, corner), -x / 2.0)
 
 
 def family_state(params: FamilyParams) -> np.ndarray:
@@ -190,27 +209,27 @@ def family_state(params: FamilyParams) -> np.ndarray:
 _X_PATTERN = {(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)}
 
 
-def as_x_params(rho: np.ndarray, tol: float = X_PATTERN_TOL) -> XStateParams:
+def as_x_params(rho: np.ndarray) -> XStateParams:
     """Extract (a, b, c, d, z) from a matrix in the X pattern.
 
     Every entry outside the diagonal-plus-central-coherence pattern must have
-    magnitude at most `tol`; the offending entry is named otherwise.  The
-    returned params rebuild the input within `tol` entrywise.
+    magnitude at most X_PATTERN_TOL; the offending entry is named otherwise.
+    The returned params rebuild the input within X_PATTERN_TOL entrywise.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     for i in range(4):
         for j in range(4):
-            if (i, j) not in _X_PATTERN and abs(rho[i, j]) > tol:
+            if (i, j) not in _X_PATTERN and abs(rho[i, j]) > X_PATTERN_TOL:
                 raise ValueError(
                     f"matrix is not in X form: entry ({i}, {j}) has magnitude "
-                    f"{abs(rho[i, j]):.3e} > tol {tol:.3e}"
+                    f"{abs(rho[i, j]):.3e} > tol {X_PATTERN_TOL:.3e}"
                 )
-    if abs(rho[2, 1] - rho[1, 2].conjugate()) > tol:
+    if abs(rho[2, 1] - rho[1, 2].conjugate()) > X_PATTERN_TOL:
         raise ValueError("matrix is not in X form: central coherences are not conjugate")
     diag = rho.diagonal()
-    if np.abs(diag.imag).max() > tol:
+    if np.abs(diag.imag).max() > X_PATTERN_TOL:
         raise ValueError("matrix is not in X form: diagonal has imaginary part")
     return XStateParams(
         float(diag[0].real),

@@ -5,8 +5,10 @@ a seeded generator, in a fixed order, so a seed always yields the same
 cases and the same reproduction strings.  It then stacks the drawn inputs
 and checks them all at once through the stack-aware library functions:
 one call per suite, or one per noise kind where the Kraus set depends on
-it.  Library functions that take a single record (the closed forms, the
-death-time routes, `kron`, `x_state`, `as_x_params`) run once per case.
+it.  The state constructors and `kron` take the whole stack too.  Library
+functions that take a single record (the closed forms, the death-time
+routes, `as_x_params`, `initial_state`) run once per case, and so does the
+`x_state` rebuild that checks the `as_x_params` round trip.
 `SuiteResult.record_all` takes the array of per-case errors and formats a
 reproduction string only for the cases over tolerance.  The CLI verify
 command runs the whole registry; the test suite reuses single suites with
@@ -90,11 +92,6 @@ def _random_complex(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))
 
 
-def _pairwise_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two stacks of 2x2 matrices, pair by pair."""
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (4, 4))
-
-
 def _by_kind(kinds) -> dict[NoiseKind, list[int]]:
     """Case indices per noise kind, for one stacked call per kind."""
     groups: dict[NoiseKind, list[int]] = {}
@@ -139,10 +136,10 @@ def _marginal_second(rho: np.ndarray) -> np.ndarray:
 def suite_kron_algebra(rng: np.random.Generator, res: SuiteResult) -> None:
     draws = [[_random_complex(rng) for _ in range(4)] for _ in range(res.cases)]
     a, b, c, d = (np.stack(m) for m in zip(*draws))
-    k = np.stack([kron(x, y) for x, y in zip(a, b)])
+    k = kron(a, b)
     blocks = np.block([[a[:, i, j, None, None] * b for j in range(2)] for i in range(2)])
-    mixed = k @ np.stack([kron(x, y) for x, y in zip(c, d)])
-    joint = np.stack([kron(x, y) for x, y in zip(a @ c, b @ d)])
+    mixed = k @ kron(c, d)
+    joint = kron(a @ c, b @ d)
     err = np.maximum(_frob(k - blocks), _frob(mixed - joint))
     res.record_all(err, lambda i: f"a={a[i].tolist()!r} b={b[i].tolist()!r}")
 
@@ -217,7 +214,7 @@ def suite_x_form_closure(rng: np.random.Generator, res: SuiteResult) -> None:
     params, kinds, values = zip(
         *(_noisy_case(rng, sampling.random_x_params) for _ in range(res.cases))
     )
-    out = _apply_noise(np.stack([x_state(p) for p in params]), kinds, values)
+    out = _apply_noise(x_state(params), kinds, values)
     rebuilt = out.copy()
     reasons: dict[int, str] = {}
     for i, rho in enumerate(out):
@@ -275,7 +272,7 @@ def suite_composition_semigroup(rng: np.random.Generator, res: SuiteResult) -> N
 
 def suite_concurrence_x_oracle(rng: np.random.Generator, res: SuiteResult) -> None:
     params = [sampling.random_x_params(rng) for _ in range(res.cases)]
-    oracle = concurrence_wootters(np.stack([x_state(p) for p in params]))
+    oracle = concurrence_wootters(x_state(params))
     err = np.abs(np.array([concurrence_x(p) for p in params]) - oracle)
     res.record_all(err, lambda i: f"params={params[i]!r}")
 
@@ -283,21 +280,21 @@ def suite_concurrence_x_oracle(rng: np.random.Generator, res: SuiteResult) -> No
 def suite_concurrence_pure_oracle(rng: np.random.Generator, res: SuiteResult) -> None:
     params = [sampling.random_pure_params(rng) for _ in range(res.cases)]
     c = np.array([concurrence_pure(p) for p in params])
-    err = np.abs(c - concurrence_wootters(np.stack([pure_state(p) for p in params])))
+    err = np.abs(c - concurrence_wootters(pure_state(params)))
     err = np.maximum(err, np.abs(c - [concurrence_pure_determinant(p) for p in params]))
     res.record_all(err, lambda i: f"params={params[i]!r}")
 
 
 def _local_unitary_case(rng: np.random.Generator) -> tuple:
-    rho = sampling.ginibre_density(rng)
-    return rho, kron(sampling.haar_unitary(rng), sampling.haar_unitary(rng))
+    # a state, then the two local unitaries of qubit 1 and qubit 2
+    return sampling.ginibre_density(rng), sampling.haar_unitary(rng), sampling.haar_unitary(rng)
 
 
 def suite_local_unitary_invariance(rng: np.random.Generator, res: SuiteResult) -> None:
-    rhos, us = zip(*(_local_unitary_case(rng) for _ in range(res.cases)))
-    rho, u = np.stack(rhos), np.stack(us)
+    rhos, u1, u2 = zip(*(_local_unitary_case(rng) for _ in range(res.cases)))
+    rho, u = np.stack(rhos), kron(np.stack(u1), np.stack(u2))
     err = np.abs(concurrence_wootters(rho) - concurrence_wootters(u @ rho @ dagger(u)))
-    res.record_all(err, lambda i: f"rho={rhos[i].tolist()!r} u={us[i].tolist()!r}")
+    res.record_all(err, lambda i: f"rho={rhos[i].tolist()!r} u={u[i].tolist()!r}")
 
 
 def suite_twirl_invariance(rng: np.random.Generator, res: SuiteResult) -> None:
@@ -305,11 +302,11 @@ def suite_twirl_invariance(rng: np.random.Generator, res: SuiteResult) -> None:
     # U x U* after a bit flip on qubit 1 (the triplet-based sign layout)
     xs, us = zip(*((float(rng.uniform()), sampling.haar_unitary(rng)) for _ in range(res.cases)))
     u = np.stack(us)
-    rho_w = np.stack([werner(x) for x in xs])
-    uu = _pairwise_kron(u, u)
+    rho_w = werner(xs)
+    uu = kron(u, u)
     err = _frob(uu @ rho_w @ dagger(uu) - rho_w)
-    rho_i = _FLIP1 @ np.stack([isotropic(x) for x in xs]) @ _FLIP1
-    uc = _pairwise_kron(u, u.conj())
+    rho_i = _FLIP1 @ isotropic(xs) @ _FLIP1
+    uc = kron(u, u.conj())
     err = np.maximum(err, _frob(uc @ rho_i @ dagger(uc) - rho_i))
     res.record_all(err, lambda i: f"x={xs[i]!r} u={us[i].tolist()!r}")
 

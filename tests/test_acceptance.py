@@ -35,7 +35,6 @@ from esdsim.sampling import (
     haar_unitary,
     random_entangled_pure_params,
     random_noise_kind,
-    random_noise_value,
     random_scenario,
     random_x_params,
 )
@@ -163,7 +162,7 @@ def test_criterion_09_channel_integrity():
     for _ in range(500):
         rho = ginibre_density(rng)
         kind = random_noise_kind(rng)
-        lifted = lift_first(kraus_for(kind, random_noise_value(rng, kind)))
+        lifted = lift_first(kraus_for(kind, float(rng.uniform())))
         out = apply_channel(rho, lifted)
         assert abs(np.trace(out).real - 1.0) <= 1e-10
         assert hermitian_eig(out).eigenvalues.min() >= -1e-10

@@ -11,10 +11,9 @@ from esdsim.channels import (
     kraus_for,
     lift_first,
     phase_kraus,
-    _reduced_first_qubit,
-    _reduced_second_qubit,
 )
 from esdsim.states import XStateParams, as_x_params, x_state
+from esdsim.verification import _marginal_second
 
 
 def ginibre(rng, dim=4):
@@ -61,11 +60,15 @@ def test_constructors_reject_out_of_range(ctor, bad):
 
 
 def test_kraus_for_dispatch():
-    np.testing.assert_allclose(
-        kraus_for(NoiseKind.AMPLITUDE, 0.5).ops[0], amplitude_kraus(0.5).ops[0]
-    )
-    assert kraus_for(NoiseKind.PHASE, 0.5).label == "phase"
-    assert kraus_for(NoiseKind.DEPOLARIZING, 0.5).label == "depolarizing"
+    for kind, ctor in (
+        (NoiseKind.AMPLITUDE, amplitude_kraus),
+        (NoiseKind.PHASE, phase_kraus),
+        (NoiseKind.DEPOLARIZING, depolarizing_kraus),
+    ):
+        got, want = kraus_for(kind, 0.5).ops, ctor(0.5).ops
+        assert len(got) == len(want)
+        for op, expected in zip(got, want):
+            np.testing.assert_array_equal(op, expected)
 
 
 def test_krausset_shape_checks():
@@ -74,16 +77,13 @@ def test_krausset_shape_checks():
     with pytest.raises(ValueError):
         KrausSet((np.ones((2, 3)),))
     with pytest.raises(ValueError):
-        KrausSet(())  # empty needs an explicit dim
+        KrausSet(())  # a Kraus set has at least one operator
 
 
 def test_completeness_residual_examples():
     # scaled identity: sum K^dag K - I = -0.19 I, Frobenius norm 0.19 sqrt(2)
     k = KrausSet((0.9 * np.eye(2),))
     np.testing.assert_allclose(completeness_residual(k), 0.19 * np.sqrt(2), atol=1e-14)
-    # empty set: residual is ||-I||_F = sqrt(dim)
-    empty = KrausSet((), dim=4)
-    np.testing.assert_allclose(completeness_residual(empty), 2.0, atol=0)
 
 
 def test_lift_first_structure():
@@ -91,6 +91,10 @@ def test_lift_first_structure():
     assert lifted.dim == 4
     np.testing.assert_allclose(lifted.ops[0], np.kron([[0.7, 0], [0, 1]], np.eye(2)))
     assert completeness_residual(lifted) <= 1e-14
+    # a stacked set lifts member by member
+    stacked = lift_first(amplitude_kraus(np.array([0.7, 0.2])))
+    for op, one in zip(stacked.ops, lift_first(amplitude_kraus(0.2)).ops):
+        np.testing.assert_array_equal(op[1], one)
 
 
 def test_lift_first_rejects_bad_input():
@@ -181,24 +185,20 @@ def test_noise_on_first_qubit_leaves_second_marginal():
             rng.integers(3)
         ]
         out = apply_channel(rho, lift_first(kraus_for(kind, rng.uniform())))
-        np.testing.assert_allclose(
-            _reduced_second_qubit(out), _reduced_second_qubit(rho), atol=1e-12
-        )
+        np.testing.assert_allclose(_marginal_second(out), _marginal_second(rho), atol=1e-12)
 
 
 def test_partial_trace_helpers_are_consistent():
+    # the qubit-2 marginal of the property suites, on one state and on a stack
     rng = np.random.default_rng(35)
     rho = ginibre(rng)
-    r1 = _reduced_first_qubit(rho)
-    r2 = _reduced_second_qubit(rho)
-    np.testing.assert_allclose(np.trace(r1).real, 1.0, atol=1e-12)
-    np.testing.assert_allclose(np.trace(r2).real, 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.trace(_marginal_second(rho)).real, 1.0, atol=1e-12)
     # product input factors exactly
     u = np.diag([0.7, 0.3]).astype(complex)
     v = np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex)
-    prod = np.kron(u, v)
-    np.testing.assert_allclose(_reduced_first_qubit(prod), u, atol=1e-15)
-    np.testing.assert_allclose(_reduced_second_qubit(prod), v, atol=1e-15)
+    w = np.array([[0.6, 0.1j], [-0.1j, 0.4]])
+    prods = np.stack([np.kron(u, v), np.kron(u, w)])
+    np.testing.assert_allclose(_marginal_second(prods), [v, w], atol=1e-15)
 
 
 @pytest.mark.parametrize("ctor", [amplitude_kraus, phase_kraus, depolarizing_kraus])

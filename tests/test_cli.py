@@ -62,6 +62,32 @@ def test_z_flag_conflicts(capsys):
     assert code == 2 and "--zsq or --zmod" in err
 
 
+FAMILY = ["--family", "werner", "--x", "0.5"]
+PURE = ["--pure", "--a", "0.25", "--b", "0.25", "--c", "0.25", "--d", "0.25"]
+XSTATE = FIG1_SOLID_FLAGS[2:]
+
+
+@pytest.mark.parametrize(
+    "state, stray, message",
+    [
+        (FAMILY, ["--a", "0.3"], "--a applies to --xstate and --pure, not --family"),
+        (FAMILY, ["--zmod", "0.1"], "--zmod applies to --xstate, not --family"),
+        (FAMILY, ["--g", "0.3"], "--g applies to --pure, not --family"),
+        (PURE, ["--zsq", "0.5"], "--zsq applies to --xstate, not --pure"),
+        (PURE, ["--x", "0.5"], "--x applies to --family, not --pure"),
+        (XSTATE, ["--x", "0.9"], "--x applies to --family, not --xstate"),
+        (XSTATE, ["--f", "1.0"], "--f applies to --pure, not --xstate"),
+        (XSTATE, ["--h", "0.0"], "--h applies to --pure, not --xstate"),
+    ],
+)
+def test_state_flags_of_another_state_kind_exit_2(state, stray, message, capsys):
+    for command in ("esd", "evolve"):
+        code, out, err = run([command, "--noise", "phase", *state, *stray, "--points", "8"], capsys)
+        assert code == 2, (command, stray)
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 def test_tau_max_must_be_positive_and_finite(capsys):
     # one check in main covers evolve and esd alike
     for command in ("evolve", "esd"):

@@ -128,6 +128,15 @@ def test_trajectory_invariants():
         traj.c[0] = 0.9  # frozen
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_trajectory_rejects_nonfinite_values(bad):
+    # NaN passes the <= and < checks, so finiteness is checked first
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory([0.0, bad], [0.5, 0.4], TrajectorySource.NUMERIC)
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory([0.0, 1.0], [0.5, bad], TrajectorySource.NUMERIC)
+
+
 def test_trajectory_grid_validation():
     s = Scenario(FIG1_SOLID, AMP)
     with pytest.raises(ValueError):

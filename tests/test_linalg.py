@@ -42,6 +42,31 @@ def test_kron_rejects_wrong_shapes():
         kron(np.eye(3), np.eye(2))
     with pytest.raises(ValueError):
         kron(np.eye(2), np.ones((2, 3)))
+    # stacks too: the last two axes of each input must be 2x2
+    with pytest.raises(ValueError, match="2x2"):
+        kron(np.ones((5, 3, 3)), np.ones((5, 2, 2)))
+    with pytest.raises(ValueError, match="2x2"):
+        kron(np.ones((5, 2, 2)), np.ones((2, 5, 2)))
+    with pytest.raises(ValueError, match="2x2"):
+        kron(np.ones(4), np.eye(2))
+
+
+def test_kron_stacks_pair_by_pair_and_broadcast():
+    rng = np.random.default_rng(13)
+    a = np.stack([random_complex(rng) for _ in range(6)])
+    b = np.stack([random_complex(rng) for _ in range(6)])
+    pairs = kron(a, b)
+    assert pairs.shape == (6, 4, 4)
+    for i in range(6):
+        np.testing.assert_array_equal(pairs[i], np.kron(a[i], b[i]))
+    # one matrix against a stack, either way round, and 2-d leading axes
+    one = random_complex(rng)
+    for i, (left, right) in enumerate(zip(kron(one, b), kron(a, one))):
+        np.testing.assert_array_equal(left, np.kron(one, b[i]))
+        np.testing.assert_array_equal(right, np.kron(a[i], one))
+    grid = kron(a.reshape(2, 3, 1, 2, 2), b[:3].reshape(1, 3, 2, 2))
+    assert grid.shape == (2, 3, 3, 4, 4)
+    np.testing.assert_array_equal(grid[1, 2, 0], np.kron(a[5], b[0]))
 
 
 def test_dagger():

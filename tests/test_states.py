@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from esdsim import states
+from esdsim.sampling import random_pure_params, random_x_params
 from esdsim.states import (
     Family,
     FamilyParams,
@@ -188,3 +190,58 @@ def test_validate_density_matrix_checks_every_member_of_a_stack():
     negative[5] = np.diag([1.2, -0.2, 0.0, 0.0])
     with pytest.raises(ValueError, match="index 5 not PSD"):
         validate_density_matrix(negative)
+
+
+def _stack_cases():
+    rng = np.random.default_rng(22)
+    xs = [float(v) for v in rng.uniform(size=6)] + [0.0, 0.25, 1.0]
+    return [
+        (x_state, [random_x_params(rng) for _ in range(7)] + [XStateParams(0.1, 0.4, 0.4, 0.1, 0.2)]),
+        (pure_state, [random_pure_params(rng) for _ in range(7)]),
+        (isotropic, xs),
+        (werner, xs),
+    ]
+
+
+@pytest.mark.parametrize("ctor, records", _stack_cases())
+def test_stacked_constructors_match_one_record_at_a_time(ctor, records):
+    stack = ctor(np.array(records) if ctor in (isotropic, werner) else records)
+    assert stack.shape == (len(records), 4, 4)
+    for i, record in enumerate(records):
+        one = ctor(record)
+        assert one.shape == (4, 4)
+        np.testing.assert_array_equal(stack[i], one)
+        # bit for bit, the sign of every zero included
+        assert stack[i].tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("ctor, records", _stack_cases())
+def test_a_stack_is_validated_once(ctor, records, monkeypatch):
+    calls = []
+
+    def counting(mat):
+        calls.append(np.shape(mat))
+        return validate_density_matrix(mat)
+
+    monkeypatch.setattr(states, "validate_density_matrix", counting)
+    ctor(records)
+    assert calls == [(len(records), 4, 4)]
+
+
+@pytest.mark.parametrize("ctor", [x_state, pure_state, isotropic, werner])
+def test_an_empty_sequence_gives_an_empty_stack(ctor):
+    assert ctor([]).shape == (0, 4, 4)
+
+
+def test_family_weights_are_checked_per_entry():
+    message = r"isotropic weight x must lie in \[0, 1\], got 1\.5 at index 1"
+    with pytest.raises(ValueError, match=message):
+        isotropic([0.2, 1.5])
+    with pytest.raises(ValueError, match=r"Werner weight x must lie in \[0, 1\], got nan at index 2"):
+        werner(np.array([0.2, 0.5, np.nan]))
+    # one value keeps its message word for word
+    for ctor, name in ((isotropic, "isotropic"), (werner, "Werner")):
+        for bad, text in ((1.5, "1.5"), (-0.1, "-0.1"), (float("nan"), "nan")):
+            with pytest.raises(ValueError) as err:
+                ctor(bad)
+            assert str(err.value) == f"{name} weight x must lie in [0, 1], got {text}"
