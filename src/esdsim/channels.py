@@ -11,6 +11,7 @@ module.
 The constructors take one parameter value or an array of them.  An array
 gives a stacked Kraus set: each operator has shape (..., 2, 2), one Kraus
 set per parameter value, and completeness is checked for every one of them.
+A Kraus set holds its operators as one array, operator index first.
 
 `apply_channel` checks the completeness of every Kraus set it is given,
 also of the sets these constructors build, which are complete by
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _reject_first, _unit_interval, dagger, kron
+from .linalg import _frobenius, _reject_first, _unit_interval, dagger, kron
 from .states import validate_density_matrix
 
 # Gate applied by apply_channel / lift_first on arbitrary Kraus sets.
@@ -48,23 +49,21 @@ class NoiseSpec:
 class KrausSet:
     """Ordered, nonempty Kraus operators, all square of the same dimension.
 
-    Each operator is one matrix or a stack of shape (..., dim, dim) that
-    holds one Kraus set per leading index; all operators share one shape.
+    Built from a sequence of k operators, each one matrix or a stack of
+    shape (..., dim, dim) that holds one Kraus set per leading index.  `ops`
+    keeps them as one read-only array of shape (k, ..., dim, dim), stacked
+    once here.
     """
 
-    ops: tuple[np.ndarray, ...]
+    ops: np.ndarray
 
     def __post_init__(self) -> None:
-        ops = tuple(np.asarray(op, dtype=complex) for op in self.ops)
-        if not ops:
+        ops = np.array(self.ops, dtype=complex)  # mixed shapes raise ValueError
+        if not len(ops):
             raise ValueError("a KrausSet needs at least one operator")
-        shapes = {op.shape for op in ops}
-        if any(len(shape) < 2 or shape[-1] != shape[-2] for shape in shapes):
+        if ops.ndim < 3 or ops.shape[-1] != ops.shape[-2]:
             raise ValueError("Kraus operators must be square matrices")
-        if len(shapes) > 1:
-            raise ValueError(f"Kraus operators must share one shape, got {shapes}")
-        for op in ops:
-            op.setflags(write=False)
+        ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
 
     @property
@@ -124,9 +123,10 @@ def completeness_residual(kraus: KrausSet) -> float | np.ndarray:
     stacked one.
     """
     acc = -np.eye(kraus.dim, dtype=complex)
-    for op in kraus.ops:
-        acc = acc + dagger(op) @ op
-    return np.linalg.norm(acc, axis=(-2, -1))
+    # summed onto -I in operator order: .sum(0) - I would round differently
+    for term in dagger(kraus.ops) @ kraus.ops:
+        acc = acc + term
+    return _frobenius(acc)
 
 
 def _check_complete(kraus: KrausSet, what: str) -> None:
@@ -146,7 +146,7 @@ def lift_first(kraus: KrausSet) -> KrausSet:
     by member; `kron` rejects operators that are not 2x2.
     """
     _check_complete(kraus, "input Kraus set")
-    return KrausSet(tuple(kron(op, np.eye(2)) for op in kraus.ops))
+    return KrausSet(kron(kraus.ops, np.eye(2)))
 
 
 def apply_channel(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
@@ -167,9 +167,8 @@ def apply_channel(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2] or rho.shape[-1] % kraus.dim:
         raise ValueError(f"state shape {rho.shape} does not match Kraus dim {kraus.dim}")
     validate_density_matrix(rho)
-    d, dim = kraus.dim, rho.shape[-1]
+    d, dim, ops = kraus.dim, rho.shape[-1], kraus.ops
     m = dim // d
-    ops = np.stack(kraus.ops)
     # transfer[(a, e), (b, c)] = sum_k K_k[a, b] conj(K_k[e, c]) maps the
     # (b, c) block of rho, an m x m matrix, into the (a, e) block of the output
     transfer = np.einsum("k...ab,k...ec->...aebc", ops, ops.conj())

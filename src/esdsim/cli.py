@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import enum
 import json
 import math
 import os
@@ -41,11 +40,6 @@ from .verification import run_all
 MAX_FAILURES_SHOWN = 5
 
 
-class OutputFormat(enum.Enum):
-    CSV = "csv"
-    JSONL = "jsonl"
-
-
 def _check_positive(flag: str, value: float) -> None:
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"--{flag} must be positive and finite, got {value!r}")
@@ -64,12 +58,15 @@ def _json_line(pairs) -> str:
     return "{" + body + "}\n"
 
 
-# The state kinds each state flag belongs to; the other kinds reject it.
+# Each state flag, in -h order: its help text, and the state kinds it
+# belongs to (the other kinds reject it).
 _STATE_FLAGS = {
-    "x": ("family",),
-    **dict.fromkeys(("zsq", "zmod", "zarg"), ("xstate",)),
-    **dict.fromkeys("abcd", ("xstate", "pure")),
-    **dict.fromkeys("fgh", ("pure",)),
+    **dict.fromkeys("abcd", (None, ("xstate", "pure"))),
+    **dict.fromkeys("fgh", (None, ("pure",))),
+    "x": ("family mixing weight", ("family",)),
+    "zsq": ("|z|^2 (as in the curve presets)", ("xstate",)),
+    "zmod": ("|z|", ("xstate",)),
+    "zarg": ("arg(z), radians; with --zmod", ("xstate",)),
 }
 
 
@@ -78,7 +75,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     if sum(chosen) != 1:
         raise ValueError("specify exactly one of --xstate, --pure, --family")
     kind = "xstate" if args.xstate else "pure" if args.pure else "family"
-    for name, kinds in _STATE_FLAGS.items():
+    for name, (_, kinds) in _STATE_FLAGS.items():
         if getattr(args, name) is not None and kind not in kinds:
             owners = " and ".join(f"--{k}" for k in kinds)
             raise ValueError(f"--{name} applies to {owners}, not --{kind}")
@@ -138,8 +135,8 @@ _COLUMNS = ("tau", "c_closed", "c_wootters", "abs_diff")
 _CSV_ROW = "%.12g,%.12g,%.12g,%.12g\n"
 
 
-def _write_rows(stream, rows, fmt: OutputFormat, curve: str | None = None) -> None:
-    if fmt is OutputFormat.CSV:
+def _write_rows(stream, rows, fmt: str, curve: str | None = None) -> None:
+    if fmt == "csv":
         if curve is not None:
             stream.write(f"# curve: {curve}\n")
         stream.write(",".join(_COLUMNS) + "\n")
@@ -156,7 +153,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     grid = np.linspace(0.0, args.tau_max, args.points)
     rows = _trajectory_rows(scenario, grid, args.gamma)
     with _open_out(args.out) as stream:
-        _write_rows(stream, rows, OutputFormat(args.format))
+        _write_rows(stream, rows, args.format)
     return 0
 
 
@@ -183,7 +180,7 @@ def cmd_esd(args: argparse.Namespace) -> int:
         pairs.append(("horizon", numeric.horizon / scale))
 
     with _open_out(args.out) as stream:
-        if OutputFormat(args.format) is OutputFormat.JSONL:
+        if args.format == "jsonl":
             stream.write(_json_line(pairs))
         else:
             for key, value in pairs:
@@ -193,19 +190,17 @@ def cmd_esd(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     preset = FIGURE_PRESETS[args.name]
-    fmt = OutputFormat(args.format)
     grid = np.linspace(0.0, preset.tau_max, args.points)
-    ext = "csv" if fmt is OutputFormat.CSV else "jsonl"
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
     for curve in preset.curves:
         rows = _trajectory_rows(curve.scenario, grid)
         if args.out is None:
-            _write_rows(sys.stdout, rows, fmt, curve=curve.label)
+            _write_rows(sys.stdout, rows, args.format, curve=curve.label)
         else:
-            path = os.path.join(args.out, f"{preset.name}_{curve.label}.{ext}")
+            path = os.path.join(args.out, f"{preset.name}_{curve.label}.{args.format}")
             with open(path, "w", newline="") as stream:
-                _write_rows(stream, rows, fmt, curve=curve.label)
+                _write_rows(stream, rows, args.format, curve=curve.label)
     return 0
 
 
@@ -229,28 +224,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 _COMMANDS = {"evolve": cmd_evolve, "esd": cmd_esd, "figure": cmd_figure, "verify": cmd_verify}
 
 
-def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--noise", choices=[k.value for k in NoiseKind], required=True)
-    p.add_argument("--xstate", action="store_true", help="cross-pattern state from --a..--d and z flags")
-    p.add_argument("--pure", action="store_true", help="pure state from --a..--d and --f --g --h")
-    p.add_argument("--family", choices=[f.value for f in Family])
-    for name in ("a", "b", "c", "d"):
-        p.add_argument(f"--{name}", type=float)
-    for name in ("f", "g", "h"):
-        p.add_argument(f"--{name}", type=float)
-    p.add_argument("--x", type=float, help="family mixing weight")
-    p.add_argument("--zsq", type=float, help="|z|^2 (as in the curve presets)")
-    p.add_argument("--zmod", type=float, help="|z|")
-    p.add_argument("--zarg", type=float, help="arg(z), radians; with --zmod")
-    p.add_argument("--gamma", type=float, default=1.0, help="decay rate; output times become tau/gamma")
-
-
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--points", type=int, default=2048)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=[f.value for f in OutputFormat], default="csv")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="esdsim",
@@ -258,17 +231,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_evolve = sub.add_parser("evolve", help="trajectory table, closed form vs general route")
-    p_esd = sub.add_parser("esd", help="decay classification and death time")
-    for p in (p_evolve, p_esd):
-        _add_scenario_flags(p)
-        p.add_argument("--tau-max", dest="tau_max", type=float, default=50.0)
-        _add_output_flags(p)
+    # flags shared by subcommands, declared once and inherited through parents=
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--noise", choices=[k.value for k in NoiseKind], required=True)
+    scenario.add_argument("--xstate", action="store_true", help="cross-pattern state from --a..--d and z flags")
+    scenario.add_argument("--pure", action="store_true", help="pure state from --a..--d and --f --g --h")
+    scenario.add_argument("--family", choices=[f.value for f in Family])
+    for name, (text, _) in _STATE_FLAGS.items():
+        scenario.add_argument(f"--{name}", type=float, help=text)
+    scenario.add_argument("--gamma", type=float, default=1.0, help="decay rate; output times become tau/gamma")
+    scenario.add_argument("--tau-max", dest="tau_max", type=float, default=50.0)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--points", type=int, default=2048)
+    output.add_argument("--out", default=None)
+    output.add_argument("--format", choices=["csv", "jsonl"], default="csv")
+
+    both = [scenario, output]
+    sub.add_parser("evolve", parents=both, help="trajectory table, closed form vs general route")
+    sub.add_parser("esd", parents=both, help="decay classification and death time")
 
     # figure presets fix their own tau range
-    p_fig = sub.add_parser("figure", help="preset curve tables")
+    p_fig = sub.add_parser("figure", parents=[output], help="preset curve tables")
     p_fig.add_argument("name", choices=sorted(FIGURE_PRESETS))
-    _add_output_flags(p_fig)
 
     p_verify = sub.add_parser("verify", help="run the randomized property suites")
     p_verify.add_argument("--seed", type=int, default=0)
@@ -287,6 +271,11 @@ def main(argv=None) -> int:
         if args.command in ("evolve", "esd"):
             _check_positive("tau-max", args.tau_max)
             _check_positive("gamma", args.gamma)
+            # the last printed evolve time and the esd horizon
+            if not math.isfinite(args.tau_max / args.gamma):
+                raise ValueError(
+                    f"--tau-max / --gamma must be finite, got {args.tau_max!r} / {args.gamma!r}"
+                )
         if args.command == "verify":
             if args.seed < 0:
                 raise ValueError(f"--seed must be nonnegative, got {args.seed!r}")

@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-from .linalg import kron, psd_sqrt
-from .states import PureStateParams, XStateParams, _pure_amplitudes, validate_density_matrix
+from .linalg import _check_unit_trace, kron, psd_sqrt
+from .states import PureStateParams, XStateParams, _pure_amplitudes
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -40,12 +40,15 @@ def spin_flip_spectrum(rho: np.ndarray) -> np.ndarray:
     Computed as singular values of W = sqrt(rho)^T (sy x sy) sqrt(rho).
     W^* W = sqrt(rho) rho~ sqrt(rho) with rho~ the spin-flipped state, so
     the singular values squared are the eigenvalues of rho rho~.  `rho` is
-    one 4x4 state or a stack of shape (..., 4, 4); every state is validated,
-    and the result has shape (..., 4).
+    one 4x4 state or a stack of shape (..., 4, 4), and the result has shape
+    (..., 4).  Every state gets the checks of `validate_density_matrix`:
+    unit trace here, Hermiticity and positivity from the eigendecomposition
+    that `psd_sqrt` takes for the root, so each state is solved once.
     """
-    rho = validate_density_matrix(rho)
+    rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
+    _check_unit_trace(rho)
     s = psd_sqrt(rho)
     w = np.swapaxes(s, -1, -2) @ SPIN_FLIP @ s
     return np.linalg.svd(w, compute_uv=False)

@@ -99,15 +99,13 @@ class Trajectory:
     source: TrajectorySource
 
     def __post_init__(self) -> None:
-        tau = np.asarray(self.tau, dtype=float)
+        tau = _validate_grid(self.tau)
         c = np.asarray(self.c, dtype=float)
-        if tau.ndim != 1 or c.ndim != 1 or tau.size != c.size:
+        if c.shape != tau.shape:
             raise ValueError("tau and c must be 1-d arrays of equal length")
-        if not (np.isfinite(tau).all() and np.isfinite(c).all()):
-            raise ValueError("tau and c must be finite")
-        if tau.size and np.any(np.diff(tau) <= 0):
-            raise ValueError("tau grid must be strictly increasing")
-        if c.size and (c.min() < 0.0 or c.max() > TRAJECTORY_CAP):
+        if not np.isfinite(c).all():
+            raise ValueError("concurrence values must be finite")
+        if c.min() < 0.0 or c.max() > TRAJECTORY_CAP:
             raise ValueError("concurrence values must lie in [0, 1]")
         tau.setflags(write=False)
         c.setflags(write=False)
@@ -443,17 +441,17 @@ def esd_time_bisection(
         )
 
     lo, hi = grid[first - 1], grid[first]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    # a tol below the float spacing at the death time would never be met:
+    # stop as well once no float lies strictly between lo and hi
+    while hi - lo > tol and lo < mid < hi:
         if dead(value(mid)):
             hi = mid
         else:
             lo = mid
+        mid = 0.5 * (lo + hi)
     return EsdResult(
-        Classification.SUDDEN_DEATH,
-        EsdMethod.BISECTION,
-        tau_death=0.5 * (lo + hi),
-        horizon=tau_max,
+        Classification.SUDDEN_DEATH, EsdMethod.BISECTION, tau_death=mid, horizon=tau_max
     )
 
 

@@ -5,6 +5,11 @@ axes, and each matrix of a stack gets the same contract checks and the same
 explicit tolerances as a single one.  The numeric route evaluates the tau
 grid as (N, 4, 4) stacks, because per-matrix numpy calls on 4x4 inputs
 cost far more in call overhead than in arithmetic.
+
+The matrix checks live here, each once: Hermiticity, unit trace and
+positivity, all within the one rounding allowance PSD_CLAMP_TOL.
+`hermitian_eig`, `psd_sqrt`, `states.validate_density_matrix` and
+`concurrence.spin_flip_spectrum` run them and share their wording.
 """
 from __future__ import annotations
 
@@ -12,8 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Hermiticity / PSD clamping tolerance: channel application can push
-# eigenvalues of an exactly-PSD matrix a few ulp negative.
+# Rounding allowance of the Hermiticity, trace and PSD checks: channel
+# application can push eigenvalues of an exactly-PSD matrix a few ulp
+# negative.
 PSD_CLAMP_TOL = 1e-10
 
 # Relative cut below which a nonnegative eigenvalue is snapped to exact zero.
@@ -74,6 +80,45 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().swapaxes(-1, -2)
 
 
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix (the last two axes): the formula of
+    `np.linalg.norm(m, axis=(-2, -1))`, bit for bit, without its wrapper."""
+    return np.sqrt(np.add.reduce((m.conj() * m).real, axis=(-2, -1)))
+
+
+def _hermitian_part(h) -> np.ndarray:
+    """(h + h^dag) / 2 of each matrix, after checking that `h` is square and
+    Hermitian within PSD_CLAMP_TOL in Frobenius norm."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    hd = dagger(h)
+    defect = _frobenius(h - hd)
+    _reject_first(
+        defect > PSD_CLAMP_TOL,
+        lambda i, at: f"matrix{at} is not Hermitian: defect {defect[i]:.3e} > tol {PSD_CLAMP_TOL:.3e}",
+    )
+    return (h + hd) / 2.0
+
+
+def _check_unit_trace(h: np.ndarray) -> None:
+    """Reject each matrix whose trace is not 1 within PSD_CLAMP_TOL."""
+    tr = h.trace(axis1=-2, axis2=-1)
+    _reject_first(
+        abs(tr - 1.0) > PSD_CLAMP_TOL,
+        lambda i, at: f"density matrix{at} trace must be 1, got {complex(tr[i])!r}",
+    )
+
+
+def _check_psd(low: np.ndarray) -> None:
+    """Reject each matrix whose least eigenvalue `low` (one per matrix) sits
+    below -PSD_CLAMP_TOL."""
+    _reject_first(
+        low < -PSD_CLAMP_TOL,
+        lambda i, at: f"matrix{at} is not PSD: min eigenvalue {low[i]:.3e} < -{PSD_CLAMP_TOL:.3e}",
+    )
+
+
 def hermitian_eig(h: np.ndarray) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
@@ -89,16 +134,7 @@ def hermitian_eig(h: np.ndarray) -> EigDecomposition:
         for a stack, the message names the index of the first failing
         matrix.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    hd = dagger(h)
-    defect = np.linalg.norm(h - hd, axis=(-2, -1))
-    _reject_first(
-        defect > PSD_CLAMP_TOL,
-        lambda i, at: f"matrix{at} is not Hermitian: defect {defect[i]:.3e} > tol {PSD_CLAMP_TOL:.3e}",
-    )
-    w, v = np.linalg.eigh((h + hd) / 2.0)
+    w, v = np.linalg.eigh(_hermitian_part(h))
     return EigDecomposition(w[..., ::-1].copy(), v[..., ::-1].copy())
 
 
@@ -113,15 +149,12 @@ def psd_sqrt(h: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        If an eigenvalue sits below -PSD_CLAMP_TOL (input not PSD); for a
-        stack, the message names the index of the first failing matrix.
+        If the input is not Hermitian (as for `hermitian_eig`) or an
+        eigenvalue sits below -PSD_CLAMP_TOL (input not PSD); for a stack,
+        the message names the index of the first failing matrix.
     """
     w, v = hermitian_eig(h)
-    low = w[..., -1]
-    _reject_first(
-        low < -PSD_CLAMP_TOL,
-        lambda i, at: f"matrix{at} is not PSD: min eigenvalue {low[i]:.3e} < -{PSD_CLAMP_TOL:.3e}",
-    )
+    _check_psd(w[..., -1])
     cut = ZERO_EIG_RTOL * np.maximum(w[..., :1], 0.0)
     w = np.where(w < cut, 0.0, w)
     return (v * np.sqrt(w)[..., None, :]) @ dagger(v)

@@ -35,12 +35,10 @@ def random_x_params(rng: np.random.Generator) -> XStateParams:
     return XStateParams(a, b, c, d, z)
 
 
-def random_entangled_x_params(
-    rng: np.random.Generator, min_c: float = MIN_CONCURRENCE
-) -> XStateParams:
+def random_entangled_x_params(rng: np.random.Generator) -> XStateParams:
     while True:
         params = random_x_params(rng)
-        if concurrence_x(params) >= min_c:
+        if concurrence_x(params) >= MIN_CONCURRENCE:
             return params
 
 
@@ -50,26 +48,24 @@ def random_pure_params(rng: np.random.Generator) -> PureStateParams:
     return PureStateParams(a, b, c, d, f, g, h)
 
 
-def random_entangled_pure_params(
-    rng: np.random.Generator, min_c: float = MIN_CONCURRENCE
-) -> PureStateParams:
+def random_entangled_pure_params(rng: np.random.Generator) -> PureStateParams:
     while True:
         params = random_pure_params(rng)
-        if concurrence_pure(params) >= min_c:
+        if concurrence_pure(params) >= MIN_CONCURRENCE:
             return params
 
 
-def haar_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix, phases fixed."""
-    g = rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))
+def haar_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed 2x2 unitary via QR of a Ginibre matrix, phases fixed."""
+    g = rng.standard_normal((2, 2)) + 1.0j * rng.standard_normal((2, 2))
     q, r = np.linalg.qr(g)
     # normalize R's diagonal phases, otherwise QR is not Haar
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def ginibre_density(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    """Full-rank random density matrix G G^dag / tr."""
-    g = rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))
+def ginibre_density(rng: np.random.Generator) -> np.ndarray:
+    """Full-rank random two-qubit density matrix G G^dag / tr."""
+    g = rng.standard_normal((4, 4)) + 1.0j * rng.standard_normal((4, 4))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -78,11 +74,9 @@ def random_noise_kind(rng: np.random.Generator) -> NoiseKind:
     return NOISE_KINDS[rng.integers(len(NOISE_KINDS))]
 
 
-def random_scenario(rng: np.random.Generator, index: int | None = None) -> Scenario:
+def random_scenario(rng: np.random.Generator, index: int) -> Scenario:
     """One random scenario; `index` cycles kinds so a sample of n covers
     every (state kind, noise) pair about evenly."""
-    if index is None:
-        index = int(rng.integers(12))
     state_pick = index % 4
     noise = NoiseSpec(NOISE_KINDS[(index // 4) % 3])
     if state_pick == 0:

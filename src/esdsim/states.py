@@ -15,15 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import _reject_first, _unit_interval, dagger
+from .linalg import _check_psd, _check_unit_trace, _hermitian_part, _unit_interval
 
 # Parameter-record tolerances: weights are user input, so the sum check is
 # tight; the central-block positivity check absorbs only rounding.
 WEIGHT_SUM_TOL = 1e-12
 CENTRAL_BLOCK_TOL = 1e-12
-
-# Matrix-level validation tolerance (Hermiticity, trace, min eigenvalue).
-DENSITY_TOL = 1e-10
 
 # Structural tolerance for X-pattern extraction; the channels preserve the
 # pattern exactly, so this only absorbs rounding.
@@ -35,11 +32,18 @@ class Family(enum.Enum):
     WERNER = "werner"
 
 
-def _reject_nonfinite(record, what: str) -> None:
-    # the range checks below compare with < and >, which NaN passes
+def _check_record(record, what: str) -> None:
+    """Every field finite, the weights a..d nonnegative and summing to 1."""
+    # finiteness first: the range checks compare with < and >, which NaN passes
     for name, value in vars(record).items():
         if not cmath.isfinite(value):
-            raise ValueError(f"{what} {name} must be finite, got {value!r}")
+            raise ValueError(f"{what} parameter {name} must be finite, got {value!r}")
+    for name in ("a", "b", "c", "d"):
+        if getattr(record, name) < 0:
+            raise ValueError(f"{what} weight {name} must be nonnegative")
+    total = record.a + record.b + record.c + record.d
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"{what} weights must sum to 1, got {total!r}")
 
 
 @dataclass(frozen=True)
@@ -53,13 +57,7 @@ class XStateParams:
     z: complex
 
     def __post_init__(self) -> None:
-        _reject_nonfinite(self, "X-state parameter")
-        for name in ("a", "b", "c", "d"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"X-state weight {name} must be nonnegative")
-        total = self.a + self.b + self.c + self.d
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"X-state weights must sum to 1, got {total!r}")
+        _check_record(self, "X-state")
         if self.b * self.c - abs(self.z) ** 2 < -CENTRAL_BLOCK_TOL:
             raise ValueError(
                 f"central block not PSD: need b*c >= |z|^2, got "
@@ -80,13 +78,7 @@ class PureStateParams:
     h: float = 0.0
 
     def __post_init__(self) -> None:
-        _reject_nonfinite(self, "pure-state parameter")
-        for name in ("a", "b", "c", "d"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"pure-state weight {name} must be nonnegative")
-        total = self.a + self.b + self.c + self.d
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"pure-state weights must sum to 1, got {total!r}")
+        _check_record(self, "pure-state")
 
 
 @dataclass(frozen=True)
@@ -102,30 +94,18 @@ class FamilyParams:
 
 
 def validate_density_matrix(mat: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity within DENSITY_TOL;
-    return the array.
+    """Check Hermiticity, unit trace and positivity; return the array.
 
     `mat` is one matrix or a stack of them with shape (..., n, n); every
-    matrix is checked.  Raises ValueError naming the violated property and,
-    for a stack, the index of the first matrix that violates it.
+    matrix is checked by the `linalg` checks, within the rounding
+    allowance `linalg.PSD_CLAMP_TOL`.  Raises ValueError naming the
+    violated property and, for a stack, the index of the first matrix that
+    violates it.
     """
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
-        raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-    herm = dagger(mat)
-    defect = np.linalg.norm(mat - herm, axis=(-2, -1))
-    _reject_first(
-        defect > DENSITY_TOL, lambda i, at: f"density matrix{at} not Hermitian: defect {defect[i]:.3e}"
-    )
-    tr = mat.trace(axis1=-2, axis2=-1)
-    _reject_first(
-        abs(tr - 1.0) > DENSITY_TOL,
-        lambda i, at: f"density matrix{at} trace must be 1, got {complex(tr[i])!r}",
-    )
-    low = np.linalg.eigvalsh((mat + herm) / 2.0)[..., 0]
-    _reject_first(
-        low < -DENSITY_TOL, lambda i, at: f"density matrix{at} not PSD: min eigenvalue {low[i]:.3e}"
-    )
+    herm = _hermitian_part(mat)
+    _check_unit_trace(mat)
+    _check_psd(np.linalg.eigvalsh(herm)[..., 0])
     return mat
 
 

@@ -44,7 +44,7 @@ from .dynamics import (
     esd_time_bisection,
     initial_state,
 )
-from .linalg import dagger, hermitian_eig, kron, psd_sqrt
+from .linalg import _frobenius, dagger, hermitian_eig, kron, psd_sqrt
 from .states import Family, FamilyParams, as_x_params, isotropic, pure_state, werner, x_state
 
 # bit flip on qubit 1
@@ -63,9 +63,6 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, error: float, detail: str) -> None:
-        self.record_all([error], lambda i: detail)
-
     def record_all(self, errors, detail: Callable[[int], str]) -> None:
         """Record one error per case, in case order.
 
@@ -81,11 +78,6 @@ class SuiteResult:
             self.max_error = worst
         for i in np.flatnonzero(~(errors <= self.tolerance)):
             self.failures.append(f"err={errors[i]:.6e} {detail(i)}")
-
-
-def _frob(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack."""
-    return np.linalg.norm(m, axis=(-2, -1))
 
 
 def _random_complex(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
@@ -140,7 +132,7 @@ def suite_kron_algebra(rng: np.random.Generator, res: SuiteResult) -> None:
     blocks = np.block([[a[:, i, j, None, None] * b for j in range(2)] for i in range(2)])
     mixed = k @ kron(c, d)
     joint = kron(a @ c, b @ d)
-    err = np.maximum(_frob(k - blocks), _frob(mixed - joint))
+    err = np.maximum(_frobenius(k - blocks), _frobenius(mixed - joint))
     res.record_all(err, lambda i: f"a={a[i].tolist()!r} b={b[i].tolist()!r}")
 
 
@@ -148,8 +140,8 @@ def suite_eig_reconstruction(rng: np.random.Generator, res: SuiteResult) -> None
     g = np.stack([_random_complex(rng, 4) for _ in range(res.cases)])
     h = g + dagger(g)
     w, v = hermitian_eig(h)
-    err = _frob((v * w[..., None, :]) @ dagger(v) - h)
-    err = np.maximum(err, _frob(dagger(v) @ v - np.eye(4)))
+    err = _frobenius((v * w[..., None, :]) @ dagger(v) - h)
+    err = np.maximum(err, _frobenius(dagger(v) @ v - np.eye(4)))
     # eigenvalues must come out descending
     err = np.maximum(err, np.diff(w).max(axis=-1))
     res.record_all(err, lambda i: f"h={h[i].tolist()!r}")
@@ -168,7 +160,7 @@ def _psd_case(rng: np.random.Generator, i: int) -> np.ndarray:
 def suite_psd_sqrt_roundtrip(rng: np.random.Generator, res: SuiteResult) -> None:
     h = np.stack([_psd_case(rng, i) for i in range(res.cases)])
     s = psd_sqrt(h)
-    err = np.maximum(_frob(s @ s - h), _frob(s - dagger(s)))
+    err = np.maximum(_frobenius(s @ s - h), _frobenius(s - dagger(s)))
     res.record_all(err, lambda i: f"h={h[i].tolist()!r}")
 
 
@@ -201,7 +193,7 @@ def suite_channel_output_validity(rng: np.random.Generator, res: SuiteResult) ->
     )
     out = _apply_noise(np.stack(rhos), kinds, values)
     err = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0)
-    err = np.maximum(err, _frob(out - dagger(out)))
+    err = np.maximum(err, _frobenius(out - dagger(out)))
     err = np.maximum(err, -np.linalg.eigvalsh(out)[..., 0])
     res.record_all(
         err, lambda i: f"kind={kinds[i].value} value={values[i]!r} rho={rhos[i].tolist()!r}"
@@ -222,7 +214,7 @@ def suite_x_form_closure(rng: np.random.Generator, res: SuiteResult) -> None:
             rebuilt[i] = x_state(as_x_params(rho))
         except ValueError as exc:
             reasons[i] = f": {exc}"
-    err = _frob(rebuilt - out)
+    err = _frobenius(rebuilt - out)
     err[list(reasons)] = math.inf
     res.record_all(
         err,
@@ -238,7 +230,7 @@ def suite_qubit2_marginal(rng: np.random.Generator, res: SuiteResult) -> None:
     )
     rho = np.stack(rhos)
     out = _apply_noise(rho, kinds, values)
-    err = _frob(_marginal_second(out) - _marginal_second(rho))
+    err = _frobenius(_marginal_second(out) - _marginal_second(rho))
     res.record_all(
         err, lambda i: f"kind={kinds[i].value} value={values[i]!r} rho={rhos[i].tolist()!r}"
     )
@@ -262,7 +254,7 @@ def suite_composition_semigroup(rng: np.random.Generator, res: SuiteResult) -> N
     step2 = _apply_noise(step1, kinds, _noise_params(kinds, tau2))
     joint = _apply_noise(rho, kinds, _noise_params(kinds, tau1 + tau2))
     res.record_all(
-        _frob(step2 - joint), lambda i: f"kind={kinds[i].value} t1={t1[i]!r} t2={t2[i]!r}"
+        _frobenius(step2 - joint), lambda i: f"kind={kinds[i].value} t1={t1[i]!r} t2={t2[i]!r}"
     )
 
 
@@ -304,10 +296,10 @@ def suite_twirl_invariance(rng: np.random.Generator, res: SuiteResult) -> None:
     u = np.stack(us)
     rho_w = werner(xs)
     uu = kron(u, u)
-    err = _frob(uu @ rho_w @ dagger(uu) - rho_w)
+    err = _frobenius(uu @ rho_w @ dagger(uu) - rho_w)
     rho_i = _FLIP1 @ isotropic(xs) @ _FLIP1
     uc = kron(u, u.conj())
-    err = np.maximum(err, _frob(uc @ rho_i @ dagger(uc) - rho_i))
+    err = np.maximum(err, _frobenius(uc @ rho_i @ dagger(uc) - rho_i))
     res.record_all(err, lambda i: f"x={xs[i]!r} u={us[i].tolist()!r}")
 
 
@@ -438,7 +430,7 @@ def suite_tau_zero_identity(rng: np.random.Generator, res: SuiteResult) -> None:
     scenarios = [sampling.random_scenario(rng, i) for i in range(res.cases)]
     kinds = [s.noise.kind for s in scenarios]
     rho0 = np.stack([initial_state(s) for s in scenarios])
-    err = _frob(_apply_noise(rho0, kinds, _noise_params(kinds, np.zeros(len(kinds)))) - rho0)
+    err = _frobenius(_apply_noise(rho0, kinds, _noise_params(kinds, np.zeros(len(kinds)))) - rho0)
     closed = np.array([closed_form_concurrence(s, 0.0) for s in scenarios])
     err = np.maximum(err, np.abs(closed - concurrence_wootters(rho0)))
     res.record_all(err, lambda i: f"scenario={scenarios[i]!r}")

@@ -251,5 +251,23 @@ def test_apply_channel_names_the_failing_member():
     with pytest.raises(ValueError, match="index 1 is not complete"):
         apply_channel(rho, KrausSet((e0, e1)))
     states = np.stack([rho, rho, np.diag([1.2, -0.2, 0.0, 0.0])])
-    with pytest.raises(ValueError, match="index 2 not PSD"):
+    with pytest.raises(ValueError, match="index 2 is not PSD"):
         apply_channel(states, amplitude_kraus(0.5))
+
+
+def test_kraus_set_holds_one_read_only_array():
+    values = np.array([0.1, 0.5, 0.9])
+    for ctor, k in ((amplitude_kraus, 2), (phase_kraus, 2), (depolarizing_kraus, 4)):
+        ops = ctor(values).ops
+        assert type(ops) is np.ndarray and ops.shape == (k, 3, 2, 2)
+        assert not ops.flags.writeable
+        # the batched residual adds its terms in operator order, as this loop does
+        acc = -np.eye(2)
+        for op in ops:
+            acc = acc + op.conj().swapaxes(-1, -2) @ op
+        reference = np.linalg.norm(acc, axis=(-2, -1))
+        assert completeness_residual(ctor(values)).tobytes() == reference.tobytes()
+    assert lift_first(amplitude_kraus(values)).ops.shape == (2, 3, 4, 4)
+    # the operators are copied into the set, so the caller's stay writable
+    e0 = np.eye(2, dtype=complex)
+    assert KrausSet((e0,)).ops.shape == (1, 2, 2) and e0.flags.writeable

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -392,3 +393,36 @@ def test_points_validation_is_shared(capsys):
         code, _, err = run([*argv, "--points", "1"], capsys)
         assert code == 2
         assert "points must be at least 2" in err
+
+
+def test_tau_max_over_gamma_must_be_finite(capsys):
+    # the last evolve time and the esd horizon; inf would print as inf
+    # and make the JSONL invalid
+    for command in ("evolve", "esd"):
+        code, out, err = run(
+            [command, "--noise", "phase", *FAMILY, "--points", "3", "--gamma", "1e-310",
+             "--format", "jsonl"],
+            capsys,
+        )
+        assert code == 2, command
+        assert out == ""
+        assert err == "error: --tau-max / --gamma must be finite, got 50.0 / 1e-310\n"
+
+
+# sha256 of each -h text at COLUMNS=80, taken before the shared flags were
+# declared once (argparse parents); the help must read the same
+HELP_SHA256 = {
+    "-h": "d1b32f0142ad5d34b32ae4a1a0aecbd3ff8d9e71094a6b61d173685bc9fc8d74",
+    "evolve -h": "5ca0b8f4977928a03659e1cae7acd2924900907686eb2020fc1775d1eef7cc27",
+    "esd -h": "a78d81dfd595a835f5eecc70b247948ba83639946b69e18ffafd4dcb69c9fe4d",
+    "figure -h": "d9ef0c2dbd4af115b8a430d6ae61c0e138f55b7a2be346f555c169e865a69376",
+    "verify -h": "d6eb4bbd1e24a0072c515249aadeeadafe1a18f8abf85a021f6a9e6a4c07d9f3",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_SHA256))
+def test_help_text_is_pinned(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(argv.split(), capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[argv]

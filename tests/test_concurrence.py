@@ -144,5 +144,20 @@ def test_wootters_on_a_stack_matches_each_state():
         np.testing.assert_allclose(lam[i], spin_flip_spectrum(rho), atol=1e-15)
         assert abs(c[i] - concurrence_wootters(rho)) <= 1e-15
     stack[7] = np.diag([1.2, -0.2, 0.0, 0.0])
-    with pytest.raises(ValueError, match="index 7 not PSD"):
+    with pytest.raises(ValueError, match="index 7 is not PSD"):
         concurrence_wootters(stack)
+
+
+def test_wootters_solves_each_state_once(monkeypatch):
+    # the root's eigendecomposition also carries the Hermitian and PSD checks
+    stack = np.concatenate([werner(np.linspace(0.0, 1.0, 4)), isotropic(np.linspace(0.0, 1.0, 4))])
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert concurrence_wootters(stack).shape == (8,)
+    assert calls == {"eigh": 1, "eigvalsh": 0}

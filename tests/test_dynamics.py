@@ -126,6 +126,9 @@ def test_trajectory_invariants():
     traj = Trajectory(np.array([0.0, 1.0]), np.array([0.5, 0.4]), TrajectorySource.NUMERIC)
     with pytest.raises(ValueError):
         traj.c[0] = 0.9  # frozen
+    for grid in ([], [-1.0, 0.0]):
+        with pytest.raises(ValueError, match="tau grid"):
+            Trajectory(np.array(grid), np.zeros(len(grid)), TrajectorySource.NUMERIC)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -604,3 +607,15 @@ def test_figure_presets_wiring():
     for preset in FIGURE_PRESETS.values():
         for curve in preset.curves:
             assert initial_concurrence(curve.scenario) > 0
+
+
+def test_bisection_ends_below_the_float_spacing():
+    # hi - lo stops shrinking once lo and hi are adjacent floats; a tol
+    # below that spacing must still end the loop
+    s = Scenario(FIG1_SOLID, AMP)
+    r = esd_time_bisection(s, tol=1e-20)
+    assert abs(r.tau_death - math.log(4)) <= math.ulp(math.log(4))
+    # the oracle's zero test (ZERO_CONCURRENCE_TOL) sets it dead a little early
+    r = esd_time_bisection(s, tau_max=3.0, tol=1e-20, use_oracle=True)
+    assert r.classification is Classification.SUDDEN_DEATH
+    assert 0.0 <= math.log(4) - r.tau_death <= 1e-10

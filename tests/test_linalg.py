@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from esdsim.channels import amplitude_kraus, apply_channel
+from esdsim.concurrence import spin_flip_spectrum
 from esdsim.linalg import EigDecomposition, dagger, hermitian_eig, kron, psd_sqrt
-from esdsim.states import XStateParams, x_state
+from esdsim.states import XStateParams, validate_density_matrix, x_state
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -181,3 +183,35 @@ def test_stack_errors_name_the_failing_member():
         psd_sqrt(negative.reshape(5, 1, 4, 4))
     with pytest.raises(ValueError, match="square"):
         hermitian_eig(np.ones((3, 4, 2)))
+
+
+NOT_HERMITIAN = r"^matrix at index 1 is not Hermitian: defect \S+ > tol 1\.000e-10$"
+NOT_PSD = r"^matrix at index 3 is not PSD: min eigenvalue -2\.000e-01 < -1\.000e-10$"
+
+
+def test_every_state_check_speaks_one_wording():
+    # each route that checks a state raises the same text, naming the member
+    good = np.stack([x_state(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2)), np.eye(4) / 4] * 2)
+    skew, heavy, negative = good.copy(), good.copy(), good.copy()
+    skew[1, 0, 1] = 1e-3
+    heavy[2] *= 1.5
+    negative[3] = np.diag([1.2, -0.2, 0.0, 0.0])
+    cases = (
+        (skew, NOT_HERMITIAN),
+        (heavy, r"^density matrix at index 2 trace must be 1, got \(1\.5\S*\+0j\)$"),
+        (negative, NOT_PSD),
+    )
+    for check in (
+        validate_density_matrix,
+        spin_flip_spectrum,
+        lambda rho: apply_channel(rho, amplitude_kraus(0.5)),
+    ):
+        check(good)
+        for bad, message in cases:
+            with pytest.raises(ValueError, match=message):
+                check(bad)
+    for check in (hermitian_eig, psd_sqrt):
+        with pytest.raises(ValueError, match=NOT_HERMITIAN):
+            check(skew)
+    with pytest.raises(ValueError, match=NOT_PSD):
+        psd_sqrt(negative)

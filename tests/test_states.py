@@ -180,7 +180,7 @@ def test_validate_density_matrix_checks_every_member_of_a_stack():
     assert validate_density_matrix(good).shape == (6, 4, 4)
     skew = good.copy()
     skew[4, 0, 1] = 1e-3
-    with pytest.raises(ValueError, match="index 4 not Hermitian"):
+    with pytest.raises(ValueError, match="index 4 is not Hermitian"):
         validate_density_matrix(skew)
     heavy = good.copy()
     heavy[2] *= 1.5
@@ -188,7 +188,7 @@ def test_validate_density_matrix_checks_every_member_of_a_stack():
         validate_density_matrix(heavy)
     negative = good.copy()
     negative[5] = np.diag([1.2, -0.2, 0.0, 0.0])
-    with pytest.raises(ValueError, match="index 5 not PSD"):
+    with pytest.raises(ValueError, match="index 5 is not PSD"):
         validate_density_matrix(negative)
 
 

@@ -70,9 +70,9 @@ def test_registry_scales_give_advertised_default_counts():
 
 def test_suite_result_bookkeeping():
     res = SuiteResult("demo", 3, 1e-6)
-    res.record(1e-9, "fine")
+    res.record_all([1e-9], lambda i: "fine")
     assert res.passed and res.max_error == 1e-9 and res.failures == []
-    res.record(1e-3, "too big")
+    res.record_all([1e-3], lambda i: "too big")
     assert not res.passed
     assert res.max_error == 1e-3
     assert res.failures == ["err=1.000000e-03 too big"]
@@ -80,12 +80,12 @@ def test_suite_result_bookkeeping():
 
 def test_record_counts_nan_as_a_failure():
     res = SuiteResult("demo", 1, 1e-6)
-    res.record(math.nan, "x")
+    res.record_all([math.nan], lambda i: "x")
     assert not res.passed
     assert res.failures == ["err=nan x"]
     assert math.isnan(res.max_error)
     # a later finite error does not hide the NaN
-    res.record(1e-3, "y")
+    res.record_all([1e-3], lambda i: "y")
     assert math.isnan(res.max_error)
     assert res.failures == ["err=nan x", "err=1.000000e-03 y"]
 
