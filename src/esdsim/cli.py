@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -164,20 +165,31 @@ def cmd_esd(args: argparse.Namespace) -> int:
     except ValueError:
         analytic = None
     numeric = esd_time_bisection(scenario, tau_max=args.tau_max, points=args.points)
-    scale = args.gamma
 
+    # every float here is a time in tau, scaled below
     pairs: list[tuple[str, str | float]] = [("classification", numeric.classification.value)]
     a_tau = analytic.tau_death if analytic is not None else None
     if analytic is None:
         pairs.append(("tau_death_analytic", "n/a (no closed-form threshold)"))
     elif a_tau is not None:
-        pairs.append(("tau_death_analytic", a_tau / scale))
+        pairs.append(("tau_death_analytic", a_tau))
     if numeric.tau_death is not None:
-        pairs.append(("tau_death_bisection", numeric.tau_death / scale))
+        pairs.append(("tau_death_bisection", numeric.tau_death))
         if a_tau is not None:
-            pairs.append(("abs_diff", abs(a_tau - numeric.tau_death) / scale))
+            pairs.append(("abs_diff", abs(a_tau - numeric.tau_death)))
     if numeric.classification is Classification.ASYMPTOTIC_DECAY:
-        pairs.append(("horizon", numeric.horizon / scale))
+        pairs.append(("horizon", numeric.horizon))
+    # the closed-form death time is not bounded by --tau-max, so the check
+    # of --tau-max / --gamma in main does not cover it
+    for i, (key, value) in enumerate(pairs):
+        if isinstance(value, float):
+            scaled = value / args.gamma
+            if not math.isfinite(scaled):
+                raise ValueError(
+                    f"{key} = {value!r} / --gamma {args.gamma!r} is not finite; "
+                    "use a larger --gamma"
+                )
+            pairs[i] = (key, scaled)
 
     with _open_out(args.out) as stream:
         if args.format == "jsonl":
@@ -224,7 +236,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 _COMMANDS = {"evolve": cmd_evolve, "esd": cmd_esd, "figure": cmd_figure, "verify": cmd_verify}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `esdsim` parser, built on the first call and shared after it.
+
+    Sharing it saves in-process callers of `main` (a benchmark loop, a
+    notebook, the tests) about 1 ms of argparse set-up per command; a shell
+    user builds it once per process anyway.  argparse keeps no state between
+    `parse_args` calls and builds a new help formatter for each help or
+    usage text, so `COLUMNS` is still read when the text is printed.
+    """
     parser = argparse.ArgumentParser(
         prog="esdsim",
         description="Two-qubit entanglement decay under one local noise channel",

@@ -18,7 +18,10 @@ stack.  `numeric_trajectory`, `evolved_state` and the oracle scan of
 block of one.  Both routes take their channel parameters from
 `noise_param`.  ESD detection likewise comes in an analytic flavor (where
 a closed threshold exists) and a scan-plus-bisection flavor that scans
-the whole grid in one evaluation, then bisects the first dead interval.
+the whole grid in one evaluation, then bisects the first dead interval in
+rounds: one evaluation per round covers the midpoints of the next five
+halvings, and the walk through their verdicts gives the step-by-step
+bisection's death time bit for bit.
 
 The paper's results form a grid of four state kinds (cross-pattern, pure,
 isotropic, Werner) times the three noises.  `_TABLE` holds one row per
@@ -99,8 +102,9 @@ class Trajectory:
     source: TrajectorySource
 
     def __post_init__(self) -> None:
-        tau = _validate_grid(self.tau)
-        c = np.asarray(self.c, dtype=float)
+        # the record freezes copies, so the caller's arrays stay writable
+        tau = _validate_grid(np.array(self.tau, dtype=float))
+        c = np.array(self.c, dtype=float)
         if c.shape != tau.shape:
             raise ValueError("tau and c must be 1-d arrays of equal length")
         if not np.isfinite(c).all():
@@ -381,6 +385,25 @@ def esd_time_analytic(scenario: Scenario) -> EsdResult:
     return EsdResult(Classification.SUDDEN_DEATH, EsdMethod.ANALYTIC, tau_death=tau)
 
 
+# Bisection levels evaluated per round, in one call of the evaluator.
+_ROUND_LEVELS = 5
+_ROUND_NODES = 2**_ROUND_LEVELS - 1
+
+
+def _round_midpoints(lo, hi) -> list:
+    # the midpoints of the next _ROUND_LEVELS bisection levels below
+    # [lo, hi], as a heap: node k brackets [a, b] with midpoint
+    # mid = 0.5 * (a + b); a dead mid leads to node 2k+1 = [a, mid], an
+    # alive one to node 2k+2 = [mid, b].  The arithmetic is the step-by-step
+    # loop's, so each midpoint is bit-identical to the one that loop reaches.
+    brackets = [(lo, hi)]
+    for k in range(_ROUND_NODES // 2):
+        a, b = brackets[k]
+        mid = 0.5 * (a + b)
+        brackets += [(a, mid), (mid, b)]
+    return [0.5 * (a + b) for a, b in brackets]
+
+
 def esd_time_bisection(
     scenario: Scenario,
     tau_max: float = DEFAULT_TAU_MAX,
@@ -393,6 +416,14 @@ def esd_time_bisection(
     The default evaluator is the closed form; `use_oracle` switches to the
     general route (evolve and run Wootters), which is slower and carries a
     rounding floor, hence the split zero test.
+
+    The bisection runs in rounds.  Each round evaluates, in one call of
+    the evaluator (one stack on the general route), the 31 midpoints that
+    the next five halvings of the bracket can reach, then walks down the
+    verdicts one halving at a time with the stop test of a step-by-step
+    bisection.  The death time is bit-identical to that loop's; a
+    sudden-death scenario at the default `tol` costs one evaluation at
+    tau = 0, one scan and five rounds instead of about 27 evaluations.
     """
     for name, bound in (("tau_max", tau_max), ("tol", tol)):
         if not (bound > 0.0 and math.isfinite(bound)):
@@ -417,10 +448,7 @@ def esd_time_bisection(
         def dead(c):
             return c == 0.0
 
-    def value(t: float) -> float:
-        return values([t])[0]
-
-    if dead(value(0.0)):
+    if dead(values([0.0])[0]):
         return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION)
 
     grid = np.linspace(0.0, tau_max, points)
@@ -440,15 +468,21 @@ def esd_time_bisection(
             "scan assumptions do not hold for this scenario"
         )
 
-    lo, hi = grid[first - 1], grid[first]
+    lo, hi = float(grid[first - 1]), float(grid[first])
     mid = 0.5 * (lo + hi)
+    k = _ROUND_NODES  # heap node of the next step; past the heap, a new round
     # a tol below the float spacing at the death time would never be met:
     # stop as well once no float lies strictly between lo and hi
     while hi - lo > tol and lo < mid < hi:
-        if dead(value(mid)):
+        if k >= _ROUND_NODES:
+            verdicts = dead(values(_round_midpoints(lo, hi)))
+            k = 0
+        if verdicts[k]:
             hi = mid
+            k = 2 * k + 1
         else:
             lo = mid
+            k = 2 * k + 2
         mid = 0.5 * (lo + hi)
     return EsdResult(
         Classification.SUDDEN_DEATH, EsdMethod.BISECTION, tau_death=mid, horizon=tau_max

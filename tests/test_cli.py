@@ -426,3 +426,74 @@ def test_help_text_is_pinned(argv, monkeypatch, capsys):
     code, out, err = run(argv.split(), capsys)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[argv]
+
+
+def test_esd_time_that_overflows_at_small_gamma_exits_2(capsys):
+    # the closed-form death time (689.4) lies past --tau-max, so the
+    # --tau-max / --gamma check passes, but 689.4 / 3e-307 is inf
+    argv = ["esd", "--noise", "phase", "--xstate", "--a", "1e-150", "--b", "0.5",
+            "--c", "0.5", "--d", "1e-150", "--zsq", "0.25", "--format", "jsonl"]
+    code, out, err = run([*argv, "--gamma", "3e-307"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: tau_death_analytic = 689.3892335370938 / --gamma 3e-307 is not finite; "
+        "use a larger --gamma\n"
+    )
+    code, out, _ = run([*argv, "--gamma", "1"], capsys)
+    assert code == 0
+    assert out == (
+        '{"classification": "AsymptoticDecay", "tau_death_analytic": 689.389233537, '
+        '"horizon": 50}\n'
+    )
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_parse_leaves_no_flag_value_behind():
+    parser = build_parser()
+    args = parser.parse_args(["esd", *FIG1_SOLID_FLAGS, "--gamma", "2", "--out", "x.csv",
+                              "--points", "9", "--format", "jsonl", "--tau-max", "3"])
+    assert (args.gamma, args.out, args.points, args.format, args.tau_max) == (
+        2.0, "x.csv", 9, "jsonl", 3.0)
+    args = parser.parse_args(["esd", "--noise", "phase", *FAMILY])
+    assert (args.gamma, args.out, args.points, args.format, args.tau_max) == (
+        1.0, None, 2048, "csv", 50.0)
+    assert (args.xstate, args.a, args.zsq) == (False, None, None)
+
+
+def _session(tmp_path, monkeypatch, capsys):
+    # stdout, stderr and exit code of one sequence of main calls in one
+    # process; the files written by evolve --out are read back as well
+    monkeypatch.setenv("COLUMNS", "80")
+    argv_list = [
+        ["esd", *FIG1_SOLID_FLAGS, "--gamma", "2", "--format", "jsonl"],
+        ["esd", *FIG1_SOLID_FLAGS],
+        ["evolve", *FIG1_SOLID_FLAGS, "--points", "9", "--out", str(tmp_path / "run.csv")],
+        ["figure", "fig2", "--points", "5"],
+        ["verify", "--seed", "1", "--cases", "3"],
+        ["esd", "--noise", "phase", "--xstate", "--pure"],
+        ["evolve", "--points", "9"],
+        ["esd", "--noise", "phase", *FAMILY, "--bogus"],
+    ]
+    seen = [(run(argv, capsys), (tmp_path / "run.csv").read_text() if "--out" in argv else None)
+            for argv in argv_list]
+    for columns in ("80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["-h"], ["esd", "-h"], ["evolve", "-h"]):
+            seen.append((run(argv, capsys), None))
+    return seen
+
+
+def test_cached_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
+    cached = _session(tmp_path, monkeypatch, capsys)
+    # main looks build_parser up per call; the uncached one builds afresh
+    monkeypatch.setattr("esdsim.cli.build_parser", build_parser.__wrapped__)
+    fresh = _session(tmp_path, monkeypatch, capsys)
+    assert cached == fresh
+    codes = [code for (code, _, _), _ in cached]
+    assert codes == [0, 0, 0, 0, 0, 2, 2, 2] + [0] * 6
+    # the help pages follow COLUMNS at print time
+    assert cached[9][0][1] != cached[12][0][1]

@@ -1,3 +1,5 @@
+import cmath
+import hashlib
 import math
 import pickle
 
@@ -6,6 +8,7 @@ import pytest
 
 from esdsim import dynamics
 from esdsim.channels import NoiseKind, NoiseSpec, apply_channel, kraus_for, lift_first
+from esdsim.cli import main
 from esdsim.concurrence import concurrence_pure, concurrence_wootters, concurrence_x
 from esdsim.dynamics import (
     FIGURE_PRESETS,
@@ -152,6 +155,19 @@ def test_trajectory_grid_validation():
         for trajectory in (closed_form_trajectory, numeric_trajectory):
             with pytest.raises(ValueError, match="tau grid must be finite"):
                 trajectory(s, grid)
+
+
+@pytest.mark.parametrize("trajectory", [closed_form_trajectory, numeric_trajectory])
+def test_trajectory_leaves_the_callers_arrays_writable(trajectory):
+    grid = np.linspace(0.0, 2.0, 9)
+    traj = trajectory(Scenario(FIG1_SOLID, AMP), grid)
+    assert grid.flags.writeable
+    np.testing.assert_array_equal(grid, np.linspace(0.0, 2.0, 9))
+    grid[0] = 0.5
+    assert traj.tau[0] == 0.0 and not traj.tau.flags.writeable
+    c = np.array([0.5, 0.4])
+    Trajectory(np.array([0.0, 1.0]), c, TrajectorySource.NUMERIC)
+    c[0] = 0.3  # still writable
 
 
 def test_trajectory_starts_at_initial_concurrence():
@@ -545,6 +561,126 @@ def test_bisection_asymptotic_and_separable():
     assert r.horizon == 50.0
     r = esd_time_bisection(Scenario(FamilyParams(Family.ISOTROPIC, 0.3), PHASE))
     assert r.classification is Classification.INITIALLY_SEPARABLE
+
+
+def stepwise_bisection(scenario, tau_max=50.0, tol=1e-9, points=2048, use_oracle=False):
+    # reference: the scan and the one-midpoint-per-evaluation bisection
+    # that esd_time_bisection's rounds replace
+    if use_oracle:
+        rho0 = initial_state(scenario)
+
+        def values(taus):
+            return dynamics._numeric_concurrence(rho0, scenario.noise, taus)
+
+        def dead(c):
+            return c < dynamics.ZERO_CONCURRENCE_TOL
+
+    else:
+
+        def values(taus):
+            return closed_form_concurrence(scenario, taus)
+
+        def dead(c):
+            return c == 0.0
+
+    if dead(values([0.0])[0]):
+        return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION)
+    grid = np.linspace(0.0, tau_max, points)
+    dead_scan = dead(values(grid[1:]))
+    if not dead_scan.any():
+        return EsdResult(Classification.ASYMPTOTIC_DECAY, EsdMethod.BISECTION, horizon=tau_max)
+    first = int(dead_scan.argmax()) + 1
+    if not dead_scan[first:].all():
+        raise RuntimeError("concurrence revived after dying")
+    lo, hi = grid[first - 1], grid[first]
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:
+        if dead(values([mid])[0]):
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return EsdResult(
+        Classification.SUDDEN_DEATH, EsdMethod.BISECTION, tau_death=mid, horizon=tau_max
+    )
+
+
+def _outcome(bisect, *args, **kwargs):
+    try:
+        return bisect(*args, **kwargs)
+    except RuntimeError:
+        return "revived"
+
+
+def _random_scenarios(seed, n):
+    rng = np.random.default_rng(seed)
+    return [random_scenario(rng, i) for i in range(n)]
+
+
+RANDOM_SCENARIOS = _random_scenarios(314, 240)
+
+
+def test_bisection_rounds_match_the_stepwise_loop():
+    # the draws cycle through the 12 (state kind, noise) pairs
+    by_class = {kind: [] for kind in Classification}
+    for s in RANDOM_SCENARIOS:
+        got = esd_time_bisection(s)
+        assert got == stepwise_bisection(s), s
+        by_class[got.classification].append(s)
+    assert all(by_class.values())
+    for s in by_class[Classification.SUDDEN_DEATH][:24]:
+        got = _outcome(esd_time_bisection, s, points=512, use_oracle=True)
+        assert got == _outcome(stepwise_bisection, s, points=512, use_oracle=True), s
+
+
+def test_bisection_rounds_match_at_a_tol_below_the_float_spacing():
+    for s in (Scenario(FIG1_SOLID, AMP), Scenario(FIG2_SOLID, PHASE), *RANDOM_SCENARIOS[:48]):
+        got = esd_time_bisection(s, tol=1e-20)
+        assert got == stepwise_bisection(s, tol=1e-20)
+
+
+def test_bisection_uses_one_evaluation_per_round(monkeypatch):
+    calls = []
+
+    def counted(scenario, tau):
+        calls.append(np.size(tau))
+        return closed_form_concurrence(scenario, tau)
+
+    monkeypatch.setattr(dynamics, "closed_form_concurrence", counted)
+    r = esd_time_bisection(Scenario(FIG2_SOLID, PHASE))
+    assert r.classification is Classification.SUDDEN_DEATH
+    # tau = 0, the scan, and five rounds of 31 midpoints
+    assert calls == [1, 2047] + [31] * 5
+
+
+def _esd_argv(s):
+    # the esd command line of a random_scenario draw
+    argv = ["esd", "--noise", s.noise.kind.value]
+    state = s.state
+    if isinstance(state, FamilyParams):
+        return [*argv, "--family", state.family.value, "--x", repr(float(state.x))]
+    if isinstance(state, XStateParams):
+        argv.append("--xstate")
+        extra = {"zmod": abs(state.z), "zarg": cmath.phase(state.z)}
+    else:
+        argv.append("--pure")
+        extra = {"f": state.f, "g": state.g, "h": state.h}
+    for name, value in {"a": state.a, "b": state.b, "c": state.c, "d": state.d, **extra}.items():
+        argv += [f"--{name}", repr(float(value))]
+    return argv
+
+
+# sha256 of the esd stdout below, taken from the step-by-step bisection
+ESD_STDOUT_SHA256 = "dfc686202fe21650550cc32fb360e88edff6e314d490f98f211e45d734e20f2d"
+
+
+def test_esd_stdout_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for s in RANDOM_SCENARIOS[:120]:
+        for fmt in ("csv", "jsonl"):
+            assert main([*_esd_argv(s), "--format", fmt]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == ESD_STDOUT_SHA256
 
 
 def test_esd_result_invariants():
