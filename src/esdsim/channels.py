@@ -2,21 +2,22 @@
 
 The noise always acts on the first qubit only.  `apply_channel` evaluates
 the Kraus sum on the first tensor factor of a state, so a 2x2 Kraus set acts
-on qubit 1 of a pair directly; `lift_first` builds the equivalent 4x4 set
-{K x I} as the reference form.  Channel parameters are the decayed
-coherence factors eta (amplitude), gamma (phase) and the error probability
-p (depolarizing); the time parametrization of these lives in the dynamics
-module.
+on qubit 1 of a pair directly.  `apply_to_factor` applies the same map to a
+factor W of the state (rho = W W^dag); the numeric route evolves that way.
+`lift_first` builds the equivalent 4x4 set {K x I} as the reference form.
+Channel parameters are the decayed coherence factors eta (amplitude),
+gamma (phase) and the error probability p (depolarizing); the time
+parametrization of these lives in the dynamics module.
 
 The constructors take one parameter value or an array of them.  An array
 gives a stacked Kraus set: each operator has shape (..., 2, 2), one Kraus
 set per parameter value, and completeness is checked for every one of them.
 A Kraus set holds its operators as one array, operator index first.
 
-`apply_channel` checks the completeness of every Kraus set it is given,
-also of the sets these constructors build, which are complete by
-construction: the check guards caller input, and skipping it for
-constructor-built sets would take a second code path.
+`apply_channel` and `apply_to_factor` check the completeness of every
+Kraus set they are given, also of the sets these constructors build, which
+are complete by construction: the check guards caller input, and skipping
+it for constructor-built sets would take a second code path.
 """
 from __future__ import annotations
 
@@ -122,9 +123,18 @@ def completeness_residual(kraus: KrausSet) -> float | np.ndarray:
     A float for one Kraus set, an array with one residual per set for a
     stacked one.
     """
+    ops = kraus.ops
+    if kraus.dim == 2:
+        # K^dag K entry by entry, conj(K[0, i]) K[0, j] + conj(K[1, i]) K[1, j]:
+        # the bits of the stacked matmul at a third of its cost
+        c = ops.conj()
+        terms = c[..., 0, :, None] * ops[..., 0, None, :]
+        terms = terms + c[..., 1, :, None] * ops[..., 1, None, :]
+    else:
+        terms = dagger(ops) @ ops
     acc = -np.eye(kraus.dim, dtype=complex)
     # summed onto -I in operator order: .sum(0) - I would round differently
-    for term in dagger(kraus.ops) @ kraus.ops:
+    for term in terms:
         acc = acc + term
     return _frobenius(acc)
 
@@ -177,3 +187,34 @@ def apply_channel(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
     out = transfer @ blocks.reshape(rho.shape[:-2] + (d * d, m * m))
     out = np.swapaxes(out.reshape(out.shape[:-2] + (d, d, m, m)), -3, -2)
     return out.reshape(out.shape[:-4] + (dim, dim))
+
+
+def apply_to_factor(w: np.ndarray, kraus: KrausSet) -> np.ndarray:
+    """A factor of the Kraus sum on the first tensor factor, from a factor.
+
+    For rho = w w^dag with `w` of shape (..., d*m, n), returns
+    [(K_1 x I_m) w, ..., (K_k x I_m) w] side by side, shape (..., d*m, k*n):
+    its product with its own conjugate transpose is sum(K rho K^dag) on the
+    first factor, the map of `apply_channel`.  The factor stays a factor,
+    so the evolved state is positive semidefinite by construction and a
+    zero column stays exactly zero.  `w` and the Kraus set may each be
+    stacks; their leading axes broadcast.
+
+    Every Kraus set must be complete within COMPLETENESS_TOL, as for
+    `apply_channel`; the error names the first failing member of a stack.
+    """
+    _check_complete(kraus, "Kraus set")
+    w = np.asarray(w, dtype=complex)
+    if w.ndim < 2 or w.shape[-2] % kraus.dim:
+        raise ValueError(f"factor shape {w.shape} does not match Kraus dim {kraus.dim}")
+    d, ops = kraus.dim, kraus.ops
+    rows, cols = w.shape[-2:]
+    # block b of the rows is the part of w where the first factor is in state b
+    blocks = w.reshape(w.shape[:-2] + (d, rows // d * cols))
+    # block a of (K x I) w is sum_b K[a, b] block_b, one multiply-add per b
+    out = ops[..., :, 0, None] * blocks[..., 0, None, :]
+    for b in range(1, d):
+        out = out + ops[..., :, b, None] * blocks[..., b, None, :]
+    # (k, ..., rows, cols) -> (..., rows, k, cols): operator k's columns side by side
+    out = np.moveaxis(out.reshape(out.shape[:-2] + (rows, cols)), 0, -2)
+    return out.reshape(out.shape[:-3] + (rows, len(ops) * cols))

@@ -137,16 +137,14 @@ _CSV_ROW = "%.12g,%.12g,%.12g,%.12g\n"
 
 
 def _write_rows(stream, rows, fmt: str, curve: str | None = None) -> None:
+    # the table is built as one string and written in one call
     if fmt == "csv":
-        if curve is not None:
-            stream.write(f"# curve: {curve}\n")
-        stream.write(",".join(_COLUMNS) + "\n")
-        for row in rows:
-            stream.write(_CSV_ROW % row)
-        return
-    tag = [("curve", curve)] if curve is not None else []
-    for row in rows:
-        stream.write(_json_line([*tag, *zip(_COLUMNS, row)]))
+        head = f"# curve: {curve}\n" if curve is not None else ""
+        text = head + ",".join(_COLUMNS) + "\n" + "".join(map(_CSV_ROW.__mod__, rows))
+    else:
+        tag = [("curve", curve)] if curve is not None else []
+        text = "".join(_json_line([*tag, *zip(_COLUMNS, row)]) for row in rows)
+    stream.write(text)
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:

@@ -3,17 +3,23 @@
 Three routes, used against each other throughout the test suite:
 
 * `concurrence_wootters` works for any two-qubit density matrix via the
-  spin-flipped spectrum.
+  spin-flipped spectrum, and `factor_concurrence` for a state given by a
+  factor W with rho = W W^dag.
 * `concurrence_x` is the closed form for states with the cross pattern
   (diagonal plus one central coherence), 2 max(0, |z| - sqrt(a d)).
 * `concurrence_pure` evaluates pure states written over the computational
   basis with three relative phases.
 
 The general route deliberately avoids forming rho rho~ and diagonalizing
-it: the needed lambda_i are the singular values of sqrt(rho)^T (sy x sy)
-sqrt(rho), which is the same spectrum without the square-root of a nearly
-defective product.  On rank-deficient states this keeps the error near
-machine precision where the naive chain loses half the digits.
+it: the needed lambda_i are the singular values of F^T (sy x sy) F for any
+F with rho = F F^dag (the Uhlmann form of Wootters' spectrum).  A factor
+given with more than four columns is first reduced to four by a QR step,
+which changes F F^dag only by rounding.  The numeric route of the
+dynamics module evolves such a factor and never forms the matrix; a matrix
+input takes sqrt(rho) as its factor.  Both share the one SVD.  On
+rank-deficient states the factor keeps the error near machine precision,
+where the naive chain loses half the digits and the root of an
+eigendecomposition keeps the square root of its rounding.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ import math
 
 import numpy as np
 
-from .linalg import _check_unit_trace, kron, psd_sqrt
+from .linalg import _check_unit_trace, dagger, kron, psd_sqrt
 from .states import PureStateParams, XStateParams, _pure_amplitudes
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -29,15 +35,33 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 # (sy x sy) is real: the antidiagonal (-1, 1, 1, -1).
 SPIN_FLIP = kron(_SIGMA_Y, _SIGMA_Y).real.copy()
 SPIN_FLIP.setflags(write=False)
+# M @ SPIN_FLIP is M with its columns reversed, column k times this sign:
+# the same bits as the matmul, without it
+_FLIP_SIGNS = SPIN_FLIP[::-1].diagonal()
 
 # Clamp window for tiny negative radicands produced by rounding.
 RADICAND_TOL = 1e-12
 
 
+def _factor_spectrum(f: np.ndarray) -> np.ndarray:
+    # the lambda_i, descending, of the state f f^dag: singular values of
+    # f^T (sy x sy) f, for a factor f of shape (..., 4, m) with m <= 4; a
+    # narrower factor has fewer singular values, and the rest are zero
+    g = (np.swapaxes(f, -1, -2)[..., ::-1] * _FLIP_SIGNS) @ f
+    lam = np.linalg.svd(g, compute_uv=False)
+    missing = 4 - lam.shape[-1]
+    return np.pad(lam, [(0, 0)] * (lam.ndim - 1) + [(0, missing)]) if missing else lam
+
+
+def _from_spectrum(lam: np.ndarray):
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+
+
 def spin_flip_spectrum(rho: np.ndarray) -> np.ndarray:
     """The four lambda_i of the spin-flip construction, descending.
 
-    Computed as singular values of W = sqrt(rho)^T (sy x sy) sqrt(rho).
+    Computed as singular values of W = sqrt(rho)^T (sy x sy) sqrt(rho): the
+    spectrum of the factor sqrt(rho), as `factor_concurrence` takes it.
     W^* W = sqrt(rho) rho~ sqrt(rho) with rho~ the spin-flipped state, so
     the singular values squared are the eigenvalues of rho rho~.  `rho` is
     one 4x4 state or a stack of shape (..., 4, 4), and the result has shape
@@ -48,10 +72,8 @@ def spin_flip_spectrum(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
-    _check_unit_trace(rho)
-    s = psd_sqrt(rho)
-    w = np.swapaxes(s, -1, -2) @ SPIN_FLIP @ s
-    return np.linalg.svd(w, compute_uv=False)
+    _check_unit_trace(rho.trace(axis1=-2, axis2=-1))
+    return _factor_spectrum(psd_sqrt(rho))
 
 
 def concurrence_wootters(rho: np.ndarray) -> float | np.ndarray:
@@ -59,8 +81,26 @@ def concurrence_wootters(rho: np.ndarray) -> float | np.ndarray:
 
     A float for one state, an array with one value per state for a stack.
     """
-    lam = spin_flip_spectrum(rho)
-    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return _from_spectrum(spin_flip_spectrum(rho))
+
+
+def factor_concurrence(w: np.ndarray) -> float | np.ndarray:
+    """Wootters concurrence of the state rho = w w^dag, from its factor.
+
+    `w` has shape (..., 4, m), any number m of columns; a float for one
+    factor, an array with one value per factor for a stack.  A factor
+    with m > 4 is reduced to F = R^dag, with R the triangular factor of
+    w^dag = Q R, so F F^dag = w w^dag.  Hermiticity and positivity hold by
+    construction; each state's unit trace, the squared Frobenius norm of
+    its factor, is checked within PSD_CLAMP_TOL.
+    """
+    w = np.asarray(w, dtype=complex)
+    if w.ndim < 2 or w.shape[-2] != 4:
+        raise ValueError(f"expected a factor with 4 rows, got shape {w.shape}")
+    if w.shape[-1] > 4:
+        w = dagger(np.linalg.qr(dagger(w), mode="r"))
+    _check_unit_trace(np.add.reduce((w.conj() * w).real, axis=(-2, -1)))
+    return _from_spectrum(_factor_spectrum(w))
 
 
 def concurrence_x(params: XStateParams) -> float:

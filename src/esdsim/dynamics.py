@@ -8,12 +8,18 @@ for depolarizing noise.
 Two evaluation routes are kept deliberately separate so they can check
 each other: `closed_form_concurrence` evaluates the formula of the
 scenario's (state kind, noise kind) cell, while the numeric route evolves
-the full density matrix and runs the general concurrence.  Both take one
-tau or a whole grid.  The closed form evaluates its formula with numpy
-ufuncs over the grid in one call.  The numeric route builds the Kraus
-sets for a block of tau values at once, applies them to the initial state
-as one (N, 4, 4) stack, and takes the Wootters concurrence of the whole
-stack.  `numeric_trajectory`, `evolved_state` and the oracle scan of
+the state through the Kraus maps and runs the general concurrence.  Both
+take one tau or a whole grid.  The closed form evaluates its formula with
+numpy ufuncs over the grid in one call.  The numeric route writes the
+initial state once as rho0 = W0 W0^dag (`initial_factor`: the amplitude
+column of a pure state, the diagonal plus the central block of an X-pattern
+state), builds the Kraus sets for a block of tau values at once, applies
+them to the factor, W(tau) = [(K_1 x I) W0, (K_2 x I) W0, ...], and takes
+the Wootters concurrence of the whole stack of factors.  No
+eigendecomposition is taken, so a weight that decays towards zero keeps
+its relative precision; evolving the matrix and taking its square root
+leaves up to ~4e-7 on amplitude-noise tails.  `numeric_trajectory`,
+`evolved_state` (which returns W W^dag) and the oracle scan of
 `esd_time_bisection` all run that one code path; a single point is a
 block of one.  Both routes take their channel parameters from
 `noise_param`.  ESD detection likewise comes in an analytic flavor (where
@@ -31,21 +37,25 @@ families, the sudden-death interval.  A `Scenario` finds its row once.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .channels import NoiseKind, NoiseSpec, apply_channel, kraus_for
-from .concurrence import concurrence_pure, concurrence_wootters
+from .channels import NoiseKind, NoiseSpec, apply_to_factor, kraus_for
+from .concurrence import concurrence_pure, factor_concurrence
+from .linalg import dagger
 from .states import (
     Family,
     FamilyParams,
     PureStateParams,
     XStateParams,
     family_state,
+    pure_factor,
     pure_state,
+    x_factor,
     x_state,
 )
 
@@ -93,6 +103,12 @@ class Scenario:
         # the state kind is the params class, or the Family of a FamilyParams
         kind = getattr(self.state, "family", type(self.state))
         object.__setattr__(self, "_row", _TABLE[kind, self.noise.kind])
+
+    @functools.cached_property
+    def _initial_concurrence(self):
+        # the closed form at tau = 0, evaluated once per scenario: the
+        # analytic and the bisection route both start from it
+        return closed_form_concurrence(self, 0.0)
 
 
 @dataclass(frozen=True)
@@ -157,8 +173,20 @@ def initial_state(scenario: Scenario) -> np.ndarray:
     return scenario._row.build(scenario.state)
 
 
+def initial_factor(scenario: Scenario) -> np.ndarray:
+    """A factor W0 of the initial state, initial_state(scenario) = W0 W0^dag.
+
+    Shape (4, 1) for a pure state (its amplitude column) and (4, 4) for
+    the X-pattern kinds (`states.x_factor`).  The initial state is built
+    and validated first, so the factor route rejects what `initial_state`
+    rejects.
+    """
+    return scenario._row.factor(scenario.state, initial_state(scenario))
+
+
 def initial_concurrence(scenario: Scenario) -> float:
-    return closed_form_concurrence(scenario, 0.0)
+    """Closed-form concurrence at tau = 0, computed once per scenario."""
+    return scenario._initial_concurrence
 
 
 # ---------------------------------------------------------------------------
@@ -268,38 +296,42 @@ def closed_form_trajectory(scenario: Scenario, tau_grid) -> Trajectory:
     return Trajectory(grid, c, TrajectorySource.CLOSED_FORM)
 
 
-def _evolve(rho0: np.ndarray, noise: NoiseSpec, taus) -> np.ndarray:
-    # rho0 evolved to each tau of a block, as an (N, 4, 4) stack.  The
-    # channel parameters come from the same noise_param as the closed
-    # form's, so both routes see bit-identical eta, gamma or p.
-    return apply_channel(rho0, kraus_for(noise.kind, noise_param(noise, taus)))
+def _evolve(w0: np.ndarray, noise: NoiseSpec, taus) -> np.ndarray:
+    # the factor w0 evolved to each tau of a block, as an (N, 4, k m)
+    # stack.  The channel parameters come from the same noise_param as the
+    # closed form's, so both routes see bit-identical eta, gamma or p.
+    return apply_to_factor(w0, kraus_for(noise.kind, noise_param(noise, taus)))
 
 
-def _numeric_concurrence(rho0: np.ndarray, noise: NoiseSpec, taus) -> np.ndarray:
+def _numeric_concurrence(w0: np.ndarray, noise: NoiseSpec, taus) -> np.ndarray:
     # general-route concurrence at each tau, one block of _BLOCK_ROWS at a time
     c = np.empty(len(taus))
     for start in range(0, len(taus), _BLOCK_ROWS):
         block = taus[start : start + _BLOCK_ROWS]
-        c[start : start + len(block)] = concurrence_wootters(_evolve(rho0, noise, block))
+        c[start : start + len(block)] = factor_concurrence(_evolve(w0, noise, block))
     return c
 
 
 def numeric_trajectory(scenario: Scenario, tau_grid) -> Trajectory:
-    """General-route trajectory: evolve the initial state, then Wootters.
+    """General-route trajectory: evolve a factor of the state, then Wootters.
 
     Each grid point applies the channel at parameter(tau) to the initial
-    state.  For these noise families that one-shot form equals composing
+    factor (`initial_factor`, `channels.apply_to_factor`) and takes the
+    concurrence of the evolved factor (`concurrence.factor_concurrence`).
+    For these noise families that one-shot form equals composing
     increments (eta and gamma multiply; p is defined through e^(-tau/2)),
     so no stepping is needed.
     """
     grid = _validate_grid(tau_grid)
-    c = _numeric_concurrence(initial_state(scenario), scenario.noise, grid)
+    c = _numeric_concurrence(initial_factor(scenario), scenario.noise, grid)
     return Trajectory(grid, c, TrajectorySource.NUMERIC)
 
 
 def evolved_state(scenario: Scenario, tau: float) -> np.ndarray:
-    """The state at time tau on the numeric route (initial state evolved)."""
-    return _evolve(initial_state(scenario), scenario.noise, [tau])[0]
+    """The state at time tau on the numeric route: W W^dag, with W the
+    initial factor evolved to tau."""
+    w = _evolve(initial_factor(scenario), scenario.noise, [tau])[0]
+    return w @ dagger(w)
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +464,15 @@ def esd_time_bisection(
         raise ValueError(f"need at least 2 scan points, got {points!r}")
 
     if use_oracle:
-        rho0 = initial_state(scenario)
+        w0 = initial_factor(scenario)
 
         def values(taus) -> np.ndarray:
-            return _numeric_concurrence(rho0, scenario.noise, taus)
+            return _numeric_concurrence(w0, scenario.noise, taus)
 
         def dead(c):
             return c < ZERO_CONCURRENCE_TOL
+
+        c0 = values([0.0])[0]
 
     else:
 
@@ -448,7 +482,9 @@ def esd_time_bisection(
         def dead(c):
             return c == 0.0
 
-    if dead(values([0.0])[0]):
+        c0 = initial_concurrence(scenario)
+
+    if dead(c0):
         return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION)
 
     grid = np.linspace(0.0, tau_max, points)
@@ -546,10 +582,23 @@ def _build_family(s: FamilyParams) -> np.ndarray:
     return family_state(s)
 
 
+# Factors of the initial state: the amplitude column of a pure state, and
+# the diagonal plus the central block of an X-pattern matrix (X states and
+# both families).  Each takes the record and the validated matrix.
+def _factor_pure(s: PureStateParams, rho0: np.ndarray) -> np.ndarray:
+    return pure_factor(s)
+
+
+def _factor_x(s: StateParams, rho0: np.ndarray) -> np.ndarray:
+    return x_factor(rho0)
+
+
 class _Row(NamedTuple):
-    """One cell of the grid: initial state, closed-form concurrence, death time."""
+    """One cell of the grid: initial state and its factor, closed-form
+    concurrence, death time."""
 
     build: Callable[[StateParams], np.ndarray]
+    factor: Callable[[StateParams, np.ndarray], np.ndarray]
     concurrence: Callable[[StateParams, float, float], float]
     # None where no closed threshold exists; those cells need bisection
     death: Callable[[StateParams], float | None] | None
@@ -562,23 +611,24 @@ _ISO, _WER = Family.ISOTROPIC, Family.WERNER
 # The amplitude criticals of the family intervals solve the eta -> 0 limit
 # of the closed forms: (4x-1)^2 = 6(1-x) and 2x^2 + x - 1 = 0.
 _TABLE: dict[tuple[object, NoiseKind], _Row] = {
-    (XStateParams, _A): _Row(_build_x, _x_amplitude, _x_amplitude_death),
-    (XStateParams, _P): _Row(_build_x, _x_phase, _x_phase_death),
-    (XStateParams, _D): _Row(_build_x, _x_depolarizing, None),
-    (PureStateParams, _A): _Row(_build_pure, _pure_damping, _no_death),
-    (PureStateParams, _P): _Row(_build_pure, _pure_damping, _no_death),
-    (PureStateParams, _D): _Row(_build_pure, _pure_depolarizing, _pure_depolarizing_death),
-    (_ISO, _A): _Row(_build_family, _isotropic_amplitude, None,
+    (XStateParams, _A): _Row(_build_x, _factor_x, _x_amplitude, _x_amplitude_death),
+    (XStateParams, _P): _Row(_build_x, _factor_x, _x_phase, _x_phase_death),
+    (XStateParams, _D): _Row(_build_x, _factor_x, _x_depolarizing, None),
+    (PureStateParams, _A): _Row(_build_pure, _factor_pure, _pure_damping, _no_death),
+    (PureStateParams, _P): _Row(_build_pure, _factor_pure, _pure_damping, _no_death),
+    (PureStateParams, _D): _Row(_build_pure, _factor_pure, _pure_depolarizing,
+                                _pure_depolarizing_death),
+    (_ISO, _A): _Row(_build_family, _factor_x, _isotropic_amplitude, None,
                      EsdBoundary(_ISO, _A, 0.5, 0.625, True, True, critical_x=0.625)),
-    (_ISO, _P): _Row(_build_family, _isotropic_phase, _isotropic_phase_death,
+    (_ISO, _P): _Row(_build_family, _factor_x, _isotropic_phase, _isotropic_phase_death,
                      EsdBoundary(_ISO, _P, 0.5, 1.0, True, True)),
-    (_ISO, _D): _Row(_build_family, _isotropic_depolarizing, _isotropic_depolarizing_death,
-                     EsdBoundary(_ISO, _D, 0.5, 1.0, True, False)),
-    (_WER, _A): _Row(_build_family, _werner_amplitude, None,
+    (_ISO, _D): _Row(_build_family, _factor_x, _isotropic_depolarizing,
+                     _isotropic_depolarizing_death, EsdBoundary(_ISO, _D, 0.5, 1.0, True, False)),
+    (_WER, _A): _Row(_build_family, _factor_x, _werner_amplitude, None,
                      EsdBoundary(_WER, _A, 1.0 / 3.0, 0.5, True, True, critical_x=0.5)),
-    (_WER, _P): _Row(_build_family, _werner_phase, _werner_phase_death,
+    (_WER, _P): _Row(_build_family, _factor_x, _werner_phase, _werner_phase_death,
                      EsdBoundary(_WER, _P, 1.0 / 3.0, 1.0, True, True)),
-    (_WER, _D): _Row(_build_family, _werner_depolarizing, _werner_depolarizing_death,
+    (_WER, _D): _Row(_build_family, _factor_x, _werner_depolarizing, _werner_depolarizing_death,
                      EsdBoundary(_WER, _D, 1.0 / 3.0, 1.0, True, False)),
 }
 

@@ -3,8 +3,8 @@
 Every function takes one matrix or a stack of them: leading axes are batch
 axes, and each matrix of a stack gets the same contract checks and the same
 explicit tolerances as a single one.  The numeric route evaluates the tau
-grid as (N, 4, 4) stacks, because per-matrix numpy calls on 4x4 inputs
-cost far more in call overhead than in arithmetic.
+grid as stacks of 4-row factors, because per-matrix numpy calls on 4x4
+inputs cost far more in call overhead than in arithmetic.
 
 The matrix checks live here, each once: Hermiticity, unit trace and
 positivity, all within the one rounding allowance PSD_CLAMP_TOL.
@@ -24,7 +24,12 @@ PSD_CLAMP_TOL = 1e-10
 
 # Relative cut below which a nonnegative eigenvalue is snapped to exact zero.
 # Rank-deficient inputs (pure states and their low-rank evolutions) otherwise
-# keep O(eps) eigenvalue noise that sqrt amplifies to ~1e-8.
+# keep O(eps) eigenvalue noise that sqrt amplifies to ~1e-8.  The snap also
+# drops true eigenvalues under the cut: on amplitude-noise tails (tau ~ 26-36)
+# the Wootters concurrence of an evolved X-pattern matrix keeps up to ~4e-7
+# where the closed form is 0.  Without the snap that defect moves to evolved
+# pure-state matrices (2.9e-8 measured), so it stays; the numeric route of
+# the dynamics module evolves a factor of the state and never takes this root.
 ZERO_EIG_RTOL = 1e-13
 
 
@@ -101,9 +106,10 @@ def _hermitian_part(h) -> np.ndarray:
     return (h + hd) / 2.0
 
 
-def _check_unit_trace(h: np.ndarray) -> None:
-    """Reject each matrix whose trace is not 1 within PSD_CLAMP_TOL."""
-    tr = h.trace(axis1=-2, axis2=-1)
+def _check_unit_trace(tr) -> None:
+    """Reject each state whose trace `tr` (one per state: of a matrix, or
+    the squared Frobenius norm of a factor) is not 1 within PSD_CLAMP_TOL."""
+    tr = np.asarray(tr)
     _reject_first(
         abs(tr - 1.0) > PSD_CLAMP_TOL,
         lambda i, at: f"density matrix{at} trace must be 1, got {complex(tr[i])!r}",
@@ -144,7 +150,10 @@ def psd_sqrt(h: np.ndarray) -> np.ndarray:
     Eigenvalues in [-PSD_CLAMP_TOL, 0) are clamped to 0; eigenvalues below
     ZERO_EIG_RTOL relative to the largest one of the same matrix are snapped
     to exact zero so that rank-deficient inputs yield an exactly
-    rank-deficient root.
+    rank-deficient root.  The root is the factor that
+    `concurrence.concurrence_wootters` takes for a matrix input; its
+    accuracy is bounded by that of the eigendecomposition, which is why the
+    numeric route evolves a factor built without one (`dynamics`).
 
     Raises
     ------

@@ -104,7 +104,7 @@ def validate_density_matrix(mat: np.ndarray) -> np.ndarray:
     """
     mat = np.asarray(mat, dtype=complex)
     herm = _hermitian_part(mat)
-    _check_unit_trace(mat)
+    _check_unit_trace(mat.trace(axis1=-2, axis2=-1))
     _check_psd(np.linalg.eigvalsh(herm)[..., 0])
     return mat
 
@@ -152,6 +152,34 @@ def pure_state(params: PureStateParams | Sequence[PureStateParams]) -> np.ndarra
     one = isinstance(params, PureStateParams)
     amps = _pure_amplitudes(params) if one else np.array([*map(_pure_amplitudes, params)]).reshape(-1, 4)
     return validate_density_matrix(amps[..., :, None] * amps.conj()[..., None, :])
+
+
+def pure_factor(params: PureStateParams) -> np.ndarray:
+    """The amplitude column w, shape (4, 1), with pure_state(params) = w w^dag."""
+    return _pure_amplitudes(params)[:, None]
+
+
+def x_factor(rho: np.ndarray) -> np.ndarray:
+    """A factor w, shape (4, 4), with w w^dag = rho for an X-pattern state.
+
+    Columns: sqrt(a) |00>, sqrt(d) |11>, and the two columns of the PSD
+    square root of the central block M = [[b, z], [z*, c]], in closed form
+    (M + s I) / t with s = sqrt(det M) and t = sqrt(b + c + 2 s).  No
+    eigendecomposition is taken, so a zero weight gives an exactly zero
+    column and a rank-1 central block a rank-1 pair of columns, up to the
+    rounding of det M.  A det M that rounds below zero counts as zero.
+    `rho` is a validated X-pattern matrix such as `x_state` builds; only
+    its diagonal and its (1, 2) coherence are read.
+    """
+    a, b, c, d = rho.diagonal().real
+    z = rho[1, 2]
+    s = math.sqrt(max(b * c - abs(z) ** 2, 0.0))
+    t = math.sqrt(b + c + 2.0 * s)
+    w = np.zeros((4, 4), dtype=complex)
+    w[0, 0], w[3, 1] = math.sqrt(a), math.sqrt(d)
+    if t > 0.0:  # else the central block is zero within the X-state checks
+        w[1:3, 2:4] = [[(b + s) / t, z / t], [z.conjugate() / t, (c + s) / t]]
+    return w
 
 
 def isotropic(x) -> np.ndarray:

@@ -1,0 +1,216 @@
+"""Both routes against a 50-digit Wootters reference at the domain's edges.
+
+The README promises that the closed forms and the general (numeric) route
+agree everywhere the CLI accepts.  These property tests draw states at
+the boundaries where rounding hurts most: a zero corner weight (a = 0 or
+d = 0), a rank-1 central block (|z|^2 = b c), the family critical x of
+the amplitude intervals, x = 1, and pure states under depolarizing noise
+near the kink at tau = 2 ln 2.  Times run over the CLI's default range
+[0, 50], amplitude-noise tails included.
+
+The reference builds the evolved state from the same float inputs in
+mpmath at 50 digits and takes lambda_i^2 as the eigenvalues of the
+Hermitian sqrt(rho) rho~ sqrt(rho), so its own error is near 1e-25.
+"""
+import math
+
+import mpmath
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from esdsim.channels import NoiseKind, NoiseSpec
+from esdsim.dynamics import Scenario, closed_form_concurrence, numeric_trajectory
+from esdsim.states import Family, FamilyParams, PureStateParams, XStateParams
+
+# both routes, against the reference; the gaps seen are below 1e-15
+TOL = 1e-12
+
+KINDS = st.sampled_from(list(NoiseKind))
+TAUS = st.floats(0.0, 50.0)
+UNIT = st.floats(0.0, 1.0)
+PHASE = st.floats(0.0, 2.0 * math.pi)
+POSITIVE = st.floats(1e-3, 1.0)
+
+BOUNDARY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+_MP = mpmath.mp.clone()
+_MP.dps = 50
+# sy x sy is the antidiagonal with these signs, row by row
+_FLIP = (-1, 1, 1, -1)
+
+
+def _kron_first(k):
+    # K x I for a 2x2 K, as a 4x4 mpmath matrix
+    out = _MP.zeros(4, 4)
+    for i in range(2):
+        for j in range(2):
+            for q in range(2):
+                out[2 * i + q, 2 * j + q] = k[i][j]
+    return out
+
+
+def _kraus(kind: NoiseKind, tau: float):
+    mp = _MP
+    decay = mp.exp(-mp.mpf(tau) / 2)
+    if kind is NoiseKind.AMPLITUDE:
+        return [[[decay, 0], [0, 1]], [[0, 0], [mp.sqrt(1 - decay**2), 0]]]
+    if kind is NoiseKind.PHASE:
+        return [[[1, 0], [0, decay]], [[0, 0], [0, mp.sqrt(1 - decay**2)]]]
+    p = 1 - decay
+    s, w = mp.sqrt(1 - p), mp.sqrt(p / 3)
+    return [
+        [[s, 0], [0, s]],
+        [[0, w], [w, 0]],
+        [[0, 1j * w], [-1j * w, 0]],
+        [[w, 0], [0, -w]],
+    ]
+
+
+def _x_matrix(a, b, c, d, z):
+    rho = _MP.zeros(4, 4)
+    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = a, b, c, d
+    rho[1, 2] = z
+    rho[2, 1] = _MP.conj(z)
+    return rho
+
+
+def _initial(state):
+    mp = _MP
+    if isinstance(state, XStateParams):
+        return _x_matrix(state.a, state.b, state.c, state.d, mp.mpc(state.z))
+    if isinstance(state, FamilyParams):
+        x = mp.mpf(state.x)
+        if state.family is Family.ISOTROPIC:
+            corner, mid, z = (1 - x) / 3, (2 * x + 1) / 6, (4 * x - 1) / 6
+        else:
+            corner, mid, z = (1 - x) / 4, (1 + x) / 4, -x / 2
+        return _x_matrix(corner, mid, mid, corner, z)
+    amps = [
+        mp.sqrt(state.a),
+        mp.sqrt(state.b) * mp.expj(state.f),
+        mp.sqrt(state.c) * mp.expj(state.g),
+        mp.sqrt(state.d) * mp.expj(state.h),
+    ]
+    return mp.matrix([[ai * mp.conj(aj) for aj in amps] for ai in amps])
+
+
+def _psd_sqrt(h):
+    mp = _MP
+    e, q = mp.eighe(h)
+    root = mp.diag([mp.sqrt(max(v, 0)) for v in e])
+    return q * root * q.transpose_conj()
+
+
+def reference_concurrence(scenario: Scenario, tau: float) -> float:
+    """Wootters concurrence of the evolved state at 50 digits."""
+    mp = _MP
+    rho0 = _initial(scenario.state)
+    rho = mp.zeros(4, 4)
+    for k in _kraus(scenario.noise.kind, tau):
+        lifted = _kron_first(k)
+        rho += lifted * rho0 * lifted.transpose_conj()
+    flipped = mp.matrix(
+        [[_FLIP[i] * _FLIP[j] * mp.conj(rho[3 - i, 3 - j]) for j in range(4)] for i in range(4)]
+    )
+    root = _psd_sqrt(rho)
+    h = root * flipped * root
+    h = (h + h.transpose_conj()) / 2  # Hermitian up to the last digits
+    lam = sorted((mp.sqrt(max(v, 0)) for v in mp.eighe(h)[0]), reverse=True)
+    return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def assert_routes_match_reference(scenario: Scenario, tau: float) -> None:
+    want = reference_concurrence(scenario, tau)
+    numeric = numeric_trajectory(scenario, [tau]).c[0]
+    closed = closed_form_concurrence(scenario, tau)
+    assert abs(numeric - want) <= TOL, (scenario, tau, numeric, want)
+    assert abs(closed - want) <= TOL, (scenario, tau, closed, want)
+
+
+def _weights(raw, zero: int):
+    # three positive draws normalized into a..d, with weight `zero` exactly 0
+    total = sum(raw)
+    w = [v / total for v in raw]
+    w.insert(zero, 0.0)
+    return w
+
+
+@BOUNDARY
+@given(
+    st.lists(POSITIVE, min_size=3, max_size=3), st.sampled_from([0, 3]), UNIT, PHASE, KINDS, TAUS
+)
+def test_zero_corner_weight(raw, zero, u, arg, kind, tau):
+    # a = 0 or d = 0: the threshold formulas degenerate there
+    a, b, c, d = _weights(raw, zero)
+    z = u * math.sqrt(b * c) * complex(math.cos(arg), math.sin(arg))
+    assert_routes_match_reference(Scenario(XStateParams(a, b, c, d, z), NoiseSpec(kind)), tau)
+
+
+@BOUNDARY
+@given(st.lists(POSITIVE, min_size=4, max_size=4), PHASE, KINDS, TAUS)
+def test_rank_one_central_block(raw, arg, kind, tau):
+    # |z|^2 = b c: the central block is a projector times its trace
+    a, b, c, d = (v / sum(raw) for v in raw)
+    z = math.sqrt(b * c) * complex(math.cos(arg), math.sin(arg))
+    assert_routes_match_reference(Scenario(XStateParams(a, b, c, d, z), NoiseSpec(kind)), tau)
+
+
+@BOUNDARY
+@given(
+    st.sampled_from([(Family.ISOTROPIC, 0.625), (Family.WERNER, 0.5)]),
+    st.sampled_from([0.0, 1e-9, -1e-9, 1e-4, -1e-4]),
+    TAUS,
+)
+def test_family_critical_x_under_amplitude_noise(critical, offset, tau):
+    # at the critical x the amplitude-noise concurrence reaches zero only
+    # as tau -> infinity; just below it, sudden death comes late
+    family, x = critical
+    scenario = Scenario(FamilyParams(family, x + offset), NoiseSpec(NoiseKind.AMPLITUDE))
+    assert_routes_match_reference(scenario, tau)
+
+
+@BOUNDARY
+@given(st.sampled_from(list(Family)), KINDS, TAUS)
+def test_family_at_x_one(family, kind, tau):
+    # x = 1 is a maximally entangled pure state with a rank-1 central block
+    assert_routes_match_reference(Scenario(FamilyParams(family, 1.0), NoiseSpec(kind)), tau)
+
+
+@BOUNDARY
+@given(
+    st.lists(POSITIVE, min_size=4, max_size=4),
+    st.lists(PHASE, min_size=3, max_size=3),
+    st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)),
+)
+def test_pure_depolarizing_near_the_kink(raw, phases, offset):
+    # every entangled pure state dies at tau = 2 ln 2 under depolarizing noise
+    a, b, c, d = (v / sum(raw) for v in raw)
+    scenario = Scenario(PureStateParams(a, b, c, d, *phases), NoiseSpec(NoiseKind.DEPOLARIZING))
+    assert_routes_match_reference(scenario, 2.0 * math.log(2.0) + offset)
+
+
+@BOUNDARY
+@given(
+    st.lists(POSITIVE, min_size=4, max_size=4),
+    st.lists(PHASE, min_size=3, max_size=3),
+    st.sampled_from([NoiseKind.AMPLITUDE, NoiseKind.PHASE]),
+    TAUS,
+)
+def test_pure_damping_tails(raw, phases, kind, tau):
+    # amplitude and phase noise never kill a pure state: C = e^(-tau/2) C0
+    a, b, c, d = (v / sum(raw) for v in raw)
+    scenario = Scenario(PureStateParams(a, b, c, d, *phases), NoiseSpec(kind))
+    assert_routes_match_reference(scenario, tau)
+
+
+def test_reference_on_known_values():
+    # the Bell state |01> + |10> under amplitude noise keeps C = e^(-tau/2)
+    bell = Scenario(XStateParams(0.0, 0.5, 0.5, 0.0, 0.5), NoiseSpec(NoiseKind.AMPLITUDE))
+    for tau in (0.0, 1.0, 30.0):
+        assert abs(reference_concurrence(bell, tau) - math.exp(-tau / 2)) <= 1e-15
+    # fig1-solid dies at ln 4 and stays dead on the amplitude tail
+    solid = Scenario(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2), NoiseSpec(NoiseKind.AMPLITUDE))
+    assert reference_concurrence(solid, 28.33) == 0.0
+    assert reference_concurrence(solid, 1.0) > 0.0
+    assert np.isclose(reference_concurrence(solid, 0.0), 0.2, rtol=0, atol=1e-15)

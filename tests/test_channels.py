@@ -6,6 +6,7 @@ from esdsim.channels import (
     NoiseKind,
     amplitude_kraus,
     apply_channel,
+    apply_to_factor,
     completeness_residual,
     depolarizing_kraus,
     kraus_for,
@@ -271,3 +272,66 @@ def test_kraus_set_holds_one_read_only_array():
     # the operators are copied into the set, so the caller's stay writable
     e0 = np.eye(2, dtype=complex)
     assert KrausSet((e0,)).ops.shape == (1, 2, 2) and e0.flags.writeable
+
+
+@pytest.mark.parametrize("points", [256, 4097])
+def test_entrywise_residual_has_the_bits_of_the_stacked_matmul(points):
+    # `verify` prints the residual as kraus_completeness max_error
+    values = np.random.default_rng(points).uniform(size=points)
+    for kind in NoiseKind:
+        ops = kraus_for(kind, values).ops
+        acc = -np.eye(2, dtype=complex)
+        for term in ops.conj().swapaxes(-1, -2) @ ops:
+            acc = acc + term
+        reference = np.linalg.norm(acc, axis=(-2, -1))
+        assert completeness_residual(kraus_for(kind, values)).tobytes() == reference.tobytes()
+    # a lifted 4x4 set keeps the general path
+    lifted = lift_first(depolarizing_kraus(values[:5]))
+    assert np.all(completeness_residual(lifted) <= 1e-14)
+
+
+def test_factor_evolution_is_the_channel_map():
+    rng = np.random.default_rng(17)
+    for cols in (1, 2, 4, 7):
+        g = rng.standard_normal((4, cols)) + 1j * rng.standard_normal((4, cols))
+        w = g / np.linalg.norm(g)
+        rho = w @ w.conj().T
+        for kind in NoiseKind:
+            for value in (0.0, 0.3, 1.0):
+                kraus = kraus_for(kind, value)
+                out = apply_to_factor(w, kraus)
+                assert out.shape == (4, len(kraus.ops) * cols)
+                want = apply_channel(rho, kraus)
+                np.testing.assert_allclose(out @ out.conj().T, want, rtol=0, atol=1e-15)
+                # the lifted 4x4 set on the same factor is the same map
+                lifted = apply_to_factor(w, lift_first(kraus))
+                np.testing.assert_allclose(lifted, out, rtol=0, atol=1e-16)
+
+
+def test_factor_evolution_broadcasts_stacks():
+    rng = np.random.default_rng(18)
+    g = rng.standard_normal((3, 1, 4, 2)) + 1j * rng.standard_normal((3, 1, 4, 2))
+    w = g / np.linalg.norm(g, axis=(-2, -1), keepdims=True)
+    values = rng.uniform(size=(3, 5))
+    out = apply_to_factor(w, amplitude_kraus(values))
+    assert out.shape == (3, 5, 4, 4)
+    for i in range(3):
+        for j in range(5):
+            one = apply_to_factor(w[i, 0], amplitude_kraus(values[i, j]))
+            assert out[i, j].tobytes() == one.tobytes()
+
+
+def test_factor_evolution_checks_completeness_and_shape():
+    w = np.eye(4, 1, dtype=complex)
+    bad = KrausSet((np.eye(2) * 1.1,))
+    with pytest.raises(ValueError, match="Kraus set is not complete: residual"):
+        apply_to_factor(w, bad)
+    with pytest.raises(ValueError, match="Kraus set at index 1 is not complete"):
+        apply_to_factor(w, KrausSet((np.stack([np.eye(2), 1.1 * np.eye(2)]),)))
+    with pytest.raises(ValueError, match="does not match Kraus dim"):
+        apply_to_factor(np.ones((3, 2)), amplitude_kraus(0.5))
+    # a zero column stays exactly zero
+    w = np.zeros((4, 2), dtype=complex)
+    w[0, 0] = 1.0
+    out = apply_to_factor(w, depolarizing_kraus(0.4))
+    assert not out[:, 1::2].any()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from esdsim.channels import NoiseKind, NoiseSpec
+from esdsim import cli
 from esdsim.cli import build_parser, main
 from esdsim.dynamics import Scenario, closed_form_trajectory, numeric_trajectory
 from esdsim.states import XStateParams
@@ -497,3 +498,31 @@ def test_cached_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
     assert codes == [0, 0, 0, 0, 0, 2, 2, 2] + [0] * 6
     # the help pages follow COLUMNS at print time
     assert cached[9][0][1] != cached[12][0][1]
+
+
+def test_evolve_at_its_defaults_agrees_everywhere(tmp_path, capsys):
+    # the amplitude tail of fig1-solid (tau ~ 26-36) included
+    path = tmp_path / "fig1.csv"
+    assert main(["evolve", *FIG1_SOLID_FLAGS, "--out", str(path)]) == 0
+    rows = path.read_text().splitlines()[1:]
+    assert len(rows) == 2048
+    assert max(float(row.split(",")[3]) for row in rows) <= 1e-8
+
+
+def test_a_table_is_written_in_one_call():
+    class Counted:
+        def __init__(self):
+            self.calls = []
+
+        def write(self, text):
+            self.calls.append(text)
+
+    rows = [(0.0, 0.2, 0.2, 0.0), (1.5, 0.125, 0.125, 1e-17)]
+    for fmt, curve in (("csv", None), ("csv", "solid"), ("jsonl", None), ("jsonl", "solid")):
+        stream = Counted()
+        cli._write_rows(stream, rows, fmt, curve)
+        assert len(stream.calls) == 1
+    assert stream.calls[0].count("\n") == 2
+    stream = Counted()
+    cli._write_rows(stream, rows, "csv", "solid")
+    assert stream.calls == ["# curve: solid\n" + HEADER + "\n0,0.2,0.2,0\n1.5,0.125,0.125,1e-17\n"]

@@ -9,6 +9,7 @@ from esdsim.concurrence import (
     concurrence_pure_determinant,
     concurrence_wootters,
     concurrence_x,
+    factor_concurrence,
     spin_flip_spectrum,
 )
 from esdsim.states import (
@@ -161,3 +162,38 @@ def test_wootters_solves_each_state_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     assert concurrence_wootters(stack).shape == (8,)
     assert calls == {"eigh": 1, "eigvalsh": 0}
+
+
+def test_factor_concurrence_matches_the_matrix_route():
+    rng = np.random.default_rng(45)
+    for cols in (1, 2, 3, 4, 5, 8, 16):
+        g = rng.standard_normal((30, 4, cols)) + 1j * rng.standard_normal((30, 4, cols))
+        w = g / np.linalg.norm(g, axis=(-2, -1), keepdims=True)
+        rho = w @ w.conj().swapaxes(-1, -2)
+        c = factor_concurrence(w)
+        assert c.shape == (30,)
+        np.testing.assert_allclose(c, concurrence_wootters(rho), rtol=0, atol=1e-13)
+        # any factor of the same state gives the same value: w u, u unitary
+        u = rng.standard_normal((cols, cols)) + 1j * rng.standard_normal((cols, cols))
+        q, _ = np.linalg.qr(u)
+        np.testing.assert_allclose(factor_concurrence(w @ q), c, rtol=0, atol=1e-13)
+        assert abs(factor_concurrence(w[3]) - c[3]) <= 1e-15
+
+
+def test_factor_concurrence_is_exact_on_rank_deficient_factors():
+    # a Bell column, and the same column weighted by a tiny decayed factor
+    bell = np.array([[0.0], [1.0], [1.0], [0.0]]) / np.sqrt(2.0)
+    assert abs(factor_concurrence(bell) - 1.0) <= 1e-15
+    eta = np.exp(-14.0)
+    tail = np.hstack([bell * eta, np.array([[np.sqrt(1.0 - eta**2)], [0], [0], [0]])])
+    assert abs(factor_concurrence(tail) - eta**2) <= 1e-22
+
+
+def test_factor_concurrence_checks_the_trace():
+    w = np.stack([np.eye(4, 2) / np.sqrt(2.0)] * 3)
+    w[1] *= 1.5
+    message = r"^density matrix at index 1 trace must be 1, got \(2\.2\d*\+0j\)$"
+    with pytest.raises(ValueError, match=message):
+        factor_concurrence(w)
+    with pytest.raises(ValueError, match="factor with 4 rows"):
+        factor_concurrence(np.ones((3, 2)))

@@ -9,7 +9,12 @@ import pytest
 from esdsim import dynamics
 from esdsim.channels import NoiseKind, NoiseSpec, apply_channel, kraus_for, lift_first
 from esdsim.cli import main
-from esdsim.concurrence import concurrence_pure, concurrence_wootters, concurrence_x
+from esdsim.concurrence import (
+    concurrence_pure,
+    concurrence_wootters,
+    concurrence_x,
+    factor_concurrence,
+)
 from esdsim.dynamics import (
     FIGURE_PRESETS,
     Classification,
@@ -25,6 +30,7 @@ from esdsim.dynamics import (
     esd_time_bisection,
     evolved_state,
     initial_concurrence,
+    initial_factor,
     initial_state,
     noise_param,
     numeric_trajectory,
@@ -199,17 +205,14 @@ CLI_GRID = np.linspace(0.0, 50.0, 2048)
 
 def per_point_route(scenario, grid):
     # the numeric route one point at a time, through 4x4 lifted Kraus
-    # operators: the reference the stacked route must reproduce
-    rho0 = initial_state(scenario)
+    # operators applied to the initial factor by matmul: the reference the
+    # stacked route must reproduce.  (The matrix route, apply_channel and
+    # concurrence_wootters, is no reference on amplitude tails: psd_sqrt's
+    # zero-eigenvalue snap leaves up to ~3e-7 there.)
+    w0 = initial_factor(scenario)
     kind = scenario.noise.kind
-    return np.array(
-        [
-            concurrence_wootters(
-                apply_channel(rho0, lift_first(kraus_for(kind, noise_param(scenario.noise, t))))
-            )
-            for t in grid
-        ]
-    )
+    lifted = (lift_first(kraus_for(kind, noise_param(scenario.noise, t))).ops for t in grid)
+    return np.array([factor_concurrence(np.hstack(list(ops @ w0))) for ops in lifted])
 
 
 @pytest.mark.parametrize("pair", range(12))
@@ -225,8 +228,13 @@ def test_stacked_route_matches_per_point_route_on_cli_grid(pair):
     np.testing.assert_allclose(
         stacked[picks], per_point_route(scenario, CLI_GRID[picks]), rtol=0, atol=1e-12
     )
+    # evolved_state is the product W W^dag of the evolved factor: the
+    # matrix route's state at the same point
+    kind = scenario.noise.kind
     for i in picks[::64]:
-        assert abs(concurrence_wootters(evolved_state(scenario, CLI_GRID[i])) - stacked[i]) <= 1e-12
+        kraus = kraus_for(kind, noise_param(scenario.noise, CLI_GRID[i]))
+        want = apply_channel(initial_state(scenario), kraus)
+        assert np.abs(evolved_state(scenario, CLI_GRID[i]) - want).max() <= 1e-15
 
 
 @pytest.mark.parametrize("size", [1, dynamics._BLOCK_ROWS, dynamics._BLOCK_ROWS + 1])
@@ -238,18 +246,60 @@ def test_stacked_route_at_block_boundary_sizes(size):
     np.testing.assert_allclose(traj.c, per_point_route(scenario, grid), rtol=0, atol=1e-12)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: psd_sqrt's relative zero-eigenvalue snap leaves a ~3e-7 "
-    "residue on amplitude-noise tails (tau ~ 26-36)",
-)
 def test_amplitude_tail_matches_closed_form():
+    # the factor route keeps the weights that decay as e^(-tau) exactly
+    # scaled, so the dead tail stays dead
     s = Scenario(FIG1_SOLID, AMP)
     closed = closed_form_trajectory(s, CLI_GRID).c
     numeric = numeric_trajectory(s, CLI_GRID).c
-    point = concurrence_wootters(evolved_state(s, 28.33))
     assert closed_form_concurrence(s, 28.33) == 0.0
-    assert max(np.abs(closed - numeric).max(), point) <= 1e-8
+    assert np.abs(closed - numeric).max() <= 1e-8
+    assert numeric_trajectory(s, [28.33]).c[0] <= 1e-8
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect of the matrix-input route: concurrence_wootters on a "
+    "matrix takes psd_sqrt, whose relative zero-eigenvalue snap (ZERO_EIG_RTOL) "
+    "leaves a ~3e-7 residue on amplitude-noise tails (tau ~ 26-36)",
+)
+def test_matrix_input_route_on_the_amplitude_tail():
+    s = Scenario(FIG1_SOLID, AMP)
+    assert concurrence_wootters(evolved_state(s, 28.33)) <= 1e-8
+
+
+@pytest.mark.parametrize("pair", range(12))
+def test_numeric_route_agrees_at_cli_defaults(pair):
+    # two random scenarios per (state kind x noise) pair over the default
+    # evolve grid, tau in [0, 50]; the README promises 1e-8
+    for seed in (71, 72):
+        s = random_scenario(np.random.default_rng(seed), pair)
+        gap = np.abs(closed_form_trajectory(s, CLI_GRID).c - numeric_trajectory(s, CLI_GRID).c)
+        assert gap.max() <= 1e-8, s
+
+
+def test_evolved_state_is_the_product_of_the_evolved_factor():
+    for s in (Scenario(FIG1_SOLID, AMP), Scenario(FIG2_DASHED, DEPOL), Scenario(BELL_PSI, PHASE)):
+        w = dynamics._evolve(initial_factor(s), s.noise, [3.0])[0]
+        assert evolved_state(s, 3.0).tobytes() == (w @ w.conj().T).tobytes()
+    rho = evolved_state(Scenario(PureStateParams(0.1, 0.2, 0.3, 0.4, 1.0, 2.0, 3.0), DEPOL), 0.7)
+    assert rho.shape == (4, 4)
+    np.testing.assert_allclose(rho, rho.conj().T, rtol=0, atol=0)
+
+
+def test_initial_factor_rebuilds_the_initial_state():
+    for state in (FIG1_SOLID, FIG2_DASHED, BELL_PSI, *GRID_STATES.values()):
+        s = Scenario(state, AMP)
+        w = initial_factor(s)
+        assert w.shape == ((4, 1) if isinstance(state, PureStateParams) else (4, 4))
+        np.testing.assert_allclose(w @ w.conj().T, initial_state(s), rtol=0, atol=1e-15)
+    # the factor route rejects what initial_state rejects: a central block
+    # within the record's tolerance but not PSD within the matrix check
+    bad = Scenario(XStateParams(0.5, 0.0, 0.0, 0.5, 1e-7), AMP)
+    with pytest.raises(ValueError, match="not PSD"):
+        initial_factor(bad)
+    with pytest.raises(ValueError, match="not PSD"):
+        numeric_trajectory(bad, [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +574,35 @@ def test_bisection_oracle_route_agrees():
     assert abs(fast.tau_death - slow.tau_death) <= 1e-7
 
 
+def test_oracle_bisection_over_the_default_horizon_sees_no_revival():
+    # the general route used to revive fig1-solid on its amplitude tail
+    r = esd_time_bisection(Scenario(FIG1_SOLID, AMP), use_oracle=True)
+    assert r.classification is Classification.SUDDEN_DEATH
+    assert r.horizon == dynamics.DEFAULT_TAU_MAX
+    assert abs(r.tau_death - math.log(4)) <= 1e-8
+
+
+def test_initial_concurrence_is_evaluated_once_per_scenario(monkeypatch):
+    calls = []
+
+    def counted(scenario, tau):
+        calls.append(np.size(tau))
+        return closed_form_concurrence(scenario, tau)
+
+    monkeypatch.setattr(dynamics, "closed_form_concurrence", counted)
+    s = Scenario(FIG2_SOLID, PHASE)
+    assert esd_time_analytic(s).classification is Classification.SUDDEN_DEATH
+    assert esd_time_bisection(s).classification is Classification.SUDDEN_DEATH
+    assert initial_concurrence(s) == closed_form_concurrence(s, 0.0)
+    # tau = 0 once, the scan, five rounds of 31 midpoints
+    assert calls == [1, 2047] + [31] * 5
+    # the esd command: the analytic and the bisection route share it
+    calls.clear()
+    argv = "esd --noise phase --xstate --a 0.2 --b 0.3 --c 0.3 --d 0.2 --zsq 0.09".split()
+    assert main(argv) == 0
+    assert calls == [1, 2047] + [31] * 5
+
+
 def test_bisection_x_depolarizing_frozen_roots():
     # solid curve of the depolarizing figure: squaring the death condition
     # gives p^2 - 2.7 p + 0.45 = 0, hence p* = (2.7 - sqrt(5.49))/2
@@ -567,10 +646,10 @@ def stepwise_bisection(scenario, tau_max=50.0, tol=1e-9, points=2048, use_oracle
     # reference: the scan and the one-midpoint-per-evaluation bisection
     # that esd_time_bisection's rounds replace
     if use_oracle:
-        rho0 = initial_state(scenario)
+        w0 = initial_factor(scenario)
 
         def values(taus):
-            return dynamics._numeric_concurrence(rho0, scenario.noise, taus)
+            return dynamics._numeric_concurrence(w0, scenario.noise, taus)
 
         def dead(c):
             return c < dynamics.ZERO_CONCURRENCE_TOL

@@ -11,9 +11,11 @@ from esdsim.states import (
     as_x_params,
     family_state,
     isotropic,
+    pure_factor,
     pure_state,
     validate_density_matrix,
     werner,
+    x_factor,
     x_state,
 )
 
@@ -245,3 +247,42 @@ def test_family_weights_are_checked_per_entry():
             with pytest.raises(ValueError) as err:
                 ctor(bad)
             assert str(err.value) == f"{name} weight x must lie in [0, 1], got {text}"
+
+
+def test_x_factor_rebuilds_x_pattern_states():
+    rng = np.random.default_rng(31)
+    mats = [x_state(random_x_params(rng)) for _ in range(50)]
+    mats += [isotropic(x) for x in (0.0, 0.25, 0.625, 1.0)] + [werner(x) for x in (0.0, 0.5, 1.0)]
+    for rho in mats:
+        w = x_factor(rho)
+        np.testing.assert_allclose(w @ w.conj().T, rho, rtol=0, atol=1e-15)
+
+
+def test_x_factor_zero_weights_give_exactly_zero_columns():
+    # columns: a, d, then the central root's two
+    for params, zero in (
+        (XStateParams(0.0, 0.5, 0.3, 0.2, 0.1), [0]),
+        (XStateParams(0.4, 0.3, 0.3, 0.0, 0.1j), [1]),
+        (XStateParams(0.5, 0.0, 0.3, 0.2, 0.0), [2]),
+        (XStateParams(0.5, 0.3, 0.0, 0.2, 0.0), [3]),
+        (XStateParams(0.5, 0.0, 0.0, 0.5, 0.0), [2, 3]),
+    ):
+        w = x_factor(x_state(params))
+        assert not w[:, zero].any(), params
+        assert all(w[:, j].any() for j in range(4) if j not in zero), params
+
+
+def test_x_factor_keeps_a_rank_one_central_block_rank_one():
+    # b c = |z|^2 exactly: the two central columns are parallel
+    for rho in (werner(1.0), isotropic(1.0), x_state(XStateParams(0.1, 0.4, 0.4, 0.1, 0.4))):
+        central = x_factor(rho)[1:3, 2:4]
+        assert abs(np.linalg.det(central)) <= 1e-17
+
+
+def test_pure_factor_is_the_amplitude_column():
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        params = random_pure_params(rng)
+        w = pure_factor(params)
+        assert w.shape == (4, 1)
+        np.testing.assert_allclose(w @ w.conj().T, pure_state(params), rtol=0, atol=1e-15)

@@ -25,7 +25,8 @@ DRAW_DIGESTS = {
     "concurrence_pure_oracle": "fc51bb4da43f12162da3fd26b9bbb431c1ffc70771c6d3554909396122e6466b",
     "local_unitary_invariance": "f7839dc51bd32b98ec62847ea5d8d93490913c4c281ed3538a1fa7b6b4b89d7e",
     "twirl_invariance": "1edf2f865504e9b02a5b5e30f0524ccd79ef5ffa8e97e1977799024c33bd7226",
-    "closed_vs_numeric": "a3151b6ed4f8123d5f337a2a815eb52379bd69ac9b9a64b5bda604c67959cb11",
+    # tau drawn over [0, 50]: the same scenarios as over [0, 10], tau x 5
+    "closed_vs_numeric": "aaee6a83c8fda958ba1fb2b8c3b27197a24f566a31710fca354a47c1e5f58b0d",
     "analytic_vs_bisection": "be0220149aa1ab73e439e19c2c7c0168973fc4ad31cabef70b548224816e8d1d",
     "pure_depol_universality": "c60a9dc8db309367d5dc1a9b1726c8a0f53342d268f006cbab2901b50ab0cd9b",
     "pure_amp_phase_no_esd": "370c23a50e6ea8b438db440dc71319430880b548e0a5a72b1234909b536cdff1",
@@ -47,7 +48,7 @@ MAX_ERRORS_SEED3_CASES40 = {
     "concurrence_pure_oracle": 1.6653345369377348e-15,
     "local_unitary_invariance": 9.71445146547012e-16,
     "twirl_invariance": 7.244140648242027e-16,
-    "closed_vs_numeric": 1.0547118733938987e-15,
+    "closed_vs_numeric": 6.938893903907228e-17,
     "analytic_vs_bisection": 7.25909471421815e-11,
     "pure_depol_universality": 2.3961943540484754e-11,
     "pure_amp_phase_no_esd": 0.0,
