@@ -1,10 +1,16 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esdsim.channels import NoiseKind, NoiseSpec
 from esdsim import cli
@@ -455,14 +461,21 @@ def test_parser_is_built_once():
 
 def test_parse_leaves_no_flag_value_behind():
     parser = build_parser()
-    args = parser.parse_args(["esd", *FIG1_SOLID_FLAGS, "--gamma", "2", "--out", "x.csv",
-                              "--points", "9", "--format", "jsonl", "--tau-max", "3"])
+    given_all = ["esd", *FIG1_SOLID_FLAGS, "--gamma", "2", "--out", "x.csv",
+                 "--points", "9", "--format", "jsonl", "--tau-max", "3"]
+    args = parser.parse_args(given_all)
     assert (args.gamma, args.out, args.points, args.format, args.tau_max) == (
         2.0, "x.csv", 9, "jsonl", 3.0)
-    args = parser.parse_args(["esd", "--noise", "phase", *FAMILY])
+    defaults = ["esd", "--noise", "phase", *FAMILY]
+    args = parser.parse_args(defaults)
     assert (args.gamma, args.out, args.points, args.format, args.tau_max) == (
         1.0, None, 2048, "csv", 50.0)
     assert (args.xstate, args.a, args.zsq) == (False, None, None)
+    # main reads both through the option tables, to the same Namespace
+    for argv in (given_all, defaults):
+        table = cli._table_parse(parser, argv)
+        assert table is not None
+        assert repr(table) == repr(parser.parse_args(argv))
 
 
 def _session(tmp_path, monkeypatch, capsys):
@@ -475,6 +488,11 @@ def _session(tmp_path, monkeypatch, capsys):
         ["evolve", *FIG1_SOLID_FLAGS, "--points", "9", "--out", str(tmp_path / "run.csv")],
         ["figure", "fig2", "--points", "5"],
         ["verify", "--seed", "1", "--cases", "3"],
+        # forms the option tables leave to argparse
+        ["esd", "--noise=phase", *FAMILY],
+        ["esd", "--noi", "phase", *FAMILY],
+        ["esd", "--noise", "phase", *XSTATE[:-2], "--zmod", "0.1", "--zarg", "-1.5"],
+        ["esd", "--noise", "phase", *XSTATE[:-2], "--zmod", "0.1", "--zarg=-1e-3"],
         ["esd", "--noise", "phase", "--xstate", "--pure"],
         ["evolve", "--points", "9"],
         ["esd", "--noise", "phase", *FAMILY, "--bogus"],
@@ -495,9 +513,9 @@ def test_cached_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
     fresh = _session(tmp_path, monkeypatch, capsys)
     assert cached == fresh
     codes = [code for (code, _, _), _ in cached]
-    assert codes == [0, 0, 0, 0, 0, 2, 2, 2] + [0] * 6
+    assert codes == [0] * 9 + [2, 2, 2] + [0] * 6
     # the help pages follow COLUMNS at print time
-    assert cached[9][0][1] != cached[12][0][1]
+    assert cached[-5][0][1] != cached[-2][0][1]
 
 
 def test_evolve_at_its_defaults_agrees_everywhere(tmp_path, capsys):
@@ -526,3 +544,117 @@ def test_a_table_is_written_in_one_call():
     stream = Counted()
     cli._write_rows(stream, rows, "csv", "solid")
     assert stream.calls == ["# curve: solid\n" + HEADER + "\n0,0.2,0.2,0\n1.5,0.125,0.125,1e-17\n"]
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    # argv=None means sys.argv[1:], on the table route and on argparse's
+    routes = []
+    table_parse = cli._table_parse
+
+    def spy(parser, argv):
+        routes.append(table_parse(parser, argv))
+        return routes[-1]
+
+    monkeypatch.setattr(cli, "_table_parse", spy)
+    readme = ["--xstate", "--a", "0.2", "--b", "0.3", "--c", "0.3", "--d", "0.2", "--zsq", "0.09"]
+    outputs = []
+    for noise in (["--noise", "phase"], ["--noise=phase"]):
+        monkeypatch.setattr(sys, "argv", ["esdsim", "esd", *noise, *readme])
+        code, out, err = run(None, capsys)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert routes[0] is not None and routes[1] is None
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("classification: SuddenDeath\ntau_death_analytic: 0.810930216216\n")
+
+
+def test_oversized_points_exit_2(monkeypatch, capsys):
+    # numpy raises MemoryError for a grid it cannot allocate; none is
+    # allocated here
+    message = ("Unable to allocate 72.8 TiB for an array with shape (10000000000000,) "
+               "and data type float64")
+
+    def linspace(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    for argv in (["esd", *FIG1_SOLID_FLAGS], ["evolve", *FIG1_SOLID_FLAGS], ["figure", "fig1"]):
+        code, out, err = run([*argv, "--points", "10000000000000"], capsys)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: --points 10000000000000 is too large: {message}\n"
+
+
+def _subparsers() -> dict:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _texts(action) -> tuple[list[str], list[str]]:
+    # values for one flag: those it accepts, and invalid, "-"-leading or
+    # empty ones
+    if action.choices is not None:
+        return list(action.choices), ["bogus", "-phase", ""]
+    if action.type is int:
+        return ["9", "2048", "0", " 12", "1_0"], ["1.5", "-1", "x", ""]
+    if action.type is float:
+        return ["0.2", "1e-3", "50", "nan", "inf", " 2"], ["-1.5", "-1e-3", "x", ""]
+    return ["x.csv", "a=b", ""], ["-", "-x.csv"]
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    subparsers = _subparsers()
+    name = draw(st.sampled_from(list(subparsers)))
+    # -h and --help come in as strays
+    actions = [a for a in subparsers[name]._actions if a.option_strings and a.dest != "help"]
+    argv = [draw(st.sampled_from([name] * 19 + ["bogus"]))] if draw(st.integers(0, 49)) < 49 else []
+    if "--noise" in subparsers[name]._option_string_actions and draw(st.integers(0, 3)) < 3:
+        argv += ["--noise", draw(st.sampled_from(["phase", "amplitude", "bogus"]))]
+    for _ in range(draw(st.integers(0, 8))):
+        action = draw(st.sampled_from(actions))
+        option = draw(st.sampled_from(action.option_strings))
+        valid, invalid = _texts(action)
+        value = [] if action.nargs == 0 else [
+            draw(st.sampled_from(valid if draw(st.integers(0, 9)) < 9 else invalid))]
+        form = draw(st.sampled_from(["exact"] * 27 + ["equals", "abbreviated", "stray"]))
+        if form == "equals":
+            argv.append(f"{option}={value[0] if value else ''}")
+        elif form == "abbreviated":
+            argv += [option[: draw(st.integers(2, len(option)))], *value]
+        elif form == "stray":
+            argv.append(draw(st.sampled_from(["--", "-h", "--help", "--bogus", "-", "0.5", "fig1"])))
+        else:
+            argv += [option, *value]
+    if name == "figure" and draw(st.booleans()):
+        argv.insert(draw(st.integers(min(1, len(argv)), len(argv))), draw(st.sampled_from(["fig1", "fig9"])))
+    return argv
+
+
+def _outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return repr(parse(argv)), out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def test_table_route_matches_argparse():
+    # main parses with the option tables, else with argparse; the tables read
+    # argparse's private `_actions` and action classes, which this pins
+    parser = build_parser()
+    taken = []
+
+    def main_parse(argv):
+        args = cli._table_parse(parser, argv)
+        taken.append(args is not None)
+        return args if args is not None else parser.parse_args(argv)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_argv())
+    def check(argv):
+        assert _outcome(main_parse, argv) == _outcome(parser.parse_args, argv)
+
+    check()
+    # both routes are well represented among the argv drawn
+    assert len(taken) // 8 <= sum(taken) <= len(taken) - len(taken) // 8
