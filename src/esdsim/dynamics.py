@@ -24,10 +24,13 @@ leaves up to ~4e-7 on amplitude-noise tails.  `numeric_trajectory`,
 block of one.  Both routes take their channel parameters from
 `noise_param`.  ESD detection likewise comes in an analytic flavor (where
 a closed threshold exists) and a scan-plus-bisection flavor that scans
-the whole grid in one evaluation, then bisects the first dead interval in
-rounds: one evaluation per round covers the midpoints of the next five
-halvings, and the walk through their verdicts gives the step-by-step
-bisection's death time bit for bit.
+the whole grid in one evaluation, then bisects the first dead interval.
+Where the cell has a death-time rule, the rule's time predicts the path of
+the step-by-step bisection and one evaluation checks every midpoint on
+it; otherwise, or where a verdict differs, each evaluation covers the
+midpoints of the next five halvings.  Either way the death time is the
+step-by-step bisection's, bit for bit, and the prediction only picks
+points, so the two flavors still check each other.
 
 The paper's results form a grid of four state kinds (cross-pattern, pure,
 isotropic, Werner) times the three noises.  `_TABLE` holds one row per
@@ -109,6 +112,13 @@ class Scenario:
         # the closed form at tau = 0, evaluated once per scenario: the
         # analytic and the bisection route both start from it
         return closed_form_concurrence(self, 0.0)
+
+    @functools.cached_property
+    def _death_time(self):
+        # the row's death-time rule, evaluated once per scenario (rows
+        # without a rule never ask): the analytic route reports it, the
+        # bisection route predicts its path from it
+        return self._row.death(self.state)
 
 
 @dataclass(frozen=True)
@@ -405,13 +415,12 @@ def esd_time_analytic(scenario: Scenario) -> EsdResult:
     """
     if initial_concurrence(scenario) == 0.0:
         return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.ANALYTIC)
-    death = scenario._row.death
-    if death is None:
+    if scenario._row.death is None:
         raise ValueError(
             f"no closed-form death time for {scenario.state!r} under "
             f"{scenario.noise.kind.value} noise; use esd_time_bisection"
         )
-    tau = death(scenario.state)
+    tau = scenario._death_time
     if tau is None:
         return EsdResult(Classification.ASYMPTOTIC_DECAY, EsdMethod.ANALYTIC)
     return EsdResult(Classification.SUDDEN_DEATH, EsdMethod.ANALYTIC, tau_death=tau)
@@ -436,6 +445,31 @@ def _round_midpoints(lo, hi) -> list:
     return [0.5 * (a + b) for a, b in brackets]
 
 
+def _bisect(lo: float, hi: float, tol: float, is_dead) -> float:
+    # the step-by-step bisection of [lo, hi] (lo alive, hi dead), asking
+    # is_dead(lo, mid, hi) for the verdict at mid = 0.5 * (lo + hi); returns
+    # the final midpoint
+    mid = 0.5 * (lo + hi)
+    # a tol below the float spacing at the death time would never be met:
+    # stop as well once no float lies strictly between lo and hi
+    while hi - lo > tol and lo < mid < hi:
+        if is_dead(lo, mid, hi):
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
+def _death_guess(scenario: Scenario) -> float | None:
+    # the closed threshold, where the scenario's row has a rule and the
+    # rule gives a finite time
+    if scenario._row.death is None:
+        return None
+    tau = scenario._death_time
+    return tau if tau is not None and math.isfinite(tau) else None
+
+
 def esd_time_bisection(
     scenario: Scenario,
     tau_max: float = DEFAULT_TAU_MAX,
@@ -449,13 +483,16 @@ def esd_time_bisection(
     general route (evolve and run Wootters), which is slower and carries a
     rounding floor, hence the split zero test.
 
-    The bisection runs in rounds.  Each round evaluates, in one call of
-    the evaluator (one stack on the general route), the 31 midpoints that
-    the next five halvings of the bracket can reach, then walks down the
-    verdicts one halving at a time with the stop test of a step-by-step
-    bisection.  The death time is bit-identical to that loop's; a
-    sudden-death scenario at the default `tol` costs one evaluation at
-    tau = 0, one scan and five rounds instead of about 27 evaluations.
+    The death time is bit-identical to a step-by-step bisection's, which
+    evaluates one midpoint at a time.  Where the row has a death-time rule,
+    its time tau* predicts that loop's path (mid is dead iff mid >= tau*),
+    and one call of the evaluator checks every midpoint on it; if all
+    verdicts agree, the loop would visit exactly these midpoints.  The
+    prediction only picks points, so the bisection still checks the rule.
+    Otherwise the bisection runs in rounds: one call (one stack on the
+    general route) evaluates the 31 midpoints that the next five halvings
+    can reach.  A sudden death at the default `tol` costs one evaluation
+    at tau = 0, one scan, then the path (25 midpoints) or five rounds.
     """
     for name, bound in (("tau_max", tau_max), ("tol", tol)):
         if not (bound > 0.0 and math.isfinite(bound)):
@@ -505,21 +542,33 @@ def esd_time_bisection(
         )
 
     lo, hi = float(grid[first - 1]), float(grid[first])
-    mid = 0.5 * (lo + hi)
-    k = _ROUND_NODES  # heap node of the next step; past the heap, a new round
-    # a tol below the float spacing at the death time would never be met:
-    # stop as well once no float lies strictly between lo and hi
-    while hi - lo > tol and lo < mid < hi:
+    guess = _death_guess(scenario)
+    if guess is not None:
+        path = []
+
+        def predict(lo, mid, hi) -> bool:
+            path.append(mid)
+            return mid >= guess
+
+        mid = _bisect(lo, hi, tol, predict)
+        if dead(values(path)).tolist() == [m >= guess for m in path]:
+            return EsdResult(
+                Classification.SUDDEN_DEATH, EsdMethod.BISECTION, tau_death=mid, horizon=tau_max
+            )
+
+    verdicts, k = None, _ROUND_NODES  # k: heap node of the next step
+
+    def from_rounds(lo, mid, hi) -> bool:
+        # past the heap, evaluate a new round below the current bracket
+        nonlocal verdicts, k
         if k >= _ROUND_NODES:
             verdicts = dead(values(_round_midpoints(lo, hi)))
             k = 0
-        if verdicts[k]:
-            hi = mid
-            k = 2 * k + 1
-        else:
-            lo = mid
-            k = 2 * k + 2
-        mid = 0.5 * (lo + hi)
+        verdict = verdicts[k]
+        k = 2 * k + (1 if verdict else 2)
+        return verdict
+
+    mid = _bisect(lo, hi, tol, from_rounds)
     return EsdResult(
         Classification.SUDDEN_DEATH, EsdMethod.BISECTION, tau_death=mid, horizon=tau_max
     )

@@ -1,10 +1,14 @@
 import cmath
+import functools
 import hashlib
+import json
 import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esdsim import dynamics
 from esdsim.channels import NoiseKind, NoiseSpec, apply_channel, kraus_for, lift_first
@@ -583,24 +587,36 @@ def test_oracle_bisection_over_the_default_horizon_sees_no_revival():
 
 
 def test_initial_concurrence_is_evaluated_once_per_scenario(monkeypatch):
-    calls = []
+    calls, rules = [], []
 
     def counted(scenario, tau):
         calls.append(np.size(tau))
         return closed_form_concurrence(scenario, tau)
 
+    key = (XStateParams, NoiseKind.PHASE)
+    row = dynamics._TABLE[key]
+
+    def counted_rule(state):
+        rules.append(state)
+        return row.death(state)
+
     monkeypatch.setattr(dynamics, "closed_form_concurrence", counted)
+    monkeypatch.setitem(dynamics._TABLE, key, row._replace(death=counted_rule))
     s = Scenario(FIG2_SOLID, PHASE)
     assert esd_time_analytic(s).classification is Classification.SUDDEN_DEATH
     assert esd_time_bisection(s).classification is Classification.SUDDEN_DEATH
     assert initial_concurrence(s) == closed_form_concurrence(s, 0.0)
-    # tau = 0 once, the scan, five rounds of 31 midpoints
-    assert calls == [1, 2047] + [31] * 5
-    # the esd command: the analytic and the bisection route share it
+    # tau = 0 once, the scan, and the 25 midpoints of the predicted path
+    assert calls == [1, 2047, 25]
+    # the death-time rule as well: the analytic route and the guess share it
+    assert rules == [FIG2_SOLID]
+    # the esd command: the analytic and the bisection route share both
     calls.clear()
+    rules.clear()
     argv = "esd --noise phase --xstate --a 0.2 --b 0.3 --c 0.3 --d 0.2 --zsq 0.09".split()
     assert main(argv) == 0
-    assert calls == [1, 2047] + [31] * 5
+    assert calls == [1, 2047, 25]
+    assert len(rules) == 1
 
 
 def test_bisection_x_depolarizing_frozen_roots():
@@ -728,8 +744,113 @@ def test_bisection_uses_one_evaluation_per_round(monkeypatch):
     monkeypatch.setattr(dynamics, "closed_form_concurrence", counted)
     r = esd_time_bisection(Scenario(FIG2_SOLID, PHASE))
     assert r.classification is Classification.SUDDEN_DEATH
-    # tau = 0, the scan, and five rounds of 31 midpoints
+    # tau = 0, the scan, and one evaluation of the predicted path
+    assert calls == [1, 2047, 25]
+    # a cell without a death-time rule: tau = 0, the scan, and five rounds
+    # of 31 midpoints
+    calls.clear()
+    assert dynamics._TABLE[XStateParams, NoiseKind.DEPOLARIZING].death is None
+    depol = esd_time_bisection(Scenario(FIG2_DASHED, DEPOL))
+    assert depol.classification is Classification.SUDDEN_DEATH
     assert calls == [1, 2047] + [31] * 5
+    # a wrong guess costs its path, then the same five rounds; no guess
+    # costs the rounds alone
+    for guess, path in ((r.tau_death + 0.01, [25]), (None, [])):
+        monkeypatch.setattr(dynamics, "_death_guess", lambda scenario: guess)
+        calls.clear()
+        assert esd_time_bisection(Scenario(FIG2_SOLID, PHASE)) == r
+        assert calls == [1, 2047, *path] + [31] * 5
+
+
+def test_death_guess_is_a_finite_rule_value():
+    s = Scenario(FIG2_SOLID, PHASE)
+    assert dynamics._death_guess(s) == esd_time_analytic(s).tau_death
+    # no rule, a rule that finds no death, a death time that overflows
+    assert dynamics._death_guess(Scenario(FIG2_DASHED, DEPOL)) is None
+    assert dynamics._death_guess(Scenario(FIG1_DASHED, AMP)) is None
+    tiny = Scenario(XStateParams(1e-200, 0.5, 0.5, 1e-123, 0.5), PHASE)
+    assert tiny._death_time == math.inf
+    assert dynamics._death_guess(tiny) is None
+
+
+# sudden deaths of the random draws, with and without a death-time rule
+SUDDEN_DEATHS = [
+    s for s in RANDOM_SCENARIOS[:120]
+    if esd_time_bisection(s).classification is Classification.SUDDEN_DEATH
+]
+ULP = st.integers(1, 4) | st.integers(-4, -1)
+SIGN = st.sampled_from([1.0, -1.0])
+
+
+@functools.cache
+def _stepwise_references(i):
+    # the step-by-step results on both routes, and the scan bracket of the
+    # closed form's death time
+    s = SUDDEN_DEATHS[i]
+    closed = stepwise_bisection(s)
+    oracle = _outcome(stepwise_bisection, s, points=512, use_oracle=True)
+    grid = np.linspace(0.0, dynamics.DEFAULT_TAU_MAX, dynamics.SCAN_POINTS)
+    k = int(np.searchsorted(grid, closed.tau_death, side="right"))
+    return closed, oracle, float(grid[k - 1]), float(grid[k])
+
+
+@st.composite
+def _guesses(draw, base, lo, hi):
+    kind = draw(st.sampled_from(
+        ["exact", "ulps", "1e-12", "1e-9", "0.01", "lo", "hi", "outside", "inf", "nan", "none"]
+    ))
+    if kind == "exact":
+        return base
+    if kind == "ulps":
+        return base + draw(ULP) * math.ulp(base)
+    if kind in ("1e-12", "1e-9", "0.01"):
+        return base + draw(SIGN) * float(kind)
+    if kind == "outside":
+        return draw(st.sampled_from([lo - 1.0, 0.5 * lo, hi + 1.0]))
+    return {"lo": lo, "hi": hi, "inf": draw(SIGN) * math.inf, "nan": math.nan}.get(kind)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_any_guess_gives_the_stepwise_bits(data):
+    i = data.draw(st.integers(0, len(SUDDEN_DEATHS) - 1), label="scenario")
+    s = SUDDEN_DEATHS[i]
+    closed, oracle, lo, hi = _stepwise_references(i)
+    # the row's own death time where it has one, else the bisected one
+    base = dynamics._death_guess(s) or closed.tau_death
+    guess = data.draw(_guesses(base, lo, hi), label="guess")
+    asked = []
+
+    def guessed(scenario):
+        asked.append(scenario)
+        return guess
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_death_guess", guessed)
+        assert esd_time_bisection(s) == closed
+        assert _outcome(esd_time_bisection, s, points=512, use_oracle=True) == oracle
+    # the closed route reached the walk, so it took the guess
+    assert asked[0] is s
+
+
+def test_a_shifted_death_rule_moves_only_the_analytic_time(monkeypatch, capsys):
+    argv = "esd --noise phase --xstate --a 0.2 --b 0.3 --c 0.3 --d 0.2 --zsq 0.09".split()
+
+    def esd_fields():
+        assert main([*argv, "--format", "jsonl"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    before = esd_fields()
+    bisected = esd_time_bisection(Scenario(FIG2_SOLID, PHASE))
+    key = (XStateParams, NoiseKind.PHASE)
+    row = dynamics._TABLE[key]
+    shifted = row._replace(death=lambda state: row.death(state) + 1e-6)
+    monkeypatch.setitem(dynamics._TABLE, key, shifted)
+    after = esd_fields()
+    assert esd_time_bisection(Scenario(FIG2_SOLID, PHASE)) == bisected
+    assert after["tau_death_bisection"] == before["tau_death_bisection"]
+    assert after["tau_death_analytic"] != before["tau_death_analytic"]
+    assert abs(after["abs_diff"] - 1e-6) <= 1e-9
 
 
 def _esd_argv(s):
