@@ -171,18 +171,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 def cmd_esd(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    try:
-        analytic = esd_time_analytic(scenario)
-    except ValueError:
-        analytic = None
+    a_tau = esd_time_analytic(scenario).tau_death
     numeric = esd_time_bisection(scenario, tau_max=args.tau_max, points=args.points)
 
     # every float here is a time in tau, scaled below
     pairs: list[tuple[str, str | float]] = [("classification", numeric.classification.value)]
-    a_tau = analytic.tau_death if analytic is not None else None
-    if analytic is None:
-        pairs.append(("tau_death_analytic", "n/a (no closed-form threshold)"))
-    elif a_tau is not None:
+    if a_tau is not None:
         pairs.append(("tau_death_analytic", a_tau))
     if numeric.tau_death is not None:
         pairs.append(("tau_death_bisection", numeric.tau_death))

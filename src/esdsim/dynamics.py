@@ -22,15 +22,14 @@ leaves up to ~4e-7 on amplitude-noise tails.  `numeric_trajectory`,
 `evolved_state` (which returns W W^dag) and the oracle scan of
 `esd_time_bisection` all run that one code path; a single point is a
 block of one.  Both routes take their channel parameters from
-`noise_param`.  ESD detection likewise comes in an analytic flavor (where
-a closed threshold exists) and a scan-plus-bisection flavor that scans
+`noise_param`.  ESD detection likewise comes in an analytic flavor (the
+closed threshold of the cell) and a scan-plus-bisection flavor that scans
 the whole grid in one evaluation, then bisects the first dead interval.
-Where the cell has a death-time rule, the rule's time predicts the path of
-the step-by-step bisection and one evaluation checks every midpoint on
-it; otherwise, or where a verdict differs, each evaluation covers the
-midpoints of the next five halvings.  Either way the death time is the
-step-by-step bisection's, bit for bit, and the prediction only picks
-points, so the two flavors still check each other.
+The rule's death time predicts the path of the step-by-step bisection and
+one evaluation checks every midpoint on it; where a verdict differs, each
+evaluation covers the midpoints of the next five halvings.  Either way
+the death time is the step-by-step bisection's, bit for bit, and the
+prediction only picks points, so the two flavors still check each other.
 
 The paper's results form a grid of four state kinds (cross-pattern, pure,
 isotropic, Werner) times the three noises.  `_TABLE` holds one row per
@@ -115,9 +114,9 @@ class Scenario:
 
     @functools.cached_property
     def _death_time(self):
-        # the row's death-time rule, evaluated once per scenario (rows
-        # without a rule never ask): the analytic route reports it, the
-        # bisection route predicts its path from it
+        # the row's death-time rule, evaluated once per scenario: the
+        # analytic route reports it, the bisection route predicts its path
+        # from it
         return self._row.death(self.state)
 
 
@@ -370,6 +369,40 @@ def _x_phase_death(s: XStateParams) -> float | None:
     return math.log(az * az / ad)
 
 
+def _x_depolarizing_death(s: XStateParams) -> float:
+    # Death is the root in (0, 3/4) of f(p) = A p^2 + B p + C, the closed
+    # form's squared coherence term minus its radicand: f(0) = C > 0 and
+    # f(3/4) = -2.25 (a + c)(b + d) < 0.  With u, v = 3|z| -+ sqrt(3a 3d),
+    # C = 9(|z|^2 - ad) = u v and -B = (8/3) u v + 6(ab + cd + 2ad), a sum
+    # of nonnegative terms.  The root 2C / (-B + sqrt(B^2 - 4AC)) holds for
+    # every sign of A; it is taken as 2r / (1 + sqrt(1 - 4 AC/B^2)) with
+    # r = C / -B = u / yu and AC/B^2 = A / (yu yv), where yu = -B / v and
+    # yv = -B / u.  So u v is never formed (it underflows for weights near
+    # 1e-160; a d may too, but only beside a b + c d), and sqrt(|A| / (yu yv))
+    # is taken as a ratio of roots so that it cannot overflow on the way.
+    # Python floats: where n / u overflows, yv = inf is the right limit.
+    a, b, c, d = (float(w) for w in (s.a, s.b, s.c, s.d))
+    az = float(abs(s.z))
+    root = math.sqrt(3.0 * a) * math.sqrt(3.0 * d)
+    if 3.0 * az <= root:
+        # the closed form's own term at tau = 0, which makes u > 0 for
+        # every state whose closed form is positive there
+        root = math.sqrt(3.0 * a * (3.0 * d))
+    u, v = 3.0 * az - root, 3.0 * az + root
+    n = a * b + c * d + 2.0 * a * d
+    yu = (8.0 / 3.0) * u + 6.0 * (n / v)
+    yv = (8.0 / 3.0) * v + 6.0 * (n / u)
+    lead = 16.0 * az * az - 4.0 * (c - a) * (b - d)
+    g = math.sqrt(abs(lead)) / (math.sqrt(yu) * math.sqrt(yv))
+    if lead < 0.0:
+        disc = math.hypot(1.0, 2.0 * g)
+    else:
+        disc = math.sqrt(max(0.0, (1.0 - 2.0 * g) * (1.0 + 2.0 * g)))
+    p_star = 2.0 * (u / yu) / (1.0 + disc)
+    # a p* below the float range underflows to 0: the least positive time
+    return max(-2.0 * math.log1p(-p_star), math.ulp(0.0))
+
+
 def _no_death(s: StateParams) -> None:
     return None
 
@@ -377,6 +410,15 @@ def _no_death(s: StateParams) -> None:
 def _pure_depolarizing_death(s: PureStateParams) -> float:
     # where 2 e^(-tau/2) - 1 vanishes, the same for every pure state
     return 2.0 * math.log(2.0)
+
+
+def _isotropic_amplitude_death(s: FamilyParams) -> float | None:
+    # eta*^2 = (5 - 8x) / (2(1 - x)), so tau = ln(1 + 3(2x - 1)/(5 - 8x));
+    # 2x - 1 and 5 - 8x are exact in floats on (1/2, 5/8)
+    x = s.x
+    if x >= 0.625:
+        return None
+    return math.log1p(3.0 * (2.0 * x - 1.0) / (5.0 - 8.0 * x))
 
 
 def _isotropic_phase_death(s: FamilyParams) -> float | None:
@@ -393,6 +435,15 @@ def _isotropic_depolarizing_death(s: FamilyParams) -> float:
     return -2.0 * math.log1p(-p_star)
 
 
+def _werner_amplitude_death(s: FamilyParams) -> float | None:
+    # eta*^2 = 2(1 - 2x) / (1 - x), so tau = ln(1 + (3x - 1)/(2(1 - 2x)));
+    # 3x - 1 = x - (1 - 2x) is exact in floats near x = 1/3
+    x = s.x
+    if x >= 0.5:
+        return None
+    return math.log1p((x - (1.0 - 2.0 * x)) / (2.0 * (1.0 - 2.0 * x)))
+
+
 def _werner_phase_death(s: FamilyParams) -> float | None:
     x = s.x
     if x == 1.0:
@@ -407,19 +458,16 @@ def _werner_depolarizing_death(s: FamilyParams) -> float:
 
 
 def esd_time_analytic(scenario: Scenario) -> EsdResult:
-    """Death time from the closed threshold, where one exists.
+    """Death time from the closed threshold of the scenario's cell.
 
-    Raises ValueError for the pairs without a displayed threshold
-    (cross-pattern/depolarizing and either family under amplitude noise);
-    those are the bisection route's job.
+    Every cell of the grid has one: the root of its closed-form concurrence
+    in the noise parameter, or None where the concurrence reaches zero only
+    as tau -> infinity (pure states under amplitude or phase noise, and
+    the families at or beyond their critical or maximal weight).  A state
+    whose closed form is zero at tau = 0 is InitiallySeparable.
     """
     if initial_concurrence(scenario) == 0.0:
         return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.ANALYTIC)
-    if scenario._row.death is None:
-        raise ValueError(
-            f"no closed-form death time for {scenario.state!r} under "
-            f"{scenario.noise.kind.value} noise; use esd_time_bisection"
-        )
     tau = scenario._death_time
     if tau is None:
         return EsdResult(Classification.ASYMPTOTIC_DECAY, EsdMethod.ANALYTIC)
@@ -462,10 +510,7 @@ def _bisect(lo: float, hi: float, tol: float, is_dead) -> float:
 
 
 def _death_guess(scenario: Scenario) -> float | None:
-    # the closed threshold, where the scenario's row has a rule and the
-    # rule gives a finite time
-    if scenario._row.death is None:
-        return None
+    # the closed threshold, where the rule gives a finite time
     tau = scenario._death_time
     return tau if tau is not None and math.isfinite(tau) else None
 
@@ -484,15 +529,16 @@ def esd_time_bisection(
     rounding floor, hence the split zero test.
 
     The death time is bit-identical to a step-by-step bisection's, which
-    evaluates one midpoint at a time.  Where the row has a death-time rule,
-    its time tau* predicts that loop's path (mid is dead iff mid >= tau*),
-    and one call of the evaluator checks every midpoint on it; if all
-    verdicts agree, the loop would visit exactly these midpoints.  The
-    prediction only picks points, so the bisection still checks the rule.
-    Otherwise the bisection runs in rounds: one call (one stack on the
-    general route) evaluates the 31 midpoints that the next five halvings
-    can reach.  A sudden death at the default `tol` costs one evaluation
-    at tau = 0, one scan, then the path (25 midpoints) or five rounds.
+    evaluates one midpoint at a time.  The row's death time tau* predicts
+    that loop's path (mid is dead iff mid >= tau*), and one call of the
+    evaluator checks every midpoint on it; if all verdicts agree, the loop
+    would visit exactly these midpoints.  The prediction only picks
+    points, so the bisection still checks the rule.  Where a verdict
+    differs, or the rule gives no finite time, the bisection runs in
+    rounds: one call (one stack on the general route) evaluates the 31
+    midpoints that the next five halvings can reach.  A sudden death at
+    the default `tol` costs one evaluation at tau = 0, one scan, then the
+    path (25 midpoints), and five rounds only after a wrong prediction.
     """
     for name, bound in (("tau_max", tau_max), ("tol", tol)):
         if not (bound > 0.0 and math.isfinite(bound)):
@@ -649,8 +695,9 @@ class _Row(NamedTuple):
     build: Callable[[StateParams], np.ndarray]
     factor: Callable[[StateParams, np.ndarray], np.ndarray]
     concurrence: Callable[[StateParams, float, float], float]
-    # None where no closed threshold exists; those cells need bisection
-    death: Callable[[StateParams], float | None] | None
+    # the closed death time of an entangled state, or None where the
+    # concurrence decays only asymptotically
+    death: Callable[[StateParams], float | None]
     boundary: EsdBoundary | None = None
 
 
@@ -662,18 +709,18 @@ _ISO, _WER = Family.ISOTROPIC, Family.WERNER
 _TABLE: dict[tuple[object, NoiseKind], _Row] = {
     (XStateParams, _A): _Row(_build_x, _factor_x, _x_amplitude, _x_amplitude_death),
     (XStateParams, _P): _Row(_build_x, _factor_x, _x_phase, _x_phase_death),
-    (XStateParams, _D): _Row(_build_x, _factor_x, _x_depolarizing, None),
+    (XStateParams, _D): _Row(_build_x, _factor_x, _x_depolarizing, _x_depolarizing_death),
     (PureStateParams, _A): _Row(_build_pure, _factor_pure, _pure_damping, _no_death),
     (PureStateParams, _P): _Row(_build_pure, _factor_pure, _pure_damping, _no_death),
     (PureStateParams, _D): _Row(_build_pure, _factor_pure, _pure_depolarizing,
                                 _pure_depolarizing_death),
-    (_ISO, _A): _Row(_build_family, _factor_x, _isotropic_amplitude, None,
+    (_ISO, _A): _Row(_build_family, _factor_x, _isotropic_amplitude, _isotropic_amplitude_death,
                      EsdBoundary(_ISO, _A, 0.5, 0.625, True, True, critical_x=0.625)),
     (_ISO, _P): _Row(_build_family, _factor_x, _isotropic_phase, _isotropic_phase_death,
                      EsdBoundary(_ISO, _P, 0.5, 1.0, True, True)),
     (_ISO, _D): _Row(_build_family, _factor_x, _isotropic_depolarizing,
                      _isotropic_depolarizing_death, EsdBoundary(_ISO, _D, 0.5, 1.0, True, False)),
-    (_WER, _A): _Row(_build_family, _factor_x, _werner_amplitude, None,
+    (_WER, _A): _Row(_build_family, _factor_x, _werner_amplitude, _werner_amplitude_death,
                      EsdBoundary(_WER, _A, 1.0 / 3.0, 0.5, True, True, critical_x=0.5)),
     (_WER, _P): _Row(_build_family, _factor_x, _werner_phase, _werner_phase_death,
                      EsdBoundary(_WER, _P, 1.0 / 3.0, 1.0, True, True)),

@@ -5,10 +5,13 @@ a seeded generator, in a fixed order, so a seed always yields the same
 cases and the same reproduction strings.  It then stacks the drawn inputs
 and checks them all at once through the stack-aware library functions:
 one call per suite, or one per noise kind where the Kraus set depends on
-it.  The state constructors and `kron` take the whole stack too.  Library
-functions that take a single record (the closed forms, the death-time
-routes, `as_x_params`, `initial_state`) run once per case, and so does the
-`x_state` rebuild that checks the `as_x_params` round trip.
+it.  The state constructors and `kron` take the whole stack too: the
+initial states of the scenario suites are built with one constructor call
+per state kind, and the `as_x_params` records of `x_form_closure` are
+rebuilt with one `x_state` call.  Library functions that take a single
+record (the closed forms, the death-time routes, `as_x_params`, the
+factor of an X-pattern state) run once per case.  The death-time suite
+draws sudden deaths from every cell of the grid that has them.
 `SuiteResult.record_all` takes the array of per-case errors and formats a
 reproduction string only for the cases over tolerance.  The CLI verify
 command runs the whole registry; the test suite reuses single suites with
@@ -43,11 +46,19 @@ from .dynamics import (
     closed_form_trajectory,
     esd_time_analytic,
     esd_time_bisection,
-    initial_factor,
-    initial_state,
 )
 from .linalg import _frobenius, dagger, hermitian_eig, kron, psd_sqrt
-from .states import Family, FamilyParams, as_x_params, isotropic, pure_state, werner, x_state
+from .states import (
+    Family,
+    FamilyParams,
+    PureStateParams,
+    XStateParams,
+    as_x_params,
+    isotropic,
+    pure_state,
+    werner,
+    x_state,
+)
 
 # bit flip on qubit 1
 _FLIP1 = kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
@@ -86,8 +97,9 @@ def _random_complex(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))
 
 
-def _by_kind(kinds) -> dict[NoiseKind, list[int]]:
-    """Case indices per noise kind, for one stacked call per kind."""
+def _by_kind(kinds) -> dict[object, list[int]]:
+    """Case indices per kind (of noise or of state), for one stacked call
+    per kind."""
     groups: dict[NoiseKind, list[int]] = {}
     for i, kind in enumerate(kinds):
         groups.setdefault(kind, []).append(i)
@@ -209,13 +221,23 @@ def suite_x_form_closure(rng: np.random.Generator, res: SuiteResult) -> None:
         *(_noisy_case(rng, sampling.random_x_params) for _ in range(res.cases))
     )
     out = _apply_noise(x_state(params), kinds, values)
-    rebuilt = out.copy()
+    records: dict[int, XStateParams] = {}
     reasons: dict[int, str] = {}
     for i, rho in enumerate(out):
         try:
-            rebuilt[i] = x_state(as_x_params(rho))
+            records[i] = as_x_params(rho)
         except ValueError as exc:
             reasons[i] = f": {exc}"
+    rebuilt = out.copy()
+    try:
+        rebuilt[list(records)] = x_state(list(records.values()))
+    except ValueError:
+        # rebuild one by one, so that each bad record gets its own reason
+        for i, record in records.items():
+            try:
+                rebuilt[i] = x_state(record)
+            except ValueError as exc:
+                reasons[i] = f": {exc}"
     err = _frobenius(rebuilt - out)
     err[list(reasons)] = math.inf
     res.record_all(
@@ -309,17 +331,40 @@ def suite_twirl_invariance(rng: np.random.Generator, res: SuiteResult) -> None:
 # dynamics
 
 
+# One stacked constructor per state kind (the params class, or the Family
+# of a FamilyParams), taking the records of that kind.
+_STACKED_BUILD = {
+    XStateParams: x_state,
+    PureStateParams: pure_state,
+    Family.ISOTROPIC: lambda states: isotropic([s.x for s in states]),
+    Family.WERNER: lambda states: werner([s.x for s in states]),
+}
+
+
+def _initial_states(scenarios) -> np.ndarray:
+    """`initial_state` of each scenario as one (n, 4, 4) stack, built and
+    validated by one stacked constructor call per state kind."""
+    state_kinds = [getattr(s.state, "family", type(s.state)) for s in scenarios]
+    rho0 = np.empty((len(scenarios), 4, 4), dtype=complex)
+    for kind, idx in _by_kind(state_kinds).items():
+        rho0[idx] = _STACKED_BUILD[kind]([scenarios[i].state for i in idx])
+    return rho0
+
+
 def _numeric_concurrence(scenarios, taus) -> np.ndarray:
     """Each scenario's concurrence at its own time (or times: `taus` has one
     leading entry per case) on the numeric route of `dynamics`: the initial
     factor evolved by `apply_to_factor`, then `factor_concurrence`, one call
-    per noise kind.  Factors narrower than 4 columns (pure states) are
-    padded with zero columns to stack, which leaves W W^dag unchanged."""
+    per noise kind.  The initial states are built as stacks; each factor is
+    taken from its own state by the scenario's row, as `initial_factor`
+    does.  Factors narrower than 4 columns (pure states) are padded with
+    zero columns to stack, which leaves W W^dag unchanged."""
     kinds = [s.noise.kind for s in scenarios]
     values = _noise_params(kinds, taus)
+    rho0 = _initial_states(scenarios)
     w0 = np.zeros((len(scenarios), 4, 4), dtype=complex)
     for i, s in enumerate(scenarios):
-        w = initial_factor(s)
+        w = s._row.factor(s.state, rho0[i])
         w0[i, :, : w.shape[1]] = w
     out = np.empty(values.shape)
     for kind, idx in _by_kind(kinds).items():
@@ -343,19 +388,25 @@ def suite_closed_vs_numeric(rng: np.random.Generator, res: SuiteResult) -> None:
     )
 
 
-# Family cells with a closed threshold, and a mixing-weight window inside
-# their sudden-death interval.
+# Family cells and a mixing-weight window inside their sudden-death
+# interval, for picks 3-6 and 7-8 of `_sudden_death_scenario`.
 _FAMILY_DEATH_WINDOWS = (
     (Family.ISOTROPIC, NoiseKind.PHASE, 0.51, 0.99),
     (Family.ISOTROPIC, NoiseKind.DEPOLARIZING, 0.51, 1.0),
     (Family.WERNER, NoiseKind.PHASE, 0.35, 0.99),
     (Family.WERNER, NoiseKind.DEPOLARIZING, 0.35, 1.0),
+    (Family.ISOTROPIC, NoiseKind.AMPLITUDE, 0.51, 0.62),
+    (Family.WERNER, NoiseKind.AMPLITUDE, 0.34, 0.49),
 )
+# Kinds of sudden-death scenario: picks 0-2 below, then the family windows,
+# then cross-pattern states under depolarizing noise.  The picks added
+# last keep the draws of the first seven where they were.
+_DEATH_PICKS = 10
 
 
 def _sudden_death_scenario(rng: np.random.Generator, pick: int) -> Scenario:
-    # builders restricted to (state, noise) pairs with a closed threshold,
-    # sampled inside their sudden-death windows
+    # one (state, noise) pair of kind `pick`, drawn inside its sudden-death
+    # window
     if pick == 0:
         for _ in range(1000):
             params = sampling.random_entangled_x_params(rng)
@@ -366,6 +417,8 @@ def _sudden_death_scenario(rng: np.random.Generator, pick: int) -> Scenario:
         return Scenario(sampling.random_entangled_x_params(rng), NoiseSpec(NoiseKind.PHASE))
     if pick == 2:
         return Scenario(sampling.random_entangled_pure_params(rng), NoiseSpec(NoiseKind.DEPOLARIZING))
+    if pick == 9:
+        return Scenario(sampling.random_entangled_x_params(rng), NoiseSpec(NoiseKind.DEPOLARIZING))
     family, kind, lo, hi = _FAMILY_DEATH_WINDOWS[pick - 3]
     return Scenario(FamilyParams(family, float(rng.uniform(lo, hi))), NoiseSpec(kind))
 
@@ -382,7 +435,7 @@ def _death_time_gap(scenario: Scenario) -> tuple[float, str]:
 
 
 def suite_analytic_vs_bisection(rng: np.random.Generator, res: SuiteResult) -> None:
-    scenarios = [_sudden_death_scenario(rng, i % 7) for i in range(res.cases)]
+    scenarios = [_sudden_death_scenario(rng, i % _DEATH_PICKS) for i in range(res.cases)]
     err, reasons = zip(*map(_death_time_gap, scenarios))
     res.record_all(err, lambda i: f"scenario={scenarios[i]!r}{reasons[i]}")
 
@@ -441,7 +494,7 @@ def suite_trajectory_monotone(rng: np.random.Generator, res: SuiteResult) -> Non
 def suite_tau_zero_identity(rng: np.random.Generator, res: SuiteResult) -> None:
     scenarios = [sampling.random_scenario(rng, i) for i in range(res.cases)]
     kinds = [s.noise.kind for s in scenarios]
-    rho0 = np.stack([initial_state(s) for s in scenarios])
+    rho0 = _initial_states(scenarios)
     err = _frobenius(_apply_noise(rho0, kinds, _noise_params(kinds, np.zeros(len(kinds)))) - rho0)
     closed = np.array([closed_form_concurrence(s, 0.0) for s in scenarios])
     err = np.maximum(err, np.abs(closed - concurrence_wootters(rho0)))

@@ -11,6 +11,10 @@ near the kink at tau = 2 ln 2.  Times run over the CLI's default range
 The reference builds the evolved state from the same float inputs in
 mpmath at 50 digits and takes lambda_i^2 as the eigenvalues of the
 Hermitian sqrt(rho) rho~ sqrt(rho), so its own error is near 1e-25.
+
+The death rules of the cross-pattern/depolarizing cell and of both
+families under amplitude noise are checked the same way, against the root
+of their threshold equation found at 50 digits.
 """
 import math
 
@@ -20,7 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esdsim.channels import NoiseKind, NoiseSpec
-from esdsim.dynamics import Scenario, closed_form_concurrence, numeric_trajectory
+from esdsim.dynamics import (
+    ZERO_CONCURRENCE_TOL,
+    Scenario,
+    closed_form_concurrence,
+    esd_time_analytic,
+    numeric_trajectory,
+)
 from esdsim.states import Family, FamilyParams, PureStateParams, XStateParams
 
 # both routes, against the reference; the gaps seen are below 1e-15
@@ -214,3 +224,205 @@ def test_reference_on_known_values():
     assert reference_concurrence(solid, 28.33) == 0.0
     assert reference_concurrence(solid, 1.0) > 0.0
     assert np.isclose(reference_concurrence(solid, 0.0), 0.2, rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# death rules against the root of their threshold equation
+
+
+def _x_depolarizing_threshold(state: XStateParams):
+    """tau at the root in (0, 3/4) of (3 - 4p)^2 |z|^2 = (3a + 2p(c - a))(3d + 2p(b - d)),
+    by bisection on log p at 50 digits (the root may be near 1e-160)."""
+    mp = _MP
+    a, b, c, d = (mp.mpf(w) for w in (state.a, state.b, state.c, state.d))
+    zsq = abs(mp.mpc(state.z)) ** 2
+
+    def f(p):
+        return (3 - 4 * p) ** 2 * zsq - (3 * a + 2 * p * (c - a)) * (3 * d + 2 * p * (b - d))
+
+    lo, hi = mp.mpf("1e-400"), mp.mpf(3) / 4
+    assert f(lo) > 0 > f(hi)
+    while hi / lo - 1 > mp.mpf("1e-40"):
+        mid = mp.sqrt(lo * hi)
+        lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+    return -2 * mp.log1p(-lo)
+
+
+def _family_amplitude_threshold(state: FamilyParams):
+    """tau where the amplitude-noise closed form's coherence term equals its
+    root term, solved for eta^2 at 50 digits; None where eta*^2 <= 0."""
+    mp = _MP
+    x = mp.mpf(state.x)
+    if state.family is Family.ISOTROPIC:
+        # (4x - 1)^2 = 2(1 - x)(3 - (1 + 2x) eta^2)
+        eta_sq = (3 - (4 * x - 1) ** 2 / (2 * (1 - x))) / (1 + 2 * x) if x < 1 else mp.mpf(-1)
+    else:
+        # 4x^2 = (1 - x)(2 - (1 + x) eta^2)
+        eta_sq = (2 - 4 * x**2 / (1 - x)) / (1 + x) if x < 1 else mp.mpf(-1)
+    return -mp.log(eta_sq) if eta_sq > 0 else None
+
+
+def assert_death_time_matches(scenario: Scenario, want, rel: float = 1e-12, abs_: float = 0.0):
+    got = esd_time_analytic(scenario).tau_death
+    if want is None:
+        assert got is None, (scenario, got)
+        return
+    assert got is not None and got > 0.0, (scenario, got)
+    assert abs(got - float(want)) <= rel * float(want) + abs_, (scenario, got, want)
+
+
+DEPOL = NoiseSpec(NoiseKind.DEPOLARIZING)
+AMP = NoiseSpec(NoiseKind.AMPLITUDE)
+
+
+def _entangled(scenario: Scenario) -> bool:
+    return closed_form_concurrence(scenario, 0.0) > 0.0
+
+
+def _entangling_weights(raw):
+    # weights a..d with b c >= a d, so that sqrt(ad) < |z| <= sqrt(bc) is
+    # an entangled X state (swapping a with b and c with d swaps the products)
+    a, b, c, d = (v / sum(raw) for v in raw)
+    return (a, b, c, d) if b * c >= a * d else (b, a, d, c)
+
+
+@BOUNDARY
+@given(st.lists(POSITIVE, min_size=4, max_size=4), st.floats(0.01, 1.0), PHASE)
+def test_x_depolarizing_death_rule(raw, u, arg):
+    a, b, c, d = _entangling_weights(raw)
+    low, high = math.sqrt(a * d), math.sqrt(b * c)
+    mag = low + u * (high - low)
+    s = Scenario(XStateParams(a, b, c, d, mag * complex(math.cos(arg), math.sin(arg))), DEPOL)
+    if _entangled(s):
+        assert_death_time_matches(s, _x_depolarizing_threshold(s.state))
+
+
+@BOUNDARY
+@given(st.lists(POSITIVE, min_size=3, max_size=3), st.sampled_from([0, 3]), st.floats(0.01, 1.0), PHASE)
+def test_x_depolarizing_death_rule_with_a_zero_corner(raw, zero, u, arg):
+    # a = 0 or d = 0: every coherence is entangled, ad = 0 in C
+    a, b, c, d = _weights(raw, zero)
+    z = u * math.sqrt(b * c) * complex(math.cos(arg), math.sin(arg))
+    s = Scenario(XStateParams(a, b, c, d, z), DEPOL)
+    assert _entangled(s)
+    assert_death_time_matches(s, _x_depolarizing_threshold(s.state))
+
+
+@BOUNDARY
+@given(st.lists(POSITIVE, min_size=4, max_size=4), st.floats(-15.0, -2.0), PHASE)
+def test_x_depolarizing_death_rule_near_separable(raw, log_gap, arg):
+    # |z| just above sqrt(ad): C = 9(|z|^2 - ad) nearly cancels.  The
+    # rounding of |z| and sqrt(ad) in the inputs sets the accuracy, about
+    # 1e-16 relative to the size of |z|^2 - ad, so the bound is absolute
+    a, b, c, d = _entangling_weights(raw)
+    mag = math.sqrt(a * d) * (1.0 + 10.0**log_gap)
+    if mag * mag > b * c:
+        return
+    s = Scenario(XStateParams(a, b, c, d, mag * complex(math.cos(arg), math.sin(arg))), DEPOL)
+    if _entangled(s):
+        assert_death_time_matches(s, _x_depolarizing_threshold(s.state), rel=0.0, abs_=1e-14)
+
+
+@BOUNDARY
+@given(
+    st.lists(POSITIVE, min_size=4, max_size=4),
+    st.floats(-165.0, -140.0),
+    st.floats(1e-3, 3.0),
+    PHASE,
+)
+def test_x_depolarizing_death_rule_at_subnormal_scale(raw, log_scale, excess, arg):
+    # a, d and |z| near 1e-160: C and a d fall below the normal float range,
+    # as the corner weights of the CLI's --gamma 3e-307 case approach it
+    scale = 10.0**log_scale
+    a, d = raw[0] * scale, raw[3] * scale
+    b = (1.0 - a - d) * raw[1] / (raw[1] + raw[2])
+    c = 1.0 - a - d - b
+    mag = math.sqrt(a) * math.sqrt(d) * (1.0 + excess)
+    s = Scenario(XStateParams(a, b, c, d, mag * complex(math.cos(arg), math.sin(arg))), DEPOL)
+    assert _entangled(s)
+    assert_death_time_matches(s, _x_depolarizing_threshold(s.state))
+
+
+def test_x_depolarizing_death_rule_at_known_points():
+    for state in (
+        XStateParams(1e-150, 0.5, 0.5, 1e-150, 0.5),  # the --gamma 3e-307 state
+        XStateParams(0.0, 0.5, 0.5, 0.0, 1e-170),  # A < 0, a tiny |z| with a = d = 0
+        XStateParams(0.0, 0.5, 0.5, 0.0, 0.5),  # a Bell state: p* = 1/2, tau = 2 ln 2
+        XStateParams(0.1, 0.4, 0.4, 0.1, 0.2),
+    ):
+        assert_death_time_matches(Scenario(state, DEPOL), _x_depolarizing_threshold(state))
+    bell = esd_time_analytic(Scenario(XStateParams(0.0, 0.5, 0.5, 0.0, 0.5), DEPOL))
+    assert abs(bell.tau_death - 2.0 * math.log(2.0)) <= 1e-15
+
+
+# offsets from the ends of the amplitude-noise intervals, in ulps and in steps
+ENDS = st.sampled_from([1, 2, 7, 1000]).map(float) | st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3])
+
+
+def _near(x: float, step: float, direction: float) -> float:
+    # `step` ulps away from x towards `direction` when step >= 1, else x +- step
+    if step >= 1.0:
+        for _ in range(int(step)):
+            x = math.nextafter(x, direction)
+        return x
+    return x + math.copysign(step, direction - x)
+
+
+@BOUNDARY
+@given(
+    st.sampled_from([(Family.ISOTROPIC, 0.5, 0.625), (Family.WERNER, 1.0 / 3.0, 0.5)]),
+    st.booleans(),
+    ENDS,
+)
+def test_family_amplitude_death_rule_near_the_ends(cell, lower, step):
+    # just above the separable weight (1/2, 1/3: tau -> 0) and just below
+    # the critical weight (5/8, 1/2: tau -> infinity)
+    family, x_min, x_max = cell
+    x = _near(x_min, step, 1.0) if lower else _near(x_max, step, 0.0)
+    s = Scenario(FamilyParams(family, x), AMP)
+    if _entangled(s):
+        assert_death_time_matches(s, _family_amplitude_threshold(s.state))
+
+
+@BOUNDARY
+@given(st.sampled_from(list(Family)), UNIT)
+def test_family_amplitude_death_rule(family, x):
+    s = Scenario(FamilyParams(family, x), AMP)
+    if _entangled(s):
+        assert_death_time_matches(s, _family_amplitude_threshold(s.state))
+
+
+def test_family_amplitude_death_rule_at_critical_x_and_x_one():
+    for family, critical in ((Family.ISOTROPIC, 0.625), (Family.WERNER, 0.5)):
+        for x in (critical, math.nextafter(critical, 1.0), 1.0):
+            s = Scenario(FamilyParams(family, x), AMP)
+            assert _family_amplitude_threshold(s.state) is None
+            assert_death_time_matches(s, None)
+    assert_death_time_matches(
+        Scenario(FamilyParams(Family.WERNER, 0.4), AMP), _MP.log(_MP.mpf(1.5)), rel=1e-15
+    )
+
+
+# ---------------------------------------------------------------------------
+# the fully depolarizing point
+
+# p = 3/4 at tau = 2 ln 4; the grid runs from there over the CLI's range
+FULLY_DEPOLARIZED = np.linspace(2.0 * math.log(4.0), 50.0, 64)
+
+
+@BOUNDARY
+@given(st.lists(POSITIVE, min_size=4, max_size=4), UNIT, st.lists(PHASE, min_size=3, max_size=3), UNIT)
+def test_depolarized_states_are_separable_from_two_ln_four(raw, u, phases, x):
+    # at p = 3/4 the Kraus sum on qubit 1 is I/2 x rho_2, a product state,
+    # and every later time stays separable; the factor route must read zero
+    a, b, c, d = (v / sum(raw) for v in raw)
+    z = u * math.sqrt(b * c) * complex(math.cos(phases[0]), math.sin(phases[0]))
+    states = [
+        XStateParams(a, b, c, d, z),
+        PureStateParams(a, b, c, d, *phases),
+        FamilyParams(Family.ISOTROPIC, x),
+        FamilyParams(Family.WERNER, x),
+    ]
+    for state in states:
+        conc = numeric_trajectory(Scenario(state, DEPOL), FULLY_DEPOLARIZED).c
+        assert conc.max() <= ZERO_CONCURRENCE_TOL, state

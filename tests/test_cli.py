@@ -237,8 +237,10 @@ def test_esd_text_sudden_death(capsys):
     assert code == 0
     lines = dict(line.split(": ", 1) for line in out.splitlines())
     assert lines["classification"] == "SuddenDeath"
-    assert lines["tau_death_analytic"].startswith("n/a")
+    # eta*^2 = 2(1 - 2x)/(1 - x) = 2/3 at x = 0.4
+    assert lines["tau_death_analytic"] == "0.405465108108"
     assert abs(float(lines["tau_death_bisection"]) - math.log(1.5)) <= 1e-8
+    assert float(lines["abs_diff"]) <= 1e-8
 
 
 def test_esd_text_analytic_agreement(capsys):
@@ -284,7 +286,7 @@ def test_esd_jsonl(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["classification"] == "SuddenDeath"
-    assert isinstance(record["tau_death_analytic"], str)  # no closed form here
+    assert record["tau_death_analytic"] == pytest.approx(math.log(1.5), rel=1e-11)
     assert abs(record["tau_death_bisection"] - math.log(1.5)) <= 1e-8
 
 
@@ -297,10 +299,8 @@ def test_esd_jsonl_bytes(capsys):
         capsys,
     )
     assert code == 0
-    assert out == (
-        '{"classification": "AsymptoticDecay", '
-        '"tau_death_analytic": "n/a (no closed-form threshold)", "horizon": 50}\n'
-    )
+    # x = 0.6 lies beyond the critical x = 1/2, so there is no death time
+    assert out == '{"classification": "AsymptoticDecay", "horizon": 50}\n'
     code, out, _ = run(
         ["esd", "--noise", "phase", "--xstate", "--a", "0.2", "--b", "0.3",
          "--c", "0.3", "--d", "0.2", "--zsq", "0.09", "--format", "jsonl"],

@@ -387,15 +387,6 @@ def test_analytic_depolarizing_family_thresholds():
         np.testing.assert_allclose(r.tau_death, 2 * math.log(2), atol=1e-12)
 
 
-def test_analytic_refuses_pairs_without_closed_threshold():
-    with pytest.raises(ValueError, match="bisection"):
-        esd_time_analytic(Scenario(FIG1_SOLID, DEPOL))
-    with pytest.raises(ValueError, match="bisection"):
-        esd_time_analytic(Scenario(FamilyParams(Family.ISOTROPIC, 0.6), AMP))
-    with pytest.raises(ValueError, match="bisection"):
-        esd_time_analytic(Scenario(FamilyParams(Family.WERNER, 0.4), AMP))
-
-
 def test_analytic_separable_short_circuit():
     r = esd_time_analytic(Scenario(XStateParams(0.25, 0.25, 0.25, 0.25, 0.0), DEPOL))
     assert r.classification is Classification.INITIALLY_SEPARABLE
@@ -411,8 +402,12 @@ GRID_STATES = {
     "isotropic": FamilyParams(Family.ISOTROPIC, 0.8),
     "werner": FamilyParams(Family.WERNER, 0.8),
 }
-NO_CLOSED_THRESHOLD = {
-    ("xstate", NoiseKind.DEPOLARIZING),
+# Cells where the grid state's concurrence reaches zero only as tau -> inf:
+# pure states under amplitude or phase noise, and both families at x = 0.8,
+# beyond their amplitude-noise critical x (0.625 and 0.5).
+ASYMPTOTIC_CELLS = {
+    ("pure", NoiseKind.AMPLITUDE),
+    ("pure", NoiseKind.PHASE),
     ("isotropic", NoiseKind.AMPLITUDE),
     ("werner", NoiseKind.AMPLITUDE),
 }
@@ -433,17 +428,13 @@ def test_every_cell_of_the_grid(state_kind, kind):
     s = Scenario(state, NoiseSpec(kind))
     assert closed_form_concurrence(s, 0.0) == pytest.approx(static_concurrence(state), abs=1e-14)
     assert closed_form_concurrence(s, 0.0) > 0.0
-    if (state_kind, kind) in NO_CLOSED_THRESHOLD:
-        with pytest.raises(ValueError, match="use esd_time_bisection"):
-            esd_time_analytic(s)
-        return
     result = esd_time_analytic(s)
     assert result.method is EsdMethod.ANALYTIC
     if result.classification is Classification.ASYMPTOTIC_DECAY:
-        # only pure states under amplitude or phase noise decay without dying
-        assert state_kind == "pure" and kind is not NoiseKind.DEPOLARIZING
+        assert (state_kind, kind) in ASYMPTOTIC_CELLS
         assert closed_form_concurrence(s, 40.0) > 0.0
         return
+    assert (state_kind, kind) not in ASYMPTOTIC_CELLS
     assert result.classification is Classification.SUDDEN_DEATH
     tau = result.tau_death
     assert closed_form_concurrence(s, tau * (1.0 - 1e-6)) > 0.0
@@ -627,12 +618,14 @@ def test_bisection_x_depolarizing_frozen_roots():
     expected = -2 * math.log1p(-p_star)
     r = esd_time_bisection(s)
     assert abs(r.tau_death - expected) <= 1e-8
+    assert abs(esd_time_analytic(s).tau_death - expected) <= 1e-14
     # dot-dashed curve: 0.44 p^2 - 1.32 p + 0.27 = 0
     s = Scenario(XStateParams(0.1, 0.2, 0.6, 0.1, 0.2), DEPOL)
     p_star = (1.32 - math.sqrt(1.32**2 - 4 * 0.44 * 0.27)) / (2 * 0.44)
     expected = -2 * math.log1p(-p_star)
     r = esd_time_bisection(s)
     assert abs(r.tau_death - expected) <= 1e-8
+    assert abs(esd_time_analytic(s).tau_death - expected) <= 1e-14
 
 
 def test_bisection_family_amplitude_frozen_roots():
@@ -746,15 +739,14 @@ def test_bisection_uses_one_evaluation_per_round(monkeypatch):
     assert r.classification is Classification.SUDDEN_DEATH
     # tau = 0, the scan, and one evaluation of the predicted path
     assert calls == [1, 2047, 25]
-    # a cell without a death-time rule: tau = 0, the scan, and five rounds
-    # of 31 midpoints
+    # every cell has a death-time rule, the cross-pattern/depolarizing one
+    # included
     calls.clear()
-    assert dynamics._TABLE[XStateParams, NoiseKind.DEPOLARIZING].death is None
     depol = esd_time_bisection(Scenario(FIG2_DASHED, DEPOL))
     assert depol.classification is Classification.SUDDEN_DEATH
-    assert calls == [1, 2047] + [31] * 5
-    # a wrong guess costs its path, then the same five rounds; no guess
-    # costs the rounds alone
+    assert calls == [1, 2047, 25]
+    # a wrong guess costs its path, then five rounds of 31 midpoints; no
+    # finite guess costs the rounds alone
     for guess, path in ((r.tau_death + 0.01, [25]), (None, [])):
         monkeypatch.setattr(dynamics, "_death_guess", lambda scenario: guess)
         calls.clear()
@@ -765,15 +757,17 @@ def test_bisection_uses_one_evaluation_per_round(monkeypatch):
 def test_death_guess_is_a_finite_rule_value():
     s = Scenario(FIG2_SOLID, PHASE)
     assert dynamics._death_guess(s) == esd_time_analytic(s).tau_death
-    # no rule, a rule that finds no death, a death time that overflows
-    assert dynamics._death_guess(Scenario(FIG2_DASHED, DEPOL)) is None
+    s = Scenario(FIG2_DASHED, DEPOL)
+    assert dynamics._death_guess(s) == esd_time_analytic(s).tau_death
+    # a rule that finds no death, a death time that overflows
     assert dynamics._death_guess(Scenario(FIG1_DASHED, AMP)) is None
+    assert dynamics._death_guess(Scenario(FamilyParams(Family.WERNER, 0.6), AMP)) is None
     tiny = Scenario(XStateParams(1e-200, 0.5, 0.5, 1e-123, 0.5), PHASE)
     assert tiny._death_time == math.inf
     assert dynamics._death_guess(tiny) is None
 
 
-# sudden deaths of the random draws, with and without a death-time rule
+# sudden deaths of the random draws, from every cell that has them
 SUDDEN_DEATHS = [
     s for s in RANDOM_SCENARIOS[:120]
     if esd_time_bisection(s).classification is Classification.SUDDEN_DEATH
@@ -870,8 +864,14 @@ def _esd_argv(s):
     return argv
 
 
-# sha256 of the esd stdout below, taken from the step-by-step bisection
-ESD_STDOUT_SHA256 = "dfc686202fe21650550cc32fb360e88edff6e314d490f98f211e45d734e20f2d"
+# sha256 of the esd stdout below, taken from the step-by-step bisection.
+# Re-pinned when cross-pattern/depolarizing and both families under
+# amplitude noise gained death rules: against the output before, every
+# classification, tau_death_bisection and horizon line is byte-identical;
+# only those cells' tau_death_analytic lines (a number, or none where the
+# decay is asymptotic, in place of "n/a") and new abs_diff lines differ,
+# with every abs_diff <= 1e-8.
+ESD_STDOUT_SHA256 = "36064a6e8dc1b390c0b51758b2d1bf52ee4360d2293a46d0c27988c9dd1615bb"
 
 
 def test_esd_stdout_is_pinned(capsys):
@@ -929,6 +929,45 @@ def test_boundary_classifications_match_bisection():
                 Scenario(FamilyParams(family, outside), NoiseSpec(kind))
             )
             assert r.classification is Classification.ASYMPTOTIC_DECAY
+
+
+def test_x_depolarizing_death_is_positive_wherever_the_closed_form_is():
+    # |z| within a few ulps of sqrt(ad): wherever the closed form at tau = 0
+    # reads positive, the rule must give a positive death time, also where
+    # the rounding of sqrt(3a) sqrt(3d) puts the state on the separable side
+    rng = np.random.default_rng(0)
+    checked = 0
+    for _ in range(40):
+        a, b, c, d = (float(w) for w in rng.dirichlet(np.ones(4)))
+        if b * c < a * d:
+            a, b, c, d = b, a, d, c
+        for direction, steps in ((0.0, 2), (1.0, 0), (1.0, 1), (1.0, 2), (1.0, 3)):
+            mag = math.sqrt(a * d)
+            for _ in range(steps):
+                mag = math.nextafter(mag, direction)
+            s = Scenario(XStateParams(a, b, c, d, mag), DEPOL)
+            if closed_form_concurrence(s, 0.0) > 0.0:
+                checked += 1
+                result = esd_time_analytic(s)
+                assert result.classification is Classification.SUDDEN_DEATH
+                assert 0.0 < result.tau_death < 1e-12, s
+    assert checked > 40
+
+
+FAMILY_CELLS = [(f, k) for f in Family for k in NoiseKind]
+
+
+@pytest.mark.parametrize("family, kind", FAMILY_CELLS, ids=lambda v: v.value)
+def test_death_rule_is_finite_exactly_inside_the_boundary(family, kind):
+    b = esd_boundary(family, kind)
+    beyond = [] if b.critical_x is None else [b.critical_x, b.critical_x + 1e-9, 0.9, 1.0]
+    xs = [b.x_min - 1e-6, b.x_min, b.x_min + 1e-6, 0.5 * (b.x_min + b.x_max),
+          b.x_max - 1e-6, b.x_max, *beyond]
+    for x in (x for x in xs if 0.0 <= x <= 1.0):
+        tau = esd_time_analytic(Scenario(FamilyParams(family, x), NoiseSpec(kind))).tau_death
+        assert (tau is not None and math.isfinite(tau)) == b.contains(x), (x, tau)
+        if b.critical_x is not None and x >= b.critical_x:
+            assert tau is None, x
 
 
 def test_figure_presets_wiring():

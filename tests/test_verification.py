@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from esdsim import linalg, verification
-from esdsim.dynamics import Classification, EsdMethod, EsdResult
+from esdsim import linalg, states, verification
+from esdsim.dynamics import Classification, EsdMethod, EsdResult, initial_state
+from esdsim.sampling import random_scenario
 from esdsim.verification import SUITES, SuiteResult, run_all, run_suite
 
 # sha256 of each suite's reproduction strings at seed 0 with 20 cases and
@@ -27,7 +28,9 @@ DRAW_DIGESTS = {
     "twirl_invariance": "1edf2f865504e9b02a5b5e30f0524ccd79ef5ffa8e97e1977799024c33bd7226",
     # tau drawn over [0, 50]: the same scenarios as over [0, 10], tau x 5
     "closed_vs_numeric": "aaee6a83c8fda958ba1fb2b8c3b27197a24f566a31710fca354a47c1e5f58b0d",
-    "analytic_vs_bisection": "be0220149aa1ab73e439e19c2c7c0168973fc4ad31cabef70b548224816e8d1d",
+    # picks 7-9 (isotropic and Werner under amplitude noise, cross-pattern
+    # under depolarizing noise) joined the draw: cases 0-6 read as before
+    "analytic_vs_bisection": "fa1dd65fddfc58b46494d3a6b66ad26ff955855634d1a1c72cf1cc19d765753d",
     "pure_depol_universality": "c60a9dc8db309367d5dc1a9b1726c8a0f53342d268f006cbab2901b50ab0cd9b",
     "pure_amp_phase_no_esd": "370c23a50e6ea8b438db440dc71319430880b548e0a5a72b1234909b536cdff1",
     "trajectory_monotone": "340cbdc80794ada91579b2af4a7d766658b6bcda2dc0ad053ecc28e06fbc868a",
@@ -158,6 +161,31 @@ def test_suites_fail_on_wrong_library_answers(monkeypatch):
         assert all(reason in failure for failure in res.failures), name
         if reason:
             assert res.max_error == math.inf, name
+
+
+def test_x_form_closure_names_each_record_that_fails_to_rebuild(monkeypatch):
+    # a record that x_state rejects fails the stacked rebuild; the suite
+    # then rebuilds case by case, and only the bad cases fail, each with
+    # its own reason
+    def as_x_params(rho):
+        record = states.as_x_params(rho)
+        if record.a > 0.2:
+            object.__setattr__(record, "z", 2.0)  # |z|^2 > b c: not PSD
+        return record
+
+    assert run_suite("x_form_closure", 0, 40).passed
+    monkeypatch.setattr(verification, "as_x_params", as_x_params)
+    res = run_suite("x_form_closure", 0, 40)
+    assert 0 < len(res.failures) < res.cases
+    assert all(failure.startswith("err=inf ") for failure in res.failures)
+    assert all("matrix is not PSD" in failure for failure in res.failures)
+
+
+def test_stacked_initial_states_match_the_per_scenario_builds():
+    rng = np.random.default_rng(12)
+    scenarios = [random_scenario(rng, i) for i in range(48)]
+    stacked = verification._initial_states(scenarios)
+    assert stacked.tobytes() == np.stack([initial_state(s) for s in scenarios]).tobytes()
 
 
 def test_run_suite_unknown_name():
