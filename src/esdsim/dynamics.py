@@ -26,10 +26,10 @@ block of one.  Both routes take their channel parameters from
 closed threshold of the cell) and a scan-plus-bisection flavor that scans
 the whole grid in one evaluation, then bisects the first dead interval.
 The rule's death time predicts the path of the step-by-step bisection and
-one evaluation checks every midpoint on it; where a verdict differs, each
-evaluation covers the midpoints of the next five halvings.  Either way
-the death time is the step-by-step bisection's, bit for bit, and the
-prediction only picks points, so the two flavors still check each other.
+one evaluation checks every midpoint on it; after a wrong prediction, one
+midpoint per evaluation.  Either way the death time is the step-by-step
+bisection's, bit for bit, and the prediction only picks points, so the two
+flavors still check each other.  Scans stop at `ESD_TAU_MAX_LIMIT`.
 
 The paper's results form a grid of four state kinds (cross-pattern, pure,
 isotropic, Werner) times the three noises.  `_TABLE` holds one row per
@@ -64,6 +64,9 @@ from .states import (
 DEFAULT_TAU_MAX = 50.0
 DEFAULT_BISECTION_TOL = 1e-9
 SCAN_POINTS = 2048
+# Past this tau, e^(-tau/2) leaves the normal floats and then underflows to
+# 0, a false death; every finite time of the death rules lies below 745.
+ESD_TAU_MAX_LIMIT = -2.0 * math.log(np.finfo(float).tiny)
 # Numeric-route concurrences carry rounding noise; below this they count
 # as zero.  Closed forms clamp through max(0, .) and are compared to 0.0
 # exactly, which keeps barely-alive asymptotic tails (order 1e-13 near the
@@ -474,34 +477,14 @@ def esd_time_analytic(scenario: Scenario) -> EsdResult:
     return EsdResult(Classification.SUDDEN_DEATH, EsdMethod.ANALYTIC, tau_death=tau)
 
 
-# Bisection levels evaluated per round, in one call of the evaluator.
-_ROUND_LEVELS = 5
-_ROUND_NODES = 2**_ROUND_LEVELS - 1
-
-
-def _round_midpoints(lo, hi) -> list:
-    # the midpoints of the next _ROUND_LEVELS bisection levels below
-    # [lo, hi], as a heap: node k brackets [a, b] with midpoint
-    # mid = 0.5 * (a + b); a dead mid leads to node 2k+1 = [a, mid], an
-    # alive one to node 2k+2 = [mid, b].  The arithmetic is the step-by-step
-    # loop's, so each midpoint is bit-identical to the one that loop reaches.
-    brackets = [(lo, hi)]
-    for k in range(_ROUND_NODES // 2):
-        a, b = brackets[k]
-        mid = 0.5 * (a + b)
-        brackets += [(a, mid), (mid, b)]
-    return [0.5 * (a + b) for a, b in brackets]
-
-
 def _bisect(lo: float, hi: float, tol: float, is_dead) -> float:
     # the step-by-step bisection of [lo, hi] (lo alive, hi dead), asking
-    # is_dead(lo, mid, hi) for the verdict at mid = 0.5 * (lo + hi); returns
-    # the final midpoint
+    # is_dead(mid) at each mid = 0.5 * (lo + hi); returns the final midpoint
     mid = 0.5 * (lo + hi)
     # a tol below the float spacing at the death time would never be met:
     # stop as well once no float lies strictly between lo and hi
     while hi - lo > tol and lo < mid < hi:
-        if is_dead(lo, mid, hi):
+        if is_dead(mid):
             hi = mid
         else:
             lo = mid
@@ -526,7 +509,9 @@ def esd_time_bisection(
 
     The default evaluator is the closed form; `use_oracle` switches to the
     general route (evolve and run Wootters), which is slower and carries a
-    rounding floor, hence the split zero test.
+    rounding floor, hence the split zero test.  `tau_max` may not exceed
+    `ESD_TAU_MAX_LIMIT` (about 1416.79): past it e^(-tau/2) underflows and
+    an asymptotic decay would read as a sudden death.
 
     The death time is bit-identical to a step-by-step bisection's, which
     evaluates one midpoint at a time.  The row's death time tau* predicts
@@ -534,15 +519,17 @@ def esd_time_bisection(
     evaluator checks every midpoint on it; if all verdicts agree, the loop
     would visit exactly these midpoints.  The prediction only picks
     points, so the bisection still checks the rule.  Where a verdict
-    differs, or the rule gives no finite time, the bisection runs in
-    rounds: one call (one stack on the general route) evaluates the 31
-    midpoints that the next five halvings can reach.  A sudden death at
-    the default `tol` costs one evaluation at tau = 0, one scan, then the
-    path (25 midpoints), and five rounds only after a wrong prediction.
+    differs, or the rule gives no finite time, the bisection evaluates one
+    midpoint at a time from the scan bracket.  A sudden death at the
+    default `tol` costs one evaluation at tau = 0, one scan and the path
+    (25 midpoints), plus 25 single midpoints after a wrong prediction.
     """
     for name, bound in (("tau_max", tau_max), ("tol", tol)):
         if not (bound > 0.0 and math.isfinite(bound)):
             raise ValueError(f"{name} must be positive and finite, got {bound!r}")
+    if tau_max > ESD_TAU_MAX_LIMIT:
+        raise ValueError(f"tau_max must be at most {ESD_TAU_MAX_LIMIT:.6g}, where e^(-tau/2) is "
+                         f"still a normal float (it underflows past it), got {tau_max!r}")
     if points < 2:
         raise ValueError(f"need at least 2 scan points, got {points!r}")
 
@@ -592,7 +579,7 @@ def esd_time_bisection(
     if guess is not None:
         path = []
 
-        def predict(lo, mid, hi) -> bool:
+        def predict(mid) -> bool:
             path.append(mid)
             return mid >= guess
 
@@ -602,19 +589,7 @@ def esd_time_bisection(
                 Classification.SUDDEN_DEATH, EsdMethod.BISECTION, tau_death=mid, horizon=tau_max
             )
 
-    verdicts, k = None, _ROUND_NODES  # k: heap node of the next step
-
-    def from_rounds(lo, mid, hi) -> bool:
-        # past the heap, evaluate a new round below the current bracket
-        nonlocal verdicts, k
-        if k >= _ROUND_NODES:
-            verdicts = dead(values(_round_midpoints(lo, hi)))
-            k = 0
-        verdict = verdicts[k]
-        k = 2 * k + (1 if verdict else 2)
-        return verdict
-
-    mid = _bisect(lo, hi, tol, from_rounds)
+    mid = _bisect(lo, hi, tol, lambda mid: bool(dead(values([mid]))[0]))
     return EsdResult(
         Classification.SUDDEN_DEATH, EsdMethod.BISECTION, tau_death=mid, horizon=tau_max
     )

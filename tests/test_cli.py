@@ -455,6 +455,20 @@ def test_esd_time_that_overflows_at_small_gamma_exits_2(capsys):
     )
 
 
+def test_esd_tau_max_past_the_normal_floats_exits_2(capsys):
+    # e^(-tau/2) underflows to 0 near tau = 1490, where a pure state under
+    # amplitude noise would read as a sudden death
+    argv = ["esd", "--noise", "amplitude", "--pure", "--a", "0.5", "--b", "0", "--c", "0",
+            "--d", "0.5"]
+    code, out, err = run([*argv, "--tau-max", "3000"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tau_max must be at most 1416.79, ")
+    code, out, _ = run([*argv, "--tau-max", "1416"], capsys)
+    assert code == 0
+    assert out == "classification: AsymptoticDecay\nhorizon: 1416\n"
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

@@ -653,7 +653,7 @@ def test_bisection_asymptotic_and_separable():
 
 def stepwise_bisection(scenario, tau_max=50.0, tol=1e-9, points=2048, use_oracle=False):
     # reference: the scan and the one-midpoint-per-evaluation bisection
-    # that esd_time_bisection's rounds replace
+    # whose path esd_time_bisection predicts and checks in one evaluation
     if use_oracle:
         w0 = initial_factor(scenario)
 
@@ -708,7 +708,7 @@ def _random_scenarios(seed, n):
 RANDOM_SCENARIOS = _random_scenarios(314, 240)
 
 
-def test_bisection_rounds_match_the_stepwise_loop():
+def test_bisection_matches_the_stepwise_loop():
     # the draws cycle through the 12 (state kind, noise) pairs
     by_class = {kind: [] for kind in Classification}
     for s in RANDOM_SCENARIOS:
@@ -721,13 +721,13 @@ def test_bisection_rounds_match_the_stepwise_loop():
         assert got == _outcome(stepwise_bisection, s, points=512, use_oracle=True), s
 
 
-def test_bisection_rounds_match_at_a_tol_below_the_float_spacing():
+def test_bisection_matches_at_a_tol_below_the_float_spacing():
     for s in (Scenario(FIG1_SOLID, AMP), Scenario(FIG2_SOLID, PHASE), *RANDOM_SCENARIOS[:48]):
         got = esd_time_bisection(s, tol=1e-20)
         assert got == stepwise_bisection(s, tol=1e-20)
 
 
-def test_bisection_uses_one_evaluation_per_round(monkeypatch):
+def test_bisection_evaluation_counts(monkeypatch):
     calls = []
 
     def counted(scenario, tau):
@@ -745,13 +745,24 @@ def test_bisection_uses_one_evaluation_per_round(monkeypatch):
     depol = esd_time_bisection(Scenario(FIG2_DASHED, DEPOL))
     assert depol.classification is Classification.SUDDEN_DEATH
     assert calls == [1, 2047, 25]
-    # a wrong guess costs its path, then five rounds of 31 midpoints; no
-    # finite guess costs the rounds alone
+    # a wrong guess costs its path, then one midpoint per evaluation over
+    # the 25 halvings; no finite guess costs those midpoints alone
     for guess, path in ((r.tau_death + 0.01, [25]), (None, [])):
         monkeypatch.setattr(dynamics, "_death_guess", lambda scenario: guess)
         calls.clear()
         assert esd_time_bisection(Scenario(FIG2_SOLID, PHASE)) == r
-        assert calls == [1, 2047, *path] + [31] * 5
+        assert calls == [1, 2047, *path] + [1] * 25
+
+
+def test_bisection_without_a_finite_rule_time_matches_the_stepwise_loop():
+    # a real input, no patched guess: the phase rule's |z|^2 / (ad)
+    # overflows, so the rule time is inf and the bisection has no path to
+    # predict; the closed form still dies near tau = 742
+    tiny = Scenario(XStateParams(1e-200, 0.5, 0.5, 1e-123, 0.5), PHASE)
+    assert tiny._death_time == math.inf
+    got = esd_time_bisection(tiny, tau_max=800.0)
+    assert got.classification is Classification.SUDDEN_DEATH
+    assert got == stepwise_bisection(tiny, tau_max=800.0)
 
 
 def test_death_guess_is_a_finite_rule_value():
@@ -994,3 +1005,40 @@ def test_bisection_ends_below_the_float_spacing():
     r = esd_time_bisection(s, tau_max=3.0, tol=1e-20, use_oracle=True)
     assert r.classification is Classification.SUDDEN_DEATH
     assert 0.0 <= math.log(4) - r.tau_death <= 1e-10
+
+
+# e^(-tau/2) underflows to 0 past about 1490 (1416.79 leaves the normal
+# floats), which the closed forms read as a death
+LONG_HORIZON_DECAYS = [
+    Scenario(PureStateParams(0.5, 0.0, 0.0, 0.5), AMP),
+    Scenario(PureStateParams(0.5, 0.0, 0.0, 0.5), PHASE),
+    Scenario(FamilyParams(Family.WERNER, 1.0), PHASE),
+    Scenario(FIG1_DASHED, AMP),
+]
+
+
+@pytest.mark.parametrize("s", LONG_HORIZON_DECAYS)
+def test_a_scan_past_the_normal_floats_is_refused(s):
+    assert esd_time_analytic(s).classification is Classification.ASYMPTOTIC_DECAY
+    with pytest.raises(ValueError, match=r"at most 1416\.79.*normal float"):
+        esd_time_bisection(s, tau_max=3000.0)
+    limit = dynamics.ESD_TAU_MAX_LIMIT
+    assert limit == -2.0 * math.log(np.finfo(float).tiny)
+    assert noise_param(s.noise, limit) >= np.finfo(float).tiny
+    with pytest.raises(ValueError):
+        esd_time_bisection(s, tau_max=math.nextafter(limit, math.inf))
+    r = esd_time_bisection(s, tau_max=limit)
+    assert r.classification is Classification.ASYMPTOTIC_DECAY
+    assert r.horizon == limit
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: the product eta * margin of the amplitude closed form "
+    "underflows to 0 near tau = 798, long before eta leaves the normal floats",
+)
+def test_amplitude_margin_underflow_below_the_limit():
+    s = Scenario(XStateParams(1e-300, 0.25, 0.75 - 1e-300, 0.0, 1e-150), AMP)
+    assert esd_time_analytic(s).classification is Classification.ASYMPTOTIC_DECAY
+    r = esd_time_bisection(s, tau_max=1400.0)
+    assert r.classification is Classification.ASYMPTOTIC_DECAY, r.tau_death
