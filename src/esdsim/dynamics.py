@@ -18,13 +18,13 @@ them to the factor, W(tau) = [(K_1 x I) W0, (K_2 x I) W0, ...], and takes
 the Wootters concurrence of the whole stack of factors.  No
 eigendecomposition is taken, so a weight that decays towards zero keeps
 its relative precision; evolving the matrix and taking its square root
-leaves up to ~4e-7 on amplitude-noise tails.  `numeric_trajectory`,
-`evolved_state` (which returns W W^dag) and the oracle scan of
-`esd_time_bisection` all run that one code path; a single point is a
-block of one.  Both routes take their channel parameters from
-`noise_param`.  ESD detection likewise comes in an analytic flavor (the
-closed threshold of the cell) and a scan-plus-bisection flavor that scans
-the whole grid in one evaluation, then bisects the first dead interval.
+leaves up to ~4e-7 on amplitude-noise tails.  `numeric_trajectory` and
+`evolved_state` (which returns W W^dag) both run that one code path; a
+single point is a block of one.  Both routes take their channel
+parameters from `noise_param`.  ESD detection likewise comes in an
+analytic flavor (the closed threshold of the cell) and a
+scan-plus-bisection flavor that scans the closed form over the whole grid
+in one evaluation, then bisects the first dead interval.
 The rule's death time predicts the path of the step-by-step bisection and
 one evaluation checks every midpoint on it; after a wrong prediction, one
 midpoint per evaluation.  Either way the death time is the step-by-step
@@ -67,11 +67,6 @@ SCAN_POINTS = 2048
 # Past this tau, e^(-tau/2) leaves the normal floats and then underflows to
 # 0, a false death; every finite time of the death rules lies below 745.
 ESD_TAU_MAX_LIMIT = -2.0 * math.log(np.finfo(float).tiny)
-# Numeric-route concurrences carry rounding noise; below this they count
-# as zero.  Closed forms clamp through max(0, .) and are compared to 0.0
-# exactly, which keeps barely-alive asymptotic tails (order 1e-13 near the
-# scan horizon) out of the dead bucket.
-ZERO_CONCURRENCE_TOL = 1e-12
 TRAJECTORY_CAP = 1.0 + 1e-10
 # Grid points per stacked evaluation on the numeric route.  Bounds the
 # working set: evolving 2048 points as one stack raised peak RSS by about
@@ -238,10 +233,23 @@ def _pure_depolarizing(s: PureStateParams, tau, p):
     return np.maximum(0.0, 2.0 * np.exp(-0.5 * tau) - 1.0) * concurrence_pure(s)
 
 
+# The family amplitude forms take their margin a - sqrt(R) as
+# (a^2 - R) / (a + sqrt(R)).  Both R and a^2 - R are a constant plus
+# slope * eta^2, with the same slope: at the critical x the constant of
+# a^2 - R vanishes, where the difference itself would round to 0 once
+# eta^2 drops below the float spacing (near tau = 37), a false death.
+
+
 def _isotropic_amplitude(s: FamilyParams, tau, eta):
     x = s.x
-    radicand = 2.0 * (1.0 - x) * (3.0 - (1.0 + 2.0 * x) * eta * eta)
-    return (eta / 3.0) * np.maximum(0.0, (4.0 * x - 1.0) - np.sqrt(radicand))
+    # R = 6(1 - x) - slope eta^2 >= 0, as 1 + 2x <= 3 after rounding too.
+    # R >= 4(1 - x)^2 on eta <= 1, so a + sqrt(R) >= 1 + 2x stays positive
+    # where a = 4x - 1 is negative as well
+    two_rest = 2.0 * (1.0 - x)
+    slope = (two_rest * (1.0 + 2.0 * x)) * (eta * eta)
+    root = np.sqrt(3.0 * two_rest - slope)
+    excess = (8.0 * x - 5.0) * (2.0 * x + 1.0) + slope
+    return (eta / 3.0) * np.maximum(0.0, excess / ((4.0 * x - 1.0) + root))
 
 
 def _isotropic_phase(s: FamilyParams, tau, gamma):
@@ -254,8 +262,11 @@ def _isotropic_depolarizing(s: FamilyParams, tau, p):
 
 def _werner_amplitude(s: FamilyParams, tau, eta):
     x = s.x
-    radicand = (1.0 - x) * (2.0 - (1.0 + x) * eta * eta)
-    return (eta / 2.0) * np.maximum(0.0, 2.0 * x - np.sqrt(radicand))
+    # R = 2(1 - x) - slope eta^2 >= 0, as 1 + x <= 2 after rounding too
+    slope = ((1.0 - x) * (1.0 + x)) * (eta * eta)
+    root = np.sqrt(2.0 * (1.0 - x) - slope)
+    excess = 2.0 * (2.0 * x - 1.0) * (x + 1.0) + slope
+    return (eta / 2.0) * np.maximum(0.0, excess / (2.0 * x + root))
 
 
 def _werner_phase(s: FamilyParams, tau, gamma):
@@ -315,15 +326,6 @@ def _evolve(w0: np.ndarray, noise: NoiseSpec, taus) -> np.ndarray:
     return apply_to_factor(w0, kraus_for(noise.kind, noise_param(noise, taus)))
 
 
-def _numeric_concurrence(w0: np.ndarray, noise: NoiseSpec, taus) -> np.ndarray:
-    # general-route concurrence at each tau, one block of _BLOCK_ROWS at a time
-    c = np.empty(len(taus))
-    for start in range(0, len(taus), _BLOCK_ROWS):
-        block = taus[start : start + _BLOCK_ROWS]
-        c[start : start + len(block)] = factor_concurrence(_evolve(w0, noise, block))
-    return c
-
-
 def numeric_trajectory(scenario: Scenario, tau_grid) -> Trajectory:
     """General-route trajectory: evolve a factor of the state, then Wootters.
 
@@ -335,7 +337,12 @@ def numeric_trajectory(scenario: Scenario, tau_grid) -> Trajectory:
     so no stepping is needed.
     """
     grid = _validate_grid(tau_grid)
-    c = _numeric_concurrence(initial_factor(scenario), scenario.noise, grid)
+    w0 = initial_factor(scenario)
+    # one block of _BLOCK_ROWS grid points per stacked evaluation
+    c = np.empty(len(grid))
+    for start in range(0, len(grid), _BLOCK_ROWS):
+        block = grid[start : start + _BLOCK_ROWS]
+        c[start : start + len(block)] = factor_concurrence(_evolve(w0, scenario.noise, block))
     return Trajectory(grid, c, TrajectorySource.NUMERIC)
 
 
@@ -503,21 +510,21 @@ def esd_time_bisection(
     tau_max: float = DEFAULT_TAU_MAX,
     tol: float = DEFAULT_BISECTION_TOL,
     points: int = SCAN_POINTS,
-    use_oracle: bool = False,
 ) -> EsdResult:
-    """Scan [0, tau_max] and bisect the first death point.
+    """Scan the closed form over [0, tau_max] and bisect the first death point.
 
-    The default evaluator is the closed form; `use_oracle` switches to the
-    general route (evolve and run Wootters), which is slower and carries a
-    rounding floor, hence the split zero test.  `tau_max` may not exceed
-    `ESD_TAU_MAX_LIMIT` (about 1416.79): past it e^(-tau/2) underflows and
-    an asymptotic decay would read as a sudden death.
+    A time is dead where the closed form reads exactly 0.0: the formulas
+    clamp through max(0, .), so a barely-alive asymptotic tail stays
+    alive.  `tau_max` may not exceed `ESD_TAU_MAX_LIMIT` (about 1416.79):
+    past it e^(-tau/2) underflows and an asymptotic decay would read as a
+    sudden death.  The numeric route is checked against the closed form
+    elsewhere (`evolve`'s abs_diff column, `verify`), not here.
 
     The death time is bit-identical to a step-by-step bisection's, which
     evaluates one midpoint at a time.  The row's death time tau* predicts
     that loop's path (mid is dead iff mid >= tau*), and one call of the
-    evaluator checks every midpoint on it; if all verdicts agree, the loop
-    would visit exactly these midpoints.  The prediction only picks
+    closed form checks every midpoint on it; if all verdicts agree, the
+    loop would visit exactly these midpoints.  The prediction only picks
     points, so the bisection still checks the rule.  Where a verdict
     differs, or the rule gives no finite time, the bisection evaluates one
     midpoint at a time from the scan bracket.  A sudden death at the
@@ -533,33 +540,15 @@ def esd_time_bisection(
     if points < 2:
         raise ValueError(f"need at least 2 scan points, got {points!r}")
 
-    if use_oracle:
-        w0 = initial_factor(scenario)
+    def dead(taus) -> np.ndarray:
+        return closed_form_concurrence(scenario, taus) == 0.0
 
-        def values(taus) -> np.ndarray:
-            return _numeric_concurrence(w0, scenario.noise, taus)
-
-        def dead(c):
-            return c < ZERO_CONCURRENCE_TOL
-
-        c0 = values([0.0])[0]
-
-    else:
-
-        def values(taus) -> np.ndarray:
-            return closed_form_concurrence(scenario, taus)
-
-        def dead(c):
-            return c == 0.0
-
-        c0 = initial_concurrence(scenario)
-
-    if dead(c0):
+    if initial_concurrence(scenario) == 0.0:
         return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION)
 
     grid = np.linspace(0.0, tau_max, points)
     # dead_scan[i] is the verdict at grid[i + 1]
-    dead_scan = dead(values(grid[1:]))
+    dead_scan = dead(grid[1:])
     if not dead_scan.any():
         return EsdResult(
             Classification.ASYMPTOTIC_DECAY, EsdMethod.BISECTION, horizon=tau_max
@@ -584,12 +573,12 @@ def esd_time_bisection(
             return mid >= guess
 
         mid = _bisect(lo, hi, tol, predict)
-        if dead(values(path)).tolist() == [m >= guess for m in path]:
+        if dead(path).tolist() == [m >= guess for m in path]:
             return EsdResult(
                 Classification.SUDDEN_DEATH, EsdMethod.BISECTION, tau_death=mid, horizon=tau_max
             )
 
-    mid = _bisect(lo, hi, tol, lambda mid: bool(dead(values([mid]))[0]))
+    mid = _bisect(lo, hi, tol, lambda mid: bool(dead([mid])[0]))
     return EsdResult(
         Classification.SUDDEN_DEATH, EsdMethod.BISECTION, tau_death=mid, horizon=tau_max
     )

@@ -11,6 +11,9 @@ near the kink at tau = 2 ln 2.  Times run over the CLI's default range
 The reference builds the evolved state from the same float inputs in
 mpmath at 50 digits and takes lambda_i^2 as the eigenvalues of the
 Hermitian sqrt(rho) rho~ sqrt(rho), so its own error is near 1e-25.
+At the family critical x the amplitude-noise concurrence falls below that
+on the tail, so there the closed form is also held to a relative bound
+against its own formula evaluated at 50 digits.
 
 The death rules of the cross-pattern/depolarizing cell and of both
 families under amplitude noise are checked the same way, against the root
@@ -25,10 +28,11 @@ from hypothesis import strategies as st
 
 from esdsim.channels import NoiseKind, NoiseSpec
 from esdsim.dynamics import (
-    ZERO_CONCURRENCE_TOL,
+    Classification,
     Scenario,
     closed_form_concurrence,
     esd_time_analytic,
+    esd_time_bisection,
     numeric_trajectory,
 )
 from esdsim.states import Family, FamilyParams, PureStateParams, XStateParams
@@ -138,6 +142,23 @@ def assert_routes_match_reference(scenario: Scenario, tau: float) -> None:
     assert abs(closed - want) <= TOL, (scenario, tau, closed, want)
 
 
+def family_amplitude_closed_form(state: FamilyParams, tau: float):
+    """The family's amplitude-noise closed form at 50 digits, whose margin
+    a - sqrt(R) keeps about 50 - tau / ln 10 of them."""
+    mp = _MP
+    x, eta = mp.mpf(state.x), mp.exp(-mp.mpf(tau) / 2)
+    if state.family is Family.ISOTROPIC:
+        return eta / 3 * max(0, (4 * x - 1) - mp.sqrt(2 * (1 - x) * (3 - (1 + 2 * x) * eta**2)))
+    return eta / 2 * max(0, 2 * x - mp.sqrt((1 - x) * (2 - (1 + x) * eta**2)))
+
+
+def assert_closed_form_is_relatively_exact(scenario: Scenario, tau: float) -> None:
+    # a few roundings of eta, eta^2 and the margin: a few ulps
+    want = family_amplitude_closed_form(scenario.state, tau)
+    got = closed_form_concurrence(scenario, tau)
+    assert want > 0 and abs(got - want) <= 4e-15 * want, (scenario, tau, got, float(want))
+
+
 def _weights(raw, zero: int):
     # three positive draws normalized into a..d, with weight `zero` exactly 0
     total = sum(raw)
@@ -178,6 +199,9 @@ def test_family_critical_x_under_amplitude_noise(critical, offset, tau):
     family, x = critical
     scenario = Scenario(FamilyParams(family, x + offset), NoiseSpec(NoiseKind.AMPLITUDE))
     assert_routes_match_reference(scenario, tau)
+    if offset == 0.0:
+        # the closed form keeps its relative precision on the whole tail
+        assert_closed_form_is_relatively_exact(scenario, tau)
 
 
 @BOUNDARY
@@ -398,6 +422,14 @@ def test_family_amplitude_death_rule_at_critical_x_and_x_one():
             s = Scenario(FamilyParams(family, x), AMP)
             assert _family_amplitude_threshold(s.state) is None
             assert_death_time_matches(s, None)
+            # the scan agrees: the margin of order eta^2 does not round to
+            # 0 once eta^2 drops below the float spacing (near tau = 37)
+            r = esd_time_bisection(s)
+            assert r.classification is Classification.ASYMPTOTIC_DECAY, (x, r.tau_death)
+            assert r.horizon == 50.0
+        s = Scenario(FamilyParams(family, critical), AMP)
+        for tau in range(30, 50):
+            assert_closed_form_is_relatively_exact(s, float(tau))
     assert_death_time_matches(
         Scenario(FamilyParams(Family.WERNER, 0.4), AMP), _MP.log(_MP.mpf(1.5)), rel=1e-15
     )
@@ -408,6 +440,8 @@ def test_family_amplitude_death_rule_at_critical_x_and_x_one():
 
 # p = 3/4 at tau = 2 ln 4; the grid runs from there over the CLI's range
 FULLY_DEPOLARIZED = np.linspace(2.0 * math.log(4.0), 50.0, 64)
+# the factor route's rounding floor there; the draws seen read exactly 0.0
+SEPARABLE_TOL = 1e-12
 
 
 @BOUNDARY
@@ -425,4 +459,4 @@ def test_depolarized_states_are_separable_from_two_ln_four(raw, u, phases, x):
     ]
     for state in states:
         conc = numeric_trajectory(Scenario(state, DEPOL), FULLY_DEPOLARIZED).c
-        assert conc.max() <= ZERO_CONCURRENCE_TOL, state
+        assert conc.max() <= SEPARABLE_TOL, state
