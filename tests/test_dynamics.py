@@ -561,17 +561,24 @@ def test_bisection_matches_analytic_thresholds():
         assert abs(numeric.tau_death - analytic.tau_death) <= 1e-8
 
 
-def test_numeric_route_dies_with_fig1_solid_and_stays_dead():
-    # the general route agrees with the bisected death time at ln 4, and
-    # reads no revival on the amplitude tail of the default grid
+def test_bisection_oracle_route_agrees():
+    # the general route (numeric_trajectory) dies with fig1-solid at the
+    # bisected death time ln 4
     s = Scenario(FIG1_SOLID, AMP)
     tau_death = esd_time_bisection(s).tau_death
     assert abs(tau_death - math.log(4)) <= 1e-8
+    c = numeric_trajectory(s, [tau_death - 1e-7, tau_death + 1e-9]).c
+    assert c[0] > 0.0
+    assert c[1] == 0.0
+
+
+def test_oracle_bisection_over_the_default_horizon_sees_no_revival():
+    # the general route reads no revival of fig1-solid on the amplitude
+    # tail of the default grid
+    s = Scenario(FIG1_SOLID, AMP)
     grid = np.linspace(0.0, dynamics.DEFAULT_TAU_MAX, dynamics.SCAN_POINTS)
     tail = grid[grid > math.log(4)]
-    c = numeric_trajectory(s, [tau_death - 1e-7, tau_death + 1e-9, *tail]).c
-    assert c[0] > 0.0
-    assert c[1:].tolist() == [0.0] * (1 + len(tail))
+    assert numeric_trajectory(s, tail).c.tolist() == [0.0] * len(tail)
 
 
 def test_initial_concurrence_is_evaluated_once_per_scenario(monkeypatch):
