@@ -24,7 +24,11 @@ single point is a block of one.  Both routes take their channel
 parameters from `noise_param`.  ESD detection likewise comes in an
 analytic flavor (the closed threshold of the cell) and a
 scan-plus-bisection flavor that scans the closed form over the whole grid
-in one evaluation, then bisects the first dead interval.
+in one evaluation, then bisects the first dead interval.  The scan grid and
+its noise-parameter values depend only on (noise kind, tau_max, points), so
+they are built once per process for each such key (16 bytes per point per
+entry, at most 3 entries) and fed to the same evaluator that
+`closed_form_concurrence` calls.
 The rule's death time predicts the path of the step-by-step bisection and
 one evaluation checks every midpoint on it; after a wrong prediction, one
 midpoint per evaluation.  Either way the death time is the step-by-step
@@ -288,7 +292,12 @@ def closed_form_concurrence(scenario: Scenario, tau):
     returning NaN.
     """
     tau = np.asarray(tau, dtype=float)
-    value = noise_param(scenario.noise, tau)
+    return _closed_form(scenario, tau, noise_param(scenario.noise, tau))
+
+
+def _closed_form(scenario: Scenario, tau: np.ndarray, value):
+    # the cell's formula at tau, given value = noise_param(noise, tau); the
+    # one evaluator behind every closed-form value and every esd verdict
     try:
         with np.errstate(invalid="raise"):
             return scenario._row.concurrence(scenario.state, tau, value)
@@ -505,6 +514,19 @@ def _death_guess(scenario: Scenario) -> float | None:
     return tau if tau is not None and math.isfinite(tau) else None
 
 
+@functools.lru_cache(maxsize=3, typed=True)
+def _scan_grid(kind: NoiseKind, tau_max: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+    # the scan grid over [0, tau_max] and noise_param at grid[1:], read-only
+    # since every scenario of the noise kind shares them.  Callers validate
+    # tau_max and points first, so no invalid key is kept; typed, so that
+    # points=11.0 still fails in linspace instead of hitting points=11.
+    grid = np.linspace(0.0, tau_max, points)
+    value = noise_param(NoiseSpec(kind), grid[1:])
+    grid.setflags(write=False)
+    value.setflags(write=False)
+    return grid, value
+
+
 def esd_time_bisection(
     scenario: Scenario,
     tau_max: float = DEFAULT_TAU_MAX,
@@ -530,6 +552,13 @@ def esd_time_bisection(
     midpoint at a time from the scan bracket.  A sudden death at the
     default `tol` costs one evaluation at tau = 0, one scan and the path
     (25 midpoints), plus 25 single midpoints after a wrong prediction.
+
+    The scan grid, `np.linspace(0, tau_max, points)`, and `noise_param` at
+    its points after 0 are built once per (noise kind, `tau_max`, `points`)
+    and kept read-only for the life of the process: 16 bytes per point per
+    entry, at most 3 entries.  The scan evaluates the scenario's formula on
+    those cached values, through the same evaluator and domain check as
+    `closed_form_concurrence`, so its verdicts are the same bits.
     """
     for name, bound in (("tau_max", tau_max), ("tol", tol)):
         if not (bound > 0.0 and math.isfinite(bound)):
@@ -546,9 +575,9 @@ def esd_time_bisection(
     if initial_concurrence(scenario) == 0.0:
         return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION)
 
-    grid = np.linspace(0.0, tau_max, points)
+    grid, values = _scan_grid(scenario.noise.kind, tau_max, points)
     # dead_scan[i] is the verdict at grid[i + 1]
-    dead_scan = dead(grid[1:])
+    dead_scan = _closed_form(scenario, grid[1:], values) == 0.0
     if not dead_scan.any():
         return EsdResult(
             Classification.ASYMPTOTIC_DECAY, EsdMethod.BISECTION, horizon=tau_max

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esdsim.channels import NoiseKind, NoiseSpec
-from esdsim import cli
+from esdsim import cli, dynamics
 from esdsim.cli import build_parser, main
 from esdsim.dynamics import Scenario, closed_form_trajectory, numeric_trajectory
 from esdsim.states import XStateParams
@@ -592,10 +592,14 @@ def test_oversized_points_exit_2(monkeypatch, capsys):
         raise MemoryError(message)
 
     monkeypatch.setattr(np, "linspace", linspace)
+    dynamics._scan_grid.cache_clear()
     for argv in (["esd", *FIG1_SOLID_FLAGS], ["evolve", *FIG1_SOLID_FLAGS], ["figure", "fig1"]):
         code, out, err = run([*argv, "--points", "10000000000000"], capsys)
         assert (code, out) == (2, ""), argv
         assert err == f"error: --points 10000000000000 is too large: {message}\n"
+    # esd looked its scan grid up once, and the failed build kept no entry
+    info = dynamics._scan_grid.cache_info()
+    assert (info.misses, info.currsize) == (1, 0)
 
 
 def _subparsers() -> dict:

@@ -53,6 +53,16 @@ FIG2_DASHED = XStateParams(0.5, 0.1, 0.4, 0.0, 0.1)
 BELL_PSI = XStateParams(0.0, 0.5, 0.5, 0.0, 0.5)
 
 
+@pytest.fixture(autouse=True)
+def _fresh_scan_cache():
+    # esd_time_bisection keeps its scan grid and noise values for the life
+    # of the process; a test that patches noise_param must neither meet nor
+    # leave an entry built from other values
+    dynamics._scan_grid.cache_clear()
+    yield
+    dynamics._scan_grid.cache_clear()
+
+
 def test_noise_param_values():
     assert noise_param(AMP, 0.0) == 1.0
     assert noise_param(DEPOL, 0.0) == 0.0
@@ -511,6 +521,10 @@ def test_bisection_parameter_errors():
             esd_time_bisection(s, tau_max=bad)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             esd_time_bisection(s, tol=bad)
+    with pytest.raises(ValueError, match="tau_max must be at most"):
+        esd_time_bisection(s, tau_max=math.nextafter(dynamics.ESD_TAU_MAX_LIMIT, math.inf))
+    # every bad setting is refused before the scan cache is looked up
+    assert dynamics._scan_grid.cache_info().misses == 0
 
 
 def _werner_phase_dying_at(tau_death):
@@ -535,11 +549,10 @@ def test_bisection_scan_edges():
 @pytest.mark.parametrize("revived", [4.0, 6.0])
 def test_bisection_reports_the_first_revived_point(monkeypatch, revived):
     # dead on [3, revived), alive elsewhere; the scan grid is the integers
-    def fake(scenario, tau):
-        tau = np.asarray(tau, dtype=float)
+    def fake(scenario, tau, value):
         return np.where((tau >= 3.0) & (tau < revived), 0.0, 0.5)
 
-    monkeypatch.setattr(dynamics, "closed_form_concurrence", fake)
+    monkeypatch.setattr(dynamics, "_closed_form", fake)
     message = rf"revived after dying, first at tau=(np\.float64\()?{revived}\)?;"
     with pytest.raises(RuntimeError, match=message):
         esd_time_bisection(Scenario(FIG1_SOLID, AMP), tau_max=10.0, points=11)
@@ -583,10 +596,13 @@ def test_oracle_bisection_over_the_default_horizon_sees_no_revival():
 
 def test_initial_concurrence_is_evaluated_once_per_scenario(monkeypatch):
     calls, rules = [], []
+    # taken before the counter goes in, so that it adds no count
+    reference = closed_form_concurrence(Scenario(FIG2_SOLID, PHASE), 0.0)
+    evaluate = dynamics._closed_form
 
-    def counted(scenario, tau):
+    def counted(scenario, tau, value):
         calls.append(np.size(tau))
-        return closed_form_concurrence(scenario, tau)
+        return evaluate(scenario, tau, value)
 
     key = (XStateParams, NoiseKind.PHASE)
     row = dynamics._TABLE[key]
@@ -595,12 +611,12 @@ def test_initial_concurrence_is_evaluated_once_per_scenario(monkeypatch):
         rules.append(state)
         return row.death(state)
 
-    monkeypatch.setattr(dynamics, "closed_form_concurrence", counted)
+    monkeypatch.setattr(dynamics, "_closed_form", counted)
     monkeypatch.setitem(dynamics._TABLE, key, row._replace(death=counted_rule))
     s = Scenario(FIG2_SOLID, PHASE)
     assert esd_time_analytic(s).classification is Classification.SUDDEN_DEATH
     assert esd_time_bisection(s).classification is Classification.SUDDEN_DEATH
-    assert initial_concurrence(s) == closed_form_concurrence(s, 0.0)
+    assert initial_concurrence(s) == reference
     # tau = 0 once, the scan, and the 25 midpoints of the predicted path
     assert calls == [1, 2047, 25]
     # the death-time rule as well: the analytic route and the guess share it
@@ -701,6 +717,48 @@ def test_bisection_matches_the_stepwise_loop():
     assert all(by_class.values())
 
 
+def test_bisection_matches_the_stepwise_loop_at_scan_cache_hits_and_misses():
+    # the 12 cells at three scan settings in turn, so that each setting
+    # first misses the cache (at most 3 entries) and then hits it; the
+    # tiny phase state at 800 / 2048 between the blocks evicts one more
+    cells = RANDOM_SCENARIOS[:12]
+    assert len({(getattr(s.state, "family", type(s.state)), s.noise.kind) for s in cells}) == 12
+    tiny = Scenario(XStateParams(1e-200, 0.5, 0.5, 1e-123, 0.5), PHASE)
+    runs = []
+    for tau_max, points in ((50.0, 2048), (10.0, 11), (3.0, 301)) * 2:
+        runs += [(s, tau_max, points) for s in cells]
+        runs.append((tiny, 800.0, 2048))
+    seen = set()
+    for s, tau_max, points in runs:
+        hits = dynamics._scan_grid.cache_info().hits
+        got = esd_time_bisection(s, tau_max=tau_max, points=points)
+        assert got == stepwise_bisection(s, tau_max=tau_max, points=points), (s, tau_max, points)
+        seen.add((got.classification, dynamics._scan_grid.cache_info().hits > hits))
+    for hit in (False, True):
+        assert (Classification.SUDDEN_DEATH, hit) in seen
+        assert (Classification.ASYMPTOTIC_DECAY, hit) in seen
+
+
+def test_scan_cache_entries_are_read_only_and_bit_identical():
+    esd_time_bisection(Scenario(FIG1_SOLID, AMP))
+    grid, values = dynamics._scan_grid(NoiseKind.AMPLITUDE, 50.0, 2048)
+    assert dynamics._scan_grid.cache_info().hits == 1
+    assert grid.tobytes() == CLI_GRID.tobytes()
+    assert values.tobytes() == noise_param(AMP, CLI_GRID[1:]).tobytes()
+    for array in (grid, values, grid[1:]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_scan_cache_stays_within_its_bound():
+    for tau_max in range(1, 101):
+        for noise in (AMP, PHASE, DEPOL):
+            esd_time_bisection(Scenario(FIG2_SOLID, noise), tau_max=float(tau_max), points=16)
+    info = dynamics._scan_grid.cache_info()
+    assert info.misses == 300
+    assert info.currsize == info.maxsize == 3
+
+
 def test_bisection_matches_at_a_tol_below_the_float_spacing():
     for s in (Scenario(FIG1_SOLID, AMP), Scenario(FIG2_SOLID, PHASE), *RANDOM_SCENARIOS[:48]):
         got = esd_time_bisection(s, tol=1e-20)
@@ -709,12 +767,13 @@ def test_bisection_matches_at_a_tol_below_the_float_spacing():
 
 def test_bisection_evaluation_counts(monkeypatch):
     calls = []
+    evaluate = dynamics._closed_form
 
-    def counted(scenario, tau):
+    def counted(scenario, tau, value):
         calls.append(np.size(tau))
-        return closed_form_concurrence(scenario, tau)
+        return evaluate(scenario, tau, value)
 
-    monkeypatch.setattr(dynamics, "closed_form_concurrence", counted)
+    monkeypatch.setattr(dynamics, "_closed_form", counted)
     r = esd_time_bisection(Scenario(FIG2_SOLID, PHASE))
     assert r.classification is Classification.SUDDEN_DEATH
     # tau = 0, the scan, and one evaluation of the predicted path
