@@ -62,9 +62,21 @@ from .states import (
     werner,
     x_state,
 )
-from .verification import SuiteResult, run_all, run_suite
 
 __version__ = "0.1.0"
+
+# The verify stack (and numpy.random with it) loads on first use, so the
+# commands that never verify do not pay for its import.
+_VERIFICATION_NAMES = ("SuiteResult", "run_all", "run_suite")
+
+
+def __getattr__(name: str):
+    if name in _VERIFICATION_NAMES:
+        from . import verification
+
+        return getattr(verification, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "EigDecomposition",

@@ -49,7 +49,6 @@ from .dynamics import (
     numeric_trajectory,
 )
 from .states import FamilyParams, Family, PureStateParams, XStateParams
-from .verification import run_all
 
 MAX_FAILURES_SHOWN = 5
 
@@ -222,6 +221,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # imported here: the other commands never load the verify stack
+    from .verification import run_all
+
     results = run_all(args.seed, args.cases)
     for res in results:
         status = "PASS" if res.passed else "FAIL"

@@ -11,12 +11,16 @@ Three routes, used against each other throughout the test suite:
   basis with three relative phases.
 
 The general route deliberately avoids forming rho rho~ and diagonalizing
-it: the needed lambda_i are the singular values of F^T (sy x sy) F for any
-F with rho = F F^dag (the Uhlmann form of Wootters' spectrum).  A factor
-given with more than four columns is first reduced to four by a QR step,
-which changes F F^dag only by rounding.  The numeric route of the
+it: the needed lambda_i are the singular values of G = F^T (sy x sy) F for
+any F with rho = F F^dag (the Uhlmann form of Wootters' spectrum).  A
+factor given with more than four columns is first reduced to four by a QR
+step, which changes F F^dag only by rounding.  The numeric route of the
 dynamics module evolves such a factor and never forms the matrix; a matrix
-input takes sqrt(rho) as its factor.  Both share the one SVD.  On
+input takes sqrt(rho) as its factor.  Both share one spectrum function.
+G is symmetric, so it needs no SVD: its singular values are the top half
+of the eigenvalues of the real symmetric [[Re G, Im G], [Im G, -Re G]],
+and for a factor with no imaginary part, which `factor_concurrence` runs
+in real arithmetic throughout, the absolute eigenvalues of G.  On
 rank-deficient states the factor keeps the error near machine precision,
 where the naive chain loses half the digits and the root of an
 eigendecomposition keeps the square root of its rounding.
@@ -43,12 +47,28 @@ _FLIP_SIGNS = SPIN_FLIP[::-1].diagonal()
 RADICAND_TOL = 1e-12
 
 
+def _symmetric_singular_values(g: np.ndarray) -> np.ndarray:
+    # singular values, descending, of each symmetric (..., m, m) matrix g,
+    # from a symmetric eigensolver: |eigenvalues| for a real g; for a
+    # complex g the top m eigenvalues of the real [[Re g, Im g], [Im g,
+    # -Re g]], whose spectrum is +-sigma_i (a sigma of about 0 can come
+    # out slightly negative, hence the clamp)
+    m = g.shape[-1]
+    if np.iscomplexobj(g):
+        stack = np.empty(g.shape[:-2] + (2 * m, 2 * m))
+        stack[..., :m, :m] = g.real
+        stack[..., m:, m:] = -g.real
+        stack[..., :m, m:] = stack[..., m:, :m] = g.imag
+        return np.maximum(0.0, np.linalg.eigvalsh(stack)[..., : m - 1 : -1])
+    return np.sort(np.abs(np.linalg.eigvalsh(g)), axis=-1)[..., ::-1]
+
+
 def _factor_spectrum(f: np.ndarray) -> np.ndarray:
     # the lambda_i, descending, of the state f f^dag: singular values of
-    # f^T (sy x sy) f, for a factor f of shape (..., 4, m) with m <= 4; a
-    # narrower factor has fewer singular values, and the rest are zero
-    g = (np.swapaxes(f, -1, -2)[..., ::-1] * _FLIP_SIGNS) @ f
-    lam = np.linalg.svd(g, compute_uv=False)
+    # the symmetric f^T (sy x sy) f, for a factor f of shape (..., 4, m)
+    # with m <= 4, in real arithmetic when f is real; a narrower factor
+    # has fewer singular values, and the rest are zero
+    lam = _symmetric_singular_values((np.swapaxes(f, -1, -2)[..., ::-1] * _FLIP_SIGNS) @ f)
     missing = 4 - lam.shape[-1]
     return np.pad(lam, [(0, 0)] * (lam.ndim - 1) + [(0, missing)]) if missing else lam
 
@@ -90,13 +110,17 @@ def factor_concurrence(w: np.ndarray) -> float | np.ndarray:
     `w` has shape (..., 4, m), any number m of columns; a float for one
     factor, an array with one value per factor for a stack.  A factor
     with m > 4 is reduced to F = R^dag, with R the triangular factor of
-    w^dag = Q R, so F F^dag = w w^dag.  Hermiticity and positivity hold by
-    construction; each state's unit trace, the squared Frobenius norm of
-    its factor, is checked within PSD_CLAMP_TOL.
+    w^dag = Q R, so F F^dag = w w^dag.  A stack with no imaginary part
+    anywhere, whatever its dtype, is reduced and solved in float64.
+    Hermiticity and positivity hold by construction; each state's unit
+    trace, the squared Frobenius norm of its factor, is checked within
+    PSD_CLAMP_TOL.
     """
     w = np.asarray(w, dtype=complex)
     if w.ndim < 2 or w.shape[-2] != 4:
         raise ValueError(f"expected a factor with 4 rows, got shape {w.shape}")
+    if not w.imag.any():
+        w = w.real
     if w.shape[-1] > 4:
         w = dagger(np.linalg.qr(dagger(w), mode="r"))
     _check_unit_trace(np.add.reduce((w.conj() * w).real, axis=(-2, -1)))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -580,6 +581,22 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     assert routes[0] is not None and routes[1] is None
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith("classification: SuddenDeath\ntau_death_analytic: 0.810930216216\n")
+
+
+def test_cli_import_leaves_the_verify_stack_unloaded():
+    # evolve, esd and figure never verify, so starting the CLI loads
+    # neither the verify suites nor numpy.random; the package still
+    # resolves the verify names on first use
+    code = (
+        "import sys, esdsim.cli; "
+        "print(sorted({'numpy.random', 'esdsim.verification'} & set(sys.modules))); "
+        "import esdsim; esdsim.run_all, esdsim.run_suite, esdsim.SuiteResult; "
+        "print('esdsim.verification' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["[]", "True"]
 
 
 def test_oversized_points_exit_2(monkeypatch, capsys):

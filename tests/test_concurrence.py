@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from esdsim.channels import NoiseKind, NoiseSpec
 from esdsim.concurrence import (
     SPIN_FLIP,
+    _symmetric_singular_values,
     concurrence_pure,
     concurrence_pure_determinant,
     concurrence_wootters,
@@ -12,7 +14,10 @@ from esdsim.concurrence import (
     factor_concurrence,
     spin_flip_spectrum,
 )
+from esdsim.dynamics import Scenario, _evolve, initial_factor
 from esdsim.states import (
+    Family,
+    FamilyParams,
     PureStateParams,
     XStateParams,
     isotropic,
@@ -150,18 +155,109 @@ def test_wootters_on_a_stack_matches_each_state():
 
 
 def test_wootters_solves_each_state_once(monkeypatch):
-    # the root's eigendecomposition also carries the Hermitian and PSD checks
+    # the root's eigendecomposition also carries the Hermitian and PSD
+    # checks; the one eigvalsh is the spectrum's, on the stacked real
+    # (..., 8, 8) form of G, so no 4x4 state gets a second PSD check
     stack = np.concatenate([werner(np.linspace(0.0, 1.0, 4)), isotropic(np.linspace(0.0, 1.0, 4))])
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
+    shapes = {"eigh": [], "eigvalsh": []}
+    for name in shapes:
 
-        def counted(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _solve(*args, **kwargs)
+        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            shapes[_name].append(np.shape(a))
+            return _solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     assert concurrence_wootters(stack).shape == (8,)
-    assert calls == {"eigh": 1, "eigvalsh": 0}
+    assert shapes == {"eigh": [(8, 4, 4)], "eigvalsh": [(8, 8, 8)]}
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_symmetric_singular_values_match_the_svd(dtype, m):
+    # G = v^T v is symmetric (complex symmetric, not Hermitian, for a
+    # complex v) of rank r; r = 0 is the all-zero G
+    rng = np.random.default_rng(46)
+    eps = np.finfo(float).eps
+    for r in range(m + 1):
+        v = rng.standard_normal((200, r, m)).astype(dtype)
+        if dtype is complex:
+            v += 1j * rng.standard_normal((200, r, m))
+        g = np.swapaxes(v, -1, -2) @ v
+        lam = _symmetric_singular_values(g)
+        ref = np.linalg.svd(g, compute_uv=False)
+        assert lam.shape == ref.shape == (200, m)
+        assert (lam >= 0.0).all() and (np.diff(lam, axis=-1) <= 0.0).all()
+        assert (np.abs(lam - ref) <= 16 * eps * ref[:, :1]).all()
+        if r == 0:
+            assert not lam.any()
+
+
+def _evolved_factor(state, kind: str) -> np.ndarray:
+    scenario = Scenario(state, NoiseSpec(NoiseKind(kind)))
+    return _evolve(initial_factor(scenario), scenario.noise, np.linspace(0.0, 50.0, 2048))
+
+
+# cells whose evolved factor is real: the family states and the Kraus sets
+# of amplitude and phase noise are real, and so are an X state with a real
+# z and a pure state with zero phases
+_REAL_CELLS = [
+    (XStateParams(0.1, 0.4, 0.4, 0.1, 0.2), "amplitude"),
+    (XStateParams(0.1, 0.4, 0.4, 0.1, 0.2), "phase"),
+    (FamilyParams(Family.WERNER, 0.7), "amplitude"),
+    (FamilyParams(Family.ISOTROPIC, 0.8), "phase"),
+    (PureStateParams(0.2, 0.3, 0.3, 0.2), "amplitude"),
+    (PureStateParams(0.2, 0.3, 0.3, 0.2), "phase"),
+]
+
+
+@pytest.mark.parametrize("state, kind", _REAL_CELLS)
+def test_real_and_complex_arithmetic_agree_on_a_phase(state, kind):
+    # e^(i phi) w is a factor of the same state; it has an imaginary part,
+    # so it takes the complex route that w itself skips
+    w = _evolved_factor(state, kind)
+    assert not w.imag.any()
+    c = factor_concurrence(w)
+    for phi in (0.3, np.pi / 2, 2.0):
+        assert np.abs(factor_concurrence(np.exp(1j * phi) * w) - c).max() <= 1e-15
+
+
+def test_real_arithmetic_runs_exactly_when_the_factor_is_real(monkeypatch):
+    # the spectrum's input: (..., m, m) for a real factor, the stacked
+    # (..., 2m, 2m) real form for a complex one
+    shapes = []
+
+    def counted(a, _solve=np.linalg.eigvalsh):
+        shapes.append(np.shape(a))
+        return _solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    qr_dtypes = []
+
+    def qr(a, mode, _qr=np.linalg.qr):
+        qr_dtypes.append(np.asarray(a).dtype)
+        return _qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+
+    def route(w):
+        shapes.clear()
+        qr_dtypes.clear()
+        factor_concurrence(w)
+        return shapes[:], qr_dtypes[:]
+
+    real = _evolved_factor(*_REAL_CELLS[0])[:6]
+    assert real.dtype == complex and real.shape == (6, 4, 8)
+    assert route(real) == route(real.real) == ([(6, 4, 4)], [np.float64])
+    assert route(np.exp(0.3j) * real) == ([(6, 8, 8)], [np.complex128])
+    tiny = real.copy()
+    tiny[5, 0, 0] += 1e-300j
+    assert route(tiny) == ([(6, 8, 8)], [np.complex128])
+    pure = _evolved_factor(*_REAL_CELLS[4])[:6]
+    assert route(pure) == ([(6, 2, 2)], [])
+    assert route(np.exp(0.3j) * pure) == ([(6, 4, 4)], [])
+    # depolarizing noise has the imaginary Pauli-Y Kraus operator
+    depolarized = _evolved_factor(FamilyParams(Family.WERNER, 0.7), "depolarizing")[1:7]
+    assert route(depolarized) == ([(6, 8, 8)], [np.complex128])
 
 
 def test_factor_concurrence_matches_the_matrix_route():
