@@ -55,7 +55,6 @@ from .states import (
     PureStateParams,
     XStateParams,
     as_x_params,
-    family_state,
     isotropic,
     pure_state,
     validate_density_matrix,
@@ -89,7 +88,6 @@ __all__ = [
     "PureStateParams",
     "XStateParams",
     "as_x_params",
-    "family_state",
     "isotropic",
     "pure_state",
     "validate_density_matrix",

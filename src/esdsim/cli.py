@@ -23,8 +23,8 @@ help, `--flag=value`, abbreviations, dash-leading values such as
 `--zarg -1.5`, `--`, unknown or missing flags, bad values, and `figure`.
 So help pages, usage errors and exit codes are argparse's.  The tables
 save an in-process caller (a benchmark loop, a notebook, the tests) about
-0.15 ms of argparse work per command; a shell user gains nothing
-measurable, because process start-up takes about 0.3 s.
+0.17 ms of the 0.24 ms an `esd` command takes through argparse (best of 9,
+2 CPUs); a shell user gains nothing, as process start-up takes about 0.3 s.
 """
 from __future__ import annotations
 

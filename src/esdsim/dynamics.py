@@ -37,8 +37,9 @@ flavors still check each other.  Scans stop at `ESD_TAU_MAX_LIMIT`.
 
 The paper's results form a grid of four state kinds (cross-pattern, pure,
 isotropic, Werner) times the three noises.  `_TABLE` holds one row per
-cell: initial state, concurrence formula, death-time rule and, for the
-families, the sudden-death interval.  A `Scenario` finds its row once.
+cell: concurrence formula, death-time rule and, for the families, the
+sudden-death interval.  A `Scenario` finds its row once, by `state_kind`;
+`states` builds the initial state and its factor.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,12 +58,11 @@ from .states import (
     Family,
     FamilyParams,
     PureStateParams,
+    StateParams,
     XStateParams,
-    family_state,
-    pure_factor,
-    pure_state,
-    x_factor,
-    x_state,
+    state_factor,
+    state_kind,
+    state_matrix,
 )
 
 DEFAULT_TAU_MAX = 50.0
@@ -76,8 +76,6 @@ TRAJECTORY_CAP = 1.0 + 1e-10
 # working set: evolving 2048 points as one stack raised peak RSS by about
 # 3.4 MB, blocks of 256 by about 0.1 MB, with no measurable loss of speed.
 _BLOCK_ROWS = 256
-
-StateParams = Union[XStateParams, PureStateParams, FamilyParams]
 
 
 class TrajectorySource(enum.Enum):
@@ -104,9 +102,7 @@ class Scenario:
     noise: NoiseSpec
 
     def __post_init__(self) -> None:
-        # the state kind is the params class, or the Family of a FamilyParams
-        kind = getattr(self.state, "family", type(self.state))
-        object.__setattr__(self, "_row", _TABLE[kind, self.noise.kind])
+        object.__setattr__(self, "_row", _TABLE[state_kind(self.state), self.noise.kind])
 
     @functools.cached_property
     def _initial_concurrence(self):
@@ -181,7 +177,7 @@ def noise_param(noise: NoiseSpec, tau):
 
 
 def initial_state(scenario: Scenario) -> np.ndarray:
-    return scenario._row.build(scenario.state)
+    return state_matrix(scenario.state)
 
 
 def initial_factor(scenario: Scenario) -> np.ndarray:
@@ -192,7 +188,7 @@ def initial_factor(scenario: Scenario) -> np.ndarray:
     and validated first, so the factor route rejects what `initial_state`
     rejects.
     """
-    return scenario._row.factor(scenario.state, initial_state(scenario))
+    return state_factor(scenario.state, initial_state(scenario))
 
 
 def initial_concurrence(scenario: Scenario) -> float:
@@ -214,7 +210,8 @@ def _x_amplitude(s: XStateParams, tau, eta):
 
 
 def _x_phase(s: XStateParams, tau, gamma):
-    return 2.0 * np.maximum(0.0, gamma * abs(s.z) - math.sqrt(s.a * s.d))
+    # sqrt(a) sqrt(d): the product a d underflows for weights near 1e-162
+    return 2.0 * np.maximum(0.0, gamma * abs(s.z) - math.sqrt(s.a) * math.sqrt(s.d))
 
 
 def _x_depolarizing(s: XStateParams, tau, p):
@@ -381,11 +378,11 @@ def _x_amplitude_death(s: XStateParams) -> float | None:
 
 
 def _x_phase_death(s: XStateParams) -> float | None:
-    ad = s.a * s.d
-    if ad == 0.0:
+    # roots as in the closed form: |z|^2 and a d underflow near 1e-162
+    root = math.sqrt(s.a) * math.sqrt(s.d)
+    if root == 0.0:
         return None
-    az = abs(s.z)
-    return math.log(az * az / ad)
+    return 2.0 * math.log(abs(s.z) / root)
 
 
 def _x_depolarizing_death(s: XStateParams) -> float:
@@ -655,38 +652,10 @@ def esd_boundary(family: Family, noise_kind: NoiseKind) -> EsdBoundary:
 # the (state kind, noise kind) table
 
 
-# The constructors are looked up by name at call time, so a rebinding of
-# x_state, pure_state or family_state in this module (a test double or a
-# tracing wrapper) still sees every initial state built.
-def _build_x(s: XStateParams) -> np.ndarray:
-    return x_state(s)
-
-
-def _build_pure(s: PureStateParams) -> np.ndarray:
-    return pure_state(s)
-
-
-def _build_family(s: FamilyParams) -> np.ndarray:
-    return family_state(s)
-
-
-# Factors of the initial state: the amplitude column of a pure state, and
-# the diagonal plus the central block of an X-pattern matrix (X states and
-# both families).  Each takes the record and the validated matrix.
-def _factor_pure(s: PureStateParams, rho0: np.ndarray) -> np.ndarray:
-    return pure_factor(s)
-
-
-def _factor_x(s: StateParams, rho0: np.ndarray) -> np.ndarray:
-    return x_factor(rho0)
-
-
 class _Row(NamedTuple):
-    """One cell of the grid: initial state and its factor, closed-form
-    concurrence, death time."""
+    """One cell of the grid: closed-form concurrence, death time and, for
+    the families, the sudden-death interval."""
 
-    build: Callable[[StateParams], np.ndarray]
-    factor: Callable[[StateParams, np.ndarray], np.ndarray]
     concurrence: Callable[[StateParams, float, float], float]
     # the closed death time of an entangled state, or None where the
     # concurrence decays only asymptotically
@@ -700,24 +669,23 @@ _ISO, _WER = Family.ISOTROPIC, Family.WERNER
 # The amplitude criticals of the family intervals solve the eta -> 0 limit
 # of the closed forms: (4x-1)^2 = 6(1-x) and 2x^2 + x - 1 = 0.
 _TABLE: dict[tuple[object, NoiseKind], _Row] = {
-    (XStateParams, _A): _Row(_build_x, _factor_x, _x_amplitude, _x_amplitude_death),
-    (XStateParams, _P): _Row(_build_x, _factor_x, _x_phase, _x_phase_death),
-    (XStateParams, _D): _Row(_build_x, _factor_x, _x_depolarizing, _x_depolarizing_death),
-    (PureStateParams, _A): _Row(_build_pure, _factor_pure, _pure_damping, _no_death),
-    (PureStateParams, _P): _Row(_build_pure, _factor_pure, _pure_damping, _no_death),
-    (PureStateParams, _D): _Row(_build_pure, _factor_pure, _pure_depolarizing,
-                                _pure_depolarizing_death),
-    (_ISO, _A): _Row(_build_family, _factor_x, _isotropic_amplitude, _isotropic_amplitude_death,
+    (XStateParams, _A): _Row(_x_amplitude, _x_amplitude_death),
+    (XStateParams, _P): _Row(_x_phase, _x_phase_death),
+    (XStateParams, _D): _Row(_x_depolarizing, _x_depolarizing_death),
+    (PureStateParams, _A): _Row(_pure_damping, _no_death),
+    (PureStateParams, _P): _Row(_pure_damping, _no_death),
+    (PureStateParams, _D): _Row(_pure_depolarizing, _pure_depolarizing_death),
+    (_ISO, _A): _Row(_isotropic_amplitude, _isotropic_amplitude_death,
                      EsdBoundary(_ISO, _A, 0.5, 0.625, True, True, critical_x=0.625)),
-    (_ISO, _P): _Row(_build_family, _factor_x, _isotropic_phase, _isotropic_phase_death,
+    (_ISO, _P): _Row(_isotropic_phase, _isotropic_phase_death,
                      EsdBoundary(_ISO, _P, 0.5, 1.0, True, True)),
-    (_ISO, _D): _Row(_build_family, _factor_x, _isotropic_depolarizing,
-                     _isotropic_depolarizing_death, EsdBoundary(_ISO, _D, 0.5, 1.0, True, False)),
-    (_WER, _A): _Row(_build_family, _factor_x, _werner_amplitude, _werner_amplitude_death,
+    (_ISO, _D): _Row(_isotropic_depolarizing, _isotropic_depolarizing_death,
+                     EsdBoundary(_ISO, _D, 0.5, 1.0, True, False)),
+    (_WER, _A): _Row(_werner_amplitude, _werner_amplitude_death,
                      EsdBoundary(_WER, _A, 1.0 / 3.0, 0.5, True, True, critical_x=0.5)),
-    (_WER, _P): _Row(_build_family, _factor_x, _werner_phase, _werner_phase_death,
+    (_WER, _P): _Row(_werner_phase, _werner_phase_death,
                      EsdBoundary(_WER, _P, 1.0 / 3.0, 1.0, True, True)),
-    (_WER, _D): _Row(_build_family, _factor_x, _werner_depolarizing, _werner_depolarizing_death,
+    (_WER, _D): _Row(_werner_depolarizing, _werner_depolarizing_death,
                      EsdBoundary(_WER, _D, 1.0 / 3.0, 1.0, True, False)),
 }
 

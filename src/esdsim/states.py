@@ -11,7 +11,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -207,10 +207,44 @@ def werner(x) -> np.ndarray:
     return _x_pattern((corner, mid, mid, corner), -x / 2.0)
 
 
-def family_state(params: FamilyParams) -> np.ndarray:
-    if params.family is Family.ISOTROPIC:
-        return isotropic(params.x)
-    return werner(params.x)
+StateParams = Union[XStateParams, PureStateParams, FamilyParams]
+
+# Each kind's constructor by name, looked up in this module when called, so
+# that a rebinding there (a test double, a tracing wrapper) sees every state
+# built.  The family constructors take the mixing weight x, not the record.
+_CONSTRUCTOR = {XStateParams: "x_state", PureStateParams: "pure_state",
+                Family.ISOTROPIC: "isotropic", Family.WERNER: "werner"}
+
+
+def state_kind(params: StateParams):
+    """The kind of a record: its class, or the `Family` of a `FamilyParams`."""
+    return getattr(params, "family", type(params))
+
+
+def _input(params: StateParams):
+    return params.x if isinstance(params, FamilyParams) else params
+
+
+def state_matrix(params: StateParams) -> np.ndarray:
+    """The (4, 4) density matrix of one record, from its kind's constructor."""
+    return globals()[_CONSTRUCTOR[state_kind(params)]](_input(params))
+
+
+def state_stack(records: Sequence[StateParams]) -> np.ndarray:
+    """The (n, 4, 4) stack of n records' matrices, one constructor call per
+    kind; each matrix has the bits that `state_matrix` gives it."""
+    kinds = [state_kind(params) for params in records]
+    rho = np.empty((len(records), 4, 4), dtype=complex)
+    for kind in dict.fromkeys(kinds):
+        idx = [i for i, k in enumerate(kinds) if k is kind]
+        rho[idx] = globals()[_CONSTRUCTOR[kind]]([_input(records[i]) for i in idx])
+    return rho
+
+
+def state_factor(params: StateParams, rho: np.ndarray) -> np.ndarray:
+    """A factor w with w w^dag = rho, the record's validated matrix:
+    `pure_factor(params)` for a pure state, else `x_factor(rho)`."""
+    return pure_factor(params) if isinstance(params, PureStateParams) else x_factor(rho)
 
 
 # Entries allowed to be nonzero in the X pattern (central coherence only).

@@ -51,11 +51,12 @@ from .linalg import _frobenius, dagger, hermitian_eig, kron, psd_sqrt
 from .states import (
     Family,
     FamilyParams,
-    PureStateParams,
     XStateParams,
     as_x_params,
     isotropic,
     pure_state,
+    state_factor,
+    state_stack,
     werner,
     x_state,
 )
@@ -97,9 +98,8 @@ def _random_complex(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))
 
 
-def _by_kind(kinds) -> dict[object, list[int]]:
-    """Case indices per kind (of noise or of state), for one stacked call
-    per kind."""
+def _by_kind(kinds) -> dict[NoiseKind, list[int]]:
+    """Case indices per noise kind, for one stacked call per kind."""
     groups: dict[NoiseKind, list[int]] = {}
     for i, kind in enumerate(kinds):
         groups.setdefault(kind, []).append(i)
@@ -331,40 +331,20 @@ def suite_twirl_invariance(rng: np.random.Generator, res: SuiteResult) -> None:
 # dynamics
 
 
-# One stacked constructor per state kind (the params class, or the Family
-# of a FamilyParams), taking the records of that kind.
-_STACKED_BUILD = {
-    XStateParams: x_state,
-    PureStateParams: pure_state,
-    Family.ISOTROPIC: lambda states: isotropic([s.x for s in states]),
-    Family.WERNER: lambda states: werner([s.x for s in states]),
-}
-
-
-def _initial_states(scenarios) -> np.ndarray:
-    """`initial_state` of each scenario as one (n, 4, 4) stack, built and
-    validated by one stacked constructor call per state kind."""
-    state_kinds = [getattr(s.state, "family", type(s.state)) for s in scenarios]
-    rho0 = np.empty((len(scenarios), 4, 4), dtype=complex)
-    for kind, idx in _by_kind(state_kinds).items():
-        rho0[idx] = _STACKED_BUILD[kind]([scenarios[i].state for i in idx])
-    return rho0
-
-
 def _numeric_concurrence(scenarios, taus) -> np.ndarray:
     """Each scenario's concurrence at its own time (or times: `taus` has one
     leading entry per case) on the numeric route of `dynamics`: the initial
     factor evolved by `apply_to_factor`, then `factor_concurrence`, one call
     per noise kind.  The initial states are built as stacks; each factor is
-    taken from its own state by the scenario's row, as `initial_factor`
+    taken from its own state by `states.state_factor`, as `initial_factor`
     does.  Factors narrower than 4 columns (pure states) are padded with
     zero columns to stack, which leaves W W^dag unchanged."""
     kinds = [s.noise.kind for s in scenarios]
     values = _noise_params(kinds, taus)
-    rho0 = _initial_states(scenarios)
+    rho0 = state_stack([s.state for s in scenarios])
     w0 = np.zeros((len(scenarios), 4, 4), dtype=complex)
     for i, s in enumerate(scenarios):
-        w = s._row.factor(s.state, rho0[i])
+        w = state_factor(s.state, rho0[i])
         w0[i, :, : w.shape[1]] = w
     out = np.empty(values.shape)
     for kind, idx in _by_kind(kinds).items():
@@ -494,7 +474,7 @@ def suite_trajectory_monotone(rng: np.random.Generator, res: SuiteResult) -> Non
 def suite_tau_zero_identity(rng: np.random.Generator, res: SuiteResult) -> None:
     scenarios = [sampling.random_scenario(rng, i) for i in range(res.cases)]
     kinds = [s.noise.kind for s in scenarios]
-    rho0 = _initial_states(scenarios)
+    rho0 = state_stack([s.state for s in scenarios])
     err = _frobenius(_apply_noise(rho0, kinds, _noise_params(kinds, np.zeros(len(kinds)))) - rho0)
     closed = np.array([closed_form_concurrence(s, 0.0) for s in scenarios])
     err = np.maximum(err, np.abs(closed - concurrence_wootters(rho0)))

@@ -19,14 +19,17 @@ The death rules of the cross-pattern/depolarizing cell and of both
 families under amplitude noise are checked the same way, against the root
 of their threshold equation found at 50 digits.
 """
+import contextlib
+import io
 import math
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from esdsim.channels import NoiseKind, NoiseSpec
+from esdsim.cli import main
 from esdsim.dynamics import (
     Classification,
     Scenario,
@@ -377,6 +380,33 @@ def test_x_depolarizing_death_rule_at_known_points():
         assert_death_time_matches(Scenario(state, DEPOL), _x_depolarizing_threshold(state))
     bell = esd_time_analytic(Scenario(XStateParams(0.0, 0.5, 0.5, 0.0, 0.5), DEPOL))
     assert abs(bell.tau_death - 2.0 * math.log(2.0)) <= 1e-15
+
+
+PHASE_NOISE = NoiseSpec(NoiseKind.PHASE)
+LOG_WEIGHT = st.floats(-300.0, 0.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(LOG_WEIGHT, min_size=4, max_size=4), st.floats(-15.0, 0.0))
+def test_x_phase_cell_at_extreme_weights(raw, log_offset):
+    # weights down to 1e-300 and |z| just above sqrt(a) sqrt(d), where
+    # |z|^2 and a d leave the normal floats: the CLI answers at its default
+    # horizon, the rule and the scan agree, and both find the death by
+    # tau = 2 ln 2 that |z| <= 2 sqrt(a d) gives
+    a, b, c, d = _entangling_weights(raw)
+    mag = math.sqrt(a) * math.sqrt(d) * (1.0 + 10.0**log_offset)
+    assume(mag <= math.sqrt(b) * math.sqrt(c))
+    weights = [f"--{name}={value!r}" for name, value in zip("abcd", (a, b, c, d))]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["esd", "--noise", "phase", "--xstate", *weights, f"--zmod={mag!r}"]) == 0
+    s = Scenario(XStateParams(a, b, c, d, mag), PHASE_NOISE)
+    analytic, scanned = esd_time_analytic(s), esd_time_bisection(s)
+    assert analytic.classification is scanned.classification, (s, analytic, scanned)
+    assert analytic.classification is Classification.SUDDEN_DEATH, (s, analytic)
+    assert abs(analytic.tau_death - scanned.tau_death) <= 1e-8, (s, analytic, scanned)
+    mp = _MP
+    want = 2 * mp.log(mp.mpf(mag) / mp.sqrt(mp.mpf(a) * mp.mpf(d)))
+    assert_death_time_matches(s, want, abs_=1e-14)
 
 
 # offsets from the ends of the amplitude-noise intervals, in ulps and in steps

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esdsim import dynamics
+from esdsim import dynamics, states
 from esdsim.channels import NoiseKind, NoiseSpec, apply_channel, kraus_for, lift_first
 from esdsim.cli import main
 from esdsim.concurrence import (
@@ -314,6 +314,29 @@ def test_initial_factor_rebuilds_the_initial_state():
         initial_factor(bad)
     with pytest.raises(ValueError, match="not PSD"):
         numeric_trajectory(bad, [0.0, 1.0])
+
+
+def test_a_rebound_constructor_sees_every_initial_state(monkeypatch):
+    # states calls its constructors by name, so a double (or a tracing
+    # wrapper) bound in the states namespace sees every build, one record
+    # or a stack
+    for name, state in (("x_state", FIG1_SOLID), ("pure_state", GRID_STATES["pure"]),
+                        ("isotropic", GRID_STATES["isotropic"]), ("werner", GRID_STATES["werner"])):
+        built = []
+        original = getattr(states, name)
+
+        def double(arg, original=original, built=built):
+            built.append(arg)
+            return original(arg)
+
+        monkeypatch.setattr(states, name, double)
+        s = Scenario(state, DEPOL)
+        initial_state(s)
+        initial_factor(s)
+        numeric_trajectory(s, [0.0, 1.0])
+        states.state_stack([state, state])
+        assert len(built) == 4, name
+        assert built[-1] == [built[0]] * 2, name
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +745,7 @@ def test_bisection_matches_the_stepwise_loop_at_scan_cache_hits_and_misses():
     # first misses the cache (at most 3 entries) and then hits it; the
     # tiny phase state at 800 / 2048 between the blocks evicts one more
     cells = RANDOM_SCENARIOS[:12]
-    assert len({(getattr(s.state, "family", type(s.state)), s.noise.kind) for s in cells}) == 12
+    assert len({(states.state_kind(s.state), s.noise.kind) for s in cells}) == 12
     tiny = Scenario(XStateParams(1e-200, 0.5, 0.5, 1e-123, 0.5), PHASE)
     runs = []
     for tau_max, points in ((50.0, 2048), (10.0, 11), (3.0, 301)) * 2:
@@ -793,28 +816,40 @@ def test_bisection_evaluation_counts(monkeypatch):
         assert calls == [1, 2047, *path] + [1] * 25
 
 
-def test_bisection_without_a_finite_rule_time_matches_the_stepwise_loop():
-    # a real input, no patched guess: the phase rule's |z|^2 / (ad)
-    # overflows, so the rule time is inf and the bisection has no path to
-    # predict; the closed form still dies near tau = 742
+def test_bisection_without_a_finite_rule_time_matches_the_stepwise_loop(monkeypatch):
+    # the phase rule takes sqrt(a) sqrt(d), so |z| / (sqrt(a) sqrt(d)) stays
+    # finite and the death near tau = 742 has a rule time
+    tiny = Scenario(XStateParams(1e-200, 0.5, 0.5, 1e-123, 0.5), PHASE)
+    assert tiny._death_time == 742.3486906759568
+    predicted = esd_time_bisection(tiny, tau_max=800.0)
+    assert predicted.classification is Classification.SUDDEN_DEATH
+    assert predicted == stepwise_bisection(tiny, tau_max=800.0)
+    # a rule time of inf leaves no path to predict: the bisection takes one
+    # midpoint at a time and still lands on the same bits
+    row = dynamics._TABLE[XStateParams, NoiseKind.PHASE]
+    monkeypatch.setitem(dynamics._TABLE, (XStateParams, NoiseKind.PHASE),
+                        row._replace(death=lambda state: math.inf))
     tiny = Scenario(XStateParams(1e-200, 0.5, 0.5, 1e-123, 0.5), PHASE)
     assert tiny._death_time == math.inf
-    got = esd_time_bisection(tiny, tau_max=800.0)
-    assert got.classification is Classification.SUDDEN_DEATH
-    assert got == stepwise_bisection(tiny, tau_max=800.0)
+    assert dynamics._death_guess(tiny) is None
+    assert esd_time_bisection(tiny, tau_max=800.0) == predicted
 
 
-def test_death_guess_is_a_finite_rule_value():
+def test_death_guess_is_a_finite_rule_value(monkeypatch):
     s = Scenario(FIG2_SOLID, PHASE)
     assert dynamics._death_guess(s) == esd_time_analytic(s).tau_death
     s = Scenario(FIG2_DASHED, DEPOL)
     assert dynamics._death_guess(s) == esd_time_analytic(s).tau_death
+    # weights near 1e-162 keep a finite phase rule time
+    tiny = Scenario(XStateParams(1e-200, 0.5, 0.5, 1e-123, 0.5), PHASE)
+    assert dynamics._death_guess(tiny) == 742.3486906759568
     # a rule that finds no death, a death time that overflows
     assert dynamics._death_guess(Scenario(FIG1_DASHED, AMP)) is None
     assert dynamics._death_guess(Scenario(FamilyParams(Family.WERNER, 0.6), AMP)) is None
-    tiny = Scenario(XStateParams(1e-200, 0.5, 0.5, 1e-123, 0.5), PHASE)
-    assert tiny._death_time == math.inf
-    assert dynamics._death_guess(tiny) is None
+    row = dynamics._TABLE[XStateParams, NoiseKind.PHASE]
+    monkeypatch.setitem(dynamics._TABLE, (XStateParams, NoiseKind.PHASE),
+                        row._replace(death=lambda state: math.inf))
+    assert dynamics._death_guess(Scenario(FIG2_SOLID, PHASE)) is None
 
 
 # sudden deaths of the random draws, from every cell that has them

@@ -9,10 +9,11 @@ from esdsim.states import (
     PureStateParams,
     XStateParams,
     as_x_params,
-    family_state,
     isotropic,
     pure_factor,
     pure_state,
+    state_kind,
+    state_matrix,
     validate_density_matrix,
     werner,
     x_factor,
@@ -133,12 +134,10 @@ def test_family_states_are_valid_across_range():
 
 
 def test_family_state_dispatch():
-    np.testing.assert_allclose(
-        family_state(FamilyParams(Family.ISOTROPIC, 0.3)), isotropic(0.3), atol=0
-    )
-    np.testing.assert_allclose(
-        family_state(FamilyParams(Family.WERNER, 0.7)), werner(0.7), atol=0
-    )
+    iso, wer = FamilyParams(Family.ISOTROPIC, 0.3), FamilyParams(Family.WERNER, 0.7)
+    assert (state_kind(iso), state_kind(wer)) == (Family.ISOTROPIC, Family.WERNER)
+    np.testing.assert_allclose(state_matrix(iso), isotropic(0.3), atol=0)
+    np.testing.assert_allclose(state_matrix(wer), werner(0.7), atol=0)
 
 
 def test_validate_density_matrix_rejects():

@@ -184,8 +184,9 @@ def test_x_form_closure_names_each_record_that_fails_to_rebuild(monkeypatch):
 def test_stacked_initial_states_match_the_per_scenario_builds():
     rng = np.random.default_rng(12)
     scenarios = [random_scenario(rng, i) for i in range(48)]
-    stacked = verification._initial_states(scenarios)
+    stacked = states.state_stack([s.state for s in scenarios])
     assert stacked.tobytes() == np.stack([initial_state(s) for s in scenarios]).tobytes()
+    assert states.state_stack([]).shape == (0, 4, 4)
 
 
 def test_run_suite_unknown_name():
