@@ -23,12 +23,12 @@ leaves up to ~4e-7 on amplitude-noise tails.  `numeric_trajectory` and
 single point is a block of one.  Both routes take their channel
 parameters from `noise_param`.  ESD detection likewise comes in an
 analytic flavor (the closed threshold of the cell) and a
-scan-plus-bisection flavor that scans the closed form over the whole grid
-in one evaluation, then bisects the first dead interval.  The scan grid and
-its noise-parameter values depend only on (noise kind, tau_max, points), so
-they are built once per process for each such key (16 bytes per point per
-entry, at most 3 entries) and fed to the same evaluator that
-`closed_form_concurrence` calls.
+scan-plus-bisection flavor that scans the closed form over the whole grid,
+tau = 0 included, in one evaluation, then bisects the first dead interval.
+The scan grid and its noise-parameter values depend only on (noise kind,
+tau_max, points), so they are built once per process for each such key (16
+bytes per point per entry, at most 3 entries) and fed to the same evaluator
+that `closed_form_concurrence` calls.
 The rule's death time predicts the path of the step-by-step bisection and
 one evaluation checks every midpoint on it; after a wrong prediction, one
 midpoint per evaluation.  Either way the death time is the step-by-step
@@ -69,7 +69,9 @@ DEFAULT_TAU_MAX = 50.0
 DEFAULT_BISECTION_TOL = 1e-9
 SCAN_POINTS = 2048
 # Past this tau, e^(-tau/2) leaves the normal floats and then underflows to
-# 0, a false death; every finite time of the death rules lies below 745.
+# 0, a false death.  A finite rule time can lie past it (the cross-pattern
+# phase rule gives 1426 at subnormal weights): no scan reaches such a death,
+# and `esd` prints AsymptoticDecay beside the rule's time.
 ESD_TAU_MAX_LIMIT = -2.0 * math.log(np.finfo(float).tiny)
 TRAJECTORY_CAP = 1.0 + 1e-10
 # Grid points per stacked evaluation on the numeric route.  Bounds the
@@ -382,7 +384,11 @@ def _x_phase_death(s: XStateParams) -> float | None:
     root = math.sqrt(s.a) * math.sqrt(s.d)
     if root == 0.0:
         return None
-    return 2.0 * math.log(abs(s.z) / root)
+    ratio = abs(s.z) / root
+    if math.isinf(ratio):
+        # subnormal weights: the quotient overflows, its logarithm does not
+        return 2.0 * (math.log(abs(s.z)) - math.log(math.sqrt(s.a)) - math.log(math.sqrt(s.d)))
+    return 2.0 * math.log(ratio)
 
 
 def _x_depolarizing_death(s: XStateParams) -> float:
@@ -513,12 +519,13 @@ def _death_guess(scenario: Scenario) -> float | None:
 
 @functools.lru_cache(maxsize=3, typed=True)
 def _scan_grid(kind: NoiseKind, tau_max: float, points: int) -> tuple[np.ndarray, np.ndarray]:
-    # the scan grid over [0, tau_max] and noise_param at grid[1:], read-only
-    # since every scenario of the noise kind shares them.  Callers validate
-    # tau_max and points first, so no invalid key is kept; typed, so that
-    # points=11.0 still fails in linspace instead of hitting points=11.
+    # the scan grid over [0, tau_max] and noise_param at every point of it,
+    # tau = 0 included, read-only since every scenario of the noise kind
+    # shares them.  Callers validate tau_max and points first, so no invalid
+    # key is kept; typed, so that points=11.0 still fails in linspace
+    # instead of hitting points=11.
     grid = np.linspace(0.0, tau_max, points)
-    value = noise_param(NoiseSpec(kind), grid[1:])
+    value = noise_param(NoiseSpec(kind), grid)
     grid.setflags(write=False)
     value.setflags(write=False)
     return grid, value
@@ -546,16 +553,21 @@ def esd_time_bisection(
     loop would visit exactly these midpoints.  The prediction only picks
     points, so the bisection still checks the rule.  Where a verdict
     differs, or the rule gives no finite time, the bisection evaluates one
-    midpoint at a time from the scan bracket.  A sudden death at the
-    default `tol` costs one evaluation at tau = 0, one scan and the path
-    (25 midpoints), plus 25 single midpoints after a wrong prediction.
+    midpoint at a time from the scan bracket.
 
     The scan grid, `np.linspace(0, tau_max, points)`, and `noise_param` at
-    its points after 0 are built once per (noise kind, `tau_max`, `points`)
-    and kept read-only for the life of the process: 16 bytes per point per
-    entry, at most 3 entries.  The scan evaluates the scenario's formula on
-    those cached values, through the same evaluator and domain check as
-    `closed_form_concurrence`, so its verdicts are the same bits.
+    every point of it, tau = 0 included, are built once per (noise kind,
+    `tau_max`, `points`) and kept read-only for the life of the process:
+    16 bytes per point per entry, at most 3 entries.  One evaluation of the
+    scenario's formula on them, through the same evaluator and domain check
+    as `closed_form_concurrence`, gives every verdict of the scan in the
+    same bits.  Its first point decides InitiallySeparable and leaves the
+    value at tau = 0 for `initial_concurrence`, if that was not computed
+    yet.  So an InitiallySeparable or an AsymptoticDecay costs one
+    evaluation, and a sudden death at the default `tol` two: the scan, then
+    the path (25 midpoints), plus 25 single midpoints after a wrong
+    prediction.  The path cannot join the scan's evaluation, since the
+    death rules hold only for entangled states.
     """
     for name, bound in (("tau_max", tau_max), ("tol", tol)):
         if not (bound > 0.0 and math.isfinite(bound)):
@@ -569,21 +581,23 @@ def esd_time_bisection(
     def dead(taus) -> np.ndarray:
         return closed_form_concurrence(scenario, taus) == 0.0
 
-    if initial_concurrence(scenario) == 0.0:
-        return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION)
-
     grid, values = _scan_grid(scenario.noise.kind, tau_max, points)
-    # dead_scan[i] is the verdict at grid[i + 1]
-    dead_scan = _closed_form(scenario, grid[1:], values) == 0.0
+    c = _closed_form(scenario, grid, values)
+    # grid[0] = 0 and its cached value are what closed_form_concurrence(
+    # scenario, 0.0) passes the evaluator, so c[0] is the same bits
+    vars(scenario).setdefault("_initial_concurrence", c[0])
+    dead_scan = c == 0.0
+    if dead_scan[0]:
+        return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION)
     if not dead_scan.any():
         return EsdResult(
             Classification.ASYMPTOTIC_DECAY, EsdMethod.BISECTION, horizon=tau_max
         )
-    first = int(dead_scan.argmax()) + 1
+    first = int(dead_scan.argmax())
 
     alive_after = ~dead_scan[first:]
     if alive_after.any():
-        revived = grid[first + 1 + int(alive_after.argmax())]
+        revived = grid[first + int(alive_after.argmax())]
         raise RuntimeError(
             f"concurrence revived after dying, first at tau={revived!r}; "
             "scan assumptions do not hold for this scenario"

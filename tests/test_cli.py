@@ -456,6 +456,19 @@ def test_esd_time_that_overflows_at_small_gamma_exits_2(capsys):
     )
 
 
+def test_esd_phase_death_past_the_float_range_of_the_quotient_exits_0(capsys):
+    # |z| / (sqrt(a) sqrt(d)) overflows at subnormal weights; the rule's time
+    # (1426.2) lies past every horizon the scan may take, so the scan reads
+    # an asymptotic decay beside it
+    argv = ["esd", "--noise", "phase", "--xstate", "--a", "1e-310", "--b", "0.5",
+            "--c", "0.5", "--d", "1e-310", "--zmod", "0.5"]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == (
+        "classification: AsymptoticDecay\ntau_death_analytic: 1426.2164633\nhorizon: 50\n"
+    )
+
+
 def test_esd_tau_max_past_the_normal_floats_exits_2(capsys):
     # e^(-tau/2) underflows to 0 near tau = 1490, where a pure state under
     # amplitude noise would read as a sudden death

@@ -368,6 +368,29 @@ def test_analytic_phase_threshold():
     assert r.classification is Classification.ASYMPTOTIC_DECAY
 
 
+@pytest.mark.parametrize("a, b, d, z", [
+    (1e-310, 0.5, 1e-310, 0.5),
+    (5e-324, 0.5, 5e-324, 0.5),
+    (1e-300, 0.5, 1e-320, 0.5),
+    (5e-324, 0.5, 0.25, 0.3),
+    (1e-200, 0.5, 1e-123, 0.5),
+    (0.2, 0.3, 0.2, 0.3),
+])
+def test_analytic_phase_threshold_at_subnormal_weights(a, b, d, z):
+    # the rule is 2 ln(|z| / (sqrt(a) sqrt(d))); where the quotient overflows
+    # (subnormal weights) it takes the logarithms apart, elsewhere it keeps
+    # the quotient, so its bits do not move
+    state = XStateParams(a, b, 1.0 - a - b - d, d, z)
+    got = dynamics._x_phase_death(state)
+    quotient = z / (math.sqrt(a) * math.sqrt(d))
+    if math.isfinite(quotient):
+        assert got == 2.0 * math.log(quotient)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        want = 2 * mp.log(mp.mpf(z) / (mp.sqrt(mp.mpf(a)) * mp.sqrt(mp.mpf(d))))
+        assert abs(got - want) <= 4 * math.ulp(got)
+
+
 def test_analytic_bell_phase_is_asymptotic():
     r = esd_time_analytic(Scenario(BELL_PSI, PHASE))
     assert r.classification is Classification.ASYMPTOTIC_DECAY
@@ -640,17 +663,26 @@ def test_initial_concurrence_is_evaluated_once_per_scenario(monkeypatch):
     assert esd_time_analytic(s).classification is Classification.SUDDEN_DEATH
     assert esd_time_bisection(s).classification is Classification.SUDDEN_DEATH
     assert initial_concurrence(s) == reference
-    # tau = 0 once, the scan, and the 25 midpoints of the predicted path
-    assert calls == [1, 2047, 25]
+    # library order: tau = 0 once for the analytic route, then the scan
+    # (tau = 0 included, its value already cached) and the 25 midpoints of
+    # the predicted path
+    assert calls == [1, 2048, 25]
     # the death-time rule as well: the analytic route and the guess share it
     assert rules == [FIG2_SOLID]
-    # the esd command: the analytic and the bisection route share both
+    # the esd command runs the bisection first, whose scan leaves the value
+    # at tau = 0 for the analytic route; both share the rule as well
     calls.clear()
     rules.clear()
     argv = "esd --noise phase --xstate --a 0.2 --b 0.3 --c 0.3 --d 0.2 --zsq 0.09".split()
     assert main(argv) == 0
-    assert calls == [1, 2047, 25]
+    assert calls == [2048, 25]
     assert len(rules) == 1
+    # an asymptotic decay (d = 0) and a separable state: the scan alone
+    for weights in ("--a 0.2 --b 0.3 --c 0.5 --d 0 --zsq 0.09",
+                    "--a 0.2 --b 0.3 --c 0.3 --d 0.2 --zsq 0.01"):
+        calls.clear()
+        assert main(["esd", "--noise", "phase", "--xstate", *weights.split()]) == 0
+        assert calls == [2048]
 
 
 def test_bisection_x_depolarizing_frozen_roots():
@@ -743,13 +775,17 @@ def test_bisection_matches_the_stepwise_loop():
 def test_bisection_matches_the_stepwise_loop_at_scan_cache_hits_and_misses():
     # the 12 cells at three scan settings in turn, so that each setting
     # first misses the cache (at most 3 entries) and then hits it; the
-    # tiny phase state at 800 / 2048 between the blocks evicts one more
+    # tiny phase state at 800 / 2048 between the blocks evicts one more.
+    # Every scenario scans, so the first cell of each noise kind in a block
+    # takes the miss: block j leads with the state kind j mod 4, which puts
+    # every classification on a miss as well as on a hit
     cells = RANDOM_SCENARIOS[:12]
     assert len({(states.state_kind(s.state), s.noise.kind) for s in cells}) == 12
     tiny = Scenario(XStateParams(1e-200, 0.5, 0.5, 1e-123, 0.5), PHASE)
     runs = []
-    for tau_max, points in ((50.0, 2048), (10.0, 11), (3.0, 301)) * 2:
-        runs += [(s, tau_max, points) for s in cells]
+    for j, (tau_max, points) in enumerate(((50.0, 2048), (10.0, 11), (3.0, 301)) * 2):
+        order = sorted(range(12), key=lambda i: ((i - j) % 4, i))
+        runs += [(cells[i], tau_max, points) for i in order]
         runs.append((tiny, 800.0, 2048))
     seen = set()
     for s, tau_max, points in runs:
@@ -757,9 +793,7 @@ def test_bisection_matches_the_stepwise_loop_at_scan_cache_hits_and_misses():
         got = esd_time_bisection(s, tau_max=tau_max, points=points)
         assert got == stepwise_bisection(s, tau_max=tau_max, points=points), (s, tau_max, points)
         seen.add((got.classification, dynamics._scan_grid.cache_info().hits > hits))
-    for hit in (False, True):
-        assert (Classification.SUDDEN_DEATH, hit) in seen
-        assert (Classification.ASYMPTOTIC_DECAY, hit) in seen
+    assert seen == {(kind, hit) for kind in Classification for hit in (False, True)}
 
 
 def test_scan_cache_entries_are_read_only_and_bit_identical():
@@ -767,7 +801,10 @@ def test_scan_cache_entries_are_read_only_and_bit_identical():
     grid, values = dynamics._scan_grid(NoiseKind.AMPLITUDE, 50.0, 2048)
     assert dynamics._scan_grid.cache_info().hits == 1
     assert grid.tobytes() == CLI_GRID.tobytes()
-    assert values.tobytes() == noise_param(AMP, CLI_GRID[1:]).tobytes()
+    # tau = 0 included: its value is the one closed_form_concurrence(s, 0.0)
+    # passes the evaluator
+    assert values.tobytes() == noise_param(AMP, CLI_GRID).tobytes()
+    assert values[0].tobytes() == noise_param(AMP, 0.0).tobytes()
     for array in (grid, values, grid[1:]):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -780,6 +817,42 @@ def test_scan_cache_stays_within_its_bound():
     info = dynamics._scan_grid.cache_info()
     assert info.misses == 300
     assert info.currsize == info.maxsize == 3
+
+
+SCAN_HORIZONS = (50.0, dynamics.ESD_TAU_MAX_LIMIT)
+
+
+@pytest.mark.parametrize("tau_max", SCAN_HORIZONS)
+def test_the_scan_seeds_the_initial_concurrence_with_its_bits(tau_max):
+    # the scan's first point is tau = 0 with the value closed_form_concurrence
+    # (s, 0.0) passes the evaluator, so the value it leaves for the analytic
+    # route has the same bytes, the sign of a zero included
+    for drawn in RANDOM_SCENARIOS:
+        s = Scenario(drawn.state, drawn.noise)
+        esd_time_bisection(s, tau_max=tau_max)
+        seeded = vars(s)["_initial_concurrence"]
+        want = closed_form_concurrence(drawn, 0.0)
+        assert type(seeded) is type(want)
+        assert np.asarray(seeded).tobytes() == np.asarray(want).tobytes(), drawn
+
+
+@pytest.mark.parametrize("tau_max", SCAN_HORIZONS)
+def test_every_initially_separable_draw_is_classified_so(tau_max):
+    # separable states scan as well; the verdict at tau = 0 settles them
+    # before the revival check, and no formula leaves its domain on them
+    edges = [
+        Scenario(FamilyParams(family, x), noise)
+        for family, x in ((Family.WERNER, 0.0), (Family.WERNER, 1.0 / 3.0),
+                          (Family.ISOTROPIC, 0.0), (Family.ISOTROPIC, 0.25),
+                          (Family.ISOTROPIC, 0.5))
+        for noise in (AMP, PHASE, DEPOL)
+    ]
+    draws = [s for s in _random_scenarios(27, 1200) if closed_form_concurrence(s, 0.0) == 0.0]
+    # every cell but the pure states, whose random draws are entangled
+    assert len({(states.state_kind(s.state), s.noise.kind) for s in draws}) == 9
+    for s in edges + draws:
+        got = esd_time_bisection(s, tau_max=tau_max)
+        assert got == EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION), s
 
 
 def test_bisection_matches_at_a_tol_below_the_float_spacing():
@@ -799,21 +872,26 @@ def test_bisection_evaluation_counts(monkeypatch):
     monkeypatch.setattr(dynamics, "_closed_form", counted)
     r = esd_time_bisection(Scenario(FIG2_SOLID, PHASE))
     assert r.classification is Classification.SUDDEN_DEATH
-    # tau = 0, the scan, and one evaluation of the predicted path
-    assert calls == [1, 2047, 25]
+    # the scan, tau = 0 included, and one evaluation of the predicted path
+    assert calls == [2048, 25]
     # every cell has a death-time rule, the cross-pattern/depolarizing one
     # included
     calls.clear()
     depol = esd_time_bisection(Scenario(FIG2_DASHED, DEPOL))
     assert depol.classification is Classification.SUDDEN_DEATH
-    assert calls == [1, 2047, 25]
+    assert calls == [2048, 25]
+    # a separable state and an asymptotic decay: the scan alone
+    for s in (Scenario(FamilyParams(Family.WERNER, 0.3), PHASE), Scenario(FIG1_DASHED, AMP)):
+        calls.clear()
+        esd_time_bisection(s)
+        assert calls == [2048]
     # a wrong guess costs its path, then one midpoint per evaluation over
     # the 25 halvings; no finite guess costs those midpoints alone
     for guess, path in ((r.tau_death + 0.01, [25]), (None, [])):
         monkeypatch.setattr(dynamics, "_death_guess", lambda scenario: guess)
         calls.clear()
         assert esd_time_bisection(Scenario(FIG2_SOLID, PHASE)) == r
-        assert calls == [1, 2047, *path] + [1] * 25
+        assert calls == [2048, *path] + [1] * 25
 
 
 def test_bisection_without_a_finite_rule_time_matches_the_stepwise_loop(monkeypatch):
