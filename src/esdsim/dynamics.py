@@ -46,6 +46,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -186,9 +187,9 @@ def initial_factor(scenario: Scenario) -> np.ndarray:
     """A factor W0 of the initial state, initial_state(scenario) = W0 W0^dag.
 
     Shape (4, 1) for a pure state (its amplitude column) and (4, 4) for
-    the X-pattern kinds (`states.x_factor`).  The initial state is built
-    and validated first, so the factor route rejects what `initial_state`
-    rejects.
+    the X-pattern kinds (`states.x_factor`, read from `initial_state`).
+    The state's record was checked when it was built, so every route
+    accepts the same scenarios.
     """
     return state_factor(scenario.state, initial_state(scenario))
 
@@ -384,11 +385,11 @@ def _x_phase_death(s: XStateParams) -> float | None:
     root = math.sqrt(s.a) * math.sqrt(s.d)
     if root == 0.0:
         return None
-    ratio = abs(s.z) / root
-    if math.isinf(ratio):
-        # subnormal weights: the quotient overflows, its logarithm does not
+    if root < sys.float_info.min:
+        # a subnormal root has lost bits, and only a subnormal root can
+        # overflow |z| / root (|z| <= 1/2): take the logarithms apart
         return 2.0 * (math.log(abs(s.z)) - math.log(math.sqrt(s.a)) - math.log(math.sqrt(s.d)))
-    return 2.0 * math.log(ratio)
+    return 2.0 * math.log(abs(s.z) / root)
 
 
 def _x_depolarizing_death(s: XStateParams) -> float:

@@ -8,7 +8,8 @@ inputs cost far more in call overhead than in arithmetic.
 
 The matrix checks live here, each once: Hermiticity, unit trace and
 positivity, all within the one rounding allowance PSD_CLAMP_TOL.
-`hermitian_eig`, `psd_sqrt`, `states.validate_density_matrix` and
+`hermitian_eig`, `psd_sqrt`, `states.validate_density_matrix` (for
+matrices from outside), `states.XStateParams` (on its central block) and
 `concurrence.spin_flip_spectrum` run them and share their wording.
 """
 from __future__ import annotations

@@ -17,10 +17,8 @@ import numpy as np
 
 from .linalg import _check_psd, _check_unit_trace, _hermitian_part, _unit_interval
 
-# Parameter-record tolerances: weights are user input, so the sum check is
-# tight; the central-block positivity check absorbs only rounding.
+# Weights are user input, so their sum check is tight.
 WEIGHT_SUM_TOL = 1e-12
-CENTRAL_BLOCK_TOL = 1e-12
 
 # Structural tolerance for X-pattern extraction; the channels preserve the
 # pattern exactly, so this only absorbs rounding.
@@ -58,11 +56,10 @@ class XStateParams:
 
     def __post_init__(self) -> None:
         _check_record(self, "X-state")
-        if self.b * self.c - abs(self.z) ** 2 < -CENTRAL_BLOCK_TOL:
-            raise ValueError(
-                f"central block not PSD: need b*c >= |z|^2, got "
-                f"{self.b * self.c!r} < {abs(self.z) ** 2!r}"
-            )
+        # least eigenvalue of the central block [[b, z], [z*, c]], under the
+        # allowance and wording of every matrix check
+        b, c = self.b, self.c
+        _check_psd(np.float64(((b + c) - math.hypot(b - c, 2.0 * abs(self.z))) / 2.0))
 
 
 @dataclass(frozen=True)
@@ -110,20 +107,21 @@ def validate_density_matrix(mat: np.ndarray) -> np.ndarray:
 
 
 def _x_pattern(diag, z) -> np.ndarray:
-    """Validated X-pattern stack: the four diagonal weights `diag` and the
-    central coherence `z` (at entry (1, 2), its conjugate at (2, 1)) each
-    hold one value per matrix, shape (...); the result is (..., 4, 4)."""
+    """X-pattern stack: the four diagonal weights `diag` and the central
+    coherence `z` (at entry (1, 2), its conjugate at (2, 1)) each hold one
+    value per matrix, shape (...); the result is (..., 4, 4).  The inputs
+    are checked records or family weights, so it is not checked again."""
     rho = np.zeros(np.shape(z) + (4, 4), dtype=complex)
     rho[..., 0, 0], rho[..., 1, 1], rho[..., 2, 2], rho[..., 3, 3] = diag
     rho[..., 1, 2], rho[..., 2, 1] = z, np.conj(z)
-    return validate_density_matrix(rho)
+    return rho
 
 
 def x_state(params: XStateParams | Sequence[XStateParams]) -> np.ndarray:
     """Density matrix with diagonal (a, b, c, d) and central coherence z.
 
     One record gives a (4, 4) matrix, a sequence of n records an (n, 4, 4)
-    stack.
+    stack.  Each record was checked when built; the matrix is not again.
     """
     if isinstance(params, XStateParams):
         # complex(z): a real z then conjugates to -0j, as in the complex stack
@@ -147,11 +145,11 @@ def pure_state(params: PureStateParams | Sequence[PureStateParams]) -> np.ndarra
     """Rank-1 projector of sqrt(a)|00> + sqrt(b)e^{if}|01> + sqrt(c)e^{ig}|10> + sqrt(d)e^{ih}|11>.
 
     One record gives a (4, 4) matrix, a sequence of n records an (n, 4, 4)
-    stack.
+    stack.  Each record was checked when built; the matrix is not again.
     """
     one = isinstance(params, PureStateParams)
     amps = _pure_amplitudes(params) if one else np.array([*map(_pure_amplitudes, params)]).reshape(-1, 4)
-    return validate_density_matrix(amps[..., :, None] * amps.conj()[..., None, :])
+    return amps[..., :, None] * amps.conj()[..., None, :]
 
 
 def pure_factor(params: PureStateParams) -> np.ndarray:

@@ -229,15 +229,7 @@ def suite_x_form_closure(rng: np.random.Generator, res: SuiteResult) -> None:
         except ValueError as exc:
             reasons[i] = f": {exc}"
     rebuilt = out.copy()
-    try:
-        rebuilt[list(records)] = x_state(list(records.values()))
-    except ValueError:
-        # rebuild one by one, so that each bad record gets its own reason
-        for i, record in records.items():
-            try:
-                rebuilt[i] = x_state(record)
-            except ValueError as exc:
-                reasons[i] = f": {exc}"
+    rebuilt[list(records)] = x_state(list(records.values()))
     err = _frobenius(rebuilt - out)
     err[list(reasons)] = math.inf
     res.record_all(

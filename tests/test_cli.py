@@ -469,6 +469,33 @@ def test_esd_phase_death_past_the_float_range_of_the_quotient_exits_0(capsys):
     )
 
 
+def test_esd_phase_rule_at_a_subnormal_root(capsys):
+    # sqrt(a) sqrt(d) is subnormal but |z| over it finite: the rule takes the
+    # logarithms apart and reads the 50-digit 1381.5629955165...
+    argv = ["esd", "--noise", "phase", "--xstate", "--a", "2e-317", "--b", "0.5",
+            "--c", "0.5", "--d", "5e-324", "--zmod", "1e-20", "--tau-max", "1416"]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["classification: SuddenDeath", "tau_death_analytic: 1381.56299552"]
+
+
+def test_esd_and_evolve_admit_the_same_x_states(capsys):
+    # one admission rule, at the record: the central block's least eigenvalue
+    # against -PSD_CLAMP_TOL.  Here b c - |z|^2 = -1e-12, but the least
+    # eigenvalue is -9.05e-7: both commands refuse it alike
+    not_psd = ["--a", "0.9999998", "--b", "1e-7", "--c", "1e-7", "--d", "0",
+               "--zmod", "1.0049875621120889e-06"]
+    # least eigenvalue -2.5e-11, within the allowance of every matrix check
+    within = ["--a", "0.25", "--b", "0.25", "--c", "0.25", "--d", "0.25", "--zmod", "0.250000000025"]
+    for command in ("esd", "evolve"):
+        code, out, err = run([command, "--noise", "amplitude", "--xstate", *not_psd], capsys)
+        assert (code, out) == (2, ""), command
+        assert err == "error: matrix is not PSD: min eigenvalue -9.050e-07 < -1.000e-10\n"
+        code, out, err = run([command, "--noise", "amplitude", "--xstate", *within, "--points", "8"], capsys)
+        assert (code, err) == (0, ""), command
+        assert out
+
+
 def test_esd_tau_max_past_the_normal_floats_exits_2(capsys):
     # e^(-tau/2) underflows to 0 near tau = 1490, where a pure state under
     # amplitude noise would read as a sudden death

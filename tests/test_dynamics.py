@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -307,13 +308,11 @@ def test_initial_factor_rebuilds_the_initial_state():
         w = initial_factor(s)
         assert w.shape == ((4, 1) if isinstance(state, PureStateParams) else (4, 4))
         np.testing.assert_allclose(w @ w.conj().T, initial_state(s), rtol=0, atol=1e-15)
-    # the factor route rejects what initial_state rejects: a central block
-    # within the record's tolerance but not PSD within the matrix check
-    bad = Scenario(XStateParams(0.5, 0.0, 0.0, 0.5, 1e-7), AMP)
-    with pytest.raises(ValueError, match="not PSD"):
-        initial_factor(bad)
-    with pytest.raises(ValueError, match="not PSD"):
-        numeric_trajectory(bad, [0.0, 1.0])
+    # the record is the one admission check, so every route accepts the same
+    # states: a central block with b c - |z|^2 = -1e-14, not PSD within the
+    # matrix allowance, is refused when it is built
+    with pytest.raises(ValueError, match="^matrix is not PSD: min eigenvalue -1.000e-07 < -1.000e-10$"):
+        XStateParams(0.5, 0.0, 0.0, 0.5, 1e-7)
 
 
 def test_a_rebound_constructor_sees_every_initial_state(monkeypatch):
@@ -389,6 +388,28 @@ def test_analytic_phase_threshold_at_subnormal_weights(a, b, d, z):
     with mp.workdps(50):
         want = 2 * mp.log(mp.mpf(z) / (mp.sqrt(mp.mpf(a)) * mp.sqrt(mp.mpf(d))))
         assert abs(got - want) <= 4 * math.ulp(got)
+
+
+@pytest.mark.parametrize("a, d, z", [
+    (2e-317, 5e-324, 1e-20),
+    (1e-310, 1e-310, 1e-10),
+    (3e-309, 3e-309, 1e-300),
+    (5e-324, 1e-300, 1e-160),
+    (1e-320, 1e-300, 1e-5),
+])
+def test_analytic_phase_threshold_at_subnormal_roots(a, d, z):
+    # sqrt(a) sqrt(d) is subnormal and |z| / (sqrt(a) sqrt(d)) finite: the
+    # quotient would take the root's lost bits, so the rule takes the
+    # logarithms apart, each rounded once
+    assert 0.0 < math.sqrt(a) * math.sqrt(d) < sys.float_info.min
+    assert math.isfinite(z / (math.sqrt(a) * math.sqrt(d)))
+    b = (1.0 - a - d) / 2.0
+    got = dynamics._x_phase_death(XStateParams(a, b, 1.0 - a - b - d, d, z))
+    terms = 2.0 * (abs(math.log(z)) + abs(math.log(a)) / 2.0 + abs(math.log(d)) / 2.0)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        want = 2 * mp.log(mp.mpf(z) / (mp.sqrt(mp.mpf(a)) * mp.sqrt(mp.mpf(d))))
+        assert abs(got - want) <= 4 * math.ulp(terms)
 
 
 def test_analytic_bell_phase_is_asymptotic():

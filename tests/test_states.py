@@ -1,7 +1,14 @@
+import cmath
+import collections
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from esdsim import states
+from esdsim.linalg import PSD_CLAMP_TOL
 from esdsim.sampling import random_pure_params, random_x_params
 from esdsim.states import (
     Family,
@@ -218,15 +225,63 @@ def test_stacked_constructors_match_one_record_at_a_time(ctor, records):
 
 @pytest.mark.parametrize("ctor, records", _stack_cases())
 def test_a_stack_is_validated_once(ctor, records, monkeypatch):
-    calls = []
+    # each entry is checked once, where it is taken in: a record when it is
+    # built (an X record's central block through the PSD check), family
+    # weights in one range check; the matrices are not checked again
+    calls = collections.Counter()
+    for name in ("validate_density_matrix", "_check_record", "_check_psd", "_unit_interval"):
+        def counting(*args, name=name, original=getattr(states, name)):
+            calls[name] += 1
+            return original(*args)
 
-    def counting(mat):
-        calls.append(np.shape(mat))
-        return validate_density_matrix(mat)
+        monkeypatch.setattr(states, name, counting)
+    family = ctor in (isotropic, werner)
+    stack = ctor(records if family else [type(r)(**vars(r)) for r in records])
+    n = len(records)
+    expected = {"_unit_interval": 1} if family else {"_check_record": n}
+    if ctor is x_state:
+        expected["_check_psd"] = n
+    assert dict(calls) == expected
+    # and the stack holds density matrices within every matrix check
+    validate_density_matrix(stack)
 
-    monkeypatch.setattr(states, "validate_density_matrix", counting)
-    ctor(records)
-    assert calls == [(len(records), 4, 4)]
+
+# log10 of a weight, down to 1e-300; half the draws above 1e-8, where a
+# block can sit below -PSD_CLAMP_TOL
+_LOG_WEIGHT = st.one_of(st.floats(-300.0, math.log10(0.5)), st.floats(-8.0, math.log10(0.5)))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    _LOG_WEIGHT,
+    _LOG_WEIGHT,
+    st.floats(-16.0, -3.0),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(0.0, 1.0),
+    st.floats(-math.pi, math.pi),
+)
+def test_the_record_admits_what_the_matrix_check_admits(log_b, log_c, log_delta, sign, share, phase):
+    # |z| = sqrt(b c)(1 + delta) puts the central block's least eigenvalue on
+    # either side of -PSD_CLAMP_TOL, from b c = 1e-600 up
+    b, c = 10.0**log_b, 10.0**log_c
+    zmod = math.sqrt(b) * math.sqrt(c) * (1.0 + sign * 10.0**log_delta)
+    a = share * (1.0 - b - c)
+    d = (1.0 - b - c) - a
+    low = ((b + c) - math.hypot(b - c, 2.0 * zmod)) / 2.0
+    # both compute the least eigenvalue to about eps (b + c)
+    assume(abs(low + PSD_CLAMP_TOL) > 4.0 * np.finfo(float).eps * (b + c))
+    z = cmath.rect(zmod, phase)
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = a, b, c, d
+    rho[1, 2], rho[2, 1] = z, z.conjugate()
+    refused = []
+    for check in (lambda: XStateParams(a, b, c, d, z), lambda: validate_density_matrix(rho)):
+        try:
+            check()
+        except ValueError as exc:
+            assert str(exc).startswith("matrix is not PSD: min eigenvalue ")
+            refused.append(check)
+    assert len(refused) in (0, 2), (low, refused)
 
 
 @pytest.mark.parametrize("ctor", [x_state, pure_state, isotropic, werner])

@@ -164,21 +164,24 @@ def test_suites_fail_on_wrong_library_answers(monkeypatch):
 
 
 def test_x_form_closure_names_each_record_that_fails_to_rebuild(monkeypatch):
-    # a record that x_state rejects fails the stacked rebuild; the suite
-    # then rebuilds case by case, and only the bad cases fail, each with
-    # its own reason
+    # an evolved matrix whose record cannot be built fails its own case,
+    # with its own reason; the other cases rebuild in one stack and pass
+    refused = []
+
     def as_x_params(rho):
-        record = states.as_x_params(rho)
-        if record.a > 0.2:
-            object.__setattr__(record, "z", 2.0)  # |z|^2 > b c: not PSD
-        return record
+        a = rho[0, 0].real
+        if a > 0.2:
+            refused.append(a)
+            raise ValueError(f"refused a={a!r}")
+        return states.as_x_params(rho)
 
     assert run_suite("x_form_closure", 0, 40).passed
     monkeypatch.setattr(verification, "as_x_params", as_x_params)
     res = run_suite("x_form_closure", 0, 40)
     assert 0 < len(res.failures) < res.cases
-    assert all(failure.startswith("err=inf ") for failure in res.failures)
-    assert all("matrix is not PSD" in failure for failure in res.failures)
+    assert len(res.failures) == len(refused)
+    for failure, a in zip(res.failures, refused):
+        assert failure.startswith("err=inf ") and failure.endswith(f": refused a={a!r}")
 
 
 def test_stacked_initial_states_match_the_per_scenario_builds():
