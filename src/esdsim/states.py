@@ -165,17 +165,23 @@ def x_factor(rho: np.ndarray) -> np.ndarray:
     (M + s I) / t with s = sqrt(det M) and t = sqrt(b + c + 2 s).  No
     eigendecomposition is taken, so a zero weight gives an exactly zero
     column and a rank-1 central block a rank-1 pair of columns, up to the
-    rounding of det M.  A det M that rounds below zero counts as zero.
-    `rho` is a validated X-pattern matrix such as `x_state` builds; only
-    its diagonal and its (1, 2) coherence are read.
+    rounding of det M.  A det M below zero (a least eigenvalue within
+    -PSD_CLAMP_TOL) takes s = 0 and t^2 = tr(M^2) / (b + c), so w w^dag
+    keeps rho's trace and lies within about that eigenvalue of rho.  `rho`
+    is an X-pattern matrix from a checked record, such as `x_state` builds;
+    only its diagonal and its (1, 2) coherence are read.
     """
     a, b, c, d = rho.diagonal().real
     z = rho[1, 2]
-    s = math.sqrt(max(b * c - abs(z) ** 2, 0.0))
+    det = b * c - abs(z) ** 2
+    s = math.sqrt(max(det, 0.0))
     t = math.sqrt(b + c + 2.0 * s)
     w = np.zeros((4, 4), dtype=complex)
     w[0, 0], w[3, 1] = math.sqrt(a), math.sqrt(d)
     if t > 0.0:  # else the central block is zero within the X-state checks
+        if det < 0.0:
+            # tr(M^2) = (b + c)^2 - 2 det M, and (M / t)^2 has trace b + c
+            t = math.sqrt(b + c - 2.0 * det / (b + c))
         w[1:3, 2:4] = [[(b + s) / t, z / t], [z.conjugate() / t, (c + s) / t]]
     return w
 

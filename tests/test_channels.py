@@ -285,31 +285,12 @@ def test_entrywise_residual_has_the_bits_of_the_stacked_matmul(points):
             acc = acc + term
         reference = np.linalg.norm(acc, axis=(-2, -1))
         assert completeness_residual(kraus_for(kind, values)).tobytes() == reference.tobytes()
-    # a lifted 4x4 set keeps the general path
+    # a lifted 4x4 set takes the same row loop, over its four rows
     lifted = lift_first(depolarizing_kraus(values[:5]))
-    assert np.all(completeness_residual(lifted) <= 1e-14)
-
-
-def test_residual_sums_the_rows_of_every_set_in_one_loop():
-    values = np.random.default_rng(5).uniform(size=64)
-    for kind in NoiseKind:
-        # a stacked 2x2 set: the bits of the two-term entrywise sum
-        ops = kraus_for(kind, values).ops
-        c = ops.conj()
-        terms = c[..., 0, :, None] * ops[..., 0, None, :] + c[..., 1, :, None] * ops[..., 1, None, :]
-        acc = -np.eye(2, dtype=complex)
-        for term in terms:
-            acc = acc + term
-        reference = np.linalg.norm(acc, axis=(-2, -1))
-        assert completeness_residual(kraus_for(kind, values)).tobytes() == reference.tobytes()
-        # a lifted 4x4 set takes the same loop, over its four rows
-        lifted = lift_first(kraus_for(kind, values[:5]))
-        acc = -np.eye(4, dtype=complex)
-        for term in lifted.ops.conj().swapaxes(-1, -2) @ lifted.ops:
-            acc = acc + term
-        np.testing.assert_allclose(
-            completeness_residual(lifted), np.linalg.norm(acc, axis=(-2, -1)), rtol=0, atol=1e-15
-        )
+    acc = -np.eye(4, dtype=complex)
+    for term in lifted.ops.conj().swapaxes(-1, -2) @ lifted.ops:
+        acc = acc + term
+    np.testing.assert_allclose(completeness_residual(lifted), np.linalg.norm(acc, axis=(-2, -1)), rtol=0, atol=1e-15)
 
 
 def test_factor_evolution_is_the_channel_map():

@@ -485,15 +485,18 @@ def test_esd_and_evolve_admit_the_same_x_states(capsys):
     # eigenvalue is -9.05e-7: both commands refuse it alike
     not_psd = ["--a", "0.9999998", "--b", "1e-7", "--c", "1e-7", "--d", "0",
                "--zmod", "1.0049875621120889e-06"]
-    # least eigenvalue -2.5e-11, within the allowance of every matrix check
-    within = ["--a", "0.25", "--b", "0.25", "--c", "0.25", "--d", "0.25", "--zmod", "0.250000000025"]
+    # least eigenvalues -2.5e-11 and -9e-11, within the allowance of every
+    # matrix check: the factor of the second keeps its unit trace too
+    within = [["--a", "0.25", "--b", "0.25", "--c", "0.25", "--d", "0.25", "--zmod", zmod]
+              for zmod in ("0.250000000025", "0.25000000009")]
     for command in ("esd", "evolve"):
         code, out, err = run([command, "--noise", "amplitude", "--xstate", *not_psd], capsys)
         assert (code, out) == (2, ""), command
         assert err == "error: matrix is not PSD: min eigenvalue -9.050e-07 < -1.000e-10\n"
-        code, out, err = run([command, "--noise", "amplitude", "--xstate", *within, "--points", "8"], capsys)
-        assert (code, err) == (0, ""), command
-        assert out
+        for state in within:
+            code, out, err = run([command, "--noise", "amplitude", "--xstate", *state, "--points", "8"], capsys)
+            assert (code, err) == (0, ""), (command, state)
+            assert out
 
 
 def test_esd_tau_max_past_the_normal_floats_exits_2(capsys):

@@ -374,42 +374,31 @@ def test_analytic_phase_threshold():
     (5e-324, 0.5, 0.25, 0.3),
     (1e-200, 0.5, 1e-123, 0.5),
     (0.2, 0.3, 0.2, 0.3),
+    # subnormal roots under which |z| / root stays finite
+    (2e-317, 0.5, 5e-324, 1e-20),
+    (1e-310, 0.5, 1e-310, 1e-10),
+    (3e-309, 0.5, 3e-309, 1e-300),
+    (5e-324, 0.5, 1e-300, 1e-160),
+    (1e-320, 0.5, 1e-300, 1e-5),
 ])
 def test_analytic_phase_threshold_at_subnormal_weights(a, b, d, z):
-    # the rule is 2 ln(|z| / (sqrt(a) sqrt(d))); where the quotient overflows
-    # (subnormal weights) it takes the logarithms apart, elsewhere it keeps
-    # the quotient, so its bits do not move
+    # the rule is 2 ln(|z| / (sqrt(a) sqrt(d))); where the root sqrt(a)
+    # sqrt(d) is subnormal (it has lost bits, and only such a root can
+    # overflow the quotient) it takes the logarithms apart, elsewhere it
+    # keeps the quotient, so its bits do not move
     state = XStateParams(a, b, 1.0 - a - b - d, d, z)
     got = dynamics._x_phase_death(state)
-    quotient = z / (math.sqrt(a) * math.sqrt(d))
-    if math.isfinite(quotient):
-        assert got == 2.0 * math.log(quotient)
+    root = math.sqrt(a) * math.sqrt(d)
+    if root >= sys.float_info.min:
+        assert got == 2.0 * math.log(z / root)
+        tol = 4 * math.ulp(got)
+    else:
+        # each logarithm rounded once, then summed
+        tol = 4 * math.ulp(2.0 * (abs(math.log(z)) + abs(math.log(a)) / 2.0 + abs(math.log(d)) / 2.0))
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
         want = 2 * mp.log(mp.mpf(z) / (mp.sqrt(mp.mpf(a)) * mp.sqrt(mp.mpf(d))))
-        assert abs(got - want) <= 4 * math.ulp(got)
-
-
-@pytest.mark.parametrize("a, d, z", [
-    (2e-317, 5e-324, 1e-20),
-    (1e-310, 1e-310, 1e-10),
-    (3e-309, 3e-309, 1e-300),
-    (5e-324, 1e-300, 1e-160),
-    (1e-320, 1e-300, 1e-5),
-])
-def test_analytic_phase_threshold_at_subnormal_roots(a, d, z):
-    # sqrt(a) sqrt(d) is subnormal and |z| / (sqrt(a) sqrt(d)) finite: the
-    # quotient would take the root's lost bits, so the rule takes the
-    # logarithms apart, each rounded once
-    assert 0.0 < math.sqrt(a) * math.sqrt(d) < sys.float_info.min
-    assert math.isfinite(z / (math.sqrt(a) * math.sqrt(d)))
-    b = (1.0 - a - d) / 2.0
-    got = dynamics._x_phase_death(XStateParams(a, b, 1.0 - a - b - d, d, z))
-    terms = 2.0 * (abs(math.log(z)) + abs(math.log(a)) / 2.0 + abs(math.log(d)) / 2.0)
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(50):
-        want = 2 * mp.log(mp.mpf(z) / (mp.sqrt(mp.mpf(a)) * mp.sqrt(mp.mpf(d))))
-        assert abs(got - want) <= 4 * math.ulp(terms)
+        assert abs(got - want) <= tol
 
 
 def test_analytic_bell_phase_is_asymptotic():

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from esdsim import states
+from esdsim.concurrence import factor_concurrence
 from esdsim.linalg import PSD_CLAMP_TOL
 from esdsim.sampling import random_pure_params, random_x_params
 from esdsim.states import (
@@ -282,6 +283,12 @@ def test_the_record_admits_what_the_matrix_check_admits(log_b, log_c, log_delta,
             assert str(exc).startswith("matrix is not PSD: min eigenvalue ")
             refused.append(check)
     assert len(refused) in (0, 2), (low, refused)
+    if not refused:
+        # and the factor route carries every admitted state: its factor
+        # keeps the unit trace and lies within about -low of the matrix
+        w = x_factor(rho)
+        factor_concurrence(w)
+        np.testing.assert_allclose(w @ w.conj().T, rho, rtol=0, atol=2.0 * max(-low, 0.0) + 1e-15)
 
 
 @pytest.mark.parametrize("ctor", [x_state, pure_state, isotropic, werner])
