@@ -14,6 +14,12 @@ gives a stacked Kraus set: each operator has shape (..., 2, 2), one Kraus
 set per parameter value, and completeness is checked for every one of them.
 A Kraus set holds its operators as one array, operator index first.
 
+Every set these constructors build is real: the depolarizing set takes
+iY = [[0, 1], [-1, 0]] in place of the imaginary Pauli Y, the same channel,
+as (iY) rho (iY)^dag = Y rho Y^dag.  `apply_channel` and `apply_to_factor`
+compute in the common dtype of the set and their input, so a real factor
+evolves in real arithmetic; a caller's complex set works as before.
+
 `apply_channel` and `apply_to_factor` check the completeness of every
 Kraus set they are given, also of the sets these constructors build, which
 are complete by construction: the check guards caller input, and skipping
@@ -53,13 +59,15 @@ class KrausSet:
     Built from a sequence of k operators, each one matrix or a stack of
     shape (..., dim, dim) that holds one Kraus set per leading index.  `ops`
     keeps them as one read-only array of shape (k, ..., dim, dim), stacked
-    once here.
+    once here: float64 when every operator is real (integers included),
+    complex128 when any is complex.
     """
 
     ops: np.ndarray
 
     def __post_init__(self) -> None:
-        ops = np.array(self.ops, dtype=complex)  # mixed shapes raise ValueError
+        ops = np.array(self.ops)  # mixed shapes raise ValueError
+        ops = ops.astype(complex if ops.dtype.kind == "c" else float, copy=False)
         if not len(ops):
             raise ValueError("a KrausSet needs at least one operator")
         if ops.ndim < 3 or ops.shape[-1] != ops.shape[-2]:
@@ -74,7 +82,7 @@ class KrausSet:
 
 def _matrices(shape: tuple[int, ...], entries: dict) -> np.ndarray:
     # one 2x2 matrix per point of `shape`, zero outside the given entries
-    m = np.zeros(shape + (2, 2), dtype=complex)
+    m = np.zeros(shape + (2, 2))
     for (i, j), value in entries.items():
         m[..., i, j] = value
     return m
@@ -97,13 +105,17 @@ def phase_kraus(gamma) -> KrausSet:
 
 
 def depolarizing_kraus(p) -> KrausSet:
-    """Depolarizing quadruple sqrt(1-p) I and sqrt(p/3) times each Pauli."""
+    """Depolarizing quadruple sqrt(1-p) I and sqrt(p/3) times X, iY and Z.
+
+    All four are real: iY = [[0, 1], [-1, 0]] stands in for the Pauli Y,
+    which gives the same channel, as (iY) rho (iY)^dag = Y rho Y^dag.
+    """
     p = _unit_interval("p", p)
     s = np.sqrt(1.0 - p)
     w = np.sqrt(p / 3.0)
     d1 = _matrices(p.shape, {(0, 0): s, (1, 1): s})
     d2 = _matrices(p.shape, {(0, 1): w, (1, 0): w})
-    d3 = _matrices(p.shape, {(0, 1): 1.0j * w, (1, 0): -1.0j * w})
+    d3 = _matrices(p.shape, {(0, 1): w, (1, 0): -w})
     d4 = _matrices(p.shape, {(0, 0): w, (1, 1): -w})
     return KrausSet((d1, d2, d3, d4))
 
@@ -130,7 +142,7 @@ def completeness_residual(kraus: KrausSet) -> float | np.ndarray:
     terms = c[..., 0, :, None] * ops[..., 0, None, :]
     for r in range(1, kraus.dim):
         terms = terms + c[..., r, :, None] * ops[..., r, None, :]
-    acc = -np.eye(kraus.dim, dtype=complex)
+    acc = -np.eye(kraus.dim)
     # summed onto -I in operator order: .sum(0) - I would round differently
     for term in terms:
         acc = acc + term
@@ -171,7 +183,7 @@ def apply_channel(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
     output is left to its consumer to check.
     """
     _check_complete(kraus, "Kraus set")
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2] or rho.shape[-1] % kraus.dim:
         raise ValueError(f"state shape {rho.shape} does not match Kraus dim {kraus.dim}")
     validate_density_matrix(rho)
@@ -202,7 +214,7 @@ def apply_to_factor(w: np.ndarray, kraus: KrausSet) -> np.ndarray:
     `apply_channel`; the error names the first failing member of a stack.
     """
     _check_complete(kraus, "Kraus set")
-    w = np.asarray(w, dtype=complex)
+    w = np.asarray(w)
     if w.ndim < 2 or w.shape[-2] % kraus.dim:
         raise ValueError(f"factor shape {w.shape} does not match Kraus dim {kraus.dim}")
     d, ops = kraus.dim, kraus.ops

@@ -20,7 +20,10 @@ input takes sqrt(rho) as its factor.  Both share one spectrum function.
 G is symmetric, so it needs no SVD: its singular values are the top half
 of the eigenvalues of the real symmetric [[Re G, Im G], [Im G, -Re G]],
 and for a factor with no imaginary part, which `factor_concurrence` runs
-in real arithmetic throughout, the absolute eigenvalues of G.  On
+in real arithmetic throughout, the absolute eigenvalues of G.  The
+numeric route hands it real factors wherever the state allows one: every
+Kraus set is real, and an X state's z is taken as |z| there (see
+`dynamics.numeric_trajectory`).  On
 rank-deficient states the factor keeps the error near machine precision,
 where the naive chain loses half the digits and the root of an
 eigendecomposition keeps the square root of its rounding.
@@ -110,17 +113,20 @@ def factor_concurrence(w: np.ndarray) -> float | np.ndarray:
     `w` has shape (..., 4, m), any number m of columns; a float for one
     factor, an array with one value per factor for a stack.  A factor
     with m > 4 is reduced to F = R^dag, with R the triangular factor of
-    w^dag = Q R, so F F^dag = w w^dag.  A stack with no imaginary part
-    anywhere, whatever its dtype, is reduced and solved in float64.
+    w^dag = Q R, so F F^dag = w w^dag.  A float64 stack is taken as is;
+    any other stack with no imaginary part anywhere, whatever its dtype,
+    is reduced and solved in float64 too.
     Hermiticity and positivity hold by construction; each state's unit
     trace, the squared Frobenius norm of its factor, is checked within
     PSD_CLAMP_TOL.
     """
-    w = np.asarray(w, dtype=complex)
+    w = np.asarray(w)
     if w.ndim < 2 or w.shape[-2] != 4:
         raise ValueError(f"expected a factor with 4 rows, got shape {w.shape}")
-    if not w.imag.any():
-        w = w.real
+    if w.dtype != float:
+        w = np.asarray(w, dtype=complex)
+        if not w.imag.any():
+            w = w.real
     if w.shape[-1] > 4:
         w = dagger(np.linalg.qr(dagger(w), mode="r"))
     _check_unit_trace(np.add.reduce((w.conj() * w).real, axis=(-2, -1)))

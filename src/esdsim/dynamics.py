@@ -15,15 +15,19 @@ initial state once as rho0 = W0 W0^dag (`initial_factor`: the amplitude
 column of a pure state, the diagonal plus the central block of an X-pattern
 state), builds the Kraus sets for a block of tau values at once, applies
 them to the factor, W(tau) = [(K_1 x I) W0, (K_2 x I) W0, ...], and takes
-the Wootters concurrence of the whole stack of factors.  No
+the Wootters concurrence of the whole stack of factors.  The Kraus sets
+are real, and so is the factor wherever the state allows one: for an X
+state the route evolves the record with z -> |z|, a local unitary on the
+noiseless qubit 2 that leaves the concurrence unchanged, so only a pure
+state with nonzero phases evolves in complex arithmetic.  No
 eigendecomposition is taken, so a weight that decays towards zero keeps
 its relative precision; evolving the matrix and taking its square root
 leaves up to ~4e-7 on amplitude-noise tails.  `numeric_trajectory` and
-`evolved_state` (which returns W W^dag) both run that one code path; a
-single point is a block of one.  Both routes take their channel
-parameters from `noise_param`.  ESD detection likewise comes in an
-analytic flavor (the closed threshold of the cell) and a
-scan-plus-bisection flavor that scans the closed form over the whole grid,
+`evolved_state` (which returns W W^dag, from the true factor of the
+state) both run that one code path; a single point is a block of one.
+Both routes take their channel parameters from `noise_param`.  ESD
+detection likewise comes in an analytic flavor (the closed threshold of
+the cell) and a scan-plus-bisection flavor that scans the closed form over the whole grid,
 tau = 0 included, in one evaluation, then bisects the first dead interval.
 The scan grid and its noise-parameter values depend only on (noise kind,
 tau_max, points), so they are built once per process for each such key (16
@@ -47,7 +51,7 @@ import enum
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -338,15 +342,26 @@ def _evolve(w0: np.ndarray, noise: NoiseSpec, taus) -> np.ndarray:
 def numeric_trajectory(scenario: Scenario, tau_grid) -> Trajectory:
     """General-route trajectory: evolve a factor of the state, then Wootters.
 
-    Each grid point applies the channel at parameter(tau) to the initial
-    factor (`initial_factor`, `channels.apply_to_factor`) and takes the
-    concurrence of the evolved factor (`concurrence.factor_concurrence`).
+    Each grid point applies the channel at parameter(tau) to a factor of
+    the initial state (`states.state_factor`, `channels.apply_to_factor`)
+    and takes the concurrence of the evolved factor
+    (`concurrence.factor_concurrence`).
     For these noise families that one-shot form equals composing
     increments (eta and gamma multiply; p is defined through e^(-tau/2)),
     so no stepping is needed.
+
+    An X state is evolved with z -> |z|: its record turned by the local
+    unitary U = I x diag(1, e^(-i arg z)) on the noiseless qubit 2.  U
+    commutes with every K x I and multiplies G = W^T (sy x sy) W by
+    e^(-i arg z) only, so the concurrence is the same, and the turned
+    state's factor is real.  `initial_factor` and `evolved_state` keep the
+    true state's factor.
     """
     grid = _validate_grid(tau_grid)
-    w0 = initial_factor(scenario)
+    state = scenario.state
+    if isinstance(state, XStateParams):
+        state = replace(state, z=abs(state.z))  # the qubit-2 turn U above
+    w0 = state_factor(state, state_matrix(state))
     # one block of _BLOCK_ROWS grid points per stacked evaluation
     c = np.empty(len(grid))
     for start in range(0, len(grid), _BLOCK_ROWS):

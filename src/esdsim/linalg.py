@@ -72,9 +72,10 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     `a` and `b` may each be a stack of 2x2 matrices, shape (..., 2, 2); the
     product is taken pair by pair and the leading axes broadcast.  Each
-    entry is the single product a[i,j] * b[k,l], as in `np.kron`.
+    entry is the single product a[i,j] * b[k,l], as in `np.kron`, in the
+    common dtype of the two: real factors give a real product.
     """
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
         raise ValueError(f"kron expects 2x2 matrices, got {a.shape} and {b.shape}")
     out = a[..., :, None, :, None] * b[..., None, :, None, :]

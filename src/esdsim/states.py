@@ -153,8 +153,10 @@ def pure_state(params: PureStateParams | Sequence[PureStateParams]) -> np.ndarra
 
 
 def pure_factor(params: PureStateParams) -> np.ndarray:
-    """The amplitude column w, shape (4, 1), with pure_state(params) = w w^dag."""
-    return _pure_amplitudes(params)[:, None]
+    """The amplitude column w, shape (4, 1), with pure_state(params) = w w^dag;
+    float64 when no phase leaves an imaginary part, else complex128."""
+    amps = _pure_amplitudes(params)
+    return (amps if amps.imag.any() else amps.real)[:, None]
 
 
 def x_factor(rho: np.ndarray) -> np.ndarray:
@@ -169,14 +171,16 @@ def x_factor(rho: np.ndarray) -> np.ndarray:
     -PSD_CLAMP_TOL) takes s = 0 and t^2 = tr(M^2) / (b + c), so w w^dag
     keeps rho's trace and lies within about that eigenvalue of rho.  `rho`
     is an X-pattern matrix from a checked record, such as `x_state` builds;
-    only its diagonal and its (1, 2) coherence are read.
+    only its diagonal and its (1, 2) coherence are read.  The factor is
+    float64 when that coherence is real, else complex128.
     """
     a, b, c, d = rho.diagonal().real
     z = rho[1, 2]
+    z = z if z.imag else z.real  # a real state gets a real factor
     det = b * c - abs(z) ** 2
     s = math.sqrt(max(det, 0.0))
     t = math.sqrt(b + c + 2.0 * s)
-    w = np.zeros((4, 4), dtype=complex)
+    w = np.zeros((4, 4), dtype=z.dtype)
     w[0, 0], w[3, 1] = math.sqrt(a), math.sqrt(d)
     if t > 0.0:  # else the central block is zero within the X-state checks
         if det < 0.0:
@@ -247,7 +251,8 @@ def state_stack(records: Sequence[StateParams]) -> np.ndarray:
 
 def state_factor(params: StateParams, rho: np.ndarray) -> np.ndarray:
     """A factor w with w w^dag = rho, the record's validated matrix:
-    `pure_factor(params)` for a pure state, else `x_factor(rho)`."""
+    `pure_factor(params)` for a pure state, else `x_factor(rho)`; float64
+    for a real state, complex128 otherwise."""
     return pure_factor(params) if isinstance(params, PureStateParams) else x_factor(rho)
 
 

@@ -42,8 +42,75 @@ def test_depolarizing_kraus_entries():
     w = np.sqrt(0.1)
     np.testing.assert_allclose(k.ops[0], np.sqrt(0.7) * np.eye(2), atol=1e-15)
     np.testing.assert_allclose(k.ops[1], w * np.array([[0, 1], [1, 0]]), atol=1e-15)
-    np.testing.assert_allclose(k.ops[2], w * np.array([[0, 1j], [-1j, 0]]), atol=1e-15)
+    # iY in place of the imaginary Pauli Y: the same channel, and a real set
+    np.testing.assert_allclose(k.ops[2], w * np.array([[0, 1], [-1, 0]]), atol=1e-15)
     np.testing.assert_allclose(k.ops[3], w * np.array([[1, 0], [0, -1]]), atol=1e-15)
+    assert k.ops.dtype == np.float64
+
+
+_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+
+
+def _pauli_y_depolarizing(rho, p):
+    # sum K rho K^dag over the textbook set sqrt(1 - p) I, sqrt(p / 3) (X, Y, Z)
+    # on qubit 1, written out with the imaginary Pauli Y
+    paulis = (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), _PAULI_Y, np.diag([1.0, -1.0]))
+    weights = (np.sqrt(1.0 - p), *[np.sqrt(p / 3.0)] * 3)
+    lifted = [w * np.kron(sigma, np.eye(2)) for w, sigma in zip(weights, paulis)]
+    return sum(k @ rho @ k.conj().T for k in lifted)
+
+
+def test_real_depolarizing_set_is_the_pauli_y_channel():
+    # (iY) rho (iY)^dag = Y rho Y^dag: the real set is the same channel
+    rng = np.random.default_rng(34)
+    for p in np.concatenate(([0.0, 0.75, 1.0], rng.uniform(size=20))):
+        rho = ginibre(rng)
+        got = apply_channel(rho, depolarizing_kraus(p))
+        assert np.abs(got - _pauli_y_depolarizing(rho, p)).max() <= 1e-15
+    # a stack of states, each under its own p
+    states = np.stack([ginibre(rng) for _ in range(16)])
+    ps = rng.uniform(size=16)
+    got = apply_channel(states, depolarizing_kraus(ps))
+    want = np.stack([_pauli_y_depolarizing(r, p) for r, p in zip(states, ps)])
+    assert np.abs(got - want).max() <= 1e-15
+    # and on factors: W W^dag of the evolved factor is the same map
+    w = np.linalg.cholesky(states)
+    out = apply_to_factor(w, depolarizing_kraus(ps))
+    assert np.abs(out @ np.conj(np.swapaxes(out, -1, -2)) - want).max() <= 1e-15
+
+
+def test_kraus_set_dtype_contract():
+    # real operators, ints included, are held as float64; any complex
+    # operator makes the whole set complex128
+    for ops in ((np.eye(2, dtype=int),), ([[1, 0], [0, 1]],), (np.eye(2, dtype=np.float32),)):
+        assert KrausSet(ops).ops.dtype == np.float64
+    for ctor in (amplitude_kraus, phase_kraus, depolarizing_kraus):
+        assert ctor(0.3).ops.dtype == ctor(np.array([0.1, 0.9])).ops.dtype == np.float64
+        assert lift_first(ctor(0.3)).ops.dtype == np.float64
+    real = depolarizing_kraus(0.3)
+    for ops in ((np.eye(2), 0j * np.eye(2)), (np.eye(2, dtype=np.complex64),), np.exp(0.4j) * real.ops):
+        assert KrausSet(ops).ops.dtype == np.complex128
+    # a caller's complex set, a global phase on each operator, is the same
+    # channel and passes every entry point
+    phased = KrausSet(np.exp(1j * np.array([0.4, 1.0, -2.0, 3.0]))[:, None, None] * real.ops)
+    assert completeness_residual(phased) <= 1e-15
+    rho = ginibre(np.random.default_rng(35))
+    assert np.abs(apply_channel(rho, phased) - apply_channel(rho, real)).max() <= 1e-15
+    w = np.linalg.cholesky(rho)
+    out = apply_to_factor(w, phased)
+    assert out.dtype == np.complex128
+    assert np.abs(out @ out.conj().T - apply_channel(rho, real)).max() <= 1e-15
+    lifted = lift_first(phased)
+    assert lifted.ops.dtype == np.complex128 and lifted.dim == 4
+    assert np.abs(apply_channel(rho, lifted) - apply_channel(rho, real)).max() <= 1e-15
+    # an incomplete set is refused in the same words, real or complex
+    for scale in (1.1, 1.1j):
+        bad = KrausSet((scale * np.eye(2),))
+        for call in (lambda: apply_channel(rho, bad), lambda: apply_to_factor(w, bad)):
+            with pytest.raises(ValueError, match="^Kraus set is not complete: residual 2.970e-01$"):
+                call()
+        with pytest.raises(ValueError, match="^input Kraus set is not complete: residual 2.970e-01$"):
+            lift_first(bad)
 
 
 @pytest.mark.parametrize("ctor", [amplitude_kraus, phase_kraus, depolarizing_kraus])
@@ -51,6 +118,8 @@ def test_constructors_complete_over_parameter_range(ctor):
     rng = np.random.default_rng(31)
     for value in np.concatenate(([0.0, 1.0], rng.uniform(size=100))):
         assert completeness_residual(ctor(float(value))) <= 1e-14
+    # and as one stack over a dense grid of [0, 1]
+    assert completeness_residual(ctor(np.linspace(0.0, 1.0, 10001))).max() <= 1e-14
 
 
 @pytest.mark.parametrize("ctor", [amplitude_kraus, phase_kraus, depolarizing_kraus])

@@ -197,9 +197,9 @@ def _evolved_factor(state, kind: str) -> np.ndarray:
     return _evolve(initial_factor(scenario), scenario.noise, np.linspace(0.0, 50.0, 2048))
 
 
-# cells whose evolved factor is real: the family states and the Kraus sets
-# of amplitude and phase noise are real, and so are an X state with a real
-# z and a pure state with zero phases
+# cells whose evolved factor is real: every Kraus set is real, and so are
+# the factors of the family states, of an X state with a real z and of a
+# pure state with zero phases
 _REAL_CELLS = [
     (XStateParams(0.1, 0.4, 0.4, 0.1, 0.2), "amplitude"),
     (XStateParams(0.1, 0.4, 0.4, 0.1, 0.2), "phase"),
@@ -246,18 +246,25 @@ def test_real_arithmetic_runs_exactly_when_the_factor_is_real(monkeypatch):
         return shapes[:], qr_dtypes[:]
 
     real = _evolved_factor(*_REAL_CELLS[0])[:6]
-    assert real.dtype == complex and real.shape == (6, 4, 8)
-    assert route(real) == route(real.real) == ([(6, 4, 4)], [np.float64])
+    assert real.dtype == np.float64 and real.shape == (6, 4, 8)
+    assert route(real) == route(real.astype(complex)) == ([(6, 4, 4)], [np.float64])
     assert route(np.exp(0.3j) * real) == ([(6, 8, 8)], [np.complex128])
-    tiny = real.copy()
+    tiny = real.astype(complex)
     tiny[5, 0, 0] += 1e-300j
     assert route(tiny) == ([(6, 8, 8)], [np.complex128])
     pure = _evolved_factor(*_REAL_CELLS[4])[:6]
     assert route(pure) == ([(6, 2, 2)], [])
     assert route(np.exp(0.3j) * pure) == ([(6, 4, 4)], [])
-    # depolarizing noise has the imaginary Pauli-Y Kraus operator
+    # the depolarizing Kraus set is real (iY in place of Y), so a family
+    # state evolves and reduces in float64 under it too
     depolarized = _evolved_factor(FamilyParams(Family.WERNER, 0.7), "depolarizing")[1:7]
-    assert route(depolarized) == ([(6, 8, 8)], [np.complex128])
+    assert depolarized.dtype == np.float64
+    assert route(depolarized) == ([(6, 4, 4)], [np.float64])
+    # a pure state with phases keeps a complex factor, and the embedding
+    phased = PureStateParams(0.1, 0.2, 0.3, 0.4, 1.0, 2.0, 3.0)
+    phased = _evolved_factor(phased, "depolarizing")[1:7]
+    assert phased.dtype == np.complex128 and phased.shape == (6, 4, 4)
+    assert route(phased) == ([(6, 8, 8)], [])
 
 
 def test_factor_concurrence_matches_the_matrix_route():

@@ -252,6 +252,34 @@ def test_stacked_route_matches_per_point_route_on_cli_grid(pair):
         assert np.abs(evolved_state(scenario, CLI_GRID[i]) - want).max() <= 1e-15
 
 
+@pytest.mark.parametrize("noise", [AMP, PHASE, DEPOL], ids=lambda n: n.kind.value)
+@pytest.mark.parametrize("arg", [0.0, 1.0, math.pi / 2, math.pi, -2.5])
+def test_the_phase_of_z_leaves_the_numeric_route(noise, arg, monkeypatch):
+    # the route evolves the record with z -> |z|: the qubit-2 rotation
+    # diag(1, e^(-i arg z)) commutes with the noise on qubit 1 and leaves
+    # the concurrence unchanged, and the rotated factor is real
+    z = 0.3 * cmath.exp(1j * arg)
+    scenario = Scenario(XStateParams(0.1, 0.2, 0.6, 0.1, z), noise)
+    qr_dtypes = []
+
+    def qr(a, mode, _qr=np.linalg.qr):
+        qr_dtypes.append(np.asarray(a).dtype)
+        return _qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    c = numeric_trajectory(scenario, CLI_GRID).c
+    assert qr_dtypes and set(qr_dtypes) == {np.dtype(np.float64)}
+    # the true factor, complex where z is, evolved in one stack
+    w0 = initial_factor(scenario)
+    assert w0.dtype == (np.float64 if z.imag == 0.0 else np.complex128)
+    true = factor_concurrence(dynamics._evolve(w0, noise, CLI_GRID))
+    assert np.abs(c - true).max() <= 1e-14
+    # the evolved state keeps the phase of z in its (1, 2) coherence (at
+    # tau = 1, p < 3/4, so depolarizing noise has not flipped its sign)
+    rho = evolved_state(scenario, 1.0)
+    assert abs(rho[1, 2] / abs(rho[1, 2]) - z / abs(z)) <= 1e-14
+
+
 @pytest.mark.parametrize("size", [1, dynamics._BLOCK_ROWS, dynamics._BLOCK_ROWS + 1])
 def test_stacked_route_at_block_boundary_sizes(size):
     scenario = Scenario(XStateParams(0.1, 0.2, 0.6, 0.1, 0.2), DEPOL)
