@@ -23,7 +23,7 @@ and for a factor with no imaginary part, which `factor_concurrence` runs
 in real arithmetic throughout, the absolute eigenvalues of G.  The
 numeric route hands it real factors wherever the state allows one: every
 Kraus set is real, and an X state's z is taken as |z| there (see
-`dynamics.numeric_trajectory`).  On
+`dynamics.numeric_concurrence`).  On
 rank-deficient states the factor keeps the error near machine precision,
 where the naive chain loses half the digits and the root of an
 eigendecomposition keeps the square root of its rounding.

@@ -19,12 +19,14 @@ the Wootters concurrence of the whole stack of factors.  The Kraus sets
 are real, and so is the factor wherever the state allows one: for an X
 state the route evolves the record with z -> |z|, a local unitary on the
 noiseless qubit 2 that leaves the concurrence unchanged, so only a pure
-state with nonzero phases evolves in complex arithmetic.  No
-eigendecomposition is taken, so a weight that decays towards zero keeps
-its relative precision; evolving the matrix and taking its square root
-leaves up to ~4e-7 on amplitude-noise tails.  `numeric_trajectory` and
-`evolved_state` (which returns W W^dag, from the true factor of the
-state) both run that one code path; a single point is a block of one.
+state with nonzero phases, and a stack that holds one, evolves in complex
+arithmetic.  No eigendecomposition is taken, so a weight that decays
+towards zero keeps its relative precision; evolving the matrix and taking
+its square root leaves up to ~4e-7 on amplitude-noise tails.
+`numeric_concurrence` runs the route for many scenarios at their own
+times; `numeric_trajectory` (`evolve`, `figure`) and the verify suites
+that compare the routes all call it, and `evolved_state` (W W^dag, from
+the true factor) applies its kernel `_evolve` at one time.
 Both routes take their channel parameters from `noise_param`.  ESD
 detection likewise comes in an analytic flavor (the closed threshold of
 the cell) and a scan-plus-bisection flavor that scans the closed form over the whole grid,
@@ -68,6 +70,7 @@ from .states import (
     state_factor,
     state_kind,
     state_matrix,
+    state_stack,
 )
 
 DEFAULT_TAU_MAX = 50.0
@@ -333,22 +336,17 @@ def closed_form_trajectory(scenario: Scenario, tau_grid) -> Trajectory:
 
 
 def _evolve(w0: np.ndarray, noise: NoiseSpec, taus) -> np.ndarray:
-    # the factor w0 evolved to each tau of a block, as an (N, 4, k m)
-    # stack.  The channel parameters come from the same noise_param as the
-    # closed form's, so both routes see bit-identical eta, gamma or p.
+    # the factor w0 evolved to each tau of a block (their leading axes
+    # broadcast) as a (..., 4, k m) stack.  The channel parameters come from
+    # the same noise_param as the closed form's: bit-identical eta, gamma, p.
     return apply_to_factor(w0, kraus_for(noise.kind, noise_param(noise, taus)))
 
 
-def numeric_trajectory(scenario: Scenario, tau_grid) -> Trajectory:
-    """General-route trajectory: evolve a factor of the state, then Wootters.
-
-    Each grid point applies the channel at parameter(tau) to a factor of
-    the initial state (`states.state_factor`, `channels.apply_to_factor`)
-    and takes the concurrence of the evolved factor
-    (`concurrence.factor_concurrence`).
-    For these noise families that one-shot form equals composing
-    increments (eta and gamma multiply; p is defined through e^(-tau/2)),
-    so no stepping is needed.
+def numeric_concurrence(scenarios, taus) -> np.ndarray:
+    """Each scenario's concurrence on the numeric route at its own times,
+    `taus` of shape (n,) or (n, T) for n scenarios; the result has its shape.
+    The channel at parameter(tau) acts on the initial factor in one shot:
+    eta and gamma multiply and p is defined through e^(-tau/2).
 
     An X state is evolved with z -> |z|: its record turned by the local
     unitary U = I x diag(1, e^(-i arg z)) on the noiseless qubit 2.  U
@@ -356,17 +354,38 @@ def numeric_trajectory(scenario: Scenario, tau_grid) -> Trajectory:
     e^(-i arg z) only, so the concurrence is the same, and the turned
     state's factor is real.  `initial_factor` and `evolved_state` keep the
     true state's factor.
+
+    The scenarios of one noise kind evolve as one stack in their factors'
+    common dtype, a narrower factor padded with zero columns (W W^dag is
+    unchanged), one block of _BLOCK_ROWS times per stacked evaluation.
     """
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim not in (1, 2) or len(taus) != len(scenarios):
+        raise ValueError(f"taus must have one leading entry per scenario, got shape {taus.shape}")
+    records = [replace(s.state, z=abs(s.state.z)) if isinstance(s.state, XStateParams)
+               else s.state for s in scenarios]  # the qubit-2 turn U above
+    factors = [state_factor(r, rho) for r, rho in zip(records, state_stack(records))]
+    times = taus.reshape(len(taus), -1)
+    c = np.empty(times.shape)
+    for noise in dict.fromkeys(s.noise for s in scenarios):
+        idx = [i for i, s in enumerate(scenarios) if s.noise == noise]
+        members = [factors[i] for i in idx]
+        w0 = np.zeros((len(idx), 1, 4, max(w.shape[1] for w in members)), np.result_type(*members))
+        for j, w in enumerate(members):
+            w0[j, 0, :, : w.shape[1]] = w
+        # the kind's rows are gathered once, so each block is a view of them
+        rows, out = times[idx], np.empty((len(idx), times.shape[1]))
+        for start in range(0, times.shape[1], _BLOCK_ROWS):
+            block = rows[:, start : start + _BLOCK_ROWS]
+            out[:, start : start + block.shape[1]] = factor_concurrence(_evolve(w0, noise, block))
+        c[idx] = out
+    return c.reshape(taus.shape)
+
+
+def numeric_trajectory(scenario: Scenario, tau_grid) -> Trajectory:
+    """General-route trajectory: `numeric_concurrence` over one grid."""
     grid = _validate_grid(tau_grid)
-    state = scenario.state
-    if isinstance(state, XStateParams):
-        state = replace(state, z=abs(state.z))  # the qubit-2 turn U above
-    w0 = state_factor(state, state_matrix(state))
-    # one block of _BLOCK_ROWS grid points per stacked evaluation
-    c = np.empty(len(grid))
-    for start in range(0, len(grid), _BLOCK_ROWS):
-        block = grid[start : start + _BLOCK_ROWS]
-        c[start : start + len(block)] = factor_concurrence(_evolve(w0, scenario.noise, block))
+    c = numeric_concurrence([scenario], grid[None])[0]
     return Trajectory(grid, c, TrajectorySource.NUMERIC)
 
 

@@ -8,10 +8,13 @@ one call per suite, or one per noise kind where the Kraus set depends on
 it.  The state constructors and `kron` take the whole stack too: the
 initial states of the scenario suites are built with one constructor call
 per state kind, and the `as_x_params` records of `x_form_closure` are
-rebuilt with one `x_state` call.  Library functions that take a single
-record (the closed forms, the death-time routes, `as_x_params`, the
-factor of an X-pattern state) run once per case.  The death-time suite
-draws sudden deaths from every cell of the grid that has them.
+rebuilt with one `x_state` call.  `closed_vs_numeric` and
+`trajectory_monotone` hand their whole sample to
+`dynamics.numeric_concurrence`, the numeric route that `evolve` prints;
+it builds, stacks and evolves the factors, and this module builds none.
+Library functions that take a single record (the closed forms, the
+death-time routes, `as_x_params`) run once per case.  The death-time
+suite draws sudden deaths from every cell of the grid that has them.
 `SuiteResult.record_all` takes the array of per-case errors and formats a
 reproduction string only for the cases over tolerance.  The CLI verify
 command runs the whole registry; the test suite reuses single suites with
@@ -30,13 +33,12 @@ from typing import Callable
 import numpy as np
 
 from . import channels, dynamics, sampling
-from .channels import NoiseKind, NoiseSpec, apply_channel, apply_to_factor, kraus_for
+from .channels import NoiseKind, NoiseSpec, apply_channel, kraus_for
 from .concurrence import (
     concurrence_pure,
     concurrence_pure_determinant,
     concurrence_wootters,
     concurrence_x,
-    factor_concurrence,
 )
 from .dynamics import (
     Classification,
@@ -46,6 +48,7 @@ from .dynamics import (
     closed_form_trajectory,
     esd_time_analytic,
     esd_time_bisection,
+    numeric_concurrence,
 )
 from .linalg import _frobenius, dagger, hermitian_eig, kron, psd_sqrt
 from .states import (
@@ -55,7 +58,6 @@ from .states import (
     as_x_params,
     isotropic,
     pure_state,
-    state_factor,
     state_stack,
     werner,
     x_state,
@@ -323,28 +325,6 @@ def suite_twirl_invariance(rng: np.random.Generator, res: SuiteResult) -> None:
 # dynamics
 
 
-def _numeric_concurrence(scenarios, taus) -> np.ndarray:
-    """Each scenario's concurrence at its own time (or times: `taus` has one
-    leading entry per case) on the numeric route of `dynamics`: the initial
-    factor evolved by `apply_to_factor`, then `factor_concurrence`, one call
-    per noise kind.  The initial states are built as stacks; each factor is
-    taken from its own state by `states.state_factor`, as `initial_factor`
-    does.  Factors narrower than 4 columns (pure states) are padded with
-    zero columns to stack, which leaves W W^dag unchanged."""
-    kinds = [s.noise.kind for s in scenarios]
-    values = _noise_params(kinds, taus)
-    rho0 = state_stack([s.state for s in scenarios])
-    w0 = np.zeros((len(scenarios), 4, 4), dtype=complex)
-    for i, s in enumerate(scenarios):
-        w = state_factor(s.state, rho0[i])
-        w0[i, :, : w.shape[1]] = w
-    out = np.empty(values.shape)
-    for kind, idx in _by_kind(kinds).items():
-        w = w0[idx].reshape((len(idx),) + (1,) * (values.ndim - 1) + (4, 4))
-        out[idx] = factor_concurrence(apply_to_factor(w, kraus_for(kind, values[idx])))
-    return out
-
-
 def suite_closed_vs_numeric(rng: np.random.Generator, res: SuiteResult) -> None:
     # tau over the CLI's default range, amplitude-noise tails included
     scenarios, taus = zip(
@@ -354,7 +334,7 @@ def suite_closed_vs_numeric(rng: np.random.Generator, res: SuiteResult) -> None:
         )
     )
     closed = np.array([closed_form_concurrence(s, t) for s, t in zip(scenarios, taus)])
-    oracle = _numeric_concurrence(scenarios, taus)
+    oracle = numeric_concurrence(scenarios, taus)
     res.record_all(
         np.abs(closed - oracle), lambda i: f"scenario={scenarios[i]!r} tau={taus[i]!r}"
     )
@@ -451,7 +431,7 @@ def suite_trajectory_monotone(rng: np.random.Generator, res: SuiteResult) -> Non
     grid = np.linspace(0.0, 10.0, 48)
     sources = (TrajectorySource.NUMERIC, TrajectorySource.CLOSED_FORM)
     scenarios = [sampling.random_scenario(rng, i) for i in range(res.cases)]
-    numeric = _numeric_concurrence(scenarios, np.broadcast_to(grid, (len(scenarios), grid.size)))
+    numeric = numeric_concurrence(scenarios, np.broadcast_to(grid, (len(scenarios), grid.size)))
     closed = np.stack([closed_form_trajectory(s, grid).c for s in scenarios])
     steps = np.diff(np.stack([numeric, closed], axis=1), axis=-1)
     err = np.maximum(steps.max(axis=-1), 0.0)

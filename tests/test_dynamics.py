@@ -38,6 +38,7 @@ from esdsim.dynamics import (
     initial_factor,
     initial_state,
     noise_param,
+    numeric_concurrence,
     numeric_trajectory,
 )
 from esdsim.sampling import random_scenario
@@ -287,6 +288,30 @@ def test_stacked_route_at_block_boundary_sizes(size):
     traj = numeric_trajectory(scenario, grid)
     assert traj.c.shape == (size,)
     np.testing.assert_allclose(traj.c, per_point_route(scenario, grid), rtol=0, atol=1e-12)
+
+
+def test_numeric_concurrence_matches_each_scenarios_own_trajectory():
+    # one call on a mixed list: every cell, an X state with a complex z and
+    # a pure state with phases, so each noise kind stacks factors of both
+    # widths and dtypes.  A pure column padded to the width of an X factor
+    # takes the QR path, hence 1e-14 and not bit equality.
+    rng = np.random.default_rng(21)
+    scenarios = [random_scenario(rng, pair) for pair in range(12)] + [
+        Scenario(XStateParams(0.1, 0.2, 0.6, 0.1, 0.3 * cmath.exp(2j)), DEPOL),
+        Scenario(PureStateParams(0.1, 0.2, 0.3, 0.4, 1.0, 2.0, 3.0), AMP),
+    ]
+    n = len(scenarios)
+    # single times early, while most states live; grids out to tau = 50
+    points = rng.uniform(0.0, 2.0, n)
+    grids = np.stack([np.linspace(0.0, 25.0 * t, dynamics._BLOCK_ROWS + 1) for t in points])
+    c = numeric_concurrence(scenarios, points)
+    rows = numeric_concurrence(scenarios, grids)
+    assert c.shape == points.shape and rows.shape == grids.shape
+    for i, s in enumerate(scenarios):
+        assert abs(c[i] - numeric_trajectory(s, points[i : i + 1]).c[0]) <= 1e-14
+        assert np.abs(rows[i] - numeric_trajectory(s, grids[i]).c).max() <= 1e-14
+    with pytest.raises(ValueError, match="one leading entry per scenario"):
+        numeric_concurrence(scenarios, points[1:])
 
 
 def test_amplitude_tail_matches_closed_form():

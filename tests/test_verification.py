@@ -37,7 +37,7 @@ DRAW_DIGESTS = {
     "tau_zero_identity": "52654dbd1a3f341c67b0dc09217acafec70961665aaa8884ec46daf79f37ac44",
 }
 
-# max_error of every suite at run_all(3, 40), from the per-case suites.
+# max_error of every suite at run_all(3, 40), as the stacked suites read it.
 MAX_ERRORS_SEED3_CASES40 = {
     "kron_algebra": 1.16683012789241e-14,
     "eig_reconstruction": 1.0995342466562221e-14,
@@ -47,11 +47,11 @@ MAX_ERRORS_SEED3_CASES40 = {
     "x_form_closure": 0.0,
     "qubit2_marginal": 1.2451399942302572e-16,
     "composition_semigroup": 1.3630555906587455e-16,
-    "concurrence_x_oracle": 2.220446049250313e-16,
-    "concurrence_pure_oracle": 1.6653345369377348e-15,
-    "local_unitary_invariance": 9.71445146547012e-16,
+    "concurrence_x_oracle": 4.440892098500626e-16,
+    "concurrence_pure_oracle": 1.7763568394002505e-15,
+    "local_unitary_invariance": 1.4432899320127035e-15,
     "twirl_invariance": 7.244140648242027e-16,
-    "closed_vs_numeric": 6.938893903907228e-17,
+    "closed_vs_numeric": 2.747486624993088e-16,
     "analytic_vs_bisection": 7.25909471421815e-11,
     "pure_depol_universality": 2.3961943540484754e-11,
     "pure_amp_phase_no_esd": 0.0,
