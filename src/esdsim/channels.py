@@ -208,7 +208,8 @@ def apply_to_factor(w: np.ndarray, kraus: KrausSet) -> np.ndarray:
     first factor, the map of `apply_channel`.  The factor stays a factor,
     so the evolved state is positive semidefinite by construction and a
     zero column stays exactly zero.  `w` and the Kraus set may each be
-    stacks; their leading axes broadcast.
+    stacks; their leading axes broadcast.  The action of every operator on
+    every member is one broadcast matmul, K @ (w's row blocks).
 
     Every Kraus set must be complete within COMPLETENESS_TOL, as for
     `apply_channel`; the error names the first failing member of a stack.
@@ -221,10 +222,9 @@ def apply_to_factor(w: np.ndarray, kraus: KrausSet) -> np.ndarray:
     rows, cols = w.shape[-2:]
     # block b of the rows is the part of w where the first factor is in state b
     blocks = w.reshape(w.shape[:-2] + (d, rows // d * cols))
-    # block a of (K x I) w is sum_b K[a, b] block_b, one multiply-add per b
-    out = ops[..., :, 0, None] * blocks[..., 0, None, :]
-    for b in range(1, d):
-        out = out + ops[..., :, b, None] * blocks[..., b, None, :]
+    # block a of (K x I) w is sum_b K[a, b] block_b: K @ blocks, every
+    # operator and every member of the stacks in one broadcast matmul
+    out = ops @ blocks
     # (k, ..., rows, cols) -> (..., rows, k, cols): operator k's columns side by side
     out = np.moveaxis(out.reshape(out.shape[:-2] + (rows, cols)), 0, -2)
     return out.reshape(out.shape[:-3] + (rows, len(ops) * cols))

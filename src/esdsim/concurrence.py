@@ -21,9 +21,9 @@ G is symmetric, so it needs no SVD: its singular values are the top half
 of the eigenvalues of the real symmetric [[Re G, Im G], [Im G, -Re G]],
 and for a factor with no imaginary part, which `factor_concurrence` runs
 in real arithmetic throughout, the absolute eigenvalues of G.  The
-numeric route hands it real factors wherever the state allows one: every
-Kraus set is real, and an X state's z is taken as |z| there (see
-`dynamics.numeric_concurrence`).  On
+numeric route hands it real factors only: every Kraus set is real, an X
+state's z is taken as |z| there, and a pure state is turned to a real
+amplitude column (see `dynamics.numeric_concurrence`).  On
 rank-deficient states the factor keeps the error near machine precision,
 where the naive chain loses half the digits and the root of an
 eigendecomposition keeps the square root of its rounding.
@@ -45,9 +45,6 @@ SPIN_FLIP.setflags(write=False)
 # M @ SPIN_FLIP is M with its columns reversed, column k times this sign:
 # the same bits as the matmul, without it
 _FLIP_SIGNS = SPIN_FLIP[::-1].diagonal()
-
-# Clamp window for tiny negative radicands produced by rounding.
-RADICAND_TOL = 1e-12
 
 
 def _symmetric_singular_values(g: np.ndarray) -> np.ndarray:
@@ -141,19 +138,19 @@ def concurrence_x(params: XStateParams) -> float:
 def concurrence_pure(params: PureStateParams) -> float:
     """Concurrence of the pure state with weights (a, b, c, d), phases (f, g, h).
 
-    Equals 2 sqrt(ad + bc - 2 sqrt(abcd) cos(f + g - h)); the radicand is a
-    squared magnitude and only dips below zero by rounding, so values in
-    [-RADICAND_TOL, 0) are clamped and anything lower is an error.
+    Equals 2 |sqrt(a d) - sqrt(b c) e^(i theta)| with theta = f + g - h,
+    the modulus of twice the determinant of the amplitude matrix, taken as
+    2 hypot(sqrt(a) sqrt(d) - sqrt(b) sqrt(c) cos theta, sqrt(b) sqrt(c)
+    sin theta).  Near a product state the first term cancels, but only the
+    rounding of its two products, so the absolute error stays a few ulp;
+    the radicand ad + bc - 2 sqrt(abcd) cos theta of the same value would
+    cancel its squares and keep about half the digits (1e-8 where C is
+    1e-17).
     """
-    a, b, c, d = params.a, params.b, params.c, params.d
-    radicand = a * d + b * c - 2.0 * math.sqrt(a * b * c * d) * math.cos(
-        params.f + params.g - params.h
-    )
-    if radicand < 0.0:
-        if radicand < -RADICAND_TOL:
-            raise ValueError(f"pure-state radicand {radicand!r} below clamp window")
-        radicand = 0.0
-    return 2.0 * math.sqrt(radicand)
+    ad = math.sqrt(params.a) * math.sqrt(params.d)
+    bc = math.sqrt(params.b) * math.sqrt(params.c)
+    theta = params.f + params.g - params.h
+    return 2.0 * math.hypot(ad - bc * math.cos(theta), bc * math.sin(theta))
 
 
 def concurrence_pure_determinant(params: PureStateParams) -> float:

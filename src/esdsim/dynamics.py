@@ -16,13 +16,15 @@ column of a pure state, the diagonal plus the central block of an X-pattern
 state), builds the Kraus sets for a block of tau values at once, applies
 them to the factor, W(tau) = [(K_1 x I) W0, (K_2 x I) W0, ...], and takes
 the Wootters concurrence of the whole stack of factors.  The Kraus sets
-are real, and so is the factor wherever the state allows one: for an X
-state the route evolves the record with z -> |z|, a local unitary on the
-noiseless qubit 2 that leaves the concurrence unchanged, so only a pure
-state with nonzero phases, and a stack that holds one, evolves in complex
-arithmetic.  No eigendecomposition is taken, so a weight that decays
-towards zero keeps its relative precision; evolving the matrix and taking
-its square root leaves up to ~4e-7 on amplitude-noise tails.
+are real, and the route makes every factor real by a local unitary that
+commutes with the noise and leaves the concurrence unchanged: an X state
+evolves with z -> |z|, a phase on the noiseless qubit 2, and a pure state
+as the real column of the triangular factor of its amplitude matrix (see
+`numeric_concurrence`).  So the whole route runs in real arithmetic, for
+every scenario and every stack.  No eigendecomposition is taken, so a
+weight that decays towards zero keeps its relative precision; evolving the
+matrix and taking its square root leaves up to ~4e-7 on amplitude-noise
+tails.
 `numeric_concurrence` runs the route for many scenarios at their own
 times; `numeric_trajectory` (`evolve`, `figure`) and the verify suites
 that compare the routes all call it, and `evolved_state` (W W^dag, from
@@ -342,22 +344,43 @@ def _evolve(w0: np.ndarray, noise: NoiseSpec, taus) -> np.ndarray:
     return apply_to_factor(w0, kraus_for(noise.kind, noise_param(noise, taus)))
 
 
+def _real_pure_factors(columns: np.ndarray) -> np.ndarray:
+    # for n pure states' amplitude columns (n, 4, 1), the real columns
+    # (|r00|, 0, |r01|, |r11|) of locally equivalent states: each column
+    # as M, rows for qubit 1 and columns for qubit 2, and M^T = Q R, so
+    # M Q^* = R^T = [[r00, 0], [r01, r11]]
+    r = np.abs(np.linalg.qr(np.swapaxes(columns.reshape(-1, 2, 2), -1, -2), mode="r"))
+    return np.stack([r[:, 0, 0], np.zeros(len(r)), r[:, 0, 1], r[:, 1, 1]], axis=-1)[..., None]
+
+
 def numeric_concurrence(scenarios, taus) -> np.ndarray:
     """Each scenario's concurrence on the numeric route at its own times,
     `taus` of shape (n,) or (n, T) for n scenarios; the result has its shape.
     The channel at parameter(tau) acts on the initial factor in one shot:
     eta and gamma multiply and p is defined through e^(-tau/2).
 
-    An X state is evolved with z -> |z|: its record turned by the local
-    unitary U = I x diag(1, e^(-i arg z)) on the noiseless qubit 2.  U
-    commutes with every K x I and multiplies G = W^T (sy x sy) W by
-    e^(-i arg z) only, so the concurrence is the same, and the turned
-    state's factor is real.  `initial_factor` and `evolved_state` keep the
-    true state's factor.
+    Every state is evolved in a real form, turned by a local unitary that
+    commutes with each channel, so the concurrence is the same and the
+    factor is real:
+    - an X state takes z -> |z|: its record turned by U = I x diag(1,
+      e^(-i arg z)) on the noiseless qubit 2, which commutes with every
+      K x I;
+    - a pure state takes the real column (|r00|, 0, |r01|, |r11|), from the
+      triangular factor R of M^T = Q R, with M its amplitudes as a 2x2
+      matrix, rows for qubit 1 and columns for qubit 2 (one stacked
+      Householder QR for all pure records).  M Q^* = R^T, a unitary on
+      qubit 2, and the phases of R^T's entries go with a diagonal unitary
+      on each qubit.  A unitary on qubit 2 commutes with every K x I; a
+      diagonal one on qubit 1 commutes with each channel: it multiplies
+      each amplitude- and phase-noise Kraus operator by a phase, and the
+      depolarizing channel commutes with every unitary.
+    The pure turn reads the amplitudes and never the closed form, so the
+    two routes stay independent.  `initial_factor` and `evolved_state` keep
+    the true state's factor.
 
-    The scenarios of one noise kind evolve as one stack in their factors'
-    common dtype, a narrower factor padded with zero columns (W W^dag is
-    unchanged), one block of _BLOCK_ROWS times per stacked evaluation.
+    The scenarios of one noise kind evolve as one stack, a narrower factor
+    padded with zero columns (W W^dag is unchanged), one block of
+    _BLOCK_ROWS times per stacked evaluation.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim not in (1, 2) or len(taus) != len(scenarios):
@@ -365,6 +388,10 @@ def numeric_concurrence(scenarios, taus) -> np.ndarray:
     records = [replace(s.state, z=abs(s.state.z)) if isinstance(s.state, XStateParams)
                else s.state for s in scenarios]  # the qubit-2 turn U above
     factors = [state_factor(r, rho) for r, rho in zip(records, state_stack(records))]
+    pure = [i for i, r in enumerate(records) if isinstance(r, PureStateParams)]
+    if pure:
+        for i, w in zip(pure, _real_pure_factors(np.stack([factors[i] for i in pure]))):
+            factors[i] = w
     times = taus.reshape(len(taus), -1)
     c = np.empty(times.shape)
     for noise in dict.fromkeys(s.noise for s in scenarios):

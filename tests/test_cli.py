@@ -585,6 +585,56 @@ def test_evolve_at_its_defaults_agrees_everywhere(tmp_path, capsys):
     assert max(float(row.split(",")[3]) for row in rows) <= 1e-8
 
 
+NEAR_PRODUCT_PURE_FLAGS = [
+    "--pure", "--a", "0.40389553676605316", "--b", "0.11176780010956844",
+    "--c", "0.3793587841892353", "--d", "0.1049778789351431",
+    "--f", "2.048604842356715", "--g", "2.8713455886352186", "--h", "4.919950430991934",
+]
+
+
+def test_pure_closed_form_near_a_product_state(capsys):
+    # the exact concurrence of this record is 2.4e-17; the radicand form
+    # ad + bc - 2 sqrt(abcd) cos(theta) cancelled and printed c_closed
+    # 1.05367121277e-08 and abs_diff 1.05e-8 at tau = 0
+    for argv in (["--points", "3", "--tau-max", "0.01"], []):
+        code, out, _ = run(["evolve", "--noise", "phase", *NEAR_PRODUCT_PURE_FLAGS, *argv], capsys)
+        assert code == 0
+        rows = [[float(v) for v in row.split(",")] for row in out.splitlines()[1:]]
+        assert len(rows) == (3 if argv else 2048)
+        assert max(row[1] for row in rows) <= 1e-15
+        assert max(row[3] for row in rows) <= 1e-15
+
+
+def _tau_fields(text: str, fmt: str) -> list[str]:
+    # the printed tau text of every row of a csv or jsonl table
+    if fmt == "csv":
+        return [line.split(",")[0] for line in text.splitlines() if line[:1].isdigit()]
+    return [line.split('"tau": ')[1].split(",")[0] for line in text.splitlines()]
+
+
+def test_the_time_column_is_formatted_once_per_grid(capsys):
+    # each (tau_max, points, gamma) formats its column once and every later
+    # table on that grid reuses it; every tau field is _fmt(grid / gamma)
+    cli._time_column.cache_clear()
+    flags = ["evolve", *FIG1_SOLID_FLAGS]
+    for tau_max, points, gamma in ((50.0, 2048, 1.0), (10.0, 11, 1.0), (50.0, 2048, 0.3)):
+        want = [cli._fmt(t) for t in np.linspace(0.0, tau_max, points) / gamma]
+        grid = ["--tau-max", repr(tau_max), "--points", str(points), "--gamma", repr(gamma)]
+        for fmt in ("csv", "jsonl", "csv", "jsonl"):
+            code, out, _ = run([*flags, *grid, "--format", fmt], capsys)
+            assert code == 0
+            assert _tau_fields(out, fmt) == want
+    # figure fig4: three curves on one grid over [0, 2]
+    want = [cli._fmt(t) for t in np.linspace(0.0, 2.0, 2048)] * 3
+    for fmt in ("csv", "jsonl"):
+        code, out, _ = run(["figure", "fig4", "--format", fmt], capsys)
+        assert code == 0
+        assert _tau_fields(out, fmt) == want
+    # one miss per grid; 12 evolve tables on 3 grids, 6 curve tables on 1
+    info = cli._time_column.cache_info()
+    assert (info.misses, info.hits) == (4, 9 + 5)
+
+
 def test_a_table_is_written_in_one_call():
     class Counted:
         def __init__(self):
@@ -593,12 +643,18 @@ def test_a_table_is_written_in_one_call():
         def write(self, text):
             self.calls.append(text)
 
-    rows = [(0.0, 0.2, 0.2, 0.0), (1.5, 0.125, 0.125, 1e-17)]
+    # a row holds its time as text, as _time_column formats it
+    rows = [("0", 0.2, 0.2, 0.0), ("1.5", 0.125, 0.125, 1e-17)]
     for fmt, curve in (("csv", None), ("csv", "solid"), ("jsonl", None), ("jsonl", "solid")):
         stream = Counted()
         cli._write_rows(stream, rows, fmt, curve)
         assert len(stream.calls) == 1
     assert stream.calls[0].count("\n") == 2
+    # each JSONL line is the one _json_line writes for the row's values
+    values = [(0.0, 0.2, 0.2, 0.0), (1.5, 0.125, 0.125, 1e-17)]
+    assert stream.calls == [
+        "".join(cli._json_line([("curve", "solid"), *zip(cli._COLUMNS, row)]) for row in values)
+    ]
     stream = Counted()
     cli._write_rows(stream, rows, "csv", "solid")
     assert stream.calls == ["# curve: solid\n" + HEADER + "\n0,0.2,0.2,0\n1.5,0.125,0.125,1e-17\n"]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -89,6 +90,40 @@ def test_concurrence_pure_matches_wootters_and_determinant():
         worst = max(worst, abs(cp - concurrence_wootters(pure_state(params))))
         worst = max(worst, abs(cp - concurrence_pure_determinant(params)))
     assert worst <= 1e-9
+
+
+def _near_product_or_random_pure(rng: np.random.Generator, n: int):
+    # every other draw lies near a product state: weights p q, p (1 - q),
+    # (1 - p) q, (1 - p)(1 - q) and h = f + g, each nudged by a relative
+    # amount log-uniform in [1e-16, 1e-4]; the others are flat draws
+    for i in range(n):
+        f, g = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        if i % 2:
+            p, q = rng.uniform(size=2)
+            w = np.array([p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)])
+            w = w * (1.0 + 10.0 ** rng.uniform(-16.0, -4.0, 4) * rng.choice([-1.0, 1.0], 4))
+            h = f + g + 10.0 ** rng.uniform(-16.0, -4.0) * rng.choice([-1.0, 1.0])
+        else:
+            w = rng.dirichlet(np.ones(4))
+            h = rng.uniform(0.0, 2.0 * math.pi)
+        yield PureStateParams(*(w / w.sum()).tolist(), float(f), float(g), float(h))
+
+
+def test_concurrence_pure_near_product_states_against_50_digits():
+    # the textbook radicand ad + bc - 2 sqrt(abcd) cos(theta), evaluated at
+    # 50 digits from the same floats; in floats it cancels near product
+    # states and lost half the digits there (1e-8 where C is 1e-17)
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    worst = 0.0
+    for params in _near_product_or_random_pure(np.random.default_rng(2024), 20000):
+        a, b, c, d = (mp.mpf(w) for w in (params.a, params.b, params.c, params.d))
+        theta = mp.mpf(params.f) + params.g - params.h
+        radicand = a * d + b * c - 2 * mp.sqrt(a * b * c * d) * mp.cos(theta)
+        want = 2 * mp.sqrt(max(radicand, 0))
+        worst = max(worst, abs(concurrence_pure(params) - float(want)))
+    # 6.7e-16 measured; the float theta alone can be off by an ulp of 4 pi
+    assert worst <= 2e-15
 
 
 def test_family_initial_concurrences():

@@ -281,6 +281,90 @@ def test_the_phase_of_z_leaves_the_numeric_route(noise, arg, monkeypatch):
     assert abs(rho[1, 2] / abs(rho[1, 2]) - z / abs(z)) <= 1e-14
 
 
+# theta = f + g - h generic, 0 and pi; a = b = 0 (a product state); the
+# record whose radicand closed form lost half its digits (exact C 2.4e-17);
+# weights near 1e-300, where C is near 1e-150
+PURE_TURN_STATES = {
+    "generic": PureStateParams(0.1, 0.2, 0.3, 0.4, 1.0, 2.0, 3.5),
+    "theta-zero": PureStateParams(0.1, 0.2, 0.3, 0.4, 1.0, 2.0, 3.0),
+    "theta-pi": PureStateParams(0.1, 0.2, 0.3, 0.4, 1.0, 2.0, 3.0 - math.pi),
+    "a-b-zero": PureStateParams(0.0, 0.0, 0.3, 0.7, 0.5, 2.0, 1.0),
+    "near-product": PureStateParams(
+        0.40389553676605316, 0.11176780010956844, 0.3793587841892353, 0.1049778789351431,
+        2.048604842356715, 2.8713455886352186, 4.919950430991934,
+    ),
+    "tiny": PureStateParams(1e-300, 3e-300, 0.5, 0.5, 0.7, 1.9, 4.0),
+}
+
+
+@pytest.mark.parametrize("noise", [AMP, PHASE, DEPOL], ids=lambda n: n.kind.value)
+@pytest.mark.parametrize("state", PURE_TURN_STATES.values(), ids=PURE_TURN_STATES)
+def test_the_phases_of_a_pure_state_leave_the_numeric_route(noise, state):
+    # the route evolves the real column (|r00|, 0, |r01|, |r11|) from the QR
+    # of the amplitude matrix: a local unitary away from the state, so the
+    # concurrence of the true factor, evolved in complex arithmetic, agrees
+    scenario = Scenario(state, noise)
+    c = numeric_trajectory(scenario, CLI_GRID).c
+    w0 = initial_factor(scenario)
+    assert w0.dtype == np.complex128
+    true = factor_concurrence(dynamics._evolve(w0, noise, CLI_GRID))
+    assert np.abs(c - true).max() <= 1e-14
+    assert np.abs(c - closed_form_trajectory(scenario, CLI_GRID).c).max() <= 1e-14
+    # the evolved state keeps the true amplitudes: at tau = 0 it is |psi><psi|
+    assert np.abs(evolved_state(scenario, 0.0) - states.pure_state(state)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("pair", range(12))
+def test_the_numeric_route_runs_in_float64(pair, monkeypatch):
+    # every state kind reaches the stacked QR, the spin-flip product and its
+    # eigvalsh as float64.  The pure turn's own QR takes the (n, 2, 2)
+    # amplitude matrices, complex where a phase is, and is counted apart.
+    scenario = random_scenario(np.random.default_rng(62), pair)
+    seen = {"qr": [], "eigvalsh": [], "factor": []}
+
+    def spy(name, original):
+        def wrapper(a, *args, **kwargs):
+            seen[name].append(np.asarray(a))
+            return original(a, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "qr", spy("qr", np.linalg.qr))
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(dynamics, "factor_concurrence", spy("factor", factor_concurrence))
+    numeric_trajectory(scenario, CLI_GRID)
+    turn = [a for a in seen["qr"] if a.shape[-2:] == (2, 2)]
+    route = [a for a in seen["qr"] if a.shape[-2:] != (2, 2)] + seen["eigvalsh"] + seen["factor"]
+    assert [a.shape for a in turn] == ([(1, 2, 2)] if isinstance(scenario.state, PureStateParams) else [])
+    assert seen["eigvalsh"] and seen["factor"]
+    assert {a.dtype for a in route} == {np.dtype(np.float64)}
+    # an X or family factor has more than 4 columns once evolved, and a pure
+    # column at most 4: the stacked QR runs for those kinds only
+    assert bool(len(route) - len(seen["eigvalsh"]) - len(seen["factor"])) == (
+        not isinstance(scenario.state, PureStateParams)
+    )
+
+
+def test_the_pure_turn_is_one_stacked_qr(monkeypatch):
+    # all pure records of one numeric_concurrence call take one QR
+    shapes = []
+
+    def qr(a, mode, _qr=np.linalg.qr):
+        shapes.append(np.shape(a))
+        return _qr(a, mode=mode)
+
+    pure = list(PURE_TURN_STATES.values())
+    scenarios = [Scenario(s, noise) for s, noise in zip(pure, [AMP, PHASE, DEPOL] * 2)]
+    scenarios.append(Scenario(FIG1_SOLID, AMP))
+    taus = np.linspace(0.0, 3.0, 5)
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    c = numeric_concurrence(scenarios, np.tile(taus, (len(scenarios), 1)))
+    assert [s for s in shapes if s[-2:] == (2, 2)] == [(len(pure), 2, 2)]
+    monkeypatch.undo()
+    for row, s in zip(c, scenarios):
+        assert np.abs(row - closed_form_trajectory(s, taus).c).max() <= 1e-14
+
+
 @pytest.mark.parametrize("size", [1, dynamics._BLOCK_ROWS, dynamics._BLOCK_ROWS + 1])
 def test_stacked_route_at_block_boundary_sizes(size):
     scenario = Scenario(XStateParams(0.1, 0.2, 0.6, 0.1, 0.2), DEPOL)

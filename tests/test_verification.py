@@ -38,6 +38,7 @@ DRAW_DIGESTS = {
 }
 
 # max_error of every suite at run_all(3, 40), as the stacked suites read it.
+# The suites are deterministic for a seed, so each pin holds within 4 ulp.
 MAX_ERRORS_SEED3_CASES40 = {
     "kron_algebra": 1.16683012789241e-14,
     "eig_reconstruction": 1.0995342466562221e-14,
@@ -51,7 +52,7 @@ MAX_ERRORS_SEED3_CASES40 = {
     "concurrence_pure_oracle": 1.7763568394002505e-15,
     "local_unitary_invariance": 1.4432899320127035e-15,
     "twirl_invariance": 7.244140648242027e-16,
-    "closed_vs_numeric": 2.747486624993088e-16,
+    "closed_vs_numeric": 4.206704429243757e-17,
     "analytic_vs_bisection": 7.25909471421815e-11,
     "pure_depol_universality": 2.3961943540484754e-11,
     "pure_amp_phase_no_esd": 0.0,
@@ -126,7 +127,8 @@ def test_max_errors_are_pinned():
     results = run_all(3, 40)
     assert [r.name for r in results] == list(MAX_ERRORS_SEED3_CASES40)
     for r in results:
-        assert abs(r.max_error - MAX_ERRORS_SEED3_CASES40[r.name]) <= 1e-14, r.name
+        pin = MAX_ERRORS_SEED3_CASES40[r.name]
+        assert abs(r.max_error - pin) <= 4 * math.ulp(pin), (r.name, r.max_error)
 
 
 def test_suites_fail_on_wrong_library_answers(monkeypatch):
