@@ -135,39 +135,17 @@ def _open_out(path: str | None):
     return open(path, "w", newline="")
 
 
-@functools.lru_cache(maxsize=4, typed=True)
-def _time_column(tau_max: float, points: int, scale: float) -> tuple[str, ...]:
-    """The printed tau column of a table over np.linspace(0, tau_max,
-    points): each time divided by `scale`, the decay rate given by
-    --gamma, in the text of `_fmt`.
-
-    Every table on the same grid prints the same column, so it is
-    formatted once per (tau_max, points, scale) and kept for the life of
-    the process: about 70 B per point per entry (71 B at the CLI defaults,
-    by tracemalloc), at most 4 entries.  `figure` draws all curves of a
-    preset on one grid.  Callers validate the key first; typed, as
-    `dynamics._scan_grid`, so that points=11.0 still fails in linspace
-    instead of hitting points=11.
-    """
-    return tuple(map(_fmt, (np.linspace(0.0, tau_max, points) / scale).tolist()))
-
-
-def _trajectory_rows(scenario: Scenario, tau_max: float, points: int, scale: float = 1.0) -> list[tuple]:
-    # one row per point of np.linspace(0, tau_max, points): the time as
-    # text, then the closed form, the numeric route and their gap
-    grid = np.linspace(0.0, tau_max, points)
+def _trajectory_rows(scenario: Scenario, grid: np.ndarray, scale: float = 1.0) -> list[tuple]:
+    # times are printed as tau / scale, the decay rate given by --gamma
     closed = closed_form_trajectory(scenario, grid).c
     numeric = numeric_trajectory(scenario, grid).c
-    values = (closed, numeric, np.abs(closed - numeric))
-    return list(zip(_time_column(tau_max, points, scale), *(col.tolist() for col in values)))
+    columns = (grid / scale, closed, numeric, np.abs(closed - numeric))
+    return list(zip(*(col.tolist() for col in columns)))
 
 
 _COLUMNS = ("tau", "c_closed", "c_wootters", "abs_diff")
-# one row of each format, its time already text; "%.12g" prints each float
-# as _fmt does, so a JSONL row reads as _json_line would write it
-_FIELDS = ("%s", "%.12g", "%.12g", "%.12g")
-_CSV_ROW = ",".join(_FIELDS) + "\n"
-_JSONL_ROW = ", ".join(f'"{key}": {field}' for key, field in zip(_COLUMNS, _FIELDS)) + "}\n"
+# one CSV row; "%.12g" prints each float as _fmt does
+_CSV_ROW = "%.12g,%.12g,%.12g,%.12g\n"
 
 
 def _write_rows(stream, rows, fmt: str, curve: str | None = None) -> None:
@@ -176,14 +154,15 @@ def _write_rows(stream, rows, fmt: str, curve: str | None = None) -> None:
         head = f"# curve: {curve}\n" if curve is not None else ""
         text = head + ",".join(_COLUMNS) + "\n" + "".join(map(_CSV_ROW.__mod__, rows))
     else:
-        tag = f'"curve": {json.dumps(curve)}, ' if curve is not None else ""
-        text = "".join(map(("{" + tag + _JSONL_ROW).__mod__, rows))
+        tag = [("curve", curve)] if curve is not None else []
+        text = "".join(_json_line([*tag, *zip(_COLUMNS, row)]) for row in rows)
     stream.write(text)
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    rows = _trajectory_rows(scenario, args.tau_max, args.points, args.gamma)
+    grid = np.linspace(0.0, args.tau_max, args.points)
+    rows = _trajectory_rows(scenario, grid, args.gamma)
     with _open_out(args.out) as stream:
         _write_rows(stream, rows, args.format)
     return 0
@@ -229,10 +208,11 @@ def cmd_esd(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     preset = FIGURE_PRESETS[args.name]
+    grid = np.linspace(0.0, preset.tau_max, args.points)
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
     for curve in preset.curves:
-        rows = _trajectory_rows(curve.scenario, preset.tau_max, args.points)
+        rows = _trajectory_rows(curve.scenario, grid)
         if args.out is None:
             _write_rows(sys.stdout, rows, args.format, curve=curve.label)
         else:

@@ -69,6 +69,7 @@ from .states import (
     PureStateParams,
     StateParams,
     XStateParams,
+    _pure_amplitudes,
     state_factor,
     state_kind,
     state_matrix,
@@ -344,12 +345,14 @@ def _evolve(w0: np.ndarray, noise: NoiseSpec, taus) -> np.ndarray:
     return apply_to_factor(w0, kraus_for(noise.kind, noise_param(noise, taus)))
 
 
-def _real_pure_factors(columns: np.ndarray) -> np.ndarray:
-    # for n pure states' amplitude columns (n, 4, 1), the real columns
-    # (|r00|, 0, |r01|, |r11|) of locally equivalent states: each column
-    # as M, rows for qubit 1 and columns for qubit 2, and M^T = Q R, so
-    # M Q^* = R^T = [[r00, 0], [r01, r11]]
-    r = np.abs(np.linalg.qr(np.swapaxes(columns.reshape(-1, 2, 2), -1, -2), mode="r"))
+def _real_pure_factors(records) -> np.ndarray:
+    # for n pure records, the real columns (|r00|, 0, |r01|, |r11|), shape
+    # (n, 4, 1), of locally equivalent states: each record's amplitudes as
+    # M, rows for qubit 1 and columns for qubit 2, and M^T = Q R, so
+    # M Q^* = R^T = [[r00, 0], [r01, r11]]; real amplitudes take a real QR
+    m = np.array([_pure_amplitudes(r) for r in records]).reshape(-1, 2, 2)
+    m = m if m.imag.any() else m.real
+    r = np.abs(np.linalg.qr(np.swapaxes(m, -1, -2), mode="r"))
     return np.stack([r[:, 0, 0], np.zeros(len(r)), r[:, 0, 1], r[:, 1, 1]], axis=-1)[..., None]
 
 
@@ -374,9 +377,9 @@ def numeric_concurrence(scenarios, taus) -> np.ndarray:
       diagonal one on qubit 1 commutes with each channel: it multiplies
       each amplitude- and phase-noise Kraus operator by a phase, and the
       depolarizing channel commutes with every unitary.
-    The pure turn reads the amplitudes and never the closed form, so the
-    two routes stay independent.  `initial_factor` and `evolved_state` keep
-    the true state's factor.
+    The pure turn reads the amplitudes, never the projector or the closed
+    form, so the two routes stay independent.  `initial_factor` and
+    `evolved_state` keep the true state's factor.
 
     The scenarios of one noise kind evolve as one stack, a narrower factor
     padded with zero columns (W W^dag is unchanged), one block of
@@ -387,11 +390,12 @@ def numeric_concurrence(scenarios, taus) -> np.ndarray:
         raise ValueError(f"taus must have one leading entry per scenario, got shape {taus.shape}")
     records = [replace(s.state, z=abs(s.state.z)) if isinstance(s.state, XStateParams)
                else s.state for s in scenarios]  # the qubit-2 turn U above
-    factors = [state_factor(r, rho) for r, rho in zip(records, state_stack(records))]
-    pure = [i for i, r in enumerate(records) if isinstance(r, PureStateParams)]
-    if pure:
-        for i, w in zip(pure, _real_pure_factors(np.stack([factors[i] for i in pure]))):
-            factors[i] = w
+    # a pure record's factor is read from its amplitudes, the others' from
+    # their matrices
+    pure = [isinstance(r, PureStateParams) for r in records]
+    turned = iter(_real_pure_factors([r for r, p in zip(records, pure) if p]) if any(pure) else ())
+    matrices = iter(state_stack([r for r, p in zip(records, pure) if not p]))
+    factors = [next(turned) if p else state_factor(r, next(matrices)) for r, p in zip(records, pure)]
     times = taus.reshape(len(taus), -1)
     c = np.empty(times.shape)
     for noise in dict.fromkeys(s.noise for s in scenarios):

@@ -612,10 +612,9 @@ def _tau_fields(text: str, fmt: str) -> list[str]:
     return [line.split('"tau": ')[1].split(",")[0] for line in text.splitlines()]
 
 
-def test_the_time_column_is_formatted_once_per_grid(capsys):
-    # each (tau_max, points, gamma) formats its column once and every later
-    # table on that grid reuses it; every tau field is _fmt(grid / gamma)
-    cli._time_column.cache_clear()
+def test_every_tau_field_is_the_grid_over_gamma(capsys):
+    # evolve on three grids, each twice in csv and jsonl, then figure fig4:
+    # every printed tau is _fmt(grid / gamma)
     flags = ["evolve", *FIG1_SOLID_FLAGS]
     for tau_max, points, gamma in ((50.0, 2048, 1.0), (10.0, 11, 1.0), (50.0, 2048, 0.3)):
         want = [cli._fmt(t) for t in np.linspace(0.0, tau_max, points) / gamma]
@@ -630,9 +629,6 @@ def test_the_time_column_is_formatted_once_per_grid(capsys):
         code, out, _ = run(["figure", "fig4", "--format", fmt], capsys)
         assert code == 0
         assert _tau_fields(out, fmt) == want
-    # one miss per grid; 12 evolve tables on 3 grids, 6 curve tables on 1
-    info = cli._time_column.cache_info()
-    assert (info.misses, info.hits) == (4, 9 + 5)
 
 
 def test_a_table_is_written_in_one_call():
@@ -643,18 +639,12 @@ def test_a_table_is_written_in_one_call():
         def write(self, text):
             self.calls.append(text)
 
-    # a row holds its time as text, as _time_column formats it
-    rows = [("0", 0.2, 0.2, 0.0), ("1.5", 0.125, 0.125, 1e-17)]
+    rows = [(0.0, 0.2, 0.2, 0.0), (1.5, 0.125, 0.125, 1e-17)]
     for fmt, curve in (("csv", None), ("csv", "solid"), ("jsonl", None), ("jsonl", "solid")):
         stream = Counted()
         cli._write_rows(stream, rows, fmt, curve)
         assert len(stream.calls) == 1
     assert stream.calls[0].count("\n") == 2
-    # each JSONL line is the one _json_line writes for the row's values
-    values = [(0.0, 0.2, 0.2, 0.0), (1.5, 0.125, 0.125, 1e-17)]
-    assert stream.calls == [
-        "".join(cli._json_line([("curve", "solid"), *zip(cli._COLUMNS, row)]) for row in values)
-    ]
     stream = Counted()
     cli._write_rows(stream, rows, "csv", "solid")
     assert stream.calls == ["# curve: solid\n" + HEADER + "\n0,0.2,0.2,0\n1.5,0.125,0.125,1e-17\n"]
