@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _frobenius, _reject_first, _unit_interval, kron
+from .linalg import _reject_first, _unit_interval, kron
 from .states import validate_density_matrix
 
 # Gate applied by apply_channel / lift_first on arbitrary Kraus sets.
@@ -132,21 +132,32 @@ def kraus_for(kind: NoiseKind, value) -> KrausSet:
 def completeness_residual(kraus: KrausSet) -> float | np.ndarray:
     """Frobenius norm of sum(K^dag K) - I; zero for a trace-preserving set.
 
-    A float for one Kraus set, an array with one residual per set for a
-    stacked one.
+    A numpy float64 for one Kraus set, an array with one residual per set
+    for a stacked one.  Each entry (K^dag K)[i, j] = sum_r conj(K[r, i])
+    K[r, j] is summed in row order, the operators' terms onto -I in operator
+    order, and the squared moduli of the entries in row-major order.  For a
+    2x2 set those are the bits of `np.linalg.norm` over that explicit loop;
+    a 4x4 set can differ from it by an ulp or two, as the norm sums 16
+    squares pairwise.
     """
     ops = kraus.ops
-    # K^dag K row by row, (K^dag K)[i, j] = sum_r conj(K[r, i]) K[r, j]: for
-    # a 2x2 set the bits of the stacked matmul at a third of its cost
-    c = ops.conj()
-    terms = c[..., 0, :, None] * ops[..., 0, None, :]
-    for r in range(1, kraus.dim):
-        terms = terms + c[..., r, :, None] * ops[..., r, None, :]
-    acc = -np.eye(kraus.dim)
-    # summed onto -I in operator order: .sum(0) - I would round differently
-    for term in terms:
-        acc = acc + term
-    return _frobenius(acc)
+    k, d, stack = len(ops), kraus.dim, ops.shape[1:-2]
+    # one copy with the matrix axes first, t[i, j] = K[i, j] of shape (k, n)
+    # for the n sets of the stack, so that every product and sum below runs
+    # over contiguous stacks: 2-4x faster at 256-2048 sets than broadcasting
+    # over the 2x2 inner axes of the operators' own layout, and a few us
+    # slower at 4 sets or fewer
+    t = ops.reshape(k, -1, d, d).transpose(2, 3, 0, 1).copy()
+    c = t.conj()
+    terms = c[0, :, None] * t[0, None, :]
+    for r in range(1, d):
+        terms = terms + c[r, :, None] * t[r, None, :]
+    acc = -np.eye(d)[..., None]
+    # summed onto -I in operator order: .sum(2) - I would round differently
+    for op in range(k):
+        acc = acc + terms[:, :, op]
+    sq = (acc.conj() * acc).real
+    return np.sqrt(np.add.reduce(sq.reshape(d * d, -1), axis=0)).reshape(stack)[()]
 
 
 def _check_complete(kraus: KrausSet, what: str) -> None:

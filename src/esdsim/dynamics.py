@@ -13,18 +13,20 @@ take one tau or a whole grid.  The closed form evaluates its formula with
 numpy ufuncs over the grid in one call.  The numeric route writes the
 initial state once as rho0 = W0 W0^dag (`initial_factor`: the amplitude
 column of a pure state, the diagonal plus the central block of an X-pattern
-state), builds the Kraus sets for a block of tau values at once, applies
-them to the factor, W(tau) = [(K_1 x I) W0, (K_2 x I) W0, ...], and takes
-the Wootters concurrence of the whole stack of factors.  The Kraus sets
-are real, and the route makes every factor real by a local unitary that
-commutes with the noise and leaves the concurrence unchanged: an X state
-evolves with z -> |z|, a phase on the noiseless qubit 2, and a pure state
-as the real column of the triangular factor of its amplitude matrix (see
-`numeric_concurrence`).  So the whole route runs in real arithmetic, for
-every scenario and every stack.  No eigendecomposition is taken, so a
-weight that decays towards zero keeps its relative precision; evolving the
-matrix and taking its square root leaves up to ~4e-7 on amplitude-noise
-tails.
+state), builds the Kraus sets for a block of up to `_BLOCK_ROWS` (1024)
+tau values at once, applies them to the factor, W(tau) = [(K_1 x I) W0,
+(K_2 x I) W0, ...], and takes the Wootters concurrence of the whole stack
+of factors; a default grid of 2048 points takes two blocks per noise kind.
+The block bound only bounds the working set: no value depends on it.  The
+Kraus sets are real, and the route makes every factor real by a local
+unitary that commutes with the noise and leaves the concurrence unchanged:
+an X state evolves with z -> |z|, a phase on the noiseless qubit 2, and a
+pure state as the real column of the triangular factor of its amplitude
+matrix (see `numeric_concurrence`).  So the whole route runs in real
+arithmetic, for every scenario and every stack.  No eigendecomposition is
+taken, so a weight that decays towards zero keeps its relative precision;
+evolving the matrix and taking its square root leaves up to ~4e-7 on
+amplitude-noise tails.
 `numeric_concurrence` runs the route for many scenarios at their own
 times; `numeric_trajectory` (`evolve`, `figure`) and the verify suites
 that compare the routes all call it, and `evolved_state` (W W^dag, from
@@ -85,10 +87,18 @@ SCAN_POINTS = 2048
 # and `esd` prints AsymptoticDecay beside the rule's time.
 ESD_TAU_MAX_LIMIT = -2.0 * math.log(np.finfo(float).tiny)
 TRAJECTORY_CAP = 1.0 + 1e-10
-# Grid points per stacked evaluation on the numeric route.  Bounds the
-# working set: evolving 2048 points as one stack raised peak RSS by about
-# 3.4 MB, blocks of 256 by about 0.1 MB, with no measurable loss of speed.
-_BLOCK_ROWS = 256
+# Grid points per stacked evaluation on the numeric route, a bound on the
+# working set only: the values do not depend on it, bit for bit.  Each
+# block pays about 35 numpy calls (noise_param, the Kraus build and its
+# completeness check, the matmul, the qr and eigvalsh wrappers), about
+# 0.1 ms, so a default grid of 2048 points takes two blocks per noise kind.
+# In process over 48 evolve commands at the CLI defaults (2-CPU machine,
+# Python 3.11.7, numpy 2.4.6), per command: 8.80 ms at 256 rows, 8.03 ms
+# at 1024 and 8.05 ms in one pass of 2048.  Traced peak of one depolarized
+# X-state trajectory: 0.38, 1.28 and 2.43 MiB.  On esdbench's trajectory
+# workload (BENCH_kraus_stage.json) one pass read about 2% more rows/s than
+# 1024 but 1.7 MB more peak RSS, and its peak grows with --points.
+_BLOCK_ROWS = 1024
 
 
 class TrajectorySource(enum.Enum):
@@ -382,8 +392,11 @@ def numeric_concurrence(scenarios, taus) -> np.ndarray:
     `evolved_state` keep the true state's factor.
 
     The scenarios of one noise kind evolve as one stack, a narrower factor
-    padded with zero columns (W W^dag is unchanged), one block of
-    _BLOCK_ROWS times per stacked evaluation.
+    padded with zero columns (W W^dag is unchanged), in blocks of up to
+    _BLOCK_ROWS (1024) times per stacked evaluation.  The bound keeps the
+    working set at about 1.3 MB per block whatever the grid; the values
+    are the same bits for every block size.  No scenario, or no times,
+    gives an empty result of `taus`'s shape.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim not in (1, 2) or len(taus) != len(scenarios):
@@ -396,7 +409,7 @@ def numeric_concurrence(scenarios, taus) -> np.ndarray:
     turned = iter(_real_pure_factors([r for r, p in zip(records, pure) if p]) if any(pure) else ())
     matrices = iter(state_stack([r for r, p in zip(records, pure) if not p]))
     factors = [next(turned) if p else state_factor(r, next(matrices)) for r, p in zip(records, pure)]
-    times = taus.reshape(len(taus), -1)
+    times = taus if taus.ndim == 2 else taus[:, None]
     c = np.empty(times.shape)
     for noise in dict.fromkeys(s.noise for s in scenarios):
         idx = [i for i, s in enumerate(scenarios) if s.noise == noise]

@@ -354,12 +354,78 @@ def test_entrywise_residual_has_the_bits_of_the_stacked_matmul(points):
             acc = acc + term
         reference = np.linalg.norm(acc, axis=(-2, -1))
         assert completeness_residual(kraus_for(kind, values)).tobytes() == reference.tobytes()
-    # a lifted 4x4 set takes the same row loop, over its four rows
+    # a lifted 4x4 set sums each entry over four rows and its 16 squares in
+    # row-major order, where the norm sums them pairwise: on a lifted
+    # constructor set the two orders meet (see the row-order test below)
     lifted = lift_first(depolarizing_kraus(values[:5]))
     acc = -np.eye(4, dtype=complex)
     for term in lifted.ops.conj().swapaxes(-1, -2) @ lifted.ops:
         acc = acc + term
     np.testing.assert_allclose(completeness_residual(lifted), np.linalg.norm(acc, axis=(-2, -1)), rtol=0, atol=1e-15)
+
+
+def _residual_by_loop(ops):
+    # the residual by its definition, one entry and one operator at a time:
+    # (K^dag K)[i, j] = sum_r conj(K[r, i]) K[r, j] in row order, summed onto
+    # -I in operator order, then the norm of each matrix of the stack
+    d = ops.shape[-1]
+    acc = -np.eye(d)
+    for op in ops:
+        gram = np.empty(op.shape, op.dtype)
+        for i in range(d):
+            for j in range(d):
+                entry = op[..., 0, i].conj() * op[..., 0, j]
+                for r in range(1, d):
+                    entry = entry + op[..., r, i].conj() * op[..., r, j]
+                gram[..., i, j] = entry
+        acc = acc + gram
+    return np.linalg.norm(acc, axis=(-2, -1))
+
+
+@pytest.mark.parametrize("stack", [(), (7,), (3, 5)], ids=str)
+@pytest.mark.parametrize("dtype", [float, complex], ids=lambda t: t.__name__)
+def test_residual_has_the_bits_of_the_row_order_loop(stack, dtype):
+    # random 2x2 sets, not only the constructors' sparse ones: the
+    # stack-innermost layout sums the same products in the same order
+    rng = np.random.default_rng([len(stack), dtype is complex])
+    for trial in range(40):
+        ops = rng.normal(size=(1 + trial % 4,) + stack + (2, 2)) * 10.0 ** rng.uniform(-3, 1)
+        if dtype is complex:
+            ops = ops + 1j * rng.normal(size=ops.shape)
+        residual = completeness_residual(KrausSet(ops))
+        reference = _residual_by_loop(ops)
+        assert residual.shape == stack and residual.tobytes() == reference.tobytes()
+        if not stack:
+            assert type(residual) is np.float64
+
+
+def test_four_by_four_residual_within_two_ulp_of_the_loop():
+    # a 4x4 set sums its 16 squared entries in row-major order, while
+    # np.linalg.norm sums them pairwise: within 2 ulp on random sets (67%
+    # of them to the bit), and to the bit on lifted constructor sets, where
+    # at most 8 entries are nonzero and come in equal pairs
+    rng = np.random.default_rng(44)
+    for trial in range(40):
+        shape = (1 + trial % 4, 9, 4, 4)
+        ops = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        residual, reference = completeness_residual(KrausSet(ops)), _residual_by_loop(ops)
+        assert np.all(np.abs(residual - reference) <= 2 * np.spacing(reference))
+    values = rng.uniform(size=500)
+    for kind in NoiseKind:
+        lifted = lift_first(kraus_for(kind, values))
+        assert completeness_residual(lifted).tobytes() == _residual_by_loop(lifted.ops).tobytes()
+
+
+def test_incomplete_member_of_a_two_dimensional_stack_is_named():
+    ops = np.array(amplitude_kraus(np.full((2, 3), 0.6)).ops)
+    ops[1, 1, 2, 1, 0] = 0.5  # the set at (1, 2) loses trace
+    kraus = KrausSet(ops)
+    assert completeness_residual(kraus).shape == (2, 3)
+    with pytest.raises(ValueError, match=r"index \(1, 2\) is not complete: residual 3\.900e-01"):
+        apply_to_factor(np.eye(4)[:, :1], kraus)
+    # an empty stack has an empty residual and passes the check
+    assert completeness_residual(amplitude_kraus(np.empty((2, 0)))).shape == (2, 0)
+    assert apply_to_factor(np.zeros((0, 4, 1)), amplitude_kraus(np.empty(0))).shape == (0, 4, 2)
 
 
 def test_factor_evolution_is_the_channel_map():

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,6 +397,62 @@ def test_numeric_concurrence_matches_each_scenarios_own_trajectory():
         assert np.abs(rows[i] - numeric_trajectory(s, grids[i]).c).max() <= 1e-14
     with pytest.raises(ValueError, match="one leading entry per scenario"):
         numeric_concurrence(scenarios, points[1:])
+
+
+def test_numeric_concurrence_of_no_scenarios():
+    # no scenario gives an empty result of taus's shape, for both layouts
+    for shape in ((0,), (0, 5)):
+        c = numeric_concurrence([], np.empty(shape))
+        assert c.shape == shape and c.dtype == np.float64
+    with pytest.raises(ValueError, match="one leading entry per scenario"):
+        numeric_concurrence([], np.empty((1, 5)))
+    with pytest.raises(ValueError, match="one leading entry per scenario"):
+        numeric_concurrence([Scenario(FIG1_SOLID, AMP)], np.empty((0,)))
+
+
+def test_the_block_bound_leaves_every_bit(monkeypatch):
+    # _BLOCK_ROWS bounds memory only: one row per block, a bound that
+    # divides neither grid, the old bound, the default and more than the
+    # grid give the same bits.  The mixed call (every cell, plus factors of
+    # both widths in each noise kind) runs past the default, so that the
+    # default takes two blocks, the last partial; the per-cell calls run
+    # past 256 only, as one row per block costs ~0.15 ms a block
+    rng = np.random.default_rng(24)
+    cells = [random_scenario(rng, pair) for pair in range(12)]
+    mixed = cells + [
+        Scenario(XStateParams(0.1, 0.2, 0.6, 0.1, 0.3 * cmath.exp(2j)), DEPOL),
+        Scenario(PureStateParams(0.1, 0.2, 0.3, 0.4, 1.0, 2.0, 3.0), AMP),
+    ]
+    points = dynamics._BLOCK_ROWS + 3
+    grid = np.linspace(0.0, 50.0, 261)
+    grids = np.sort(rng.uniform(0.0, 50.0, (len(mixed), points)), axis=1)
+    results = []
+    for rows in (1, 7, 256, dynamics._BLOCK_ROWS, points + 1):
+        monkeypatch.setattr(dynamics, "_BLOCK_ROWS", rows)
+        per_cell = [numeric_concurrence([s], grid[None]).tobytes() for s in cells]
+        results.append((per_cell, numeric_concurrence(mixed, grids).tobytes()))
+    assert all(r == results[0] for r in results)
+
+
+def test_trajectory_memory_does_not_grow_with_points():
+    # a run of 8 blocks peaks within one block of a one-block run plus its
+    # output arrays (the grid, the values and the record's two copies, 8
+    # bytes a point each), so memory per point cannot grow with --points
+    scenario = Scenario(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2 * cmath.exp(1j)), DEPOL)
+
+    def peak(points):
+        grid = np.linspace(0.0, 50.0, points)
+        numeric_trajectory(scenario, grid)
+        tracemalloc.start()
+        try:
+            numeric_trajectory(scenario, grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rows = dynamics._BLOCK_ROWS
+    one, eight = peak(rows), peak(8 * rows)
+    assert eight <= one + 4 * 8 * (8 * rows)
 
 
 def test_amplitude_tail_matches_closed_form():
