@@ -56,11 +56,11 @@ class NoiseSpec:
 class KrausSet:
     """Ordered, nonempty Kraus operators, all square of the same dimension.
 
-    Built from a sequence of k operators, each one matrix or a stack of
-    shape (..., dim, dim) that holds one Kraus set per leading index.  `ops`
-    keeps them as one read-only array of shape (k, ..., dim, dim), stacked
-    once here: float64 when every operator is real (integers included),
-    complex128 when any is complex.
+    Built from k operators (a sequence, or one array operator index first),
+    each one matrix or a stack of shape (..., dim, dim) with one Kraus set
+    per leading index.  `ops` keeps them as one read-only array of shape
+    (k, ..., dim, dim), its own copy, so a caller's array stays writable:
+    float64 when every operator is real (integers included), else complex128.
     """
 
     ops: np.ndarray
@@ -80,28 +80,26 @@ class KrausSet:
         return self.ops[0].shape[-1]
 
 
-def _matrices(shape: tuple[int, ...], entries: dict) -> np.ndarray:
-    # one 2x2 matrix per point of `shape`, zero outside the given entries
-    m = np.zeros(shape + (2, 2))
-    for (i, j), value in entries.items():
-        m[..., i, j] = value
-    return m
+def _kraus_set(shape: tuple[int, ...], *ops: dict) -> KrausSet:
+    # k operators, one 2x2 matrix each per point of `shape`, filled into one
+    # (k, *shape, 2, 2) array: zero outside each operator's given entries
+    m = np.zeros((len(ops),) + shape + (2, 2))
+    for k, entries in enumerate(ops):
+        for (i, j), value in entries.items():
+            m[k, ..., i, j] = value
+    return KrausSet(m)
 
 
 def amplitude_kraus(eta) -> KrausSet:
     """Amplitude-noise pair: E0 = diag(eta, 1), E1 with sqrt(1-eta^2) at (1, 0)."""
     eta = _unit_interval("eta", eta)
-    e0 = _matrices(eta.shape, {(0, 0): eta, (1, 1): 1.0})
-    e1 = _matrices(eta.shape, {(1, 0): np.sqrt(1.0 - eta * eta)})
-    return KrausSet((e0, e1))
+    return _kraus_set(eta.shape, {(0, 0): eta, (1, 1): 1.0}, {(1, 0): np.sqrt(1.0 - eta * eta)})
 
 
 def phase_kraus(gamma) -> KrausSet:
     """Phase-noise pair: K0 = diag(1, gamma), K1 = diag(0, sqrt(1-gamma^2))."""
     gamma = _unit_interval("gamma", gamma)
-    k0 = _matrices(gamma.shape, {(0, 0): 1.0, (1, 1): gamma})
-    k1 = _matrices(gamma.shape, {(1, 1): np.sqrt(1.0 - gamma * gamma)})
-    return KrausSet((k0, k1))
+    return _kraus_set(gamma.shape, {(0, 0): 1.0, (1, 1): gamma}, {(1, 1): np.sqrt(1.0 - gamma * gamma)})
 
 
 def depolarizing_kraus(p) -> KrausSet:
@@ -113,11 +111,8 @@ def depolarizing_kraus(p) -> KrausSet:
     p = _unit_interval("p", p)
     s = np.sqrt(1.0 - p)
     w = np.sqrt(p / 3.0)
-    d1 = _matrices(p.shape, {(0, 0): s, (1, 1): s})
-    d2 = _matrices(p.shape, {(0, 1): w, (1, 0): w})
-    d3 = _matrices(p.shape, {(0, 1): w, (1, 0): -w})
-    d4 = _matrices(p.shape, {(0, 0): w, (1, 1): -w})
-    return KrausSet((d1, d2, d3, d4))
+    return _kraus_set(p.shape, {(0, 0): s, (1, 1): s}, {(0, 1): w, (1, 0): w},
+                      {(0, 1): w, (1, 0): -w}, {(0, 0): w, (1, 1): -w})
 
 
 def kraus_for(kind: NoiseKind, value) -> KrausSet:

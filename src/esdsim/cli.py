@@ -40,7 +40,9 @@ import numpy as np
 
 from .channels import NoiseKind, NoiseSpec
 from .dynamics import (
+    DEFAULT_TAU_MAX,
     FIGURE_PRESETS,
+    SCAN_POINTS,
     Classification,
     Scenario,
     closed_form_trajectory,
@@ -270,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (text, _) in _STATE_FLAGS.items():
         scenario.add_argument(f"--{name}", type=float, help=text)
     scenario.add_argument("--gamma", type=float, default=1.0, help="decay rate; output times become tau/gamma")
-    scenario.add_argument("--tau-max", dest="tau_max", type=float, default=50.0)
+    scenario.add_argument("--tau-max", dest="tau_max", type=float, default=DEFAULT_TAU_MAX)
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--points", type=int, default=2048)
+    output.add_argument("--points", type=int, default=SCAN_POINTS)
     output.add_argument("--out", default=None)
     output.add_argument("--format", choices=["csv", "jsonl"], default="csv")
 

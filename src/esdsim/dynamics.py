@@ -12,10 +12,11 @@ the state through the Kraus maps and runs the general concurrence.  Both
 take one tau or a whole grid.  The closed form evaluates its formula with
 numpy ufuncs over the grid in one call.  The numeric route writes the
 initial state once as rho0 = W0 W0^dag (`initial_factor`: the amplitude
-column of a pure state, the diagonal plus the central block of an X-pattern
-state), builds the Kraus sets for a block of up to `_BLOCK_ROWS` (1024)
-tau values at once, applies them to the factor, W(tau) = [(K_1 x I) W0,
-(K_2 x I) W0, ...], and takes the Wootters concurrence of the whole stack
+column of a pure state, the closed-form factor of an X-pattern state's
+five entries (a, b, c, d, z); no 4x4 matrix is built), builds the Kraus
+sets for a block of up to `_BLOCK_ROWS` (1024) tau values at once,
+applies them to the factor, W(tau) = [(K_1 x I) W0, (K_2 x I) W0, ...],
+and takes the Wootters concurrence of the whole stack
 of factors; a default grid of 2048 points takes two blocks per noise kind.
 The block bound only bounds the working set: no value depends on it.  The
 Kraus sets are real, and the route makes every factor real by a local
@@ -57,7 +58,7 @@ import enum
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -75,7 +76,7 @@ from .states import (
     state_factor,
     state_kind,
     state_matrix,
-    state_stack,
+    x_factor,
 )
 
 DEFAULT_TAU_MAX = 50.0
@@ -207,11 +208,11 @@ def initial_factor(scenario: Scenario) -> np.ndarray:
     """A factor W0 of the initial state, initial_state(scenario) = W0 W0^dag.
 
     Shape (4, 1) for a pure state (its amplitude column) and (4, 4) for
-    the X-pattern kinds (`states.x_factor`, read from `initial_state`).
-    The state's record was checked when it was built, so every route
-    accepts the same scenarios.
+    the X-pattern kinds (`states.x_factor` of the record's entries, with no
+    matrix built).  The state's record was checked when it was built, so
+    every route accepts the same scenarios.
     """
-    return state_factor(scenario.state, initial_state(scenario))
+    return state_factor(scenario.state)
 
 
 def initial_concurrence(scenario: Scenario) -> float:
@@ -375,9 +376,10 @@ def numeric_concurrence(scenarios, taus) -> np.ndarray:
     Every state is evolved in a real form, turned by a local unitary that
     commutes with each channel, so the concurrence is the same and the
     factor is real:
-    - an X state takes z -> |z|: its record turned by U = I x diag(1,
-      e^(-i arg z)) on the noiseless qubit 2, which commutes with every
-      K x I;
+    - an X state takes z -> |z|: its factor is `x_factor` of the entries
+      (a, b, c, d, |z|), the state turned by U = I x diag(1, e^(-i arg z))
+      on the noiseless qubit 2, which commutes with every K x I; an
+      isotropic or Werner state has a real z and keeps its sign;
     - a pure state takes the real column (|r00|, 0, |r01|, |r11|), from the
       triangular factor R of M^T = Q R, with M its amplitudes as a 2x2
       matrix, rows for qubit 1 and columns for qubit 2 (one stacked
@@ -391,9 +393,9 @@ def numeric_concurrence(scenarios, taus) -> np.ndarray:
     form, so the two routes stay independent.  `initial_factor` and
     `evolved_state` keep the true state's factor.
 
-    The scenarios of one noise kind evolve as one stack, a narrower factor
-    padded with zero columns (W W^dag is unchanged), in blocks of up to
-    _BLOCK_ROWS (1024) times per stacked evaluation.  The bound keeps the
+    The scenarios of one noise kind evolve as one float64 stack, a narrower
+    factor padded with zero columns (W W^dag is unchanged), in blocks of up
+    to _BLOCK_ROWS (1024) times per stacked evaluation.  The bound keeps the
     working set at about 1.3 MB per block whatever the grid; the values
     are the same bits for every block size.  No scenario, or no times,
     gives an empty result of `taus`'s shape.
@@ -401,20 +403,19 @@ def numeric_concurrence(scenarios, taus) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
     if taus.ndim not in (1, 2) or len(taus) != len(scenarios):
         raise ValueError(f"taus must have one leading entry per scenario, got shape {taus.shape}")
-    records = [replace(s.state, z=abs(s.state.z)) if isinstance(s.state, XStateParams)
-               else s.state for s in scenarios]  # the qubit-2 turn U above
-    # a pure record's factor is read from its amplitudes, the others' from
-    # their matrices
-    pure = [isinstance(r, PureStateParams) for r in records]
-    turned = iter(_real_pure_factors([r for r, p in zip(records, pure) if p]) if any(pure) else ())
-    matrices = iter(state_stack([r for r, p in zip(records, pure) if not p]))
-    factors = [next(turned) if p else state_factor(r, next(matrices)) for r, p in zip(records, pure)]
+    records = [s.state for s in scenarios]
+    pure = [r for r in records if isinstance(r, PureStateParams)]
+    turned = iter(_real_pure_factors(pure) if pure else ())
+    # an X record's factor is taken at |z| (the qubit-2 turn U above)
+    factors = [next(turned) if isinstance(r, PureStateParams)
+               else x_factor(r.a, r.b, r.c, r.d, abs(r.z)) if isinstance(r, XStateParams)
+               else state_factor(r) for r in records]
     times = taus if taus.ndim == 2 else taus[:, None]
     c = np.empty(times.shape)
     for noise in dict.fromkeys(s.noise for s in scenarios):
         idx = [i for i, s in enumerate(scenarios) if s.noise == noise]
         members = [factors[i] for i in idx]
-        w0 = np.zeros((len(idx), 1, 4, max(w.shape[1] for w in members)), np.result_type(*members))
+        w0 = np.zeros((len(idx), 1, 4, max(w.shape[1] for w in members)))
         for j, w in enumerate(members):
             w0[j, 0, :, : w.shape[1]] = w
         # the kind's rows are gathered once, so each block is a view of them

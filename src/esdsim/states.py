@@ -106,15 +106,35 @@ def validate_density_matrix(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _x_pattern(diag, z) -> np.ndarray:
-    """X-pattern stack: the four diagonal weights `diag` and the central
-    coherence `z` (at entry (1, 2), its conjugate at (2, 1)) each hold one
-    value per matrix, shape (...); the result is (..., 4, 4).  The inputs
-    are checked records or family weights, so it is not checked again."""
+def _x_pattern(entries) -> np.ndarray:
+    """X-pattern stack of the entries (a, b, c, d, z), z at (1, 2) and its
+    conjugate at (2, 1), each one value per matrix, shape (...); the result
+    is (..., 4, 4).  The entries are a checked record's or a family's, so
+    the matrix is not checked again."""
+    *diag, z = entries
     rho = np.zeros(np.shape(z) + (4, 4), dtype=complex)
     rho[..., 0, 0], rho[..., 1, 1], rho[..., 2, 2], rho[..., 3, 3] = diag
     rho[..., 1, 2], rho[..., 2, 1] = z, np.conj(z)
     return rho
+
+
+def _family_entries(family: Family, x):
+    # (a, b, c, d, z) of the family's state at weight x, one value or an array
+    if family is Family.ISOTROPIC:
+        corner, mid, z = (1.0 - x) / 3.0, (2.0 * x + 1.0) / 6.0, (4.0 * x - 1.0) / 6.0
+    else:
+        corner, mid, z = (1.0 - x) / 4.0, (1.0 + x) / 4.0, -x / 2.0
+    return corner, mid, mid, corner, z
+
+
+def x_entries(params: XStateParams | FamilyParams) -> tuple:
+    """The entries (a, b, c, d, z) of an X-pattern record: its diagonal
+    weights and central coherence.  An X record's z comes as a complex, so
+    that a real z conjugates to -0j in its matrix, as in a stack of records;
+    a family's z is real and keeps its sign."""
+    if isinstance(params, FamilyParams):
+        return _family_entries(params.family, params.x)
+    return params.a, params.b, params.c, params.d, complex(params.z)
 
 
 def x_state(params: XStateParams | Sequence[XStateParams]) -> np.ndarray:
@@ -124,10 +144,8 @@ def x_state(params: XStateParams | Sequence[XStateParams]) -> np.ndarray:
     stack.  Each record was checked when built; the matrix is not again.
     """
     if isinstance(params, XStateParams):
-        # complex(z): a real z then conjugates to -0j, as in the complex stack
-        return _x_pattern((params.a, params.b, params.c, params.d), complex(params.z))
-    *diag, z = np.array([(p.a, p.b, p.c, p.d, p.z) for p in params], dtype=complex).reshape(-1, 5).T
-    return _x_pattern(diag, z)
+        return _x_pattern(x_entries(params))
+    return _x_pattern(np.array([(p.a, p.b, p.c, p.d, p.z) for p in params], dtype=complex).reshape(-1, 5).T)
 
 
 def _pure_amplitudes(params: PureStateParams) -> np.ndarray:
@@ -159,28 +177,26 @@ def pure_factor(params: PureStateParams) -> np.ndarray:
     return (amps if amps.imag.any() else amps.real)[:, None]
 
 
-def x_factor(rho: np.ndarray) -> np.ndarray:
-    """A factor w, shape (4, 4), with w w^dag = rho for an X-pattern state.
+def x_factor(a, b, c, d, z) -> np.ndarray:
+    """A factor w, shape (4, 4), with w w^dag the X-pattern state of the
+    entries (a, b, c, d, z), such as `x_entries` gives for a checked record.
 
     Columns: sqrt(a) |00>, sqrt(d) |11>, and the two columns of the PSD
     square root of the central block M = [[b, z], [z*, c]], in closed form
     (M + s I) / t with s = sqrt(det M) and t = sqrt(b + c + 2 s).  No
-    eigendecomposition is taken, so a zero weight gives an exactly zero
-    column and a rank-1 central block a rank-1 pair of columns, up to the
-    rounding of det M.  A det M below zero (a least eigenvalue within
-    -PSD_CLAMP_TOL) takes s = 0 and t^2 = tr(M^2) / (b + c), so w w^dag
-    keeps rho's trace and lies within about that eigenvalue of rho.  `rho`
-    is an X-pattern matrix from a checked record, such as `x_state` builds;
-    only its diagonal and its (1, 2) coherence are read.  The factor is
-    float64 when that coherence is real, else complex128.
+    matrix is built and no eigendecomposition is taken, so a zero weight
+    gives an exactly zero column and a rank-1 central block a rank-1 pair
+    of columns, up to the rounding of det M.  A det M below zero (a least
+    eigenvalue within -PSD_CLAMP_TOL) takes s = 0 and t^2 = tr(M^2) /
+    (b + c), so w w^dag keeps the state's trace and lies within about that
+    eigenvalue of it.  The factor is float64 when z is real, else complex128.
     """
-    a, b, c, d = rho.diagonal().real
-    z = rho[1, 2]
+    z = complex(z)
     z = z if z.imag else z.real  # a real state gets a real factor
     det = b * c - abs(z) ** 2
     s = math.sqrt(max(det, 0.0))
     t = math.sqrt(b + c + 2.0 * s)
-    w = np.zeros((4, 4), dtype=z.dtype)
+    w = np.zeros((4, 4), dtype=type(z))
     w[0, 0], w[3, 1] = math.sqrt(a), math.sqrt(d)
     if t > 0.0:  # else the central block is zero within the X-state checks
         if det < 0.0:
@@ -198,10 +214,7 @@ def isotropic(x) -> np.ndarray:
     central-block projector at x = 1.  An array of weights gives a stack of
     shape x.shape + (4, 4).
     """
-    x = _unit_interval("isotropic weight x", x)
-    corner = (1.0 - x) / 3.0
-    mid = (2.0 * x + 1.0) / 6.0
-    return _x_pattern((corner, mid, mid, corner), (4.0 * x - 1.0) / 6.0)
+    return _x_pattern(_family_entries(Family.ISOTROPIC, _unit_interval("isotropic weight x", x)))
 
 
 def werner(x) -> np.ndarray:
@@ -209,19 +222,10 @@ def werner(x) -> np.ndarray:
 
     An array of weights gives a stack of shape x.shape + (4, 4).
     """
-    x = _unit_interval("Werner weight x", x)
-    corner = (1.0 - x) / 4.0
-    mid = (1.0 + x) / 4.0
-    return _x_pattern((corner, mid, mid, corner), -x / 2.0)
+    return _x_pattern(_family_entries(Family.WERNER, _unit_interval("Werner weight x", x)))
 
 
 StateParams = Union[XStateParams, PureStateParams, FamilyParams]
-
-# Each kind's constructor by name, looked up in this module when called, so
-# that a rebinding there (a test double, a tracing wrapper) sees every state
-# built.  The family constructors take the mixing weight x, not the record.
-_CONSTRUCTOR = {XStateParams: "x_state", PureStateParams: "pure_state",
-                Family.ISOTROPIC: "isotropic", Family.WERNER: "werner"}
 
 
 def state_kind(params: StateParams):
@@ -229,31 +233,22 @@ def state_kind(params: StateParams):
     return getattr(params, "family", type(params))
 
 
-def _input(params: StateParams):
-    return params.x if isinstance(params, FamilyParams) else params
-
-
 def state_matrix(params: StateParams) -> np.ndarray:
-    """The (4, 4) density matrix of one record, from its kind's constructor."""
-    return globals()[_CONSTRUCTOR[state_kind(params)]](_input(params))
+    """The (4, 4) density matrix of one record: its projector for a pure
+    state, else the X pattern of its entries."""
+    return pure_state(params) if isinstance(params, PureStateParams) else _x_pattern(x_entries(params))
 
 
 def state_stack(records: Sequence[StateParams]) -> np.ndarray:
-    """The (n, 4, 4) stack of n records' matrices, one constructor call per
-    kind; each matrix has the bits that `state_matrix` gives it."""
-    kinds = [state_kind(params) for params in records]
-    rho = np.empty((len(records), 4, 4), dtype=complex)
-    for kind in dict.fromkeys(kinds):
-        idx = [i for i, k in enumerate(kinds) if k is kind]
-        rho[idx] = globals()[_CONSTRUCTOR[kind]]([_input(records[i]) for i in idx])
-    return rho
+    """The (n, 4, 4) stack of n records' `state_matrix` matrices."""
+    return np.array([state_matrix(params) for params in records], dtype=complex).reshape(-1, 4, 4)
 
 
-def state_factor(params: StateParams, rho: np.ndarray) -> np.ndarray:
-    """A factor w with w w^dag = rho, the record's validated matrix:
-    `pure_factor(params)` for a pure state, else `x_factor(rho)`; float64
-    for a real state, complex128 otherwise."""
-    return pure_factor(params) if isinstance(params, PureStateParams) else x_factor(rho)
+def state_factor(params: StateParams) -> np.ndarray:
+    """A factor w with w w^dag = state_matrix(params): `pure_factor` for a
+    pure state, else `x_factor` of its entries; float64 for a real state,
+    complex128 otherwise."""
+    return pure_factor(params) if isinstance(params, PureStateParams) else x_factor(*x_entries(params))
 
 
 # Entries allowed to be nonzero in the X pattern (central coherence only).

@@ -341,6 +341,11 @@ def test_kraus_set_holds_one_read_only_array():
     # the operators are copied into the set, so the caller's stay writable
     e0 = np.eye(2, dtype=complex)
     assert KrausSet((e0,)).ops.shape == (1, 2, 2) and e0.flags.writeable
+    # one array, operator index first, is copied too
+    both = np.stack([np.eye(2), np.zeros((2, 2))])
+    held = KrausSet(both).ops
+    assert held.tobytes() == both.tobytes() and not np.shares_memory(held, both)
+    assert both.flags.writeable
 
 
 @pytest.mark.parametrize("points", [256, 4097])

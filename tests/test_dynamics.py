@@ -509,28 +509,26 @@ def test_initial_factor_rebuilds_the_initial_state():
         XStateParams(0.5, 0.0, 0.0, 0.5, 1e-7)
 
 
-def test_a_rebound_constructor_sees_every_initial_state(monkeypatch):
-    # states calls its constructors by name, so a double (or a tracing
-    # wrapper) bound in the states namespace sees every build, one record
-    # or a stack; the numeric route reads a pure record's amplitudes and
-    # builds no projector
-    for name, state in (("x_state", FIG1_SOLID), ("pure_state", GRID_STATES["pure"]),
-                        ("isotropic", GRID_STATES["isotropic"]), ("werner", GRID_STATES["werner"])):
-        built = []
-        original = getattr(states, name)
+def test_the_numeric_route_builds_no_matrix(monkeypatch):
+    # every 4x4 state matrix is built by states._x_pattern (X-pattern kinds)
+    # or states.pure_state; the numeric route and initial_factor take their
+    # factors from the records' entries and amplitudes alone
+    scenarios = [random_scenario(np.random.default_rng(26), i) for i in range(12)]
 
-        def double(arg, original=original, built=built):
-            built.append(arg)
-            return original(arg)
+    def refuse(*args):
+        raise AssertionError("a state matrix was built")
 
-        monkeypatch.setattr(states, name, double)
-        s = Scenario(state, DEPOL)
-        initial_state(s)
-        initial_factor(s)
-        numeric_trajectory(s, [0.0, 1.0])
-        states.state_stack([state, state])
-        assert len(built) == (3 if name == "pure_state" else 4), name
-        assert built[-1] == [built[0]] * 2, name
+    monkeypatch.setattr(states, "_x_pattern", refuse)
+    monkeypatch.setattr(states, "pure_state", refuse)
+    taus = np.linspace(0.0, 3.0, 5)
+    mixed = numeric_concurrence(scenarios, np.tile(taus, (12, 1)))
+    for s, row in zip(scenarios, mixed):
+        # alone, a pure state's factor is not padded: the same values, not the same bits
+        np.testing.assert_allclose(numeric_concurrence([s], taus[None])[0], row, rtol=0, atol=1e-12)
+    for state in GRID_STATES.values():
+        initial_factor(Scenario(state, AMP))
+    with pytest.raises(AssertionError, match="a state matrix was built"):
+        initial_state(scenarios[0])
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from esdsim.states import (
     state_matrix,
     validate_density_matrix,
     werner,
+    x_entries,
     x_factor,
     x_state,
 )
@@ -286,7 +287,7 @@ def test_the_record_admits_what_the_matrix_check_admits(log_b, log_c, log_delta,
     if not refused:
         # and the factor route carries every admitted state: its factor
         # keeps the unit trace and lies within about -low of the matrix
-        w = x_factor(rho)
+        w = x_factor(a, b, c, d, z)
         factor_concurrence(w)
         np.testing.assert_allclose(w @ w.conj().T, rho, rtol=0, atol=2.0 * max(-low, 0.0) + 1e-15)
 
@@ -312,11 +313,31 @@ def test_family_weights_are_checked_per_entry():
 
 def test_x_factor_rebuilds_x_pattern_states():
     rng = np.random.default_rng(31)
-    mats = [x_state(random_x_params(rng)) for _ in range(50)]
-    mats += [isotropic(x) for x in (0.0, 0.25, 0.625, 1.0)] + [werner(x) for x in (0.0, 0.5, 1.0)]
-    for rho in mats:
-        w = x_factor(rho)
-        np.testing.assert_allclose(w @ w.conj().T, rho, rtol=0, atol=1e-15)
+    records = [random_x_params(rng) for _ in range(50)]
+    records += [FamilyParams(Family.ISOTROPIC, x) for x in (0.0, 0.25, 0.625, 1.0)]
+    records += [FamilyParams(Family.WERNER, x) for x in (0.0, 0.5, 1.0)]
+    for params in records:
+        w = x_factor(*x_entries(params))
+        np.testing.assert_allclose(w @ w.conj().T, state_matrix(params), rtol=0, atol=1e-15)
+
+
+def test_x_factor_of_the_entries_has_the_bits_of_the_matrix_read_back():
+    # the factor from a record's entries is the factor from its matrix's
+    # diagonal and (1, 2) coherence, bit for bit, down to weights of 1e-300
+    rng = np.random.default_rng(33)
+    records = []
+    for _ in range(300):
+        weights = 10.0 ** rng.uniform(-300.0, 0.0, 4)
+        a, b, c, d = weights / weights.sum()
+        z = cmath.rect(rng.uniform() * math.sqrt(b) * math.sqrt(c), rng.uniform(-math.pi, math.pi))
+        records.append(XStateParams(a, b, c, d, z))
+    for x in (0.0, 0.2, 0.25, 0.5, 0.625, 1.0, *rng.uniform(size=50)):
+        records += [FamilyParams(Family.ISOTROPIC, x), FamilyParams(Family.WERNER, x)]
+    for params in records:
+        rho = state_matrix(params)
+        read_back = x_factor(*rho.diagonal().real, rho[1, 2])
+        w = x_factor(*x_entries(params))
+        assert (w.dtype, w.tobytes()) == (read_back.dtype, read_back.tobytes()), params
 
 
 def test_x_factor_zero_weights_give_exactly_zero_columns():
@@ -328,15 +349,16 @@ def test_x_factor_zero_weights_give_exactly_zero_columns():
         (XStateParams(0.5, 0.3, 0.0, 0.2, 0.0), [3]),
         (XStateParams(0.5, 0.0, 0.0, 0.5, 0.0), [2, 3]),
     ):
-        w = x_factor(x_state(params))
+        w = x_factor(*x_entries(params))
         assert not w[:, zero].any(), params
         assert all(w[:, j].any() for j in range(4) if j not in zero), params
 
 
 def test_x_factor_keeps_a_rank_one_central_block_rank_one():
     # b c = |z|^2 exactly: the two central columns are parallel
-    for rho in (werner(1.0), isotropic(1.0), x_state(XStateParams(0.1, 0.4, 0.4, 0.1, 0.4))):
-        central = x_factor(rho)[1:3, 2:4]
+    for params in (FamilyParams(Family.WERNER, 1.0), FamilyParams(Family.ISOTROPIC, 1.0),
+                   XStateParams(0.1, 0.4, 0.4, 0.1, 0.4)):
+        central = x_factor(*x_entries(params))[1:3, 2:4]
         assert abs(np.linalg.det(central)) <= 1e-17
 
 
