@@ -40,11 +40,12 @@ The scan grid and its noise-parameter values depend only on (noise kind,
 tau_max, points), so they are built once per process for each such key (16
 bytes per point per entry, at most 3 entries) and fed to the same evaluator
 that `closed_form_concurrence` calls.
-The rule's death time predicts the path of the step-by-step bisection and
-one evaluation checks every midpoint on it; after a wrong prediction, one
-midpoint per evaluation.  Either way the death time is the step-by-step
-bisection's, bit for bit, and the prediction only picks points, so the two
-flavors still check each other.  Scans stop at `ESD_TAU_MAX_LIMIT`.
+The bisection runs to the float spacing in rounds: the rule's death time
+predicts the step-by-step path, one evaluation checks every midpoint on
+it, and the next round starts after the first verdict that differs.  The
+prediction only picks points, so the death time is the step-by-step one,
+bit for bit, and the two flavors still check each other.  Scans stop at
+`ESD_TAU_MAX_LIMIT`.
 
 The paper's results form a grid of four state kinds (cross-pattern, pure,
 isotropic, Werner) times the three noises.  `_TABLE` holds one row per
@@ -80,7 +81,6 @@ from .states import (
 )
 
 DEFAULT_TAU_MAX = 50.0
-DEFAULT_BISECTION_TOL = 1e-9
 SCAN_POINTS = 2048
 # Past this tau, e^(-tau/2) leaves the normal floats and then underflows to
 # 0, a false death.  A finite rule time can lie past it (the cross-pattern
@@ -137,8 +137,8 @@ class Scenario:
     @functools.cached_property
     def _death_time(self):
         # the row's death-time rule, evaluated once per scenario: the
-        # analytic route reports it, the bisection route predicts its path
-        # from it
+        # analytic route reports it, and the bisection predicts each round's
+        # path from it
         return self._row.death(self.state)
 
 
@@ -576,27 +576,6 @@ def esd_time_analytic(scenario: Scenario) -> EsdResult:
     return EsdResult(Classification.SUDDEN_DEATH, EsdMethod.ANALYTIC, tau_death=tau)
 
 
-def _bisect(lo: float, hi: float, tol: float, is_dead) -> float:
-    # the step-by-step bisection of [lo, hi] (lo alive, hi dead), asking
-    # is_dead(mid) at each mid = 0.5 * (lo + hi); returns the final midpoint
-    mid = 0.5 * (lo + hi)
-    # a tol below the float spacing at the death time would never be met:
-    # stop as well once no float lies strictly between lo and hi
-    while hi - lo > tol and lo < mid < hi:
-        if is_dead(mid):
-            hi = mid
-        else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
-    return mid
-
-
-def _death_guess(scenario: Scenario) -> float | None:
-    # the closed threshold, where the rule gives a finite time
-    tau = scenario._death_time
-    return tau if tau is not None and math.isfinite(tau) else None
-
-
 @functools.lru_cache(maxsize=3, typed=True)
 def _scan_grid(kind: NoiseKind, tau_max: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     # the scan grid over [0, tau_max] and noise_param at every point of it,
@@ -612,10 +591,7 @@ def _scan_grid(kind: NoiseKind, tau_max: float, points: int) -> tuple[np.ndarray
 
 
 def esd_time_bisection(
-    scenario: Scenario,
-    tau_max: float = DEFAULT_TAU_MAX,
-    tol: float = DEFAULT_BISECTION_TOL,
-    points: int = SCAN_POINTS,
+    scenario: Scenario, tau_max: float = DEFAULT_TAU_MAX, points: int = SCAN_POINTS
 ) -> EsdResult:
     """Scan the closed form over [0, tau_max] and bisect the first death point.
 
@@ -626,14 +602,18 @@ def esd_time_bisection(
     sudden death.  The numeric route is checked against the closed form
     elsewhere (`evolve`'s abs_diff column, `verify`), not here.
 
-    The death time is bit-identical to a step-by-step bisection's, which
-    evaluates one midpoint at a time.  The row's death time tau* predicts
-    that loop's path (mid is dead iff mid >= tau*), and one call of the
-    closed form checks every midpoint on it; if all verdicts agree, the
-    loop would visit exactly these midpoints.  The prediction only picks
-    points, so the bisection still checks the rule.  Where a verdict
-    differs, or the rule gives no finite time, the bisection evaluates one
-    midpoint at a time from the scan bracket.
+    The bisection halves the scan bracket [lo, hi] (lo alive, hi dead) at
+    mid = (lo + hi) / 2 until no float lies strictly between lo and hi, and
+    returns the last midpoint: the death time to the float spacing, bit for
+    bit that of a step-by-step bisection, which evaluates one midpoint at a
+    time.  It runs in rounds.  The row's death time tau* predicts the
+    step-by-step path from the current bracket (mid is dead iff
+    mid >= tau*), and one call of the closed form checks every midpoint on
+    it.  The round keeps the verdicts up to and including the first one
+    that differs from the prediction, and the next round predicts again
+    from the bracket they leave.  Where the rule gives no time, the upper
+    end of the bracket serves as tau*.  The prediction only picks points,
+    so the bisection still checks the rule.
 
     The scan grid, `np.linspace(0, tau_max, points)`, and `noise_param` at
     every point of it, tau = 0 included, are built once per (noise kind,
@@ -644,22 +624,19 @@ def esd_time_bisection(
     same bits.  Its first point decides InitiallySeparable and leaves the
     value at tau = 0 for `initial_concurrence`, if that was not computed
     yet.  So an InitiallySeparable or an AsymptoticDecay costs one
-    evaluation, and a sudden death at the default `tol` two: the scan, then
-    the path (25 midpoints), plus 25 single midpoints after a wrong
-    prediction.  The path cannot join the scan's evaluation, since the
-    death rules hold only for entangled states.
+    evaluation, and a sudden death the scan and one per round: one round of
+    about 50 midpoints where the rule is right to the float spacing, and
+    about 1.5 rounds per death over random draws.  The first round cannot
+    join the scan's evaluation, since the death rules hold only for
+    entangled states.
     """
-    for name, bound in (("tau_max", tau_max), ("tol", tol)):
-        if not (bound > 0.0 and math.isfinite(bound)):
-            raise ValueError(f"{name} must be positive and finite, got {bound!r}")
+    if not (tau_max > 0.0 and math.isfinite(tau_max)):
+        raise ValueError(f"tau_max must be positive and finite, got {tau_max!r}")
     if tau_max > ESD_TAU_MAX_LIMIT:
         raise ValueError(f"tau_max must be at most {ESD_TAU_MAX_LIMIT:.6g}, where e^(-tau/2) is "
                          f"still a normal float (it underflows past it), got {tau_max!r}")
     if points < 2:
         raise ValueError(f"need at least 2 scan points, got {points!r}")
-
-    def dead(taus) -> np.ndarray:
-        return closed_form_concurrence(scenario, taus) == 0.0
 
     grid, values = _scan_grid(scenario.noise.kind, tau_max, points)
     c = _closed_form(scenario, grid, values)
@@ -684,21 +661,22 @@ def esd_time_bisection(
         )
 
     lo, hi = float(grid[first - 1]), float(grid[first])
-    guess = _death_guess(scenario)
-    if guess is not None:
-        path = []
-
-        def predict(mid) -> bool:
+    guess = scenario._death_time
+    if guess is None:
+        guess = hi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        # the predicted path from [lo, hi]; it holds mid, so it is not empty
+        path, a, b = [], lo, hi
+        while a < mid < b:
             path.append(mid)
-            return mid >= guess
-
-        mid = _bisect(lo, hi, tol, predict)
-        if dead(path).tolist() == [m >= guess for m in path]:
-            return EsdResult(
-                Classification.SUDDEN_DEATH, EsdMethod.BISECTION, tau_death=mid, horizon=tau_max
-            )
-
-    mid = _bisect(lo, hi, tol, lambda mid: bool(dead([mid])[0]))
+            a, b = (a, mid) if mid >= guess else (mid, b)
+            mid = 0.5 * (a + b)
+        for m, dead in zip(path, (closed_form_concurrence(scenario, path) == 0.0).tolist()):
+            lo, hi = (lo, m) if dead else (m, hi)
+            if dead != (m >= guess):
+                break
+        mid = 0.5 * (lo + hi)
     return EsdResult(
         Classification.SUDDEN_DEATH, EsdMethod.BISECTION, tau_death=mid, horizon=tau_max
     )

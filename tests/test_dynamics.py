@@ -762,14 +762,10 @@ def test_bisection_parameter_errors():
     with pytest.raises(ValueError):
         esd_time_bisection(s, tau_max=0.0)
     with pytest.raises(ValueError):
-        esd_time_bisection(s, tol=-1e-9)
-    with pytest.raises(ValueError):
         esd_time_bisection(s, points=1)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="tau_max must be positive and finite"):
             esd_time_bisection(s, tau_max=bad)
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            esd_time_bisection(s, tol=bad)
     with pytest.raises(ValueError, match="tau_max must be at most"):
         esd_time_bisection(s, tau_max=math.nextafter(dynamics.ESD_TAU_MAX_LIMIT, math.inf))
     # every bad setting is refused before the scan cache is looked up
@@ -867,9 +863,9 @@ def test_initial_concurrence_is_evaluated_once_per_scenario(monkeypatch):
     assert esd_time_bisection(s).classification is Classification.SUDDEN_DEATH
     assert initial_concurrence(s) == reference
     # library order: tau = 0 once for the analytic route, then the scan
-    # (tau = 0 included, its value already cached) and the 25 midpoints of
-    # the predicted path
-    assert calls == [1, 2048, 25]
+    # (tau = 0 included, its value already cached) and the 48 midpoints of
+    # the predicted path, one round to the float spacing
+    assert calls == [1, 2048, 48]
     # the death-time rule as well: the analytic route and the guess share it
     assert rules == [FIG2_SOLID]
     # the esd command runs the bisection first, whose scan leaves the value
@@ -878,7 +874,7 @@ def test_initial_concurrence_is_evaluated_once_per_scenario(monkeypatch):
     rules.clear()
     argv = "esd --noise phase --xstate --a 0.2 --b 0.3 --c 0.3 --d 0.2 --zsq 0.09".split()
     assert main(argv) == 0
-    assert calls == [2048, 25]
+    assert calls == [2048, 48]
     assert len(rules) == 1
     # an asymptotic decay (d = 0) and a separable state: the scan alone
     for weights in ("--a 0.2 --b 0.3 --c 0.5 --d 0 --zsq 0.09",
@@ -929,9 +925,10 @@ def test_bisection_asymptotic_and_separable():
     assert r.classification is Classification.INITIALLY_SEPARABLE
 
 
-def stepwise_bisection(scenario, tau_max=50.0, tol=1e-9, points=2048):
-    # reference: the scan and the one-midpoint-per-evaluation bisection
-    # whose path esd_time_bisection predicts and checks in one evaluation
+def stepwise_bisection(scenario, tau_max=50.0, points=2048):
+    # reference: the scan and the one-midpoint-per-evaluation bisection to
+    # the float spacing, whose path esd_time_bisection predicts and checks
+    # in rounds
     def dead(taus):
         return closed_form_concurrence(scenario, taus) == 0.0
 
@@ -946,7 +943,7 @@ def stepwise_bisection(scenario, tau_max=50.0, tol=1e-9, points=2048):
         raise RuntimeError("concurrence revived after dying")
     lo, hi = grid[first - 1], grid[first]
     mid = 0.5 * (lo + hi)
-    while hi - lo > tol and lo < mid < hi:
+    while lo < mid < hi:
         if dead([mid])[0]:
             hi = mid
         else:
@@ -966,9 +963,10 @@ RANDOM_SCENARIOS = _random_scenarios(314, 240)
 
 
 def test_bisection_matches_the_stepwise_loop():
-    # the draws cycle through the 12 (state kind, noise) pairs
+    # the figure states, then draws that cycle through the 12 (state kind,
+    # noise) pairs
     by_class = {kind: [] for kind in Classification}
-    for s in RANDOM_SCENARIOS:
+    for s in (Scenario(FIG1_SOLID, AMP), Scenario(FIG2_SOLID, PHASE), *RANDOM_SCENARIOS):
         got = esd_time_bisection(s)
         assert got == stepwise_bisection(s), s
         by_class[got.classification].append(s)
@@ -1058,12 +1056,6 @@ def test_every_initially_separable_draw_is_classified_so(tau_max):
         assert got == EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION), s
 
 
-def test_bisection_matches_at_a_tol_below_the_float_spacing():
-    for s in (Scenario(FIG1_SOLID, AMP), Scenario(FIG2_SOLID, PHASE), *RANDOM_SCENARIOS[:48]):
-        got = esd_time_bisection(s, tol=1e-20)
-        assert got == stepwise_bisection(s, tol=1e-20)
-
-
 def test_bisection_evaluation_counts(monkeypatch):
     calls = []
     evaluate = dynamics._closed_form
@@ -1075,26 +1067,32 @@ def test_bisection_evaluation_counts(monkeypatch):
     monkeypatch.setattr(dynamics, "_closed_form", counted)
     r = esd_time_bisection(Scenario(FIG2_SOLID, PHASE))
     assert r.classification is Classification.SUDDEN_DEATH
-    # the scan, tau = 0 included, and one evaluation of the predicted path
-    assert calls == [2048, 25]
+    # the scan, tau = 0 included, and one round: the rule's time predicts
+    # all 48 midpoints to the float spacing
+    assert calls == [2048, 48]
     # every cell has a death-time rule, the cross-pattern/depolarizing one
     # included
     calls.clear()
     depol = esd_time_bisection(Scenario(FIG2_DASHED, DEPOL))
     assert depol.classification is Classification.SUDDEN_DEATH
-    assert calls == [2048, 25]
+    assert calls == [2048, 49]
     # a separable state and an asymptotic decay: the scan alone
     for s in (Scenario(FamilyParams(Family.WERNER, 0.3), PHASE), Scenario(FIG1_DASHED, AMP)):
         calls.clear()
         esd_time_bisection(s)
         assert calls == [2048]
-    # a wrong guess costs its path, then one midpoint per evaluation over
-    # the 25 halvings; no finite guess costs those midpoints alone
-    for guess, path in ((r.tau_death + 0.01, [25]), (None, [])):
-        monkeypatch.setattr(dynamics, "_death_guess", lambda scenario: guess)
+    # a wrong rule time, or none, costs one round per verdict that differs
+    # from the prediction; each round keeps at least one midpoint, so the
+    # rounds hold fewer midpoints one after the other
+    key = (XStateParams, NoiseKind.PHASE)
+    row = dynamics._TABLE[key]
+    for guess in (r.tau_death + 0.01, r.tau_death - 0.01, None):
+        monkeypatch.setitem(dynamics._TABLE, key, row._replace(death=lambda state: guess))
         calls.clear()
         assert esd_time_bisection(Scenario(FIG2_SOLID, PHASE)) == r
-        assert calls == [2048, *path] + [1] * 25
+        assert calls[0] == 2048
+        assert 10 < len(calls) - 1 <= 48
+        assert all(a >= b for a, b in zip(calls[1:], calls[2:]))
 
 
 def test_bisection_without_a_finite_rule_time_matches_the_stepwise_loop(monkeypatch):
@@ -1105,32 +1103,14 @@ def test_bisection_without_a_finite_rule_time_matches_the_stepwise_loop(monkeypa
     predicted = esd_time_bisection(tiny, tau_max=800.0)
     assert predicted.classification is Classification.SUDDEN_DEATH
     assert predicted == stepwise_bisection(tiny, tau_max=800.0)
-    # a rule time of inf leaves no path to predict: the bisection takes one
-    # midpoint at a time and still lands on the same bits
+    # a rule time of inf predicts every midpoint alive: the rounds end at
+    # each dead one and still land on the same bits
     row = dynamics._TABLE[XStateParams, NoiseKind.PHASE]
     monkeypatch.setitem(dynamics._TABLE, (XStateParams, NoiseKind.PHASE),
                         row._replace(death=lambda state: math.inf))
     tiny = Scenario(XStateParams(1e-200, 0.5, 0.5, 1e-123, 0.5), PHASE)
     assert tiny._death_time == math.inf
-    assert dynamics._death_guess(tiny) is None
     assert esd_time_bisection(tiny, tau_max=800.0) == predicted
-
-
-def test_death_guess_is_a_finite_rule_value(monkeypatch):
-    s = Scenario(FIG2_SOLID, PHASE)
-    assert dynamics._death_guess(s) == esd_time_analytic(s).tau_death
-    s = Scenario(FIG2_DASHED, DEPOL)
-    assert dynamics._death_guess(s) == esd_time_analytic(s).tau_death
-    # weights near 1e-162 keep a finite phase rule time
-    tiny = Scenario(XStateParams(1e-200, 0.5, 0.5, 1e-123, 0.5), PHASE)
-    assert dynamics._death_guess(tiny) == 742.3486906759568
-    # a rule that finds no death, a death time that overflows
-    assert dynamics._death_guess(Scenario(FIG1_DASHED, AMP)) is None
-    assert dynamics._death_guess(Scenario(FamilyParams(Family.WERNER, 0.6), AMP)) is None
-    row = dynamics._TABLE[XStateParams, NoiseKind.PHASE]
-    monkeypatch.setitem(dynamics._TABLE, (XStateParams, NoiseKind.PHASE),
-                        row._replace(death=lambda state: math.inf))
-    assert dynamics._death_guess(Scenario(FIG2_SOLID, PHASE)) is None
 
 
 # sudden deaths of the random draws, from every cell that has them
@@ -1171,23 +1151,50 @@ def _guesses(draw, base, lo, hi):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_any_guess_gives_the_stepwise_bits(data):
+    # the guess is the row's death rule, so it reaches the bisection as a
+    # rule time does: a finite value, inf, nan, or None where the rule finds
+    # no death
     i = data.draw(st.integers(0, len(SUDDEN_DEATHS) - 1), label="scenario")
-    s = SUDDEN_DEATHS[i]
+    drawn = SUDDEN_DEATHS[i]
     closed, lo, hi = _stepwise_references(i)
-    # the row's own death time where it has one, else the bisected one
-    base = dynamics._death_guess(s) or closed.tau_death
+    # the row's own death time where it is finite, else the bisected one
+    rule = drawn._death_time
+    base = rule if rule is not None and math.isfinite(rule) else closed.tau_death
     guess = data.draw(_guesses(base, lo, hi), label="guess")
-    asked = []
+    key = (states.state_kind(drawn.state), drawn.noise.kind)
+    row, asked = dynamics._TABLE[key], []
 
-    def guessed(scenario):
-        asked.append(scenario)
+    def guessed(state):
+        asked.append(state)
         return guess
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_death_guess", guessed)
-        assert esd_time_bisection(s) == closed
-    # the bisection reached the walk, so it took the guess
-    assert asked[0] is s
+        mp.setitem(dynamics._TABLE, key, row._replace(death=guessed))
+        assert esd_time_bisection(Scenario(drawn.state, drawn.noise)) == closed
+    # the bisection reached the rounds and read the rule once
+    assert asked == [drawn.state]
+
+
+def test_bisection_takes_at_most_two_rounds_per_death(monkeypatch):
+    # the rule's time predicts whole paths, so a round ends early only near
+    # a death time that the rule misses by an ulp or so.  One closed-form
+    # call per midpoint would take about 50 per death
+    calls = []
+    evaluate = dynamics._closed_form
+
+    def counted(scenario, tau, value):
+        calls.append(np.size(tau))
+        return evaluate(scenario, tau, value)
+
+    monkeypatch.setattr(dynamics, "_closed_form", counted)
+    rounds = 0
+    for drawn in SUDDEN_DEATHS:
+        calls.clear()
+        r = esd_time_bisection(Scenario(drawn.state, drawn.noise))
+        assert r.classification is Classification.SUDDEN_DEATH
+        rounds += len(calls) - 1
+    assert len(SUDDEN_DEATHS) >= 30
+    assert rounds <= 2 * len(SUDDEN_DEATHS), rounds
 
 
 def test_a_shifted_death_rule_moves_only_the_analytic_time(monkeypatch, capsys):
@@ -1228,13 +1235,12 @@ def _esd_argv(s):
 
 
 # sha256 of the esd stdout below, taken from the step-by-step bisection.
-# Re-pinned when cross-pattern/depolarizing and both families under
-# amplitude noise gained death rules: against the output before, every
-# classification, tau_death_bisection and horizon line is byte-identical;
-# only those cells' tau_death_analytic lines (a number, or none where the
-# decay is asymptotic, in place of "n/a") and new abs_diff lines differ,
-# with every abs_diff <= 1e-8.
-ESD_STDOUT_SHA256 = "36064a6e8dc1b390c0b51758b2d1bf52ee4360d2293a46d0c27988c9dd1615bb"
+# Re-pinned when the bisection went on to the float spacing in place of a
+# 1e-9 tolerance: against the output before, every classification,
+# tau_death_analytic and horizon line is byte-identical; only the
+# tau_death_bisection and abs_diff lines moved, with every abs_diff
+# <= 2e-15 (it was up to 3.4e-10).
+ESD_STDOUT_SHA256 = "6a6688b8566d9acaf7e55431e4710111d3836aec5d905dc64b89ef91f27de9dc"
 
 
 def test_esd_stdout_is_pinned(capsys):
@@ -1348,10 +1354,10 @@ def test_figure_presets_wiring():
 
 
 def test_bisection_ends_below_the_float_spacing():
-    # hi - lo stops shrinking once lo and hi are adjacent floats; a tol
-    # below that spacing must still end the loop
+    # hi - lo stops shrinking once lo and hi are adjacent floats, and the
+    # loop ends there
     s = Scenario(FIG1_SOLID, AMP)
-    r = esd_time_bisection(s, tol=1e-20)
+    r = esd_time_bisection(s)
     assert abs(r.tau_death - math.log(4)) <= math.ulp(math.log(4))
 
 

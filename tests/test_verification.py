@@ -56,8 +56,8 @@ MAX_ERRORS_SEED3_CASES40 = {
     "local_unitary_invariance": 1.4432899320127035e-15,
     "twirl_invariance": 7.244140648242027e-16,
     "closed_vs_numeric": 4.206704429243757e-17,
-    "analytic_vs_bisection": 7.25909471421815e-11,
-    "pure_depol_universality": 2.3961943540484754e-11,
+    "analytic_vs_bisection": 8.881784197001252e-16,
+    "pure_depol_universality": 2.220446049250313e-16,
     "pure_amp_phase_no_esd": 0.0,
     "trajectory_monotone": 0.0,
     "tau_zero_identity": 4.440892098500626e-16,
