@@ -963,10 +963,9 @@ RANDOM_SCENARIOS = _random_scenarios(314, 240)
 
 
 def test_bisection_matches_the_stepwise_loop():
-    # the figure states, then draws that cycle through the 12 (state kind,
-    # noise) pairs
+    # the draws cycle through the 12 (state kind, noise) pairs
     by_class = {kind: [] for kind in Classification}
-    for s in (Scenario(FIG1_SOLID, AMP), Scenario(FIG2_SOLID, PHASE), *RANDOM_SCENARIOS):
+    for s in RANDOM_SCENARIOS:
         got = esd_time_bisection(s)
         assert got == stepwise_bisection(s), s
         by_class[got.classification].append(s)
@@ -1056,6 +1055,18 @@ def test_every_initially_separable_draw_is_classified_so(tau_max):
         assert got == EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION), s
 
 
+def test_bisection_matches_at_a_tol_below_the_float_spacing():
+    # the bisection has no tolerance: it runs until lo and hi are adjacent
+    # floats, which is where a step-by-step loop with a tol below the float
+    # spacing ends too
+    for s in (Scenario(FIG1_SOLID, AMP), Scenario(FIG2_SOLID, PHASE), *RANDOM_SCENARIOS[:48]):
+        got = esd_time_bisection(s)
+        assert got == stepwise_bisection(s)
+        if got.classification is Classification.SUDDEN_DEATH:
+            lo, hi = got.tau_death, math.nextafter(got.tau_death, math.inf)
+            assert not lo < 0.5 * (lo + hi) < hi
+
+
 def test_bisection_evaluation_counts(monkeypatch):
     calls = []
     evaluate = dynamics._closed_form
@@ -1111,6 +1122,38 @@ def test_bisection_without_a_finite_rule_time_matches_the_stepwise_loop(monkeypa
     tiny = Scenario(XStateParams(1e-200, 0.5, 0.5, 1e-123, 0.5), PHASE)
     assert tiny._death_time == math.inf
     assert esd_time_bisection(tiny, tau_max=800.0) == predicted
+
+
+def test_death_guess_is_a_finite_rule_value(monkeypatch):
+    # the bisection predicts its rounds from the rule time the analytic
+    # route reports, read once per scenario
+    calls = []
+    evaluate = dynamics._closed_form
+
+    def counted(scenario, tau, value):
+        calls.append(np.size(tau))
+        return evaluate(scenario, tau, value)
+
+    monkeypatch.setattr(dynamics, "_closed_form", counted)
+    for s in (Scenario(FIG2_SOLID, PHASE), Scenario(FIG2_DASHED, DEPOL)):
+        assert s._death_time == esd_time_analytic(s).tau_death
+        calls.clear()
+        got = esd_time_bisection(s)
+        # a rule time right to the float spacing predicts the whole path
+        assert calls[0] == 2048 and len(calls) == 2
+        assert got == stepwise_bisection(s)
+    # weights near 1e-162 keep a finite phase rule time
+    tiny = Scenario(XStateParams(1e-200, 0.5, 0.5, 1e-123, 0.5), PHASE)
+    assert tiny._death_time == 742.3486906759568
+    # a rule that finds no death, a death time that overflows
+    assert Scenario(FIG1_DASHED, AMP)._death_time is None
+    assert Scenario(FamilyParams(Family.WERNER, 0.6), AMP)._death_time is None
+    row = dynamics._TABLE[XStateParams, NoiseKind.PHASE]
+    monkeypatch.setitem(dynamics._TABLE, (XStateParams, NoiseKind.PHASE),
+                        row._replace(death=lambda state: math.inf))
+    s = Scenario(FIG2_SOLID, PHASE)
+    assert s._death_time == math.inf
+    assert esd_time_bisection(s) == stepwise_bisection(s)
 
 
 # sudden deaths of the random draws, from every cell that has them
