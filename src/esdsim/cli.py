@@ -137,12 +137,11 @@ def _open_out(path: str | None):
     return open(path, "w", newline="")
 
 
-def _trajectory_rows(scenario: Scenario, grid: np.ndarray, scale: float = 1.0) -> list[tuple]:
-    # times are printed as tau / scale, the decay rate given by --gamma
+def _trajectory_rows(scenario: Scenario, grid: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    # the (n, 4) float64 table in _COLUMNS order; tau is printed over scale (--gamma)
     closed = closed_form_trajectory(scenario, grid).c
     numeric = numeric_trajectory(scenario, grid).c
-    columns = (grid / scale, closed, numeric, np.abs(closed - numeric))
-    return list(zip(*(col.tolist() for col in columns)))
+    return np.column_stack((grid / scale, closed, numeric, np.abs(closed - numeric)))
 
 
 _COLUMNS = ("tau", "c_closed", "c_wootters", "abs_diff")
@@ -151,14 +150,16 @@ _CSV_ROW = "%.12g,%.12g,%.12g,%.12g\n"
 
 
 def _write_rows(stream, rows, fmt: str, curve: str | None = None) -> None:
-    # the table is built as one string and written in one call
+    # rows (an (n, 4) array or 4-tuples) fill one row template repeated n times
+    # in one % pass, written in one call; JSONL rows print _json_line's bytes
+    table = np.asarray(rows, dtype=float)
     if fmt == "csv":
-        head = f"# curve: {curve}\n" if curve is not None else ""
-        text = head + ",".join(_COLUMNS) + "\n" + "".join(map(_CSV_ROW.__mod__, rows))
+        head = (f"# curve: {curve}\n" if curve is not None else "") + ",".join(_COLUMNS) + "\n"
+        row = _CSV_ROW
     else:
-        tag = [("curve", curve)] if curve is not None else []
-        text = "".join(_json_line([*tag, *zip(_COLUMNS, row)]) for row in rows)
-    stream.write(text)
+        tag = f'"curve": {json.dumps(curve)}, '.replace("%", "%%") if curve is not None else ""
+        head, row = "", "{" + tag + ", ".join(f'"{key}": %.12g' for key in _COLUMNS) + "}\n"
+    stream.write(head + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:

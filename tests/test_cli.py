@@ -650,6 +650,78 @@ def test_a_table_is_written_in_one_call():
     assert stream.calls == ["# curve: solid\n" + HEADER + "\n0,0.2,0.2,0\n1.5,0.125,0.125,1e-17\n"]
 
 
+# signed zeros, the least subnormal and normal floats, and values whose 12th
+# significant digit sits on a rounding tie or carries into a new exponent
+AWKWARD = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e16, 123456789012.5,
+           0.1234567890125, 9.999999999995e-05]
+
+
+def test_one_pass_table_matches_per_value_formatting():
+    # the writer fills one row template for the whole table; it prints the
+    # bytes of formatting each value on its own, and a label's %, quotes,
+    # backslashes and non-ASCII text pass through the JSONL template intact
+    rng = np.random.default_rng(27)
+    draws = rng.standard_normal(62) * 10.0 ** rng.integers(-320, 300, 62)
+    table = np.concatenate([AWKWARD, np.negative(AWKWARD), draws]).reshape(-1, 4)
+    for curve in (None, "solid", '50% "dash\\dot" ψ %s %%'):
+        head = f"# curve: {curve}\n" if curve is not None else ""
+        tag = [("curve", curve)] if curve is not None else []
+        want = {
+            "csv": head + HEADER + "\n" + "".join(",".join(map(cli._fmt, row)) + "\n" for row in table),
+            "jsonl": "".join(cli._json_line([*tag, *zip(cli._COLUMNS, row)]) for row in table.tolist()),
+        }
+        for fmt, text in want.items():
+            for rows in (table, [tuple(row) for row in table.tolist()]):
+                stream = io.StringIO()
+                cli._write_rows(stream, rows, fmt, curve)
+                assert stream.getvalue() == text
+
+
+CELL_FLAGS = {
+    "xstate": ["--xstate", "--a", "0.1", "--b", "0.4", "--c", "0.4", "--d", "0.1",
+               "--zmod", "0.2", "--zarg", "1"],
+    "pure": ["--pure", "--a", "0.1", "--b", "0.2", "--c", "0.3", "--d", "0.4",
+             "--f", "1", "--g", "2", "--h", "3"],
+    "isotropic": ["--family", "isotropic", "--x", "0.8"],
+    "werner": ["--family", "werner", "--x", "0.7"],
+}
+
+
+def _csv_records(text: str) -> list[list]:
+    # each CSV row as the (key, text) pairs of its JSONL line, curve first
+    records, tag = [], []
+    for line in text.splitlines():
+        if line.startswith("# curve: "):
+            tag = [("curve", line[len("# curve: "):])]
+        elif line != HEADER:
+            records.append([*tag, *zip(cli._COLUMNS, line.split(","))])
+    return records
+
+
+def test_csv_and_jsonl_tables_agree_field_for_field(capsys):
+    # evolve at the CLI defaults in each (state kind x noise) cell, then
+    # every figure: each JSONL line is strict JSON whose keys and number
+    # texts are those of the CSV row
+    def reject(name):
+        raise ValueError(f"non-finite number {name}")
+
+    argvs = [["evolve", "--noise", noise.value, *flags] for flags in CELL_FLAGS.values() for noise in NoiseKind]
+    argvs += [["figure", f"fig{i}"] for i in range(1, 5)]
+    assert len(argvs) == 16
+    for argv in argvs:
+        code, csv_text, _ = run(argv, capsys)
+        assert code == 0
+        code, jsonl_text, _ = run([*argv, "--format", "jsonl"], capsys)
+        assert code == 0
+        records = _csv_records(csv_text)
+        assert len(records) == 2048 * (1 if argv[0] == "evolve" else csv_text.count("# curve: "))
+        lines = jsonl_text.splitlines()
+        assert [
+            json.loads(line, object_pairs_hook=list, parse_float=str, parse_int=str, parse_constant=reject)
+            for line in lines
+        ] == records
+
+
 def test_main_reads_sys_argv(monkeypatch, capsys):
     # argv=None means sys.argv[1:], on the table route and on argparse's
     routes = []
