@@ -33,8 +33,8 @@ times; `numeric_trajectory` (`evolve`, `figure`) and the verify suites
 that compare the routes all call it, and `evolved_state` (W W^dag, from
 the true factor) applies its kernel `_evolve` at one time.
 Both routes take their channel parameters from `noise_param`.  ESD
-detection likewise comes in an analytic flavor (the closed threshold of
-the cell) and a scan-plus-bisection flavor that scans the closed form over the whole grid,
+detection likewise comes in an analytic flavor (the root of the cell's
+margin) and a scan-plus-bisection flavor that scans the closed form over the whole grid,
 tau = 0 included, in one evaluation, then bisects the first dead interval.
 The scan grid and its noise-parameter values depend only on (noise kind,
 tau_max, points), so they are built once per process for each such key (16
@@ -48,17 +48,23 @@ bit for bit, and the two flavors still check each other.  Scans stop at
 `ESD_TAU_MAX_LIMIT`.
 
 The paper's results form a grid of four state kinds (cross-pattern, pure,
-isotropic, Werner) times the three noises.  `_TABLE` holds one row per
-cell: concurrence formula, death-time rule and, for the families, the
-sudden-death interval.  A `Scenario` finds its row once, by `state_kind`;
-`states` builds the initial state and its factor.
+isotropic, Werner) times the three noises.  Each cell is written once, as
+the coefficients of its margin (`_Margin`): a function of the record gives
+the margin at tau = 0, its slope and its limit in the cell's decay variable
+v = e^(-tau/k), and the value's prefactor and denominator.  One value
+function (`_value`) and one death-time function (`_death`) read them, so
+the closed form and the rule share every constant: a state is
+InitiallySeparable where the margin at tau = 0 is <= 0, and dies where its
+limit is negative.  `_TABLE` holds one row per cell: those two functions
+bound to the cell's coefficients and, for the families, the sudden-death
+interval.  A `Scenario` finds its row once, by `state_kind`; `states`
+builds the initial state and its factor.
 """
 from __future__ import annotations
 
 import enum
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -221,87 +227,194 @@ def initial_concurrence(scenario: Scenario) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed forms, all (state, tau, value at tau) so the table holds them as
-# is; tau and the value are one time or an array, and the scenario's own
-# constants are computed once per call
+# closed forms and death rules: one margin per cell
 
 
-def _x_amplitude(s: XStateParams, tau, eta):
-    radicand = s.a * (s.b + s.d - s.b * eta * eta)
-    # eta >= 0 stays outside the clamp, so an eta that underflows to zero
-    # gives +0 and not the -0 of 0 * (negative)
-    return 2.0 * (eta * np.maximum(0.0, abs(s.z) - np.sqrt(radicand)))
+class _Margin(NamedTuple):
+    """One cell's coefficients, read from the record on every call.
+
+    The concurrence has the sign of the margin m = m0 - s u + c2 u^2
+    = m0 v - lo u + c2 u^2 in v = e^(-tau/k) and u = 1 - v: v is eta^2
+    (k = 1) for the X-pattern kinds under amplitude noise, else eta, gamma
+    or 1 - p (k = 2), and c2 = 0 but for X/depolarizing.  m0 is the margin
+    at tau = 0, s its slope in u there and -lo = m0 - s its limit, each
+    formed from the record so that it keeps its digits where it is small
+    (the phase cells form m0 as s - lo, which is exact there).  The value
+    is pre max(0, m) / den, times eta where k = 1.
+    Where m is the squared margin |rho12|^2 - rho00 rho33 of the evolved
+    entries, den is their |rho12| + sqrt(rho00 rho33), taken as
+    |q0 + q1 u| + sqrt((r0 + r1 u)(r2 + r3 u)); elsewhere m is linear in
+    them and den is None.
+    """
+
+    k: float
+    m0: float
+    s: float
+    lo: float
+    pre: float
+    den: tuple[float, float, float, float, float, float] | None = None
+    c2: float = 0.0
 
 
-def _x_phase(s: XStateParams, tau, gamma):
-    # sqrt(a) sqrt(d): the product a d underflows for weights near 1e-162
-    return 2.0 * np.maximum(0.0, gamma * abs(s.z) - math.sqrt(s.a) * math.sqrt(s.d))
+# The cross-pattern margins square the weights, and the square of a weight
+# near 1e-162 leaves the normal floats.  So they take the weights times
+# 2^500, exactly: a square stays normal down to weights near 5e-305, none
+# overflows, and the quotients of the death rules keep their bits.
+_X_SCALE = 2.0**500
 
 
-def _x_depolarizing(s: XStateParams, tau, p):
-    # coherence magnitude carries |3-4p|; the radicand factors stay
-    # nonnegative on p in [0, 1]
-    radicand = (3.0 * s.a + 2.0 * p * (s.c - s.a)) * (3.0 * s.d + 2.0 * p * (s.b - s.d))
-    return (2.0 / 3.0) * np.maximum(0.0, np.abs(3.0 - 4.0 * p) * abs(s.z) - np.sqrt(radicand))
+def _dot2(*pairs: tuple[float, float]) -> float:
+    # the sum of x y over the pairs as if taken in twice the precision and
+    # rounded once: Dot2 of Ogita, Rump and Oishi, "Accurate sum and dot
+    # product" (2005), with Dekker's error-free product by Veltkamp's split
+    # (no fused multiply-add before Python 3.13).  Where the products cancel,
+    # as in |z|^2 - ad near a separable state, a plain sum keeps only their
+    # rounding errors.
+    total = err = 0.0
+    for x, y in pairs:
+        p = x * y
+        xs, ys = 134217729.0 * x, 134217729.0 * y
+        xh, yh = xs - (xs - x), ys - (ys - y)
+        xl, yl = x - xh, y - yh
+        t = total + p
+        back = t - total
+        err += (total - (t - back)) + (p - back) + (((xh * yh - p) + xh * yl + xl * yh) + xl * yl)
+        total = t
+    return total + err
 
 
-def _pure_damping(s: PureStateParams, tau, value):
-    # amplitude and phase noise scale the pure-state concurrence by eta or gamma
-    return value * concurrence_pure(s)
+def _x_margin(s: XStateParams, kind: NoiseKind) -> _Margin:
+    a, d, z = s.a * _X_SCALE, s.d * _X_SCALE, abs(s.z) * _X_SCALE
+    if kind is NoiseKind.PHASE:
+        # gamma |z| - sqrt(a) sqrt(d)
+        root = math.sqrt(a) * math.sqrt(d)
+        return _Margin(2.0, z - root, z, root, 2.0 / _X_SCALE)
+    # where z = 0 every margin is <= 0, and den may vanish: none is needed
+    b = s.b * _X_SCALE
+    if kind is NoiseKind.AMPLITUDE:
+        # rho12 = eta z, rho00 = eta^2 a and rho33 = d + b u
+        return _Margin(1.0, _dot2((z, z), (-a, d)), a * b, _dot2((a, b), (a, d), (-z, z)),
+                       2.0 / _X_SCALE, (z, 0.0, a, 0.0, d, b) if z else None)
+    # depolarizing, u = p: 3 rho12 = (3 - 4p) z, 3 rho00 = 3a + 2p(c - a) and
+    # 3 rho33 = 3d + 2p(b - d).  A third of their squared margin is
+    # 3 zeta - (8 zeta + 2n) p + (A / 3) p^2, zeta = |z|^2 - ad,
+    # n = ab + cd + 2ad, A = 16|z|^2 - 4(c - a)(b - d).  It is < 0 on
+    # [3/4, 1], where |3 - 4p| turns: at 3/4 it is -(3/4)(a + c)(b + d) and
+    # at 1 (|z|^2 - (a + 2c)(d + 2b)) / 3, as |z|^2 <= bc; convex (A >= 0)
+    # it stays below both ends, concave it falls on past its one root.
+    c = s.c * _X_SCALE
+    zeta, n = _dot2((z, z), (-a, d)), a * b + c * d + 2.0 * a * d
+    den = (3.0 * z, -4.0 * z, 3.0 * a, 2.0 * (c - a), 3.0 * d, 2.0 * (b - d)) if z else None
+    return _Margin(2.0, 3.0 * zeta, 8.0 * zeta + 2.0 * n, 5.0 * zeta + 2.0 * n, 2.0 / _X_SCALE,
+                   den, (16.0 * z * z - 4.0 * (c - a) * (b - d)) / 3.0)
 
 
-def _pure_depolarizing(s: PureStateParams, tau, p):
-    # the coherence factor 2 e^(-tau/2) - 1 changes sign at tau = 2 ln 2;
-    # past that point the state stays separable (checked against the
-    # general route in the property suites), so the clamp sits here and
-    # not an absolute value
-    return np.maximum(0.0, 2.0 * np.exp(-0.5 * tau) - 1.0) * concurrence_pure(s)
+def _pure_margin(s: PureStateParams, kind: NoiseKind) -> _Margin:
+    c0 = concurrence_pure(s)
+    if kind is NoiseKind.DEPOLARIZING:
+        # (2 (1 - p) - 1) C0: dead from p = 1/2, tau = 2 ln 2, for every state
+        return _Margin(2.0, c0, 2.0 * c0, c0, 1.0)
+    # eta C0 or gamma C0: no death
+    return _Margin(2.0, c0, c0, 0.0, 1.0)
 
 
-# The family amplitude forms take their margin a - sqrt(R) as
-# (a^2 - R) / (a + sqrt(R)).  Both R and a^2 - R are a constant plus
-# slope * eta^2, with the same slope: at the critical x the constant of
-# a^2 - R vanishes, where the difference itself would round to 0 once
-# eta^2 drops below the float spacing (near tau = 37), a false death.
-
-
-def _isotropic_amplitude(s: FamilyParams, tau, eta):
+def _isotropic_margin(s: FamilyParams, kind: NoiseKind) -> _Margin:
+    # 2x - 1 and 5 - 8x are exact in floats near x = 1/2 and 5/8
     x = s.x
-    # R = 6(1 - x) - slope eta^2 >= 0, as 1 + 2x <= 3 after rounding too.
-    # R >= 4(1 - x)^2 on eta <= 1, so a + sqrt(R) >= 1 + 2x stays positive
-    # where a = 4x - 1 is negative as well
-    two_rest = 2.0 * (1.0 - x)
-    slope = (two_rest * (1.0 + 2.0 * x)) * (eta * eta)
-    root = np.sqrt(3.0 * two_rest - slope)
-    excess = (8.0 * x - 5.0) * (2.0 * x + 1.0) + slope
-    return (eta / 3.0) * np.maximum(0.0, excess / ((4.0 * x - 1.0) + root))
+    if kind is NoiseKind.AMPLITUDE:
+        # 6 rho12 = 4x - 1, 6 rho00 = 2(1 - x), 6 rho33 = 2(1 - x) + (1 + 2x) u
+        rest = 2.0 * (1.0 - x)
+        return _Margin(1.0, 3.0 * (2.0 * x + 1.0) * (2.0 * x - 1.0), rest * (1.0 + 2.0 * x),
+                       (5.0 - 8.0 * x) * (2.0 * x + 1.0), 1.0 / 3.0,
+                       (4.0 * x - 1.0, 0.0, rest, 0.0, rest, 1.0 + 2.0 * x))
+    if kind is NoiseKind.PHASE:
+        # (4x - 1) gamma - 2(1 - x)
+        s, lo = 4.0 * x - 1.0, 2.0 * (1.0 - x)
+        return _Margin(2.0, s - lo, s, lo, 1.0 / 3.0)
+    # 6x - 3 - 2(4x - 1) p
+    return _Margin(2.0, 3.0 * (2.0 * x - 1.0), 2.0 * (4.0 * x - 1.0), 2.0 * x + 1.0, 1.0 / 3.0)
 
 
-def _isotropic_phase(s: FamilyParams, tau, gamma):
-    return (1.0 / 3.0) * np.maximum(0.0, (4.0 * s.x - 1.0) * gamma - 2.0 * (1.0 - s.x))
-
-
-def _isotropic_depolarizing(s: FamilyParams, tau, p):
-    return (1.0 / 3.0) * np.maximum(0.0, 2.0 * p * (1.0 - 4.0 * s.x) + 6.0 * s.x - 3.0)
-
-
-def _werner_amplitude(s: FamilyParams, tau, eta):
+def _werner_margin(s: FamilyParams, kind: NoiseKind) -> _Margin:
+    # 3x - 1 = x - (1 - 2x) and 1 - 2x are exact in floats near x = 1/3 and 1/2
     x = s.x
-    # R = 2(1 - x) - slope eta^2 >= 0, as 1 + x <= 2 after rounding too
-    slope = ((1.0 - x) * (1.0 + x)) * (eta * eta)
-    root = np.sqrt(2.0 * (1.0 - x) - slope)
-    excess = 2.0 * (2.0 * x - 1.0) * (x + 1.0) + slope
-    return (eta / 2.0) * np.maximum(0.0, excess / (2.0 * x + root))
+    third = x - (1.0 - 2.0 * x)
+    if kind is NoiseKind.AMPLITUDE:
+        # 4 |rho12| = 2x, 4 rho00 = 1 - x, 4 rho33 = 1 - x + (1 + x) u
+        return _Margin(1.0, third * (x + 1.0), (1.0 - x) * (1.0 + x),
+                       2.0 * (1.0 - 2.0 * x) * (x + 1.0), 0.5,
+                       (2.0 * x, 0.0, 1.0 - x, 0.0, 1.0 - x, 1.0 + x))
+    if kind is NoiseKind.PHASE:
+        # 2x gamma - (1 - x)
+        s, lo = 2.0 * x, 1.0 - x
+        return _Margin(2.0, s - lo, s, lo, 0.5)
+    # 3x - 1 - 4x p
+    return _Margin(2.0, third, 4.0 * x, 1.0 + x, 0.5)
 
 
-def _werner_phase(s: FamilyParams, tau, gamma):
-    return 0.5 * np.maximum(0.0, 2.0 * s.x * gamma - (1.0 - s.x))
+def _affine(c0: float, c1: float, u):
+    # c0 + c1 u, with no pass over the grid where c1 = 0
+    return c0 + c1 * u if c1 else c0
 
 
-def _werner_depolarizing(s: FamilyParams, tau, p):
-    return (1.0 / 6.0) * np.maximum(
-        0.0, 2.0 * (3.0 - 4.0 * p) * s.x - (3.0 + (4.0 * p - 3.0) * s.x)
-    )
+def _value(kind: NoiseKind, margin, state: StateParams, tau, value):
+    # the cell's concurrence at value = noise_param(kind, tau).  m takes the
+    # form that is exact where its variable is: m0 - s p at p = 0 (the
+    # depolarizing cells have lo > 0, so no tail needs the other form);
+    # s v - lo on the tail of v = gamma or eta, and at v = 1 as well, where
+    # those cells form m0 as s - lo; and m0 v - lo u, exact at both ends,
+    # in v = eta^2.  A state separable at tau = 0 stays so under a local
+    # channel: its margin is <= 0 on the whole range, and every value is +0.
+    # Where lo <= 0 the margin is >= 0 on the whole range: no clamp is needed.
+    k, m0, s, lo, pre, den, c2 = margin(state, kind)
+    if not m0 > 0.0:
+        return 0.0 * value
+    if kind is NoiseKind.DEPOLARIZING:
+        u = value
+        m = m0 - (s - c2 * u) * u if c2 else m0 - s * u
+    elif k == 2.0:
+        m = s * value - lo if lo else s * value
+    else:
+        v = value * value
+        u = 1.0 - v
+        m = m0 * v - lo * u
+    if lo > 0.0:
+        m = np.maximum(0.0, m)
+    if den is None:
+        return pre * m
+    q0, q1, r0, r1, r2, r3 = den
+    ratio = m / (abs(_affine(q0, q1, u)) + np.sqrt(_affine(r0, r1, u) * _affine(r2, r3, u)))
+    # eta >= 0 multiplies first: the product underflows no earlier than the
+    # value, and an eta that underflows gives +0, not the -0 of 0 * (negative)
+    return pre * (value * ratio) if k == 1.0 else pre * ratio
+
+
+def _death(kind: NoiseKind, margin, state: StateParams) -> float | None:
+    # The root u* of the margin, tau = -k log1p(-u*); None unless lo > 0.
+    # Linear: u* = m0 / s and tau = k ln(s / lo).  Near the separable end
+    # s / lo nears 1, and log1p keeps the digits of m0 / lo; where s / lo
+    # overflows (subnormal roots of the weights, X/phase), the logarithms
+    # are taken apart.  Quadratic (X/depolarizing): the root in (0, 3/4),
+    # u* = 2r / (1 + sqrt(1 - 4 c2 m0 / s^2)) with r = m0 / s, for every
+    # sign of c2, and g^2 = |c2| m0 / s^2 as a ratio of roots so that it
+    # cannot overflow on the way (|z| tiny beside sqrt(bc), a = d = 0).  A
+    # time that underflows to 0 reads as the least positive one.
+    c = margin(state, kind)
+    if not c.lo > 0.0:
+        return None
+    if c.c2:
+        g = math.sqrt(abs(c.c2)) * math.sqrt(c.m0) / c.s
+        if c.c2 < 0.0:
+            disc = math.hypot(1.0, 2.0 * g)
+        else:
+            disc = math.sqrt(max(0.0, (1.0 - 2.0 * g) * (1.0 + 2.0 * g)))
+        tau = -math.log1p(-2.0 * (c.m0 / c.s) / (1.0 + disc))
+    elif c.m0 < c.lo / 8.0:
+        tau = math.log1p(c.m0 / c.lo)
+    else:
+        ratio = c.s / c.lo
+        tau = math.log(ratio) if ratio < math.inf else math.log(c.s) - math.log(c.lo)
+    return max(c.k * tau, math.ulp(0.0))
 
 
 def closed_form_concurrence(scenario: Scenario, tau):
@@ -445,120 +558,6 @@ def evolved_state(scenario: Scenario, tau: float) -> np.ndarray:
 # ESD detection
 
 
-# Death-time rules for entangled states: tau_death from the closed
-# threshold, or None when the concurrence only decays asymptotically.
-
-
-def _x_amplitude_death(s: XStateParams) -> float | None:
-    az = abs(s.z)
-    denom = s.a * (s.b + s.d) - az * az
-    if denom <= 0.0:
-        # covers a = 0 as well: the threshold expression degenerates
-        # but the concurrence stays positive for all finite tau
-        return None
-    return math.log(s.a * s.b / denom)
-
-
-def _x_phase_death(s: XStateParams) -> float | None:
-    # roots as in the closed form: |z|^2 and a d underflow near 1e-162
-    root = math.sqrt(s.a) * math.sqrt(s.d)
-    if root == 0.0:
-        return None
-    if root < sys.float_info.min:
-        # a subnormal root has lost bits, and only a subnormal root can
-        # overflow |z| / root (|z| <= 1/2): take the logarithms apart
-        return 2.0 * (math.log(abs(s.z)) - math.log(math.sqrt(s.a)) - math.log(math.sqrt(s.d)))
-    return 2.0 * math.log(abs(s.z) / root)
-
-
-def _x_depolarizing_death(s: XStateParams) -> float:
-    # Death is the root in (0, 3/4) of f(p) = A p^2 + B p + C, the closed
-    # form's squared coherence term minus its radicand: f(0) = C > 0 and
-    # f(3/4) = -2.25 (a + c)(b + d) < 0.  With u, v = 3|z| -+ sqrt(3a 3d),
-    # C = 9(|z|^2 - ad) = u v and -B = (8/3) u v + 6(ab + cd + 2ad), a sum
-    # of nonnegative terms.  The root 2C / (-B + sqrt(B^2 - 4AC)) holds for
-    # every sign of A; it is taken as 2r / (1 + sqrt(1 - 4 AC/B^2)) with
-    # r = C / -B = u / yu and AC/B^2 = A / (yu yv), where yu = -B / v and
-    # yv = -B / u.  So u v is never formed (it underflows for weights near
-    # 1e-160; a d may too, but only beside a b + c d), and sqrt(|A| / (yu yv))
-    # is taken as a ratio of roots so that it cannot overflow on the way.
-    # Python floats: where n / u overflows, yv = inf is the right limit.
-    a, b, c, d = (float(w) for w in (s.a, s.b, s.c, s.d))
-    az = float(abs(s.z))
-    root = math.sqrt(3.0 * a) * math.sqrt(3.0 * d)
-    if 3.0 * az <= root:
-        # the closed form's own term at tau = 0, which makes u > 0 for
-        # every state whose closed form is positive there
-        root = math.sqrt(3.0 * a * (3.0 * d))
-    u, v = 3.0 * az - root, 3.0 * az + root
-    n = a * b + c * d + 2.0 * a * d
-    yu = (8.0 / 3.0) * u + 6.0 * (n / v)
-    yv = (8.0 / 3.0) * v + 6.0 * (n / u)
-    lead = 16.0 * az * az - 4.0 * (c - a) * (b - d)
-    g = math.sqrt(abs(lead)) / (math.sqrt(yu) * math.sqrt(yv))
-    if lead < 0.0:
-        disc = math.hypot(1.0, 2.0 * g)
-    else:
-        disc = math.sqrt(max(0.0, (1.0 - 2.0 * g) * (1.0 + 2.0 * g)))
-    p_star = 2.0 * (u / yu) / (1.0 + disc)
-    # a p* below the float range underflows to 0: the least positive time
-    return max(-2.0 * math.log1p(-p_star), math.ulp(0.0))
-
-
-def _no_death(s: StateParams) -> None:
-    return None
-
-
-def _pure_depolarizing_death(s: PureStateParams) -> float:
-    # where 2 e^(-tau/2) - 1 vanishes, the same for every pure state
-    return 2.0 * math.log(2.0)
-
-
-def _isotropic_amplitude_death(s: FamilyParams) -> float | None:
-    # eta*^2 = (5 - 8x) / (2(1 - x)), so tau = ln(1 + 3(2x - 1)/(5 - 8x));
-    # 2x - 1 and 5 - 8x are exact in floats on (1/2, 5/8)
-    x = s.x
-    if x >= 0.625:
-        return None
-    return math.log1p(3.0 * (2.0 * x - 1.0) / (5.0 - 8.0 * x))
-
-
-def _isotropic_phase_death(s: FamilyParams) -> float | None:
-    x = s.x
-    if x == 1.0:
-        return None
-    gamma_star = 2.0 * (1.0 - x) / (4.0 * x - 1.0)
-    return -2.0 * math.log(gamma_star)
-
-
-def _isotropic_depolarizing_death(s: FamilyParams) -> float:
-    x = s.x
-    p_star = (6.0 * x - 3.0) / (8.0 * x - 2.0)
-    return -2.0 * math.log1p(-p_star)
-
-
-def _werner_amplitude_death(s: FamilyParams) -> float | None:
-    # eta*^2 = 2(1 - 2x) / (1 - x), so tau = ln(1 + (3x - 1)/(2(1 - 2x)));
-    # 3x - 1 = x - (1 - 2x) is exact in floats near x = 1/3
-    x = s.x
-    if x >= 0.5:
-        return None
-    return math.log1p((x - (1.0 - 2.0 * x)) / (2.0 * (1.0 - 2.0 * x)))
-
-
-def _werner_phase_death(s: FamilyParams) -> float | None:
-    x = s.x
-    if x == 1.0:
-        return None
-    return 2.0 * math.log(2.0 * x / (1.0 - x))
-
-
-def _werner_depolarizing_death(s: FamilyParams) -> float:
-    x = s.x
-    p_star = (3.0 * x - 1.0) / (4.0 * x)
-    return -2.0 * math.log1p(-p_star)
-
-
 def esd_time_analytic(scenario: Scenario) -> EsdResult:
     """Death time from the closed threshold of the scenario's cell.
 
@@ -626,7 +625,7 @@ def esd_time_bisection(
     yet.  So an InitiallySeparable or an AsymptoticDecay costs one
     evaluation, and a sudden death the scan and one per round: one round of
     about 50 midpoints where the rule is right to the float spacing, and
-    about 1.5 rounds per death over random draws.  The first round cannot
+    about 1.4 rounds per death over random draws.  The first round cannot
     join the scan's evaluation, since the death rules hold only for
     entangled states.
     """
@@ -738,27 +737,24 @@ class _Row(NamedTuple):
 _A, _P, _D = NoiseKind.AMPLITUDE, NoiseKind.PHASE, NoiseKind.DEPOLARIZING
 _ISO, _WER = Family.ISOTROPIC, Family.WERNER
 
+
 # The amplitude criticals of the family intervals solve the eta -> 0 limit
-# of the closed forms: (4x-1)^2 = 6(1-x) and 2x^2 + x - 1 = 0.
+# of the closed forms, lo = 0: (4x-1)^2 = 6(1-x) and 2x^2 + x - 1 = 0.
+_BOUNDARIES = {
+    (_ISO, _A): EsdBoundary(_ISO, _A, 0.5, 0.625, True, True, critical_x=0.625),
+    (_ISO, _P): EsdBoundary(_ISO, _P, 0.5, 1.0, True, True),
+    (_ISO, _D): EsdBoundary(_ISO, _D, 0.5, 1.0, True, False),
+    (_WER, _A): EsdBoundary(_WER, _A, 1.0 / 3.0, 0.5, True, True, critical_x=0.5),
+    (_WER, _P): EsdBoundary(_WER, _P, 1.0 / 3.0, 1.0, True, True),
+    (_WER, _D): EsdBoundary(_WER, _D, 1.0 / 3.0, 1.0, True, False),
+}
+# every cell: the value and the death time read the cell's coefficients
 _TABLE: dict[tuple[object, NoiseKind], _Row] = {
-    (XStateParams, _A): _Row(_x_amplitude, _x_amplitude_death),
-    (XStateParams, _P): _Row(_x_phase, _x_phase_death),
-    (XStateParams, _D): _Row(_x_depolarizing, _x_depolarizing_death),
-    (PureStateParams, _A): _Row(_pure_damping, _no_death),
-    (PureStateParams, _P): _Row(_pure_damping, _no_death),
-    (PureStateParams, _D): _Row(_pure_depolarizing, _pure_depolarizing_death),
-    (_ISO, _A): _Row(_isotropic_amplitude, _isotropic_amplitude_death,
-                     EsdBoundary(_ISO, _A, 0.5, 0.625, True, True, critical_x=0.625)),
-    (_ISO, _P): _Row(_isotropic_phase, _isotropic_phase_death,
-                     EsdBoundary(_ISO, _P, 0.5, 1.0, True, True)),
-    (_ISO, _D): _Row(_isotropic_depolarizing, _isotropic_depolarizing_death,
-                     EsdBoundary(_ISO, _D, 0.5, 1.0, True, False)),
-    (_WER, _A): _Row(_werner_amplitude, _werner_amplitude_death,
-                     EsdBoundary(_WER, _A, 1.0 / 3.0, 0.5, True, True, critical_x=0.5)),
-    (_WER, _P): _Row(_werner_phase, _werner_phase_death,
-                     EsdBoundary(_WER, _P, 1.0 / 3.0, 1.0, True, True)),
-    (_WER, _D): _Row(_werner_depolarizing, _werner_depolarizing_death,
-                     EsdBoundary(_WER, _D, 1.0 / 3.0, 1.0, True, False)),
+    (key, kind): _Row(functools.partial(_value, kind, margin),
+                      functools.partial(_death, kind, margin), _BOUNDARIES.get((key, kind)))
+    for key, margin in ((XStateParams, _x_margin), (PureStateParams, _pure_margin),
+                        (_ISO, _isotropic_margin), (_WER, _werner_margin))
+    for kind in NoiseKind
 }
 
 

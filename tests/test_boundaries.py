@@ -34,6 +34,7 @@ from esdsim.dynamics import (
     Classification,
     Scenario,
     closed_form_concurrence,
+    esd_boundary,
     esd_time_analytic,
     esd_time_bisection,
     numeric_trajectory,
@@ -490,3 +491,143 @@ def test_depolarized_states_are_separable_from_two_ln_four(raw, u, phases, x):
     for state in states:
         conc = numeric_trajectory(Scenario(state, DEPOL), FULLY_DEPOLARIZED).c
         assert conc.max() <= SEPARABLE_TOL, state
+
+
+# ---------------------------------------------------------------------------
+# every other dying cell: the death time against a root found on the
+# evolved state at 50 digits, reading nothing of the closed forms
+
+
+def _evolved_entry(kraus, rho0, row: int, col: int):
+    # entry (row, col) of the sum over K of (K x I) rho0 (K x I)^dag; an
+    # index is 2 * (qubit 1) + (qubit 2), and the noise acts on qubit 1
+    (i, q), (j, r) = divmod(row, 2), divmod(col, 2)
+    return sum(
+        k[i][m] * rho0[2 * m + q, 2 * n + r] * _MP.conj(k[j][n])
+        for k in kraus for m in range(2) for n in range(2)
+    )
+
+
+def _reference_margin(scenario: Scenario, tau):
+    """A number with the sign of the evolved state's concurrence at 50 digits:
+    |rho12| - sqrt(rho00 rho33) for the X-pattern kinds, and for a pure
+    state -det of the partial transpose, which is negative exactly on the
+    separable two-qubit states (Augusiak, Demianowicz and Horodecki, Phys.
+    Rev. A 77, 030301, 2008)."""
+    mp = _MP
+    kraus, rho0 = _kraus(scenario.noise.kind, tau), _initial(scenario.state)
+    if not isinstance(scenario.state, PureStateParams):
+        corners = mp.re(_evolved_entry(kraus, rho0, 0, 0) * _evolved_entry(kraus, rho0, 3, 3))
+        return abs(_evolved_entry(kraus, rho0, 1, 2)) - mp.sqrt(corners)
+    # partial transpose on qubit 2: (i q, j r) takes the entry (i r, j q)
+    pt = mp.matrix(
+        [[_evolved_entry(kraus, rho0, row - row % 2 + col % 2, col - col % 2 + row % 2)
+          for col in range(4)] for row in range(4)]
+    )
+    return -mp.re(mp.det(pt))
+
+
+# past this time every state drawn here that dies is dead; a death past it
+# would read as an asymptotic decay and fail the check below
+_FAR = 300.0
+
+
+def _reference_death(scenario: Scenario):
+    """The death time by bisection of the sign at 50 digits, or None where the
+    state is still entangled at _FAR; the state must be entangled at 0."""
+    mp = _MP
+    assert _reference_margin(scenario, 0) > 0
+    if _reference_margin(scenario, _FAR) > 0:
+        return None
+    lo, hi = mp.mpf(0), mp.mpf(1)
+    while _reference_margin(scenario, hi) > 0:
+        lo, hi = hi, 2 * hi
+    while hi - lo > hi * mp.mpf("1e-15"):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _reference_margin(scenario, mid) > 0 else (lo, mid)
+    return (lo + hi) / 2
+
+
+def _x_drawn(raw, u, arg):
+    # weights from [1e-3, 1], normalized, and |z| from sqrt(ad) to sqrt(bc)
+    a, b, c, d = _entangling_weights(raw)
+    low, high = math.sqrt(a) * math.sqrt(d), math.sqrt(b) * math.sqrt(c)
+    return XStateParams(a, b, c, d, (low + u * (high - low)) * complex(math.cos(arg), math.sin(arg)))
+
+
+def assert_cell_matches_reference(scenario: Scenario) -> None:
+    want = _reference_death(scenario)
+    got = esd_time_analytic(scenario)
+    if want is None:
+        assert got.classification is Classification.ASYMPTOTIC_DECAY, (scenario, got)
+        return
+    assert got.classification is Classification.SUDDEN_DEATH, (scenario, got, want)
+    assert_death_time_matches(scenario, want)
+
+
+GATE = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@GATE
+@given(st.lists(POSITIVE, min_size=4, max_size=4), st.floats(0.01, 1.0), PHASE,
+       st.sampled_from([AMP, PHASE_NOISE]))
+def test_x_amplitude_and_phase_death_rules_against_the_evolved_state(raw, u, arg, noise):
+    # X/amplitude dies where a(b + d) > |z|^2, X/phase wherever a d > 0
+    s = Scenario(_x_drawn(raw, u, arg), noise)
+    assume(_reference_margin(s, 0) > 1e-9)
+    assert_cell_matches_reference(s)
+
+
+@GATE
+@given(st.sampled_from(list(Family)), st.sampled_from([PHASE_NOISE, DEPOL]), st.floats(0.34, 1.0))
+def test_family_phase_and_depolarizing_death_rules_against_the_evolved_state(family, noise, x):
+    s = Scenario(FamilyParams(family, x), noise)
+    if _entangled(s):
+        assert_cell_matches_reference(s)
+
+
+def test_family_phase_and_depolarizing_death_rules_near_the_ends():
+    # just above the separable weight, where the death time nears 0, and
+    # x = 1 (asymptotic under phase noise, 2 ln 2 under depolarizing noise)
+    for family, x_min in ((Family.ISOTROPIC, 0.5), (Family.WERNER, 1.0 / 3.0)):
+        for x in (x_min + 1e-3, 1.0 - 1e-6, 1.0):
+            for noise in (PHASE_NOISE, DEPOL):
+                assert_cell_matches_reference(Scenario(FamilyParams(family, x), noise))
+
+
+def test_family_death_rules_keep_their_digits_at_the_separable_end():
+    # at x_min + 1e-6 the root lies within about 1e-5 of v = 1, and the
+    # rules take log1p of m0 / lo there, not the log of a quotient near 1
+    for family, x_min in ((Family.ISOTROPIC, 0.5), (Family.WERNER, 1.0 / 3.0)):
+        for noise in (AMP, PHASE_NOISE, DEPOL):
+            for step in (1e-6, 1e-9):
+                assert_cell_matches_reference(Scenario(FamilyParams(family, x_min + step), noise))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(st.lists(POSITIVE, min_size=4, max_size=4), st.lists(PHASE, min_size=3, max_size=3))
+def test_pure_depolarizing_death_rule_against_the_evolved_state(raw, phases):
+    a, b, c, d = (v / sum(raw) for v in raw)
+    s = Scenario(PureStateParams(a, b, c, d, *phases), DEPOL)
+    assume(_reference_margin(s, 0) > 1e-9)
+    assert_cell_matches_reference(s)
+
+
+# ---------------------------------------------------------------------------
+# the hand-entered family intervals against the rules
+
+
+def test_family_intervals_hold_exactly_where_the_rules_read_sudden_death():
+    for family in Family:
+        for kind in NoiseKind:
+            boundary = esd_boundary(family, kind)
+            ends = [boundary.x_min, boundary.x_max]
+            if boundary.critical_x is not None:
+                ends.append(boundary.critical_x)
+            xs = {float(x) for x in np.linspace(0.0, 1.0, 257)}
+            for end in ends:
+                xs |= {end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf)}
+            for x in sorted(v for v in xs if 0.0 <= v <= 1.0):
+                r = esd_time_analytic(Scenario(FamilyParams(family, x), NoiseSpec(kind)))
+                dies = r.classification is Classification.SUDDEN_DEATH
+                assert boundary.contains(x) == dies, (family, kind, x, r)

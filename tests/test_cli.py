@@ -479,6 +479,50 @@ def test_esd_phase_rule_at_a_subnormal_root(capsys):
     assert out.splitlines()[:2] == ["classification: SuddenDeath", "tau_death_analytic: 1381.56299552"]
 
 
+# A corner weight d below half an ulp of b: the amplitude margin at tau = 0
+# is |z|^2 - a d, which a(b + d) - a b would round to -a b + a b = 0
+TINY_CORNER = ["--noise", "amplitude", "--xstate", "--a", "0.4999999", "--b", "0.5", "--c", "1e-7"]
+
+
+def test_evolve_keeps_a_corner_weight_below_the_float_spacing(capsys):
+    argv = ["evolve", *TINY_CORNER, "--d", "5.5e-17", "--zmod", "2e-4", "--points", "2",
+            "--tau-max", "1e-3"]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    tau, closed, _, gap = map(float, out.splitlines()[1].split(","))
+    assert tau == 0.0 and gap <= 1e-15
+    # 2 (|z| - sqrt(a d)) at 40 digits: 3.999895119125671e-4
+    assert abs(closed - 3.999895119125671e-4) <= 1e-15
+    s = Scenario(XStateParams(0.4999999, 0.5, 1e-7, 5.5e-17, 2e-4), NoiseSpec(NoiseKind.AMPLITUDE))
+    assert dynamics.closed_form_concurrence(s, 0.0) == pytest.approx(3.999895119125671e-4, rel=1e-15)
+
+
+def test_esd_reads_a_separable_state_beside_a_tiny_corner_weight(capsys):
+    # |z|^2 = 1e-18 < a d = 2.5e-17: separable, where the bisection used to
+    # read a death at 3.6e-10 and the rule a time of 0.0
+    code, out, err = run(["esd", *TINY_CORNER, "--d", "5e-17", "--zmod", "1e-9"], capsys)
+    assert (code, out, err) == (0, "classification: InitiallySeparable\n", "")
+    s = Scenario(XStateParams(0.4999999, 0.5, 1e-7, 5e-17, 1e-9), NoiseSpec(NoiseKind.AMPLITUDE))
+    r = dynamics.esd_time_analytic(s)
+    assert r.classification is dynamics.Classification.INITIALLY_SEPARABLE
+
+
+def test_esd_amplitude_death_where_the_margin_cancels_to_1e_15(capsys):
+    # |z|^2 and a d agree to 15 digits (3.1e-90), and a(b + d) - |z|^2 is
+    # 3e-106: the margin's coefficients are taken as compensated dot products
+    # of the record's floats, so both routes find the 50-digit death time
+    # 3.1257820627569747884
+    argv = ["esd", "--noise", "amplitude", "--xstate", "--a", "6.893893559541884e-90",
+            "--b", "1.0161426496739373e-15", "--c", "0.5508894578362661",
+            "--d", "0.4491105421637329", "--zmod", "1.7595795731210705e-45", "--format", "jsonl"]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["classification"] == "SuddenDeath"
+    for key in ("tau_death_analytic", "tau_death_bisection"):
+        assert abs(record[key] - 3.1257820627569747884) <= 1e-11, record
+
+
 def test_esd_and_evolve_admit_the_same_x_states(capsys):
     # one admission rule, at the record: the central block's least eigenvalue
     # against -PSD_CLAMP_TOL.  Here b c - |z|^2 = -1e-12, but the least
