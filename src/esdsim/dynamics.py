@@ -55,10 +55,10 @@ v = e^(-tau/k), and the value's prefactor and denominator.  One value
 function (`_value`) and one death-time function (`_death`) read them, so
 the closed form and the rule share every constant: a state is
 InitiallySeparable where the margin at tau = 0 is <= 0, and dies where its
-limit is negative.  `_TABLE` holds one row per cell: those two functions
-bound to the cell's coefficients and, for the families, the sudden-death
-interval.  A `Scenario` finds its row once, by `state_kind`; `states`
-builds the initial state and its factor.
+limit is negative.  A `Scenario` reads its cell's coefficients once, when
+it is built (`_MARGINS`, by `state_kind`), and every closed-form value and
+its death rule take them from it; `_BOUNDARIES` holds the families'
+sudden-death intervals, and `states` builds the initial state and factor.
 """
 from __future__ import annotations
 
@@ -66,7 +66,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,7 +132,10 @@ class Scenario:
     noise: NoiseSpec
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_row", _TABLE[state_kind(self.state), self.noise.kind])
+        # the cell's coefficients, read once: every closed-form value and
+        # the death rule take them from here
+        margin = _MARGINS[state_kind(self.state)](self.state, self.noise.kind)
+        object.__setattr__(self, "_margin", margin)
 
     @functools.cached_property
     def _initial_concurrence(self):
@@ -142,10 +145,10 @@ class Scenario:
 
     @functools.cached_property
     def _death_time(self):
-        # the row's death-time rule, evaluated once per scenario: the
+        # the cell's death-time rule, evaluated once per scenario: the
         # analytic route reports it, and the bisection predicts each round's
         # path from it
-        return self._row.death(self.state)
+        return _death(self._margin)
 
 
 @dataclass(frozen=True)
@@ -231,7 +234,7 @@ def initial_concurrence(scenario: Scenario) -> float:
 
 
 class _Margin(NamedTuple):
-    """One cell's coefficients, read from the record on every call.
+    """One cell's coefficients, read from the record once per scenario.
 
     The concurrence has the sign of the margin m = m0 - s u + c2 u^2
     = m0 v - lo u + c2 u^2 in v = e^(-tau/k) and u = 1 - v: v is eta^2
@@ -352,12 +355,18 @@ def _werner_margin(s: FamilyParams, kind: NoiseKind) -> _Margin:
     return _Margin(2.0, third, 4.0 * x, 1.0 + x, 0.5)
 
 
+# each state kind's coefficient builder, by `state_kind`; a `Scenario`
+# calls it once, with its noise kind
+_MARGINS = {XStateParams: _x_margin, PureStateParams: _pure_margin,
+            Family.ISOTROPIC: _isotropic_margin, Family.WERNER: _werner_margin}
+
+
 def _affine(c0: float, c1: float, u):
     # c0 + c1 u, with no pass over the grid where c1 = 0
     return c0 + c1 * u if c1 else c0
 
 
-def _value(kind: NoiseKind, margin, state: StateParams, tau, value):
+def _value(kind: NoiseKind, margin: _Margin, value):
     # the cell's concurrence at value = noise_param(kind, tau).  m takes the
     # form that is exact where its variable is: m0 - s p at p = 0 (the
     # depolarizing cells have lo > 0, so no tail needs the other form);
@@ -366,7 +375,7 @@ def _value(kind: NoiseKind, margin, state: StateParams, tau, value):
     # in v = eta^2.  A state separable at tau = 0 stays so under a local
     # channel: its margin is <= 0 on the whole range, and every value is +0.
     # Where lo <= 0 the margin is >= 0 on the whole range: no clamp is needed.
-    k, m0, s, lo, pre, den, c2 = margin(state, kind)
+    k, m0, s, lo, pre, den, c2 = margin
     if not m0 > 0.0:
         return 0.0 * value
     if kind is NoiseKind.DEPOLARIZING:
@@ -389,7 +398,7 @@ def _value(kind: NoiseKind, margin, state: StateParams, tau, value):
     return pre * (value * ratio) if k == 1.0 else pre * ratio
 
 
-def _death(kind: NoiseKind, margin, state: StateParams) -> float | None:
+def _death(c: _Margin) -> float | None:
     # The root u* of the margin, tau = -k log1p(-u*); None unless lo > 0.
     # Linear: u* = m0 / s and tau = k ln(s / lo).  Near the separable end
     # s / lo nears 1, and log1p keeps the digits of m0 / lo; where s / lo
@@ -399,7 +408,6 @@ def _death(kind: NoiseKind, margin, state: StateParams) -> float | None:
     # sign of c2, and g^2 = |c2| m0 / s^2 as a ratio of roots so that it
     # cannot overflow on the way (|z| tiny beside sqrt(bc), a = d = 0).  A
     # time that underflows to 0 reads as the least positive one.
-    c = margin(state, kind)
     if not c.lo > 0.0:
         return None
     if c.c2:
@@ -434,7 +442,7 @@ def _closed_form(scenario: Scenario, tau: np.ndarray, value):
     # one evaluator behind every closed-form value and every esd verdict
     try:
         with np.errstate(invalid="raise"):
-            return scenario._row.concurrence(scenario.state, tau, value)
+            return _value(scenario.noise.kind, scenario._margin, value)
     except FloatingPointError as exc:
         raise ValueError(f"closed form undefined for {scenario!r}: {exc}") from exc
 
@@ -605,7 +613,7 @@ def esd_time_bisection(
     mid = (lo + hi) / 2 until no float lies strictly between lo and hi, and
     returns the last midpoint: the death time to the float spacing, bit for
     bit that of a step-by-step bisection, which evaluates one midpoint at a
-    time.  It runs in rounds.  The row's death time tau* predicts the
+    time.  It runs in rounds.  The cell's death time tau* predicts the
     step-by-step path from the current bracket (mid is dead iff
     mid >= tau*), and one call of the closed form checks every midpoint on
     it.  The round keeps the verdicts up to and including the first one
@@ -716,22 +724,7 @@ class EsdBoundary:
 
 
 def esd_boundary(family: Family, noise_kind: NoiseKind) -> EsdBoundary:
-    return _TABLE[family, noise_kind].boundary
-
-
-# ---------------------------------------------------------------------------
-# the (state kind, noise kind) table
-
-
-class _Row(NamedTuple):
-    """One cell of the grid: closed-form concurrence, death time and, for
-    the families, the sudden-death interval."""
-
-    concurrence: Callable[[StateParams, float, float], float]
-    # the closed death time of an entangled state, or None where the
-    # concurrence decays only asymptotically
-    death: Callable[[StateParams], float | None]
-    boundary: EsdBoundary | None = None
+    return _BOUNDARIES[family, noise_kind]
 
 
 _A, _P, _D = NoiseKind.AMPLITUDE, NoiseKind.PHASE, NoiseKind.DEPOLARIZING
@@ -747,14 +740,6 @@ _BOUNDARIES = {
     (_WER, _A): EsdBoundary(_WER, _A, 1.0 / 3.0, 0.5, True, True, critical_x=0.5),
     (_WER, _P): EsdBoundary(_WER, _P, 1.0 / 3.0, 1.0, True, True),
     (_WER, _D): EsdBoundary(_WER, _D, 1.0 / 3.0, 1.0, True, False),
-}
-# every cell: the value and the death time read the cell's coefficients
-_TABLE: dict[tuple[object, NoiseKind], _Row] = {
-    (key, kind): _Row(functools.partial(_value, kind, margin),
-                      functools.partial(_death, kind, margin), _BOUNDARIES.get((key, kind)))
-    for key, margin in ((XStateParams, _x_margin), (PureStateParams, _pure_margin),
-                        (_ISO, _isotropic_margin), (_WER, _werner_margin))
-    for kind in NoiseKind
 }
 
 

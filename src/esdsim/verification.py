@@ -473,7 +473,7 @@ SUITES: tuple[tuple[str, SuiteFn, float, float], ...] = (
     ("local_unitary_invariance", suite_local_unitary_invariance, 0.1, 1e-9),
     ("twirl_invariance", suite_twirl_invariance, 0.2, 1e-12),
     ("closed_vs_numeric", suite_closed_vs_numeric, 0.5, 1e-8),
-    ("analytic_vs_bisection", suite_analytic_vs_bisection, 0.05, 1e-8),
+    ("analytic_vs_bisection", suite_analytic_vs_bisection, 0.05, 1e-12),
     ("pure_depol_universality", suite_pure_depol_universality, 0.1, 1e-11),
     ("pure_amp_phase_no_esd", suite_pure_amp_phase_no_esd, 0.1, 1e-8),
     ("trajectory_monotone", suite_trajectory_monotone, 0.05, 1e-10),

@@ -1,4 +1,6 @@
 import cmath
+import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -753,6 +755,47 @@ def test_scenario_pickles_with_its_table_row():
     np.testing.assert_array_equal(initial_state(back), initial_state(s))
 
 
+def test_each_scenario_builds_its_coefficients_once(monkeypatch, capsys):
+    # esd on a sudden death runs the scan, one round and the rule, and all
+    # of them read the coefficients built with the scenario
+    built, x_margin = [], dynamics._MARGINS[XStateParams]
+
+    def counted(state, kind):
+        built.append((state, kind))
+        return x_margin(state, kind)
+
+    monkeypatch.setitem(dynamics._MARGINS, XStateParams, counted)
+    assert main("esd --noise phase --xstate --a 0.2 --b 0.3 --c 0.3 --d 0.2 --zsq 0.09".split()) == 0
+    assert "classification: SuddenDeath" in capsys.readouterr().out
+    assert built == [(FIG2_SOLID, NoiseKind.PHASE)]
+    # a pure state's coefficients hold its concurrence, taken once for the
+    # scan and the rule
+    taken, concurrence = [], dynamics.concurrence_pure
+    monkeypatch.setattr(dynamics, "concurrence_pure", lambda s: taken.append(s) or concurrence(s))
+    argv = "esd --noise amplitude --pure --a 0.4 --b 0.1 --c 0.2 --d 0.3 --f 0.5 --g 0.2 --h 1"
+    assert main(argv.split()) == 0
+    assert "classification: AsymptoticDecay" in capsys.readouterr().out
+    assert len(taken) == 1
+
+
+def test_a_replaced_noise_reads_its_own_cell():
+    taus = np.linspace(0.0, 3.0, 31)
+    s = Scenario(FIG2_SOLID, PHASE)
+    assert s._death_time is not None
+    moved = dataclasses.replace(s, noise=DEPOL)
+    fresh = Scenario(FIG2_SOLID, DEPOL)
+    np.testing.assert_array_equal(closed_form_concurrence(moved, taus),
+                                  closed_form_concurrence(fresh, taus))
+    assert moved._death_time == fresh._death_time != s._death_time
+    assert esd_time_analytic(moved) == esd_time_analytic(fresh)
+    # a copy keeps the cell of its fields
+    kept = copy.copy(s)
+    np.testing.assert_array_equal(closed_form_concurrence(kept, taus),
+                                  closed_form_concurrence(Scenario(FIG2_SOLID, PHASE), taus))
+    assert kept._death_time == s._death_time
+    assert esd_time_analytic(kept) == esd_time_analytic(s)
+
+
 # ---------------------------------------------------------------------------
 # bisection
 
@@ -849,15 +892,14 @@ def test_initial_concurrence_is_evaluated_once_per_scenario(monkeypatch):
         calls.append(np.size(tau))
         return evaluate(scenario, tau, value)
 
-    key = (XStateParams, NoiseKind.PHASE)
-    row = dynamics._TABLE[key]
+    rule = dynamics._death
 
-    def counted_rule(state):
-        rules.append(state)
-        return row.death(state)
+    def counted_rule(margin):
+        rules.append(margin)
+        return rule(margin)
 
     monkeypatch.setattr(dynamics, "_closed_form", counted)
-    monkeypatch.setitem(dynamics._TABLE, key, row._replace(death=counted_rule))
+    monkeypatch.setattr(dynamics, "_death", counted_rule)
     s = Scenario(FIG2_SOLID, PHASE)
     assert esd_time_analytic(s).classification is Classification.SUDDEN_DEATH
     assert esd_time_bisection(s).classification is Classification.SUDDEN_DEATH
@@ -867,7 +909,7 @@ def test_initial_concurrence_is_evaluated_once_per_scenario(monkeypatch):
     # the predicted path, one round to the float spacing
     assert calls == [1, 2048, 48]
     # the death-time rule as well: the analytic route and the guess share it
-    assert rules == [FIG2_SOLID]
+    assert rules == [s._margin]
     # the esd command runs the bisection first, whose scan leaves the value
     # at tau = 0 for the analytic route; both share the rule as well
     calls.clear()
@@ -1095,10 +1137,8 @@ def test_bisection_evaluation_counts(monkeypatch):
     # a wrong rule time, or none, costs one round per verdict that differs
     # from the prediction; each round keeps at least one midpoint, so the
     # rounds hold fewer midpoints one after the other
-    key = (XStateParams, NoiseKind.PHASE)
-    row = dynamics._TABLE[key]
     for guess in (r.tau_death + 0.01, r.tau_death - 0.01, None):
-        monkeypatch.setitem(dynamics._TABLE, key, row._replace(death=lambda state: guess))
+        monkeypatch.setattr(dynamics, "_death", lambda margin: guess)
         calls.clear()
         assert esd_time_bisection(Scenario(FIG2_SOLID, PHASE)) == r
         assert calls[0] == 2048
@@ -1116,9 +1156,7 @@ def test_bisection_without_a_finite_rule_time_matches_the_stepwise_loop(monkeypa
     assert predicted == stepwise_bisection(tiny, tau_max=800.0)
     # a rule time of inf predicts every midpoint alive: the rounds end at
     # each dead one and still land on the same bits
-    row = dynamics._TABLE[XStateParams, NoiseKind.PHASE]
-    monkeypatch.setitem(dynamics._TABLE, (XStateParams, NoiseKind.PHASE),
-                        row._replace(death=lambda state: math.inf))
+    monkeypatch.setattr(dynamics, "_death", lambda margin: math.inf)
     tiny = Scenario(XStateParams(1e-200, 0.5, 0.5, 1e-123, 0.5), PHASE)
     assert tiny._death_time == math.inf
     assert esd_time_bisection(tiny, tau_max=800.0) == predicted
@@ -1148,9 +1186,7 @@ def test_death_guess_is_a_finite_rule_value(monkeypatch):
     # a rule that finds no death, a death time that overflows
     assert Scenario(FIG1_DASHED, AMP)._death_time is None
     assert Scenario(FamilyParams(Family.WERNER, 0.6), AMP)._death_time is None
-    row = dynamics._TABLE[XStateParams, NoiseKind.PHASE]
-    monkeypatch.setitem(dynamics._TABLE, (XStateParams, NoiseKind.PHASE),
-                        row._replace(death=lambda state: math.inf))
+    monkeypatch.setattr(dynamics, "_death", lambda margin: math.inf)
     s = Scenario(FIG2_SOLID, PHASE)
     assert s._death_time == math.inf
     assert esd_time_bisection(s) == stepwise_bisection(s)
@@ -1194,28 +1230,29 @@ def _guesses(draw, base, lo, hi):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_any_guess_gives_the_stepwise_bits(data):
-    # the guess is the row's death rule, so it reaches the bisection as a
+    # the guess is the cell's death rule, so it reaches the bisection as a
     # rule time does: a finite value, inf, nan, or None where the rule finds
     # no death
     i = data.draw(st.integers(0, len(SUDDEN_DEATHS) - 1), label="scenario")
     drawn = SUDDEN_DEATHS[i]
     closed, lo, hi = _stepwise_references(i)
-    # the row's own death time where it is finite, else the bisected one
+    # the cell's own death time where it is finite, else the bisected one
     rule = drawn._death_time
     base = rule if rule is not None and math.isfinite(rule) else closed.tau_death
     guess = data.draw(_guesses(base, lo, hi), label="guess")
-    key = (states.state_kind(drawn.state), drawn.noise.kind)
-    row, asked = dynamics._TABLE[key], []
+    asked = []
 
-    def guessed(state):
-        asked.append(state)
+    def guessed(margin):
+        asked.append(margin)
         return guess
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(dynamics._TABLE, key, row._replace(death=guessed))
-        assert esd_time_bisection(Scenario(drawn.state, drawn.noise)) == closed
-    # the bisection reached the rounds and read the rule once
-    assert asked == [drawn.state]
+        mp.setattr(dynamics, "_death", guessed)
+        fresh = Scenario(drawn.state, drawn.noise)
+        assert esd_time_bisection(fresh) == closed
+    # the bisection reached the rounds and read the rule once, on the
+    # scenario's own coefficients
+    assert asked == [fresh._margin]
 
 
 def test_bisection_takes_at_most_two_rounds_per_death(monkeypatch):
@@ -1249,10 +1286,8 @@ def test_a_shifted_death_rule_moves_only_the_analytic_time(monkeypatch, capsys):
 
     before = esd_fields()
     bisected = esd_time_bisection(Scenario(FIG2_SOLID, PHASE))
-    key = (XStateParams, NoiseKind.PHASE)
-    row = dynamics._TABLE[key]
-    shifted = row._replace(death=lambda state: row.death(state) + 1e-6)
-    monkeypatch.setitem(dynamics._TABLE, key, shifted)
+    rule = dynamics._death
+    monkeypatch.setattr(dynamics, "_death", lambda margin: rule(margin) + 1e-6)
     after = esd_fields()
     assert esd_time_bisection(Scenario(FIG2_SOLID, PHASE)) == bisected
     assert after["tau_death_bisection"] == before["tau_death_bisection"]
