@@ -173,8 +173,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 def cmd_esd(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    # the bisection first: its scan evaluates tau = 0 as well and leaves the
-    # value there for the analytic route
     numeric = esd_time_bisection(scenario, tau_max=args.tau_max, points=args.points)
     a_tau = esd_time_analytic(scenario).tau_death
 

@@ -138,12 +138,6 @@ class Scenario:
         object.__setattr__(self, "_margin", margin)
 
     @functools.cached_property
-    def _initial_concurrence(self):
-        # the closed form at tau = 0, evaluated once per scenario: the
-        # analytic and the bisection route both start from it
-        return closed_form_concurrence(self, 0.0)
-
-    @functools.cached_property
     def _death_time(self):
         # the cell's death-time rule, evaluated once per scenario: the
         # analytic route reports it, and the bisection predicts each round's
@@ -225,8 +219,8 @@ def initial_factor(scenario: Scenario) -> np.ndarray:
 
 
 def initial_concurrence(scenario: Scenario) -> float:
-    """Closed-form concurrence at tau = 0, computed once per scenario."""
-    return scenario._initial_concurrence
+    """Closed-form concurrence at tau = 0."""
+    return closed_form_concurrence(scenario, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +401,10 @@ def _death(c: _Margin) -> float | None:
     # u* = 2r / (1 + sqrt(1 - 4 c2 m0 / s^2)) with r = m0 / s, for every
     # sign of c2, and g^2 = |c2| m0 / s^2 as a ratio of roots so that it
     # cannot overflow on the way (|z| tiny beside sqrt(bc), a = d = 0).  A
-    # time that underflows to 0 reads as the least positive one.
+    # time that underflows to 0 reads as the least positive one.  It holds
+    # only for m0 > 0, an entangled state: where s = 0 (ab = 0, or z = 0 under
+    # phase noise) m0 = -lo, so log1p(m0 / lo) = log1p(-1) raises, and
+    # X/depolarizing takes sqrt(m0).
     if not c.lo > 0.0:
         return None
     if c.c2:
@@ -573,9 +570,10 @@ def esd_time_analytic(scenario: Scenario) -> EsdResult:
     in the noise parameter, or None where the concurrence reaches zero only
     as tau -> infinity (pure states under amplitude or phase noise, and
     the families at or beyond their critical or maximal weight).  A state
-    whose closed form is zero at tau = 0 is InitiallySeparable.
+    whose margin at tau = 0 is <= 0 is InitiallySeparable, read before the
+    rule, which holds only where that margin is > 0.
     """
-    if initial_concurrence(scenario) == 0.0:
+    if not scenario._margin.m0 > 0.0:
         return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.ANALYTIC)
     tau = scenario._death_time
     if tau is None:
@@ -628,14 +626,13 @@ def esd_time_bisection(
     16 bytes per point per entry, at most 3 entries.  One evaluation of the
     scenario's formula on them, through the same evaluator and domain check
     as `closed_form_concurrence`, gives every verdict of the scan in the
-    same bits.  Its first point decides InitiallySeparable and leaves the
-    value at tau = 0 for `initial_concurrence`, if that was not computed
-    yet.  So an InitiallySeparable or an AsymptoticDecay costs one
-    evaluation, and a sudden death the scan and one per round: one round of
-    about 50 midpoints where the rule is right to the float spacing, and
-    about 1.4 rounds per death over random draws.  The first round cannot
-    join the scan's evaluation, since the death rules hold only for
-    entangled states.
+    same bits.  Its first point decides InitiallySeparable, apart from the
+    margin that `esd_time_analytic` reads.  So an InitiallySeparable or an
+    AsymptoticDecay costs one evaluation, and a sudden death the scan and
+    one per round: one round of about 50 midpoints where the rule is right
+    to the float spacing, and about 1.4 rounds per death over random draws.
+    The first round cannot join the scan's evaluation, since the death
+    rules hold only for entangled states.
     """
     if not (tau_max > 0.0 and math.isfinite(tau_max)):
         raise ValueError(f"tau_max must be positive and finite, got {tau_max!r}")
@@ -647,9 +644,6 @@ def esd_time_bisection(
 
     grid, values = _scan_grid(scenario.noise.kind, tau_max, points)
     c = _closed_form(scenario, grid, values)
-    # grid[0] = 0 and its cached value are what closed_form_concurrence(
-    # scenario, 0.0) passes the evaluator, so c[0] is the same bits
-    vars(scenario).setdefault("_initial_concurrence", c[0])
     dead_scan = c == 0.0
     if dead_scan[0]:
         return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION)

@@ -747,10 +747,11 @@ def test_dead_amplitude_tail_is_positive_zero():
     assert all(math.copysign(1.0, v) == 1.0 for v in c)
 
 
-def test_scenario_pickles_with_its_table_row():
+def test_scenario_pickles_with_its_margin():
     s = Scenario(GRID_STATES["werner"], PHASE)
     back = pickle.loads(pickle.dumps(s))
     assert back == s
+    assert back._margin == s._margin
     assert closed_form_concurrence(back, 0.3) == closed_form_concurrence(s, 0.3)
     np.testing.assert_array_equal(initial_state(back), initial_state(s))
 
@@ -882,7 +883,7 @@ def test_oracle_bisection_over_the_default_horizon_sees_no_revival():
     assert numeric_trajectory(s, tail).c.tolist() == [0.0] * len(tail)
 
 
-def test_initial_concurrence_is_evaluated_once_per_scenario(monkeypatch):
+def test_the_analytic_verdict_reads_the_margin_and_no_closed_form(monkeypatch):
     calls, rules = [], []
     # taken before the counter goes in, so that it adds no count
     reference = closed_form_concurrence(Scenario(FIG2_SOLID, PHASE), 0.0)
@@ -902,16 +903,18 @@ def test_initial_concurrence_is_evaluated_once_per_scenario(monkeypatch):
     monkeypatch.setattr(dynamics, "_death", counted_rule)
     s = Scenario(FIG2_SOLID, PHASE)
     assert esd_time_analytic(s).classification is Classification.SUDDEN_DEATH
+    # the analytic verdict reads m0 and the rule, never the closed form
+    assert calls == []
     assert esd_time_bisection(s).classification is Classification.SUDDEN_DEATH
-    assert initial_concurrence(s) == reference
-    # library order: tau = 0 once for the analytic route, then the scan
-    # (tau = 0 included, its value already cached) and the 48 midpoints of
-    # the predicted path, one round to the float spacing
-    assert calls == [1, 2048, 48]
+    # the scan (tau = 0 included) and the 48 midpoints of the predicted
+    # path, one round to the float spacing
+    assert calls == [2048, 48]
     # the death-time rule as well: the analytic route and the guess share it
     assert rules == [s._margin]
-    # the esd command runs the bisection first, whose scan leaves the value
-    # at tau = 0 for the analytic route; both share the rule as well
+    # the public value at tau = 0 is one evaluation of its own
+    assert initial_concurrence(s) == reference
+    assert calls == [2048, 48, 1]
+    # the esd command evaluates the same, and both routes share the rule
     calls.clear()
     rules.clear()
     argv = "esd --noise phase --xstate --a 0.2 --b 0.3 --c 0.3 --d 0.2 --zsq 0.09".split()
@@ -1065,17 +1068,19 @@ SCAN_HORIZONS = (50.0, dynamics.ESD_TAU_MAX_LIMIT)
 
 
 @pytest.mark.parametrize("tau_max", SCAN_HORIZONS)
-def test_the_scan_seeds_the_initial_concurrence_with_its_bits(tau_max):
-    # the scan's first point is tau = 0 with the value closed_form_concurrence
-    # (s, 0.0) passes the evaluator, so the value it leaves for the analytic
-    # route has the same bytes, the sign of a zero included
-    for drawn in RANDOM_SCENARIOS:
-        s = Scenario(drawn.state, drawn.noise)
-        esd_time_bisection(s, tau_max=tau_max)
-        seeded = vars(s)["_initial_concurrence"]
-        want = closed_form_concurrence(drawn, 0.0)
-        assert type(seeded) is type(want)
-        assert np.asarray(seeded).tobytes() == np.asarray(want).tobytes(), drawn
+def test_the_scan_and_the_margin_agree_at_tau_zero(tau_max):
+    # the scan decides InitiallySeparable from its first value and the
+    # analytic route from the margin m0: independent inputs, one verdict.
+    # initial_concurrence is the closed form at tau = 0, sign of zero included
+    for s in RANDOM_SCENARIOS:
+        grid, values = dynamics._scan_grid(s.noise.kind, tau_max, dynamics.SCAN_POINTS)
+        separable = not s._margin.m0 > 0.0
+        assert (dynamics._closed_form(s, grid, values)[0] == 0.0) == separable, s
+        verdict = esd_time_bisection(s, tau_max=tau_max).classification
+        assert (verdict is Classification.INITIALLY_SEPARABLE) == separable, s
+        got, want = initial_concurrence(s), closed_form_concurrence(s, 0.0)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), s
 
 
 @pytest.mark.parametrize("tau_max", SCAN_HORIZONS)
@@ -1089,12 +1094,18 @@ def test_every_initially_separable_draw_is_classified_so(tau_max):
                           (Family.ISOTROPIC, 0.5))
         for noise in (AMP, PHASE, DEPOL)
     ]
+    # m0 = -lo, where the death rule itself raises: the analytic route must
+    # read the margin before it
+    edges += [Scenario(XStateParams(0.25, 0.0, 0.5, 0.25, 0.0), noise)
+              for noise in (AMP, PHASE, DEPOL)]
     draws = [s for s in _random_scenarios(27, 1200) if closed_form_concurrence(s, 0.0) == 0.0]
     # every cell but the pure states, whose random draws are entangled
     assert len({(states.state_kind(s.state), s.noise.kind) for s in draws}) == 9
     for s in edges + draws:
         got = esd_time_bisection(s, tau_max=tau_max)
         assert got == EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION), s
+        got = esd_time_analytic(s)
+        assert got == EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.ANALYTIC), s
 
 
 def test_bisection_matches_at_a_tol_below_the_float_spacing():
