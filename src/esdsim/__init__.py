@@ -10,22 +10,18 @@ from .channels import (
     NoiseKind,
     NoiseSpec,
     amplitude_kraus,
-    apply_channel,
     apply_to_factor,
     completeness_residual,
     depolarizing_kraus,
     kraus_for,
-    lift_first,
     phase_kraus,
 )
 from .concurrence import (
     SPIN_FLIP,
     concurrence_pure,
     concurrence_pure_determinant,
-    concurrence_wootters,
     concurrence_x,
     factor_concurrence,
-    spin_flip_spectrum,
 )
 from .dynamics import (
     FIGURE_PRESETS,
@@ -48,7 +44,7 @@ from .dynamics import (
     noise_param,
     numeric_trajectory,
 )
-from .linalg import EigDecomposition, dagger, hermitian_eig, kron, psd_sqrt
+from .linalg import dagger, kron
 from .states import (
     Family,
     FamilyParams,
@@ -78,11 +74,8 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "EigDecomposition",
     "dagger",
-    "hermitian_eig",
     "kron",
-    "psd_sqrt",
     "Family",
     "FamilyParams",
     "PureStateParams",
@@ -97,20 +90,16 @@ __all__ = [
     "NoiseKind",
     "NoiseSpec",
     "amplitude_kraus",
-    "apply_channel",
     "apply_to_factor",
     "completeness_residual",
     "depolarizing_kraus",
     "kraus_for",
-    "lift_first",
     "phase_kraus",
     "SPIN_FLIP",
     "concurrence_pure",
     "concurrence_pure_determinant",
-    "concurrence_wootters",
     "concurrence_x",
     "factor_concurrence",
-    "spin_flip_spectrum",
     "FIGURE_PRESETS",
     "Classification",
     "EsdBoundary",

@@ -1,13 +1,13 @@
 """Kraus representations of the three single-qubit noises and their action.
 
-The noise always acts on the first qubit only.  `apply_channel` evaluates
-the Kraus sum on the first tensor factor of a state, so a 2x2 Kraus set acts
-on qubit 1 of a pair directly.  `apply_to_factor` applies the same map to a
-factor W of the state (rho = W W^dag); the numeric route evolves that way.
-`lift_first` builds the equivalent 4x4 set {K x I} as the reference form.
-Channel parameters are the decayed coherence factors eta (amplitude),
-gamma (phase) and the error probability p (depolarizing); the time
-parametrization of these lives in the dynamics module.
+The noise always acts on the first qubit only.  `apply_to_factor` applies
+the Kraus sum on the first tensor factor of a state to a factor W of the
+state (rho = W W^dag), so a 2x2 Kraus set acts on qubit 1 of a pair
+directly and the evolved factor is [(K_1 x I) W, (K_2 x I) W, ...]; the
+numeric route evolves that way.  Channel parameters are the decayed
+coherence factors eta (amplitude), gamma (phase) and the error probability
+p (depolarizing); the time parametrization of these lives in the dynamics
+module.
 
 The constructors take one parameter value or an array of them.  An array
 gives a stacked Kraus set: each operator has shape (..., 2, 2), one Kraus
@@ -16,14 +16,14 @@ A Kraus set holds its operators as one array, operator index first.
 
 Every set these constructors build is real: the depolarizing set takes
 iY = [[0, 1], [-1, 0]] in place of the imaginary Pauli Y, the same channel,
-as (iY) rho (iY)^dag = Y rho Y^dag.  `apply_channel` and `apply_to_factor`
-compute in the common dtype of the set and their input, so a real factor
-evolves in real arithmetic; a caller's complex set works as before.
+as (iY) rho (iY)^dag = Y rho Y^dag.  `apply_to_factor` computes in the
+common dtype of the set and its input, so a real factor evolves in real
+arithmetic; a caller's complex set works as before.
 
-`apply_channel` and `apply_to_factor` check the completeness of every
-Kraus set they are given, also of the sets these constructors build, which
-are complete by construction: the check guards caller input, and skipping
-it for constructor-built sets would take a second code path.
+`apply_to_factor` checks the completeness of every Kraus set it is given,
+also of the sets these constructors build, which are complete by
+construction: the check guards caller input, and skipping it for
+constructor-built sets would take a second code path.
 """
 from __future__ import annotations
 
@@ -32,10 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _reject_first, _unit_interval, kron
-from .states import validate_density_matrix
+from .linalg import _reject_first, _unit_interval
 
-# Gate applied by apply_channel / lift_first on arbitrary Kraus sets.
+# Gate applied by apply_to_factor on arbitrary Kraus sets.
 COMPLETENESS_TOL = 1e-10
 
 
@@ -163,62 +162,21 @@ def _check_complete(kraus: KrausSet, what: str) -> None:
     )
 
 
-def lift_first(kraus: KrausSet) -> KrausSet:
-    """Lift a 2x2 Kraus set to act on the first qubit of a pair: K -> K x I.
-
-    The numeric route does not lift: `apply_channel` acts on the first
-    factor directly.  The lifted set stays as the reference form {K x I}
-    that the tests compare that route against.  A stacked set lifts member
-    by member; `kron` rejects operators that are not 2x2.
-    """
-    _check_complete(kraus, "input Kraus set")
-    return KrausSet(kron(kraus.ops, np.eye(2)))
-
-
-def apply_channel(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
-    """Kraus sum sum(K rho K^dag) on the first tensor factor of rho.
-
-    A Kraus set of dimension d acts on a state of dimension d*m as {K x I_m}:
-    m = 1 is the plain Kraus sum, and a 2x2 set on a two-qubit state is the
-    noise on qubit 1, the same map as its `lift_first` lift.  `rho` and the
-    Kraus set may each be stacks; their leading axes broadcast.
-
-    Every Kraus set must be complete within COMPLETENESS_TOL and every input
-    a density matrix; the error names the first failing member of a stack.
-    A complete Kraus map sends density matrices to density matrices, so the
-    output is left to its consumer to check.
-    """
-    _check_complete(kraus, "Kraus set")
-    rho = np.asarray(rho)
-    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2] or rho.shape[-1] % kraus.dim:
-        raise ValueError(f"state shape {rho.shape} does not match Kraus dim {kraus.dim}")
-    validate_density_matrix(rho)
-    d, dim, ops = kraus.dim, rho.shape[-1], kraus.ops
-    m = dim // d
-    # transfer[(a, e), (b, c)] = sum_k K_k[a, b] conj(K_k[e, c]) maps the
-    # (b, c) block of rho, an m x m matrix, into the (a, e) block of the output
-    transfer = np.einsum("k...ab,k...ec->...aebc", ops, ops.conj())
-    transfer = transfer.reshape(transfer.shape[:-4] + (d * d, d * d))
-    blocks = np.swapaxes(rho.reshape(rho.shape[:-2] + (d, m, d, m)), -3, -2)
-    out = transfer @ blocks.reshape(rho.shape[:-2] + (d * d, m * m))
-    out = np.swapaxes(out.reshape(out.shape[:-2] + (d, d, m, m)), -3, -2)
-    return out.reshape(out.shape[:-4] + (dim, dim))
-
-
 def apply_to_factor(w: np.ndarray, kraus: KrausSet) -> np.ndarray:
     """A factor of the Kraus sum on the first tensor factor, from a factor.
 
     For rho = w w^dag with `w` of shape (..., d*m, n), returns
     [(K_1 x I_m) w, ..., (K_k x I_m) w] side by side, shape (..., d*m, k*n):
     its product with its own conjugate transpose is sum(K rho K^dag) on the
-    first factor, the map of `apply_channel`.  The factor stays a factor,
+    first factor, with each K acting as K x I_m.  The factor stays a factor,
     so the evolved state is positive semidefinite by construction and a
     zero column stays exactly zero.  `w` and the Kraus set may each be
     stacks; their leading axes broadcast.  The action of every operator on
     every member is one broadcast matmul, K @ (w's row blocks).
 
-    Every Kraus set must be complete within COMPLETENESS_TOL, as for
-    `apply_channel`; the error names the first failing member of a stack.
+    Every Kraus set must be complete within COMPLETENESS_TOL; the error
+    names the first failing member of a stack.  A complete Kraus map sends
+    states to states, so the output is left to its consumer to check.
     """
     _check_complete(kraus, "Kraus set")
     w = np.asarray(w)

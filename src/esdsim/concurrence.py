@@ -2,9 +2,9 @@
 
 Three routes, used against each other throughout the test suite:
 
-* `concurrence_wootters` works for any two-qubit density matrix via the
-  spin-flipped spectrum, and `factor_concurrence` for a state given by a
-  factor W with rho = W W^dag.
+* `factor_concurrence` works for any two-qubit state given by a factor W
+  with rho = W W^dag: the numeric route of the dynamics module evolves
+  such a factor and never forms the matrix.
 * `concurrence_x` is the closed form for states with the cross pattern
   (diagonal plus one central coherence), 2 max(0, |z| - sqrt(a d)).
 * `concurrence_pure` evaluates pure states written over the computational
@@ -14,19 +14,17 @@ The general route deliberately avoids forming rho rho~ and diagonalizing
 it: the needed lambda_i are the singular values of G = F^T (sy x sy) F for
 any F with rho = F F^dag (the Uhlmann form of Wootters' spectrum).  A
 factor given with more than four columns is first reduced to four by a QR
-step, which changes F F^dag only by rounding.  The numeric route of the
-dynamics module evolves such a factor and never forms the matrix; a matrix
-input takes sqrt(rho) as its factor.  Both share one spectrum function.
-G is symmetric, so it needs no SVD: its singular values are the top half
-of the eigenvalues of the real symmetric [[Re G, Im G], [Im G, -Re G]],
-and for a factor with no imaginary part, which `factor_concurrence` runs
-in real arithmetic throughout, the absolute eigenvalues of G.  The
-numeric route hands it real factors only: every Kraus set is real, an X
-state's z is taken as |z| there, and a pure state is turned to a real
-amplitude column (see `dynamics.numeric_concurrence`).  On
-rank-deficient states the factor keeps the error near machine precision,
-where the naive chain loses half the digits and the root of an
-eigendecomposition keeps the square root of its rounding.
+step, which changes F F^dag only by rounding.  G is symmetric, so it needs
+no SVD: its singular values are the top half of the eigenvalues of the
+real symmetric [[Re G, Im G], [Im G, -Re G]], and for a factor with no
+imaginary part, which `factor_concurrence` runs in real arithmetic
+throughout, the absolute eigenvalues of G.  The numeric route hands it
+real factors only: every Kraus set is real, an X state's z is taken as |z|
+there, and a pure state is turned to a real amplitude column (see
+`dynamics.numeric_concurrence`).  On rank-deficient states the factor
+keeps the error near machine precision, where the naive chain loses half
+the digits and the root of an eigendecomposition keeps the square root of
+its rounding.
 """
 from __future__ import annotations
 
@@ -34,7 +32,7 @@ import math
 
 import numpy as np
 
-from .linalg import _check_unit_trace, dagger, kron, psd_sqrt
+from .linalg import _check_unit_trace, dagger, kron
 from .states import PureStateParams, XStateParams, _pure_amplitudes
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -73,37 +71,6 @@ def _factor_spectrum(f: np.ndarray) -> np.ndarray:
     return np.pad(lam, [(0, 0)] * (lam.ndim - 1) + [(0, missing)]) if missing else lam
 
 
-def _from_spectrum(lam: np.ndarray):
-    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
-
-
-def spin_flip_spectrum(rho: np.ndarray) -> np.ndarray:
-    """The four lambda_i of the spin-flip construction, descending.
-
-    Computed as singular values of W = sqrt(rho)^T (sy x sy) sqrt(rho): the
-    spectrum of the factor sqrt(rho), as `factor_concurrence` takes it.
-    W^* W = sqrt(rho) rho~ sqrt(rho) with rho~ the spin-flipped state, so
-    the singular values squared are the eigenvalues of rho rho~.  `rho` is
-    one 4x4 state or a stack of shape (..., 4, 4), and the result has shape
-    (..., 4).  Every state gets the checks of `validate_density_matrix`:
-    unit trace here, Hermiticity and positivity from the eigendecomposition
-    that `psd_sqrt` takes for the root, so each state is solved once.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
-    _check_unit_trace(rho.trace(axis1=-2, axis2=-1))
-    return _factor_spectrum(psd_sqrt(rho))
-
-
-def concurrence_wootters(rho: np.ndarray) -> float | np.ndarray:
-    """max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4) for any 4x4 state.
-
-    A float for one state, an array with one value per state for a stack.
-    """
-    return _from_spectrum(spin_flip_spectrum(rho))
-
-
 def factor_concurrence(w: np.ndarray) -> float | np.ndarray:
     """Wootters concurrence of the state rho = w w^dag, from its factor.
 
@@ -127,7 +94,8 @@ def factor_concurrence(w: np.ndarray) -> float | np.ndarray:
     if w.shape[-1] > 4:
         w = dagger(np.linalg.qr(dagger(w), mode="r"))
     _check_unit_trace(np.add.reduce((w.conj() * w).real, axis=(-2, -1)))
-    return _from_spectrum(_factor_spectrum(w))
+    lam = _factor_spectrum(w)
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 def concurrence_x(params: XStateParams) -> float:

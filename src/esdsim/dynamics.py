@@ -24,10 +24,9 @@ unitary that commutes with the noise and leaves the concurrence unchanged:
 an X state evolves with z -> |z|, a phase on the noiseless qubit 2, and a
 pure state as the real column of the triangular factor of its amplitude
 matrix (see `numeric_concurrence`).  So the whole route runs in real
-arithmetic, for every scenario and every stack.  No eigendecomposition is
-taken, so a weight that decays towards zero keeps its relative precision;
-evolving the matrix and taking its square root leaves up to ~4e-7 on
-amplitude-noise tails.
+arithmetic, for every scenario and every stack.  No eigendecomposition of
+the state and no matrix square root is taken, so a weight that decays
+towards zero keeps its relative precision.
 `numeric_concurrence` runs the route for many scenarios at their own
 times; `numeric_trajectory` (`evolve`, `figure`) and the verify suites
 that compare the routes all call it, and `evolved_state` (W W^dag, from
@@ -602,10 +601,13 @@ def esd_time_bisection(
 
     A time is dead where the closed form reads exactly 0.0: the formulas
     clamp through max(0, .), so a barely-alive asymptotic tail stays
-    alive.  `tau_max` may not exceed `ESD_TAU_MAX_LIMIT` (about 1416.79):
-    past it e^(-tau/2) underflows and an asymptotic decay would read as a
-    sudden death.  The numeric route is checked against the closed form
-    elsewhere (`evolve`'s abs_diff column, `verify`), not here.
+    alive.  Only a margin with a root (lo > 0) is clamped; where it has
+    none, a value that underflows to 0.0 is alive, so no scan point of
+    that cell is dead.  `tau_max` may not exceed `ESD_TAU_MAX_LIMIT`
+    (about 1416.79): past it e^(-tau/2) itself underflows, and the scan
+    would read a dying cell's underflow as its death.  The numeric route
+    is checked against the closed form elsewhere (`evolve`'s abs_diff
+    column, `verify`), not here.
 
     The bisection halves the scan bracket [lo, hi] (lo alive, hi dead) at
     mid = (lo + hi) / 2 until no float lies strictly between lo and hi, and
@@ -647,7 +649,8 @@ def esd_time_bisection(
     dead_scan = c == 0.0
     if dead_scan[0]:
         return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION)
-    if not dead_scan.any():
+    # a margin with no root takes no clamp: a 0.0 there is an underflow
+    if not (scenario._margin.lo > 0.0 and dead_scan.any()):
         return EsdResult(
             Classification.ASYMPTOTIC_DECAY, EsdMethod.BISECTION, horizon=tau_max
         )

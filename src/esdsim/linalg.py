@@ -8,13 +8,14 @@ inputs cost far more in call overhead than in arithmetic.
 
 The matrix checks live here, each once: Hermiticity, unit trace and
 positivity, all within the one rounding allowance PSD_CLAMP_TOL.
-`hermitian_eig`, `psd_sqrt`, `states.validate_density_matrix` (for
-matrices from outside), `states.XStateParams` (on its central block) and
-`concurrence.spin_flip_spectrum` run them and share their wording.
+`states.validate_density_matrix` (for matrices from outside),
+`states.XStateParams` (on its central block) and
+`concurrence.factor_concurrence` (the trace of a factor's state) run them
+and share their wording.  No function here takes an eigendecomposition or a
+matrix square root: the numeric route evolves a factor of the state, whose
+product with its conjugate transpose is positive by construction.
 """
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,23 +23,6 @@ import numpy as np
 # application can push eigenvalues of an exactly-PSD matrix a few ulp
 # negative.
 PSD_CLAMP_TOL = 1e-10
-
-# Relative cut below which a nonnegative eigenvalue is snapped to exact zero.
-# Rank-deficient inputs (pure states and their low-rank evolutions) otherwise
-# keep O(eps) eigenvalue noise that sqrt amplifies to ~1e-8.  The snap also
-# drops true eigenvalues under the cut: on amplitude-noise tails (tau ~ 26-36)
-# the Wootters concurrence of an evolved X-pattern matrix keeps up to ~4e-7
-# where the closed form is 0.  Without the snap that defect moves to evolved
-# pure-state matrices (2.9e-8 measured), so it stays; the numeric route of
-# the dynamics module evolves a factor of the state and never takes this root.
-ZERO_EIG_RTOL = 1e-13
-
-
-class EigDecomposition(NamedTuple):
-    """Hermitian eigendecomposition with eigenvalues sorted descending."""
-
-    eigenvalues: np.ndarray  # real, shape (..., n), descending
-    eigenvectors: np.ndarray  # unitary, shape (..., n, n), columns ordered to match
 
 
 def _reject_first(bad, message) -> None:
@@ -125,47 +109,3 @@ def _check_psd(low: np.ndarray) -> None:
         low < -PSD_CLAMP_TOL,
         lambda i, at: f"matrix{at} is not PSD: min eigenvalue {low[i]:.3e} < -{PSD_CLAMP_TOL:.3e}",
     )
-
-
-def hermitian_eig(h: np.ndarray) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    `h` is a square matrix, or a stack of them with shape (..., n, n), each
-    Hermitian within PSD_CLAMP_TOL in Frobenius norm.  The matrix is
-    symmetrized before the solve, so the allowed defect only ever absorbs
-    rounding.
-
-    Raises
-    ------
-    ValueError
-        If the input is not square or not Hermitian within PSD_CLAMP_TOL;
-        for a stack, the message names the index of the first failing
-        matrix.
-    """
-    w, v = np.linalg.eigh(_hermitian_part(h))
-    return EigDecomposition(w[..., ::-1].copy(), v[..., ::-1].copy())
-
-
-def psd_sqrt(h: np.ndarray) -> np.ndarray:
-    """Hermitian positive-semidefinite square root of each matrix.
-
-    Eigenvalues in [-PSD_CLAMP_TOL, 0) are clamped to 0; eigenvalues below
-    ZERO_EIG_RTOL relative to the largest one of the same matrix are snapped
-    to exact zero so that rank-deficient inputs yield an exactly
-    rank-deficient root.  The root is the factor that
-    `concurrence.concurrence_wootters` takes for a matrix input; its
-    accuracy is bounded by that of the eigendecomposition, which is why the
-    numeric route evolves a factor built without one (`dynamics`).
-
-    Raises
-    ------
-    ValueError
-        If the input is not Hermitian (as for `hermitian_eig`) or an
-        eigenvalue sits below -PSD_CLAMP_TOL (input not PSD); for a stack,
-        the message names the index of the first failing matrix.
-    """
-    w, v = hermitian_eig(h)
-    _check_psd(w[..., -1])
-    cut = ZERO_EIG_RTOL * np.maximum(w[..., :1], 0.0)
-    w = np.where(w < cut, 0.0, w)
-    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)

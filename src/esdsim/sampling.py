@@ -15,6 +15,7 @@ import numpy as np
 from .channels import NoiseKind, NoiseSpec
 from .concurrence import concurrence_pure, concurrence_x
 from .dynamics import Scenario
+from .linalg import _frobenius
 from .states import Family, FamilyParams, PureStateParams, XStateParams
 
 # Initial-concurrence floor for the "entangled" samplers.
@@ -63,11 +64,12 @@ def haar_unitary(rng: np.random.Generator) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def ginibre_density(rng: np.random.Generator) -> np.ndarray:
-    """Full-rank random two-qubit density matrix G G^dag / tr."""
-    g = rng.standard_normal((4, 4)) + 1.0j * rng.standard_normal((4, 4))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def ginibre_factor(rng: np.random.Generator, columns: int = 4) -> np.ndarray:
+    """Factor W = G / ||G||_F of a random two-qubit state W W^dag = G G^dag / tr,
+    with G a complex Ginibre matrix of shape (4, columns): full rank for
+    four columns or more."""
+    g = rng.standard_normal((4, columns)) + 1.0j * rng.standard_normal((4, columns))
+    return g / _frobenius(g)
 
 
 def random_noise_kind(rng: np.random.Generator) -> NoiseKind:

@@ -239,11 +239,6 @@ def state_matrix(params: StateParams) -> np.ndarray:
     return pure_state(params) if isinstance(params, PureStateParams) else _x_pattern(x_entries(params))
 
 
-def state_stack(records: Sequence[StateParams]) -> np.ndarray:
-    """The (n, 4, 4) stack of n records' `state_matrix` matrices."""
-    return np.array([state_matrix(params) for params in records], dtype=complex).reshape(-1, 4, 4)
-
-
 def state_factor(params: StateParams) -> np.ndarray:
     """A factor w with w w^dag = state_matrix(params): `pure_factor` for a
     pure state, else `x_factor` of its entries; float64 for a real state,

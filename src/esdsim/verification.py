@@ -4,17 +4,21 @@ Each suite runs in two phases.  It first draws its cases one at a time from
 a seeded generator, in a fixed order, so a seed always yields the same
 cases and the same reproduction strings.  It then stacks the drawn inputs
 and checks them all at once through the stack-aware library functions:
-one call per suite, or one per noise kind where the Kraus set depends on
-it.  The state constructors and `kron` take the whole stack too: the
-initial states of the scenario suites are built with one constructor call
-per state kind, and the `as_x_params` records of `x_form_closure` are
-rebuilt with one `x_state` call.  `closed_vs_numeric` and
-`trajectory_monotone` hand their whole sample to
-`dynamics.numeric_concurrence`, the numeric route that `evolve` prints;
-it builds, stacks and evolves the factors, and this module builds none.
-Library functions that take a single record (the closed forms, the
-death-time routes, `as_x_params`) run once per case.  The death-time
-suite draws sudden deaths from every cell of the grid that has them.
+one call per suite, or one per noise kind (or dtype) where the call
+depends on it.  Every channel and concurrence suite checks the
+kernels that the numeric route of `evolve` runs, on factors W of the state
+(rho = W W^dag): noise acts through `channels.apply_to_factor`, a state
+after noise is compared as W W^dag, and concurrences come from
+`concurrence.factor_concurrence` of complex factors, narrow (a pure
+state's amplitude column), square and wider than four columns (Ginibre
+draws G / ||G||_F).  `channel_output_validity` keeps one reference: the
+Kraus sum written out with `np.kron`, and `states.validate_density_matrix`
+on the evolved states.  `closed_vs_numeric` and `trajectory_monotone` hand
+their whole sample to `dynamics.numeric_concurrence`, the numeric route
+that `evolve` prints; it builds, stacks and evolves the factors.  Library
+functions that take a single record (the closed forms, the death-time
+routes, `as_x_params`) run once per case.  The death-time suite draws
+sudden deaths from every cell of the grid that has them.
 `SuiteResult.record_all` takes the array of per-case errors and formats a
 reproduction string only for the cases over tolerance.  The CLI verify
 command runs the whole registry; the test suite reuses single suites with
@@ -33,12 +37,13 @@ from typing import Callable
 import numpy as np
 
 from . import channels, dynamics, sampling
-from .channels import NoiseKind, NoiseSpec, apply_channel, kraus_for
+from .channels import NoiseKind, NoiseSpec, apply_to_factor, kraus_for
 from .concurrence import (
+    _symmetric_singular_values,
     concurrence_pure,
     concurrence_pure_determinant,
-    concurrence_wootters,
     concurrence_x,
+    factor_concurrence,
 )
 from .dynamics import (
     Classification,
@@ -48,17 +53,18 @@ from .dynamics import (
     closed_form_trajectory,
     esd_time_analytic,
     esd_time_bisection,
+    initial_factor,
     numeric_concurrence,
 )
-from .linalg import _frobenius, dagger, hermitian_eig, kron, psd_sqrt
+from .linalg import _frobenius, dagger, kron
 from .states import (
     Family,
     FamilyParams,
-    XStateParams,
     as_x_params,
     isotropic,
-    pure_state,
-    state_stack,
+    pure_factor,
+    state_factor,
+    validate_density_matrix,
     werner,
     x_state,
 )
@@ -100,36 +106,62 @@ def _random_complex(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))
 
 
-def _by_kind(kinds) -> dict[NoiseKind, list[int]]:
-    """Case indices per noise kind, for one stacked call per kind."""
-    groups: dict[NoiseKind, list[int]] = {}
-    for i, kind in enumerate(kinds):
-        groups.setdefault(kind, []).append(i)
+def _groups(keys) -> dict:
+    """Case indices per key (a noise kind, say), for one stacked call per
+    key."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
     return groups
 
 
 def _noise_params(kinds, taus) -> np.ndarray:
-    """`noise_param` of each case's noise kind at its time (or times):
-    `taus` has one leading entry per case."""
+    """`noise_param` of each case's noise kind at its time."""
     taus = np.asarray(taus, dtype=float)
     values = np.empty_like(taus)
-    for kind, idx in _by_kind(kinds).items():
+    for kind, idx in _groups(kinds).items():
         values[idx] = dynamics.noise_param(NoiseSpec(kind), taus[idx])
     return values
 
 
-def _apply_noise(rho: np.ndarray, kinds, values) -> np.ndarray:
-    """Each two-qubit state of the (n, 4, 4) stack `rho` under its own noise
-    kind on qubit 1, at its own parameter value (or values: `values` has
-    one leading entry per case, and the result has shape values.shape +
-    (4, 4)).  The 2x2 Kraus sets act directly, one `apply_channel` call per
-    kind: the map that `dynamics._evolve` applies to a factor of the state."""
+def _apply_noise(w: np.ndarray, kinds, values) -> np.ndarray:
+    """Each factor of the (n, 4, m) stack `w` under its own noise kind on
+    qubit 1, at its own parameter value: one `apply_to_factor` call per
+    kind, the kernel that `dynamics._evolve` runs.  The result is an
+    (n, 4, 4 m) stack; a kind with two Kraus operators fills the first 2 m
+    columns, and the zero columns after them leave W W^dag unchanged."""
     values = np.asarray(values, dtype=float)
-    out = np.empty(values.shape + (4, 4), dtype=complex)
-    for kind, idx in _by_kind(kinds).items():
-        states = rho[idx].reshape((len(idx),) + (1,) * (values.ndim - 1) + (4, 4))
-        out[idx] = apply_channel(states, kraus_for(kind, values[idx]))
+    out = np.zeros(w.shape[:-1] + (4 * w.shape[-1],), dtype=complex)
+    for kind, idx in _groups(kinds).items():
+        evolved = apply_to_factor(w[idx], kraus_for(kind, values[idx]))
+        out[idx, :, : evolved.shape[-1]] = evolved
     return out
+
+
+def _state(w: np.ndarray) -> np.ndarray:
+    """The state W W^dag of each factor."""
+    return w @ dagger(w)
+
+
+def _padded(factors, width: int) -> np.ndarray:
+    """The factors as one (n, 4, width) stack, each followed by zero
+    columns, which leave its state W W^dag unchanged."""
+    out = np.zeros((len(factors), 4, width), dtype=complex)
+    for i, f in enumerate(factors):
+        out[i, :, : f.shape[-1]] = f
+    return out
+
+
+def _checked(check, items) -> tuple[dict, dict[int, str]]:
+    """`check` of each item, by index: what it returns for the items it
+    accepts, and the reason of each one it refuses with ValueError."""
+    results, reasons = {}, {}
+    for i, item in enumerate(items):
+        try:
+            results[i] = check(item)
+        except ValueError as exc:
+            reasons[i] = f": {exc}"
+    return results, reasons
 
 
 def _marginal_second(rho: np.ndarray) -> np.ndarray:
@@ -152,32 +184,27 @@ def suite_kron_algebra(rng: np.random.Generator, res: SuiteResult) -> None:
     res.record_all(err, lambda i: f"a={a[i].tolist()!r} b={b[i].tolist()!r}")
 
 
-def suite_eig_reconstruction(rng: np.random.Generator, res: SuiteResult) -> None:
-    g = np.stack([_random_complex(rng, 4) for _ in range(res.cases)])
-    h = g + dagger(g)
-    w, v = hermitian_eig(h)
-    err = _frobenius((v * w[..., None, :]) @ dagger(v) - h)
-    err = np.maximum(err, _frobenius(dagger(v) @ v - np.eye(4)))
-    # eigenvalues must come out descending
-    err = np.maximum(err, np.diff(w).max(axis=-1))
-    res.record_all(err, lambda i: f"h={h[i].tolist()!r}")
+def suite_symmetric_spectrum(rng: np.random.Generator, res: SuiteResult) -> None:
+    # the singular values that factor_concurrence reads, of real (even
+    # cases) and complex (odd cases) symmetric matrices, against the SVD
+    g = [_random_complex(rng, 4) for _ in range(res.cases)]
+    sym = [m + m.T if i % 2 else (m + m.T).real for i, m in enumerate(g)]
+    err = np.empty(res.cases)
+    for idx in _groups(i % 2 for i in range(res.cases)).values():
+        stack = np.stack([sym[i] for i in idx])
+        want = np.linalg.svd(stack, compute_uv=False)
+        err[idx] = np.abs(_symmetric_singular_values(stack) - want).max(axis=-1)
+    res.record_all(err, lambda i: f"g={sym[i].tolist()!r}")
 
 
-def _psd_case(rng: np.random.Generator, i: int) -> np.ndarray:
-    if i % 3:
-        return sampling.ginibre_density(rng)
-    # rank-deficient input; the square root must not amplify the zero modes
-    rank = int(rng.integers(1, 4))
-    g = rng.standard_normal((4, rank)) + 1.0j * rng.standard_normal((4, rank))
-    h = g @ dagger(g)
-    return h / np.trace(h).real
-
-
-def suite_psd_sqrt_roundtrip(rng: np.random.Generator, res: SuiteResult) -> None:
-    h = np.stack([_psd_case(rng, i) for i in range(res.cases)])
-    s = psd_sqrt(h)
-    err = np.maximum(_frobenius(s @ s - h), _frobenius(s - dagger(s)))
-    res.record_all(err, lambda i: f"h={h[i].tolist()!r}")
+def suite_factor_reduction(rng: np.random.Generator, res: SuiteResult) -> None:
+    # a factor of 5 to 16 columns (zero-padded to 16), which
+    # factor_concurrence reduces by QR, against the Cholesky factor of its
+    # state
+    w = [sampling.ginibre_factor(rng, int(rng.integers(5, 17))) for _ in range(res.cases)]
+    wide = _padded(w, 16)
+    err = np.abs(factor_concurrence(wide) - factor_concurrence(np.linalg.cholesky(_state(wide))))
+    res.record_all(err, lambda i: f"w={w[i].tolist()!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +231,28 @@ def _noisy_case(rng: np.random.Generator, state: Callable) -> tuple:
 
 
 def suite_channel_output_validity(rng: np.random.Generator, res: SuiteResult) -> None:
-    rhos, kinds, values = zip(
-        *(_noisy_case(rng, sampling.ginibre_density) for _ in range(res.cases))
+    # the evolved factor's state against the Kraus sum written out with
+    # np.kron, and a density matrix by the check on matrices from outside
+    w, kinds, values = zip(
+        *(_noisy_case(rng, sampling.ginibre_factor) for _ in range(res.cases))
     )
-    out = _apply_noise(np.stack(rhos), kinds, values)
-    err = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0)
-    err = np.maximum(err, _frobenius(out - dagger(out)))
-    err = np.maximum(err, -np.linalg.eigvalsh(out)[..., 0])
+    w = np.stack(w)
+    out = _state(_apply_noise(w, kinds, values))
+    rho, want = _state(w), np.empty_like(out)
+    for kind, idx in _groups(kinds).items():
+        lifted = np.kron(kraus_for(kind, np.take(values, idx)).ops, np.eye(2))
+        want[idx] = (lifted @ rho[idx] @ dagger(lifted)).sum(axis=0)
+    err = _frobenius(out - want)
+    try:
+        validate_density_matrix(out)
+        reasons = {}
+    except ValueError:  # each refused state, with its own reason
+        reasons = _checked(validate_density_matrix, out)[1]
+    err[list(reasons)] = math.inf
     res.record_all(
-        err, lambda i: f"kind={kinds[i].value} value={values[i]!r} rho={rhos[i].tolist()!r}"
+        err,
+        lambda i: f"kind={kinds[i].value} value={values[i]!r} w={w[i].tolist()!r}"
+        + reasons.get(i, ""),
     )
 
 
@@ -222,14 +262,8 @@ def suite_x_form_closure(rng: np.random.Generator, res: SuiteResult) -> None:
     params, kinds, values = zip(
         *(_noisy_case(rng, sampling.random_x_params) for _ in range(res.cases))
     )
-    out = _apply_noise(x_state(params), kinds, values)
-    records: dict[int, XStateParams] = {}
-    reasons: dict[int, str] = {}
-    for i, rho in enumerate(out):
-        try:
-            records[i] = as_x_params(rho)
-        except ValueError as exc:
-            reasons[i] = f": {exc}"
+    out = _state(_apply_noise(np.stack([state_factor(p) for p in params]), kinds, values))
+    records, reasons = _checked(as_x_params, out)
     rebuilt = out.copy()
     rebuilt[list(records)] = x_state(list(records.values()))
     err = _frobenius(rebuilt - out)
@@ -243,36 +277,37 @@ def suite_x_form_closure(rng: np.random.Generator, res: SuiteResult) -> None:
 
 def suite_qubit2_marginal(rng: np.random.Generator, res: SuiteResult) -> None:
     # noise on qubit 1 must leave the qubit-2 reduced state untouched
-    rhos, kinds, values = zip(
-        *(_noisy_case(rng, sampling.ginibre_density) for _ in range(res.cases))
+    w, kinds, values = zip(
+        *(_noisy_case(rng, sampling.ginibre_factor) for _ in range(res.cases))
     )
-    rho = np.stack(rhos)
-    out = _apply_noise(rho, kinds, values)
-    err = _frobenius(_marginal_second(out) - _marginal_second(rho))
+    w = np.stack(w)
+    out = _state(_apply_noise(w, kinds, values))
+    err = _frobenius(_marginal_second(out) - _marginal_second(_state(w)))
     res.record_all(
-        err, lambda i: f"kind={kinds[i].value} value={values[i]!r} rho={rhos[i].tolist()!r}"
+        err, lambda i: f"kind={kinds[i].value} value={values[i]!r} w={w[i].tolist()!r}"
     )
 
 
 def _semigroup_case(rng: np.random.Generator) -> tuple:
-    rho = sampling.ginibre_density(rng)
+    w = sampling.ginibre_factor(rng)
     kind = NoiseKind.AMPLITUDE if rng.uniform() < 0.5 else NoiseKind.PHASE
     t1, t2 = rng.uniform(0.0, 3.0, size=2)
-    return rho, kind, t1, t2
+    return w, kind, t1, t2
 
 
 def suite_composition_semigroup(rng: np.random.Generator, res: SuiteResult) -> None:
     # eta and gamma multiply, so applying at tau1 then tau2 equals one
     # application at tau1 + tau2 (amplitude and phase only; depolarizing
     # is parametrized directly through p and is not a semigroup in tau)
-    rhos, kinds, t1, t2 = zip(*(_semigroup_case(rng) for _ in range(res.cases)))
-    rho = np.stack(rhos)
+    w, kinds, t1, t2 = zip(*(_semigroup_case(rng) for _ in range(res.cases)))
+    w = np.stack(w)
     tau1, tau2 = np.array(t1), np.array(t2)
-    step1 = _apply_noise(rho, kinds, _noise_params(kinds, tau1))
+    step1 = _apply_noise(w, kinds, _noise_params(kinds, tau1))
     step2 = _apply_noise(step1, kinds, _noise_params(kinds, tau2))
-    joint = _apply_noise(rho, kinds, _noise_params(kinds, tau1 + tau2))
+    joint = _apply_noise(w, kinds, _noise_params(kinds, tau1 + tau2))
     res.record_all(
-        _frobenius(step2 - joint), lambda i: f"kind={kinds[i].value} t1={t1[i]!r} t2={t2[i]!r}"
+        _frobenius(_state(step2) - _state(joint)),
+        lambda i: f"kind={kinds[i].value} t1={t1[i]!r} t2={t2[i]!r}",
     )
 
 
@@ -281,30 +316,34 @@ def suite_composition_semigroup(rng: np.random.Generator, res: SuiteResult) -> N
 
 
 def suite_concurrence_x_oracle(rng: np.random.Generator, res: SuiteResult) -> None:
+    # x_factor of each record's entries, z complex
     params = [sampling.random_x_params(rng) for _ in range(res.cases)]
-    oracle = concurrence_wootters(x_state(params))
+    oracle = factor_concurrence(np.stack([state_factor(p) for p in params]))
     err = np.abs(np.array([concurrence_x(p) for p in params]) - oracle)
     res.record_all(err, lambda i: f"params={params[i]!r}")
 
 
 def suite_concurrence_pure_oracle(rng: np.random.Generator, res: SuiteResult) -> None:
+    # the complex 4 x 1 amplitude column, which factor_concurrence pads
     params = [sampling.random_pure_params(rng) for _ in range(res.cases)]
     c = np.array([concurrence_pure(p) for p in params])
-    err = np.abs(c - concurrence_wootters(pure_state(params)))
+    err = np.abs(c - factor_concurrence(np.stack([pure_factor(p) for p in params])))
     err = np.maximum(err, np.abs(c - [concurrence_pure_determinant(p) for p in params]))
     res.record_all(err, lambda i: f"params={params[i]!r}")
 
 
 def _local_unitary_case(rng: np.random.Generator) -> tuple:
-    # a state, then the two local unitaries of qubit 1 and qubit 2
-    return sampling.ginibre_density(rng), sampling.haar_unitary(rng), sampling.haar_unitary(rng)
+    # a state's factor with 4 to 8 columns (zero-padded to 8 in the suite),
+    # then the two local unitaries of qubit 1 and qubit 2
+    w = sampling.ginibre_factor(rng, int(rng.integers(4, 9)))
+    return w, sampling.haar_unitary(rng), sampling.haar_unitary(rng)
 
 
 def suite_local_unitary_invariance(rng: np.random.Generator, res: SuiteResult) -> None:
-    rhos, u1, u2 = zip(*(_local_unitary_case(rng) for _ in range(res.cases)))
-    rho, u = np.stack(rhos), kron(np.stack(u1), np.stack(u2))
-    err = np.abs(concurrence_wootters(rho) - concurrence_wootters(u @ rho @ dagger(u)))
-    res.record_all(err, lambda i: f"rho={rhos[i].tolist()!r} u={u[i].tolist()!r}")
+    w, u1, u2 = zip(*(_local_unitary_case(rng) for _ in range(res.cases)))
+    wide, u = _padded(w, 8), kron(np.stack(u1), np.stack(u2))
+    err = np.abs(factor_concurrence(wide) - factor_concurrence(u @ wide))
+    res.record_all(err, lambda i: f"w={w[i].tolist()!r} u={u[i].tolist()!r}")
 
 
 def suite_twirl_invariance(rng: np.random.Generator, res: SuiteResult) -> None:
@@ -444,12 +483,15 @@ def suite_trajectory_monotone(rng: np.random.Generator, res: SuiteResult) -> Non
 
 
 def suite_tau_zero_identity(rng: np.random.Generator, res: SuiteResult) -> None:
+    # the true initial factors (complex z, pure phases), zero-padded to 4
+    # columns, under each noise at tau = 0
     scenarios = [sampling.random_scenario(rng, i) for i in range(res.cases)]
     kinds = [s.noise.kind for s in scenarios]
-    rho0 = state_stack([s.state for s in scenarios])
-    err = _frobenius(_apply_noise(rho0, kinds, _noise_params(kinds, np.zeros(len(kinds)))) - rho0)
+    w0 = _padded([initial_factor(s) for s in scenarios], 4)
+    evolved = _apply_noise(w0, kinds, _noise_params(kinds, np.zeros(len(kinds))))
+    err = _frobenius(_state(evolved) - _state(w0))
     closed = np.array([closed_form_concurrence(s, 0.0) for s in scenarios])
-    err = np.maximum(err, np.abs(closed - concurrence_wootters(rho0)))
+    err = np.maximum(err, np.abs(closed - factor_concurrence(w0)))
     res.record_all(err, lambda i: f"scenario={scenarios[i]!r}")
 
 
@@ -461,8 +503,8 @@ SuiteFn = Callable[[np.random.Generator, SuiteResult], None]
 # (name, function, case-count scale, tolerance)
 SUITES: tuple[tuple[str, SuiteFn, float, float], ...] = (
     ("kron_algebra", suite_kron_algebra, 0.5, 1e-12),
-    ("eig_reconstruction", suite_eig_reconstruction, 0.5, 1e-10),
-    ("psd_sqrt_roundtrip", suite_psd_sqrt_roundtrip, 0.5, 1e-9),
+    ("symmetric_spectrum", suite_symmetric_spectrum, 0.5, 1e-10),
+    ("factor_reduction", suite_factor_reduction, 0.5, 1e-9),
     ("kraus_completeness", suite_kraus_completeness, 0.1, 1e-14),
     ("channel_output_validity", suite_channel_output_validity, 0.5, 1e-10),
     ("x_form_closure", suite_x_form_closure, 0.5, 1e-10),

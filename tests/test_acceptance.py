@@ -12,14 +12,13 @@ from esdsim.channels import (
     NoiseKind,
     NoiseSpec,
     amplitude_kraus,
-    apply_channel,
+    apply_to_factor,
     completeness_residual,
     depolarizing_kraus,
     kraus_for,
-    lift_first,
     phase_kraus,
 )
-from esdsim.concurrence import concurrence_wootters, concurrence_x
+from esdsim.concurrence import concurrence_x, factor_concurrence
 from esdsim.dynamics import (
     Classification,
     Scenario,
@@ -27,12 +26,13 @@ from esdsim.dynamics import (
     esd_time_analytic,
     esd_time_bisection,
     evolved_state,
+    initial_factor,
     noise_param,
     numeric_trajectory,
 )
-from esdsim.linalg import hermitian_eig, kron
+from esdsim.linalg import kron
 from esdsim.sampling import (
-    ginibre_density,
+    ginibre_factor,
     haar_unitary,
     random_entangled_pure_params,
     random_noise_kind,
@@ -44,8 +44,10 @@ from esdsim.states import (
     FamilyParams,
     XStateParams,
     as_x_params,
-    x_state,
+    x_entries,
+    x_factor,
 )
+from reference import kraus_sum, reference_concurrence
 
 AMP = NoiseSpec(NoiseKind.AMPLITUDE)
 PHASE = NoiseSpec(NoiseKind.PHASE)
@@ -104,9 +106,13 @@ def test_criterion_05_bell_state_closed_forms():
         (DEPOL, lambda t: max(0.0, 1.0 - 2.0 * noise_param(DEPOL, t))),
     ):
         scenario = Scenario(BELL_PSI, noise)
-        for tau in grid:
-            oracle = concurrence_wootters(evolved_state(scenario, float(tau)))
-            assert abs(predicted(float(tau)) - oracle) <= 1e-10
+        w0 = initial_factor(scenario)
+        oracle = factor_concurrence(apply_to_factor(w0, kraus_for(noise.kind, noise_param(noise, grid))))
+        for tau, c in zip(grid, oracle):
+            assert abs(predicted(float(tau)) - c) <= 1e-10
+        # and at 50 digits, at a few times
+        for tau in grid[::25]:
+            assert abs(predicted(float(tau)) - reference_concurrence(scenario, float(tau))) <= 1e-10
     death = esd_time_bisection(Scenario(BELL_PSI, DEPOL))
     assert abs(death.tau_death - 2 * math.log(2)) <= 1e-8
 
@@ -162,12 +168,14 @@ def test_criterion_09_channel_integrity():
 
     rng = np.random.default_rng(909)
     for _ in range(500):
-        rho = ginibre_density(rng)
+        w = ginibre_factor(rng)
         kind = random_noise_kind(rng)
-        lifted = lift_first(kraus_for(kind, float(rng.uniform())))
-        out = apply_channel(rho, lifted)
+        kraus = kraus_for(kind, float(rng.uniform()))
+        evolved = apply_to_factor(w, kraus)
+        out = evolved @ evolved.conj().T
+        assert np.abs(out - kraus_sum(w @ w.conj().T, kraus)).max() <= 1e-15
         assert abs(np.trace(out).real - 1.0) <= 1e-10
-        assert hermitian_eig(out).eigenvalues.min() >= -1e-10
+        assert np.linalg.eigvalsh(out).min() >= -1e-10
 
     for i in range(500):
         params = random_x_params(rng)
@@ -180,12 +188,11 @@ def test_criterion_09_channel_integrity():
 def test_criterion_10_concurrence_oracle_properties():
     rng = np.random.default_rng(1010)
     for _ in range(100):
-        rho = ginibre_density(rng)
+        w = ginibre_factor(rng)
         local = kron(haar_unitary(rng), haar_unitary(rng))
-        rotated = local @ rho @ local.conj().T
-        assert abs(concurrence_wootters(rho) - concurrence_wootters(rotated)) <= 1e-9
+        assert abs(factor_concurrence(w) - factor_concurrence(local @ w)) <= 1e-9
 
     for _ in range(1000):
         params = random_x_params(rng)
-        diff = abs(concurrence_x(params) - concurrence_wootters(x_state(params)))
+        diff = abs(concurrence_x(params) - factor_concurrence(x_factor(*x_entries(params))))
         assert diff <= 1e-9

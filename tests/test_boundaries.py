@@ -8,10 +8,9 @@ the amplitude intervals, x = 1, and pure states under depolarizing noise
 near the kink at tau = 2 ln 2.  Times run over the CLI's default range
 [0, 50], amplitude-noise tails included.
 
-The reference builds the evolved state from the same float inputs in
-mpmath at 50 digits and takes lambda_i^2 as the eigenvalues of the
-Hermitian sqrt(rho) rho~ sqrt(rho), so its own error is near 1e-25.
-At the family critical x the amplitude-noise concurrence falls below that
+The reference (`reference.reference_concurrence`) builds the evolved state
+from the same float inputs in mpmath at 50 digits, so its own error is
+near 1e-25.  At the family critical x the amplitude-noise concurrence falls below that
 on the tail, so there the closed form is also held to a relative bound
 against its own formula evaluated at 50 digits.
 
@@ -23,7 +22,6 @@ import contextlib
 import io
 import math
 
-import mpmath
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -40,6 +38,7 @@ from esdsim.dynamics import (
     numeric_trajectory,
 )
 from esdsim.states import Family, FamilyParams, PureStateParams, XStateParams
+from reference import MP, initial_matrix, kraus_operators, reference_concurrence
 
 # both routes, against the reference; the gaps seen are below 1e-15
 TOL = 1e-12
@@ -52,92 +51,6 @@ POSITIVE = st.floats(1e-3, 1.0)
 
 BOUNDARY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
-_MP = mpmath.mp.clone()
-_MP.dps = 50
-# sy x sy is the antidiagonal with these signs, row by row
-_FLIP = (-1, 1, 1, -1)
-
-
-def _kron_first(k):
-    # K x I for a 2x2 K, as a 4x4 mpmath matrix
-    out = _MP.zeros(4, 4)
-    for i in range(2):
-        for j in range(2):
-            for q in range(2):
-                out[2 * i + q, 2 * j + q] = k[i][j]
-    return out
-
-
-def _kraus(kind: NoiseKind, tau: float):
-    mp = _MP
-    decay = mp.exp(-mp.mpf(tau) / 2)
-    if kind is NoiseKind.AMPLITUDE:
-        return [[[decay, 0], [0, 1]], [[0, 0], [mp.sqrt(1 - decay**2), 0]]]
-    if kind is NoiseKind.PHASE:
-        return [[[1, 0], [0, decay]], [[0, 0], [0, mp.sqrt(1 - decay**2)]]]
-    p = 1 - decay
-    s, w = mp.sqrt(1 - p), mp.sqrt(p / 3)
-    return [
-        [[s, 0], [0, s]],
-        [[0, w], [w, 0]],
-        [[0, 1j * w], [-1j * w, 0]],
-        [[w, 0], [0, -w]],
-    ]
-
-
-def _x_matrix(a, b, c, d, z):
-    rho = _MP.zeros(4, 4)
-    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = a, b, c, d
-    rho[1, 2] = z
-    rho[2, 1] = _MP.conj(z)
-    return rho
-
-
-def _initial(state):
-    mp = _MP
-    if isinstance(state, XStateParams):
-        return _x_matrix(state.a, state.b, state.c, state.d, mp.mpc(state.z))
-    if isinstance(state, FamilyParams):
-        x = mp.mpf(state.x)
-        if state.family is Family.ISOTROPIC:
-            corner, mid, z = (1 - x) / 3, (2 * x + 1) / 6, (4 * x - 1) / 6
-        else:
-            corner, mid, z = (1 - x) / 4, (1 + x) / 4, -x / 2
-        return _x_matrix(corner, mid, mid, corner, z)
-    amps = [
-        mp.sqrt(state.a),
-        mp.sqrt(state.b) * mp.expj(state.f),
-        mp.sqrt(state.c) * mp.expj(state.g),
-        mp.sqrt(state.d) * mp.expj(state.h),
-    ]
-    return mp.matrix([[ai * mp.conj(aj) for aj in amps] for ai in amps])
-
-
-def _psd_sqrt(h):
-    mp = _MP
-    e, q = mp.eighe(h)
-    root = mp.diag([mp.sqrt(max(v, 0)) for v in e])
-    return q * root * q.transpose_conj()
-
-
-def reference_concurrence(scenario: Scenario, tau: float) -> float:
-    """Wootters concurrence of the evolved state at 50 digits."""
-    mp = _MP
-    rho0 = _initial(scenario.state)
-    rho = mp.zeros(4, 4)
-    for k in _kraus(scenario.noise.kind, tau):
-        lifted = _kron_first(k)
-        rho += lifted * rho0 * lifted.transpose_conj()
-    flipped = mp.matrix(
-        [[_FLIP[i] * _FLIP[j] * mp.conj(rho[3 - i, 3 - j]) for j in range(4)] for i in range(4)]
-    )
-    root = _psd_sqrt(rho)
-    h = root * flipped * root
-    h = (h + h.transpose_conj()) / 2  # Hermitian up to the last digits
-    lam = sorted((mp.sqrt(max(v, 0)) for v in mp.eighe(h)[0]), reverse=True)
-    return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]))
-
-
 def assert_routes_match_reference(scenario: Scenario, tau: float) -> None:
     want = reference_concurrence(scenario, tau)
     numeric = numeric_trajectory(scenario, [tau]).c[0]
@@ -149,7 +62,7 @@ def assert_routes_match_reference(scenario: Scenario, tau: float) -> None:
 def family_amplitude_closed_form(state: FamilyParams, tau: float):
     """The family's amplitude-noise closed form at 50 digits, whose margin
     a - sqrt(R) keeps about 50 - tau / ln 10 of them."""
-    mp = _MP
+    mp = MP
     x, eta = mp.mpf(state.x), mp.exp(-mp.mpf(tau) / 2)
     if state.family is Family.ISOTROPIC:
         return eta / 3 * max(0, (4 * x - 1) - mp.sqrt(2 * (1 - x) * (3 - (1 + 2 * x) * eta**2)))
@@ -261,7 +174,7 @@ def test_reference_on_known_values():
 def _x_depolarizing_threshold(state: XStateParams):
     """tau at the root in (0, 3/4) of (3 - 4p)^2 |z|^2 = (3a + 2p(c - a))(3d + 2p(b - d)),
     by bisection on log p at 50 digits (the root may be near 1e-160)."""
-    mp = _MP
+    mp = MP
     a, b, c, d = (mp.mpf(w) for w in (state.a, state.b, state.c, state.d))
     zsq = abs(mp.mpc(state.z)) ** 2
 
@@ -279,7 +192,7 @@ def _x_depolarizing_threshold(state: XStateParams):
 def _family_amplitude_threshold(state: FamilyParams):
     """tau where the amplitude-noise closed form's coherence term equals its
     root term, solved for eta^2 at 50 digits; None where eta*^2 <= 0."""
-    mp = _MP
+    mp = MP
     x = mp.mpf(state.x)
     if state.family is Family.ISOTROPIC:
         # (4x - 1)^2 = 2(1 - x)(3 - (1 + 2x) eta^2)
@@ -405,7 +318,7 @@ def test_x_phase_cell_at_extreme_weights(raw, log_offset):
     assert analytic.classification is scanned.classification, (s, analytic, scanned)
     assert analytic.classification is Classification.SUDDEN_DEATH, (s, analytic)
     assert abs(analytic.tau_death - scanned.tau_death) <= 1e-8, (s, analytic, scanned)
-    mp = _MP
+    mp = MP
     want = 2 * mp.log(mp.mpf(mag) / mp.sqrt(mp.mpf(a) * mp.mpf(d)))
     assert_death_time_matches(s, want, abs_=1e-14)
 
@@ -462,7 +375,7 @@ def test_family_amplitude_death_rule_at_critical_x_and_x_one():
         for tau in range(30, 50):
             assert_closed_form_is_relatively_exact(s, float(tau))
     assert_death_time_matches(
-        Scenario(FamilyParams(Family.WERNER, 0.4), AMP), _MP.log(_MP.mpf(1.5)), rel=1e-15
+        Scenario(FamilyParams(Family.WERNER, 0.4), AMP), MP.log(MP.mpf(1.5)), rel=1e-15
     )
 
 
@@ -503,7 +416,7 @@ def _evolved_entry(kraus, rho0, row: int, col: int):
     # index is 2 * (qubit 1) + (qubit 2), and the noise acts on qubit 1
     (i, q), (j, r) = divmod(row, 2), divmod(col, 2)
     return sum(
-        k[i][m] * rho0[2 * m + q, 2 * n + r] * _MP.conj(k[j][n])
+        k[i][m] * rho0[2 * m + q, 2 * n + r] * MP.conj(k[j][n])
         for k in kraus for m in range(2) for n in range(2)
     )
 
@@ -514,8 +427,8 @@ def _reference_margin(scenario: Scenario, tau):
     state -det of the partial transpose, which is negative exactly on the
     separable two-qubit states (Augusiak, Demianowicz and Horodecki, Phys.
     Rev. A 77, 030301, 2008)."""
-    mp = _MP
-    kraus, rho0 = _kraus(scenario.noise.kind, tau), _initial(scenario.state)
+    mp = MP
+    kraus, rho0 = kraus_operators(scenario.noise.kind, tau), initial_matrix(scenario.state)
     if not isinstance(scenario.state, PureStateParams):
         corners = mp.re(_evolved_entry(kraus, rho0, 0, 0) * _evolved_entry(kraus, rho0, 3, 3))
         return abs(_evolved_entry(kraus, rho0, 1, 2)) - mp.sqrt(corners)
@@ -535,7 +448,7 @@ _FAR = 300.0
 def _reference_death(scenario: Scenario):
     """The death time by bisection of the sign at 50 digits, or None where the
     state is still entangled at _FAR; the state must be entangled at 0."""
-    mp = _MP
+    mp = MP
     assert _reference_margin(scenario, 0) > 0
     if _reference_margin(scenario, _FAR) > 0:
         return None

@@ -5,22 +5,26 @@ from esdsim.channels import (
     KrausSet,
     NoiseKind,
     amplitude_kraus,
-    apply_channel,
     apply_to_factor,
     completeness_residual,
     depolarizing_kraus,
     kraus_for,
-    lift_first,
     phase_kraus,
 )
-from esdsim.states import XStateParams, as_x_params, x_state
-from esdsim.verification import _marginal_second
+from esdsim.sampling import ginibre_factor
+from esdsim.states import XStateParams, as_x_params, state_factor
+from esdsim.verification import _marginal_second, _state
+from reference import kraus_sum
 
 
-def ginibre(rng, dim=4):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def lifted(kraus: KrausSet) -> KrausSet:
+    # the 4x4 set {K x I} of a 2x2 set, member by member
+    return KrausSet(np.kron(kraus.ops, np.eye(2)))
+
+
+def channel(w, kraus):
+    # the state W' W'^dag of the evolved factor W' of w
+    return _state(apply_to_factor(w, kraus))
 
 
 def test_amplitude_kraus_entries():
@@ -64,19 +68,14 @@ def test_real_depolarizing_set_is_the_pauli_y_channel():
     # (iY) rho (iY)^dag = Y rho Y^dag: the real set is the same channel
     rng = np.random.default_rng(34)
     for p in np.concatenate(([0.0, 0.75, 1.0], rng.uniform(size=20))):
-        rho = ginibre(rng)
-        got = apply_channel(rho, depolarizing_kraus(p))
-        assert np.abs(got - _pauli_y_depolarizing(rho, p)).max() <= 1e-15
-    # a stack of states, each under its own p
-    states = np.stack([ginibre(rng) for _ in range(16)])
+        w = ginibre_factor(rng)
+        got = channel(w, depolarizing_kraus(p))
+        assert np.abs(got - _pauli_y_depolarizing(_state(w), p)).max() <= 1e-15
+    # a stack of factors, each under its own p
+    w = np.stack([ginibre_factor(rng) for _ in range(16)])
     ps = rng.uniform(size=16)
-    got = apply_channel(states, depolarizing_kraus(ps))
-    want = np.stack([_pauli_y_depolarizing(r, p) for r, p in zip(states, ps)])
-    assert np.abs(got - want).max() <= 1e-15
-    # and on factors: W W^dag of the evolved factor is the same map
-    w = np.linalg.cholesky(states)
-    out = apply_to_factor(w, depolarizing_kraus(ps))
-    assert np.abs(out @ np.conj(np.swapaxes(out, -1, -2)) - want).max() <= 1e-15
+    want = np.stack([_pauli_y_depolarizing(r, p) for r, p in zip(_state(w), ps)])
+    assert np.abs(channel(w, depolarizing_kraus(ps)) - want).max() <= 1e-15
 
 
 def test_kraus_set_dtype_contract():
@@ -86,7 +85,6 @@ def test_kraus_set_dtype_contract():
         assert KrausSet(ops).ops.dtype == np.float64
     for ctor in (amplitude_kraus, phase_kraus, depolarizing_kraus):
         assert ctor(0.3).ops.dtype == ctor(np.array([0.1, 0.9])).ops.dtype == np.float64
-        assert lift_first(ctor(0.3)).ops.dtype == np.float64
     real = depolarizing_kraus(0.3)
     for ops in ((np.eye(2), 0j * np.eye(2)), (np.eye(2, dtype=np.complex64),), np.exp(0.4j) * real.ops):
         assert KrausSet(ops).ops.dtype == np.complex128
@@ -94,23 +92,17 @@ def test_kraus_set_dtype_contract():
     # channel and passes every entry point
     phased = KrausSet(np.exp(1j * np.array([0.4, 1.0, -2.0, 3.0]))[:, None, None] * real.ops)
     assert completeness_residual(phased) <= 1e-15
-    rho = ginibre(np.random.default_rng(35))
-    assert np.abs(apply_channel(rho, phased) - apply_channel(rho, real)).max() <= 1e-15
-    w = np.linalg.cholesky(rho)
+    w = ginibre_factor(np.random.default_rng(35)).real
+    w /= np.linalg.norm(w)
     out = apply_to_factor(w, phased)
-    assert out.dtype == np.complex128
-    assert np.abs(out @ out.conj().T - apply_channel(rho, real)).max() <= 1e-15
-    lifted = lift_first(phased)
-    assert lifted.ops.dtype == np.complex128 and lifted.dim == 4
-    assert np.abs(apply_channel(rho, lifted) - apply_channel(rho, real)).max() <= 1e-15
+    assert out.dtype == np.complex128 and apply_to_factor(w, real).dtype == np.float64
+    assert np.abs(_state(out) - channel(w, real)).max() <= 1e-15
+    assert np.abs(_state(out) - kraus_sum(_state(w), real)).max() <= 1e-15
+    assert np.abs(channel(w, lifted(phased)) - channel(w, real)).max() <= 1e-15
     # an incomplete set is refused in the same words, real or complex
     for scale in (1.1, 1.1j):
-        bad = KrausSet((scale * np.eye(2),))
-        for call in (lambda: apply_channel(rho, bad), lambda: apply_to_factor(w, bad)):
-            with pytest.raises(ValueError, match="^Kraus set is not complete: residual 2.970e-01$"):
-                call()
-        with pytest.raises(ValueError, match="^input Kraus set is not complete: residual 2.970e-01$"):
-            lift_first(bad)
+        with pytest.raises(ValueError, match="^Kraus set is not complete: residual 2.970e-01$"):
+            apply_to_factor(w, KrausSet((scale * np.eye(2),)))
 
 
 @pytest.mark.parametrize("ctor", [amplitude_kraus, phase_kraus, depolarizing_kraus])
@@ -156,32 +148,17 @@ def test_completeness_residual_examples():
     np.testing.assert_allclose(completeness_residual(k), 0.19 * np.sqrt(2), atol=1e-14)
 
 
-def test_lift_first_structure():
-    lifted = lift_first(amplitude_kraus(0.7))
-    assert lifted.dim == 4
-    np.testing.assert_allclose(lifted.ops[0], np.kron([[0.7, 0], [0, 1]], np.eye(2)))
-    assert completeness_residual(lifted) <= 1e-14
-    # a stacked set lifts member by member
-    stacked = lift_first(amplitude_kraus(np.array([0.7, 0.2])))
-    for op, one in zip(stacked.ops, lift_first(amplitude_kraus(0.2)).ops):
-        np.testing.assert_array_equal(op[1], one)
-
-
-def test_lift_first_rejects_bad_input():
-    with pytest.raises(ValueError):
-        lift_first(KrausSet((np.eye(4),)))
-    with pytest.raises(ValueError):
-        lift_first(KrausSet((0.9 * np.eye(2),)))  # incomplete
-
-
 def test_apply_channel_preserves_trace_and_positivity():
+    # through the factor, against the Kraus sum written out with np.kron
     rng = np.random.default_rng(32)
     for _ in range(100):
-        rho = ginibre(rng)
+        w = ginibre_factor(rng)
         kind = (NoiseKind.AMPLITUDE, NoiseKind.PHASE, NoiseKind.DEPOLARIZING)[
             rng.integers(3)
         ]
-        out = apply_channel(rho, lift_first(kraus_for(kind, rng.uniform())))
+        kraus = kraus_for(kind, rng.uniform())
+        out = channel(w, kraus)
+        np.testing.assert_allclose(out, kraus_sum(_state(w), kraus), rtol=0, atol=1e-15)
         np.testing.assert_allclose(np.trace(out).real, 1.0, atol=1e-10)
         assert np.linalg.eigvalsh(out).min() >= -1e-10
         np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
@@ -189,25 +166,24 @@ def test_apply_channel_preserves_trace_and_positivity():
 
 def test_apply_channel_identity_limits():
     rng = np.random.default_rng(33)
-    rho = ginibre(rng)
+    w = ginibre_factor(rng)
     for kind, value in [
         (NoiseKind.AMPLITUDE, 1.0),
         (NoiseKind.PHASE, 1.0),
         (NoiseKind.DEPOLARIZING, 0.0),
     ]:
-        out = apply_channel(rho, lift_first(kraus_for(kind, value)))
-        np.testing.assert_allclose(out, rho, atol=1e-15)
+        out = channel(w, lifted(kraus_for(kind, value)))
+        np.testing.assert_allclose(out, _state(w), atol=1e-15)
 
 
 def test_apply_channel_rejects_incomplete_set():
-    rho = np.eye(4) / 4
     with pytest.raises(ValueError, match="not complete"):
-        apply_channel(rho, KrausSet((0.9 * np.eye(4),)))
+        apply_to_factor(np.eye(4) / 2, KrausSet((0.9 * np.eye(4),)))
 
 
 def test_apply_channel_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        apply_channel(np.eye(2) / 2, lift_first(phase_kraus(0.5)))
+        apply_to_factor(np.eye(2) / np.sqrt(2), lifted(phase_kraus(0.5)))
 
 
 def test_amplitude_moves_population_down():
@@ -215,7 +191,7 @@ def test_amplitude_moves_population_down():
     # c -> c + (1 - eta^2) a, coherence z -> eta z
     params = XStateParams(0.1, 0.4, 0.4, 0.1, 0.2)
     eta = 0.7
-    out = apply_channel(x_state(params), lift_first(amplitude_kraus(eta)))
+    out = channel(state_factor(params), amplitude_kraus(eta))
     back = as_x_params(out)
     e2 = eta * eta
     np.testing.assert_allclose(back.a, 0.1 * e2, atol=1e-15)
@@ -228,7 +204,7 @@ def test_amplitude_moves_population_down():
 def test_phase_scales_coherence_only():
     params = XStateParams(0.2, 0.3, 0.3, 0.2, 0.25j)
     gamma = 0.4
-    out = apply_channel(x_state(params), lift_first(phase_kraus(gamma)))
+    out = channel(state_factor(params), phase_kraus(gamma))
     back = as_x_params(out)
     np.testing.assert_allclose(
         [back.a, back.b, back.c, back.d], [0.2, 0.3, 0.3, 0.2], atol=1e-15
@@ -240,7 +216,7 @@ def test_depolarizing_mixes_toward_swap_and_scales_coherence():
     # diagonal moves as w -> w + (2p/3)(partner - w); z picks up (3-4p)/3
     params = XStateParams(0.1, 0.4, 0.4, 0.1, 0.2)
     p = 0.3
-    out = apply_channel(x_state(params), lift_first(depolarizing_kraus(p)))
+    out = channel(state_factor(params), depolarizing_kraus(p))
     back = as_x_params(out)
     np.testing.assert_allclose(back.a, 0.1 + (2 * p / 3) * (0.4 - 0.1), atol=1e-15)
     np.testing.assert_allclose(back.d, 0.1 + (2 * p / 3) * (0.4 - 0.1), atol=1e-15)
@@ -250,18 +226,18 @@ def test_depolarizing_mixes_toward_swap_and_scales_coherence():
 def test_noise_on_first_qubit_leaves_second_marginal():
     rng = np.random.default_rng(34)
     for _ in range(50):
-        rho = ginibre(rng)
+        w = ginibre_factor(rng)
         kind = (NoiseKind.AMPLITUDE, NoiseKind.PHASE, NoiseKind.DEPOLARIZING)[
             rng.integers(3)
         ]
-        out = apply_channel(rho, lift_first(kraus_for(kind, rng.uniform())))
-        np.testing.assert_allclose(_marginal_second(out), _marginal_second(rho), atol=1e-12)
+        out = channel(w, kraus_for(kind, rng.uniform()))
+        np.testing.assert_allclose(_marginal_second(out), _marginal_second(_state(w)), atol=1e-12)
 
 
 def test_partial_trace_helpers_are_consistent():
     # the qubit-2 marginal of the property suites, on one state and on a stack
     rng = np.random.default_rng(35)
-    rho = ginibre(rng)
+    rho = _state(ginibre_factor(rng))
     np.testing.assert_allclose(np.trace(_marginal_second(rho)).real, 1.0, atol=1e-12)
     # product input factors exactly
     u = np.diag([0.7, 0.3]).astype(complex)
@@ -286,43 +262,40 @@ def test_constructors_build_one_kraus_set_per_value(ctor):
 
 
 def test_two_by_two_set_acts_on_the_first_qubit():
-    # a 2x2 Kraus set on a two-qubit state is the same map as its lift
+    # a 2x2 Kraus set on a two-qubit factor is the same map as its lift,
+    # and as the Kraus sum of the lift written out with np.kron
     rng = np.random.default_rng(36)
     for kind in NoiseKind:
-        rho = ginibre(rng)
+        w = ginibre_factor(rng)
         kraus = kraus_for(kind, rng.uniform())
-        np.testing.assert_allclose(
-            apply_channel(rho, kraus), apply_channel(rho, lift_first(kraus)), atol=1e-15
-        )
+        out = channel(w, kraus)
+        np.testing.assert_allclose(out, channel(w, lifted(kraus)), atol=1e-15)
+        np.testing.assert_allclose(out, kraus_sum(_state(w), kraus), atol=1e-15)
 
 
 def test_apply_channel_broadcasts_stacks():
     rng = np.random.default_rng(37)
     values = rng.uniform(size=5)
-    rho = ginibre(rng)
-    states = np.stack([ginibre(rng) for _ in range(5)])
+    w = ginibre_factor(rng)
+    many = np.stack([ginibre_factor(rng) for _ in range(5)])
     for kind in NoiseKind:
         stacked = kraus_for(kind, values)
-        one_state = apply_channel(rho, stacked)
-        many_states = apply_channel(states, stacked)
+        one_state = channel(w, stacked)
+        many_states = channel(many, stacked)
         assert one_state.shape == many_states.shape == (5, 4, 4)
         for i, value in enumerate(values):
-            lifted = lift_first(kraus_for(kind, float(value)))
-            np.testing.assert_allclose(one_state[i], apply_channel(rho, lifted), atol=1e-15)
-            np.testing.assert_allclose(many_states[i], apply_channel(states[i], lifted), atol=1e-15)
+            one = lifted(kraus_for(kind, float(value)))
+            np.testing.assert_allclose(one_state[i], channel(w, one), atol=1e-15)
+            np.testing.assert_allclose(many_states[i], channel(many[i], one), atol=1e-15)
 
 
 def test_apply_channel_names_the_failing_member():
-    rho = np.eye(4) / 4
     e0 = np.stack([np.diag([eta, 1.0]) for eta in (0.5, 0.8, 0.6)]).astype(complex)
     e1 = np.zeros_like(e0)
     e1[:, 1, 0] = np.sqrt(1 - np.array([0.5, 0.8, 0.6]) ** 2)
     e1[1, 1, 0] = 0.5  # the set for 0.8 loses trace
     with pytest.raises(ValueError, match="index 1 is not complete"):
-        apply_channel(rho, KrausSet((e0, e1)))
-    states = np.stack([rho, rho, np.diag([1.2, -0.2, 0.0, 0.0])])
-    with pytest.raises(ValueError, match="index 2 is not PSD"):
-        apply_channel(states, amplitude_kraus(0.5))
+        apply_to_factor(np.eye(4) / 2, KrausSet((e0, e1)))
 
 
 def test_kraus_set_holds_one_read_only_array():
@@ -337,7 +310,6 @@ def test_kraus_set_holds_one_read_only_array():
             acc = acc + op.conj().swapaxes(-1, -2) @ op
         reference = np.linalg.norm(acc, axis=(-2, -1))
         assert completeness_residual(ctor(values)).tobytes() == reference.tobytes()
-    assert lift_first(amplitude_kraus(values)).ops.shape == (2, 3, 4, 4)
     # the operators are copied into the set, so the caller's stay writable
     e0 = np.eye(2, dtype=complex)
     assert KrausSet((e0,)).ops.shape == (1, 2, 2) and e0.flags.writeable
@@ -362,11 +334,11 @@ def test_entrywise_residual_has_the_bits_of_the_stacked_matmul(points):
     # a lifted 4x4 set sums each entry over four rows and its 16 squares in
     # row-major order, where the norm sums them pairwise: on a lifted
     # constructor set the two orders meet (see the row-order test below)
-    lifted = lift_first(depolarizing_kraus(values[:5]))
+    lift = lifted(depolarizing_kraus(values[:5]))
     acc = -np.eye(4, dtype=complex)
-    for term in lifted.ops.conj().swapaxes(-1, -2) @ lifted.ops:
+    for term in lift.ops.conj().swapaxes(-1, -2) @ lift.ops:
         acc = acc + term
-    np.testing.assert_allclose(completeness_residual(lifted), np.linalg.norm(acc, axis=(-2, -1)), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(completeness_residual(lift), np.linalg.norm(acc, axis=(-2, -1)), rtol=0, atol=1e-15)
 
 
 def _residual_by_loop(ops):
@@ -417,8 +389,8 @@ def test_four_by_four_residual_within_two_ulp_of_the_loop():
         assert np.all(np.abs(residual - reference) <= 2 * np.spacing(reference))
     values = rng.uniform(size=500)
     for kind in NoiseKind:
-        lifted = lift_first(kraus_for(kind, values))
-        assert completeness_residual(lifted).tobytes() == _residual_by_loop(lifted.ops).tobytes()
+        lift = lifted(kraus_for(kind, values))
+        assert completeness_residual(lift).tobytes() == _residual_by_loop(lift.ops).tobytes()
 
 
 def test_incomplete_member_of_a_two_dimensional_stack_is_named():
@@ -444,11 +416,11 @@ def test_factor_evolution_is_the_channel_map():
                 kraus = kraus_for(kind, value)
                 out = apply_to_factor(w, kraus)
                 assert out.shape == (4, len(kraus.ops) * cols)
-                want = apply_channel(rho, kraus)
+                want = kraus_sum(rho, kraus)
                 np.testing.assert_allclose(out @ out.conj().T, want, rtol=0, atol=1e-15)
                 # the lifted 4x4 set on the same factor is the same map
-                lifted = apply_to_factor(w, lift_first(kraus))
-                np.testing.assert_allclose(lifted, out, rtol=0, atol=1e-16)
+                lift = apply_to_factor(w, lifted(kraus))
+                np.testing.assert_allclose(lift, out, rtol=0, atol=1e-16)
 
 
 def test_factor_evolution_broadcasts_stacks():

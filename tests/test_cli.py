@@ -162,7 +162,7 @@ def test_evolve_stdout_table(capsys):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert first[1] == "0.2"
-    # closed form and the density-matrix route agree on every row
+    # closed form and the numeric (factor) route agree on every row
     for line in lines[1:]:
         assert float(line.split(",")[3]) <= 1e-8
     # death happens before tau = 3, after which the closed form prints 0

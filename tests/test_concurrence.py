@@ -7,13 +7,12 @@ import pytest
 from esdsim.channels import NoiseKind, NoiseSpec
 from esdsim.concurrence import (
     SPIN_FLIP,
+    _factor_spectrum,
     _symmetric_singular_values,
     concurrence_pure,
     concurrence_pure_determinant,
-    concurrence_wootters,
     concurrence_x,
     factor_concurrence,
-    spin_flip_spectrum,
 )
 from esdsim.dynamics import Scenario, _evolve, initial_factor
 from esdsim.states import (
@@ -21,11 +20,10 @@ from esdsim.states import (
     FamilyParams,
     PureStateParams,
     XStateParams,
-    isotropic,
-    pure_state,
-    werner,
-    x_state,
+    pure_factor,
+    state_factor,
 )
+from reference import matrix_concurrence
 
 
 def test_spin_flip_constant():
@@ -37,23 +35,25 @@ def test_spin_flip_constant():
 def test_bell_state_concurrence_is_one():
     psi_plus = XStateParams(0.0, 0.5, 0.5, 0.0, 0.5)
     assert concurrence_x(psi_plus) == 1.0
-    np.testing.assert_allclose(concurrence_wootters(x_state(psi_plus)), 1.0, atol=1e-12)
+    np.testing.assert_allclose(factor_concurrence(state_factor(psi_plus)), 1.0, atol=1e-12)
     phi_plus = PureStateParams(0.5, 0.0, 0.0, 0.5)
     np.testing.assert_allclose(concurrence_pure(phi_plus), 1.0, atol=1e-15)
-    np.testing.assert_allclose(concurrence_wootters(pure_state(phi_plus)), 1.0, atol=1e-12)
+    np.testing.assert_allclose(factor_concurrence(pure_factor(phi_plus)), 1.0, atol=1e-12)
 
 
 def test_separable_states_have_zero_concurrence():
-    assert concurrence_wootters(np.diag([1.0, 0, 0, 0]).astype(complex)) <= 1e-12
-    assert concurrence_wootters(np.eye(4) / 4) <= 1e-12
+    assert factor_concurrence(np.eye(4, 1, dtype=complex)) <= 1e-12
+    assert factor_concurrence(np.eye(4) / 2) <= 1e-12
     # equal-weight product state: radicand cancels exactly
     assert concurrence_pure(PureStateParams(0.25, 0.25, 0.25, 0.25)) == 0.0
 
 
 def test_spin_flip_spectrum_known_cases():
-    lam = spin_flip_spectrum(x_state(XStateParams(0.0, 0.5, 0.5, 0.0, 0.5)))
+    # the lambda_i of the Bell state and of the maximally mixed state, from
+    # a factor of each
+    lam = _factor_spectrum(state_factor(XStateParams(0.0, 0.5, 0.5, 0.0, 0.5)))
     np.testing.assert_allclose(lam, [1, 0, 0, 0], atol=1e-12)
-    lam = spin_flip_spectrum(np.eye(4) / 4)
+    lam = _factor_spectrum(np.eye(4) / 2)
     np.testing.assert_allclose(lam, [0.25] * 4, atol=1e-12)
 
 
@@ -74,7 +74,7 @@ def test_concurrence_x_matches_wootters():
         z = rng.uniform() * np.sqrt(b * c) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         params = XStateParams(a, b, c, d, z)
         worst = max(
-            worst, abs(concurrence_x(params) - concurrence_wootters(x_state(params)))
+            worst, abs(concurrence_x(params) - factor_concurrence(state_factor(params)))
         )
     assert worst <= 1e-9
 
@@ -87,7 +87,7 @@ def test_concurrence_pure_matches_wootters_and_determinant():
         f, g, h = rng.uniform(0, 2 * np.pi, size=3)
         params = PureStateParams(a, b, c, d, f, g, h)
         cp = concurrence_pure(params)
-        worst = max(worst, abs(cp - concurrence_wootters(pure_state(params))))
+        worst = max(worst, abs(cp - factor_concurrence(pure_factor(params))))
         worst = max(worst, abs(cp - concurrence_pure_determinant(params)))
     assert worst <= 1e-9
 
@@ -129,12 +129,10 @@ def test_concurrence_pure_near_product_states_against_50_digits():
 def test_family_initial_concurrences():
     # isotropic: max(0, 2x - 1); Werner: max(0, (3x - 1)/2)
     for x in np.linspace(0.0, 1.0, 11):
-        np.testing.assert_allclose(
-            concurrence_wootters(isotropic(x)), max(0.0, 2 * x - 1), atol=1e-9
-        )
-        np.testing.assert_allclose(
-            concurrence_wootters(werner(x)), max(0.0, (3 * x - 1) / 2), atol=1e-9
-        )
+        isotropic = state_factor(FamilyParams(Family.ISOTROPIC, x))
+        np.testing.assert_allclose(factor_concurrence(isotropic), max(0.0, 2 * x - 1), atol=1e-9)
+        werner = state_factor(FamilyParams(Family.WERNER, x))
+        np.testing.assert_allclose(factor_concurrence(werner), max(0.0, (3 * x - 1) / 2), atol=1e-9)
 
 
 def test_concurrence_pure_phase_dependence():
@@ -150,9 +148,9 @@ def test_concurrence_pure_phase_dependence():
 
 def test_wootters_rejects_bad_input():
     with pytest.raises(ValueError):
-        concurrence_wootters(np.eye(2) / 2)
+        factor_concurrence(np.eye(2) / np.sqrt(2))
     with pytest.raises(ValueError):
-        concurrence_wootters(np.eye(4))  # trace 4
+        factor_concurrence(np.eye(4))  # trace 4
 
 
 def test_wootters_accuracy_on_rank_deficient_states():
@@ -165,35 +163,39 @@ def test_wootters_accuracy_on_rank_deficient_states():
         params = PureStateParams(a, b, c, d, *rng.uniform(0, 2 * np.pi, size=3))
         worst = max(
             worst,
-            abs(concurrence_pure(params) - concurrence_wootters(pure_state(params))),
+            abs(concurrence_pure(params) - factor_concurrence(pure_factor(params))),
         )
     assert worst <= 1e-12
 
 
 def test_wootters_on_a_stack_matches_each_state():
+    # pure columns padded with zero columns beside X-state factors
     rng = np.random.default_rng(44)
-    states = []
+    factors = []
     for _ in range(6):
         a, b, c, d = rng.dirichlet(np.ones(4))
-        states.append(pure_state(PureStateParams(a, b, c, d, *rng.uniform(0, 2 * np.pi, size=3))))
-        states.append(x_state(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2 * rng.uniform())))
-    stack = np.stack(states)
-    lam = spin_flip_spectrum(stack)
-    c = concurrence_wootters(stack)
+        pure = pure_factor(PureStateParams(a, b, c, d, *rng.uniform(0, 2 * np.pi, size=3)))
+        factors.append(np.hstack([pure, np.zeros((4, 3))]))
+        factors.append(state_factor(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2 * rng.uniform())))
+    stack = np.stack(factors)
+    lam = _factor_spectrum(stack)
+    c = factor_concurrence(stack)
     assert lam.shape == (12, 4) and c.shape == (12,)
-    for i, rho in enumerate(states):
-        np.testing.assert_allclose(lam[i], spin_flip_spectrum(rho), atol=1e-15)
-        assert abs(c[i] - concurrence_wootters(rho)) <= 1e-15
-    stack[7] = np.diag([1.2, -0.2, 0.0, 0.0])
-    with pytest.raises(ValueError, match="index 7 is not PSD"):
-        concurrence_wootters(stack)
+    for i, w in enumerate(factors):
+        np.testing.assert_allclose(lam[i], _factor_spectrum(w), atol=1e-15)
+        assert abs(c[i] - factor_concurrence(w)) <= 1e-15
+    stack[7] *= 1.1
+    with pytest.raises(ValueError, match="index 7 trace must be 1"):
+        factor_concurrence(stack)
 
 
 def test_wootters_solves_each_state_once(monkeypatch):
-    # the root's eigendecomposition also carries the Hermitian and PSD
-    # checks; the one eigvalsh is the spectrum's, on the stacked real
-    # (..., 8, 8) form of G, so no 4x4 state gets a second PSD check
-    stack = np.concatenate([werner(np.linspace(0.0, 1.0, 4)), isotropic(np.linspace(0.0, 1.0, 4))])
+    # a factor needs no eigendecomposition of its state and no PSD check:
+    # the one eigvalsh is the spectrum's, on the stacked real (..., 8, 8)
+    # form of G for complex factors
+    xs = np.linspace(0.0, 1.0, 4)
+    stack = np.stack([state_factor(FamilyParams(family, x)) for family in Family for x in xs])
+    stack = stack * np.exp(0.3j)  # a global phase: the same states, complex factors
     shapes = {"eigh": [], "eigvalsh": []}
     for name in shapes:
 
@@ -202,8 +204,8 @@ def test_wootters_solves_each_state_once(monkeypatch):
             return _solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    assert concurrence_wootters(stack).shape == (8,)
-    assert shapes == {"eigh": [(8, 4, 4)], "eigvalsh": [(8, 8, 8)]}
+    assert factor_concurrence(stack).shape == (8,)
+    assert shapes == {"eigh": [], "eigvalsh": [(8, 8, 8)]}
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -303,6 +305,8 @@ def test_real_arithmetic_runs_exactly_when_the_factor_is_real(monkeypatch):
 
 
 def test_factor_concurrence_matches_the_matrix_route():
+    # against the 50-digit Wootters chain on the matrix W W^dag, for the
+    # first few factors of each width
     rng = np.random.default_rng(45)
     for cols in (1, 2, 3, 4, 5, 8, 16):
         g = rng.standard_normal((30, 4, cols)) + 1j * rng.standard_normal((30, 4, cols))
@@ -310,7 +314,8 @@ def test_factor_concurrence_matches_the_matrix_route():
         rho = w @ w.conj().swapaxes(-1, -2)
         c = factor_concurrence(w)
         assert c.shape == (30,)
-        np.testing.assert_allclose(c, concurrence_wootters(rho), rtol=0, atol=1e-13)
+        want = [matrix_concurrence(r) for r in rho[:6]]
+        np.testing.assert_allclose(c[:6], want, rtol=0, atol=1e-13)
         # any factor of the same state gives the same value: w u, u unitary
         u = rng.standard_normal((cols, cols)) + 1j * rng.standard_normal((cols, cols))
         q, _ = np.linalg.qr(u)

@@ -15,14 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esdsim import dynamics, states
-from esdsim.channels import NoiseKind, NoiseSpec, apply_channel, kraus_for, lift_first
+from esdsim.channels import NoiseKind, NoiseSpec, kraus_for
 from esdsim.cli import main
-from esdsim.concurrence import (
-    concurrence_pure,
-    concurrence_wootters,
-    concurrence_x,
-    factor_concurrence,
-)
+from esdsim.concurrence import concurrence_pure, concurrence_x, factor_concurrence
 from esdsim.dynamics import (
     FIGURE_PRESETS,
     Classification,
@@ -46,6 +41,7 @@ from esdsim.dynamics import (
 )
 from esdsim.sampling import random_scenario
 from esdsim.states import Family, FamilyParams, PureStateParams, XStateParams, as_x_params
+from reference import kraus_sum, reference_concurrence
 
 AMP = NoiseSpec(NoiseKind.AMPLITUDE)
 PHASE = NoiseSpec(NoiseKind.PHASE)
@@ -129,7 +125,7 @@ def test_pure_depolarizing_stays_dead_after_crossing():
     s = Scenario(params, DEPOL)
     for tau in np.linspace(2 * math.log(2), 10, 20):
         assert closed_form_concurrence(s, tau) == 0.0
-        assert concurrence_wootters(evolved_state(s, tau)) <= 1e-12
+        assert reference_concurrence(s, tau) <= 1e-12
 
 
 def test_closed_vs_numeric_agreement():
@@ -139,7 +135,8 @@ def test_closed_vs_numeric_agreement():
         s = random_scenario(rng, i)
         tau = float(rng.uniform(0, 10))
         closed = closed_form_concurrence(s, tau)
-        oracle = concurrence_wootters(evolved_state(s, tau))
+        # the record's own factor, complex, evolved without the real turn
+        oracle = factor_concurrence(dynamics._evolve(initial_factor(s), s.noise, [tau])[0])
         worst = max(worst, abs(closed - oracle))
     assert worst <= 1e-8
 
@@ -224,13 +221,11 @@ CLI_GRID = np.linspace(0.0, 50.0, 2048)
 
 def per_point_route(scenario, grid):
     # the numeric route one point at a time, through 4x4 lifted Kraus
-    # operators applied to the initial factor by matmul: the reference the
-    # stacked route must reproduce.  (The matrix route, apply_channel and
-    # concurrence_wootters, is no reference on amplitude tails: psd_sqrt's
-    # zero-eigenvalue snap leaves up to ~3e-7 there.)
+    # operators K x I (np.kron) applied to the initial factor by matmul: the
+    # reference the stacked route must reproduce
     w0 = initial_factor(scenario)
     kind = scenario.noise.kind
-    lifted = (lift_first(kraus_for(kind, noise_param(scenario.noise, t))).ops for t in grid)
+    lifted = (np.kron(kraus_for(kind, noise_param(scenario.noise, t)).ops, np.eye(2)) for t in grid)
     return np.array([factor_concurrence(np.hstack(list(ops @ w0))) for ops in lifted])
 
 
@@ -248,11 +243,11 @@ def test_stacked_route_matches_per_point_route_on_cli_grid(pair):
         stacked[picks], per_point_route(scenario, CLI_GRID[picks]), rtol=0, atol=1e-12
     )
     # evolved_state is the product W W^dag of the evolved factor: the
-    # matrix route's state at the same point
+    # Kraus sum's state at the same point
     kind = scenario.noise.kind
     for i in picks[::64]:
         kraus = kraus_for(kind, noise_param(scenario.noise, CLI_GRID[i]))
-        want = apply_channel(initial_state(scenario), kraus)
+        want = kraus_sum(initial_state(scenario), kraus)
         assert np.abs(evolved_state(scenario, CLI_GRID[i]) - want).max() <= 1e-15
 
 
@@ -466,17 +461,6 @@ def test_amplitude_tail_matches_closed_form():
     assert closed_form_concurrence(s, 28.33) == 0.0
     assert np.abs(closed - numeric).max() <= 1e-8
     assert numeric_trajectory(s, [28.33]).c[0] <= 1e-8
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect of the matrix-input route: concurrence_wootters on a "
-    "matrix takes psd_sqrt, whose relative zero-eigenvalue snap (ZERO_EIG_RTOL) "
-    "leaves a ~3e-7 residue on amplitude-noise tails (tau ~ 26-36)",
-)
-def test_matrix_input_route_on_the_amplitude_tail():
-    s = Scenario(FIG1_SOLID, AMP)
-    assert concurrence_wootters(evolved_state(s, 28.33)) <= 1e-8
 
 
 @pytest.mark.parametrize("pair", range(12))
@@ -1478,7 +1462,8 @@ def test_a_scan_past_the_normal_floats_is_refused(s):
 
 # Asymptotic decays whose closed form is a product of e^(-tau/2) powers and
 # a small constant: the product underflows to 0 long before e^(-tau/2)
-# leaves the normal floats, and the scan reads a death
+# leaves the normal floats.  Their margins have no root, so the scan reads
+# no death from that 0
 PRODUCT_UNDERFLOWS = {
     # eta * (|z| - sqrt(a(b + d - b eta^2))), dead near tau = 798.10
     "x-amplitude": Scenario(XStateParams(1e-300, 0.25, 0.75 - 1e-300, 0.0, 1e-150), AMP),
@@ -1493,11 +1478,6 @@ PRODUCT_UNDERFLOWS = {
 }
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: the closed form's product of e^(-tau/2) powers and a "
-    "small constant underflows to 0 below ESD_TAU_MAX_LIMIT, a false death",
-)
 @pytest.mark.parametrize("s", PRODUCT_UNDERFLOWS.values(), ids=PRODUCT_UNDERFLOWS.keys())
 def test_amplitude_margin_underflow_below_the_limit(s):
     assert esd_time_analytic(s).classification is Classification.ASYMPTOTIC_DECAY

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from esdsim.channels import amplitude_kraus, apply_channel
-from esdsim.concurrence import spin_flip_spectrum
-from esdsim.linalg import EigDecomposition, dagger, hermitian_eig, kron, psd_sqrt
+from esdsim.concurrence import factor_concurrence
+from esdsim.linalg import _frobenius, _hermitian_part, dagger, kron
 from esdsim.states import XStateParams, validate_density_matrix, x_state
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -77,72 +76,11 @@ def test_dagger():
     np.testing.assert_allclose(dagger(a), a.conj().T, atol=0)
 
 
-def test_hermitian_eig_reconstruction_and_order():
-    rng = np.random.default_rng(14)
-    for _ in range(50):
-        g = random_complex(rng, 4)
-        h = g + dagger(g)
-        dec = hermitian_eig(h)
-        assert isinstance(dec, EigDecomposition)
-        w, v = dec.eigenvalues, dec.eigenvectors
-        assert np.all(np.diff(w) <= 0)
-        np.testing.assert_allclose((v * w) @ dagger(v), h, atol=1e-10)
-        np.testing.assert_allclose(dagger(v) @ v, np.eye(4), atol=1e-10)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        hermitian_eig(m)
-
-
 def test_x_matrix_spectrum():
     # central block [[0.4, 0.2], [0.2, 0.4]] contributes 0.6 and 0.2,
     # the outer diagonal contributes 0.1 twice
     rho = x_state(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2))
-    dec = hermitian_eig(rho)
-    np.testing.assert_allclose(dec.eigenvalues, [0.6, 0.2, 0.1, 0.1], atol=1e-12)
-
-
-def test_psd_sqrt_roundtrip_full_rank():
-    rng = np.random.default_rng(15)
-    for _ in range(50):
-        g = random_complex(rng, 4)
-        h = g @ dagger(g)
-        h /= np.trace(h).real
-        s = psd_sqrt(h)
-        np.testing.assert_allclose(s @ s, h, atol=1e-9)
-        np.testing.assert_allclose(s, dagger(s), atol=1e-12)
-
-
-def test_psd_sqrt_rank_deficient():
-    rng = np.random.default_rng(16)
-    for rank in (1, 2, 3):
-        g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
-        h = g @ g.conj().T
-        h /= np.trace(h).real
-        s = psd_sqrt(h)
-        np.testing.assert_allclose(s @ s, h, atol=1e-9)
-        # the null space must stay a null space, not pick up noise
-        assert np.linalg.matrix_rank(s, tol=1e-10) == rank
-
-
-def test_psd_sqrt_projector_is_fixed_point():
-    v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-    p = np.outer(v, v.conj())
-    np.testing.assert_allclose(psd_sqrt(p), p, atol=1e-14)
-
-
-def test_psd_sqrt_rejects_negative_eigenvalue():
-    h = np.diag([0.7, 0.4, -1e-3, 0.0])
-    with pytest.raises(ValueError):
-        psd_sqrt(h)
-
-
-def test_psd_sqrt_clamps_rounding_negatives():
-    h = np.diag([1.0, 0.5, 0.0, -1e-14])
-    s = psd_sqrt(h)
-    assert s[3, 3] == 0.0
+    np.testing.assert_allclose(np.linalg.eigvalsh(rho), [0.1, 0.1, 0.2, 0.6], atol=1e-12)
 
 
 def random_density_stack(rng, n):
@@ -155,17 +93,14 @@ def test_stacks_match_one_matrix_at_a_time():
     rng = np.random.default_rng(17)
     stack = random_density_stack(rng, 7)
     stack[2] = np.diag([1.0, 0.0, 0.0, 0.0])  # rank-deficient member
-    dec = hermitian_eig(stack)
-    roots = psd_sqrt(stack)
-    assert dec.eigenvalues.shape == (7, 4) and roots.shape == (7, 4, 4)
+    assert validate_density_matrix(stack).tobytes() == stack.tobytes()
+    parts, norms = _hermitian_part(stack), _frobenius(stack)
+    assert parts.shape == (7, 4, 4) and norms.shape == (7,)
     for i, h in enumerate(stack):
-        one = hermitian_eig(h)
-        np.testing.assert_allclose(dec.eigenvalues[i], one.eigenvalues, atol=1e-14)
-        np.testing.assert_allclose(roots[i], psd_sqrt(h), atol=1e-14)
-    # the zero-eigenvalue snap is relative to each matrix's own largest
-    # eigenvalue, not to the stack's
-    small = psd_sqrt(np.stack([np.diag([1.0, 1e-14, 0, 0]), np.diag([1e-12, 0, 0, 0])]))
-    assert small[0, 1, 1] == 0.0 and small[1, 0, 0] == 1e-6
+        validate_density_matrix(h)
+        assert parts[i].tobytes() == _hermitian_part(h).tobytes()
+        assert norms[i] == _frobenius(h)
+        assert dagger(stack)[i].tobytes() == dagger(h).tobytes()
 
 
 def test_stack_errors_name_the_failing_member():
@@ -174,15 +109,15 @@ def test_stack_errors_name_the_failing_member():
     skew = stack.copy()
     skew[3, 0, 1] += 1e-3
     with pytest.raises(ValueError, match="index 3 is not Hermitian"):
-        hermitian_eig(skew)
+        validate_density_matrix(skew)
     negative = stack.copy()
-    negative[1] = np.diag([0.7, 0.4, -1e-3, 0.0])
+    negative[1] = np.diag([0.5, 0.5, -1e-3, 1e-3])
     with pytest.raises(ValueError, match="index 1 is not PSD"):
-        psd_sqrt(negative)
+        validate_density_matrix(negative)
     with pytest.raises(ValueError, match=r"index \(1, 0\) is not PSD"):
-        psd_sqrt(negative.reshape(5, 1, 4, 4))
+        validate_density_matrix(negative.reshape(5, 1, 4, 4))
     with pytest.raises(ValueError, match="square"):
-        hermitian_eig(np.ones((3, 4, 2)))
+        validate_density_matrix(np.ones((3, 4, 2)))
 
 
 NOT_HERMITIAN = r"^matrix at index 1 is not Hermitian: defect \S+ > tol 1\.000e-10$"
@@ -201,17 +136,16 @@ def test_every_state_check_speaks_one_wording():
         (heavy, r"^density matrix at index 2 trace must be 1, got \(1\.5\S*\+0j\)$"),
         (negative, NOT_PSD),
     )
-    for check in (
-        validate_density_matrix,
-        spin_flip_spectrum,
-        lambda rho: apply_channel(rho, amplitude_kraus(0.5)),
-    ):
-        check(good)
-        for bad, message in cases:
-            with pytest.raises(ValueError, match=message):
-                check(bad)
-    for check in (hermitian_eig, psd_sqrt):
-        with pytest.raises(ValueError, match=NOT_HERMITIAN):
-            check(skew)
-    with pytest.raises(ValueError, match=NOT_PSD):
-        psd_sqrt(negative)
+    validate_density_matrix(good)
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            validate_density_matrix(bad)
+    # a factor's state is Hermitian and PSD by construction; its trace is
+    # checked in the same words
+    factors = np.stack([np.eye(4) / 2] * 4)
+    factors[2] = np.diag([1.0, 0.5, 0.5, 0.0])
+    with pytest.raises(ValueError, match=r"^density matrix at index 2 trace must be 1, got \(1\.5\S*\+0j\)$"):
+        factor_concurrence(factors)
+    # and a record's central block is checked for positivity in them too
+    with pytest.raises(ValueError, match=r"^matrix is not PSD: min eigenvalue -2\.000e-01 < -1\.000e-10$"):
+        XStateParams(0.4, 0.2, 0.2, 0.2, 0.4)

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from esdsim import linalg, states, verification
-from esdsim.dynamics import Classification, EsdMethod, EsdResult, initial_state
+from esdsim import states, verification
+from esdsim.concurrence import factor_concurrence
+from esdsim.dynamics import Classification, EsdMethod, EsdResult, initial_factor, initial_state
+from esdsim.linalg import _frobenius
 from esdsim.sampling import random_scenario
 from esdsim.verification import SUITES, SuiteResult, run_all, run_suite
 
@@ -15,16 +17,16 @@ from esdsim.verification import SUITES, SuiteResult, run_all, run_suite
 # to the draw order or to the reproduction text shows here.
 DRAW_DIGESTS = {
     "kron_algebra": "feca804196942acf5695199da9825a46e6b0dbe5be72c0dbc5cb207025460659",
-    "eig_reconstruction": "5a9a382a174b0b8c22e9d4afd63c33ce07e3f5ebdbaec5dfd940a31caeb3155e",
-    "psd_sqrt_roundtrip": "e6d972fbfc63a0fbefd9b94fd98a4637f28f1ff675d720bb1d3ee07e6f285ffe",
+    "symmetric_spectrum": "b40e21187309149177b6b86e3715bcaecf0832fb8fb91b07b6dd13ccb54f1ddb",
+    "factor_reduction": "a5df38181540b7a967e9e7171bb0fa6a633d5ca4373970237ea01258ed4e7b0c",
     "kraus_completeness": "c163141f5c7a304140f424996259d2f4c59a29ee7e72f05c2d0557c1ce1f4c08",
-    "channel_output_validity": "cc05caaaca070b5abc59eba6bd0592a0ae5a46910203c1bdff04d5a9622c5494",
+    "channel_output_validity": "ee0ff8f38f02e3c722bcac8a4d43f1c8a52967824e13abe5704e7c7562923382",
     "x_form_closure": "e3eea8ac6b60584cbb869d16233f79775bfd2dc1126f172c387b387dc8806455",
-    "qubit2_marginal": "53d7af4f171c27395e2de879e66fc4bb900709081f835a0385198da2a9ba5c71",
+    "qubit2_marginal": "23d5acb754258d02c3af417759bad9d82378415326024fb86ff07f865843c680",
     "composition_semigroup": "0d051220f11cc1f50f5e61c1d0c2c322046c8726370f83b65132db4a2b19aaf1",
     "concurrence_x_oracle": "77cb7fe028c82814e201409ad9a425e510212598c3deb489d9a91fc8c58fd958",
     "concurrence_pure_oracle": "fc51bb4da43f12162da3fd26b9bbb431c1ffc70771c6d3554909396122e6466b",
-    "local_unitary_invariance": "f7839dc51bd32b98ec62847ea5d8d93490913c4c281ed3538a1fa7b6b4b89d7e",
+    "local_unitary_invariance": "cbbb8e7f198e129b3cf1fd7b504f2866ac9a7831f36c029f630ec0b06bb90457",
     "twirl_invariance": "1edf2f865504e9b02a5b5e30f0524ccd79ef5ffa8e97e1977799024c33bd7226",
     # tau drawn over [0, 50]: the same scenarios as over [0, 10], tau x 5
     "closed_vs_numeric": "aaee6a83c8fda958ba1fb2b8c3b27197a24f566a31710fca354a47c1e5f58b0d",
@@ -44,23 +46,23 @@ DRAW_DIGESTS = {
 # pin off by a factor (2.75e-16 against 4.2e-17) fails; a 0.0 pin is exact.
 MAX_ERRORS_SEED3_CASES40 = {
     "kron_algebra": 1.16683012789241e-14,
-    "eig_reconstruction": 1.0995342466562221e-14,
-    "psd_sqrt_roundtrip": 1.2627239439344248e-15,
+    "symmetric_spectrum": 5.329070518200751e-15,
+    "factor_reduction": 4.996003610813204e-16,
     "kraus_completeness": 1.5700924586837752e-16,
-    "channel_output_validity": 2.220446049250313e-16,
-    "x_form_closure": 0.0,
-    "qubit2_marginal": 1.2451399942302572e-16,
-    "composition_semigroup": 1.3630555906587455e-16,
-    "concurrence_x_oracle": 4.440892098500626e-16,
-    "concurrence_pure_oracle": 1.7763568394002505e-15,
-    "local_unitary_invariance": 1.4432899320127035e-15,
+    "channel_output_validity": 2.1163626406917047e-16,
+    "x_form_closure": 3.012848690558697e-18,
+    "qubit2_marginal": 1.3018518929051675e-16,
+    "composition_semigroup": 1.3147327200186143e-16,
+    "concurrence_x_oracle": 4.996003610813204e-16,
+    "concurrence_pure_oracle": 2.220446049250313e-16,
+    "local_unitary_invariance": 4.0245584642661925e-16,
     "twirl_invariance": 7.244140648242027e-16,
     "closed_vs_numeric": 4.206704429243757e-17,
     "analytic_vs_bisection": 8.881784197001252e-16,
     "pure_depol_universality": 2.220446049250313e-16,
     "pure_amp_phase_no_esd": 0.0,
     "trajectory_monotone": 0.0,
-    "tau_zero_identity": 4.440892098500626e-16,
+    "tau_zero_identity": 2.220446049250313e-16,
 }
 
 
@@ -140,9 +142,11 @@ def test_suites_fail_on_wrong_library_answers(monkeypatch):
     def not_x(rho):
         raise ValueError("not X")
 
-    def ascending(h):
-        w, v = linalg.hermitian_eig(h)
-        return linalg.EigDecomposition(w[..., ::-1], v[..., ::-1])
+    def real_part_only(w):
+        # a factor_concurrence that drops a complex factor's imaginary part,
+        # renormalized so that the trace check still passes
+        w = np.asarray(w).real
+        return factor_concurrence(w / _frobenius(w)[..., None, None])
 
     def no_death(scenario, tau_max, **kwargs):
         return EsdResult(Classification.ASYMPTOTIC_DECAY, EsdMethod.BISECTION, horizon=tau_max)
@@ -152,7 +156,7 @@ def test_suites_fail_on_wrong_library_answers(monkeypatch):
 
     cases = (
         ("as_x_params", not_x, "x_form_closure", ": not X"),
-        ("hermitian_eig", ascending, "eig_reconstruction", ""),
+        ("factor_concurrence", real_part_only, "concurrence_pure_oracle", ""),
         ("esd_time_bisection", no_death, "analytic_vs_bisection", ": bisection got EsdResult("),
         ("esd_time_bisection", no_death, "pure_depol_universality", ": got EsdResult("),
         ("esd_time_bisection", death_at_one, "pure_amp_phase_no_esd", ": EsdResult("),
@@ -190,11 +194,13 @@ def test_x_form_closure_names_each_record_that_fails_to_rebuild(monkeypatch):
 
 
 def test_stacked_initial_states_match_the_per_scenario_builds():
+    # tau_zero_identity stacks the initial factors, zero-padded to 4 columns
     rng = np.random.default_rng(12)
     scenarios = [random_scenario(rng, i) for i in range(48)]
-    stacked = states.state_stack([s.state for s in scenarios])
-    assert stacked.tobytes() == np.stack([initial_state(s) for s in scenarios]).tobytes()
-    assert states.state_stack([]).shape == (0, 4, 4)
+    stacked = verification._padded([initial_factor(s) for s in scenarios], 4)
+    want = np.stack([initial_state(s) for s in scenarios])
+    np.testing.assert_allclose(verification._state(stacked), want, rtol=0, atol=1e-15)
+    assert verification._padded([], 4).shape == (0, 4, 4)
 
 
 def test_run_suite_unknown_name():
