@@ -38,9 +38,6 @@ from .dynamics import (
     esd_time_analytic,
     esd_time_bisection,
     evolved_state,
-    initial_concurrence,
-    initial_factor,
-    initial_state,
     noise_param,
     numeric_trajectory,
 )
@@ -51,11 +48,9 @@ from .states import (
     PureStateParams,
     XStateParams,
     as_x_params,
-    isotropic,
-    pure_state,
+    state_factor,
+    state_matrix,
     validate_density_matrix,
-    werner,
-    x_state,
 )
 
 __version__ = "0.1.0"
@@ -81,11 +76,9 @@ __all__ = [
     "PureStateParams",
     "XStateParams",
     "as_x_params",
-    "isotropic",
-    "pure_state",
+    "state_factor",
+    "state_matrix",
     "validate_density_matrix",
-    "werner",
-    "x_state",
     "KrausSet",
     "NoiseKind",
     "NoiseSpec",
@@ -114,9 +107,6 @@ __all__ = [
     "esd_time_analytic",
     "esd_time_bisection",
     "evolved_state",
-    "initial_concurrence",
-    "initial_factor",
-    "initial_state",
     "noise_param",
     "numeric_trajectory",
     "SuiteResult",

@@ -11,13 +11,13 @@ scenario's (state kind, noise kind) cell, while the numeric route evolves
 the state through the Kraus maps and runs the general concurrence.  Both
 take one tau or a whole grid.  The closed form evaluates its formula with
 numpy ufuncs over the grid in one call.  The numeric route writes the
-initial state once as rho0 = W0 W0^dag (`initial_factor`: the amplitude
-column of a pure state, the closed-form factor of an X-pattern state's
-five entries (a, b, c, d, z); no 4x4 matrix is built), builds the Kraus
-sets for a block of up to `_BLOCK_ROWS` (1024) tau values at once,
-applies them to the factor, W(tau) = [(K_1 x I) W0, (K_2 x I) W0, ...],
-and takes the Wootters concurrence of the whole stack
-of factors; a default grid of 2048 points takes two blocks per noise kind.
+initial state once as rho0 = W0 W0^dag (`states.state_factor`: the
+amplitude column of a pure state, the closed-form factor of an X-pattern
+state's five entries (a, b, c, d, z); no 4x4 matrix is built), builds
+the Kraus sets for a block of up to `_BLOCK_ROWS` (1024) tau values at
+once, applies them to the factor, W(tau) = [(K_1 x I) W0, (K_2 x I) W0,
+...], and takes the Wootters concurrence of the whole stack of factors;
+a default grid of 2048 points takes two blocks per noise kind.
 The block bound only bounds the working set: no value depends on it.  The
 Kraus sets are real, and the route makes every factor real by a local
 unitary that commutes with the noise and leaves the concurrence unchanged:
@@ -57,7 +57,9 @@ InitiallySeparable where the margin at tau = 0 is <= 0, and dies where its
 limit is negative.  A `Scenario` reads its cell's coefficients once, when
 it is built (`_MARGINS`, by `state_kind`), and every closed-form value and
 its death rule take them from it; `_BOUNDARIES` holds the families'
-sudden-death intervals, and `states` builds the initial state and factor.
+sudden-death intervals.  The initial state is the record: `states`
+builds its matrix (`state_matrix`) and factor (`state_factor`), and the
+closed form at tau = 0 is its concurrence.
 """
 from __future__ import annotations
 
@@ -81,7 +83,6 @@ from .states import (
     _pure_amplitudes,
     state_factor,
     state_kind,
-    state_matrix,
     x_factor,
 )
 
@@ -200,26 +201,6 @@ def noise_param(noise: NoiseSpec, tau):
     if noise.kind is NoiseKind.DEPOLARIZING:
         return -np.expm1(-0.5 * tau)
     return np.exp(-0.5 * tau)
-
-
-def initial_state(scenario: Scenario) -> np.ndarray:
-    return state_matrix(scenario.state)
-
-
-def initial_factor(scenario: Scenario) -> np.ndarray:
-    """A factor W0 of the initial state, initial_state(scenario) = W0 W0^dag.
-
-    Shape (4, 1) for a pure state (its amplitude column) and (4, 4) for
-    the X-pattern kinds (`states.x_factor` of the record's entries, with no
-    matrix built).  The state's record was checked when it was built, so
-    every route accepts the same scenarios.
-    """
-    return state_factor(scenario.state)
-
-
-def initial_concurrence(scenario: Scenario) -> float:
-    """Closed-form concurrence at tau = 0."""
-    return closed_form_concurrence(scenario, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +410,12 @@ def closed_form_concurrence(scenario: Scenario, tau):
     leaves its domain (a negative radicand) raises ValueError instead of
     returning NaN.
     """
-    tau = np.asarray(tau, dtype=float)
-    return _closed_form(scenario, tau, noise_param(scenario.noise, tau))
+    return _closed_form(scenario, noise_param(scenario.noise, tau))
 
 
-def _closed_form(scenario: Scenario, tau: np.ndarray, value):
-    # the cell's formula at tau, given value = noise_param(noise, tau); the
-    # one evaluator behind every closed-form value and every esd verdict
+def _closed_form(scenario: Scenario, value):
+    # the cell's formula at value = noise_param(noise, tau); the one
+    # evaluator behind every closed-form value and every esd verdict
     try:
         with np.errstate(invalid="raise"):
             return _value(scenario.noise.kind, scenario._margin, value)
@@ -507,7 +487,7 @@ def numeric_concurrence(scenarios, taus) -> np.ndarray:
       each amplitude- and phase-noise Kraus operator by a phase, and the
       depolarizing channel commutes with every unitary.
     The pure turn reads the amplitudes, never the projector or the closed
-    form, so the two routes stay independent.  `initial_factor` and
+    form, so the two routes stay independent.  `states.state_factor` and
     `evolved_state` keep the true state's factor.
 
     The scenarios of one noise kind evolve as one float64 stack, a narrower
@@ -554,7 +534,7 @@ def numeric_trajectory(scenario: Scenario, tau_grid) -> Trajectory:
 def evolved_state(scenario: Scenario, tau: float) -> np.ndarray:
     """The state at time tau on the numeric route: W W^dag, with W the
     initial factor evolved to tau."""
-    w = _evolve(initial_factor(scenario), scenario.noise, [tau])[0]
+    w = _evolve(state_factor(scenario.state), scenario.noise, [tau])[0]
     return w @ dagger(w)
 
 
@@ -618,8 +598,7 @@ def esd_time_bisection(
     mid >= tau*), and one call of the closed form checks every midpoint on
     it.  The round keeps the verdicts up to and including the first one
     that differs from the prediction, and the next round predicts again
-    from the bracket they leave.  Where the rule gives no time, the upper
-    end of the bracket serves as tau*.  The prediction only picks points,
+    from the bracket they leave.  The prediction only picks points,
     so the bisection still checks the rule.
 
     The scan grid, `np.linspace(0, tau_max, points)`, and `noise_param` at
@@ -645,7 +624,7 @@ def esd_time_bisection(
         raise ValueError(f"need at least 2 scan points, got {points!r}")
 
     grid, values = _scan_grid(scenario.noise.kind, tau_max, points)
-    c = _closed_form(scenario, grid, values)
+    c = _closed_form(scenario, values)
     dead_scan = c == 0.0
     if dead_scan[0]:
         return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION)
@@ -666,8 +645,6 @@ def esd_time_bisection(
 
     lo, hi = float(grid[first - 1]), float(grid[first])
     guess = scenario._death_time
-    if guess is None:
-        guess = hi
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
         # the predicted path from [lo, hi]; it holds mid, so it is not empty

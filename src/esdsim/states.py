@@ -1,9 +1,11 @@
-"""Two-qubit state constructors: X states, pure states, isotropic and Werner.
+"""Two-qubit state records: X states, pure states, isotropic and Werner.
 
 Basis order is |00>, |01>, |10>, |11> throughout.  The X family carries a
 diagonal (a, b, c, d) and a single central coherence z at entries (1, 2) and
 (2, 1); all displayed evolutions stay inside this family, which is why the
-closed-form concurrences exist.
+closed-form concurrences exist.  A record is checked once, when it is
+built, and is the one input of every state: `state_matrix` gives its 4x4
+density matrix and `state_factor` a factor W of it, rho = W W^dag.
 """
 from __future__ import annotations
 
@@ -11,11 +13,11 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .linalg import _check_psd, _check_unit_trace, _hermitian_part, _unit_interval
+from .linalg import _check_psd, _check_unit_trace, _hermitian_part
 
 # Weights are user input, so their sum check is tight.
 WEIGHT_SUM_TOL = 1e-12
@@ -80,7 +82,13 @@ class PureStateParams:
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Mixing weight x of a one-parameter (isotropic or Werner) family."""
+    """Mixing weight x of a one-parameter (isotropic or Werner) family.
+
+    Werner: (1-x) I/4 + x times the singlet projector.  Isotropic: diagonal
+    ((1-x)/3, (2x+1)/6, (2x+1)/6, (1-x)/3) with central coherence (4x-1)/6,
+    I/4 at x = 1/4 and a maximally entangled central-block projector at
+    x = 1.
+    """
 
     family: Family
     x: float
@@ -106,46 +114,19 @@ def validate_density_matrix(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _x_pattern(entries) -> np.ndarray:
-    """X-pattern stack of the entries (a, b, c, d, z), z at (1, 2) and its
-    conjugate at (2, 1), each one value per matrix, shape (...); the result
-    is (..., 4, 4).  The entries are a checked record's or a family's, so
-    the matrix is not checked again."""
-    *diag, z = entries
-    rho = np.zeros(np.shape(z) + (4, 4), dtype=complex)
-    rho[..., 0, 0], rho[..., 1, 1], rho[..., 2, 2], rho[..., 3, 3] = diag
-    rho[..., 1, 2], rho[..., 2, 1] = z, np.conj(z)
-    return rho
-
-
-def _family_entries(family: Family, x):
-    # (a, b, c, d, z) of the family's state at weight x, one value or an array
-    if family is Family.ISOTROPIC:
+def x_entries(params: XStateParams | FamilyParams) -> tuple:
+    """The entries (a, b, c, d, z) of an X-pattern record: its diagonal
+    weights and central coherence.  An X record's z comes as a complex, so
+    that a real z conjugates to -0j in its matrix; a family's z is real and
+    keeps its sign."""
+    if isinstance(params, XStateParams):
+        return params.a, params.b, params.c, params.d, complex(params.z)
+    x = params.x
+    if params.family is Family.ISOTROPIC:
         corner, mid, z = (1.0 - x) / 3.0, (2.0 * x + 1.0) / 6.0, (4.0 * x - 1.0) / 6.0
     else:
         corner, mid, z = (1.0 - x) / 4.0, (1.0 + x) / 4.0, -x / 2.0
     return corner, mid, mid, corner, z
-
-
-def x_entries(params: XStateParams | FamilyParams) -> tuple:
-    """The entries (a, b, c, d, z) of an X-pattern record: its diagonal
-    weights and central coherence.  An X record's z comes as a complex, so
-    that a real z conjugates to -0j in its matrix, as in a stack of records;
-    a family's z is real and keeps its sign."""
-    if isinstance(params, FamilyParams):
-        return _family_entries(params.family, params.x)
-    return params.a, params.b, params.c, params.d, complex(params.z)
-
-
-def x_state(params: XStateParams | Sequence[XStateParams]) -> np.ndarray:
-    """Density matrix with diagonal (a, b, c, d) and central coherence z.
-
-    One record gives a (4, 4) matrix, a sequence of n records an (n, 4, 4)
-    stack.  Each record was checked when built; the matrix is not again.
-    """
-    if isinstance(params, XStateParams):
-        return _x_pattern(x_entries(params))
-    return _x_pattern(np.array([(p.a, p.b, p.c, p.d, p.z) for p in params], dtype=complex).reshape(-1, 5).T)
 
 
 def _pure_amplitudes(params: PureStateParams) -> np.ndarray:
@@ -159,19 +140,8 @@ def _pure_amplitudes(params: PureStateParams) -> np.ndarray:
     )
 
 
-def pure_state(params: PureStateParams | Sequence[PureStateParams]) -> np.ndarray:
-    """Rank-1 projector of sqrt(a)|00> + sqrt(b)e^{if}|01> + sqrt(c)e^{ig}|10> + sqrt(d)e^{ih}|11>.
-
-    One record gives a (4, 4) matrix, a sequence of n records an (n, 4, 4)
-    stack.  Each record was checked when built; the matrix is not again.
-    """
-    one = isinstance(params, PureStateParams)
-    amps = _pure_amplitudes(params) if one else np.array([*map(_pure_amplitudes, params)]).reshape(-1, 4)
-    return amps[..., :, None] * amps.conj()[..., None, :]
-
-
 def pure_factor(params: PureStateParams) -> np.ndarray:
-    """The amplitude column w, shape (4, 1), with pure_state(params) = w w^dag;
+    """The amplitude column w, shape (4, 1), with state_matrix(params) = w w^dag;
     float64 when no phase leaves an imaginary part, else complex128."""
     amps = _pure_amplitudes(params)
     return (amps if amps.imag.any() else amps.real)[:, None]
@@ -206,25 +176,6 @@ def x_factor(a, b, c, d, z) -> np.ndarray:
     return w
 
 
-def isotropic(x) -> np.ndarray:
-    """Two-qubit isotropic state with mixing weight x.
-
-    Diagonal ((1-x)/3, (2x+1)/6, (2x+1)/6, (1-x)/3) with central coherence
-    (4x-1)/6.  Reduces to I/4 at x = 1/4 and to a maximally entangled
-    central-block projector at x = 1.  An array of weights gives a stack of
-    shape x.shape + (4, 4).
-    """
-    return _x_pattern(_family_entries(Family.ISOTROPIC, _unit_interval("isotropic weight x", x)))
-
-
-def werner(x) -> np.ndarray:
-    """Werner state: (1-x) I/4 + x times the singlet projector.
-
-    An array of weights gives a stack of shape x.shape + (4, 4).
-    """
-    return _x_pattern(_family_entries(Family.WERNER, _unit_interval("Werner weight x", x)))
-
-
 StateParams = Union[XStateParams, PureStateParams, FamilyParams]
 
 
@@ -234,9 +185,19 @@ def state_kind(params: StateParams):
 
 
 def state_matrix(params: StateParams) -> np.ndarray:
-    """The (4, 4) density matrix of one record: its projector for a pure
-    state, else the X pattern of its entries."""
-    return pure_state(params) if isinstance(params, PureStateParams) else _x_pattern(x_entries(params))
+    """The (4, 4) density matrix of one record: the projector of its
+    amplitudes sqrt(a)|00> + sqrt(b)e^{if}|01> + sqrt(c)e^{ig}|10> +
+    sqrt(d)e^{ih}|11> for a pure state, else the X pattern of its entries
+    (`x_entries`).  The record was checked when built; the matrix is not
+    checked again."""
+    if isinstance(params, PureStateParams):
+        amps = _pure_amplitudes(params)
+        return amps[:, None] * amps.conj()
+    a, b, c, d, z = x_entries(params)
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = a, b, c, d
+    rho[1, 2], rho[2, 1] = z, np.conj(z)
+    return rho
 
 
 def state_factor(params: StateParams) -> np.ndarray:

@@ -17,8 +17,9 @@ on the evolved states.  `closed_vs_numeric` and `trajectory_monotone` hand
 their whole sample to `dynamics.numeric_concurrence`, the numeric route
 that `evolve` prints; it builds, stacks and evolves the factors.  Library
 functions that take a single record (the closed forms, the death-time
-routes, `as_x_params`) run once per case.  The death-time suite draws
-sudden deaths from every cell of the grid that has them.
+routes, `as_x_params`, and `state_matrix` and `state_factor`, the one way
+to build a state from its record) run once per case.  The death-time
+suite draws sudden deaths from every cell of the grid that has them.
 `SuiteResult.record_all` takes the array of per-case errors and formats a
 reproduction string only for the cases over tolerance.  The CLI verify
 command runs the whole registry; the test suite reuses single suites with
@@ -53,7 +54,6 @@ from .dynamics import (
     closed_form_trajectory,
     esd_time_analytic,
     esd_time_bisection,
-    initial_factor,
     numeric_concurrence,
 )
 from .linalg import _frobenius, dagger, kron
@@ -61,12 +61,10 @@ from .states import (
     Family,
     FamilyParams,
     as_x_params,
-    isotropic,
     pure_factor,
     state_factor,
+    state_matrix,
     validate_density_matrix,
-    werner,
-    x_state,
 )
 
 # bit flip on qubit 1
@@ -197,11 +195,22 @@ def suite_symmetric_spectrum(rng: np.random.Generator, res: SuiteResult) -> None
     res.record_all(err, lambda i: f"g={sym[i].tolist()!r}")
 
 
+def _reduction_case(rng: np.random.Generator) -> np.ndarray:
+    # a factor of m = 5 to 16 columns, [sqrt(t) psi, sqrt(1 - t) G] with
+    # psi an entangled pure state's amplitudes, t in [0.5, 0.9] and G a
+    # Ginibre factor of m - 1 columns: about 9 in 10 of these states are
+    # entangled, where a Ginibre factor alone is mostly separable and its
+    # concurrence reads 0 on both sides of the check
+    m = int(rng.integers(5, 17))
+    psi = pure_factor(sampling.random_entangled_pure_params(rng))
+    t = float(rng.uniform(0.5, 0.9))
+    return np.hstack([math.sqrt(t) * psi, math.sqrt(1.0 - t) * sampling.ginibre_factor(rng, m - 1)])
+
+
 def suite_factor_reduction(rng: np.random.Generator, res: SuiteResult) -> None:
-    # a factor of 5 to 16 columns (zero-padded to 16), which
-    # factor_concurrence reduces by QR, against the Cholesky factor of its
-    # state
-    w = [sampling.ginibre_factor(rng, int(rng.integers(5, 17))) for _ in range(res.cases)]
+    # a wide factor (zero-padded to 16 columns), which factor_concurrence
+    # reduces by QR, against the Cholesky factor of its state
+    w = [_reduction_case(rng) for _ in range(res.cases)]
     wide = _padded(w, 16)
     err = np.abs(factor_concurrence(wide) - factor_concurrence(np.linalg.cholesky(_state(wide))))
     res.record_all(err, lambda i: f"w={w[i].tolist()!r}")
@@ -265,7 +274,8 @@ def suite_x_form_closure(rng: np.random.Generator, res: SuiteResult) -> None:
     out = _state(_apply_noise(np.stack([state_factor(p) for p in params]), kinds, values))
     records, reasons = _checked(as_x_params, out)
     rebuilt = out.copy()
-    rebuilt[list(records)] = x_state(list(records.values()))
+    for i, record in records.items():
+        rebuilt[i] = state_matrix(record)
     err = _frobenius(rebuilt - out)
     err[list(reasons)] = math.inf
     res.record_all(
@@ -347,14 +357,16 @@ def suite_local_unitary_invariance(rng: np.random.Generator, res: SuiteResult) -
 
 
 def suite_twirl_invariance(rng: np.random.Generator, res: SuiteResult) -> None:
-    # werner(x) commutes with U x U conjugation; isotropic(x) does so with
-    # U x U* after a bit flip on qubit 1 (the triplet-based sign layout)
+    # a Werner state commutes with U x U conjugation; an isotropic state
+    # does so with U x U* after a bit flip on qubit 1 (the triplet-based
+    # sign layout)
     xs, us = zip(*((float(rng.uniform()), sampling.haar_unitary(rng)) for _ in range(res.cases)))
     u = np.stack(us)
-    rho_w = werner(xs)
+    rho_w = np.stack([state_matrix(FamilyParams(Family.WERNER, x)) for x in xs])
     uu = kron(u, u)
     err = _frobenius(uu @ rho_w @ dagger(uu) - rho_w)
-    rho_i = _FLIP1 @ isotropic(xs) @ _FLIP1
+    rho_i = np.stack([state_matrix(FamilyParams(Family.ISOTROPIC, x)) for x in xs])
+    rho_i = _FLIP1 @ rho_i @ _FLIP1
     uc = kron(u, u.conj())
     err = np.maximum(err, _frobenius(uc @ rho_i @ dagger(uc) - rho_i))
     res.record_all(err, lambda i: f"x={xs[i]!r} u={us[i].tolist()!r}")
@@ -487,7 +499,7 @@ def suite_tau_zero_identity(rng: np.random.Generator, res: SuiteResult) -> None:
     # columns, under each noise at tau = 0
     scenarios = [sampling.random_scenario(rng, i) for i in range(res.cases)]
     kinds = [s.noise.kind for s in scenarios]
-    w0 = _padded([initial_factor(s) for s in scenarios], 4)
+    w0 = _padded([state_factor(s.state) for s in scenarios], 4)
     evolved = _apply_noise(w0, kinds, _noise_params(kinds, np.zeros(len(kinds))))
     err = _frobenius(_state(evolved) - _state(w0))
     closed = np.array([closed_form_concurrence(s, 0.0) for s in scenarios])

@@ -26,7 +26,6 @@ from esdsim.dynamics import (
     esd_time_analytic,
     esd_time_bisection,
     evolved_state,
-    initial_factor,
     noise_param,
     numeric_trajectory,
 )
@@ -44,6 +43,7 @@ from esdsim.states import (
     FamilyParams,
     XStateParams,
     as_x_params,
+    state_factor,
     x_entries,
     x_factor,
 )
@@ -106,7 +106,7 @@ def test_criterion_05_bell_state_closed_forms():
         (DEPOL, lambda t: max(0.0, 1.0 - 2.0 * noise_param(DEPOL, t))),
     ):
         scenario = Scenario(BELL_PSI, noise)
-        w0 = initial_factor(scenario)
+        w0 = state_factor(BELL_PSI)
         oracle = factor_concurrence(apply_to_factor(w0, kraus_for(noise.kind, noise_param(noise, grid))))
         for tau, c in zip(grid, oracle):
             assert abs(predicted(float(tau)) - c) <= 1e-10

@@ -14,7 +14,7 @@ from esdsim.concurrence import (
     concurrence_x,
     factor_concurrence,
 )
-from esdsim.dynamics import Scenario, _evolve, initial_factor
+from esdsim.dynamics import Scenario, _evolve
 from esdsim.states import (
     Family,
     FamilyParams,
@@ -231,7 +231,7 @@ def test_symmetric_singular_values_match_the_svd(dtype, m):
 
 def _evolved_factor(state, kind: str) -> np.ndarray:
     scenario = Scenario(state, NoiseSpec(NoiseKind(kind)))
-    return _evolve(initial_factor(scenario), scenario.noise, np.linspace(0.0, 50.0, 2048))
+    return _evolve(state_factor(state), scenario.noise, np.linspace(0.0, 50.0, 2048))
 
 
 # cells whose evolved factor is real: every Kraus set is real, and so are

@@ -32,15 +32,20 @@ from esdsim.dynamics import (
     esd_time_analytic,
     esd_time_bisection,
     evolved_state,
-    initial_concurrence,
-    initial_factor,
-    initial_state,
     noise_param,
     numeric_concurrence,
     numeric_trajectory,
 )
 from esdsim.sampling import random_scenario
-from esdsim.states import Family, FamilyParams, PureStateParams, XStateParams, as_x_params
+from esdsim.states import (
+    Family,
+    FamilyParams,
+    PureStateParams,
+    XStateParams,
+    as_x_params,
+    state_factor,
+    state_matrix,
+)
 from reference import kraus_sum, reference_concurrence
 
 AMP = NoiseSpec(NoiseKind.AMPLITUDE)
@@ -83,13 +88,13 @@ def test_noise_param_rejects_negative_time():
 
 
 def test_initial_concurrence_matches_static_formulas():
-    assert initial_concurrence(Scenario(FIG1_SOLID, AMP)) == pytest.approx(0.2)
-    assert initial_concurrence(Scenario(BELL_PSI, PHASE)) == 1.0
-    assert initial_concurrence(
-        Scenario(FamilyParams(Family.ISOTROPIC, 0.8), DEPOL)
+    assert closed_form_concurrence(Scenario(FIG1_SOLID, AMP), 0.0) == pytest.approx(0.2)
+    assert closed_form_concurrence(Scenario(BELL_PSI, PHASE), 0.0) == 1.0
+    assert closed_form_concurrence(
+        Scenario(FamilyParams(Family.ISOTROPIC, 0.8), DEPOL), 0.0
     ) == pytest.approx(0.6)
-    assert initial_concurrence(
-        Scenario(FamilyParams(Family.WERNER, 0.8), AMP)
+    assert closed_form_concurrence(
+        Scenario(FamilyParams(Family.WERNER, 0.8), AMP), 0.0
     ) == pytest.approx(0.7)
 
 
@@ -136,7 +141,7 @@ def test_closed_vs_numeric_agreement():
         tau = float(rng.uniform(0, 10))
         closed = closed_form_concurrence(s, tau)
         # the record's own factor, complex, evolved without the real turn
-        oracle = factor_concurrence(dynamics._evolve(initial_factor(s), s.noise, [tau])[0])
+        oracle = factor_concurrence(dynamics._evolve(state_factor(s.state), s.noise, [tau])[0])
         worst = max(worst, abs(closed - oracle))
     assert worst <= 1e-8
 
@@ -195,7 +200,7 @@ def test_trajectory_leaves_the_callers_arrays_writable(trajectory):
 def test_trajectory_starts_at_initial_concurrence():
     s = Scenario(FIG2_SOLID, PHASE)
     traj = numeric_trajectory(s, np.linspace(0, 2, 9))
-    np.testing.assert_allclose(traj.c[0], initial_concurrence(s), atol=1e-12)
+    np.testing.assert_allclose(traj.c[0], closed_form_concurrence(s, 0.0), atol=1e-12)
     assert traj.source is TrajectorySource.NUMERIC
 
 
@@ -223,7 +228,7 @@ def per_point_route(scenario, grid):
     # the numeric route one point at a time, through 4x4 lifted Kraus
     # operators K x I (np.kron) applied to the initial factor by matmul: the
     # reference the stacked route must reproduce
-    w0 = initial_factor(scenario)
+    w0 = state_factor(scenario.state)
     kind = scenario.noise.kind
     lifted = (np.kron(kraus_for(kind, noise_param(scenario.noise, t)).ops, np.eye(2)) for t in grid)
     return np.array([factor_concurrence(np.hstack(list(ops @ w0))) for ops in lifted])
@@ -247,7 +252,7 @@ def test_stacked_route_matches_per_point_route_on_cli_grid(pair):
     kind = scenario.noise.kind
     for i in picks[::64]:
         kraus = kraus_for(kind, noise_param(scenario.noise, CLI_GRID[i]))
-        want = kraus_sum(initial_state(scenario), kraus)
+        want = kraus_sum(state_matrix(scenario.state), kraus)
         assert np.abs(evolved_state(scenario, CLI_GRID[i]) - want).max() <= 1e-15
 
 
@@ -269,7 +274,7 @@ def test_the_phase_of_z_leaves_the_numeric_route(noise, arg, monkeypatch):
     c = numeric_trajectory(scenario, CLI_GRID).c
     assert qr_dtypes and set(qr_dtypes) == {np.dtype(np.float64)}
     # the true factor, complex where z is, evolved in one stack
-    w0 = initial_factor(scenario)
+    w0 = state_factor(scenario.state)
     assert w0.dtype == (np.float64 if z.imag == 0.0 else np.complex128)
     true = factor_concurrence(dynamics._evolve(w0, noise, CLI_GRID))
     assert np.abs(c - true).max() <= 1e-14
@@ -303,13 +308,13 @@ def test_the_phases_of_a_pure_state_leave_the_numeric_route(noise, state):
     # concurrence of the true factor, evolved in complex arithmetic, agrees
     scenario = Scenario(state, noise)
     c = numeric_trajectory(scenario, CLI_GRID).c
-    w0 = initial_factor(scenario)
+    w0 = state_factor(scenario.state)
     assert w0.dtype == np.complex128
     true = factor_concurrence(dynamics._evolve(w0, noise, CLI_GRID))
     assert np.abs(c - true).max() <= 1e-14
     assert np.abs(c - closed_form_trajectory(scenario, CLI_GRID).c).max() <= 1e-14
     # the evolved state keeps the true amplitudes: at tau = 0 it is |psi><psi|
-    assert np.abs(evolved_state(scenario, 0.0) - states.pure_state(state)).max() <= 1e-15
+    assert np.abs(evolved_state(scenario, 0.0) - state_matrix(state)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("pair", range(12))
@@ -475,7 +480,7 @@ def test_numeric_route_agrees_at_cli_defaults(pair):
 
 def test_evolved_state_is_the_product_of_the_evolved_factor():
     for s in (Scenario(FIG1_SOLID, AMP), Scenario(FIG2_DASHED, DEPOL), Scenario(BELL_PSI, PHASE)):
-        w = dynamics._evolve(initial_factor(s), s.noise, [3.0])[0]
+        w = dynamics._evolve(state_factor(s.state), s.noise, [3.0])[0]
         assert evolved_state(s, 3.0).tobytes() == (w @ w.conj().T).tobytes()
     rho = evolved_state(Scenario(PureStateParams(0.1, 0.2, 0.3, 0.4, 1.0, 2.0, 3.0), DEPOL), 0.7)
     assert rho.shape == (4, 4)
@@ -485,9 +490,9 @@ def test_evolved_state_is_the_product_of_the_evolved_factor():
 def test_initial_factor_rebuilds_the_initial_state():
     for state in (FIG1_SOLID, FIG2_DASHED, BELL_PSI, *GRID_STATES.values()):
         s = Scenario(state, AMP)
-        w = initial_factor(s)
+        w = state_factor(s.state)
         assert w.shape == ((4, 1) if isinstance(state, PureStateParams) else (4, 4))
-        np.testing.assert_allclose(w @ w.conj().T, initial_state(s), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w @ w.conj().T, state_matrix(s.state), rtol=0, atol=1e-15)
     # the record is the one admission check, so every route accepts the same
     # states: a central block with b c - |z|^2 = -1e-14, not PSD within the
     # matrix allowance, is refused when it is built
@@ -496,25 +501,22 @@ def test_initial_factor_rebuilds_the_initial_state():
 
 
 def test_the_numeric_route_builds_no_matrix(monkeypatch):
-    # every 4x4 state matrix is built by states._x_pattern (X-pattern kinds)
-    # or states.pure_state; the numeric route and initial_factor take their
-    # factors from the records' entries and amplitudes alone
+    # every 4x4 state matrix is built by states.state_matrix; the numeric
+    # route and state_factor take their factors from the records' entries
+    # and amplitudes alone
     scenarios = [random_scenario(np.random.default_rng(26), i) for i in range(12)]
 
     def refuse(*args):
         raise AssertionError("a state matrix was built")
 
-    monkeypatch.setattr(states, "_x_pattern", refuse)
-    monkeypatch.setattr(states, "pure_state", refuse)
+    monkeypatch.setattr(states, "state_matrix", refuse)
     taus = np.linspace(0.0, 3.0, 5)
     mixed = numeric_concurrence(scenarios, np.tile(taus, (12, 1)))
     for s, row in zip(scenarios, mixed):
         # alone, a pure state's factor is not padded: the same values, not the same bits
         np.testing.assert_allclose(numeric_concurrence([s], taus[None])[0], row, rtol=0, atol=1e-12)
     for state in GRID_STATES.values():
-        initial_factor(Scenario(state, AMP))
-    with pytest.raises(AssertionError, match="a state matrix was built"):
-        initial_state(scenarios[0])
+        state_factor(state)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +665,7 @@ def static_concurrence(state):
         return concurrence_x(state)
     if isinstance(state, PureStateParams):
         return concurrence_pure(state)
-    return concurrence_x(as_x_params(initial_state(Scenario(state, AMP))))
+    return concurrence_x(as_x_params(state_matrix(state)))
 
 
 @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
@@ -737,7 +739,7 @@ def test_scenario_pickles_with_its_margin():
     assert back == s
     assert back._margin == s._margin
     assert closed_form_concurrence(back, 0.3) == closed_form_concurrence(s, 0.3)
-    np.testing.assert_array_equal(initial_state(back), initial_state(s))
+    np.testing.assert_array_equal(state_matrix(back.state), state_matrix(s.state))
 
 
 def test_each_scenario_builds_its_coefficients_once(monkeypatch, capsys):
@@ -821,9 +823,10 @@ def test_bisection_scan_edges():
 
 @pytest.mark.parametrize("revived", [4.0, 6.0])
 def test_bisection_reports_the_first_revived_point(monkeypatch, revived):
-    # dead on [3, revived), alive elsewhere; the scan grid is the integers
-    def fake(scenario, tau, value):
-        return np.where((tau >= 3.0) & (tau < revived), 0.0, 0.5)
+    # dead on [3, revived), alive elsewhere; the scan grid is the integers,
+    # read through eta = e^(-tau/2), the value the evaluator takes
+    def fake(scenario, value):
+        return np.where((value <= np.exp(-1.5)) & (value > np.exp(-0.5 * revived)), 0.0, 0.5)
 
     monkeypatch.setattr(dynamics, "_closed_form", fake)
     message = rf"revived after dying, first at tau=(np\.float64\()?{revived}\)?;"
@@ -873,9 +876,9 @@ def test_the_analytic_verdict_reads_the_margin_and_no_closed_form(monkeypatch):
     reference = closed_form_concurrence(Scenario(FIG2_SOLID, PHASE), 0.0)
     evaluate = dynamics._closed_form
 
-    def counted(scenario, tau, value):
-        calls.append(np.size(tau))
-        return evaluate(scenario, tau, value)
+    def counted(scenario, value):
+        calls.append(np.size(value))
+        return evaluate(scenario, value)
 
     rule = dynamics._death
 
@@ -896,7 +899,7 @@ def test_the_analytic_verdict_reads_the_margin_and_no_closed_form(monkeypatch):
     # the death-time rule as well: the analytic route and the guess share it
     assert rules == [s._margin]
     # the public value at tau = 0 is one evaluation of its own
-    assert initial_concurrence(s) == reference
+    assert closed_form_concurrence(s, 0.0) == reference
     assert calls == [2048, 48, 1]
     # the esd command evaluates the same, and both routes share the rule
     calls.clear()
@@ -1054,17 +1057,13 @@ SCAN_HORIZONS = (50.0, dynamics.ESD_TAU_MAX_LIMIT)
 @pytest.mark.parametrize("tau_max", SCAN_HORIZONS)
 def test_the_scan_and_the_margin_agree_at_tau_zero(tau_max):
     # the scan decides InitiallySeparable from its first value and the
-    # analytic route from the margin m0: independent inputs, one verdict.
-    # initial_concurrence is the closed form at tau = 0, sign of zero included
+    # analytic route from the margin m0: independent inputs, one verdict
     for s in RANDOM_SCENARIOS:
-        grid, values = dynamics._scan_grid(s.noise.kind, tau_max, dynamics.SCAN_POINTS)
+        _, values = dynamics._scan_grid(s.noise.kind, tau_max, dynamics.SCAN_POINTS)
         separable = not s._margin.m0 > 0.0
-        assert (dynamics._closed_form(s, grid, values)[0] == 0.0) == separable, s
+        assert (dynamics._closed_form(s, values)[0] == 0.0) == separable, s
         verdict = esd_time_bisection(s, tau_max=tau_max).classification
         assert (verdict is Classification.INITIALLY_SEPARABLE) == separable, s
-        got, want = initial_concurrence(s), closed_form_concurrence(s, 0.0)
-        assert type(got) is type(want)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), s
 
 
 @pytest.mark.parametrize("tau_max", SCAN_HORIZONS)
@@ -1108,9 +1107,9 @@ def test_bisection_evaluation_counts(monkeypatch):
     calls = []
     evaluate = dynamics._closed_form
 
-    def counted(scenario, tau, value):
-        calls.append(np.size(tau))
-        return evaluate(scenario, tau, value)
+    def counted(scenario, value):
+        calls.append(np.size(value))
+        return evaluate(scenario, value)
 
     monkeypatch.setattr(dynamics, "_closed_form", counted)
     r = esd_time_bisection(Scenario(FIG2_SOLID, PHASE))
@@ -1129,10 +1128,10 @@ def test_bisection_evaluation_counts(monkeypatch):
         calls.clear()
         esd_time_bisection(s)
         assert calls == [2048]
-    # a wrong rule time, or none, costs one round per verdict that differs
+    # a wrong rule time costs one round per verdict that differs
     # from the prediction; each round keeps at least one midpoint, so the
     # rounds hold fewer midpoints one after the other
-    for guess in (r.tau_death + 0.01, r.tau_death - 0.01, None):
+    for guess in (r.tau_death + 0.01, r.tau_death - 0.01):
         monkeypatch.setattr(dynamics, "_death", lambda margin: guess)
         calls.clear()
         assert esd_time_bisection(Scenario(FIG2_SOLID, PHASE)) == r
@@ -1163,9 +1162,9 @@ def test_death_guess_is_a_finite_rule_value(monkeypatch):
     calls = []
     evaluate = dynamics._closed_form
 
-    def counted(scenario, tau, value):
-        calls.append(np.size(tau))
-        return evaluate(scenario, tau, value)
+    def counted(scenario, value):
+        calls.append(np.size(value))
+        return evaluate(scenario, value)
 
     monkeypatch.setattr(dynamics, "_closed_form", counted)
     for s in (Scenario(FIG2_SOLID, PHASE), Scenario(FIG2_DASHED, DEPOL)):
@@ -1209,7 +1208,7 @@ def _stepwise_references(i):
 @st.composite
 def _guesses(draw, base, lo, hi):
     kind = draw(st.sampled_from(
-        ["exact", "ulps", "1e-12", "1e-9", "0.01", "lo", "hi", "outside", "inf", "nan", "none"]
+        ["exact", "ulps", "1e-12", "1e-9", "0.01", "lo", "hi", "outside", "inf", "nan"]
     ))
     if kind == "exact":
         return base
@@ -1219,21 +1218,21 @@ def _guesses(draw, base, lo, hi):
         return base + draw(SIGN) * float(kind)
     if kind == "outside":
         return draw(st.sampled_from([lo - 1.0, 0.5 * lo, hi + 1.0]))
-    return {"lo": lo, "hi": hi, "inf": draw(SIGN) * math.inf, "nan": math.nan}.get(kind)
+    return {"lo": lo, "hi": hi, "inf": draw(SIGN) * math.inf, "nan": math.nan}[kind]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_any_guess_gives_the_stepwise_bits(data):
     # the guess is the cell's death rule, so it reaches the bisection as a
-    # rule time does: a finite value, inf, nan, or None where the rule finds
-    # no death
+    # rule time does: a finite value, inf or nan (the rounds start only
+    # where the rule has a root, so it is never None)
     i = data.draw(st.integers(0, len(SUDDEN_DEATHS) - 1), label="scenario")
     drawn = SUDDEN_DEATHS[i]
     closed, lo, hi = _stepwise_references(i)
     # the cell's own death time where it is finite, else the bisected one
     rule = drawn._death_time
-    base = rule if rule is not None and math.isfinite(rule) else closed.tau_death
+    base = rule if math.isfinite(rule) else closed.tau_death
     guess = data.draw(_guesses(base, lo, hi), label="guess")
     asked = []
 
@@ -1257,9 +1256,9 @@ def test_bisection_takes_at_most_two_rounds_per_death(monkeypatch):
     calls = []
     evaluate = dynamics._closed_form
 
-    def counted(scenario, tau, value):
-        calls.append(np.size(tau))
-        return evaluate(scenario, tau, value)
+    def counted(scenario, value):
+        calls.append(np.size(value))
+        return evaluate(scenario, value)
 
     monkeypatch.setattr(dynamics, "_closed_form", counted)
     rounds = 0
@@ -1424,7 +1423,7 @@ def test_figure_presets_wiring():
     # every preset curve starts entangled
     for preset in FIGURE_PRESETS.values():
         for curve in preset.curves:
-            assert initial_concurrence(curve.scenario) > 0
+            assert closed_form_concurrence(curve.scenario, 0.0) > 0
 
 
 def test_bisection_ends_below_the_float_spacing():

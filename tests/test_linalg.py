@@ -3,7 +3,7 @@ import pytest
 
 from esdsim.concurrence import factor_concurrence
 from esdsim.linalg import _frobenius, _hermitian_part, dagger, kron
-from esdsim.states import XStateParams, validate_density_matrix, x_state
+from esdsim.states import XStateParams, state_matrix, validate_density_matrix
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -79,7 +79,7 @@ def test_dagger():
 def test_x_matrix_spectrum():
     # central block [[0.4, 0.2], [0.2, 0.4]] contributes 0.6 and 0.2,
     # the outer diagonal contributes 0.1 twice
-    rho = x_state(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2))
+    rho = state_matrix(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2))
     np.testing.assert_allclose(np.linalg.eigvalsh(rho), [0.1, 0.1, 0.2, 0.6], atol=1e-12)
 
 
@@ -126,7 +126,7 @@ NOT_PSD = r"^matrix at index 3 is not PSD: min eigenvalue -2\.000e-01 < -1\.000e
 
 def test_every_state_check_speaks_one_wording():
     # each route that checks a state raises the same text, naming the member
-    good = np.stack([x_state(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2)), np.eye(4) / 4] * 2)
+    good = np.stack([state_matrix(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2)), np.eye(4) / 4] * 2)
     skew, heavy, negative = good.copy(), good.copy(), good.copy()
     skew[1, 0, 1] = 1e-3
     heavy[2] *= 1.5

@@ -17,17 +17,22 @@ from esdsim.states import (
     PureStateParams,
     XStateParams,
     as_x_params,
-    isotropic,
     pure_factor,
-    pure_state,
+    state_factor,
     state_kind,
     state_matrix,
     validate_density_matrix,
-    werner,
     x_entries,
     x_factor,
-    x_state,
 )
+
+
+def _iso(x):
+    return state_matrix(FamilyParams(Family.ISOTROPIC, x))
+
+
+def _wer(x):
+    return state_matrix(FamilyParams(Family.WERNER, x))
 
 
 def test_x_params_validation():
@@ -42,7 +47,7 @@ def test_x_params_validation():
 
 def test_x_params_accepts_complex_coherence():
     p = XStateParams(0.1, 0.4, 0.4, 0.1, 0.1 + 0.1j)
-    rho = x_state(p)
+    rho = state_matrix(p)
     assert rho[1, 2] == 0.1 + 0.1j
     assert rho[2, 1] == 0.1 - 0.1j
 
@@ -89,7 +94,7 @@ def test_family_params_validation():
 
 
 def test_x_state_layout():
-    rho = x_state(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2))
+    rho = state_matrix(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2))
     np.testing.assert_allclose(np.diagonal(rho), [0.1, 0.4, 0.4, 0.1])
     assert rho[1, 2] == 0.2
     # all other off-diagonal entries vanish
@@ -102,7 +107,7 @@ def test_x_state_layout():
 
 def test_pure_state_is_rank_one_with_given_weights():
     params = PureStateParams(0.125, 0.375, 0.375, 0.125, 0.3, 1.1, 2.0)
-    rho = pure_state(params)
+    rho = state_matrix(params)
     validate_density_matrix(rho)
     np.testing.assert_allclose(np.trace(rho @ rho).real, 1.0, atol=1e-12)
     np.testing.assert_allclose(
@@ -112,7 +117,7 @@ def test_pure_state_is_rank_one_with_given_weights():
 
 def test_pure_state_phases_enter_coherences():
     params = PureStateParams(0.25, 0.25, 0.25, 0.25, 0.7, 0.2, 1.5)
-    rho = pure_state(params)
+    rho = state_matrix(params)
     # entry (1, 2) is sqrt(b c) e^{i(f - g)}
     np.testing.assert_allclose(rho[1, 2], 0.25 * np.exp(1j * 0.5), atol=1e-12)
     np.testing.assert_allclose(rho[0, 3], 0.25 * np.exp(-1j * 1.5), atol=1e-12)
@@ -120,17 +125,17 @@ def test_pure_state_phases_enter_coherences():
 
 def test_isotropic_special_points():
     # x = 1/4 is the maximally mixed state
-    np.testing.assert_allclose(isotropic(0.25), np.eye(4) / 4, atol=1e-15)
+    np.testing.assert_allclose(_iso(0.25), np.eye(4) / 4, atol=1e-15)
     # x = 1 is a maximally entangled projector
-    rho = isotropic(1.0)
+    rho = _iso(1.0)
     np.testing.assert_allclose(np.trace(rho @ rho).real, 1.0, atol=1e-12)
     np.testing.assert_allclose(np.diagonal(rho).real, [0, 0.5, 0.5, 0], atol=1e-15)
     np.testing.assert_allclose(rho[1, 2], 0.5, atol=1e-15)
 
 
 def test_werner_special_points():
-    np.testing.assert_allclose(werner(0.0), np.eye(4) / 4, atol=1e-15)
-    rho = werner(1.0)
+    np.testing.assert_allclose(_wer(0.0), np.eye(4) / 4, atol=1e-15)
+    rho = _wer(1.0)
     np.testing.assert_allclose(np.trace(rho @ rho).real, 1.0, atol=1e-12)
     np.testing.assert_allclose(np.diagonal(rho).real, [0, 0.5, 0.5, 0], atol=1e-15)
     np.testing.assert_allclose(rho[1, 2], -0.5, atol=1e-15)
@@ -138,15 +143,22 @@ def test_werner_special_points():
 
 def test_family_states_are_valid_across_range():
     for x in np.linspace(0.0, 1.0, 21):
-        validate_density_matrix(isotropic(x))
-        validate_density_matrix(werner(x))
+        validate_density_matrix(_iso(x))
+        validate_density_matrix(_wer(x))
 
 
 def test_family_state_dispatch():
     iso, wer = FamilyParams(Family.ISOTROPIC, 0.3), FamilyParams(Family.WERNER, 0.7)
     assert (state_kind(iso), state_kind(wer)) == (Family.ISOTROPIC, Family.WERNER)
-    np.testing.assert_allclose(state_matrix(iso), isotropic(0.3), atol=0)
-    np.testing.assert_allclose(state_matrix(wer), werner(0.7), atol=0)
+    # the families' formulas written out: the isotropic diagonal
+    # ((1-x)/3, (2x+1)/6, (2x+1)/6, (1-x)/3) with coherence (4x-1)/6, and
+    # Werner (1-x) I/4 + x times the singlet projector
+    want_iso = np.diag([0.7 / 3, 1.6 / 6, 1.6 / 6, 0.7 / 3])
+    want_iso[1, 2] = want_iso[2, 1] = 0.2 / 6
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    want_wer = 0.3 * np.eye(4) / 4 + 0.7 * np.outer(singlet, singlet)
+    np.testing.assert_allclose(state_matrix(iso), want_iso, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(state_matrix(wer), want_wer, rtol=0, atol=1e-15)
 
 
 def test_validate_density_matrix_rejects():
@@ -165,7 +177,7 @@ def test_as_x_params_roundtrip():
         a, b, c, d = rng.dirichlet(np.ones(4))
         z = rng.uniform() * np.sqrt(b * c) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         params = XStateParams(a, b, c, d, z)
-        back = as_x_params(x_state(params))
+        back = as_x_params(state_matrix(params))
         np.testing.assert_allclose(
             [back.a, back.b, back.c, back.d], [a, b, c, d], atol=1e-14
         )
@@ -186,7 +198,7 @@ def test_as_x_params_rejects_single_qubit_input():
 
 
 def test_validate_density_matrix_checks_every_member_of_a_stack():
-    good = np.stack([x_state(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2)), np.eye(4) / 4] * 3)
+    good = np.stack([state_matrix(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2)), np.eye(4) / 4] * 3)
     assert validate_density_matrix(good).shape == (6, 4, 4)
     skew = good.copy()
     skew[4, 0, 1] = 1e-3
@@ -203,46 +215,39 @@ def test_validate_density_matrix_checks_every_member_of_a_stack():
 
 
 def _stack_cases():
+    # each state kind's records, built afresh inside the test
     rng = np.random.default_rng(22)
     xs = [float(v) for v in rng.uniform(size=6)] + [0.0, 0.25, 1.0]
     return [
-        (x_state, [random_x_params(rng) for _ in range(7)] + [XStateParams(0.1, 0.4, 0.4, 0.1, 0.2)]),
-        (pure_state, [random_pure_params(rng) for _ in range(7)]),
-        (isotropic, xs),
-        (werner, xs),
+        ("x_state", [random_x_params(rng) for _ in range(7)] + [XStateParams(0.1, 0.4, 0.4, 0.1, 0.2)]),
+        ("pure_state", [random_pure_params(rng) for _ in range(7)]),
+        ("isotropic", [FamilyParams(Family.ISOTROPIC, x) for x in xs]),
+        ("werner", [FamilyParams(Family.WERNER, x) for x in xs]),
     ]
 
 
-@pytest.mark.parametrize("ctor, records", _stack_cases())
-def test_stacked_constructors_match_one_record_at_a_time(ctor, records):
-    stack = ctor(np.array(records) if ctor in (isotropic, werner) else records)
-    assert stack.shape == (len(records), 4, 4)
-    for i, record in enumerate(records):
-        one = ctor(record)
-        assert one.shape == (4, 4)
-        np.testing.assert_array_equal(stack[i], one)
-        # bit for bit, the sign of every zero included
-        assert stack[i].tobytes() == one.tobytes()
-
-
-@pytest.mark.parametrize("ctor, records", _stack_cases())
-def test_a_stack_is_validated_once(ctor, records, monkeypatch):
+@pytest.mark.parametrize("kind, records", _stack_cases())
+def test_a_stack_is_validated_once(kind, records, monkeypatch):
     # each entry is checked once, where it is taken in: a record when it is
-    # built (an X record's central block through the PSD check), family
-    # weights in one range check; the matrices are not checked again
+    # built (an X record's central block through the PSD check, a family's
+    # weight by its own range check); a stack of the records' matrices and
+    # their factors are not checked again
     calls = collections.Counter()
-    for name in ("validate_density_matrix", "_check_record", "_check_psd", "_unit_interval"):
+    for name in ("validate_density_matrix", "_check_record", "_check_psd"):
         def counting(*args, name=name, original=getattr(states, name)):
             calls[name] += 1
             return original(*args)
 
         monkeypatch.setattr(states, name, counting)
-    family = ctor in (isotropic, werner)
-    stack = ctor(records if family else [type(r)(**vars(r)) for r in records])
+    records = [type(r)(**vars(r)) for r in records]
     n = len(records)
-    expected = {"_unit_interval": 1} if family else {"_check_record": n}
-    if ctor is x_state:
+    expected = {} if kind in ("isotropic", "werner") else {"_check_record": n}
+    if kind == "x_state":
         expected["_check_psd"] = n
+    assert dict(calls) == expected
+    stack = np.stack([state_matrix(r) for r in records])
+    for r in records:
+        state_factor(r)
     assert dict(calls) == expected
     # and the stack holds density matrices within every matrix check
     validate_density_matrix(stack)
@@ -292,23 +297,13 @@ def test_the_record_admits_what_the_matrix_check_admits(log_b, log_c, log_delta,
         np.testing.assert_allclose(w @ w.conj().T, rho, rtol=0, atol=2.0 * max(-low, 0.0) + 1e-15)
 
 
-@pytest.mark.parametrize("ctor", [x_state, pure_state, isotropic, werner])
-def test_an_empty_sequence_gives_an_empty_stack(ctor):
-    assert ctor([]).shape == (0, 4, 4)
-
-
 def test_family_weights_are_checked_per_entry():
-    message = r"isotropic weight x must lie in \[0, 1\], got 1\.5 at index 1"
-    with pytest.raises(ValueError, match=message):
-        isotropic([0.2, 1.5])
-    with pytest.raises(ValueError, match=r"Werner weight x must lie in \[0, 1\], got nan at index 2"):
-        werner(np.array([0.2, 0.5, np.nan]))
-    # one value keeps its message word for word
-    for ctor, name in ((isotropic, "isotropic"), (werner, "Werner")):
+    # each record checks its own weight, in one wording for both families
+    for family in Family:
         for bad, text in ((1.5, "1.5"), (-0.1, "-0.1"), (float("nan"), "nan")):
             with pytest.raises(ValueError) as err:
-                ctor(bad)
-            assert str(err.value) == f"{name} weight x must lie in [0, 1], got {text}"
+                FamilyParams(family, bad)
+            assert str(err.value) == f"mixing weight x must lie in [0, 1], got {text}"
 
 
 def test_x_factor_rebuilds_x_pattern_states():
@@ -368,4 +363,4 @@ def test_pure_factor_is_the_amplitude_column():
         params = random_pure_params(rng)
         w = pure_factor(params)
         assert w.shape == (4, 1)
-        np.testing.assert_allclose(w @ w.conj().T, pure_state(params), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w @ w.conj().T, state_matrix(params), rtol=0, atol=1e-15)

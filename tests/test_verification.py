@@ -6,9 +6,10 @@ import pytest
 
 from esdsim import states, verification
 from esdsim.concurrence import factor_concurrence
-from esdsim.dynamics import Classification, EsdMethod, EsdResult, initial_factor, initial_state
+from esdsim.dynamics import Classification, EsdMethod, EsdResult
 from esdsim.linalg import _frobenius
 from esdsim.sampling import random_scenario
+from esdsim.states import state_factor, state_matrix
 from esdsim.verification import SUITES, SuiteResult, run_all, run_suite
 
 # sha256 of each suite's reproduction strings at seed 0 with 20 cases and
@@ -18,7 +19,8 @@ from esdsim.verification import SUITES, SuiteResult, run_all, run_suite
 DRAW_DIGESTS = {
     "kron_algebra": "feca804196942acf5695199da9825a46e6b0dbe5be72c0dbc5cb207025460659",
     "symmetric_spectrum": "b40e21187309149177b6b86e3715bcaecf0832fb8fb91b07b6dd13ccb54f1ddb",
-    "factor_reduction": "a5df38181540b7a967e9e7171bb0fa6a633d5ca4373970237ea01258ed4e7b0c",
+    # each wide factor mixes in an entangled pure column
+    "factor_reduction": "29e9a0af941281d6c743078d53eb2586cf86f55f1e4d0712e4b4f1b8ddea3804",
     "kraus_completeness": "c163141f5c7a304140f424996259d2f4c59a29ee7e72f05c2d0557c1ce1f4c08",
     "channel_output_validity": "ee0ff8f38f02e3c722bcac8a4d43f1c8a52967824e13abe5704e7c7562923382",
     "x_form_closure": "e3eea8ac6b60584cbb869d16233f79775bfd2dc1126f172c387b387dc8806455",
@@ -47,7 +49,7 @@ DRAW_DIGESTS = {
 MAX_ERRORS_SEED3_CASES40 = {
     "kron_algebra": 1.16683012789241e-14,
     "symmetric_spectrum": 5.329070518200751e-15,
-    "factor_reduction": 4.996003610813204e-16,
+    "factor_reduction": 5.551115123125783e-16,
     "kraus_completeness": 1.5700924586837752e-16,
     "channel_output_validity": 2.1163626406917047e-16,
     "x_form_closure": 3.012848690558697e-18,
@@ -172,6 +174,31 @@ def test_suites_fail_on_wrong_library_answers(monkeypatch):
             assert res.max_error == math.inf, name
 
 
+def test_factor_reduction_draws_entangled_states():
+    # a separable draw compares 0 with 0 and checks nothing: at the default
+    # --cases 1000 (500 draws), at least 9 in 10 of the states are entangled
+    index = [name for name, _, _, _ in SUITES].index("factor_reduction")
+    rng = np.random.default_rng([0, index])
+    w = verification._padded([verification._reduction_case(rng) for _ in range(500)], 16)
+    assert np.mean(factor_concurrence(w) > 0.0) >= 0.9
+
+
+def test_factor_reduction_catches_a_reduction_that_drops_a_row(monkeypatch):
+    # a QR reduction that drops R's last row, renormalized so that the trace
+    # check still passes, fails nearly every case
+    def dropped(w):
+        w = np.asarray(w)
+        if w.shape[-1] > 4:
+            w = np.linalg.qr(w.conj().swapaxes(-1, -2), mode="r")[..., :-1, :].conj().swapaxes(-1, -2)
+            w = w / _frobenius(w)[..., None, None]
+        return factor_concurrence(w)
+
+    monkeypatch.setattr(verification, "factor_concurrence", dropped)
+    for seed in (0, 3):
+        res = run_suite("factor_reduction", seed, 40)
+        assert len(res.failures) >= 0.85 * res.cases, (seed, len(res.failures))
+
+
 def test_x_form_closure_names_each_record_that_fails_to_rebuild(monkeypatch):
     # an evolved matrix whose record cannot be built fails its own case,
     # with its own reason; the other cases rebuild in one stack and pass
@@ -197,8 +224,8 @@ def test_stacked_initial_states_match_the_per_scenario_builds():
     # tau_zero_identity stacks the initial factors, zero-padded to 4 columns
     rng = np.random.default_rng(12)
     scenarios = [random_scenario(rng, i) for i in range(48)]
-    stacked = verification._padded([initial_factor(s) for s in scenarios], 4)
-    want = np.stack([initial_state(s) for s in scenarios])
+    stacked = verification._padded([state_factor(s.state) for s in scenarios], 4)
+    want = np.stack([state_matrix(s.state) for s in scenarios])
     np.testing.assert_allclose(verification._state(stacked), want, rtol=0, atol=1e-15)
     assert verification._padded([], 4).shape == (0, 4, 4)
 
