@@ -23,8 +23,9 @@ help, `--flag=value`, abbreviations, dash-leading values such as
 `--zarg -1.5`, `--`, unknown or missing flags, bad values, and `figure`.
 So help pages, usage errors and exit codes are argparse's.  The tables
 save an in-process caller (a benchmark loop, a notebook, the tests) about
-0.17 ms of the 0.24 ms an `esd` command takes through argparse (best of 9,
-2 CPUs); a shell user gains nothing, as process start-up takes about 0.3 s.
+87 us of the 135 us an `esd` command takes through argparse (best of 9 over
+2400 commands, 2 CPUs); a shell user gains nothing, as process start-up
+takes about 0.3 s.
 """
 from __future__ import annotations
 
@@ -145,21 +146,33 @@ def _trajectory_rows(scenario: Scenario, grid: np.ndarray, scale: float = 1.0) -
 
 
 _COLUMNS = ("tau", "c_closed", "c_wootters", "abs_diff")
-# one CSV row; "%.12g" prints each float as _fmt does
-_CSV_ROW = "%.12g,%.12g,%.12g,%.12g\n"
+
+
+@functools.lru_cache(maxsize=1)
+def _tau_text(column: bytes) -> str:
+    # the printed tau column, keyed by its float64 bytes (so -0.0 and 0.0
+    # stay apart): each value's "%.12g" text (that of _fmt), joined by "\0",
+    # which "%.12g" never prints.  One grid is kept: about 14 B per point of
+    # text and 8 B per point of key.
+    taus = np.frombuffer(column)
+    return "\0".join(["%.12g"] * len(taus)) % tuple(taus.tolist())
 
 
 def _write_rows(stream, rows, fmt: str, curve: str | None = None) -> None:
-    # rows (an (n, 4) array or 4-tuples) fill one row template repeated n times
-    # in one % pass, written in one call; JSONL rows print _json_line's bytes
+    # rows (an (n, 4) array or 4-tuples) fill one template of n rows, built
+    # from the tau column's text (kept for the next table on the same grid)
+    # with one replace; the other columns fill it in one % pass, written in
+    # one call.  JSONL rows print _json_line's bytes.
     table = np.asarray(rows, dtype=float)
     if fmt == "csv":
         head = (f"# curve: {curve}\n" if curve is not None else "") + ",".join(_COLUMNS) + "\n"
-        row = _CSV_ROW
+        start, end = "", ",%.12g,%.12g,%.12g\n"
     else:
         tag = f'"curve": {json.dumps(curve)}, '.replace("%", "%%") if curve is not None else ""
-        head, row = "", "{" + tag + ", ".join(f'"{key}": %.12g' for key in _COLUMNS) + "}\n"
-    stream.write(head + (row * len(table)) % tuple(table.ravel().tolist()))
+        head, start = "", "{" + tag + f'"{_COLUMNS[0]}": '
+        end = "".join(f', "{key}": %.12g' for key in _COLUMNS[1:]) + "}\n"
+    rows_text = start + _tau_text(table[:, 0].tobytes()).replace("\0", end + start) + end
+    stream.write(head + rows_text % tuple(table[:, 1:].ravel().tolist()))
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:

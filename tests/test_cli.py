@@ -675,6 +675,47 @@ def test_every_tau_field_is_the_grid_over_gamma(capsys):
         assert _tau_fields(out, fmt) == want
 
 
+def test_kept_tau_text_leaves_every_table_unchanged(capsys):
+    # the default grid, another grid, then the default grid again in one
+    # process: each table equals the same command's table with nothing kept,
+    # and the cache holds one grid's text, a str, after every command
+    default = ([], np.linspace(0.0, 50.0, 2048))
+    other = (["--tau-max", "3", "--points", "301", "--gamma", "0.5"], np.linspace(0.0, 3.0, 301) / 0.5)
+    for fmt in ("csv", "jsonl"):
+        for flags, taus in (default, other, default):
+            argv = ["evolve", *FIG1_SOLID_FLAGS, *flags, "--format", fmt]
+            code, kept, _ = run(argv, capsys)
+            assert code == 0
+            info = cli._tau_text.cache_info()
+            assert (info.maxsize, info.currsize) == (1, 1)
+            # the kept entry is this grid's: reading it is a hit
+            text = cli._tau_text(taus.tobytes())
+            assert cli._tau_text.cache_info().hits == info.hits + 1
+            assert isinstance(text, str) and sys.getsizeof(text) < 16 * len(taus)
+            cli._tau_text.cache_clear()
+            code, fresh, _ = run(argv, capsys)
+            assert code == 0
+            assert kept == fresh
+
+
+def test_figure_formats_its_tau_column_once(capsys):
+    # fig4's three curves share one grid: one miss, then two hits
+    cli._tau_text.cache_clear()
+    code, out, _ = run(["figure", "fig4"], capsys)
+    assert code == 0 and out.count("# curve: ") == 3
+    info = cli._tau_text.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+def test_kept_tau_text_tells_signed_zeros_apart():
+    # 0.0 and -0.0 compare equal but print apart: the key is the bytes
+    for first, second in (([0.0, 1.0], [-0.0, 1.0]), ([-0.0, 1.0], [0.0, 1.0])):
+        for tau in (first, second):
+            stream = io.StringIO()
+            cli._write_rows(stream, [(t, 0.5, 0.5, 0.0) for t in tau], "csv")
+            assert stream.getvalue().splitlines()[1:] == [f"{cli._fmt(t)},0.5,0.5,0" for t in tau]
+
+
 def test_a_table_is_written_in_one_call():
     class Counted:
         def __init__(self):
