@@ -27,11 +27,9 @@ from .dynamics import (
     FIGURE_PRESETS,
     Classification,
     EsdBoundary,
-    EsdMethod,
     EsdResult,
     Scenario,
     Trajectory,
-    TrajectorySource,
     closed_form_concurrence,
     closed_form_trajectory,
     esd_boundary,
@@ -96,11 +94,9 @@ __all__ = [
     "FIGURE_PRESETS",
     "Classification",
     "EsdBoundary",
-    "EsdMethod",
     "EsdResult",
     "Scenario",
     "Trajectory",
-    "TrajectorySource",
     "closed_form_concurrence",
     "closed_form_trajectory",
     "esd_boundary",

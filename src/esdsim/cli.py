@@ -226,13 +226,11 @@ def cmd_figure(args: argparse.Namespace) -> int:
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
     for curve in preset.curves:
+        # the rows first: a failed computation leaves no empty file
         rows = _trajectory_rows(curve.scenario, grid)
-        if args.out is None:
-            _write_rows(sys.stdout, rows, args.format, curve=curve.label)
-        else:
-            path = os.path.join(args.out, f"{preset.name}_{curve.label}.{args.format}")
-            with open(path, "w", newline="") as stream:
-                _write_rows(stream, rows, args.format, curve=curve.label)
+        name = f"{args.name}_{curve.label}.{args.format}"
+        with _open_out(None if args.out is None else os.path.join(args.out, name)) as stream:
+            _write_rows(stream, rows, args.format, curve=curve.label)
     return 0
 
 

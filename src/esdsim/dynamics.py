@@ -109,20 +109,10 @@ TRAJECTORY_CAP = 1.0 + 1e-10
 _BLOCK_ROWS = 1024
 
 
-class TrajectorySource(enum.Enum):
-    CLOSED_FORM = "ClosedForm"
-    NUMERIC = "Numeric"
-
-
 class Classification(enum.Enum):
     SUDDEN_DEATH = "SuddenDeath"
     ASYMPTOTIC_DECAY = "AsymptoticDecay"
     INITIALLY_SEPARABLE = "InitiallySeparable"
-
-
-class EsdMethod(enum.Enum):
-    ANALYTIC = "Analytic"
-    BISECTION = "Bisection"
 
 
 @dataclass(frozen=True)
@@ -150,7 +140,6 @@ class Scenario:
 class Trajectory:
     tau: np.ndarray
     c: np.ndarray
-    source: TrajectorySource
 
     def __post_init__(self) -> None:
         # the record freezes copies, so the caller's arrays stay writable
@@ -172,12 +161,11 @@ class Trajectory:
 class EsdResult:
     """Decay classification, with the death time when there is one.
 
-    `horizon` records the finite scan window for bisection results; an
-    AsymptoticDecay from the scan route only asserts survival up to it.
+    `horizon` marks a result of the scan (`esd_time_bisection`) with its
+    window; an AsymptoticDecay from the scan only asserts survival up to it.
     """
 
     classification: Classification
-    method: EsdMethod
     tau_death: float | None = None
     horizon: float | None = None
 
@@ -444,7 +432,7 @@ def _validate_grid(tau_grid) -> np.ndarray:
 def closed_form_trajectory(scenario: Scenario, tau_grid) -> Trajectory:
     grid = _validate_grid(tau_grid)
     c = closed_form_concurrence(scenario, grid)
-    return Trajectory(grid, c, TrajectorySource.CLOSED_FORM)
+    return Trajectory(grid, c)
 
 
 def _evolve(w0: np.ndarray, noise: NoiseSpec, taus) -> np.ndarray:
@@ -529,7 +517,7 @@ def numeric_trajectory(scenario: Scenario, tau_grid) -> Trajectory:
     """General-route trajectory: `numeric_concurrence` over one grid."""
     grid = _validate_grid(tau_grid)
     c = numeric_concurrence([scenario], grid[None])[0]
-    return Trajectory(grid, c, TrajectorySource.NUMERIC)
+    return Trajectory(grid, c)
 
 
 def evolved_state(scenario: Scenario, tau: float) -> np.ndarray:
@@ -554,11 +542,11 @@ def esd_time_analytic(scenario: Scenario) -> EsdResult:
     rule, which holds only where that margin is > 0.
     """
     if not scenario._margin.m0 > 0.0:
-        return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.ANALYTIC)
+        return EsdResult(Classification.INITIALLY_SEPARABLE)
     tau = scenario._death_time
     if tau is None:
-        return EsdResult(Classification.ASYMPTOTIC_DECAY, EsdMethod.ANALYTIC)
-    return EsdResult(Classification.SUDDEN_DEATH, EsdMethod.ANALYTIC, tau_death=tau)
+        return EsdResult(Classification.ASYMPTOTIC_DECAY)
+    return EsdResult(Classification.SUDDEN_DEATH, tau_death=tau)
 
 
 @functools.lru_cache(maxsize=3, typed=True)
@@ -632,12 +620,10 @@ def esd_time_bisection(
     c = _closed_form(scenario, values)
     dead_scan = c == 0.0
     if dead_scan[0]:
-        return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION)
+        return EsdResult(Classification.INITIALLY_SEPARABLE)
     # a margin with no root takes no clamp: a 0.0 there is an underflow
     if not (scenario._margin.lo > 0.0 and dead_scan.any()):
-        return EsdResult(
-            Classification.ASYMPTOTIC_DECAY, EsdMethod.BISECTION, horizon=tau_max
-        )
+        return EsdResult(Classification.ASYMPTOTIC_DECAY, horizon=tau_max)
     first = int(dead_scan.argmax())
 
     alive_after = ~dead_scan[first:]
@@ -663,9 +649,7 @@ def esd_time_bisection(
             if dead != (m >= guess):
                 break
         mid = 0.5 * (lo + hi)
-    return EsdResult(
-        Classification.SUDDEN_DEATH, EsdMethod.BISECTION, tau_death=mid, horizon=tau_max
-    )
+    return EsdResult(Classification.SUDDEN_DEATH, tau_death=mid, horizon=tau_max)
 
 
 # ---------------------------------------------------------------------------
@@ -674,32 +658,16 @@ def esd_time_bisection(
 
 @dataclass(frozen=True)
 class EsdBoundary:
-    """Mixing-parameter interval with sudden death, for one (family, noise)."""
+    """Mixing-parameter interval with sudden death, for one (family, noise):
+    x_min < x, and x < x_max or x <= x_max as `max_open` says."""
 
-    family: Family
-    noise_kind: NoiseKind
     x_min: float
     x_max: float
-    min_open: bool
     max_open: bool
     critical_x: float | None = None
 
-    @property
-    def description(self) -> str:
-        lo = "<" if self.min_open else "<="
-        hi = "<" if self.max_open else "<="
-        text = (
-            f"{self.family.value}/{self.noise_kind.value}: sudden death for "
-            f"{self.x_min:g} {lo} x {hi} {self.x_max:g}"
-        )
-        if self.critical_x is not None:
-            text += f" (critical x = {self.critical_x:g})"
-        return text
-
     def contains(self, x: float) -> bool:
-        above = x > self.x_min if self.min_open else x >= self.x_min
-        below = x < self.x_max if self.max_open else x <= self.x_max
-        return above and below
+        return self.x_min < x and (x < self.x_max if self.max_open else x <= self.x_max)
 
 
 def esd_boundary(family: Family, noise_kind: NoiseKind) -> EsdBoundary:
@@ -713,12 +681,12 @@ _ISO, _WER = Family.ISOTROPIC, Family.WERNER
 # The amplitude criticals of the family intervals solve the eta -> 0 limit
 # of the closed forms, lo = 0: (4x-1)^2 = 6(1-x) and 2x^2 + x - 1 = 0.
 _BOUNDARIES = {
-    (_ISO, _A): EsdBoundary(_ISO, _A, 0.5, 0.625, True, True, critical_x=0.625),
-    (_ISO, _P): EsdBoundary(_ISO, _P, 0.5, 1.0, True, True),
-    (_ISO, _D): EsdBoundary(_ISO, _D, 0.5, 1.0, True, False),
-    (_WER, _A): EsdBoundary(_WER, _A, 1.0 / 3.0, 0.5, True, True, critical_x=0.5),
-    (_WER, _P): EsdBoundary(_WER, _P, 1.0 / 3.0, 1.0, True, True),
-    (_WER, _D): EsdBoundary(_WER, _D, 1.0 / 3.0, 1.0, True, False),
+    (_ISO, _A): EsdBoundary(0.5, 0.625, True, critical_x=0.625),
+    (_ISO, _P): EsdBoundary(0.5, 1.0, True),
+    (_ISO, _D): EsdBoundary(0.5, 1.0, False),
+    (_WER, _A): EsdBoundary(1.0 / 3.0, 0.5, True, critical_x=0.5),
+    (_WER, _P): EsdBoundary(1.0 / 3.0, 1.0, True),
+    (_WER, _D): EsdBoundary(1.0 / 3.0, 1.0, False),
 }
 
 
@@ -734,7 +702,6 @@ class FigureCurve:
 
 @dataclass(frozen=True)
 class FigurePreset:
-    name: str
     tau_max: float
     curves: tuple[FigureCurve, ...]
 
@@ -751,7 +718,6 @@ _QP = math.pi / 4.0
 
 FIGURE_PRESETS = {
     "fig1": FigurePreset(
-        "fig1",
         3.0,
         (
             FigureCurve("solid", _xs(0.1, 0.4, 0.4, 0.1, 0.2, NoiseKind.AMPLITUDE)),
@@ -759,7 +725,6 @@ FIGURE_PRESETS = {
         ),
     ),
     "fig2": FigurePreset(
-        "fig2",
         2.0,
         (
             FigureCurve("solid", _xs(0.2, 0.3, 0.3, 0.2, 0.3, NoiseKind.PHASE)),
@@ -767,7 +732,6 @@ FIGURE_PRESETS = {
         ),
     ),
     "fig3": FigurePreset(
-        "fig3",
         2.5,
         (
             FigureCurve("solid", _xs(0.5, 0.1, 0.4, 0.0, 0.1, NoiseKind.DEPOLARIZING)),
@@ -775,7 +739,6 @@ FIGURE_PRESETS = {
         ),
     ),
     "fig4": FigurePreset(
-        "fig4",
         2.0,
         (
             FigureCurve(

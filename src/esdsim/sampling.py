@@ -22,6 +22,7 @@ from .states import Family, FamilyParams, PureStateParams, XStateParams
 MIN_CONCURRENCE = 0.01
 
 NOISE_KINDS = (NoiseKind.AMPLITUDE, NoiseKind.PHASE, NoiseKind.DEPOLARIZING)
+SCENARIO_CELLS = 4 * len(NOISE_KINDS)  # the (state kind, noise) cycle of random_scenario
 
 
 def random_x_params(rng: np.random.Generator) -> XStateParams:

@@ -61,7 +61,10 @@ class XStateParams:
         # least eigenvalue of the central block [[b, z], [z*, c]], under the
         # allowance and wording of every matrix check
         b, c = self.b, self.c
-        _check_psd(np.float64(((b + c) - math.hypot(b - c, 2.0 * abs(self.z))) / 2.0))
+        least = ((b + c) - math.hypot(b - c, 2.0 * abs(self.z))) / 2.0
+        _check_psd(np.float64(least))
+        if least < 0.0:  # admitted: both routes read the PSD block at |z| = sqrt(b c)
+            object.__setattr__(self, "z", self.z * (math.sqrt(b) * math.sqrt(c) / abs(self.z)))
 
 
 @dataclass(frozen=True)
@@ -156,10 +159,11 @@ def x_factor(a, b, c, d, z) -> np.ndarray:
     (M + s I) / t with s = sqrt(det M) and t = sqrt(b + c + 2 s).  No
     matrix is built and no eigendecomposition is taken, so a zero weight
     gives an exactly zero column and a rank-1 central block a rank-1 pair
-    of columns, up to the rounding of det M.  A det M below zero (a least
-    eigenvalue within -PSD_CLAMP_TOL) takes s = 0 and t^2 = tr(M^2) /
-    (b + c), so w w^dag keeps the state's trace and lies within about that
-    eigenvalue of it.  The factor is float64 when z is real, else complex128.
+    of columns, up to the rounding of det M.  A det M below zero (raw entries
+    with a least eigenvalue within -PSD_CLAMP_TOL: an `XStateParams` reads
+    such a block at |z| = sqrt(b c)) takes s = 0 and t^2 = tr(M^2) / (b + c),
+    so w w^dag keeps the state's trace and lies within about that eigenvalue
+    of it.  The factor is float64 when z is real, else complex128.
     """
     z = complex(z)
     z = z if z.imag else z.real  # a real state gets a real factor

@@ -11,13 +11,17 @@ any 4x4 state), so its own error is near 1e-25.
 It reads none of the closed forms and none of the library's kernels; its
 Kraus operators (`kraus_operators`) and initial states (`initial_matrix`)
 serve the tests' other 50-digit references too.
+
+`reference_margin` has the sign of the evolved state's concurrence at 50
+digits, from the evolved entries alone, and `reference_death` bisects that
+sign for the death time; they too read nothing of the closed forms.
 """
 import mpmath
 import numpy as np
 
 from esdsim.channels import NoiseKind
 from esdsim.dynamics import Scenario
-from esdsim.states import Family, FamilyParams, XStateParams
+from esdsim.states import Family, FamilyParams, PureStateParams, XStateParams
 
 
 def kraus_sum(rho, kraus):
@@ -119,3 +123,53 @@ def matrix_concurrence(rho) -> float:
     h = (h + h.transpose_conj()) / 2  # Hermitian up to the last digits
     lam = sorted((mp.sqrt(max(v, 0)) for v in mp.eighe(h)[0]), reverse=True)
     return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def _evolved_entry(kraus, rho0, row: int, col: int):
+    # entry (row, col) of the sum over K of (K x I) rho0 (K x I)^dag; an
+    # index is 2 * (qubit 1) + (qubit 2), and the noise acts on qubit 1
+    (i, q), (j, r) = divmod(row, 2), divmod(col, 2)
+    return sum(
+        k[i][m] * rho0[2 * m + q, 2 * n + r] * MP.conj(k[j][n])
+        for k in kraus for m in range(2) for n in range(2)
+    )
+
+
+def reference_margin(scenario: Scenario, tau):
+    """A number with the sign of the evolved state's concurrence at 50 digits:
+    |rho12| - sqrt(rho00 rho33) for the X-pattern kinds, and for a pure
+    state -det of the partial transpose, which is negative exactly on the
+    separable two-qubit states (Augusiak, Demianowicz and Horodecki, Phys.
+    Rev. A 77, 030301, 2008)."""
+    mp = MP
+    kraus, rho0 = kraus_operators(scenario.noise.kind, tau), initial_matrix(scenario.state)
+    if not isinstance(scenario.state, PureStateParams):
+        corners = mp.re(_evolved_entry(kraus, rho0, 0, 0) * _evolved_entry(kraus, rho0, 3, 3))
+        return abs(_evolved_entry(kraus, rho0, 1, 2)) - mp.sqrt(corners)
+    # partial transpose on qubit 2: (i q, j r) takes the entry (i r, j q)
+    pt = mp.matrix(
+        [[_evolved_entry(kraus, rho0, row - row % 2 + col % 2, col - col % 2 + row % 2)
+          for col in range(4)] for row in range(4)]
+    )
+    return -mp.re(mp.det(pt))
+
+
+# past this time every state that the boundary tests draw and that dies is
+# dead; a death past it reads as None, an asymptotic decay
+_FAR = 300.0
+
+
+def reference_death(scenario: Scenario):
+    """The death time by bisection of the sign at 50 digits, or None where the
+    state is still entangled at _FAR; the state must be entangled at 0."""
+    mp = MP
+    assert reference_margin(scenario, 0) > 0
+    if reference_margin(scenario, _FAR) > 0:
+        return None
+    lo, hi = mp.mpf(0), mp.mpf(1)
+    while reference_margin(scenario, hi) > 0:
+        lo, hi = hi, 2 * hi
+    while hi - lo > hi * mp.mpf("1e-15"):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if reference_margin(scenario, mid) > 0 else (lo, mid)
+    return (lo + hi) / 2

@@ -38,7 +38,14 @@ from esdsim.dynamics import (
     numeric_trajectory,
 )
 from esdsim.states import Family, FamilyParams, PureStateParams, XStateParams
-from reference import MP, initial_matrix, kraus_operators, reference_concurrence
+from reference import (
+    MP,
+    initial_matrix,
+    kraus_operators,
+    reference_concurrence,
+    reference_death,
+    reference_margin,
+)
 
 # both routes, against the reference; the gaps seen are below 1e-15
 TOL = 1e-12
@@ -411,56 +418,6 @@ def test_depolarized_states_are_separable_from_two_ln_four(raw, u, phases, x):
 # evolved state at 50 digits, reading nothing of the closed forms
 
 
-def _evolved_entry(kraus, rho0, row: int, col: int):
-    # entry (row, col) of the sum over K of (K x I) rho0 (K x I)^dag; an
-    # index is 2 * (qubit 1) + (qubit 2), and the noise acts on qubit 1
-    (i, q), (j, r) = divmod(row, 2), divmod(col, 2)
-    return sum(
-        k[i][m] * rho0[2 * m + q, 2 * n + r] * MP.conj(k[j][n])
-        for k in kraus for m in range(2) for n in range(2)
-    )
-
-
-def _reference_margin(scenario: Scenario, tau):
-    """A number with the sign of the evolved state's concurrence at 50 digits:
-    |rho12| - sqrt(rho00 rho33) for the X-pattern kinds, and for a pure
-    state -det of the partial transpose, which is negative exactly on the
-    separable two-qubit states (Augusiak, Demianowicz and Horodecki, Phys.
-    Rev. A 77, 030301, 2008)."""
-    mp = MP
-    kraus, rho0 = kraus_operators(scenario.noise.kind, tau), initial_matrix(scenario.state)
-    if not isinstance(scenario.state, PureStateParams):
-        corners = mp.re(_evolved_entry(kraus, rho0, 0, 0) * _evolved_entry(kraus, rho0, 3, 3))
-        return abs(_evolved_entry(kraus, rho0, 1, 2)) - mp.sqrt(corners)
-    # partial transpose on qubit 2: (i q, j r) takes the entry (i r, j q)
-    pt = mp.matrix(
-        [[_evolved_entry(kraus, rho0, row - row % 2 + col % 2, col - col % 2 + row % 2)
-          for col in range(4)] for row in range(4)]
-    )
-    return -mp.re(mp.det(pt))
-
-
-# past this time every state drawn here that dies is dead; a death past it
-# would read as an asymptotic decay and fail the check below
-_FAR = 300.0
-
-
-def _reference_death(scenario: Scenario):
-    """The death time by bisection of the sign at 50 digits, or None where the
-    state is still entangled at _FAR; the state must be entangled at 0."""
-    mp = MP
-    assert _reference_margin(scenario, 0) > 0
-    if _reference_margin(scenario, _FAR) > 0:
-        return None
-    lo, hi = mp.mpf(0), mp.mpf(1)
-    while _reference_margin(scenario, hi) > 0:
-        lo, hi = hi, 2 * hi
-    while hi - lo > hi * mp.mpf("1e-15"):
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if _reference_margin(scenario, mid) > 0 else (lo, mid)
-    return (lo + hi) / 2
-
-
 def _x_drawn(raw, u, arg):
     # weights from [1e-3, 1], normalized, and |z| from sqrt(ad) to sqrt(bc)
     a, b, c, d = _entangling_weights(raw)
@@ -469,7 +426,7 @@ def _x_drawn(raw, u, arg):
 
 
 def assert_cell_matches_reference(scenario: Scenario) -> None:
-    want = _reference_death(scenario)
+    want = reference_death(scenario)
     got = esd_time_analytic(scenario)
     if want is None:
         assert got.classification is Classification.ASYMPTOTIC_DECAY, (scenario, got)
@@ -487,7 +444,7 @@ GATE = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 def test_x_amplitude_and_phase_death_rules_against_the_evolved_state(raw, u, arg, noise):
     # X/amplitude dies where a(b + d) > |z|^2, X/phase wherever a d > 0
     s = Scenario(_x_drawn(raw, u, arg), noise)
-    assume(_reference_margin(s, 0) > 1e-9)
+    assume(reference_margin(s, 0) > 1e-9)
     assert_cell_matches_reference(s)
 
 
@@ -522,7 +479,7 @@ def test_family_death_rules_keep_their_digits_at_the_separable_end():
 def test_pure_depolarizing_death_rule_against_the_evolved_state(raw, phases):
     a, b, c, d = (v / sum(raw) for v in raw)
     s = Scenario(PureStateParams(a, b, c, d, *phases), DEPOL)
-    assume(_reference_margin(s, 0) > 1e-9)
+    assume(reference_margin(s, 0) > 1e-9)
     assert_cell_matches_reference(s)
 
 

@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 from esdsim.channels import NoiseKind, NoiseSpec
 from esdsim import cli, dynamics
 from esdsim.cli import build_parser, main
-from esdsim.dynamics import Scenario, closed_form_trajectory, numeric_trajectory
+from esdsim.dynamics import (
+    Classification,
+    Scenario,
+    closed_form_trajectory,
+    esd_time_analytic,
+    esd_time_bisection,
+    numeric_trajectory,
+)
 from esdsim.states import XStateParams
 
 FIG1_SOLID_FLAGS = [
@@ -530,7 +537,7 @@ def test_esd_and_evolve_admit_the_same_x_states(capsys):
     not_psd = ["--a", "0.9999998", "--b", "1e-7", "--c", "1e-7", "--d", "0",
                "--zmod", "1.0049875621120889e-06"]
     # least eigenvalues -2.5e-11 and -9e-11, within the allowance of every
-    # matrix check: the factor of the second keeps its unit trace too
+    # matrix check: both are read at |z| = sqrt(b c), where |z|^2 = a d, so separable
     within = [["--a", "0.25", "--b", "0.25", "--c", "0.25", "--d", "0.25", "--zmod", zmod]
               for zmod in ("0.250000000025", "0.25000000009")]
     for command in ("esd", "evolve"):
@@ -540,7 +547,31 @@ def test_esd_and_evolve_admit_the_same_x_states(capsys):
         for state in within:
             code, out, err = run([command, "--noise", "amplitude", "--xstate", *state, "--points", "8"], capsys)
             assert (code, err) == (0, ""), (command, state)
-            assert out
+            assert out if command == "evolve" else out == "classification: InitiallySeparable\n"
+
+
+@pytest.mark.parametrize("noise", [k.value for k in NoiseKind])
+def test_a_block_admitted_below_zero_is_one_state_on_both_routes(noise, capsys):
+    # b = 0 and |z| = 7e-6 put the central block's least eigenvalue at
+    # -9.8e-11, within the allowance.  The record reads the block at |z| =
+    # sqrt(b c) = 0, so the closed forms and the numeric route take the same
+    # state, separable, and the scan and the rule classify it alike
+    state = ["--xstate", "--a", "0.5", "--b", "0", "--c", "0.5", "--d", "0", "--zmod", "7e-6"]
+    code, out, err = run(["evolve", "--noise", noise, *state, "--tau-max", "5", "--points", "2001"], capsys)
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 2001
+    assert max(float(row.split(",")[3]) for row in rows) <= 1e-8
+    scenario = Scenario(XStateParams(0.5, 0.0, 0.5, 0.0, 7e-6), NoiseSpec(NoiseKind(noise)))
+    for route in (esd_time_analytic, esd_time_bisection):
+        assert route(scenario).classification is Classification.INITIALLY_SEPARABLE, route
+    code, out, err = run(["esd", "--noise", noise, *state], capsys)
+    assert (code, out, err) == (0, "classification: InitiallySeparable\n", "")
+    # the depolarizing margin's double root at p = 3/4 is not a death, and
+    # the closed form is defined there
+    code, _, err = run(["evolve", "--noise", noise, *state, "--tau-max", "2.772588722239781",
+                        "--points", "2"], capsys)
+    assert (code, err) == (0, "")
 
 
 def test_esd_tau_max_past_the_normal_floats_exits_2(capsys):

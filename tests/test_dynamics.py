@@ -21,11 +21,9 @@ from esdsim.concurrence import concurrence_pure, concurrence_x, factor_concurren
 from esdsim.dynamics import (
     FIGURE_PRESETS,
     Classification,
-    EsdMethod,
     EsdResult,
     Scenario,
     Trajectory,
-    TrajectorySource,
     closed_form_concurrence,
     closed_form_trajectory,
     esd_boundary,
@@ -148,26 +146,26 @@ def test_closed_vs_numeric_agreement():
 
 def test_trajectory_invariants():
     with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 1.0, 1.0]), np.zeros(3), TrajectorySource.NUMERIC)
+        Trajectory(np.array([0.0, 1.0, 1.0]), np.zeros(3))
     with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 1.0]), np.zeros(3), TrajectorySource.NUMERIC)
+        Trajectory(np.array([0.0, 1.0]), np.zeros(3))
     with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 1.0]), np.array([0.5, 1.5]), TrajectorySource.NUMERIC)
-    traj = Trajectory(np.array([0.0, 1.0]), np.array([0.5, 0.4]), TrajectorySource.NUMERIC)
+        Trajectory(np.array([0.0, 1.0]), np.array([0.5, 1.5]))
+    traj = Trajectory(np.array([0.0, 1.0]), np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         traj.c[0] = 0.9  # frozen
     for grid in ([], [-1.0, 0.0]):
         with pytest.raises(ValueError, match="tau grid"):
-            Trajectory(np.array(grid), np.zeros(len(grid)), TrajectorySource.NUMERIC)
+            Trajectory(np.array(grid), np.zeros(len(grid)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_trajectory_rejects_nonfinite_values(bad):
     # NaN passes the <= and < checks, so finiteness is checked first
     with pytest.raises(ValueError, match="finite"):
-        Trajectory([0.0, bad], [0.5, 0.4], TrajectorySource.NUMERIC)
+        Trajectory([0.0, bad], [0.5, 0.4])
     with pytest.raises(ValueError, match="finite"):
-        Trajectory([0.0, 1.0], [0.5, bad], TrajectorySource.NUMERIC)
+        Trajectory([0.0, 1.0], [0.5, bad])
 
 
 def test_trajectory_grid_validation():
@@ -193,7 +191,7 @@ def test_trajectory_leaves_the_callers_arrays_writable(trajectory):
     grid[0] = 0.5
     assert traj.tau[0] == 0.0 and not traj.tau.flags.writeable
     c = np.array([0.5, 0.4])
-    Trajectory(np.array([0.0, 1.0]), c, TrajectorySource.NUMERIC)
+    Trajectory(np.array([0.0, 1.0]), c)
     c[0] = 0.3  # still writable
 
 
@@ -201,7 +199,6 @@ def test_trajectory_starts_at_initial_concurrence():
     s = Scenario(FIG2_SOLID, PHASE)
     traj = numeric_trajectory(s, np.linspace(0, 2, 9))
     np.testing.assert_allclose(traj.c[0], closed_form_concurrence(s, 0.0), atol=1e-12)
-    assert traj.source is TrajectorySource.NUMERIC
 
 
 def test_trajectories_monotone_nonincreasing():
@@ -526,7 +523,6 @@ def test_the_numeric_route_builds_no_matrix(monkeypatch):
 def test_analytic_amplitude_threshold():
     r = esd_time_analytic(Scenario(FIG1_SOLID, AMP))
     assert r.classification is Classification.SUDDEN_DEATH
-    assert r.method is EsdMethod.ANALYTIC
     np.testing.assert_allclose(r.tau_death, math.log(4), atol=1e-12)
 
 
@@ -676,7 +672,6 @@ def test_every_cell_of_the_grid(state_kind, kind):
     assert closed_form_concurrence(s, 0.0) == pytest.approx(static_concurrence(state), abs=1e-14)
     assert closed_form_concurrence(s, 0.0) > 0.0
     result = esd_time_analytic(s)
-    assert result.method is EsdMethod.ANALYTIC
     if result.classification is Classification.ASYMPTOTIC_DECAY:
         assert (state_kind, kind) in ASYMPTOTIC_CELLS
         assert closed_form_concurrence(s, 40.0) > 0.0
@@ -846,7 +841,6 @@ def test_bisection_matches_analytic_thresholds():
         analytic = esd_time_analytic(s)
         numeric = esd_time_bisection(s)
         assert numeric.classification is Classification.SUDDEN_DEATH
-        assert numeric.method is EsdMethod.BISECTION
         assert abs(numeric.tau_death - analytic.tau_death) <= 1e-8
 
 
@@ -965,11 +959,11 @@ def stepwise_bisection(scenario, tau_max=50.0, points=2048):
         return closed_form_concurrence(scenario, taus) == 0.0
 
     if dead([0.0])[0]:
-        return EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION)
+        return EsdResult(Classification.INITIALLY_SEPARABLE)
     grid = np.linspace(0.0, tau_max, points)
     dead_scan = dead(grid[1:])
     if not dead_scan.any():
-        return EsdResult(Classification.ASYMPTOTIC_DECAY, EsdMethod.BISECTION, horizon=tau_max)
+        return EsdResult(Classification.ASYMPTOTIC_DECAY, horizon=tau_max)
     first = int(dead_scan.argmax()) + 1
     if not dead_scan[first:].all():
         raise RuntimeError("concurrence revived after dying")
@@ -981,9 +975,7 @@ def stepwise_bisection(scenario, tau_max=50.0, points=2048):
         else:
             lo = mid
         mid = 0.5 * (lo + hi)
-    return EsdResult(
-        Classification.SUDDEN_DEATH, EsdMethod.BISECTION, tau_death=mid, horizon=tau_max
-    )
+    return EsdResult(Classification.SUDDEN_DEATH, tau_death=mid, horizon=tau_max)
 
 
 def _random_scenarios(seed, n):
@@ -1086,9 +1078,9 @@ def test_every_initially_separable_draw_is_classified_so(tau_max):
     assert len({(states.state_kind(s.state), s.noise.kind) for s in draws}) == 9
     for s in edges + draws:
         got = esd_time_bisection(s, tau_max=tau_max)
-        assert got == EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.BISECTION), s
+        assert got == EsdResult(Classification.INITIALLY_SEPARABLE), s
         got = esd_time_analytic(s)
-        assert got == EsdResult(Classification.INITIALLY_SEPARABLE, EsdMethod.ANALYTIC), s
+        assert got == EsdResult(Classification.INITIALLY_SEPARABLE), s
 
 
 def test_bisection_matches_at_a_tol_below_the_float_spacing():
@@ -1327,11 +1319,11 @@ def test_esd_stdout_is_pinned(capsys):
 
 def test_esd_result_invariants():
     with pytest.raises(ValueError):
-        EsdResult(Classification.SUDDEN_DEATH, EsdMethod.ANALYTIC)  # missing tau
+        EsdResult(Classification.SUDDEN_DEATH)  # missing tau
     with pytest.raises(ValueError):
-        EsdResult(Classification.ASYMPTOTIC_DECAY, EsdMethod.ANALYTIC, tau_death=1.0)
+        EsdResult(Classification.ASYMPTOTIC_DECAY, tau_death=1.0)
     with pytest.raises(ValueError):
-        EsdResult(Classification.SUDDEN_DEATH, EsdMethod.BISECTION, tau_death=-1.0)
+        EsdResult(Classification.SUDDEN_DEATH, tau_death=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1353,7 +1345,6 @@ def test_esd_boundary_table():
     assert not b.contains(1.0)
     b = esd_boundary(Family.ISOTROPIC, NoiseKind.PHASE)
     assert b.contains(0.99) and not b.contains(1.0)
-    assert "0.625" in esd_boundary(Family.ISOTROPIC, NoiseKind.AMPLITUDE).description
 
 
 def test_boundary_classifications_match_bisection():

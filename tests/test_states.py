@@ -290,6 +290,9 @@ def test_the_record_admits_what_the_matrix_check_admits(log_b, log_c, log_delta,
             refused.append(check)
     assert len(refused) in (0, 2), (low, refused)
     if not refused:
+        # the record reads a block admitted below zero at |z| = sqrt(b c)
+        want = zmod if low >= 0.0 else math.sqrt(b) * math.sqrt(c)
+        assert abs(XStateParams(a, b, c, d, z).z) == pytest.approx(want, rel=4e-16, abs=0.0)
         # and the factor route carries every admitted state: its factor
         # keeps the unit trace and lies within about -low of the matrix
         w = x_factor(a, b, c, d, z)

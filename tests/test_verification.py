@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from esdsim import states, verification
+from esdsim import sampling, states, verification
 from esdsim.concurrence import factor_concurrence
-from esdsim.dynamics import Classification, EsdMethod, EsdResult
+from esdsim.dynamics import Classification, EsdResult
 from esdsim.linalg import _frobenius
 from esdsim.sampling import random_scenario
 from esdsim.states import state_factor, state_matrix
@@ -30,15 +30,14 @@ DRAW_DIGESTS = {
     "concurrence_pure_oracle": "fc51bb4da43f12162da3fd26b9bbb431c1ffc70771c6d3554909396122e6466b",
     "local_unitary_invariance": "cbbb8e7f198e129b3cf1fd7b504f2866ac9a7831f36c029f630ec0b06bb90457",
     "twirl_invariance": "1edf2f865504e9b02a5b5e30f0524ccd79ef5ffa8e97e1977799024c33bd7226",
-    # tau drawn over [0, 50]: the same scenarios as over [0, 10], tau x 5
-    "closed_vs_numeric": "aaee6a83c8fda958ba1fb2b8c3b27197a24f566a31710fca354a47c1e5f58b0d",
-    # picks 7-9 (isotropic and Werner under amplitude noise, cross-pattern
-    # under depolarizing noise) joined the draw: cases 0-6 read as before
-    "analytic_vs_bisection": "fa1dd65fddfc58b46494d3a6b66ad26ff955855634d1a1c72cf1cc19d765753d",
+    # the suites that cycle through the grid's cells draw their start first
+    "closed_vs_numeric": "e67e7b5af87934d781d7556edfb81461544256cf0ecb903da42131c473cde291",
+    "analytic_vs_bisection": "40c0fd8e0a416abcd4f00083ddeb4677a37564c4fcb0de5f890728940eb10048",
     "pure_depol_universality": "c60a9dc8db309367d5dc1a9b1726c8a0f53342d268f006cbab2901b50ab0cd9b",
-    "pure_amp_phase_no_esd": "370c23a50e6ea8b438db440dc71319430880b548e0a5a72b1234909b536cdff1",
-    "trajectory_monotone": "340cbdc80794ada91579b2af4a7d766658b6bcda2dc0ad053ecc28e06fbc868a",
-    "tau_zero_identity": "52654dbd1a3f341c67b0dc09217acafec70961665aaa8884ec46daf79f37ac44",
+    # each case's text holds the EsdResult it got
+    "pure_amp_phase_no_esd": "93af2942131ac1d9f8faf7ff336199cbb44342d8a12847fdaa18d70fc024d224",
+    "trajectory_monotone": "9a8b732efc45ed35ff367c85dd26d3f2c37d9e3301c9bb8bbb465c2021fa1a58",
+    "tau_zero_identity": "1922f4c00e3a67736561481fe503c3a69df08fce9f695cddf4c4ac99394d1d0b",
 }
 
 # max_error of every suite at run_all(3, 40), as the stacked suites read it.
@@ -59,8 +58,8 @@ MAX_ERRORS_SEED3_CASES40 = {
     "concurrence_pure_oracle": 2.220446049250313e-16,
     "local_unitary_invariance": 4.0245584642661925e-16,
     "twirl_invariance": 7.244140648242027e-16,
-    "closed_vs_numeric": 4.206704429243757e-17,
-    "analytic_vs_bisection": 8.881784197001252e-16,
+    "closed_vs_numeric": 1.1275702593849246e-17,
+    "analytic_vs_bisection": 1.6653345369377348e-16,
     "pure_depol_universality": 2.220446049250313e-16,
     "pure_amp_phase_no_esd": 0.0,
     "trajectory_monotone": 0.0,
@@ -151,10 +150,10 @@ def test_suites_fail_on_wrong_library_answers(monkeypatch):
         return factor_concurrence(w / _frobenius(w)[..., None, None])
 
     def no_death(scenario, tau_max, **kwargs):
-        return EsdResult(Classification.ASYMPTOTIC_DECAY, EsdMethod.BISECTION, horizon=tau_max)
+        return EsdResult(Classification.ASYMPTOTIC_DECAY, horizon=tau_max)
 
     def death_at_one(scenario, tau_max, **kwargs):
-        return EsdResult(Classification.SUDDEN_DEATH, EsdMethod.BISECTION, 1.0, tau_max)
+        return EsdResult(Classification.SUDDEN_DEATH, 1.0, tau_max)
 
     cases = (
         ("as_x_params", not_x, "x_form_closure", ": not X"),
@@ -228,6 +227,33 @@ def test_stacked_initial_states_match_the_per_scenario_builds():
     want = np.stack([state_matrix(s.state) for s in scenarios])
     np.testing.assert_allclose(verification._state(stacked), want, rtol=0, atol=1e-15)
     assert verification._padded([], 4).shape == (0, 4, 4)
+
+
+def test_cycling_suites_reach_every_cell_over_seeds(monkeypatch):
+    # at verify --cases 40 these suites run 2 to 20 cases, fewer than their
+    # cells in three of them: the start each draws first from its generator
+    # takes fresh seeds through every cell
+    picks = []
+
+    def scenario(rng, index):
+        picks.append(index % sampling.SCENARIO_CELLS)
+        return random_scenario(rng, index)
+
+    def death(rng, pick):
+        picks.append(pick)
+        return sudden_death(rng, pick)
+
+    sudden_death = verification._sudden_death_scenario
+    monkeypatch.setattr(sampling, "random_scenario", scenario)
+    monkeypatch.setattr(verification, "_sudden_death_scenario", death)
+    for name, cells in (("closed_vs_numeric", sampling.SCENARIO_CELLS),
+                        ("analytic_vs_bisection", verification._DEATH_PICKS),
+                        ("trajectory_monotone", sampling.SCENARIO_CELLS),
+                        ("tau_zero_identity", sampling.SCENARIO_CELLS)):
+        picks.clear()
+        for seed in range(40):
+            assert run_suite(name, seed, 40).passed, (name, seed)
+        assert set(picks) == set(range(cells)), name
 
 
 def test_run_suite_unknown_name():
