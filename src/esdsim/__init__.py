@@ -8,7 +8,6 @@ or bisection.
 from .channels import (
     KrausSet,
     NoiseKind,
-    NoiseSpec,
     amplitude_kraus,
     apply_to_factor,
     completeness_residual,
@@ -17,7 +16,6 @@ from .channels import (
     phase_kraus,
 )
 from .concurrence import (
-    SPIN_FLIP,
     concurrence_pure,
     concurrence_pure_determinant,
     concurrence_x,
@@ -79,14 +77,12 @@ __all__ = [
     "validate_density_matrix",
     "KrausSet",
     "NoiseKind",
-    "NoiseSpec",
     "amplitude_kraus",
     "apply_to_factor",
     "completeness_residual",
     "depolarizing_kraus",
     "kraus_for",
     "phase_kraus",
-    "SPIN_FLIP",
     "concurrence_pure",
     "concurrence_pure_determinant",
     "concurrence_x",

@@ -44,11 +44,9 @@ class NoiseKind(enum.Enum):
     DEPOLARIZING = "depolarizing"
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Which single-qubit noise acts on qubit 1."""
-
-    kind: NoiseKind
+# NoiseSpec(kind) is kind: kept only for esdbench/workloads.py, which still
+# builds NoiseSpec(NoiseKind(name)); it goes once the workloads pass the kind.
+NoiseSpec = NoiseKind
 
 
 @dataclass(frozen=True)
@@ -157,7 +155,7 @@ def completeness_residual(kraus: KrausSet) -> float | np.ndarray:
 def _check_complete(kraus: KrausSet, what: str) -> None:
     residual = completeness_residual(kraus)
     _reject_first(
-        residual > COMPLETENESS_TOL,
+        ~(residual <= COMPLETENESS_TOL),
         lambda i, at: f"{what}{at} is not complete: residual {residual[i]:.3e}",
     )
 

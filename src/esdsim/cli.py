@@ -22,10 +22,9 @@ gives the Namespace argparse would.  Every other argv goes to argparse:
 help, `--flag=value`, abbreviations, dash-leading values such as
 `--zarg -1.5`, `--`, unknown or missing flags, bad values, and `figure`.
 So help pages, usage errors and exit codes are argparse's.  The tables
-save an in-process caller (a benchmark loop, a notebook, the tests) about
-87 us of the 135 us an `esd` command takes through argparse (best of 9 over
-2400 commands, 2 CPUs); a shell user gains nothing, as process start-up
-takes about 0.3 s.
+save an in-process caller (a benchmark loop, a notebook, the tests) most
+of the time an `esd` command spends in argparse (BENCH_cli_table_route.json);
+a shell user gains nothing, as process start-up costs far more.
 """
 from __future__ import annotations
 
@@ -39,7 +38,7 @@ import sys
 
 import numpy as np
 
-from .channels import NoiseKind, NoiseSpec
+from .channels import NoiseKind
 from .dynamics import (
     DEFAULT_TAU_MAX,
     FIGURE_PRESETS,
@@ -95,7 +94,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
         if getattr(args, name) is not None and kind not in kinds:
             owners = " and ".join(f"--{k}" for k in kinds)
             raise ValueError(f"--{name} applies to {owners}, not --{kind}")
-    noise = NoiseSpec(NoiseKind(args.noise))
+    noise = NoiseKind(args.noise)
 
     if args.family is not None:
         if args.x is None:

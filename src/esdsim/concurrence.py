@@ -32,17 +32,13 @@ import math
 
 import numpy as np
 
-from .linalg import _check_unit_trace, dagger, kron
+from .linalg import _check_unit_trace, dagger
 from .states import PureStateParams, XStateParams, _pure_amplitudes
 
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-
-# (sy x sy) is real: the antidiagonal (-1, 1, 1, -1).
-SPIN_FLIP = kron(_SIGMA_Y, _SIGMA_Y).real.copy()
-SPIN_FLIP.setflags(write=False)
-# M @ SPIN_FLIP is M with its columns reversed, column k times this sign:
-# the same bits as the matmul, without it
-_FLIP_SIGNS = SPIN_FLIP[::-1].diagonal()
+# (sy x sy) is real, the antidiagonal (-1, 1, 1, -1), so M @ (sy x sy) is M
+# with its columns reversed, column k times this sign: the same bits as the
+# matmul, without it
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 def _symmetric_singular_values(g: np.ndarray) -> np.ndarray:
@@ -99,8 +95,9 @@ def factor_concurrence(w: np.ndarray) -> float | np.ndarray:
 
 
 def concurrence_x(params: XStateParams) -> float:
-    """Closed form 2 max(0, |z| - sqrt(a d)) for cross-pattern states."""
-    return 2.0 * max(0.0, abs(params.z) - math.sqrt(params.a * params.d))
+    """Closed form 2 max(0, |z| - sqrt(a) sqrt(d)) for cross-pattern states
+    (the product a d would underflow at weights below about 1e-162)."""
+    return 2.0 * max(0.0, abs(params.z) - math.sqrt(params.a) * math.sqrt(params.d))
 
 
 def concurrence_pure(params: PureStateParams) -> float:

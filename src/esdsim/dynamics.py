@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import NoiseKind, NoiseSpec, apply_to_factor, kraus_for
+from .channels import NoiseKind, apply_to_factor, kraus_for
 from .concurrence import concurrence_pure, factor_concurrence
 from .linalg import dagger
 from .states import (
@@ -97,15 +97,10 @@ TRAJECTORY_CAP = 1.0 + 1e-10
 # Grid points per stacked evaluation on the numeric route, a bound on the
 # working set only: the values do not depend on it, bit for bit.  Each
 # block pays about 35 numpy calls (noise_param, the Kraus build and its
-# completeness check, the matmul, the qr and eigvalsh wrappers), about
-# 0.1 ms, so a default grid of 2048 points takes two blocks per noise kind.
-# In process over 48 evolve commands at the CLI defaults with --out (2-CPU
-# machine, Python 3.11.7, numpy 2.4.6, best of 5), per command: 5.62 ms at
-# 256 rows, 4.96 ms at 1024 and 5.06 ms in one pass of 2048, of which the
-# numeric route takes 3.61, 3.09 and 3.24 ms.  Traced peak of one depolarized
-# X-state trajectory: 0.38, 1.28 and 2.43 MiB.  On esdbench's trajectory
-# workload (BENCH_kraus_stage.json) one pass read about 2% more rows/s than
-# 1024 but 1.7 MB more peak RSS, and its peak grows with --points.
+# completeness check, the matmul, the qr and eigvalsh wrappers), so a
+# default grid of 2048 points takes two blocks per noise kind.  1024 rows
+# keep nearly all the speed of one pass at a fraction of its peak memory,
+# which grows with --points (BENCH_kraus_stage.json, "block_policy").
 _BLOCK_ROWS = 1024
 
 
@@ -120,12 +115,12 @@ class Scenario:
     """One initial state plus the single local noise acting on qubit 1."""
 
     state: StateParams
-    noise: NoiseSpec
+    noise: NoiseKind
 
     def __post_init__(self) -> None:
         # the cell's coefficients, read once: every closed-form value and
         # the death rule take them from here
-        margin = _MARGINS[state_kind(self.state)](self.state, self.noise.kind)
+        margin = _MARGINS[state_kind(self.state)](self.state, self.noise)
         object.__setattr__(self, "_margin", margin)
 
     @functools.cached_property
@@ -177,7 +172,7 @@ class EsdResult:
             raise ValueError(f"tau_death must be positive, got {self.tau_death!r}")
 
 
-def noise_param(noise: NoiseSpec, tau):
+def noise_param(kind: NoiseKind, tau):
     """eta, gamma or p at dimensionless time tau, per the noise kind.
 
     `tau` is one time or an array of them; the result is a numpy float64
@@ -187,7 +182,7 @@ def noise_param(noise: NoiseSpec, tau):
     ok = tau >= 0.0
     if not ok.all():
         raise ValueError(f"tau must be nonnegative, got {float(tau[~ok].flat[0])!r}")
-    if noise.kind is NoiseKind.DEPOLARIZING:
+    if kind is NoiseKind.DEPOLARIZING:
         return -np.expm1(-0.5 * tau)
     return np.exp(-0.5 * tau)
 
@@ -407,7 +402,7 @@ def _closed_form(scenario: Scenario, value):
     # evaluator behind every closed-form value and every esd verdict
     try:
         with np.errstate(invalid="raise"):
-            return _value(scenario.noise.kind, scenario._margin, value)
+            return _value(scenario.noise, scenario._margin, value)
     except FloatingPointError as exc:
         raise ValueError(f"closed form undefined for {scenario!r}: {exc}") from exc
 
@@ -435,11 +430,11 @@ def closed_form_trajectory(scenario: Scenario, tau_grid) -> Trajectory:
     return Trajectory(grid, c)
 
 
-def _evolve(w0: np.ndarray, noise: NoiseSpec, taus) -> np.ndarray:
+def _evolve(w0: np.ndarray, kind: NoiseKind, taus) -> np.ndarray:
     # the factor w0 evolved to each tau of a block (their leading axes
     # broadcast) as a (..., 4, k m) stack.  The channel parameters come from
     # the same noise_param as the closed form's: bit-identical eta, gamma, p.
-    return apply_to_factor(w0, kraus_for(noise.kind, noise_param(noise, taus)))
+    return apply_to_factor(w0, kraus_for(kind, noise_param(kind, taus)))
 
 
 def _real_pure_factors(records) -> np.ndarray:
@@ -451,6 +446,23 @@ def _real_pure_factors(records) -> np.ndarray:
     m = m if m.imag.any() else m.real
     r = np.abs(np.linalg.qr(np.swapaxes(m, -1, -2), mode="r"))
     return np.stack([r[:, 0, 0], np.zeros(len(r)), r[:, 0, 1], r[:, 1, 1]], axis=-1)[..., None]
+
+
+def _groups(keys) -> dict:
+    """Indices per key (a noise kind, say), for one stacked call per key."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
+def _padded(factors, width: int) -> np.ndarray:
+    """The factors as one (n, 4, width) stack, zero columns after each (they
+    leave W W^dag unchanged); float64 unless a factor is complex."""
+    out = np.zeros((len(factors), 4, width), dtype=np.result_type(float, *factors))
+    for i, f in enumerate(factors):
+        out[i, :, : f.shape[-1]] = f
+    return out
 
 
 def numeric_concurrence(scenarios, taus) -> np.ndarray:
@@ -498,17 +510,13 @@ def numeric_concurrence(scenarios, taus) -> np.ndarray:
                else state_factor(r) for r in records]
     times = taus if taus.ndim == 2 else taus[:, None]
     c = np.empty(times.shape)
-    for noise in dict.fromkeys(s.noise for s in scenarios):
-        idx = [i for i, s in enumerate(scenarios) if s.noise == noise]
-        members = [factors[i] for i in idx]
-        w0 = np.zeros((len(idx), 1, 4, max(w.shape[1] for w in members)))
-        for j, w in enumerate(members):
-            w0[j, 0, :, : w.shape[1]] = w
+    for kind, idx in _groups(s.noise for s in scenarios).items():
+        w0 = _padded([factors[i] for i in idx], max(factors[i].shape[1] for i in idx))[:, None]
         # the kind's rows are gathered once, so each block is a view of them
         rows, out = times[idx], np.empty((len(idx), times.shape[1]))
         for start in range(0, times.shape[1], _BLOCK_ROWS):
             block = rows[:, start : start + _BLOCK_ROWS]
-            out[:, start : start + block.shape[1]] = factor_concurrence(_evolve(w0, noise, block))
+            out[:, start : start + block.shape[1]] = factor_concurrence(_evolve(w0, kind, block))
         c[idx] = out
     return c.reshape(taus.shape)
 
@@ -557,7 +565,7 @@ def _scan_grid(kind: NoiseKind, tau_max: float, points: int) -> tuple[np.ndarray
     # key is kept; typed, so that points=11.0 still fails in linspace
     # instead of hitting points=11.
     grid = np.linspace(0.0, tau_max, points)
-    value = noise_param(NoiseSpec(kind), grid)
+    value = noise_param(kind, grid)
     grid.setflags(write=False)
     value.setflags(write=False)
     return grid, value
@@ -590,23 +598,13 @@ def esd_time_bisection(
     from the bracket they leave.  The prediction only picks points,
     so the bisection still checks the rule.
 
-    The scan grid, `np.linspace(0, tau_max, points)`, and `noise_param` at
-    every point of it, tau = 0 included, are built once per (noise kind,
-    `tau_max`, `points`) and kept read-only for the life of the process:
-    16 bytes per point per entry, at most 3 entries.  One evaluation of the
-    scenario's formula on them, through the same evaluator and domain check
-    as `closed_form_concurrence`, gives every verdict of the scan in the
-    same bits.  Its first point decides InitiallySeparable, apart from the
+    The scan is one evaluation of the scenario's formula on the cached
+    grid (`_scan_grid`), through the same evaluator and domain check as
+    `closed_form_concurrence`, so every verdict of the scan has the same
+    bits.  Its first point decides InitiallySeparable, apart from the
     margin that `esd_time_analytic` reads.  So an InitiallySeparable or an
     AsymptoticDecay costs one evaluation, and a sudden death the scan and
-    one per round: one round of about 50 midpoints where the rule is right
-    to the float spacing, and 1.36 rounds per death over esdbench's
-    esd_sweep draws (4315 deaths in 12000 commands of seed 8080), from
-    1.00 per death for pure states under depolarizing noise to 2.10 for
-    X states under amplitude noise.  The first round could join the scan's
-    evaluation: whether the state is entangled is read from the margin
-    (m0 > 0) before any evaluation, so tau*, the bracket it predicts and
-    that bracket's first path are known before the scan (ROADMAP item 17).
+    one per round.
     """
     if not (tau_max > 0.0 and math.isfinite(tau_max)):
         raise ValueError(f"tau_max must be positive and finite, got {tau_max!r}")
@@ -616,7 +614,7 @@ def esd_time_bisection(
     if points < 2:
         raise ValueError(f"need at least 2 scan points, got {points!r}")
 
-    grid, values = _scan_grid(scenario.noise.kind, tau_max, points)
+    grid, values = _scan_grid(scenario.noise, tau_max, points)
     c = _closed_form(scenario, values)
     dead_scan = c == 0.0
     if dead_scan[0]:
@@ -707,11 +705,11 @@ class FigurePreset:
 
 
 def _xs(a, b, c, d, z, kind) -> Scenario:
-    return Scenario(XStateParams(a, b, c, d, z), NoiseSpec(kind))
+    return Scenario(XStateParams(a, b, c, d, z), kind)
 
 
 def _ps(a, b, c, d, f, g, h, kind) -> Scenario:
-    return Scenario(PureStateParams(a, b, c, d, f, g, h), NoiseSpec(kind))
+    return Scenario(PureStateParams(a, b, c, d, f, g, h), kind)
 
 
 _QP = math.pi / 4.0

@@ -86,7 +86,7 @@ def _hermitian_part(h) -> np.ndarray:
     hd = dagger(h)
     defect = _frobenius(h - hd)
     _reject_first(
-        defect > PSD_CLAMP_TOL,
+        ~(defect <= PSD_CLAMP_TOL),
         lambda i, at: f"matrix{at} is not Hermitian: defect {defect[i]:.3e} > tol {PSD_CLAMP_TOL:.3e}",
     )
     return (h + hd) / 2.0
@@ -97,15 +97,15 @@ def _check_unit_trace(tr) -> None:
     the squared Frobenius norm of a factor) is not 1 within PSD_CLAMP_TOL."""
     tr = np.asarray(tr)
     _reject_first(
-        abs(tr - 1.0) > PSD_CLAMP_TOL,
+        ~(abs(tr - 1.0) <= PSD_CLAMP_TOL),
         lambda i, at: f"density matrix{at} trace must be 1, got {complex(tr[i])!r}",
     )
 
 
 def _check_psd(low: np.ndarray) -> None:
     """Reject each matrix whose least eigenvalue `low` (one per matrix) sits
-    below -PSD_CLAMP_TOL."""
+    below -PSD_CLAMP_TOL or is NaN."""
     _reject_first(
-        low < -PSD_CLAMP_TOL,
+        ~(low >= -PSD_CLAMP_TOL),
         lambda i, at: f"matrix{at} is not PSD: min eigenvalue {low[i]:.3e} < -{PSD_CLAMP_TOL:.3e}",
     )

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .channels import NoiseKind, NoiseSpec
+from .channels import NoiseKind
 from .concurrence import concurrence_pure, concurrence_x
 from .dynamics import Scenario
 from .linalg import _frobenius
@@ -21,7 +21,7 @@ from .states import Family, FamilyParams, PureStateParams, XStateParams
 # Initial-concurrence floor for the "entangled" samplers.
 MIN_CONCURRENCE = 0.01
 
-NOISE_KINDS = (NoiseKind.AMPLITUDE, NoiseKind.PHASE, NoiseKind.DEPOLARIZING)
+NOISE_KINDS = tuple(NoiseKind)
 SCENARIO_CELLS = 4 * len(NOISE_KINDS)  # the (state kind, noise) cycle of random_scenario
 
 
@@ -81,7 +81,7 @@ def random_scenario(rng: np.random.Generator, index: int) -> Scenario:
     """One random scenario; `index` cycles kinds so a sample of n covers
     every (state kind, noise) pair about evenly."""
     state_pick = index % 4
-    noise = NoiseSpec(NOISE_KINDS[(index // 4) % 3])
+    noise = NOISE_KINDS[(index // 4) % 3]
     if state_pick == 0:
         return Scenario(random_x_params(rng), noise)
     if state_pick == 1:

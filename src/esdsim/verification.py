@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from . import channels, dynamics, sampling
-from .channels import NoiseKind, NoiseSpec, apply_to_factor, kraus_for
+from .channels import NoiseKind, apply_to_factor, kraus_for
 from .concurrence import (
     _symmetric_singular_values,
     concurrence_pure,
@@ -51,6 +51,8 @@ from .concurrence import (
 from .dynamics import (
     Classification,
     Scenario,
+    _groups,
+    _padded,
     closed_form_concurrence,
     closed_form_trajectory,
     esd_time_analytic,
@@ -105,21 +107,12 @@ def _random_complex(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))
 
 
-def _groups(keys) -> dict:
-    """Case indices per key (a noise kind, say), for one stacked call per
-    key."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return groups
-
-
 def _noise_params(kinds, taus) -> np.ndarray:
     """`noise_param` of each case's noise kind at its time."""
     taus = np.asarray(taus, dtype=float)
     values = np.empty_like(taus)
     for kind, idx in _groups(kinds).items():
-        values[idx] = dynamics.noise_param(NoiseSpec(kind), taus[idx])
+        values[idx] = dynamics.noise_param(kind, taus[idx])
     return values
 
 
@@ -140,15 +133,6 @@ def _apply_noise(w: np.ndarray, kinds, values) -> np.ndarray:
 def _state(w: np.ndarray) -> np.ndarray:
     """The state W W^dag of each factor."""
     return w @ dagger(w)
-
-
-def _padded(factors, width: int) -> np.ndarray:
-    """The factors as one (n, 4, width) stack, each followed by zero
-    columns, which leave its state W W^dag unchanged."""
-    out = np.zeros((len(factors), 4, width), dtype=complex)
-    for i, f in enumerate(factors):
-        out[i, :, : f.shape[-1]] = f
-    return out
 
 
 def _checked(check, items) -> tuple[dict, dict[int, str]]:
@@ -415,16 +399,16 @@ def _sudden_death_scenario(rng: np.random.Generator, pick: int) -> Scenario:
         for _ in range(1000):
             params = sampling.random_entangled_x_params(rng)
             if params.a * (params.b + params.d) > abs(params.z) ** 2:
-                return Scenario(params, NoiseSpec(NoiseKind.AMPLITUDE))
+                return Scenario(params, NoiseKind.AMPLITUDE)
         raise RuntimeError("could not sample a sudden-death amplitude case")
     if pick == 1:
-        return Scenario(sampling.random_entangled_x_params(rng), NoiseSpec(NoiseKind.PHASE))
+        return Scenario(sampling.random_entangled_x_params(rng), NoiseKind.PHASE)
     if pick == 2:
-        return Scenario(sampling.random_entangled_pure_params(rng), NoiseSpec(NoiseKind.DEPOLARIZING))
+        return Scenario(sampling.random_entangled_pure_params(rng), NoiseKind.DEPOLARIZING)
     if pick == 9:
-        return Scenario(sampling.random_entangled_x_params(rng), NoiseSpec(NoiseKind.DEPOLARIZING))
+        return Scenario(sampling.random_entangled_x_params(rng), NoiseKind.DEPOLARIZING)
     family, kind, lo, hi = _FAMILY_DEATH_WINDOWS[pick - 3]
-    return Scenario(FamilyParams(family, float(rng.uniform(lo, hi))), NoiseSpec(kind))
+    return Scenario(FamilyParams(family, float(rng.uniform(lo, hi))), kind)
 
 
 def _death_time_gap(scenario: Scenario) -> tuple[float, str]:
@@ -447,7 +431,7 @@ def suite_analytic_vs_bisection(rng: np.random.Generator, res: SuiteResult) -> N
 
 def _pure_depolarizing_gap(params) -> tuple[float, str]:
     # |bisected death time - 2 ln 2|, or inf and the reason
-    result = esd_time_bisection(Scenario(params, NoiseSpec(NoiseKind.DEPOLARIZING)), tau_max=5.0)
+    result = esd_time_bisection(Scenario(params, NoiseKind.DEPOLARIZING), tau_max=5.0)
     if result.classification is not Classification.SUDDEN_DEATH:
         return math.inf, f": got {result}"
     return abs(result.tau_death - 2.0 * math.log(2.0)), ""
@@ -465,7 +449,7 @@ def suite_pure_amp_phase_no_esd(rng: np.random.Generator, res: SuiteResult) -> N
     kinds = (NoiseKind.AMPLITUDE, NoiseKind.PHASE)
     params = [sampling.random_entangled_pure_params(rng) for _ in range(res.cases)]
     results = [
-        esd_time_bisection(Scenario(p, NoiseSpec(kind)), tau_max=50.0)
+        esd_time_bisection(Scenario(p, kind), tau_max=50.0)
         for p in params
         for kind in kinds
     ]
@@ -502,7 +486,7 @@ def suite_tau_zero_identity(rng: np.random.Generator, res: SuiteResult) -> None:
     # columns, under each noise at tau = 0
     start = int(rng.integers(sampling.SCENARIO_CELLS))
     scenarios = [sampling.random_scenario(rng, start + i) for i in range(res.cases)]
-    kinds = [s.noise.kind for s in scenarios]
+    kinds = [s.noise for s in scenarios]
     w0 = _padded([state_factor(s.state) for s in scenarios], 4)
     evolved = _apply_noise(w0, kinds, _noise_params(kinds, np.zeros(len(kinds))))
     err = _frobenius(_state(evolved) - _state(w0))

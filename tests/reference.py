@@ -104,7 +104,7 @@ def reference_concurrence(scenario: Scenario, tau: float) -> float:
     mp = MP
     rho0 = initial_matrix(scenario.state)
     rho = mp.zeros(4, 4)
-    for k in kraus_operators(scenario.noise.kind, tau):
+    for k in kraus_operators(scenario.noise, tau):
         lifted = _kron_first(k)
         rho += lifted * rho0 * lifted.transpose_conj()
     return matrix_concurrence(rho)
@@ -142,7 +142,7 @@ def reference_margin(scenario: Scenario, tau):
     separable two-qubit states (Augusiak, Demianowicz and Horodecki, Phys.
     Rev. A 77, 030301, 2008)."""
     mp = MP
-    kraus, rho0 = kraus_operators(scenario.noise.kind, tau), initial_matrix(scenario.state)
+    kraus, rho0 = kraus_operators(scenario.noise, tau), initial_matrix(scenario.state)
     if not isinstance(scenario.state, PureStateParams):
         corners = mp.re(_evolved_entry(kraus, rho0, 0, 0) * _evolved_entry(kraus, rho0, 3, 3))
         return abs(_evolved_entry(kraus, rho0, 1, 2)) - mp.sqrt(corners)

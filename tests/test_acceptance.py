@@ -10,7 +10,6 @@ import numpy as np
 
 from esdsim.channels import (
     NoiseKind,
-    NoiseSpec,
     amplitude_kraus,
     apply_to_factor,
     completeness_residual,
@@ -49,9 +48,9 @@ from esdsim.states import (
 )
 from reference import kraus_sum, reference_concurrence
 
-AMP = NoiseSpec(NoiseKind.AMPLITUDE)
-PHASE = NoiseSpec(NoiseKind.PHASE)
-DEPOL = NoiseSpec(NoiseKind.DEPOLARIZING)
+AMP = NoiseKind.AMPLITUDE
+PHASE = NoiseKind.PHASE
+DEPOL = NoiseKind.DEPOLARIZING
 
 FIG1_SOLID = Scenario(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2), AMP)
 FIG1_DASHED = Scenario(XStateParams(0.1, 0.2, 0.6, 0.1, 0.2), AMP)
@@ -107,7 +106,7 @@ def test_criterion_05_bell_state_closed_forms():
     ):
         scenario = Scenario(BELL_PSI, noise)
         w0 = state_factor(BELL_PSI)
-        oracle = factor_concurrence(apply_to_factor(w0, kraus_for(noise.kind, noise_param(noise, grid))))
+        oracle = factor_concurrence(apply_to_factor(w0, kraus_for(noise, noise_param(noise, grid))))
         for tau, c in zip(grid, oracle):
             assert abs(predicted(float(tau)) - c) <= 1e-10
         # and at 50 digits, at a few times
@@ -180,7 +179,7 @@ def test_criterion_09_channel_integrity():
     for i in range(500):
         params = random_x_params(rng)
         kind = random_noise_kind(rng)
-        scenario = Scenario(params, NoiseSpec(kind))
+        scenario = Scenario(params, kind)
         tau = float(rng.uniform(0.0, 10.0))
         as_x_params(evolved_state(scenario, tau))  # raises if the pattern breaks
 

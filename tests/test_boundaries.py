@@ -26,7 +26,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from esdsim.channels import NoiseKind, NoiseSpec
+from esdsim.channels import NoiseKind
 from esdsim.cli import main
 from esdsim.dynamics import (
     Classification,
@@ -99,7 +99,7 @@ def test_zero_corner_weight(raw, zero, u, arg, kind, tau):
     # a = 0 or d = 0: the threshold formulas degenerate there
     a, b, c, d = _weights(raw, zero)
     z = u * math.sqrt(b * c) * complex(math.cos(arg), math.sin(arg))
-    assert_routes_match_reference(Scenario(XStateParams(a, b, c, d, z), NoiseSpec(kind)), tau)
+    assert_routes_match_reference(Scenario(XStateParams(a, b, c, d, z), kind), tau)
 
 
 @BOUNDARY
@@ -108,7 +108,7 @@ def test_rank_one_central_block(raw, arg, kind, tau):
     # |z|^2 = b c: the central block is a projector times its trace
     a, b, c, d = (v / sum(raw) for v in raw)
     z = math.sqrt(b * c) * complex(math.cos(arg), math.sin(arg))
-    assert_routes_match_reference(Scenario(XStateParams(a, b, c, d, z), NoiseSpec(kind)), tau)
+    assert_routes_match_reference(Scenario(XStateParams(a, b, c, d, z), kind), tau)
 
 
 @BOUNDARY
@@ -121,7 +121,7 @@ def test_family_critical_x_under_amplitude_noise(critical, offset, tau):
     # at the critical x the amplitude-noise concurrence reaches zero only
     # as tau -> infinity; just below it, sudden death comes late
     family, x = critical
-    scenario = Scenario(FamilyParams(family, x + offset), NoiseSpec(NoiseKind.AMPLITUDE))
+    scenario = Scenario(FamilyParams(family, x + offset), NoiseKind.AMPLITUDE)
     assert_routes_match_reference(scenario, tau)
     if offset == 0.0:
         # the closed form keeps its relative precision on the whole tail
@@ -132,7 +132,7 @@ def test_family_critical_x_under_amplitude_noise(critical, offset, tau):
 @given(st.sampled_from(list(Family)), KINDS, TAUS)
 def test_family_at_x_one(family, kind, tau):
     # x = 1 is a maximally entangled pure state with a rank-1 central block
-    assert_routes_match_reference(Scenario(FamilyParams(family, 1.0), NoiseSpec(kind)), tau)
+    assert_routes_match_reference(Scenario(FamilyParams(family, 1.0), kind), tau)
 
 
 @BOUNDARY
@@ -144,7 +144,7 @@ def test_family_at_x_one(family, kind, tau):
 def test_pure_depolarizing_near_the_kink(raw, phases, offset):
     # every entangled pure state dies at tau = 2 ln 2 under depolarizing noise
     a, b, c, d = (v / sum(raw) for v in raw)
-    scenario = Scenario(PureStateParams(a, b, c, d, *phases), NoiseSpec(NoiseKind.DEPOLARIZING))
+    scenario = Scenario(PureStateParams(a, b, c, d, *phases), NoiseKind.DEPOLARIZING)
     assert_routes_match_reference(scenario, 2.0 * math.log(2.0) + offset)
 
 
@@ -158,17 +158,17 @@ def test_pure_depolarizing_near_the_kink(raw, phases, offset):
 def test_pure_damping_tails(raw, phases, kind, tau):
     # amplitude and phase noise never kill a pure state: C = e^(-tau/2) C0
     a, b, c, d = (v / sum(raw) for v in raw)
-    scenario = Scenario(PureStateParams(a, b, c, d, *phases), NoiseSpec(kind))
+    scenario = Scenario(PureStateParams(a, b, c, d, *phases), kind)
     assert_routes_match_reference(scenario, tau)
 
 
 def test_reference_on_known_values():
     # the Bell state |01> + |10> under amplitude noise keeps C = e^(-tau/2)
-    bell = Scenario(XStateParams(0.0, 0.5, 0.5, 0.0, 0.5), NoiseSpec(NoiseKind.AMPLITUDE))
+    bell = Scenario(XStateParams(0.0, 0.5, 0.5, 0.0, 0.5), NoiseKind.AMPLITUDE)
     for tau in (0.0, 1.0, 30.0):
         assert abs(reference_concurrence(bell, tau) - math.exp(-tau / 2)) <= 1e-15
     # fig1-solid dies at ln 4 and stays dead on the amplitude tail
-    solid = Scenario(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2), NoiseSpec(NoiseKind.AMPLITUDE))
+    solid = Scenario(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2), NoiseKind.AMPLITUDE)
     assert reference_concurrence(solid, 28.33) == 0.0
     assert reference_concurrence(solid, 1.0) > 0.0
     assert np.isclose(reference_concurrence(solid, 0.0), 0.2, rtol=0, atol=1e-15)
@@ -219,8 +219,8 @@ def assert_death_time_matches(scenario: Scenario, want, rel: float = 1e-12, abs_
     assert abs(got - float(want)) <= rel * float(want) + abs_, (scenario, got, want)
 
 
-DEPOL = NoiseSpec(NoiseKind.DEPOLARIZING)
-AMP = NoiseSpec(NoiseKind.AMPLITUDE)
+DEPOL = NoiseKind.DEPOLARIZING
+AMP = NoiseKind.AMPLITUDE
 
 
 def _entangled(scenario: Scenario) -> bool:
@@ -303,7 +303,7 @@ def test_x_depolarizing_death_rule_at_known_points():
     assert abs(bell.tau_death - 2.0 * math.log(2.0)) <= 1e-15
 
 
-PHASE_NOISE = NoiseSpec(NoiseKind.PHASE)
+PHASE_NOISE = NoiseKind.PHASE
 LOG_WEIGHT = st.floats(-300.0, 0.0).map(lambda e: 10.0**e)
 
 
@@ -498,6 +498,6 @@ def test_family_intervals_hold_exactly_where_the_rules_read_sudden_death():
             for end in ends:
                 xs |= {end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf)}
             for x in sorted(v for v in xs if 0.0 <= v <= 1.0):
-                r = esd_time_analytic(Scenario(FamilyParams(family, x), NoiseSpec(kind)))
+                r = esd_time_analytic(Scenario(FamilyParams(family, x), kind))
                 dies = r.classification is Classification.SUDDEN_DEATH
                 assert boundary.contains(x) == dies, (family, kind, x, r)

@@ -4,6 +4,7 @@ import pytest
 from esdsim.channels import (
     KrausSet,
     NoiseKind,
+    NoiseSpec,
     amplitude_kraus,
     apply_to_factor,
     completeness_residual,
@@ -121,6 +122,12 @@ def test_constructors_reject_out_of_range(ctor, bad):
         ctor(bad)
 
 
+def test_noise_spec_alias_returns_the_kind():
+    # esdbench/workloads.py still builds NoiseSpec(NoiseKind(name)): the
+    # alias must hand back the kind itself until the workloads pass it
+    assert NoiseSpec(NoiseKind("phase")) is NoiseKind.PHASE
+
+
 def test_kraus_for_dispatch():
     for kind, ctor in (
         (NoiseKind.AMPLITUDE, amplitude_kraus),
@@ -148,7 +155,7 @@ def test_completeness_residual_examples():
     np.testing.assert_allclose(completeness_residual(k), 0.19 * np.sqrt(2), atol=1e-14)
 
 
-def test_apply_channel_preserves_trace_and_positivity():
+def test_apply_to_factor_preserves_trace_and_positivity():
     # through the factor, against the Kraus sum written out with np.kron
     rng = np.random.default_rng(32)
     for _ in range(100):
@@ -164,7 +171,7 @@ def test_apply_channel_preserves_trace_and_positivity():
         np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
 
 
-def test_apply_channel_identity_limits():
+def test_apply_to_factor_identity_limits():
     rng = np.random.default_rng(33)
     w = ginibre_factor(rng)
     for kind, value in [
@@ -176,12 +183,12 @@ def test_apply_channel_identity_limits():
         np.testing.assert_allclose(out, _state(w), atol=1e-15)
 
 
-def test_apply_channel_rejects_incomplete_set():
+def test_apply_to_factor_rejects_incomplete_set():
     with pytest.raises(ValueError, match="not complete"):
         apply_to_factor(np.eye(4) / 2, KrausSet((0.9 * np.eye(4),)))
 
 
-def test_apply_channel_rejects_shape_mismatch():
+def test_apply_to_factor_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         apply_to_factor(np.eye(2) / np.sqrt(2), lifted(phase_kraus(0.5)))
 
@@ -273,7 +280,7 @@ def test_two_by_two_set_acts_on_the_first_qubit():
         np.testing.assert_allclose(out, kraus_sum(_state(w), kraus), atol=1e-15)
 
 
-def test_apply_channel_broadcasts_stacks():
+def test_apply_to_factor_broadcasts_stacks():
     rng = np.random.default_rng(37)
     values = rng.uniform(size=5)
     w = ginibre_factor(rng)
@@ -289,13 +296,24 @@ def test_apply_channel_broadcasts_stacks():
             np.testing.assert_allclose(many_states[i], channel(many[i], one), atol=1e-15)
 
 
-def test_apply_channel_names_the_failing_member():
+def test_apply_to_factor_names_the_failing_member():
     e0 = np.stack([np.diag([eta, 1.0]) for eta in (0.5, 0.8, 0.6)]).astype(complex)
     e1 = np.zeros_like(e0)
     e1[:, 1, 0] = np.sqrt(1 - np.array([0.5, 0.8, 0.6]) ** 2)
     e1[1, 1, 0] = 0.5  # the set for 0.8 loses trace
     with pytest.raises(ValueError, match="index 1 is not complete"):
         apply_to_factor(np.eye(4) / 2, KrausSet((e0, e1)))
+
+
+def test_a_nan_kraus_set_is_not_complete():
+    # NaN fails every comparison, so the check must not read it as within
+    # COMPLETENESS_TOL
+    with pytest.raises(ValueError, match="^Kraus set is not complete: residual nan$"):
+        apply_to_factor(np.eye(4) / 2, KrausSet((np.full((2, 2), np.nan),)))
+    ops = np.stack([np.eye(2)] * 3)[None]
+    ops[0, 1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="^Kraus set at index 1 is not complete: residual nan$"):
+        apply_to_factor(np.eye(4) / 2, KrausSet(ops))
 
 
 def test_kraus_set_holds_one_read_only_array():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esdsim.channels import NoiseKind, NoiseSpec
+from esdsim.channels import NoiseKind
 from esdsim import cli, dynamics
 from esdsim.cli import build_parser, main
 from esdsim.dynamics import (
@@ -177,7 +177,7 @@ def test_evolve_stdout_table(capsys):
     # every value is printed with 12 significant digits
     _, out, _ = run(["evolve", *FIG1_SOLID_FLAGS, "--tau-max", "2.9", "--points", "13"], capsys)
     lines = out.splitlines()
-    scenario = Scenario(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2), NoiseSpec(NoiseKind.AMPLITUDE))
+    scenario = Scenario(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2), NoiseKind.AMPLITUDE)
     grid = np.linspace(0.0, 2.9, 13)
     closed = closed_form_trajectory(scenario, grid).c
     numeric = numeric_trajectory(scenario, grid).c
@@ -500,7 +500,7 @@ def test_evolve_keeps_a_corner_weight_below_the_float_spacing(capsys):
     assert tau == 0.0 and gap <= 1e-15
     # 2 (|z| - sqrt(a d)) at 40 digits: 3.999895119125671e-4
     assert abs(closed - 3.999895119125671e-4) <= 1e-15
-    s = Scenario(XStateParams(0.4999999, 0.5, 1e-7, 5.5e-17, 2e-4), NoiseSpec(NoiseKind.AMPLITUDE))
+    s = Scenario(XStateParams(0.4999999, 0.5, 1e-7, 5.5e-17, 2e-4), NoiseKind.AMPLITUDE)
     assert dynamics.closed_form_concurrence(s, 0.0) == pytest.approx(3.999895119125671e-4, rel=1e-15)
 
 
@@ -509,7 +509,7 @@ def test_esd_reads_a_separable_state_beside_a_tiny_corner_weight(capsys):
     # read a death at 3.6e-10 and the rule a time of 0.0
     code, out, err = run(["esd", *TINY_CORNER, "--d", "5e-17", "--zmod", "1e-9"], capsys)
     assert (code, out, err) == (0, "classification: InitiallySeparable\n", "")
-    s = Scenario(XStateParams(0.4999999, 0.5, 1e-7, 5e-17, 1e-9), NoiseSpec(NoiseKind.AMPLITUDE))
+    s = Scenario(XStateParams(0.4999999, 0.5, 1e-7, 5e-17, 1e-9), NoiseKind.AMPLITUDE)
     r = dynamics.esd_time_analytic(s)
     assert r.classification is dynamics.Classification.INITIALLY_SEPARABLE
 
@@ -562,7 +562,7 @@ def test_a_block_admitted_below_zero_is_one_state_on_both_routes(noise, capsys):
     rows = out.splitlines()[1:]
     assert len(rows) == 2001
     assert max(float(row.split(",")[3]) for row in rows) <= 1e-8
-    scenario = Scenario(XStateParams(0.5, 0.0, 0.5, 0.0, 7e-6), NoiseSpec(NoiseKind(noise)))
+    scenario = Scenario(XStateParams(0.5, 0.0, 0.5, 0.0, 7e-6), NoiseKind(noise))
     for route in (esd_time_analytic, esd_time_bisection):
         assert route(scenario).classification is Classification.INITIALLY_SEPARABLE, route
     code, out, err = run(["esd", "--noise", noise, *state], capsys)

@@ -4,9 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from esdsim.channels import NoiseKind, NoiseSpec
+from esdsim.channels import NoiseKind
 from esdsim.concurrence import (
-    SPIN_FLIP,
+    _FLIP_SIGNS,
     _factor_spectrum,
     _symmetric_singular_values,
     concurrence_pure,
@@ -14,7 +14,7 @@ from esdsim.concurrence import (
     concurrence_x,
     factor_concurrence,
 )
-from esdsim.dynamics import Scenario, _evolve
+from esdsim.dynamics import Scenario, _evolve, closed_form_concurrence
 from esdsim.states import (
     Family,
     FamilyParams,
@@ -27,9 +27,13 @@ from reference import matrix_concurrence
 
 
 def test_spin_flip_constant():
-    expected = np.zeros((4, 4))
-    expected[0, 3], expected[1, 2], expected[2, 1], expected[3, 0] = -1, 1, 1, -1
-    np.testing.assert_allclose(SPIN_FLIP, expected, atol=0)
+    # the spectrum kernel's column reversal times _FLIP_SIGNS is the matmul
+    # with sy x sy, bit for bit, on real and complex stacks
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    rng = np.random.default_rng(29)
+    real = rng.standard_normal((6, 3, 4))
+    for m in (real, real + 1j * rng.standard_normal((6, 3, 4))):
+        np.testing.assert_array_equal(m[..., ::-1] * _FLIP_SIGNS, m @ np.kron(sy, sy))
 
 
 def test_bell_state_concurrence_is_one():
@@ -48,7 +52,7 @@ def test_separable_states_have_zero_concurrence():
     assert concurrence_pure(PureStateParams(0.25, 0.25, 0.25, 0.25)) == 0.0
 
 
-def test_spin_flip_spectrum_known_cases():
+def test_factor_spectrum_known_cases():
     # the lambda_i of the Bell state and of the maximally mixed state, from
     # a factor of each
     lam = _factor_spectrum(state_factor(XStateParams(0.0, 0.5, 0.5, 0.0, 0.5)))
@@ -64,6 +68,20 @@ def test_concurrence_x_formula_cases():
     assert concurrence_x(XStateParams(0.1, 0.4, 0.4, 0.1, 0.1 + 0.1j)) == pytest.approx(
         2 * (math.hypot(0.1, 0.1) - 0.1)
     )
+
+
+def test_concurrence_x_keeps_sqrt_ad_at_tiny_weights():
+    # below weights of about 1e-162 the product a d underflows, and
+    # sqrt(a d) with it; sqrt(a) sqrt(d) keeps it.  One separable record,
+    # one entangled, each against the closed form at tau = 0 and 50 digits
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    for z in (5e-171, 2e-170):
+        params = XStateParams(1e-170, 0.5, 0.5 - 2e-170, 1e-170, z)
+        exact = 2 * max(0, mp.mpf(z) - mp.sqrt(mp.mpf(params.a) * mp.mpf(params.d)))
+        c = concurrence_x(params)
+        assert c == closed_form_concurrence(Scenario(params, NoiseKind.PHASE), 0.0)
+        assert c == pytest.approx(float(exact), rel=1e-15, abs=0)
 
 
 def test_concurrence_x_matches_wootters():
@@ -230,7 +248,7 @@ def test_symmetric_singular_values_match_the_svd(dtype, m):
 
 
 def _evolved_factor(state, kind: str) -> np.ndarray:
-    scenario = Scenario(state, NoiseSpec(NoiseKind(kind)))
+    scenario = Scenario(state, NoiseKind(kind))
     return _evolve(state_factor(state), scenario.noise, np.linspace(0.0, 50.0, 2048))
 
 

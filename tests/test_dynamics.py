@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esdsim import dynamics, states
-from esdsim.channels import NoiseKind, NoiseSpec, kraus_for
+from esdsim.channels import NoiseKind, kraus_for
 from esdsim.cli import main
 from esdsim.concurrence import concurrence_pure, concurrence_x, factor_concurrence
 from esdsim.dynamics import (
@@ -46,9 +46,9 @@ from esdsim.states import (
 )
 from reference import kraus_sum, reference_concurrence
 
-AMP = NoiseSpec(NoiseKind.AMPLITUDE)
-PHASE = NoiseSpec(NoiseKind.PHASE)
-DEPOL = NoiseSpec(NoiseKind.DEPOLARIZING)
+AMP = NoiseKind.AMPLITUDE
+PHASE = NoiseKind.PHASE
+DEPOL = NoiseKind.DEPOLARIZING
 
 FIG1_SOLID = XStateParams(0.1, 0.4, 0.4, 0.1, 0.2)
 FIG1_DASHED = XStateParams(0.1, 0.2, 0.6, 0.1, 0.2)
@@ -226,7 +226,7 @@ def per_point_route(scenario, grid):
     # operators K x I (np.kron) applied to the initial factor by matmul: the
     # reference the stacked route must reproduce
     w0 = state_factor(scenario.state)
-    kind = scenario.noise.kind
+    kind = scenario.noise
     lifted = (np.kron(kraus_for(kind, noise_param(scenario.noise, t)).ops, np.eye(2)) for t in grid)
     return np.array([factor_concurrence(np.hstack(list(ops @ w0))) for ops in lifted])
 
@@ -246,14 +246,14 @@ def test_stacked_route_matches_per_point_route_on_cli_grid(pair):
     )
     # evolved_state is the product W W^dag of the evolved factor: the
     # Kraus sum's state at the same point
-    kind = scenario.noise.kind
+    kind = scenario.noise
     for i in picks[::64]:
         kraus = kraus_for(kind, noise_param(scenario.noise, CLI_GRID[i]))
         want = kraus_sum(state_matrix(scenario.state), kraus)
         assert np.abs(evolved_state(scenario, CLI_GRID[i]) - want).max() <= 1e-15
 
 
-@pytest.mark.parametrize("noise", [AMP, PHASE, DEPOL], ids=lambda n: n.kind.value)
+@pytest.mark.parametrize("noise", [AMP, PHASE, DEPOL], ids=lambda n: n.value)
 @pytest.mark.parametrize("arg", [0.0, 1.0, math.pi / 2, math.pi, -2.5])
 def test_the_phase_of_z_leaves_the_numeric_route(noise, arg, monkeypatch):
     # the route evolves the record with z -> |z|: the qubit-2 rotation
@@ -297,7 +297,7 @@ PURE_TURN_STATES = {
 }
 
 
-@pytest.mark.parametrize("noise", [AMP, PHASE, DEPOL], ids=lambda n: n.kind.value)
+@pytest.mark.parametrize("noise", [AMP, PHASE, DEPOL], ids=lambda n: n.value)
 @pytest.mark.parametrize("state", PURE_TURN_STATES.values(), ids=PURE_TURN_STATES)
 def test_the_phases_of_a_pure_state_leave_the_numeric_route(noise, state):
     # the route evolves the real column (|r00|, 0, |r01|, |r11|) from the QR
@@ -668,7 +668,7 @@ def static_concurrence(state):
 @pytest.mark.parametrize("state_kind", list(GRID_STATES))
 def test_every_cell_of_the_grid(state_kind, kind):
     state = GRID_STATES[state_kind]
-    s = Scenario(state, NoiseSpec(kind))
+    s = Scenario(state, kind)
     assert closed_form_concurrence(s, 0.0) == pytest.approx(static_concurrence(state), abs=1e-14)
     assert closed_form_concurrence(s, 0.0) > 0.0
     result = esd_time_analytic(s)
@@ -696,7 +696,7 @@ NEGATIVE_RADICAND = {
 @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("state_kind", list(GRID_STATES))
 def test_closed_form_over_the_grid_matches_per_point_calls(monkeypatch, state_kind, kind):
-    s = Scenario(GRID_STATES[state_kind], NoiseSpec(kind))
+    s = Scenario(GRID_STATES[state_kind], kind)
     stacked = closed_form_concurrence(s, CLI_GRID)
     per_point = [closed_form_concurrence(s, float(t)) for t in CLI_GRID]
     assert stacked.shape == CLI_GRID.shape
@@ -716,9 +716,9 @@ def test_closed_form_over_the_grid_matches_per_point_calls(monkeypatch, state_ki
 
         monkeypatch.setattr(dynamics, "noise_param", off_range)
         with pytest.raises(ValueError, match="closed form undefined"):
-            closed_form_concurrence(Scenario(state, NoiseSpec(kind)), CLI_GRID[:8])
+            closed_form_concurrence(Scenario(state, kind), CLI_GRID[:8])
         with pytest.raises(ValueError, match="closed form undefined"):
-            closed_form_concurrence(Scenario(state, NoiseSpec(kind)), 0.5)
+            closed_form_concurrence(Scenario(state, kind), 0.5)
 
 
 def test_dead_amplitude_tail_is_positive_zero():
@@ -1004,7 +1004,7 @@ def test_bisection_matches_the_stepwise_loop_at_scan_cache_hits_and_misses():
     # takes the miss: block j leads with the state kind j mod 4, which puts
     # every classification on a miss as well as on a hit
     cells = RANDOM_SCENARIOS[:12]
-    assert len({(states.state_kind(s.state), s.noise.kind) for s in cells}) == 12
+    assert len({(states.state_kind(s.state), s.noise) for s in cells}) == 12
     tiny = Scenario(XStateParams(1e-200, 0.5, 0.5, 1e-123, 0.5), PHASE)
     runs = []
     for j, (tau_max, points) in enumerate(((50.0, 2048), (10.0, 11), (3.0, 301)) * 2):
@@ -1051,7 +1051,7 @@ def test_the_scan_and_the_margin_agree_at_tau_zero(tau_max):
     # the scan decides InitiallySeparable from its first value and the
     # analytic route from the margin m0: independent inputs, one verdict
     for s in RANDOM_SCENARIOS:
-        _, values = dynamics._scan_grid(s.noise.kind, tau_max, dynamics.SCAN_POINTS)
+        _, values = dynamics._scan_grid(s.noise, tau_max, dynamics.SCAN_POINTS)
         separable = not s._margin.m0 > 0.0
         assert (dynamics._closed_form(s, values)[0] == 0.0) == separable, s
         verdict = esd_time_bisection(s, tau_max=tau_max).classification
@@ -1075,7 +1075,7 @@ def test_every_initially_separable_draw_is_classified_so(tau_max):
               for noise in (AMP, PHASE, DEPOL)]
     draws = [s for s in _random_scenarios(27, 1200) if closed_form_concurrence(s, 0.0) == 0.0]
     # every cell but the pure states, whose random draws are entangled
-    assert len({(states.state_kind(s.state), s.noise.kind) for s in draws}) == 9
+    assert len({(states.state_kind(s.state), s.noise) for s in draws}) == 9
     for s in edges + draws:
         got = esd_time_bisection(s, tau_max=tau_max)
         assert got == EsdResult(Classification.INITIALLY_SEPARABLE), s
@@ -1283,7 +1283,7 @@ def test_a_shifted_death_rule_moves_only_the_analytic_time(monkeypatch, capsys):
 
 def _esd_argv(s):
     # the esd command line of a random_scenario draw
-    argv = ["esd", "--noise", s.noise.kind.value]
+    argv = ["esd", "--noise", s.noise.value]
     state = s.state
     if isinstance(state, FamilyParams):
         return [*argv, "--family", state.family.value, "--x", repr(float(state.x))]
@@ -1355,11 +1355,11 @@ def test_boundary_classifications_match_bisection():
         (Family.ISOTROPIC, NoiseKind.DEPOLARIZING, 0.7, None),
         (Family.WERNER, NoiseKind.DEPOLARIZING, 0.5, None),
     ]:
-        r = esd_time_bisection(Scenario(FamilyParams(family, inside), NoiseSpec(kind)))
+        r = esd_time_bisection(Scenario(FamilyParams(family, inside), kind))
         assert r.classification is Classification.SUDDEN_DEATH
         if outside is not None:
             r = esd_time_bisection(
-                Scenario(FamilyParams(family, outside), NoiseSpec(kind))
+                Scenario(FamilyParams(family, outside), kind)
             )
             assert r.classification is Classification.ASYMPTOTIC_DECAY
 
@@ -1397,7 +1397,7 @@ def test_death_rule_is_finite_exactly_inside_the_boundary(family, kind):
     xs = [b.x_min - 1e-6, b.x_min, b.x_min + 1e-6, 0.5 * (b.x_min + b.x_max),
           b.x_max - 1e-6, b.x_max, *beyond]
     for x in (x for x in xs if 0.0 <= x <= 1.0):
-        tau = esd_time_analytic(Scenario(FamilyParams(family, x), NoiseSpec(kind))).tau_death
+        tau = esd_time_analytic(Scenario(FamilyParams(family, x), kind)).tau_death
         assert (tau is not None and math.isfinite(tau)) == b.contains(x), (x, tau)
         if b.critical_x is not None and x >= b.critical_x:
             assert tau is None, x
@@ -1407,10 +1407,10 @@ def test_figure_presets_wiring():
     assert set(FIGURE_PRESETS) == {"fig1", "fig2", "fig3", "fig4"}
     fig1 = FIGURE_PRESETS["fig1"]
     assert [c.label for c in fig1.curves] == ["solid", "dashed"]
-    assert all(c.scenario.noise.kind is NoiseKind.AMPLITUDE for c in fig1.curves)
+    assert all(c.scenario.noise is NoiseKind.AMPLITUDE for c in fig1.curves)
     fig4 = FIGURE_PRESETS["fig4"]
     assert len(fig4.curves) == 3
-    assert all(c.scenario.noise.kind is NoiseKind.DEPOLARIZING for c in fig4.curves)
+    assert all(c.scenario.noise is NoiseKind.DEPOLARIZING for c in fig4.curves)
     # every preset curve starts entangled
     for preset in FIGURE_PRESETS.values():
         for curve in preset.curves:

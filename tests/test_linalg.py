@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from esdsim.concurrence import factor_concurrence
-from esdsim.linalg import _frobenius, _hermitian_part, dagger, kron
+from esdsim.linalg import _check_psd, _frobenius, _hermitian_part, dagger, kron
 from esdsim.states import XStateParams, state_matrix, validate_density_matrix
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -122,6 +122,29 @@ def test_stack_errors_name_the_failing_member():
 
 NOT_HERMITIAN = r"^matrix at index 1 is not Hermitian: defect \S+ > tol 1\.000e-10$"
 NOT_PSD = r"^matrix at index 3 is not PSD: min eigenvalue -2\.000e-01 < -1\.000e-10$"
+
+
+def test_nan_fails_the_hermitian_check():
+    # NaN fails every comparison, so each check must not read it as within
+    # PSD_CLAMP_TOL; a NaN member of a stack is named by its index
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian: defect nan > tol 1\.000e-10$"):
+        validate_density_matrix(np.full((4, 4), np.nan))
+    with pytest.raises(ValueError, match="^matrix at index 1 is not Hermitian: defect nan"):
+        validate_density_matrix(np.stack([np.eye(4) / 4, np.full((4, 4), np.nan)]))
+
+
+def test_nan_fails_the_unit_trace_check():
+    with pytest.raises(ValueError, match=r"^density matrix trace must be 1, got \(nan\+0j\)$"):
+        factor_concurrence(np.full((4, 1), np.nan))
+    with pytest.raises(ValueError, match=r"^density matrix at index 1 trace must be 1, got \(nan"):
+        factor_concurrence(np.stack([np.eye(4) / 2, np.full((4, 4), np.nan)]))
+
+
+def test_nan_fails_the_psd_check():
+    with pytest.raises(ValueError, match="^matrix is not PSD: min eigenvalue nan"):
+        _check_psd(np.float64(np.nan))
+    with pytest.raises(ValueError, match="^matrix at index 1 is not PSD: min eigenvalue nan"):
+        _check_psd(np.array([0.0, np.nan, -1.0]))
 
 
 def test_every_state_check_speaks_one_wording():

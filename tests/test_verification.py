@@ -31,13 +31,13 @@ DRAW_DIGESTS = {
     "local_unitary_invariance": "cbbb8e7f198e129b3cf1fd7b504f2866ac9a7831f36c029f630ec0b06bb90457",
     "twirl_invariance": "1edf2f865504e9b02a5b5e30f0524ccd79ef5ffa8e97e1977799024c33bd7226",
     # the suites that cycle through the grid's cells draw their start first
-    "closed_vs_numeric": "e67e7b5af87934d781d7556edfb81461544256cf0ecb903da42131c473cde291",
-    "analytic_vs_bisection": "40c0fd8e0a416abcd4f00083ddeb4677a37564c4fcb0de5f890728940eb10048",
+    "closed_vs_numeric": "b0b1e2654d940f5817a91c103e00ad4f51114a99769cd7b04bb6b6ad0530e776",
+    "analytic_vs_bisection": "565b5bf8e6c490afd36aaff0a6b1e4279c710e3b7145a43f9d9e30b87b9e80e7",
     "pure_depol_universality": "c60a9dc8db309367d5dc1a9b1726c8a0f53342d268f006cbab2901b50ab0cd9b",
     # each case's text holds the EsdResult it got
     "pure_amp_phase_no_esd": "93af2942131ac1d9f8faf7ff336199cbb44342d8a12847fdaa18d70fc024d224",
-    "trajectory_monotone": "9a8b732efc45ed35ff367c85dd26d3f2c37d9e3301c9bb8bbb465c2021fa1a58",
-    "tau_zero_identity": "1922f4c00e3a67736561481fe503c3a69df08fce9f695cddf4c4ac99394d1d0b",
+    "trajectory_monotone": "a97f54c30667755754b0466e1a19ae793810fd12438d9c9e31231c8c15f6c531",
+    "tau_zero_identity": "9a03c03fc2b0af9064c45d224d252d2991d86b21a37c68755e97ccda5f116ea9",
 }
 
 # max_error of every suite at run_all(3, 40), as the stacked suites read it.
