@@ -17,7 +17,6 @@ from .channels import (
 )
 from .concurrence import (
     concurrence_pure,
-    concurrence_pure_determinant,
     concurrence_x,
     factor_concurrence,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "kraus_for",
     "phase_kraus",
     "concurrence_pure",
-    "concurrence_pure_determinant",
     "concurrence_x",
     "factor_concurrence",
     "FIGURE_PRESETS",

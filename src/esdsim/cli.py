@@ -25,6 +25,14 @@ So help pages, usage errors and exit codes are argparse's.  The tables
 save an in-process caller (a benchmark loop, a notebook, the tests) most
 of the time an `esd` command spends in argparse (BENCH_cli_table_route.json);
 a shell user gains nothing, as process start-up costs far more.
+
+`evolve` and `figure` tables print in one write.  The tau column's text is
+kept for the next table on the same grid, and a table's trailing run of
+rows whose values are all +0.0 prints from that text with a constant
+suffix.  After a sudden death that run is most of a table, and all of it
+for a separable state, so a caller printing many such tables in one
+process (the benchmark's trajectory stream, a figure's curves) skips most
+of the per-value formatting (BENCH_dead_rows.json).
 """
 from __future__ import annotations
 
@@ -151,27 +159,54 @@ _COLUMNS = ("tau", "c_closed", "c_wootters", "abs_diff")
 def _tau_text(column: bytes) -> str:
     # the printed tau column, keyed by its float64 bytes (so -0.0 and 0.0
     # stay apart): each value's "%.12g" text (that of _fmt), joined by "\0",
-    # which "%.12g" never prints.  One grid is kept: about 14 B per point of
-    # text and 8 B per point of key.
+    # which "%.12g" never prints.  _write_rows fills the live rows' template
+    # from it and prints a trailing run of all-zero rows from it directly.
+    # One grid is kept: about 14 B per point of text and 8 B per point of
+    # key.
     taus = np.frombuffer(column)
     return "\0".join(["%.12g"] * len(taus)) % tuple(taus.tolist())
 
 
 def _write_rows(stream, rows, fmt: str, curve: str | None = None) -> None:
-    # rows (an (n, 4) array or 4-tuples) fill one template of n rows, built
-    # from the tau column's text (kept for the next table on the same grid)
-    # with one replace; the other columns fill it in one % pass, written in
-    # one call.  JSONL rows print _json_line's bytes.
+    # rows (an (n, 4) array or 4-tuples) print the bytes of _fmt and
+    # _json_line, in one call.  The first k rows, up to the last one with a
+    # value other than +0.0 (compared bitwise, so -0.0, a subnormal or NaN
+    # counts), fill one template built from the kept tau text with one
+    # replace, and one % pass fills their values; only that template needs
+    # the row prefix's % doubled.  The trailing run of all-zero rows after
+    # them prints as its kept tau text with one constant suffix: after a
+    # sudden death that run is most of a table, and a separable state's
+    # table is all of it.  A table whose last row is live (a state that
+    # never dies) is all template, with no search for k or for its row in
+    # the text.
     table = np.asarray(rows, dtype=float)
     if fmt == "csv":
         head = (f"# curve: {curve}\n" if curve is not None else "") + ",".join(_COLUMNS) + "\n"
         start, end = "", ",%.12g,%.12g,%.12g\n"
     else:
-        tag = f'"curve": {json.dumps(curve)}, '.replace("%", "%%") if curve is not None else ""
+        tag = f'"curve": {json.dumps(curve)}, ' if curve is not None else ""
         head, start = "", "{" + tag + f'"{_COLUMNS[0]}": '
         end = "".join(f', "{key}": %.12g' for key in _COLUMNS[1:]) + "}\n"
-    rows_text = start + _tau_text(table[:, 0].tobytes()).replace("\0", end + start) + end
-    stream.write(head + rows_text % tuple(table[:, 1:].ravel().tolist()))
+    text = _tau_text(table[:, 0].tobytes())
+    values = table[:, 1:].ravel()
+    bits = values.view(np.uint64)
+    n = len(table)
+    if bits[-3:].any():
+        k, cut = n, len(text) + 1
+    else:
+        live = np.flatnonzero(bits)
+        k = int(live[-1]) // 3 + 1 if live.size else 0
+        # row k's tau text starts one past the k-th "\0"
+        cut = int(np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8) == 0)[k - 1]) + 1 if k else 0
+    out = head
+    if k:
+        template = start.replace("%", "%%")
+        rows_text = template + text[: cut - 1].replace("\0", end + template) + end
+        out += rows_text % tuple(values[: 3 * k].tolist())
+    if k < n:
+        dead = end.replace("%.12g", "0")
+        out += start + text[cut:].replace("\0", dead + start) + dead
+    stream.write(out)
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .linalg import _check_unit_trace, dagger
-from .states import PureStateParams, XStateParams, _pure_amplitudes
+from .states import PureStateParams, XStateParams
 
 # (sy x sy) is real, the antidiagonal (-1, 1, 1, -1), so M @ (sy x sy) is M
 # with its columns reversed, column k times this sign: the same bits as the
@@ -117,8 +117,3 @@ def concurrence_pure(params: PureStateParams) -> float:
     theta = params.f + params.g - params.h
     return 2.0 * math.hypot(ad - bc * math.cos(theta), bc * math.sin(theta))
 
-
-def concurrence_pure_determinant(params: PureStateParams) -> float:
-    """Independent pure-state route: 2 |det M| for the 2x2 amplitude matrix."""
-    m = _pure_amplitudes(params).reshape(2, 2)
-    return 2.0 * abs(np.linalg.det(m))

@@ -44,7 +44,6 @@ from .channels import NoiseKind, apply_to_factor, kraus_for
 from .concurrence import (
     _symmetric_singular_values,
     concurrence_pure,
-    concurrence_pure_determinant,
     concurrence_x,
     factor_concurrence,
 )
@@ -63,6 +62,8 @@ from .linalg import _frobenius, dagger, kron
 from .states import (
     Family,
     FamilyParams,
+    PureStateParams,
+    _pure_amplitudes,
     as_x_params,
     pure_factor,
     state_factor,
@@ -318,12 +319,17 @@ def suite_concurrence_x_oracle(rng: np.random.Generator, res: SuiteResult) -> No
     res.record_all(err, lambda i: f"params={params[i]!r}")
 
 
+def _concurrence_pure_determinant(params: PureStateParams) -> float:
+    # an oracle apart from both routes: 2 |det M| of the 2x2 amplitude matrix
+    return 2.0 * abs(np.linalg.det(_pure_amplitudes(params).reshape(2, 2)))
+
+
 def suite_concurrence_pure_oracle(rng: np.random.Generator, res: SuiteResult) -> None:
     # the complex 4 x 1 amplitude column, which factor_concurrence pads
     params = [sampling.random_pure_params(rng) for _ in range(res.cases)]
     c = np.array([concurrence_pure(p) for p in params])
     err = np.abs(c - factor_concurrence(np.stack([pure_factor(p) for p in params])))
-    err = np.maximum(err, np.abs(c - [concurrence_pure_determinant(p) for p in params]))
+    err = np.maximum(err, np.abs(c - [_concurrence_pure_determinant(p) for p in params]))
     res.record_all(err, lambda i: f"params={params[i]!r}")
 
 

@@ -772,25 +772,68 @@ AWKWARD = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e16, 12345678901
            0.1234567890125, 9.999999999995e-05]
 
 
+LABELS = (None, "solid", '50% "dash\\dot" ψ %s %%')
+
+
+def _per_value_table(table, fmt, curve):
+    # the table as _fmt and _json_line print it, one value at a time
+    if fmt == "csv":
+        head = f"# curve: {curve}\n" if curve is not None else ""
+        return head + HEADER + "\n" + "".join(",".join(map(cli._fmt, row)) + "\n" for row in table)
+    tag = [("curve", curve)] if curve is not None else []
+    return "".join(cli._json_line([*tag, *zip(cli._COLUMNS, row)]) for row in table.tolist())
+
+
+def _assert_per_value(table):
+    # in both formats, under every label, with rows as an array and as 4-tuples
+    for curve in LABELS:
+        for fmt in ("csv", "jsonl"):
+            for rows in (table, [tuple(row) for row in table.tolist()]):
+                stream = io.StringIO()
+                cli._write_rows(stream, rows, fmt, curve)
+                assert stream.getvalue() == _per_value_table(table, fmt, curve)
+
+
 def test_one_pass_table_matches_per_value_formatting():
     # the writer fills one row template for the whole table; it prints the
     # bytes of formatting each value on its own, and a label's %, quotes,
     # backslashes and non-ASCII text pass through the JSONL template intact
     rng = np.random.default_rng(27)
     draws = rng.standard_normal(62) * 10.0 ** rng.integers(-320, 300, 62)
-    table = np.concatenate([AWKWARD, np.negative(AWKWARD), draws]).reshape(-1, 4)
-    for curve in (None, "solid", '50% "dash\\dot" ψ %s %%'):
-        head = f"# curve: {curve}\n" if curve is not None else ""
-        tag = [("curve", curve)] if curve is not None else []
-        want = {
-            "csv": head + HEADER + "\n" + "".join(",".join(map(cli._fmt, row)) + "\n" for row in table),
-            "jsonl": "".join(cli._json_line([*tag, *zip(cli._COLUMNS, row)]) for row in table.tolist()),
-        }
-        for fmt, text in want.items():
-            for rows in (table, [tuple(row) for row in table.tolist()]):
-                stream = io.StringIO()
-                cli._write_rows(stream, rows, fmt, curve)
-                assert stream.getvalue() == text
+    _assert_per_value(np.concatenate([AWKWARD, np.negative(AWKWARD), draws]).reshape(-1, 4))
+
+
+def test_trailing_zero_rows_match_per_value_formatting():
+    # a trailing run of rows whose three values are +0.0 prints from the kept
+    # tau text with a constant suffix: the JSONL label is not %-escaped
+    # there; -0.0, the least subnormal and NaN print as themselves and end
+    # the run
+    taus = np.linspace(0.0, 3.0, 7)
+    live = np.column_stack((taus, np.full((7, 3), 0.25)))
+    dead = np.column_stack((taus, np.zeros((7, 3))))
+    tables = [
+        np.concatenate((live[:3], dead[3:])),
+        dead,
+        dead[:1],
+        live[:1],
+        np.concatenate((live[:1], dead[1:])),
+        np.concatenate((dead[:4], live[4:])),
+    ]
+    for value in (-0.0, 5e-324, math.nan):
+        for column in (1, 2, 3):
+            end = dead.copy()
+            end[-1, column] = value
+            tables += [end, end[-1:]]
+        middle = dead.copy()
+        middle[3, 2] = value
+        tables.append(middle)
+    for table in tables:
+        _assert_per_value(table)
+    stream = io.StringIO()
+    cli._write_rows(stream, tables[0], "jsonl", LABELS[2])
+    assert stream.getvalue().splitlines()[-1] == (
+        '{"curve": "50% \\"dash\\\\dot\\" \\u03c8 %s %%", "tau": 3, "c_closed": 0, "c_wootters": 0, "abs_diff": 0}'
+    )
 
 
 CELL_FLAGS = {

@@ -10,7 +10,6 @@ from esdsim.concurrence import (
     _factor_spectrum,
     _symmetric_singular_values,
     concurrence_pure,
-    concurrence_pure_determinant,
     concurrence_x,
     factor_concurrence,
 )
@@ -23,6 +22,7 @@ from esdsim.states import (
     pure_factor,
     state_factor,
 )
+from esdsim.verification import _concurrence_pure_determinant
 from reference import matrix_concurrence
 
 
@@ -106,7 +106,7 @@ def test_concurrence_pure_matches_wootters_and_determinant():
         params = PureStateParams(a, b, c, d, f, g, h)
         cp = concurrence_pure(params)
         worst = max(worst, abs(cp - factor_concurrence(pure_factor(params))))
-        worst = max(worst, abs(cp - concurrence_pure_determinant(params)))
+        worst = max(worst, abs(cp - _concurrence_pure_determinant(params)))
     assert worst <= 1e-9
 
 
