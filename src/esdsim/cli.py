@@ -446,11 +446,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        if args.command == "verify":
-            raise
-        # evolve, esd and figure size their arrays by --points; numpy's
-        # message names the allocation that failed
-        print(f"error: --points {args.points!r} is too large: {exc}", file=sys.stderr)
+        # verify sizes its stacks by --cases, and evolve, esd and figure
+        # their arrays by --points; numpy's message names the allocation
+        # that failed
+        flag = "cases" if args.command == "verify" else "points"
+        print(f"error: --{flag} {getattr(args, flag)!r} is too large: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,14 +1,22 @@
 """Randomized property suites.
 
-Each suite runs in two phases.  It first draws its cases one at a time from
-a seeded generator, in a fixed order, so a seed always yields the same
-cases and the same reproduction strings.  It then stacks the drawn inputs
-and checks them all at once through the stack-aware library functions:
-one call per suite, or one per noise kind (or dtype) where the call
-depends on it.  Every channel and concurrence suite checks the
-kernels that the numeric route of `evolve` runs, on factors W of the state
-(rho = W W^dag): noise acts through `channels.apply_to_factor`, a state
-after noise is compared as W W^dag, and concurrences come from
+Each suite runs in two phases.  It first draws its cases from a seeded
+generator, in a fixed order, so a seed always yields the same cases and
+the same reproduction strings.  `kron_algebra`, `symmetric_spectrum` and
+`kraus_completeness` draw from one distribution only, so each takes all
+its cases in one generator call; the other suites interleave several
+distributions per case and draw case by case.  Every draw uses the cheap
+forms of `sampling`, which consume the stream as the textbook calls do,
+so a one-call suite draws the same bits as a case-by-case draw would.
+`twirl_invariance` and `local_unitary_invariance` draw each case's
+Ginibre matrices, then turn them all into Haar unitaries in one stacked
+QR.  A suite then stacks the drawn inputs and checks them all at once
+through the stack-aware library functions: one call per suite, or one
+per noise kind (or dtype) where the call depends on it.  Every channel
+and concurrence suite checks the kernels that the numeric route of
+`evolve` runs, on factors W of the state (rho = W W^dag): noise acts
+through `channels.apply_to_factor`, a state after noise is compared as
+W W^dag, and concurrences come from
 `concurrence.factor_concurrence` of complex factors, narrow (a pure
 state's amplitude column), square and wider than four columns (Ginibre
 draws G / ||G||_F).  `channel_output_validity` keeps one reference: the
@@ -104,10 +112,6 @@ class SuiteResult:
             self.failures.append(f"err={errors[i]:.6e} {detail(i)}")
 
 
-def _random_complex(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))
-
-
 def _noise_params(kinds, taus) -> np.ndarray:
     """`noise_param` of each case's noise kind at its time."""
     taus = np.asarray(taus, dtype=float)
@@ -158,8 +162,7 @@ def _marginal_second(rho: np.ndarray) -> np.ndarray:
 
 
 def suite_kron_algebra(rng: np.random.Generator, res: SuiteResult) -> None:
-    draws = [[_random_complex(rng) for _ in range(4)] for _ in range(res.cases)]
-    a, b, c, d = (np.stack(m) for m in zip(*draws))
+    a, b, c, d = sampling._complex_normal(rng, (res.cases, 4, 2, 2)).swapaxes(0, 1)
     k = kron(a, b)
     blocks = np.block([[a[:, i, j, None, None] * b for j in range(2)] for i in range(2)])
     mixed = k @ kron(c, d)
@@ -171,14 +174,13 @@ def suite_kron_algebra(rng: np.random.Generator, res: SuiteResult) -> None:
 def suite_symmetric_spectrum(rng: np.random.Generator, res: SuiteResult) -> None:
     # the singular values that factor_concurrence reads, of real (even
     # cases) and complex (odd cases) symmetric matrices, against the SVD
-    g = [_random_complex(rng, 4) for _ in range(res.cases)]
-    sym = [m + m.T if i % 2 else (m + m.T).real for i, m in enumerate(g)]
+    g = sampling._complex_normal(rng, (res.cases, 4, 4))
+    sym = g + g.swapaxes(-1, -2)
     err = np.empty(res.cases)
-    for idx in _groups(i % 2 for i in range(res.cases)).values():
-        stack = np.stack([sym[i] for i in idx])
+    for parity, stack in enumerate((sym[0::2].real, sym[1::2])):
         want = np.linalg.svd(stack, compute_uv=False)
-        err[idx] = np.abs(_symmetric_singular_values(stack) - want).max(axis=-1)
-    res.record_all(err, lambda i: f"g={sym[i].tolist()!r}")
+        err[parity::2] = np.abs(_symmetric_singular_values(stack) - want).max(axis=-1)
+    res.record_all(err, lambda i: f"g={(sym[i] if i % 2 else sym[i].real).tolist()!r}")
 
 
 def _reduction_case(rng: np.random.Generator) -> np.ndarray:
@@ -189,7 +191,7 @@ def _reduction_case(rng: np.random.Generator) -> np.ndarray:
     # concurrence reads 0 on both sides of the check
     m = int(rng.integers(5, 17))
     psi = pure_factor(sampling.random_entangled_pure_params(rng))
-    t = float(rng.uniform(0.5, 0.9))
+    t = sampling._uniform(rng, 0.5, 0.9)
     return np.hstack([math.sqrt(t) * psi, math.sqrt(1.0 - t) * sampling.ginibre_factor(rng, m - 1)])
 
 
@@ -207,7 +209,7 @@ def suite_factor_reduction(rng: np.random.Generator, res: SuiteResult) -> None:
 
 
 def suite_kraus_completeness(rng: np.random.Generator, res: SuiteResult) -> None:
-    values = [float(rng.uniform()) for _ in range(res.cases)]
+    values = rng.random(res.cases).tolist()
     kinds = sampling.NOISE_KINDS
     err = np.stack(
         [channels.completeness_residual(kraus_for(kind, values)) for kind in kinds], axis=-1
@@ -222,7 +224,7 @@ def suite_kraus_completeness(rng: np.random.Generator, res: SuiteResult) -> None
 
 def _noisy_case(rng: np.random.Generator, state: Callable) -> tuple:
     # a state, then a noise kind and its parameter value
-    return state(rng), sampling.random_noise_kind(rng), float(rng.uniform())
+    return state(rng), sampling.random_noise_kind(rng), rng.random()
 
 
 def suite_channel_output_validity(rng: np.random.Generator, res: SuiteResult) -> None:
@@ -286,8 +288,8 @@ def suite_qubit2_marginal(rng: np.random.Generator, res: SuiteResult) -> None:
 
 def _semigroup_case(rng: np.random.Generator) -> tuple:
     w = sampling.ginibre_factor(rng)
-    kind = NoiseKind.AMPLITUDE if rng.uniform() < 0.5 else NoiseKind.PHASE
-    t1, t2 = rng.uniform(0.0, 3.0, size=2)
+    kind = NoiseKind.AMPLITUDE if rng.random() < 0.5 else NoiseKind.PHASE
+    t1, t2 = sampling._uniform(rng, 0.0, 3.0, 2)
     return w, kind, t1, t2
 
 
@@ -335,14 +337,15 @@ def suite_concurrence_pure_oracle(rng: np.random.Generator, res: SuiteResult) ->
 
 def _local_unitary_case(rng: np.random.Generator) -> tuple:
     # a state's factor with 4 to 8 columns (zero-padded to 8 in the suite),
-    # then the two local unitaries of qubit 1 and qubit 2
+    # then the Ginibre matrices of the local unitaries of qubit 1 and qubit 2
     w = sampling.ginibre_factor(rng, int(rng.integers(4, 9)))
-    return w, sampling.haar_unitary(rng), sampling.haar_unitary(rng)
+    return w, sampling._complex_normal(rng, (2, 2, 2))
 
 
 def suite_local_unitary_invariance(rng: np.random.Generator, res: SuiteResult) -> None:
-    w, u1, u2 = zip(*(_local_unitary_case(rng) for _ in range(res.cases)))
-    wide, u = _padded(w, 8), kron(np.stack(u1), np.stack(u2))
+    w, g = zip(*(_local_unitary_case(rng) for _ in range(res.cases)))
+    u1, u2 = sampling._haar_from_ginibre(np.stack(g)).swapaxes(0, 1)
+    wide, u = _padded(w, 8), kron(u1, u2)
     err = np.abs(factor_concurrence(wide) - factor_concurrence(u @ wide))
     res.record_all(err, lambda i: f"w={w[i].tolist()!r} u={u[i].tolist()!r}")
 
@@ -351,8 +354,8 @@ def suite_twirl_invariance(rng: np.random.Generator, res: SuiteResult) -> None:
     # a Werner state commutes with U x U conjugation; an isotropic state
     # does so with U x U* after a bit flip on qubit 1 (the triplet-based
     # sign layout)
-    xs, us = zip(*((float(rng.uniform()), sampling.haar_unitary(rng)) for _ in range(res.cases)))
-    u = np.stack(us)
+    xs, g = zip(*((rng.random(), sampling._complex_normal(rng, (2, 2))) for _ in range(res.cases)))
+    u = sampling._haar_from_ginibre(np.stack(g))
     rho_w = np.stack([state_matrix(FamilyParams(Family.WERNER, x)) for x in xs])
     uu = kron(u, u)
     err = _frobenius(uu @ rho_w @ dagger(uu) - rho_w)
@@ -360,7 +363,7 @@ def suite_twirl_invariance(rng: np.random.Generator, res: SuiteResult) -> None:
     rho_i = _FLIP1 @ rho_i @ _FLIP1
     uc = kron(u, u.conj())
     err = np.maximum(err, _frobenius(uc @ rho_i @ dagger(uc) - rho_i))
-    res.record_all(err, lambda i: f"x={xs[i]!r} u={us[i].tolist()!r}")
+    res.record_all(err, lambda i: f"x={xs[i]!r} u={u[i].tolist()!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +375,7 @@ def suite_closed_vs_numeric(rng: np.random.Generator, res: SuiteResult) -> None:
     start = int(rng.integers(sampling.SCENARIO_CELLS))
     scenarios, taus = zip(
         *(
-            (sampling.random_scenario(rng, start + i), float(rng.uniform(0.0, 50.0)))
+            (sampling.random_scenario(rng, start + i), sampling._uniform(rng, 0.0, 50.0))
             for i in range(res.cases)
         )
     )
@@ -414,7 +417,7 @@ def _sudden_death_scenario(rng: np.random.Generator, pick: int) -> Scenario:
     if pick == 9:
         return Scenario(sampling.random_entangled_x_params(rng), NoiseKind.DEPOLARIZING)
     family, kind, lo, hi = _FAMILY_DEATH_WINDOWS[pick - 3]
-    return Scenario(FamilyParams(family, float(rng.uniform(lo, hi))), kind)
+    return Scenario(FamilyParams(family, sampling._uniform(rng, lo, hi)), kind)
 
 
 def _death_time_gap(scenario: Scenario) -> tuple[float, str]:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esdsim.channels import NoiseKind
-from esdsim import cli, dynamics
+from esdsim import cli, dynamics, verification
 from esdsim.cli import build_parser, main
 from esdsim.dynamics import (
     Classification,
@@ -905,11 +905,11 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
 
 def test_cli_import_leaves_the_verify_stack_unloaded():
     # evolve, esd and figure never verify, so starting the CLI loads
-    # neither the verify suites nor numpy.random; the package still
-    # resolves the verify names on first use
+    # neither the verify suites, their samplers nor numpy.random; the
+    # package still resolves the verify names on first use
     code = (
         "import sys, esdsim.cli; "
-        "print(sorted({'numpy.random', 'esdsim.verification'} & set(sys.modules))); "
+        "print(sorted({'numpy.random', 'esdsim.sampling', 'esdsim.verification'} & set(sys.modules))); "
         "import esdsim; esdsim.run_all, esdsim.run_suite, esdsim.SuiteResult; "
         "print('esdsim.verification' in sys.modules)"
     )
@@ -937,6 +937,21 @@ def test_oversized_points_exit_2(monkeypatch, capsys):
     # esd looked its scan grid up once, and the failed build kept no entry
     info = dynamics._scan_grid.cache_info()
     assert (info.misses, info.currsize) == (1, 0)
+
+
+def test_oversized_cases_exit_2(monkeypatch, capsys):
+    # verify stacks each suite's draws, so a --cases too large for memory
+    # fails at a suite's first allocation; none is allocated here
+    message = ("Unable to allocate 1.14 PiB for an array with shape (5000000000000, 4, 2, 2, 2) "
+               "and data type float64")
+
+    def suite(rng, res):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(verification, "SUITES", (("kron_algebra", suite, 0.5, 1e-12),))
+    code, out, err = run(["verify", "--cases", "10000000000000"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --cases 10000000000000 is too large: {message}\n"
 
 
 def _subparsers() -> dict:
