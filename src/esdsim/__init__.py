@@ -17,7 +17,6 @@ from .channels import (
 )
 from .concurrence import (
     concurrence_pure,
-    concurrence_x,
     factor_concurrence,
 )
 from .dynamics import (
@@ -36,7 +35,7 @@ from .dynamics import (
     noise_param,
     numeric_trajectory,
 )
-from .linalg import dagger, kron
+from .linalg import dagger
 from .states import (
     Family,
     FamilyParams,
@@ -65,7 +64,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "dagger",
-    "kron",
     "Family",
     "FamilyParams",
     "PureStateParams",
@@ -83,7 +81,6 @@ __all__ = [
     "kraus_for",
     "phase_kraus",
     "concurrence_pure",
-    "concurrence_x",
     "factor_concurrence",
     "FIGURE_PRESETS",
     "Classification",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _reject_first, _unit_interval
+from .linalg import _not_member, _reject_first, _unit_interval
 
 # Gate applied by apply_to_factor on arbitrary Kraus sets.
 COMPLETENESS_TOL = 1e-10
@@ -113,12 +113,14 @@ def depolarizing_kraus(p) -> KrausSet:
 
 
 def kraus_for(kind: NoiseKind, value) -> KrausSet:
-    """Constructor dispatch on the noise kind."""
+    """Constructor dispatch on the noise kind, a `NoiseKind` and nothing else."""
     if kind is NoiseKind.AMPLITUDE:
         return amplitude_kraus(value)
     if kind is NoiseKind.PHASE:
         return phase_kraus(value)
-    return depolarizing_kraus(value)
+    if kind is NoiseKind.DEPOLARIZING:
+        return depolarizing_kraus(value)
+    raise _not_member(kind, NoiseKind)
 
 
 def completeness_residual(kraus: KrausSet) -> float | np.ndarray:

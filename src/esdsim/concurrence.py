@@ -1,14 +1,12 @@
 """Concurrence of two-qubit states.
 
-Three routes, used against each other throughout the test suite:
+Two functions, used against each other throughout the test suite:
 
 * `factor_concurrence` works for any two-qubit state given by a factor W
   with rho = W W^dag: the numeric route of the dynamics module evolves
   such a factor and never forms the matrix.
-* `concurrence_x` is the closed form for states with the cross pattern
-  (diagonal plus one central coherence), 2 max(0, |z| - sqrt(a d)).
-* `concurrence_pure` evaluates pure states written over the computational
-  basis with three relative phases.
+* `concurrence_pure` is the closed form of pure states written over the
+  computational basis with three relative phases.
 
 The general route deliberately avoids forming rho rho~ and diagonalizing
 it: the needed lambda_i are the singular values of G = F^T (sy x sy) F for
@@ -33,7 +31,7 @@ import math
 import numpy as np
 
 from .linalg import _check_unit_trace, dagger
-from .states import PureStateParams, XStateParams
+from .states import PureStateParams
 
 # (sy x sy) is real, the antidiagonal (-1, 1, 1, -1), so M @ (sy x sy) is M
 # with its columns reversed, column k times this sign: the same bits as the
@@ -92,12 +90,6 @@ def factor_concurrence(w: np.ndarray) -> float | np.ndarray:
     _check_unit_trace(np.add.reduce((w.conj() * w).real, axis=(-2, -1)))
     lam = _factor_spectrum(w)
     return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
-
-
-def concurrence_x(params: XStateParams) -> float:
-    """Closed form 2 max(0, |z| - sqrt(a) sqrt(d)) for cross-pattern states
-    (the product a d would underflow at weights below about 1e-162)."""
-    return 2.0 * max(0.0, abs(params.z) - math.sqrt(params.a) * math.sqrt(params.d))
 
 
 def concurrence_pure(params: PureStateParams) -> float:

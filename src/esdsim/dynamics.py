@@ -73,7 +73,7 @@ import numpy as np
 
 from .channels import NoiseKind, apply_to_factor, kraus_for
 from .concurrence import concurrence_pure, factor_concurrence
-from .linalg import dagger
+from .linalg import _not_member, dagger
 from .states import (
     Family,
     FamilyParams,
@@ -118,6 +118,8 @@ class Scenario:
     noise: NoiseKind
 
     def __post_init__(self) -> None:
+        if not isinstance(self.noise, NoiseKind):
+            raise _not_member(self.noise, NoiseKind)
         # the cell's coefficients, read once: every closed-form value and
         # the death rule take them from here
         margin = _MARGINS[state_kind(self.state)](self.state, self.noise)
@@ -176,7 +178,8 @@ def noise_param(kind: NoiseKind, tau):
     """eta, gamma or p at dimensionless time tau, per the noise kind.
 
     `tau` is one time or an array of them; the result is a numpy float64
-    or an array of the same shape.  Negative and NaN times are rejected.
+    or an array of the same shape.  Negative and NaN times are rejected,
+    and so is anything but a `NoiseKind`.
     """
     tau = np.asarray(tau, dtype=float)
     ok = tau >= 0.0
@@ -184,7 +187,9 @@ def noise_param(kind: NoiseKind, tau):
         raise ValueError(f"tau must be nonnegative, got {float(tau[~ok].flat[0])!r}")
     if kind is NoiseKind.DEPOLARIZING:
         return -np.expm1(-0.5 * tau)
-    return np.exp(-0.5 * tau)
+    if kind is NoiseKind.AMPLITUDE or kind is NoiseKind.PHASE:
+        return np.exp(-0.5 * tau)
+    raise _not_member(kind, NoiseKind)
 
 
 # ---------------------------------------------------------------------------

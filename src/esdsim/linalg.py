@@ -51,19 +51,10 @@ def _unit_interval(name: str, value):
     return v
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices (block (i,j) is a[i,j] * b).
-
-    `a` and `b` may each be a stack of 2x2 matrices, shape (..., 2, 2); the
-    product is taken pair by pair and the leading axes broadcast.  Each
-    entry is the single product a[i,j] * b[k,l], as in `np.kron`, in the
-    common dtype of the two: real factors give a real product.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
-        raise ValueError(f"kron expects 2x2 matrices, got {a.shape} and {b.shape}")
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (4, 4))
+def _not_member(value, kinds) -> ValueError:
+    """The ValueError for a `value` that is not a member of the enum `kinds`."""
+    members = ", ".join(f"{kinds.__name__}.{m.name}" for m in kinds)
+    return ValueError(f"expected a {kinds.__name__} ({members}), got {value!r}")
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

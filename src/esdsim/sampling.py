@@ -3,7 +3,9 @@
 Everything takes an explicit numpy Generator so property suites and tests
 stay reproducible.  Entangled variants resample until the initial
 concurrence clears a floor; without it, states sampled arbitrarily close
-to the separable boundary make death-time assertions meaningless.
+to the separable boundary make death-time assertions meaningless.  An X
+state's floor reads the closed form the routes run: the phase cell's at
+tau = 0, which is 2 max(0, |z| - sqrt(a) sqrt(d)) bit for bit.
 
 Each draw is a cheaper Generator call that consumes the stream as the
 textbook call does and returns the same bits and types: flat Dirichlet
@@ -29,8 +31,8 @@ import math
 import numpy as np
 
 from .channels import NoiseKind
-from .concurrence import concurrence_pure, concurrence_x
-from .dynamics import Scenario
+from .concurrence import concurrence_pure
+from .dynamics import Scenario, closed_form_concurrence
 from .linalg import _frobenius
 from .states import Family, FamilyParams, PureStateParams, XStateParams
 
@@ -87,7 +89,7 @@ def random_x_params(rng: np.random.Generator) -> XStateParams:
 def random_entangled_x_params(rng: np.random.Generator) -> XStateParams:
     while True:
         params = random_x_params(rng)
-        if concurrence_x(params) >= MIN_CONCURRENCE:
+        if closed_form_concurrence(Scenario(params, NoiseKind.PHASE), 0.0) >= MIN_CONCURRENCE:
             return params
 
 

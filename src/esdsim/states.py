@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .linalg import _check_psd, _check_unit_trace, _hermitian_part
+from .linalg import _check_psd, _check_unit_trace, _hermitian_part, _not_member
 
 # Weights are user input, so their sum check is tight.
 WEIGHT_SUM_TOL = 1e-12
@@ -97,6 +97,8 @@ class FamilyParams:
     x: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, Family):
+            raise _not_member(self.family, Family)
         if not 0.0 <= self.x <= 1.0:
             raise ValueError(f"mixing weight x must lie in [0, 1], got {self.x!r}")
 

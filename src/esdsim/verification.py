@@ -21,7 +21,10 @@ W W^dag, and concurrences come from
 state's amplitude column), square and wider than four columns (Ginibre
 draws G / ||G||_F).  `channel_output_validity` keeps one reference: the
 Kraus sum written out with `np.kron`, and `states.validate_density_matrix`
-on the evolved states.  `closed_vs_numeric` and `trajectory_monotone` hand
+on the evolved states.  `kron_algebra` checks `_kron`, the stacked 2x2
+Kronecker product of the local-unitary and twirl suites, which neither
+route runs; `concurrence_x_oracle` checks the X closed form at tau = 0
+that the routes run.  `closed_vs_numeric` and `trajectory_monotone` hand
 their whole sample to `dynamics.numeric_concurrence`, the numeric route
 that `evolve` prints; it builds, stacks and evolves the factors.  Library
 functions that take a single record (the closed forms, the death-time
@@ -49,12 +52,7 @@ import numpy as np
 
 from . import channels, dynamics, sampling
 from .channels import NoiseKind, apply_to_factor, kraus_for
-from .concurrence import (
-    _symmetric_singular_values,
-    concurrence_pure,
-    concurrence_x,
-    factor_concurrence,
-)
+from .concurrence import _symmetric_singular_values, concurrence_pure, factor_concurrence
 from .dynamics import (
     Classification,
     Scenario,
@@ -66,7 +64,7 @@ from .dynamics import (
     esd_time_bisection,
     numeric_concurrence,
 )
-from .linalg import _frobenius, dagger, kron
+from .linalg import _frobenius, dagger
 from .states import (
     Family,
     FamilyParams,
@@ -79,8 +77,16 @@ from .states import (
     validate_density_matrix,
 )
 
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a x b of two 2x2 matrices, or of two stacks of them pair by pair:
+    # block (i, j) is a[i, j] * b, each entry one product, as in np.kron
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
+
+
 # bit flip on qubit 1
-_FLIP1 = kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+_FLIP1 = _kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
 
 
 @dataclass
@@ -163,10 +169,10 @@ def _marginal_second(rho: np.ndarray) -> np.ndarray:
 
 def suite_kron_algebra(rng: np.random.Generator, res: SuiteResult) -> None:
     a, b, c, d = sampling._complex_normal(rng, (res.cases, 4, 2, 2)).swapaxes(0, 1)
-    k = kron(a, b)
+    k = _kron(a, b)
     blocks = np.block([[a[:, i, j, None, None] * b for j in range(2)] for i in range(2)])
-    mixed = k @ kron(c, d)
-    joint = kron(a @ c, b @ d)
+    mixed = k @ _kron(c, d)
+    joint = _kron(a @ c, b @ d)
     err = np.maximum(_frobenius(k - blocks), _frobenius(mixed - joint))
     res.record_all(err, lambda i: f"a={a[i].tolist()!r} b={b[i].tolist()!r}")
 
@@ -314,10 +320,11 @@ def suite_composition_semigroup(rng: np.random.Generator, res: SuiteResult) -> N
 
 
 def suite_concurrence_x_oracle(rng: np.random.Generator, res: SuiteResult) -> None:
-    # x_factor of each record's entries, z complex
+    # the closed form at tau = 0 (the phase cell's is the X formula, bit for
+    # bit) against x_factor of each record's entries, z complex
     params = [sampling.random_x_params(rng) for _ in range(res.cases)]
-    oracle = factor_concurrence(np.stack([state_factor(p) for p in params]))
-    err = np.abs(np.array([concurrence_x(p) for p in params]) - oracle)
+    closed = [closed_form_concurrence(Scenario(p, NoiseKind.PHASE), 0.0) for p in params]
+    err = np.abs(np.array(closed) - factor_concurrence(np.stack([state_factor(p) for p in params])))
     res.record_all(err, lambda i: f"params={params[i]!r}")
 
 
@@ -345,7 +352,7 @@ def _local_unitary_case(rng: np.random.Generator) -> tuple:
 def suite_local_unitary_invariance(rng: np.random.Generator, res: SuiteResult) -> None:
     w, g = zip(*(_local_unitary_case(rng) for _ in range(res.cases)))
     u1, u2 = sampling._haar_from_ginibre(np.stack(g)).swapaxes(0, 1)
-    wide, u = _padded(w, 8), kron(u1, u2)
+    wide, u = _padded(w, 8), _kron(u1, u2)
     err = np.abs(factor_concurrence(wide) - factor_concurrence(u @ wide))
     res.record_all(err, lambda i: f"w={w[i].tolist()!r} u={u[i].tolist()!r}")
 
@@ -357,11 +364,11 @@ def suite_twirl_invariance(rng: np.random.Generator, res: SuiteResult) -> None:
     xs, g = zip(*((rng.random(), sampling._complex_normal(rng, (2, 2))) for _ in range(res.cases)))
     u = sampling._haar_from_ginibre(np.stack(g))
     rho_w = np.stack([state_matrix(FamilyParams(Family.WERNER, x)) for x in xs])
-    uu = kron(u, u)
+    uu = _kron(u, u)
     err = _frobenius(uu @ rho_w @ dagger(uu) - rho_w)
     rho_i = np.stack([state_matrix(FamilyParams(Family.ISOTROPIC, x)) for x in xs])
     rho_i = _FLIP1 @ rho_i @ _FLIP1
-    uc = kron(u, u.conj())
+    uc = _kron(u, u.conj())
     err = np.maximum(err, _frobenius(uc @ rho_i @ dagger(uc) - rho_i))
     res.record_all(err, lambda i: f"x={xs[i]!r} u={u[i].tolist()!r}")
 

@@ -15,7 +15,12 @@ serve the tests' other 50-digit references too.
 `reference_margin` has the sign of the evolved state's concurrence at 50
 digits, from the evolved entries alone, and `reference_death` bisects that
 sign for the death time; they too read nothing of the closed forms.
+
+`x_concurrence` is the X-state formula 2 max(0, |z| - sqrt(a) sqrt(d)) in
+floats, written out apart from the closed forms of `dynamics`.
 """
+import math
+
 import mpmath
 import numpy as np
 
@@ -29,6 +34,12 @@ def kraus_sum(rho, kraus):
     each state of `rho`; a stacked set and a stack of states broadcast."""
     lifted = np.kron(kraus.ops, np.eye(2))
     return (lifted @ rho @ lifted.conj().swapaxes(-1, -2)).sum(axis=0)
+
+
+def x_concurrence(params: XStateParams) -> float:
+    """2 max(0, |z| - sqrt(a) sqrt(d)), the concurrence of an X state; the
+    product a d would underflow at weights below about 1e-162."""
+    return 2.0 * max(0.0, abs(params.z) - math.sqrt(params.a) * math.sqrt(params.d))
 
 
 MP = mpmath.mp.clone()

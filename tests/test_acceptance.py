@@ -17,7 +17,7 @@ from esdsim.channels import (
     kraus_for,
     phase_kraus,
 )
-from esdsim.concurrence import concurrence_x, factor_concurrence
+from esdsim.concurrence import factor_concurrence
 from esdsim.dynamics import (
     Classification,
     Scenario,
@@ -28,7 +28,6 @@ from esdsim.dynamics import (
     noise_param,
     numeric_trajectory,
 )
-from esdsim.linalg import kron
 from esdsim.sampling import (
     ginibre_factor,
     haar_unitary,
@@ -46,7 +45,7 @@ from esdsim.states import (
     x_entries,
     x_factor,
 )
-from reference import kraus_sum, reference_concurrence
+from reference import kraus_sum, reference_concurrence, x_concurrence
 
 AMP = NoiseKind.AMPLITUDE
 PHASE = NoiseKind.PHASE
@@ -188,10 +187,10 @@ def test_criterion_10_concurrence_oracle_properties():
     rng = np.random.default_rng(1010)
     for _ in range(100):
         w = ginibre_factor(rng)
-        local = kron(haar_unitary(rng), haar_unitary(rng))
+        local = np.kron(haar_unitary(rng), haar_unitary(rng))
         assert abs(factor_concurrence(w) - factor_concurrence(local @ w)) <= 1e-9
 
     for _ in range(1000):
         params = random_x_params(rng)
-        diff = abs(concurrence_x(params) - factor_concurrence(x_factor(*x_entries(params))))
+        diff = abs(x_concurrence(params) - factor_concurrence(x_factor(*x_entries(params))))
         assert diff <= 1e-9

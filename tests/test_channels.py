@@ -122,6 +122,15 @@ def test_constructors_reject_out_of_range(ctor, bad):
         ctor(bad)
 
 
+def test_kraus_for_rejects_a_kind_that_is_not_the_enum():
+    # "phase" once fell through to the four depolarizing operators
+    kinds = "NoiseKind.AMPLITUDE, NoiseKind.PHASE, NoiseKind.DEPOLARIZING"
+    for bad in ("phase", "amplitude", None):
+        with pytest.raises(ValueError) as caught:
+            kraus_for(bad, 0.5)
+        assert str(caught.value) == f"expected a NoiseKind ({kinds}), got {bad!r}"
+
+
 def test_noise_spec_alias_returns_the_kind():
     # esdbench/workloads.py still builds NoiseSpec(NoiseKind(name)): the
     # alias must hand back the kind itself until the workloads pass it

@@ -10,10 +10,10 @@ from esdsim.concurrence import (
     _factor_spectrum,
     _symmetric_singular_values,
     concurrence_pure,
-    concurrence_x,
     factor_concurrence,
 )
 from esdsim.dynamics import Scenario, _evolve, closed_form_concurrence
+from esdsim.sampling import random_x_params
 from esdsim.states import (
     Family,
     FamilyParams,
@@ -23,7 +23,7 @@ from esdsim.states import (
     state_factor,
 )
 from esdsim.verification import _concurrence_pure_determinant
-from reference import matrix_concurrence
+from reference import matrix_concurrence, x_concurrence
 
 
 def test_spin_flip_constant():
@@ -38,7 +38,7 @@ def test_spin_flip_constant():
 
 def test_bell_state_concurrence_is_one():
     psi_plus = XStateParams(0.0, 0.5, 0.5, 0.0, 0.5)
-    assert concurrence_x(psi_plus) == 1.0
+    assert x_concurrence(psi_plus) == 1.0
     np.testing.assert_allclose(factor_concurrence(state_factor(psi_plus)), 1.0, atol=1e-12)
     phi_plus = PureStateParams(0.5, 0.0, 0.0, 0.5)
     np.testing.assert_allclose(concurrence_pure(phi_plus), 1.0, atol=1e-15)
@@ -62,10 +62,10 @@ def test_factor_spectrum_known_cases():
 
 
 def test_concurrence_x_formula_cases():
-    # 2 max(0, |z| - sqrt(a d))
-    assert concurrence_x(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2)) == pytest.approx(0.2)
-    assert concurrence_x(XStateParams(0.25, 0.25, 0.25, 0.25, 0.1)) == 0.0
-    assert concurrence_x(XStateParams(0.1, 0.4, 0.4, 0.1, 0.1 + 0.1j)) == pytest.approx(
+    # 2 max(0, |z| - sqrt(a d)), the reference the closed form is held to
+    assert x_concurrence(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2)) == pytest.approx(0.2)
+    assert x_concurrence(XStateParams(0.25, 0.25, 0.25, 0.25, 0.1)) == 0.0
+    assert x_concurrence(XStateParams(0.1, 0.4, 0.4, 0.1, 0.1 + 0.1j)) == pytest.approx(
         2 * (math.hypot(0.1, 0.1) - 0.1)
     )
 
@@ -79,9 +79,24 @@ def test_concurrence_x_keeps_sqrt_ad_at_tiny_weights():
     for z in (5e-171, 2e-170):
         params = XStateParams(1e-170, 0.5, 0.5 - 2e-170, 1e-170, z)
         exact = 2 * max(0, mp.mpf(z) - mp.sqrt(mp.mpf(params.a) * mp.mpf(params.d)))
-        c = concurrence_x(params)
+        c = x_concurrence(params)
         assert c == closed_form_concurrence(Scenario(params, NoiseKind.PHASE), 0.0)
         assert c == pytest.approx(float(exact), rel=1e-15, abs=0)
+
+
+def test_phase_cell_at_tau_zero_is_the_x_formula_bit_for_bit():
+    # the closed form that the sampler floor and verify's
+    # concurrence_x_oracle read: the phase cell at tau = 0 equals the X
+    # formula in every bit, sign of zero included, on 20000 draws and on
+    # records of weights near 1e-170
+    def same_bits(params):
+        closed = float(closed_form_concurrence(Scenario(params, NoiseKind.PHASE), 0.0))
+        return closed.hex() == x_concurrence(params).hex()
+
+    rng = np.random.default_rng(11)
+    assert all(same_bits(random_x_params(rng)) for _ in range(20000))
+    for z in (5e-171, 2e-170):
+        assert same_bits(XStateParams(1e-170, 0.5, 0.5 - 2e-170, 1e-170, z))
 
 
 def test_concurrence_x_matches_wootters():
@@ -92,7 +107,7 @@ def test_concurrence_x_matches_wootters():
         z = rng.uniform() * np.sqrt(b * c) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         params = XStateParams(a, b, c, d, z)
         worst = max(
-            worst, abs(concurrence_x(params) - factor_concurrence(state_factor(params)))
+            worst, abs(x_concurrence(params) - factor_concurrence(state_factor(params)))
         )
     assert worst <= 1e-9
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from esdsim import dynamics, states
 from esdsim.channels import NoiseKind, kraus_for
 from esdsim.cli import main
-from esdsim.concurrence import concurrence_pure, concurrence_x, factor_concurrence
+from esdsim.concurrence import concurrence_pure, factor_concurrence
 from esdsim.dynamics import (
     FIGURE_PRESETS,
     Classification,
@@ -44,7 +44,7 @@ from esdsim.states import (
     state_factor,
     state_matrix,
 )
-from reference import kraus_sum, reference_concurrence
+from reference import kraus_sum, reference_concurrence, x_concurrence
 
 AMP = NoiseKind.AMPLITUDE
 PHASE = NoiseKind.PHASE
@@ -83,6 +83,29 @@ def test_noise_param_rejects_negative_time():
                 noise_param(noise, tau)
             with pytest.raises(ValueError, match="tau must be nonnegative"):
                 closed_form_concurrence(Scenario(FIG1_SOLID, noise), tau)
+
+
+NOT_A_KIND = (
+    "expected a NoiseKind (NoiseKind.AMPLITUDE, NoiseKind.PHASE, NoiseKind.DEPOLARIZING), got {!r}"
+)
+
+
+def test_noise_param_rejects_a_kind_that_is_not_the_enum():
+    # "depolarizing" once fell through to e^(-tau/2), 0.6065 at tau = 1
+    for bad in ("depolarizing", "amplitude", None):
+        with pytest.raises(ValueError) as caught:
+            noise_param(bad, 1.0)
+        assert str(caught.value) == NOT_A_KIND.format(bad)
+
+
+def test_scenario_rejects_a_noise_that_is_not_the_enum():
+    # Scenario(state, "phase") once built, and its closed form then raised
+    # UnboundLocalError while its numeric route read all zeros
+    for state in (FIG1_SOLID, FamilyParams(Family.WERNER, 0.8)):
+        for bad in ("phase", None):
+            with pytest.raises(ValueError) as caught:
+                Scenario(state, bad)
+            assert str(caught.value) == NOT_A_KIND.format(bad)
 
 
 def test_initial_concurrence_matches_static_formulas():
@@ -658,10 +681,10 @@ ASYMPTOTIC_CELLS = {
 
 def static_concurrence(state):
     if isinstance(state, XStateParams):
-        return concurrence_x(state)
+        return x_concurrence(state)
     if isinstance(state, PureStateParams):
         return concurrence_pure(state)
-    return concurrence_x(as_x_params(state_matrix(state)))
+    return x_concurrence(as_x_params(state_matrix(state)))
 
 
 @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)

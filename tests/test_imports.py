@@ -2,7 +2,8 @@
 
 A name that a module imports and never reads is left over from code that
 was removed; an `__all__` entry that does not resolve breaks
-`from esdsim import *`.
+`from esdsim import *`; and the package's public names are pinned, so
+that each change to them is a listed edit.
 """
 import ast
 from pathlib import Path
@@ -53,3 +54,50 @@ def test_every_public_name_resolves():
     # the verification names load lazily, through the package's __getattr__
     for name in esdsim.__all__:
         getattr(esdsim, name)
+
+
+# The public surface, one literal list: adding, renaming or removing a
+# public name is a deliberate edit of this list.
+PUBLIC_NAMES = [
+    "Classification",
+    "EsdBoundary",
+    "EsdResult",
+    "FIGURE_PRESETS",
+    "Family",
+    "FamilyParams",
+    "KrausSet",
+    "NoiseKind",
+    "PureStateParams",
+    "Scenario",
+    "SuiteResult",
+    "Trajectory",
+    "XStateParams",
+    "__version__",
+    "amplitude_kraus",
+    "apply_to_factor",
+    "as_x_params",
+    "closed_form_concurrence",
+    "closed_form_trajectory",
+    "completeness_residual",
+    "concurrence_pure",
+    "dagger",
+    "depolarizing_kraus",
+    "esd_boundary",
+    "esd_time_analytic",
+    "esd_time_bisection",
+    "evolved_state",
+    "factor_concurrence",
+    "kraus_for",
+    "noise_param",
+    "numeric_trajectory",
+    "phase_kraus",
+    "run_all",
+    "run_suite",
+    "state_factor",
+    "state_matrix",
+    "validate_density_matrix",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(esdsim.__all__) == PUBLIC_NAMES

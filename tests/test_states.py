@@ -93,6 +93,16 @@ def test_family_params_validation():
         FamilyParams(Family.ISOTROPIC, float("nan"))
 
 
+def test_family_params_reject_a_family_that_is_not_the_enum():
+    # "isotropic" was once taken, and built the Werner diagonal
+    for bad in ("isotropic", "werner", None, 0):
+        with pytest.raises(ValueError) as caught:
+            FamilyParams(bad, 0.7)
+        assert str(caught.value) == (
+            f"expected a Family (Family.ISOTROPIC, Family.WERNER), got {bad!r}"
+        )
+
+
 def test_x_state_layout():
     rho = state_matrix(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2))
     np.testing.assert_allclose(np.diagonal(rho), [0.1, 0.4, 0.4, 0.1])

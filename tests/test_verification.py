@@ -173,6 +173,45 @@ def test_suites_fail_on_wrong_library_answers(monkeypatch):
             assert res.max_error == math.inf, name
 
 
+def _complex_2x2(rng, *stack):
+    return rng.standard_normal((*stack, 2, 2)) + 1j * rng.standard_normal((*stack, 2, 2))
+
+
+def test_kron_matches_block_structure():
+    # verify's own Kronecker product: block (i, j) is a[i, j] * b, the bits
+    # of np.kron
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        a, b = _complex_2x2(rng), _complex_2x2(rng)
+        expected = np.block([[a[0, 0] * b, a[0, 1] * b], [a[1, 0] * b, a[1, 1] * b]])
+        assert verification._kron(a, b).tobytes() == expected.tobytes()
+        assert verification._kron(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
+def test_kron_mixed_product():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        a, b, c, d = _complex_2x2(rng, 4)
+        np.testing.assert_allclose(
+            verification._kron(a, b) @ verification._kron(c, d),
+            verification._kron(a @ c, b @ d),
+            atol=1e-13,
+        )
+
+
+def test_kron_stacks_pair_by_pair():
+    # as the local-unitary and twirl suites take it, on complex and real
+    # stacks (the real bit flip _FLIP1)
+    rng = np.random.default_rng(13)
+    a, b = _complex_2x2(rng, 6), _complex_2x2(rng, 6)
+    pairs = verification._kron(a, b)
+    assert pairs.shape == (6, 4, 4)
+    for i in range(6):
+        assert pairs[i].tobytes() == np.kron(a[i], b[i]).tobytes()
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert verification._FLIP1.tobytes() == np.kron(flip, np.eye(2)).tobytes()
+
+
 def test_factor_reduction_draws_entangled_states():
     # a separable draw compares 0 with 0 and checks nothing: at the default
     # --cases 1000 (500 draws), at least 9 in 10 of the states are entangled
