@@ -33,12 +33,14 @@ that compare the routes all call it, and `evolved_state` (W W^dag, from
 the true factor) applies its kernel `_evolve` at one time.
 Both routes take their channel parameters from `noise_param`.  ESD
 detection likewise comes in an analytic flavor (the root of the cell's
-margin) and a scan-plus-bisection flavor that scans the closed form over the whole grid,
-tau = 0 included, in one evaluation, then bisects the first dead interval.
-The scan grid and its noise-parameter values depend only on (noise kind,
-tau_max, points), so they are built once per process for each such key (16
-bytes per point per entry, at most 3 entries) and fed to the same evaluator
-that `closed_form_concurrence` calls.
+margin) and a scan-plus-bisection flavor.  Where the margin has a root,
+the latter scans the closed form over the whole grid, tau = 0 included,
+in one evaluation, then bisects the first dead interval; any other
+margin is evaluated at tau = 0 alone, the one point that can change its
+verdict.  The scan grid and its noise-parameter values depend only on
+(noise kind, tau_max, points), so they are built once per process for
+each such key (16 bytes per point per entry, at most 3 entries) and fed
+to the same evaluator that `closed_form_concurrence` calls.
 The bisection runs to the float spacing in rounds: the rule's death time
 predicts the step-by-step path, one evaluation checks every midpoint on
 it, and the next round starts after the first verdict that differs.  The
@@ -80,6 +82,7 @@ from .states import (
     PureStateParams,
     StateParams,
     XStateParams,
+    _not_record,
     _pure_amplitudes,
     state_factor,
     state_kind,
@@ -122,8 +125,10 @@ class Scenario:
             raise _not_member(self.noise, NoiseKind)
         # the cell's coefficients, read once: every closed-form value and
         # the death rule take them from here
-        margin = _MARGINS[state_kind(self.state)](self.state, self.noise)
-        object.__setattr__(self, "_margin", margin)
+        build = _MARGINS.get(state_kind(self.state))
+        if build is None:
+            raise _not_record(self.state)
+        object.__setattr__(self, "_margin", build(self.state, self.noise))
 
     @functools.cached_property
     def _death_time(self):
@@ -158,8 +163,9 @@ class Trajectory:
 class EsdResult:
     """Decay classification, with the death time when there is one.
 
-    `horizon` marks a result of the scan (`esd_time_bisection`) with its
-    window; an AsymptoticDecay from the scan only asserts survival up to it.
+    `horizon` marks a result of `esd_time_bisection` with its window; an
+    AsymptoticDecay from the scan only asserts survival up to it, and one
+    from a margin with no root holds at every tau.
     """
 
     classification: Classification
@@ -584,8 +590,8 @@ def esd_time_bisection(
     A time is dead where the closed form reads exactly 0.0: the formulas
     clamp through max(0, .), so a barely-alive asymptotic tail stays
     alive.  Only a margin with a root (lo > 0) is clamped; where it has
-    none, a value that underflows to 0.0 is alive, so no scan point of
-    that cell is dead.  `tau_max` may not exceed `ESD_TAU_MAX_LIMIT`
+    none, a value that underflows to 0.0 is alive, so that cell is not
+    scanned (below).  `tau_max` may not exceed `ESD_TAU_MAX_LIMIT`
     (about 1416.79): past it e^(-tau/2) itself underflows, and the scan
     would read a dying cell's underflow as its death.  The numeric route
     is checked against the closed form elsewhere (`evolve`'s abs_diff
@@ -603,13 +609,17 @@ def esd_time_bisection(
     from the bracket they leave.  The prediction only picks points,
     so the bisection still checks the rule.
 
-    The scan is one evaluation of the scenario's formula on the cached
-    grid (`_scan_grid`), through the same evaluator and domain check as
-    `closed_form_concurrence`, so every verdict of the scan has the same
-    bits.  Its first point decides InitiallySeparable, apart from the
-    margin that `esd_time_analytic` reads.  So an InitiallySeparable or an
-    AsymptoticDecay costs one evaluation, and a sudden death the scan and
-    one per round.
+    Only a margin with a root (m0 > 0 and lo > 0) scans: one evaluation of
+    the scenario's formula on the cached grid (`_scan_grid`), through the
+    same evaluator and domain check as `closed_form_concurrence`, so every
+    verdict of the scan has the same bits; a sudden death then costs one
+    evaluation per round.  Any other margin is evaluated at tau = 0 alone,
+    after the same grid lookup (so a bad or oversized `points` fails alike
+    for every state), since no later point can change its verdict: 0.0
+    there is InitiallySeparable, and anything else an AsymptoticDecay that
+    holds at every tau, whose `horizon` still echoes `tau_max`.  The value
+    at tau = 0 decides InitiallySeparable apart from the margin that
+    `esd_time_analytic` reads.
     """
     if not (tau_max > 0.0 and math.isfinite(tau_max)):
         raise ValueError(f"tau_max must be positive and finite, got {tau_max!r}")
@@ -620,12 +630,17 @@ def esd_time_bisection(
         raise ValueError(f"need at least 2 scan points, got {points!r}")
 
     grid, values = _scan_grid(scenario.noise, tau_max, points)
+    margin = scenario._margin
+    if not (margin.m0 > 0.0 and margin.lo > 0.0):
+        # no root: only the value at tau = 0 can change the verdict
+        if _closed_form(scenario, values[:1])[0] == 0.0:
+            return EsdResult(Classification.INITIALLY_SEPARABLE)
+        return EsdResult(Classification.ASYMPTOTIC_DECAY, horizon=tau_max)
     c = _closed_form(scenario, values)
     dead_scan = c == 0.0
     if dead_scan[0]:
         return EsdResult(Classification.INITIALLY_SEPARABLE)
-    # a margin with no root takes no clamp: a 0.0 there is an underflow
-    if not (scenario._margin.lo > 0.0 and dead_scan.any()):
+    if not dead_scan.any():
         return EsdResult(Classification.ASYMPTOTIC_DECAY, horizon=tau_max)
     first = int(dead_scan.argmax())
 

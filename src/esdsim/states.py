@@ -123,15 +123,17 @@ def x_entries(params: XStateParams | FamilyParams) -> tuple:
     """The entries (a, b, c, d, z) of an X-pattern record: its diagonal
     weights and central coherence.  An X record's z comes as a complex, so
     that a real z conjugates to -0j in its matrix; a family's z is real and
-    keeps its sign."""
+    keeps its sign.  Anything else raises ValueError."""
     if isinstance(params, XStateParams):
         return params.a, params.b, params.c, params.d, complex(params.z)
-    x = params.x
-    if params.family is Family.ISOTROPIC:
-        corner, mid, z = (1.0 - x) / 3.0, (2.0 * x + 1.0) / 6.0, (4.0 * x - 1.0) / 6.0
-    else:
-        corner, mid, z = (1.0 - x) / 4.0, (1.0 + x) / 4.0, -x / 2.0
-    return corner, mid, mid, corner, z
+    if isinstance(params, FamilyParams):
+        x = params.x
+        if params.family is Family.ISOTROPIC:
+            corner, mid, z = (1.0 - x) / 3.0, (2.0 * x + 1.0) / 6.0, (4.0 * x - 1.0) / 6.0
+        else:
+            corner, mid, z = (1.0 - x) / 4.0, (1.0 + x) / 4.0, -x / 2.0
+        return corner, mid, mid, corner, z
+    raise _not_record(params)
 
 
 def _pure_amplitudes(params: PureStateParams) -> np.ndarray:
@@ -183,6 +185,12 @@ def x_factor(a, b, c, d, z) -> np.ndarray:
 
 
 StateParams = Union[XStateParams, PureStateParams, FamilyParams]
+
+
+def _not_record(value) -> ValueError:
+    """The ValueError for a `value` that is not one of the state records."""
+    kinds = ", ".join(kind.__name__ for kind in StateParams.__args__)
+    return ValueError(f"expected a state record ({kinds}), got {value!r}")
 
 
 def state_kind(params: StateParams):

@@ -930,13 +930,19 @@ def test_oversized_points_exit_2(monkeypatch, capsys):
 
     monkeypatch.setattr(np, "linspace", linspace)
     dynamics._scan_grid.cache_clear()
-    for argv in (["esd", *FIG1_SOLID_FLAGS], ["evolve", *FIG1_SOLID_FLAGS], ["figure", "fig1"]):
+    # a sudden death, a separable state and a root-free decay: the last two
+    # evaluate tau = 0 alone, after the same grid lookup
+    esd_states = (FIG1_SOLID_FLAGS, ["--noise", "phase", "--family", "isotropic", "--x", "0.3"],
+                  ["--noise", "amplitude", "--pure", "--a", "1", "--b", "0", "--c", "0",
+                   "--d", "1e-300", "--tau-max", "1400"])
+    for argv in (*(["esd", *flags] for flags in esd_states),
+                 ["evolve", *FIG1_SOLID_FLAGS], ["figure", "fig1"]):
         code, out, err = run([*argv, "--points", "10000000000000"], capsys)
         assert (code, out) == (2, ""), argv
         assert err == f"error: --points 10000000000000 is too large: {message}\n"
-    # esd looked its scan grid up once, and the failed build kept no entry
+    # each esd looked its scan grid up once, and the failed builds kept no entry
     info = dynamics._scan_grid.cache_info()
-    assert (info.misses, info.currsize) == (1, 0)
+    assert (info.misses, info.currsize) == (len(esd_states), 0)
 
 
 def test_oversized_cases_exit_2(monkeypatch, capsys):

@@ -108,6 +108,18 @@ def test_scenario_rejects_a_noise_that_is_not_the_enum():
             assert str(caught.value) == NOT_A_KIND.format(bad)
 
 
+def test_scenario_rejects_a_state_that_is_not_a_record():
+    # a tuple once raised KeyError: <class 'tuple'> from the margin table
+    for bad in ((0.1, 0.4, 0.4, 0.1, 0.2), None):
+        for noise in (AMP, PHASE, DEPOL):
+            with pytest.raises(ValueError) as caught:
+                Scenario(bad, noise)
+            assert str(caught.value) == (
+                "expected a state record (XStateParams, PureStateParams, FamilyParams), "
+                f"got {bad!r}"
+            )
+
+
 def test_initial_concurrence_matches_static_formulas():
     assert closed_form_concurrence(Scenario(FIG1_SOLID, AMP), 0.0) == pytest.approx(0.2)
     assert closed_form_concurrence(Scenario(BELL_PSI, PHASE), 0.0) == 1.0
@@ -925,12 +937,12 @@ def test_the_analytic_verdict_reads_the_margin_and_no_closed_form(monkeypatch):
     assert main(argv) == 0
     assert calls == [2048, 48]
     assert len(rules) == 1
-    # an asymptotic decay (d = 0) and a separable state: the scan alone
+    # an asymptotic decay (d = 0) and a separable state: tau = 0 alone
     for weights in ("--a 0.2 --b 0.3 --c 0.5 --d 0 --zsq 0.09",
                     "--a 0.2 --b 0.3 --c 0.3 --d 0.2 --zsq 0.01"):
         calls.clear()
         assert main(["esd", "--noise", "phase", "--xstate", *weights.split()]) == 0
-        assert calls == [2048]
+        assert calls == [1]
 
 
 def test_bisection_x_depolarizing_frozen_roots():
@@ -1106,6 +1118,60 @@ def test_every_initially_separable_draw_is_classified_so(tau_max):
         assert got == EsdResult(Classification.INITIALLY_SEPARABLE), s
 
 
+# records at the edges of the margin-decided path: both family criticals
+# (lo = 0 under amplitude noise), a = 0 or d = 0, and the X/phase record
+# at subnormal a = d, whose rule time (1426.2) lies past every horizon
+MARGIN_EDGES = [
+    Scenario(state, noise)
+    for state in (FamilyParams(Family.WERNER, 0.5), FamilyParams(Family.ISOTROPIC, 0.625),
+                  XStateParams(0.0, 0.3, 0.5, 0.2, 0.3), FIG2_DASHED,
+                  XStateParams(1e-310, 0.5, 0.5, 1e-310, 0.5))
+    for noise in (AMP, PHASE, DEPOL)
+]
+# 2e-150 e^(-tau/2) underflows to 0 near tau = 801, below this horizon
+UNDERFLOWING = [Scenario(PureStateParams(1.0, 0.0, 0.0, 1e-300), noise) for noise in (AMP, PHASE)]
+
+
+@pytest.mark.parametrize("tau_max", SCAN_HORIZONS)
+def test_a_margin_without_a_root_is_decided_at_tau_zero_alone(tau_max, monkeypatch):
+    cases = [(s, tau_max) for s in (*RANDOM_SCENARIOS, *MARGIN_EDGES, *UNDERFLOWING)]
+    cases += [(s, 1400.0) for s in UNDERFLOWING]
+    calls = []
+    evaluate = dynamics._closed_form
+
+    def counted(scenario, value):
+        calls.append(np.size(value))
+        return evaluate(scenario, value)
+
+    decided = underflows = 0
+    for s, horizon in cases:
+        # no formula leaves its domain on the whole grid, so the points that
+        # are not evaluated could not have raised
+        c = closed_form_concurrence(s, np.linspace(0.0, horizon, dynamics.SCAN_POINTS))
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(dynamics, "_closed_form", counted)
+            got = esd_time_bisection(s, tau_max=horizon)
+        reference = stepwise_bisection(s, tau_max=horizon)
+        if s._margin.m0 > 0.0 and s._margin.lo > 0.0:
+            # a margin with a root pays the whole scan first
+            assert calls[0] == dynamics.SCAN_POINTS, s
+        else:
+            assert calls == [1], s
+            decided += 1
+            if c[0] > 0.0 and (c == 0.0).any():
+                # the stepwise loop reads any 0.0 as dead; with no root the
+                # zeros follow subnormal values: an underflow, not a death
+                assert c[c > 0.0].min() < np.finfo(float).tiny, s
+                reference = EsdResult(Classification.ASYMPTOTIC_DECAY, horizon=horizon)
+                underflows += 1
+        assert got == reference, (s, horizon)
+    # separable states and root-free decays, among the draws and the edges;
+    # the pure records underflow at 1400 on every run
+    assert decided > len(RANDOM_SCENARIOS) // 2
+    assert underflows >= len(UNDERFLOWING)
+
+
 def test_bisection_matches_at_a_tol_below_the_float_spacing():
     # the bisection has no tolerance: it runs until lo and hi are adjacent
     # floats, which is where a step-by-step loop with a tol below the float
@@ -1138,11 +1204,11 @@ def test_bisection_evaluation_counts(monkeypatch):
     depol = esd_time_bisection(Scenario(FIG2_DASHED, DEPOL))
     assert depol.classification is Classification.SUDDEN_DEATH
     assert calls == [2048, 49]
-    # a separable state and an asymptotic decay: the scan alone
+    # a separable state and an asymptotic decay: tau = 0 alone
     for s in (Scenario(FamilyParams(Family.WERNER, 0.3), PHASE), Scenario(FIG1_DASHED, AMP)):
         calls.clear()
         esd_time_bisection(s)
-        assert calls == [2048]
+        assert calls == [1]
     # a wrong rule time costs one round per verdict that differs
     # from the prediction; each round keeps at least one midpoint, so the
     # rounds hold fewer midpoints one after the other

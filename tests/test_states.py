@@ -103,6 +103,18 @@ def test_family_params_reject_a_family_that_is_not_the_enum():
         )
 
 
+NOT_A_RECORD = "expected a state record (XStateParams, PureStateParams, FamilyParams), got {!r}"
+
+
+@pytest.mark.parametrize("entry", [state_matrix, state_factor, x_entries], ids=lambda f: f.__name__)
+def test_entry_points_reject_a_state_that_is_not_a_record(entry):
+    # a tuple once raised AttributeError: 'tuple' object has no attribute 'x'
+    for bad in ((1, 2), (0.1, 0.4, 0.4, 0.1, 0.2), None):
+        with pytest.raises(ValueError) as caught:
+            entry(bad)
+        assert str(caught.value) == NOT_A_RECORD.format(bad)
+
+
 def test_x_state_layout():
     rho = state_matrix(XStateParams(0.1, 0.4, 0.4, 0.1, 0.2))
     np.testing.assert_allclose(np.diagonal(rho), [0.1, 0.4, 0.4, 0.1])
