@@ -21,10 +21,14 @@ converting and passing its choices, and every required flag given.  That
 gives the Namespace argparse would.  Every other argv goes to argparse:
 help, `--flag=value`, abbreviations, dash-leading values such as
 `--zarg -1.5`, `--`, unknown or missing flags, bad values, and `figure`.
-So help pages, usage errors and exit codes are argparse's.  The tables
-save an in-process caller (a benchmark loop, a notebook, the tests) most
-of the time an `esd` command spends in argparse (BENCH_cli_table_route.json);
-a shell user gains nothing, as process start-up costs far more.
+So help pages, usage errors and exit codes are argparse's.  Each option
+of a table is a plain tuple of what parsing reads (dest, flag or not,
+const, type, choices), so no argparse attribute is read per token; and
+the state flags that each state kind rejects are listed once, with their
+messages.  The tables save an in-process caller (a benchmark loop, a
+notebook, the tests) most of the time an `esd` command spends in argparse
+(BENCH_cli_table_route.json, BENCH_esd_fixed_cost.json); a shell user
+gains nothing, as process start-up costs far more.
 
 `evolve` and `figure` tables print in one write.  The tau column's text is
 kept for the next table on the same grid, and a table's trailing run of
@@ -93,15 +97,25 @@ _STATE_FLAGS = {
 }
 
 
+# Per state kind: the flags it rejects, in -h order, with their messages.
+_FOREIGN_FLAGS = {
+    kind: [
+        (name, f"--{name} applies to {' and '.join(f'--{k}' for k in kinds)}, not --{kind}")
+        for name, (_, kinds) in _STATE_FLAGS.items()
+        if kind not in kinds
+    ]
+    for kind in ("xstate", "pure", "family")
+}
+
+
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     chosen = [bool(args.xstate), bool(args.pure), args.family is not None]
     if sum(chosen) != 1:
         raise ValueError("specify exactly one of --xstate, --pure, --family")
     kind = "xstate" if args.xstate else "pure" if args.pure else "family"
-    for name, (_, kinds) in _STATE_FLAGS.items():
-        if getattr(args, name) is not None and kind not in kinds:
-            owners = " and ".join(f"--{k}" for k in kinds)
-            raise ValueError(f"--{name} applies to {owners}, not --{kind}")
+    for name, message in _FOREIGN_FLAGS[kind]:
+        if getattr(args, name) is not None:
+            raise ValueError(message)
     noise = NoiseKind(args.noise)
 
     if args.family is not None:
@@ -354,7 +368,8 @@ def _defaults(actions) -> dict:
 
 @functools.lru_cache(maxsize=1)
 def _option_tables(parser: argparse.ArgumentParser) -> dict[str, tuple]:
-    """Per subcommand without positionals: option string -> the plain store
+    """Per subcommand without positionals: option string -> a plain tuple
+    (action, dest, is_flag, const, type, choices) copied once from the store
     or store-true action that declared it, the Namespace defaults in the
     order argparse sets them, and the required actions.
 
@@ -367,7 +382,7 @@ def _option_tables(parser: argparse.ArgumentParser) -> dict[str, tuple]:
         if not all(a.option_strings for a in actions):
             continue
         options = {
-            option: a
+            option: (a, a.dest, a.nargs == 0, a.const, a.type, a.choices)
             for a in actions
             # a store flag with one value, or a store-true flag
             if type(a) in _PLAIN_ACTIONS and a.nargs in (None, 0)
@@ -381,7 +396,8 @@ def _option_tables(parser: argparse.ArgumentParser) -> dict[str, tuple]:
 def _table_parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace | None:
     """The Namespace `parser.parse_args(argv)` returns, read through the
     option tables, or None when argv is not of the one shape they read (see
-    the module docstring); argparse parses any other argv.
+    the module docstring); argparse parses any other argv.  Each option
+    token unpacks its tuple from the table, reading no argparse attribute.
     """
     table = _option_tables(parser).get(argv[0]) if argv else None
     if table is None:
@@ -391,25 +407,26 @@ def _table_parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namesp
     seen = set()
     i, n = 1, len(argv)
     while i < n:
-        action = options.get(argv[i])
-        if action is None:
+        entry = options.get(argv[i])
+        if entry is None:
             return None
-        if action.nargs == 0:
-            value = action.const
+        action, dest, is_flag, const, convert, choices = entry
+        if is_flag:
+            value = const
             i += 1
         else:
             text = argv[i + 1] if i + 1 < n else None
             if not isinstance(text, str) or text.startswith("-"):
                 return None
             try:
-                value = text if action.type is None else action.type(text)
+                value = text if convert is None else convert(text)
             except (argparse.ArgumentTypeError, TypeError, ValueError):
                 # argparse reports these as an invalid value
                 return None
-            if action.choices is not None and value not in action.choices:
+            if choices is not None and value not in choices:
                 return None
             i += 2
-        values[action.dest] = value
+        values[dest] = value
         seen.add(action)
     if not seen.issuperset(required):
         return None

@@ -615,9 +615,12 @@ def esd_time_bisection(
     verdict of the scan has the same bits; a sudden death then costs one
     evaluation per round.  Any other margin is evaluated at tau = 0 alone,
     after the same grid lookup (so a bad or oversized `points` fails alike
-    for every state), since no later point can change its verdict: 0.0
-    there is InitiallySeparable, and anything else an AsymptoticDecay that
-    holds at every tau, whose `horizon` still echoes `tau_max`.  The value
+    for every state), since no later point can change its verdict.  That
+    value is read as a Python float, through the same evaluator: the same
+    IEEE operations as on the grid give the same bits, without the cost of
+    numpy on a one-element array.  0.0 there is InitiallySeparable, and
+    anything else an AsymptoticDecay that holds at every tau, whose
+    `horizon` still echoes `tau_max`.  The value
     at tau = 0 decides InitiallySeparable apart from the margin that
     `esd_time_analytic` reads.
     """
@@ -633,7 +636,7 @@ def esd_time_bisection(
     margin = scenario._margin
     if not (margin.m0 > 0.0 and margin.lo > 0.0):
         # no root: only the value at tau = 0 can change the verdict
-        if _closed_form(scenario, values[:1])[0] == 0.0:
+        if _closed_form(scenario, float(values[0])) == 0.0:
             return EsdResult(Classification.INITIALLY_SEPARABLE)
         return EsdResult(Classification.ASYMPTOTIC_DECAY, horizon=tau_max)
     c = _closed_form(scenario, values)

@@ -93,9 +93,15 @@ def _check_unit_trace(tr) -> None:
     )
 
 
-def _check_psd(low: np.ndarray) -> None:
-    """Reject each matrix whose least eigenvalue `low` (one per matrix) sits
-    below -PSD_CLAMP_TOL or is NaN."""
+def _check_psd(low) -> None:
+    """Reject each matrix whose least eigenvalue `low` sits below
+    -PSD_CLAMP_TOL or is NaN.  `low` is one float, for one matrix (a Python
+    float passes with no numpy scalar made), or an array of them, one per
+    matrix, whose errors name the index of the first that fails."""
+    if isinstance(low, float):
+        if low >= -PSD_CLAMP_TOL:
+            return
+        low = np.float64(low)
     _reject_first(
         ~(low >= -PSD_CLAMP_TOL),
         lambda i, at: f"matrix{at} is not PSD: min eigenvalue {low[i]:.3e} < -{PSD_CLAMP_TOL:.3e}",

@@ -62,7 +62,7 @@ class XStateParams:
         # allowance and wording of every matrix check
         b, c = self.b, self.c
         least = ((b + c) - math.hypot(b - c, 2.0 * abs(self.z))) / 2.0
-        _check_psd(np.float64(least))
+        _check_psd(least)
         if least < 0.0:  # admitted: both routes read the PSD block at |z| = sqrt(b c)
             object.__setattr__(self, "z", self.z * (math.sqrt(b) * math.sqrt(c) / abs(self.z)))
 

@@ -1172,6 +1172,35 @@ def test_a_margin_without_a_root_is_decided_at_tau_zero_alone(tau_max, monkeypat
     assert underflows >= len(UNDERFLOWING)
 
 
+@pytest.mark.parametrize("tau_max", SCAN_HORIZONS)
+def test_the_evaluator_on_a_float_gives_the_bits_of_the_grid(tau_max):
+    # the root-free verdict reads tau = 0 as a Python float: the same IEEE
+    # operations as on a one-element array, so the same bits, the sign of a
+    # zero included.  Every cell, at the family criticals, a = 0 and d = 0,
+    # weights near 1e-310 and a central block admitted at |z| = sqrt(bc);
+    # a stride of the grid besides tau = 0
+    states_ = [
+        FamilyParams(Family.WERNER, 0.5), FamilyParams(Family.ISOTROPIC, 0.625),
+        FamilyParams(Family.WERNER, 1.0), FamilyParams(Family.ISOTROPIC, 0.0),
+        XStateParams(0.0, 0.3, 0.5, 0.2, 0.3), XStateParams(0.2, 0.3, 0.5, 0.0, 0.3),
+        XStateParams(1e-310, 0.5, 0.5, 1e-310, 0.5), XStateParams(0.5, 1e-310, 0.5, 0.0, 1e-311),
+        XStateParams(0.5, 0.0, 0.5, 0.0, 7e-6), XStateParams(0.25, 0.25, 0.25, 0.25, 0.250000000025),
+        PureStateParams(0.0, 0.5, 0.5, 0.0, 1.0), PureStateParams(0.5, 0.0, 0.0, 0.5),
+        PureStateParams(1.0, 0.0, 0.0, 1e-310), PureStateParams(1e-310, 0.5, 0.5, 0.0, 0.0, 2.0),
+    ]
+    cases = [*RANDOM_SCENARIOS, *MARGIN_EDGES, *UNDERFLOWING]
+    cases += [Scenario(state, noise) for state in states_ for noise in (AMP, PHASE, DEPOL)]
+    assert len({(states.state_kind(s.state), s.noise) for s in cases}) == 12
+    for s in cases:
+        _, values = dynamics._scan_grid(s.noise, tau_max, dynamics.SCAN_POINTS)
+        on_grid = dynamics._closed_form(s, values)
+        assert dynamics._closed_form(s, values[:1])[0].tobytes() == on_grid[0].tobytes(), s
+        for i in (*range(0, len(values), 97), len(values) - 1):
+            got = dynamics._closed_form(s, float(values[i]))
+            assert isinstance(got, float), (s, i)
+            assert np.float64(got).tobytes() == on_grid[i].tobytes(), (s, i)
+
+
 def test_bisection_matches_at_a_tol_below_the_float_spacing():
     # the bisection has no tolerance: it runs until lo and hi are adjacent
     # floats, which is where a step-by-step loop with a tol below the float

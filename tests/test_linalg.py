@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from esdsim.concurrence import _FLIP_SIGNS, factor_concurrence
-from esdsim.linalg import _check_psd, _frobenius, _hermitian_part, dagger
+from esdsim.linalg import PSD_CLAMP_TOL, _check_psd, _frobenius, _hermitian_part, dagger
 from esdsim.states import XStateParams, state_matrix, validate_density_matrix
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -96,6 +98,25 @@ def test_nan_fails_the_psd_check():
         _check_psd(np.float64(np.nan))
     with pytest.raises(ValueError, match="^matrix at index 1 is not PSD: min eigenvalue nan"):
         _check_psd(np.array([0.0, np.nan, -1.0]))
+
+
+def test_the_psd_check_takes_a_python_float():
+    # one matrix's least eigenvalue as a Python float: a passing one returns,
+    # a failing one or NaN raises the wording of a single matrix
+    for low in (0.1, 0.0, -0.0, -PSD_CLAMP_TOL, 5e-324):
+        assert _check_psd(low) is None
+    with pytest.raises(ValueError) as info:
+        _check_psd(-1e-7)
+    assert str(info.value) == "matrix is not PSD: min eigenvalue -1.000e-07 < -1.000e-10"
+    for low in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match=r"^matrix is not PSD: min eigenvalue (nan|-inf) < "):
+            _check_psd(low)
+    # an array keeps naming the index of the first matrix that fails
+    assert _check_psd(np.array([0.1, 0.0])) is None
+    with pytest.raises(ValueError, match=r"^matrix at index 2 is not PSD: min eigenvalue -1\.000e-07 < "):
+        _check_psd(np.array([0.1, 0.0, -1e-7, -1.0]))
+    with pytest.raises(ValueError, match=r"^matrix at index \(1, 0\) is not PSD: min eigenvalue nan < "):
+        _check_psd(np.array([[0.0, 0.1], [np.nan, -1.0]]))
 
 
 def test_every_state_check_speaks_one_wording():
